@@ -9,12 +9,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import (covered_values, few_shot_subsample, gen_benchmark_tasks,
-                   make_windows, normalize_windows, split_indices, zscore_fit)
+from .data import few_shot_subsample, gen_benchmark_tasks, windowed_split
 from .forecaster import Forecaster, init_forecaster
 from .metrics import evaluate_model
-from .tuner import (TuneConfig, frozen_eval, lwf_tune, r_tune,
-                    replay_only_tune, vanilla_ft)
+from .tuner import METHODS, TuneConfig, frozen_eval, method_config, r_tune
 
 __all__ = [
     "BenchmarkGeometry",
@@ -22,10 +20,7 @@ __all__ = [
     "desk_config",
     "prepare_benchmark",
     "run_arm",
-    "ARM_METHODS",
 ]
-
-ARM_METHODS = ("r-tuning", "ft", "frozen", "lwf", "replay-only")
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,6 @@ class BenchmarkSetup:
     seed: int
     geometry: BenchmarkGeometry
     frozen: Forecaster
-    old_train: object
     old_test: object
     new_train: object
     new_test: object
@@ -61,19 +55,6 @@ def desk_config(seed: int, replay_n: int = 30, **overrides) -> TuneConfig:
     """
     base = TuneConfig(replay_n=replay_n, learning_rate=2e-2, seed=seed)
     return replace(base, **overrides) if overrides else base
-
-
-def _windowed_split(series, geometry: BenchmarkGeometry, train_fraction: float,
-                    seed: int):
-    """Window, split at window granularity, and normalize with parameters fit
-    only on the values the training windows cover."""
-    raw = make_windows(series, geometry.input_width, geometry.horizon,
-                       geometry.stride)
-    train_idx, test_idx = split_indices(len(raw), train_fraction, seed)
-    span = geometry.input_width + geometry.horizon
-    params = zscore_fit(covered_values(series, raw.starts[train_idx], span))
-    normalized = normalize_windows(raw, params)
-    return normalized.subset(train_idx), normalized.subset(test_idx), params
 
 
 def prepare_benchmark(seed: int, geometry: BenchmarkGeometry = None,
@@ -93,10 +74,12 @@ def prepare_benchmark(seed: int, geometry: BenchmarkGeometry = None,
         seed, old_length=old_length, new_length=new_length,
         noise_sigma=noise_sigma)
 
-    old_train, old_test, _ = _windowed_split(old_series, geometry,
-                                             train_fraction, seeds[0])
-    new_train_full, new_test, _ = _windowed_split(new_series, geometry,
-                                                  train_fraction, seeds[1])
+    old_train, old_test = windowed_split(
+        old_series, geometry.input_width, geometry.horizon, geometry.stride,
+        train_fraction, seeds[0])
+    new_train_full, new_test = windowed_split(
+        new_series, geometry.input_width, geometry.horizon, geometry.stride,
+        train_fraction, seeds[1])
     new_train = few_shot_subsample(new_train_full, few_shot_fraction, seeds[2])
 
     init = init_forecaster(geometry.input_width, geometry.horizon,
@@ -104,12 +87,11 @@ def prepare_benchmark(seed: int, geometry: BenchmarkGeometry = None,
     pretrain_cfg = TuneConfig(replay_n=0, distill_weight=0.0,
                               epochs=pretrain_epochs, learning_rate=pretrain_lr,
                               seed=seeds[4])
-    frozen, _ = vanilla_ft(init, old_train, pretrain_cfg)
+    frozen, _ = r_tune(init, old_train, pretrain_cfg, method="ft")
 
     return BenchmarkSetup(seed=seed, geometry=geometry, frozen=frozen,
-                          old_train=old_train, old_test=old_test,
-                          new_train=new_train, new_test=new_test,
-                          gen_params=gen_params)
+                          old_test=old_test, new_train=new_train,
+                          new_test=new_test, gen_params=gen_params)
 
 
 def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig):
@@ -119,17 +101,13 @@ def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig):
     Returns:
         (adapted model or None for "frozen", TuneReport with metrics)
     """
-    if method == "frozen":
+    cfg = method_config(method, cfg)
+    if METHODS[method] is None:
+        model = None
         report = frozen_eval(setup.frozen, [setup.old_test], setup.new_test, cfg)
-        report.extra["benchmark"] = dict(setup.gen_params)
-        return None, report
-
-    runners = {"r-tuning": r_tune, "ft": vanilla_ft, "lwf": lwf_tune,
-               "replay-only": replay_only_tune}
-    if method not in runners:
-        raise ValueError(f"unknown method {method!r}; expected one of {ARM_METHODS}")
-    model, report = runners[method](setup.frozen, setup.new_train, cfg)
-    report.old_metrics, report.new_metrics = evaluate_model(
-        model, [setup.old_test], setup.new_test)
+    else:
+        model, report = r_tune(setup.frozen, setup.new_train, cfg, method=method)
+        report.old_metrics, report.new_metrics = evaluate_model(
+            model, [setup.old_test], setup.new_test)
     report.extra["benchmark"] = dict(setup.gen_params)
     return model, report

@@ -7,27 +7,25 @@ under reruns so results can be reproduced exactly from any echo.
 """
 
 import argparse
-import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .benchmark import BenchmarkGeometry, prepare_benchmark, run_arm
-from .data import (covered_values, few_shot_subsample, make_windows,
-                   normalize_windows, read_series_csv, split_indices,
-                   zscore_fit)
+from .benchmark import (BenchmarkGeometry, BenchmarkSetup, prepare_benchmark,
+                        run_arm)
+from .data import (few_shot_subsample, make_windows, normalize_windows,
+                   read_series_csv, split_indices, windowed_split, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
-from .metrics import build_comparison_row, evaluate_model, metric_pair
+from .metrics import (MetricPair, build_comparison_row, evaluate_model,
+                      metric_pair)
 from .replay import build_replay_set, replay_count_for_fraction, replay_to_csv
-from .tuner import TuneConfig
+from .tuner import METHODS, TuneConfig
 from .wavelet import build_db4_bank, rwt_decompose, rwt_reconstruct
-
-METHODS = ("r-tuning", "ft", "frozen", "lwf", "replay-only")
 
 # flat JSON schema for run configs; unknown keys are rejected outright
 RUN_CONFIG_DEFAULTS = {
@@ -63,6 +61,15 @@ RUN_CONFIG_DEFAULTS = {
     "output_dir": "runs",
 }
 
+# run-config keys named differently in TuneConfig; the rest match by name
+_TUNE_RENAMES = {"lambda": "distill_weight", "beta": "reg_weight"}
+_TUNE_FIELDS = {f.name for f in dataclasses.fields(TuneConfig)}
+
+# `rtune tune` flags (argparse dest) that override a run-config key
+_TUNE_FLAGS = {"method": "method", "tau": "tau", "alpha": "alpha",
+               "levels": "wavelet_levels", "lambda_": "lambda", "beta": "beta",
+               "replay_n": "replay_n"}
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -72,9 +79,16 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()[:12]
 
 
-def load_run_config(path) -> dict:
+def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        user = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_run_config(path) -> dict:
+    user = _load_json(path)
     if not isinstance(user, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(user) - set(RUN_CONFIG_DEFAULTS))
@@ -98,24 +112,13 @@ def load_run_config(path) -> dict:
 
 
 def tune_config_from_run(cfg: dict, seed: int, n_new: int) -> TuneConfig:
-    replay_n = cfg["replay_n"]
+    fields = {_TUNE_RENAMES.get(key, key): value for key, value in cfg.items()}
+    fields = {key: value for key, value in fields.items() if key in _TUNE_FIELDS}
+    fields["seed"] = seed
     if cfg["replay_ratio"] is not None:
-        replay_n = replay_count_for_fraction(cfg["replay_ratio"], n_new,
-                                             cfg["discard_depth"])
-    return TuneConfig(
-        replay_n=replay_n,
-        wavelet_levels=cfg["wavelet_levels"],
-        discard_depth=cfg["discard_depth"],
-        alpha=cfg["alpha"],
-        tau=cfg["tau"],
-        distill_weight=cfg["lambda"],
-        reg_weight=cfg["beta"],
-        epochs=cfg["epochs"],
-        learning_rate=cfg["learning_rate"],
-        batch_size=cfg["batch_size"],
-        seed=seed,
-        validation_fraction=cfg["validation_fraction"],
-    )
+        fields["replay_n"] = replay_count_for_fraction(
+            cfg["replay_ratio"], n_new, cfg["discard_depth"])
+    return TuneConfig(**fields)
 
 
 def _pick_series(path, column):
@@ -140,8 +143,6 @@ def _windowed_eval_set(path, column, cfg):
 def _prepare_csv_setup(cfg: dict, seed: int):
     """Non-benchmark counterpart of the benchmark preparation: load the frozen
     checkpoint and window/split/normalize the CSV data."""
-    from .benchmark import BenchmarkSetup
-
     frozen = load_checkpoint(cfg["checkpoint"])
     if (frozen.input_width, frozen.horizon) != (cfg["input_width"], cfg["horizon"]):
         raise ValueError(
@@ -149,17 +150,11 @@ def _prepare_csv_setup(cfg: dict, seed: int):
             f"does not match config ({cfg['input_width']}, {cfg['horizon']})"
         )
     new_series = _pick_series(cfg["new_data"], cfg["column"])
-    raw = make_windows(new_series, cfg["input_width"], cfg["horizon"],
-                       cfg["stride"])
     sub = np.random.SeedSequence(seed).spawn(2)
     split_seed, shot_seed = (int(s.generate_state(1)[0]) for s in sub)
-    train_idx, test_idx = split_indices(len(raw), cfg["train_fraction"],
-                                        split_seed)
-    span = cfg["input_width"] + cfg["horizon"]
-    params = zscore_fit(covered_values(new_series, raw.starts[train_idx], span))
-    normalized = normalize_windows(raw, params)
-    new_train = normalized.subset(train_idx)
-    new_test = normalized.subset(test_idx)
+    new_train, new_test = windowed_split(
+        new_series, cfg["input_width"], cfg["horizon"], cfg["stride"],
+        cfg["train_fraction"], split_seed)
     if cfg["few_shot_fraction"] < 1.0:
         new_train = few_shot_subsample(new_train, cfg["few_shot_fraction"],
                                        shot_seed)
@@ -170,9 +165,8 @@ def _prepare_csv_setup(cfg: dict, seed: int):
     geometry = BenchmarkGeometry(cfg["input_width"], cfg["horizon"],
                                  cfg["stride"], cfg["hidden_width"])
     setup = BenchmarkSetup(seed=seed, geometry=geometry, frozen=frozen,
-                           old_train=None, old_test=old_tests[0],
-                           new_train=new_train, new_test=new_test,
-                           gen_params={})
+                           old_test=old_tests[0], new_train=new_train,
+                           new_test=new_test, gen_params={})
     return setup, old_tests
 
 
@@ -224,30 +218,11 @@ def _write_run_outputs(cfg: dict, seed: int, model, report, run_dir: Path):
     return written
 
 
-def _worker_count(args_threads: int, n_jobs: int) -> int:
-    cap = os.environ.get("RTUNE_THREADS")
-    workers = args_threads if args_threads else 1
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, min(workers, n_jobs))
-
-
 def cmd_tune(args) -> int:
     cfg = load_run_config(args.config)
-    if args.method:
-        cfg["method"] = args.method
-    if args.tau is not None:
-        cfg["tau"] = args.tau
-    if args.alpha is not None:
-        cfg["alpha"] = args.alpha
-    if args.levels is not None:
-        cfg["wavelet_levels"] = args.levels
-    if getattr(args, "lambda_") is not None:
-        cfg["lambda"] = args.lambda_
-    if args.beta is not None:
-        cfg["beta"] = args.beta
-    if args.replay_n is not None:
-        cfg["replay_n"] = args.replay_n
+    for dest, key in _TUNE_FLAGS.items():
+        if getattr(args, dest) is not None:
+            cfg[key] = getattr(args, dest)
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
 
@@ -272,28 +247,19 @@ def cmd_tune(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config)
     ratios = [float(r) for r in args.ratios.split(",")]
-    if any(r < 0 or r > 100 for r in ratios):
+    if not all(0.0 <= r <= 100.0 for r in ratios):
         raise ValueError(f"ratios must be in [0, 100], got {ratios}")
 
-    jobs = [(ratio, seed) for ratio in ratios for seed in cfg["seeds"]]
-
-    def one(job):
-        ratio, seed = job
-        arm_cfg = dict(cfg)
-        arm_cfg["replay_ratio"] = ratio
-        arm_cfg["seeds"] = [seed]
-        model, report = _execute_run(arm_cfg, seed)
-        run_dir = Path(cfg["output_dir"]) / config_hash(arm_cfg)
-        _write_run_outputs(arm_cfg, seed, model, report, run_dir)
-        return (ratio, seed, report.old_metrics.mae, report.old_metrics.mse,
-                report.new_metrics.mae, report.new_metrics.mse)
-
-    workers = _worker_count(args.threads, len(jobs))
-    if workers == 1:
-        results = [one(job) for job in jobs]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
+    results = []
+    for ratio in ratios:
+        for seed in cfg["seeds"]:
+            arm_cfg = dict(cfg, replay_ratio=ratio, seeds=[seed])
+            model, report = _execute_run(arm_cfg, seed)
+            run_dir = Path(cfg["output_dir"]) / config_hash(arm_cfg)
+            _write_run_outputs(arm_cfg, seed, model, report, run_dir)
+            results.append((ratio, seed, report.old_metrics.mae,
+                            report.old_metrics.mse, report.new_metrics.mae,
+                            report.new_metrics.mse))
     results.sort(key=lambda row: (row[0], row[1]))
 
     out_path = Path(args.output)
@@ -360,7 +326,7 @@ def cmd_eval(args) -> int:
     old_tests = [_windowed_eval_set(p, args.column, cfg) for p in args.old_data]
     new_set = _windowed_eval_set(args.new_data, args.column, cfg)
     if args.test_fraction is not None:
-        # evaluate on the held-out tail split of the new-task windows
+        # evaluate on a seeded random split of the new-task windows
         _, test_idx = split_indices(len(new_set), 1.0 - args.test_fraction,
                                     args.seed)
         new_set = new_set.subset(test_idx)
@@ -395,8 +361,7 @@ def _collect_reports(paths):
         root = Path(root)
         candidates = [root] if root.is_file() else sorted(root.rglob("report.json"))
         for p in candidates:
-            with open(p, "r", encoding="utf-8") as fh:
-                reports.append(json.load(fh))
+            reports.append(_load_json(p))
     if not reports:
         raise ValueError("no report.json files found under the given paths")
     return reports
@@ -429,7 +394,6 @@ def cmd_report(args) -> int:
             agg["new"]["mse_std"] = float(np.std(new_mse, ddof=1))
         return agg
 
-    from .metrics import MetricPair
     aggregates = {m: aggregate(reps) for m, reps in by_method.items()}
     raw = aggregates["frozen"]
     raw_old = MetricPair(raw["old"]["mae"], raw["old"]["mse"], raw["old"]["n_samples"])
@@ -516,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--ratios", required=True,
                    help="comma-separated percents, e.g. 1,2,5,10")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker pool size (capped by RTUNE_THREADS)")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -528,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--column", default=None)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--test-fraction", type=float, default=None,
-                   help="evaluate only this held-out fraction of the new data")
+                   help="evaluate only a seeded random split holding this "
+                        "fraction of the new data")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_eval)

@@ -6,6 +6,7 @@ All randomness is seeded; splits and subsamples are deterministic functions of
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "concat_windows",
     "permute_windows",
     "covered_values",
+    "windowed_split",
     "gen_benchmark_tasks",
     "read_series_csv",
 ]
@@ -223,6 +225,22 @@ def covered_values(series, starts, span: int) -> np.ndarray:
     return values[mask]
 
 
+def windowed_split(series, input_width: int, horizon: int, stride: int,
+                   train_fraction: float, seed: int):
+    """Window, split at window granularity, and normalize both sides with
+    z-score parameters fit only on the values the training windows cover.
+
+    Returns:
+        (train WindowedDataset, test WindowedDataset)
+    """
+    raw = make_windows(series, input_width, horizon, stride)
+    train_idx, test_idx = split_indices(len(raw), train_fraction, seed)
+    params = zscore_fit(covered_values(series, raw.starts[train_idx],
+                                       input_width + horizon))
+    normalized = normalize_windows(raw, params)
+    return normalized.subset(train_idx), normalized.subset(test_idx)
+
+
 def gen_benchmark_tasks(seed: int, old_length: int = 6000,
                         new_length: int = 12480, noise_sigma: float = 0.1):
     """Generate the seeded two-task benchmark pair.
@@ -284,7 +302,7 @@ def read_series_csv(path):
 
     The first column is treated as a timestamp (and dropped) when its header
     matches a timestamp name or its first value does not parse as a float.
-    Malformed rows raise with their line number.
+    Malformed rows and non-finite cells raise with their line number.
 
     Returns:
         list of RawSeries, one per variable column.
@@ -324,11 +342,14 @@ def read_series_csv(path):
             )
         for j, cell in enumerate(row[first_col:]):
             try:
-                columns[j].append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: cannot parse {cell!r} as a number"
                 ) from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
+            columns[j].append(value)
 
     count = len(names)
     return [RawSeries(np.array(col), count, "", name)

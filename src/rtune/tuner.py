@@ -3,12 +3,13 @@
 One objective: batch-mean squared forecast error, a temperature-softened
 distillation term that keeps the adapted model close to the frozen one, and an
 L2 parameter penalty. Baselines are degenerate configurations of the same
-loop: vanilla fine-tuning (no replay, no distillation), distillation-only, and
-a no-training frozen evaluation.
+loop, listed in :data:`METHODS`: vanilla fine-tuning (no replay, no
+distillation), distillation-only, replay-only, and a no-training frozen
+evaluation.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -18,16 +19,15 @@ from .metrics import MetricPair, mae, evaluate_model
 from .replay import build_replay_set, build_train_set
 
 __all__ = [
+    "METHODS",
     "TuneConfig",
     "TuneReport",
+    "method_config",
     "distill_loss",
     "task_loss",
     "total_loss",
     "batch_objective",
     "r_tune",
-    "vanilla_ft",
-    "lwf_tune",
-    "replay_only_tune",
     "frozen_eval",
 ]
 
@@ -85,20 +85,25 @@ class TuneConfig:
             )
 
     def to_dict(self):
-        return {
-            "replay_n": self.replay_n,
-            "wavelet_levels": self.wavelet_levels,
-            "discard_depth": self.discard_depth,
-            "alpha": self.alpha,
-            "tau": self.tau,
-            "distill_weight": self.distill_weight,
-            "reg_weight": self.reg_weight,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "validation_fraction": self.validation_fraction,
-        }
+        return asdict(self)
+
+
+# Every method is the one objective with parts switched off: method name ->
+# TuneConfig overrides, or None for the frozen arm, which does not train.
+METHODS = {
+    "r-tuning": {},
+    "ft": {"replay_n": 0, "distill_weight": 0.0},
+    "frozen": None,
+    "lwf": {"replay_n": 0},
+    "replay-only": {"distill_weight": 0.0},
+}
+
+
+def method_config(method: str, cfg: TuneConfig) -> TuneConfig:
+    """The config `method` trains with: `cfg` with the method's overrides."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    return replace(cfg, **(METHODS[method] or {}))
 
 
 @dataclass
@@ -271,24 +276,6 @@ def r_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig,
                        best_theta)
     report.wall_clock_seconds = time.perf_counter() - t_start
     return tuned, report
-
-
-def vanilla_ft(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig):
-    """Plain fine-tuning: no replay, no distillation, same loop otherwise."""
-    ft_cfg = replace(cfg, replay_n=0, distill_weight=0.0)
-    return r_tune(frozen, new_data, ft_cfg, method="ft")
-
-
-def lwf_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig):
-    """Distillation-only baseline: keeps the output-matching term, drops replay."""
-    lwf_cfg = replace(cfg, replay_n=0)
-    return r_tune(frozen, new_data, lwf_cfg, method="lwf")
-
-
-def replay_only_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig):
-    """Replay without the distillation term."""
-    ro_cfg = replace(cfg, distill_weight=0.0)
-    return r_tune(frozen, new_data, ro_cfg, method="replay-only")
 
 
 def frozen_eval(frozen: Forecaster, old_tests, new_test,

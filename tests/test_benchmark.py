@@ -22,7 +22,7 @@ def test_splits_shaped_for_geometry():
     setup = prepare_benchmark(0, **SMALL)
     assert setup.new_train.geometry == (16, 4)
     assert setup.old_test.geometry == (16, 4)
-    assert len(setup.new_train) < len(setup.old_test) + len(setup.old_train)
+    assert len(setup.new_train) < len(setup.new_test)  # few-shot slice
 
 
 def test_frozen_arm_returns_no_model():

@@ -150,6 +150,13 @@ class TestTune:
         reloaded = load_run_config(echo_path)
         assert reloaded == original
 
+    def test_truncated_config_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cut.json"
+        cfg.write_text('{"method": "f')
+        assert main(["tune", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "Unterminated string" in err
+
     def test_unknown_keys_rejected(self, tmp_path, bench_config):
         cfg = bench_config()
         loaded = json.loads(cfg.read_text())
@@ -210,13 +217,16 @@ class TestSweep:
                    for p in (tmp_path / "runs").rglob("report.json")]
         assert any(r["method"] == "ft" for r in reports)
 
-    def test_thread_cap_env(self, bench_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("RTUNE_THREADS", "1")
-        cfg = bench_config(method="ft")
-        out = tmp_path / "sweep_t.csv"
-        assert main(["sweep", "--config", str(cfg), "--ratios", "1,2",
-                     "--threads", "8", "--output", str(out)]) == 0
-        assert out.exists()
+    @pytest.mark.parametrize("ratios", ["nan", "2,nan", "-1", "101"])
+    def test_bad_ratio_rejected_before_any_run(self, bench_config, tmp_path,
+                                               capsys, ratios):
+        cfg = bench_config(method="r-tuning")
+        out = tmp_path / "sweep_bad.csv"
+        assert main(["sweep", "--config", str(cfg), "--ratios", ratios,
+                     "--output", str(out)]) == 1
+        assert "ratios must be in [0, 100]" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "runs").exists()
 
 
 class TestEvalAndReport:
@@ -244,6 +254,14 @@ class TestEvalAndReport:
         assert {"frozen", "ft"} <= methods
         frozen_row = next(r for r in doc["rows"] if r["method"] == "frozen")
         assert frozen_row["old_mae_change_pct"] == 0.0
+
+    def test_truncated_report_names_file(self, bench_config, tmp_path, capsys):
+        cfg = bench_config(method="frozen")
+        assert main(["tune", "--config", str(cfg)]) == 0
+        report = next((tmp_path / "runs").rglob("report.json"))
+        report.write_text(report.read_text()[:11])
+        assert main(["report", str(tmp_path / "runs")]) == 1
+        assert str(report) in capsys.readouterr().err
 
     def test_report_requires_frozen_baseline(self, bench_config, tmp_path):
         cfg = bench_config(method="ft")

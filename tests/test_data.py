@@ -191,7 +191,7 @@ class TestBenchmarkTasks:
         from rtune.data import split_indices
         from rtune.forecaster import init_forecaster
         from rtune.metrics import mse
-        from rtune.tuner import TuneConfig, vanilla_ft
+        from rtune.tuner import TuneConfig, r_tune
 
         old, _, _ = gen_benchmark_tasks(1, old_length=1500, new_length=300,
                                         noise_sigma=0.0)
@@ -201,7 +201,7 @@ class TestBenchmarkTasks:
         model = init_forecaster(48, 12, 32, seed=0)
         cfg = TuneConfig(replay_n=0, distill_weight=0.0, epochs=25,
                          learning_rate=2e-2, seed=0)
-        fitted, _ = vanilla_ft(model, train, cfg)
+        fitted, _ = r_tune(model, train, cfg, method="ft")
         assert mse(fitted.forward_batch(test.inputs), test.labels) < 0.02
 
 
@@ -237,6 +237,12 @@ class TestCsv:
     def test_bad_value_reports_line(self, tmp_path):
         path = self._write(tmp_path, "a\n1\noops\n")
         with pytest.raises(ValueError, match=":3:.*oops"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line(self, tmp_path, cell):
+        path = self._write(tmp_path, f"a,b\n1,10\n2,{cell}\n")
+        with pytest.raises(ValueError, match=f":3: non-finite value '{cell}'"):
             read_series_csv(path)
 
     def test_empty_file(self, tmp_path):

@@ -1,17 +1,20 @@
 """Loss identities, the training loop's contracts (determinism, checkpoint
-selection, frozen-model immutability), and baseline collapses."""
+selection, frozen-model immutability), and the method table's baselines."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
+                             run_arm)
+from rtune.cli import build_parser, load_run_config
 from rtune.data import make_windows
 from rtune.forecaster import init_forecaster, soften
 from rtune.metrics import mae
-from rtune.tuner import (TuneConfig, distill_loss, frozen_eval, lwf_tune,
-                         r_tune, replay_only_tune, task_loss, total_loss,
-                         vanilla_ft)
+from rtune.tuner import (METHODS, TuneConfig, distill_loss, frozen_eval,
+                         method_config, r_tune, task_loss, total_loss)
 
 
 def small_dataset(n_windows=40, w=8, h=4, seed=0):
@@ -28,6 +31,10 @@ def small_config(**overrides):
                 validation_fraction=0.2)
     base.update(overrides)
     return TuneConfig(**base)
+
+
+def ft_arm(frozen, data, cfg):
+    return r_tune(frozen, data, method_config("ft", cfg), method="ft")
 
 
 class TestDistillLoss:
@@ -95,16 +102,6 @@ class TestTotalLoss:
 
 
 class TestRTune:
-    def test_degenerate_config_equals_vanilla_ft(self):
-        frozen = init_forecaster(8, 4, 6, seed=1)
-        data = small_dataset()
-        cfg = small_config(replay_n=0, distill_weight=0.0)
-        a_model, a_report = r_tune(frozen, data, cfg)
-        b_model, b_report = vanilla_ft(frozen, data, cfg)
-        assert np.array_equal(a_model.theta, b_model.theta)
-        assert a_report.train_losses == b_report.train_losses
-        assert a_report.val_maes == b_report.val_maes
-
     def test_zero_epochs_returns_frozen(self):
         frozen = init_forecaster(8, 4, 6, seed=2)
         data = small_dataset()
@@ -148,8 +145,8 @@ class TestRTune:
     def test_training_reduces_validation_mae(self):
         frozen = init_forecaster(8, 4, 6, seed=6)
         data = small_dataset(n_windows=80)
-        _, report = vanilla_ft(frozen, data, small_config(epochs=8, replay_n=0,
-                                                          distill_weight=0.0))
+        _, report = r_tune(frozen, data, small_config(epochs=8, replay_n=0,
+                                                      distill_weight=0.0))
         assert min(report.val_maes) < report.val_maes[0] * 1.01
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
@@ -174,42 +171,71 @@ class TestVanillaFt:
     def test_zero_learning_rate_is_identity(self):
         frozen = init_forecaster(8, 4, 6, seed=9)
         data = small_dataset()
-        model, report = vanilla_ft(frozen, data,
-                                   small_config(learning_rate=0.0, epochs=3))
+        model, report = ft_arm(frozen, data,
+                               small_config(learning_rate=0.0, epochs=3))
         assert np.array_equal(model.theta, frozen.theta)
         assert len(set(report.train_losses)) == 1  # constant losses
 
     def test_monotone_descent_small_lr(self):
         frozen = init_forecaster(8, 4, 6, seed=10)
         data = small_dataset(n_windows=30)
-        _, report = vanilla_ft(frozen, data,
-                               small_config(learning_rate=1e-3, epochs=6,
-                                            batch_size=64))
+        _, report = ft_arm(frozen, data,
+                           small_config(learning_rate=1e-3, epochs=6,
+                                        batch_size=64))
         diffs = np.diff(report.train_losses)
         assert np.all(diffs <= 1e-12)
 
-    def test_config_collapse_recorded(self):
-        frozen = init_forecaster(8, 4, 6, seed=11)
-        _, report = vanilla_ft(frozen, small_dataset(), small_config())
-        assert report.method == "ft"
-        assert report.config["replay_n"] == 0
-        assert report.config["distill_weight"] == 0.0
+
+# What each method switches off, spelled out independently of METHODS.
+EXPECTED_OVERRIDES = {
+    "r-tuning": {},
+    "ft": {"replay_n": 0, "distill_weight": 0.0},
+    "frozen": {},
+    "lwf": {"replay_n": 0},
+    "replay-only": {"distill_weight": 0.0},
+}
 
 
-class TestAblationArms:
-    def test_lwf_drops_replay_only(self):
-        frozen = init_forecaster(8, 4, 6, seed=12)
-        _, report = lwf_tune(frozen, small_dataset(), small_config())
-        assert report.method == "lwf"
-        assert report.config["replay_n"] == 0
-        assert report.config["distill_weight"] == 0.2
+@pytest.fixture(scope="module")
+def small_setup():
+    return prepare_benchmark(2, geometry=BenchmarkGeometry(16, 4, 1, 8),
+                             old_length=600, new_length=900, pretrain_epochs=3)
 
-    def test_replay_only_drops_distillation(self):
-        frozen = init_forecaster(8, 4, 6, seed=13)
-        _, report = replay_only_tune(frozen, small_dataset(), small_config())
-        assert report.method == "replay-only"
-        assert report.config["replay_n"] == 4
-        assert report.config["distill_weight"] == 0.0
+
+@pytest.mark.parametrize("method", sorted(EXPECTED_OVERRIDES))
+def test_method_table(method, small_setup, tmp_path):
+    assert list(METHODS) == list(EXPECTED_OVERRIDES)
+    args = build_parser().parse_args(["tune", "--config", "c.json",
+                                      "--method", method])
+    assert args.method == method
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"benchmark": True, "method": method}))
+    assert load_run_config(cfg_path)["method"] == method
+
+    base = desk_config(2, replay_n=4, epochs=2)
+    model, report = run_arm(small_setup, method, base)
+    assert report.method == method
+    assert report.config == dict(base.to_dict(), **EXPECTED_OVERRIDES[method])
+    if method == "frozen":
+        assert model is None
+        assert report.train_losses == []
+        return
+    # the arm is the one training loop on the effective config
+    direct, direct_report = r_tune(small_setup.frozen, small_setup.new_train,
+                                   TuneConfig(**report.config))
+    assert np.array_equal(model.theta, direct.theta)
+    assert report.train_losses == direct_report.train_losses
+    assert report.val_maes == direct_report.val_maes
+
+
+def test_unknown_method_rejected_by_cli(tmp_path):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["tune", "--config", "c.json",
+                                   "--method", "ewc"])
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"benchmark": True, "method": "ewc"}))
+    with pytest.raises(ValueError, match="method must be one of"):
+        load_run_config(cfg_path)
 
 
 class TestFrozenEval:
@@ -236,7 +262,7 @@ class TestFrozenEval:
         frozen = init_forecaster(8, 4, 6, seed=16)
         old, new = self._sets()
         eval_report = frozen_eval(frozen, old, new)
-        _, train_report = vanilla_ft(frozen, new, small_config(epochs=6))
+        _, train_report = ft_arm(frozen, new, small_config(epochs=6))
         assert eval_report.wall_clock_seconds < train_report.wall_clock_seconds
 
 
