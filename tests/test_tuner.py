@@ -102,6 +102,16 @@ class TestTotalLoss:
 
 
 class TestRTune:
+    def test_degenerate_config_equals_vanilla_ft(self):
+        frozen = init_forecaster(8, 4, 6, seed=1)
+        data = small_dataset()
+        cfg = small_config(replay_n=0, distill_weight=0.0)
+        a_model, a_report = r_tune(frozen, data, cfg)
+        b_model, b_report = ft_arm(frozen, data, cfg)
+        assert np.array_equal(a_model.theta, b_model.theta)
+        assert a_report.train_losses == b_report.train_losses
+        assert a_report.val_maes == b_report.val_maes
+
     def test_zero_epochs_returns_frozen(self):
         frozen = init_forecaster(8, 4, 6, seed=2)
         data = small_dataset()
@@ -184,6 +194,13 @@ class TestVanillaFt:
                                         batch_size=64))
         diffs = np.diff(report.train_losses)
         assert np.all(diffs <= 1e-12)
+
+    def test_config_collapse_recorded(self):
+        frozen = init_forecaster(8, 4, 6, seed=11)
+        _, report = ft_arm(frozen, small_dataset(), small_config())
+        assert report.method == "ft"
+        assert report.config["replay_n"] == 0
+        assert report.config["distill_weight"] == 0.0
 
 
 # What each method switches off, spelled out independently of METHODS.
