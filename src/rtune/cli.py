@@ -18,14 +18,15 @@ import numpy as np
 
 from .benchmark import (BenchmarkGeometry, BenchmarkSetup, prepare_benchmark,
                         run_arm)
-from .data import (few_shot_subsample, make_windows, normalize_windows,
-                   read_series_csv, split_indices, windowed_split, zscore_fit)
+from .data import (atomic_target, few_shot_subsample, make_windows,
+                   normalize_windows, read_series_csv, split_indices,
+                   windowed_split, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
 from .metrics import (MetricPair, build_comparison_row, evaluate_model,
                       metric_pair)
 from .replay import build_replay_set, replay_count_for_fraction, replay_to_csv
 from .tuner import METHODS, TuneConfig
-from .wavelet import build_db4_bank, rwt_decompose, rwt_reconstruct
+from .wavelet import rwt_decompose, rwt_reconstruct
 
 # flat JSON schema for run configs; unknown keys are rejected outright
 RUN_CONFIG_DEFAULTS = {
@@ -77,6 +78,12 @@ def canonical_json(obj) -> str:
 
 def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()[:12]
+
+
+def _write_json(path, doc) -> None:
+    with atomic_target(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(doc))
+        fh.write("\n")
 
 
 def _load_json(path):
@@ -170,21 +177,36 @@ def _prepare_csv_setup(cfg: dict, seed: int):
     return setup, old_tests
 
 
-def _execute_run(cfg: dict, seed: int):
-    """One (config, seed) arm: returns (model_or_None, report)."""
-    if cfg["benchmark"]:
-        geometry = BenchmarkGeometry(cfg["input_width"], cfg["horizon"],
-                                     cfg["stride"], cfg["hidden_width"])
-        setup = prepare_benchmark(
-            seed, geometry=geometry, train_fraction=cfg["train_fraction"],
-            few_shot_fraction=cfg["few_shot_fraction"],
-            old_length=cfg["benchmark_old_length"],
-            new_length=cfg["benchmark_new_length"],
-            pretrain_epochs=cfg["pretrain_epochs"],
-            pretrain_lr=cfg["pretrain_learning_rate"])
-        old_tests = [setup.old_test]
-    else:
-        setup, old_tests = _prepare_csv_setup(cfg, seed)
+def _prepare_run(cfg: dict, seed: int):
+    """One seed's (setup, old-task test sets): the pretrained benchmark, or
+    the frozen checkpoint and the CSV data."""
+    if not cfg["benchmark"]:
+        return _prepare_csv_setup(cfg, seed)
+    geometry = BenchmarkGeometry(cfg["input_width"], cfg["horizon"],
+                                 cfg["stride"], cfg["hidden_width"])
+    setup = prepare_benchmark(
+        seed, geometry=geometry, train_fraction=cfg["train_fraction"],
+        few_shot_fraction=cfg["few_shot_fraction"],
+        old_length=cfg["benchmark_old_length"],
+        new_length=cfg["benchmark_new_length"],
+        pretrain_epochs=cfg["pretrain_epochs"],
+        pretrain_lr=cfg["pretrain_learning_rate"])
+    return setup, [setup.old_test]
+
+
+def _execute_run(cfg: dict, seed: int, prepared: dict = None):
+    """One (config, seed) arm: returns (model_or_None, report).
+
+    `prepared` caches each seed's preparation across runs whose configs
+    differ only in tuning settings, as a sweep's do: the first run of a seed
+    fills it, later runs of that seed reuse it. Tuning never modifies a
+    prepared setup.
+    """
+    if prepared is None:
+        prepared = {}
+    if seed not in prepared:
+        prepared[seed] = _prepare_run(cfg, seed)
+    setup, old_tests = prepared[seed]
 
     tune_cfg = tune_config_from_run(cfg, seed, len(setup.new_train))
     method = cfg["method"]
@@ -207,9 +229,7 @@ def _write_run_outputs(cfg: dict, seed: int, model, report, run_dir: Path):
     report.extra["config_echo"] = echo
     report.extra["seed"] = seed
     report_path = seed_dir / "report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report.to_dict()))
-        fh.write("\n")
+    _write_json(report_path, report.to_dict())
     written = [report_path]
     if model is not None:
         ckpt_path = seed_dir / "model.ckpt"
@@ -228,9 +248,7 @@ def cmd_tune(args) -> int:
 
     run_dir = Path(cfg["output_dir"]) / config_hash(cfg)
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(cfg))
-        fh.write("\n")
+    _write_json(run_dir / "config.json", cfg)
 
     for seed in cfg["seeds"]:
         model, report = _execute_run(cfg, seed)
@@ -251,10 +269,13 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"ratios must be in [0, 100], got {ratios}")
 
     results = []
-    for ratio in ratios:
-        for seed in cfg["seeds"]:
+    for seed in cfg["seeds"]:
+        # arms differ only in replay_ratio: prepare the seed once, and hold
+        # one seed's setup at a time
+        prepared = {}
+        for ratio in ratios:
             arm_cfg = dict(cfg, replay_ratio=ratio, seeds=[seed])
-            model, report = _execute_run(arm_cfg, seed)
+            model, report = _execute_run(arm_cfg, seed, prepared)
             run_dir = Path(cfg["output_dir"]) / config_hash(arm_cfg)
             _write_run_outputs(arm_cfg, seed, model, report, run_dir)
             results.append((ratio, seed, report.old_metrics.mae,
@@ -264,7 +285,8 @@ def cmd_sweep(args) -> int:
 
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_target(out_path) as tmp, \
+            open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {canonical_json(cfg)}\n")
         writer = csv.writer(fh)
         writer.writerow(["ratio", "seed", "old_mae", "old_mse",
@@ -284,13 +306,9 @@ def cmd_decompose(args) -> int:
     echo = {"command": "decompose", "input": str(args.input),
             "levels": args.levels, "alpha": args.alpha, "keep": keep,
             "column": series.name}
-    # the decomposition keeps only the deepest approximation; rebuild the
-    # shallower ones for the per-level columns
-    bank = build_db4_bank()
-    approxes = [rwt_decompose(series.values, level, bank).approx
-                for level in range(1, args.levels + 1)]
 
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+    with atomic_target(args.output) as tmp, \
+            open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {canonical_json(echo)}\n")
         writer = csv.writer(fh)
         header = ([f"approx{l}" for l in range(1, args.levels + 1)]
@@ -298,7 +316,7 @@ def cmd_decompose(args) -> int:
                   + ["filtered"])
         writer.writerow(header)
         for i in range(len(series.values)):
-            row = [repr(float(a[i])) for a in approxes]
+            row = [repr(float(a[i])) for a in decomp.approximations]
             row += [repr(float(d[i])) for d in decomp.details]
             row.append(repr(float(filtered[i])))
             writer.writerow(row)
@@ -344,14 +362,11 @@ def cmd_eval(args) -> int:
             for ds in old_tests
         ],
     }
-    out = canonical_json(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-            fh.write("\n")
+        _write_json(args.output, doc)
         print(args.output)
     else:
-        print(out)
+        print(canonical_json(doc))
     return 0
 
 
@@ -426,14 +441,11 @@ def cmd_report(args) -> int:
               f"{row['new']['mse'] * scale:>7.3f}/{row['new_mse_change_pct']:>+.2f}%",
               file=sys.stderr)
 
-    out = canonical_json(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-            fh.write("\n")
+        _write_json(args.output, doc)
         print(args.output)
     else:
-        print(out)
+        print(canonical_json(doc))
     return 0
 
 

@@ -7,7 +7,10 @@ All randomness is seeded; splits and subsamples are deterministic functions of
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +32,7 @@ __all__ = [
     "windowed_split",
     "gen_benchmark_tasks",
     "read_series_csv",
+    "atomic_target",
 ]
 
 _TIMESTAMP_NAMES = {"timestamp", "time", "date", "datetime"}
@@ -354,3 +358,23 @@ def read_series_csv(path):
     count = len(names)
     return [RawSeries(np.array(col), count, "", name)
             for name, col in zip(names, columns)]
+
+
+@contextmanager
+def atomic_target(path):
+    """Yield a temporary path beside `path` for the caller to write; move it
+    onto `path` with ``os.replace`` when the block succeeds, delete it when
+    the block raises.
+
+    Readers of `path` see the previous file or the complete new one, never a
+    partial write. The file is not fsynced, so this guards against a failing
+    process, not against losing power.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_target
+
 __all__ = [
     "Forecaster",
     "SoftenedDistribution",
@@ -19,6 +21,7 @@ __all__ = [
     "soften",
     "soften_jacobian",
     "grad_total",
+    "value_and_grad",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -119,6 +122,15 @@ def _soften_rows(logits: np.ndarray, tau: float) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _cross_entropy(p_old: np.ndarray, logits: np.ndarray, tau: float) -> float:
+    # batch-mean cross-entropy of softened `logits` against `p_old`, via the
+    # log-softmax directly so saturated entries cannot produce log(0)
+    z = logits / tau
+    z = z - z.max(axis=-1, keepdims=True)
+    log_p_new = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return float(-(p_old * log_p_new).sum(axis=-1).mean())
+
+
 def soften(logits, tau: float) -> SoftenedDistribution:
     """Temperature-scaled softmax of a logit vector.
 
@@ -210,11 +222,72 @@ def grad_total(m_new: Forecaster, m_old: Forecaster, inputs, labels,
     return grad
 
 
+def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
+                   distill_weight: float, reg_weight: float):
+    """The combined objective and its gradient wrt m_new.theta from one
+    forward pass.
+
+    Computes what :func:`rtune.tuner.batch_objective` and :func:`grad_total`
+    compute together, with the frozen model's softened outputs passed in
+    instead of recomputed, since they do not change while m_new trains.
+
+    Args:
+        m_new: model being adapted.
+        inputs: (n, W) batch of input windows.
+        labels: (n, H) batch of forecast targets.
+        p_old: (n, H) softened frozen-model outputs on `inputs` at
+            temperature `tau`; unused (may be None) when distill_weight is 0.
+        tau: softmax temperature, > 0.
+        distill_weight: weight on the distillation term.
+        reg_weight: weight on the L2 parameter penalty.
+
+    Returns:
+        (loss, flat gradient vector shaped like m_new.theta)
+
+    Raises:
+        RuntimeError: the loss is non-finite (training diverged).
+        FloatingPointError: a non-finite intermediate in the gradient.
+    """
+    n = inputs.shape[0]
+    if n == 0 or labels.shape != (n, m_new.horizon):
+        raise ValueError(
+            f"inconsistent batch shapes {inputs.shape} vs {labels.shape}"
+        )
+    w1, b1, w2, b2 = m_new._unpack()
+    hidden = np.tanh(inputs @ w1.T + b1)
+    outputs = hidden @ w2.T + b2
+
+    # same arithmetic as batch_objective: task, + distillation, + L2
+    resid = outputs - labels
+    loss = float((resid ** 2).sum(axis=-1).mean())
+    d_out = 2.0 * resid / n
+    if distill_weight != 0.0:
+        loss += distill_weight * _cross_entropy(p_old, outputs, tau)
+        p_new = _soften_rows(outputs, tau)
+        d_out = d_out + distill_weight * (p_new - p_old) / (tau * n)
+    loss += reg_weight * float(m_new.theta @ m_new.theta)
+    if not np.isfinite(loss):
+        raise RuntimeError(f"non-finite loss {loss!r}")
+    if not np.all(np.isfinite(d_out)):
+        raise FloatingPointError("non-finite intermediate in gradient computation")
+
+    d_w2 = d_out.T @ hidden
+    d_b2 = d_out.sum(axis=0)
+    d_pre = (d_out @ w2) * (1.0 - hidden ** 2)
+    d_w1 = d_pre.T @ inputs
+    d_b1 = d_pre.sum(axis=0)
+
+    grad = np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
+    if reg_weight != 0.0:
+        grad = grad + 2.0 * reg_weight * m_new.theta
+    return loss, grad
+
+
 def save_checkpoint(model: Forecaster, path) -> None:
     """Write a versioned checkpoint; theta is raw little-endian float64, base64.
 
     Serialization is canonical (sorted keys, fixed separators) so identical
-    models produce byte-identical files.
+    models produce byte-identical files. The file is replaced atomically.
     """
     raw = model.theta.astype("<f8").tobytes()
     doc = {
@@ -226,7 +299,7 @@ def save_checkpoint(model: Forecaster, path) -> None:
         "hidden_width": model.hidden_width,
         "theta_b64": base64.b64encode(raw).decode("ascii"),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_target(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 

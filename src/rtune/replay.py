@@ -1,9 +1,10 @@
 """Synthetic replay: proxy samples drawn from a frozen model plus their
-frequency-filtered variants.
+frequency-filtered variants, built as arrays.
 
 Latents are smoothed into model-shaped context windows, the frozen model's
-forecast supplies the pseudo-label, and each sample is expanded into variants
-that drop the top detail bands of its redundant wavelet decomposition.
+forecast completes each sequence, and each sequence is expanded into variants
+that drop the top detail bands of its redundant wavelet decomposition. Every
+pseudo-label is the frozen model's forecast on its row's own input window.
 """
 
 import csv
@@ -11,17 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import WindowedDataset, concat_windows, permute_windows
+from .data import (WindowedDataset, atomic_target, concat_windows,
+                   permute_windows)
 from .forecaster import Forecaster
 from .wavelet import rwt_decompose, rwt_reconstruct
 
 __all__ = [
-    "LatentBatch",
-    "SyntheticSample",
     "ReplaySet",
     "sample_latents",
-    "generate_sequence",
-    "expand_variants",
     "build_replay_set",
     "build_train_set",
     "replay_count_for_fraction",
@@ -32,149 +30,117 @@ SMOOTHING_TAPS = 5
 
 
 @dataclass(frozen=True)
-class LatentBatch:
-    vectors: np.ndarray
-    seed: int
+class ReplaySet:
+    """N replay rows as read-only arrays.
 
-    def __post_init__(self):
-        if self.vectors.ndim != 2:
-            raise ValueError(f"latents must be (n, d), got {self.vectors.shape}")
-        self.vectors.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class SyntheticSample:
-    """One synthetic sequence of length W + H with its pseudo-label.
-
-    variant_tag is "full_spectrum" for the unfiltered sample and "filtered(j)"
-    for the variant with the top j detail bands discarded. The pseudo-label is
-    always the frozen model's forecast on the sample's own input window.
+    ``sequences`` is (N, W + H): input window then forecast. ``labels`` is
+    (N, H), the frozen model's forecast on ``sequences[:, :W]``. ``tags``
+    is (N,): "full_spectrum" for an unfiltered row and "filtered(j)" for the
+    variant with the top j detail bands discarded. Rows come latent by
+    latent: the full-spectrum row, then filtered(1..k).
     """
 
-    sequence: np.ndarray
-    variant_tag: str
-    pseudo_label: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.sequence)):
-            raise ValueError("synthetic sequence contains non-finite values")
-        self.sequence.setflags(write=False)
-        self.pseudo_label.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class ReplaySet:
-    samples: list
+    sequences: np.ndarray
+    labels: np.ndarray
+    tags: np.ndarray
     provenance: dict
 
+    def __post_init__(self):
+        if (self.sequences.ndim != 2 or self.labels.ndim != 2
+                or self.tags.shape != (self.sequences.shape[0],)
+                or self.labels.shape[0] != self.sequences.shape[0]):
+            raise ValueError(
+                f"replay arrays disagree: sequences {self.sequences.shape}, "
+                f"labels {self.labels.shape}, tags {self.tags.shape}"
+            )
+        for a in (self.sequences, self.labels, self.tags):
+            a.setflags(write=False)
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.sequences.shape[0]
 
 
-def sample_latents(n: int, d: int, seed: int) -> LatentBatch:
-    """Draw n standard-normal d-vectors from a seeded generator."""
+def sample_latents(n: int, d: int, seed: int) -> np.ndarray:
+    """Draw an (n, d) block of standard-normal vectors from a seeded generator."""
     if n < 1 or d < 1:
         raise ValueError(f"latent batch needs n >= 1 and d >= 1, got ({n}, {d})")
-    vectors = np.random.default_rng(seed).standard_normal((n, d))
-    return LatentBatch(vectors=vectors, seed=seed)
+    return np.random.default_rng(seed).standard_normal((n, d))
 
 
 def _smooth(z: np.ndarray) -> np.ndarray:
-    # circular moving average; raw white noise is spectrally unlike any
-    # forecaster's training inputs
+    # circular moving average along each row; raw white noise is spectrally
+    # unlike any forecaster's training inputs
     out = np.zeros_like(z)
     half = SMOOTHING_TAPS // 2
     for k in range(-half, half + 1):
-        out += np.roll(z, k)
+        out += np.roll(z, k, axis=-1)
     return out / SMOOTHING_TAPS
-
-
-def generate_sequence(frozen: Forecaster, z) -> SyntheticSample:
-    """Turn one latent vector into a full-spectrum synthetic sample.
-
-    The context window is the smoothed latent; the sequence is context
-    followed by the frozen model's forecast, which is also the pseudo-label.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (frozen.input_width,):
-        raise ValueError(
-            f"latent dimension {z.shape} does not match input width "
-            f"{frozen.input_width}"
-        )
-    context = _smooth(z)
-    forecast = frozen.forward(context)
-    return SyntheticSample(sequence=np.concatenate([context, forecast]),
-                           variant_tag="full_spectrum",
-                           pseudo_label=forecast.copy())
-
-
-def expand_variants(sample: SyntheticSample, frozen: Forecaster, levels: int,
-                    k: int, alpha: float):
-    """Build the k frequency-filtered variants of one synthetic sample.
-
-    Variant j keeps only the lowest levels - j detail bands (scaled by alpha)
-    of the sequence's depth-`levels` redundant decomposition. Pseudo-labels
-    are recomputed on each filtered context so inputs and labels stay
-    consistent.
-    """
-    if not 0 <= k <= levels:
-        raise ValueError(f"discard depth must be in [0, {levels}], got {k}")
-    if k == 0:
-        return []
-    decomp = rwt_decompose(sample.sequence, levels)
-    w = frozen.input_width
-    variants = []
-    for j in range(1, k + 1):
-        filtered = rwt_reconstruct(decomp, alpha=alpha, keep_levels=levels - j)
-        label = frozen.forward(filtered[:w])
-        variants.append(SyntheticSample(sequence=filtered,
-                                        variant_tag=f"filtered({j})",
-                                        pseudo_label=label))
-    return variants
 
 
 def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
                      alpha: float, seed: int) -> ReplaySet:
-    """Assemble n full-spectrum samples plus their k variants each.
+    """Assemble n full-spectrum rows plus k filtered variants of each.
 
-    The result has n * (1 + k) samples and is a deterministic function of the
+    Row i * (1 + k) is latent i's smoothed context followed by the frozen
+    model's forecast on it; row i * (1 + k) + j keeps only the lowest
+    levels - j detail bands (scaled by alpha) of that sequence's depth-`levels`
+    redundant decomposition. Labels are recomputed on every row's own input
+    window, so inputs and labels stay consistent.
+
+    The result has n * (1 + k) rows and is a deterministic function of the
     frozen parameters, the seed, and the settings.
     """
     if n < 1:
         raise ValueError(f"replay size must be >= 1, got {n}")
-    latents = sample_latents(n, frozen.input_width, seed)
-    samples = []
-    for z in latents.vectors:
-        base = generate_sequence(frozen, z)
-        samples.append(base)
-        samples.extend(expand_variants(base, frozen, levels, k, alpha))
+    if not 0 <= k <= levels:
+        raise ValueError(f"discard depth must be in [0, {levels}], got {k}")
+    w = frozen.input_width
+    contexts = _smooth(sample_latents(n, w, seed))
+    forecasts = frozen.forward_batch(contexts)
+
+    # (n, 1 + k, T) view of the final (N, T) block: one slot per variant
+    sequences = np.empty((n * (1 + k), w + frozen.horizon))
+    per_latent = sequences.reshape(n, 1 + k, -1)
+    per_latent[:, 0, :w] = contexts
+    per_latent[:, 0, w:] = forecasts
+    if k:
+        decomp = rwt_decompose(per_latent[:, 0], levels)
+        for j in range(1, k + 1):
+            per_latent[:, j] = rwt_reconstruct(decomp, alpha=alpha,
+                                               keep_levels=levels - j)
+    if not np.all(np.isfinite(sequences)):
+        raise ValueError("synthetic sequences contain non-finite values")
+
+    tags = np.array(["full_spectrum"]
+                    + [f"filtered({j})" for j in range(1, k + 1)])
     provenance = {"n": n, "levels": levels, "discard_depth": k,
                   "alpha": alpha, "seed": seed}
-    return ReplaySet(samples=samples, provenance=provenance)
+    return ReplaySet(sequences=sequences,
+                     labels=frozen.forward_batch(sequences[:, :w]),
+                     tags=np.tile(tags, n), provenance=provenance)
 
 
 def _replay_windows(replay: ReplaySet, input_width: int, horizon: int) -> WindowedDataset:
     span = input_width + horizon
-    if any(s.sequence.shape[0] != span for s in replay.samples):
+    if replay.sequences.shape[1] != span:
         raise ValueError(
             f"replay geometry mismatch: sequences must have length {span}"
         )
-    inputs = np.stack([s.sequence[:input_width] for s in replay.samples])
-    labels = np.stack([s.pseudo_label for s in replay.samples])
-    if labels.shape[1] != horizon:
+    if replay.labels.shape[1] != horizon:
         raise ValueError(
-            f"replay horizon {labels.shape[1]} does not match {horizon}"
+            f"replay horizon {replay.labels.shape[1]} does not match {horizon}"
         )
-    origins = np.full(len(replay.samples), "replay", dtype=object)
-    return WindowedDataset(inputs, labels, origins, input_width, horizon)
+    origins = np.full(len(replay), "replay", dtype=object)
+    return WindowedDataset(replay.sequences[:, :input_width], replay.labels,
+                           origins, input_width, horizon)
 
 
 def build_train_set(new_data: WindowedDataset, replay: ReplaySet,
                     seed: int = 0) -> WindowedDataset:
-    """Union of new-task windows and replay samples, in seeded shuffled order.
+    """Union of new-task windows and replay rows, in seeded shuffled order.
 
     New samples keep their ground-truth labels and "new" origin; replay
-    samples carry their pseudo-labels and "replay" origin.
+    rows carry their pseudo-labels and "replay" origin.
     """
     if len(replay) == 0:
         return permute_windows(new_data, seed)
@@ -194,17 +160,18 @@ def replay_to_csv(replay: ReplaySet, path, comment: str = None) -> None:
     """One row per sample: tag, the T sequence values, then the H label values.
 
     An optional '#'-prefixed comment line (e.g. a config echo) goes first.
+    The file is replaced atomically.
     """
-    seq_len = replay.samples[0].sequence.shape[0] if replay.samples else 0
-    horizon = replay.samples[0].pseudo_label.shape[0] if replay.samples else 0
+    seq_len, horizon = replay.sequences.shape[1], replay.labels.shape[1]
     header = (["tag"] + [f"x{i}" for i in range(seq_len)]
               + [f"y{i}" for i in range(horizon)])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_target(path) as tmp, \
+            open(tmp, "w", encoding="utf-8", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for s in replay.samples:
-            writer.writerow([s.variant_tag]
-                            + [repr(v) for v in s.sequence.tolist()]
-                            + [repr(v) for v in s.pseudo_label.tolist()])
+        for tag, sequence, label in zip(replay.tags, replay.sequences.tolist(),
+                                        replay.labels.tolist()):
+            writer.writerow([tag] + [repr(v) for v in sequence]
+                            + [repr(v) for v in label])

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import WindowedDataset, permute_windows
-from .forecaster import Forecaster, grad_total, _soften_rows
+from .forecaster import Forecaster, value_and_grad, _cross_entropy, _soften_rows
 from .metrics import MetricPair, mae, evaluate_model
 from .replay import build_replay_set, build_train_set
 
@@ -148,12 +148,7 @@ def distill_loss(y_old, y_new, tau: float) -> float:
         raise ValueError(f"logit shape mismatch: {y_old.shape} vs {y_new.shape}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    p_old = _soften_rows(y_old, tau)
-    # log-softmax directly, so saturated entries cannot produce log(0)
-    z = y_new / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    log_p_new = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return float(-(p_old * log_p_new).sum(axis=-1).mean())
+    return _cross_entropy(_soften_rows(y_old, tau), y_new, tau)
 
 
 def task_loss(preds, labels) -> float:
@@ -173,7 +168,9 @@ def total_loss(task: float, output: float, theta_norm_sq: float,
 def batch_objective(m_new: Forecaster, m_old: Forecaster, inputs, labels,
                     tau: float, distill_weight: float, reg_weight: float) -> float:
     """The scalar objective whose gradient :func:`rtune.forecaster.grad_total`
-    computes; shared by the training loop and the finite-difference tests."""
+    computes; the reference that the training loop's fused
+    :func:`rtune.forecaster.value_and_grad` and the finite-difference tests
+    are checked against."""
     preds = m_new.forward_batch(inputs)
     task = task_loss(preds, labels)
     if distill_weight != 0.0:
@@ -194,10 +191,11 @@ def r_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig,
            method: str = "r-tuning"):
     """Adapt a clone of the frozen model on new data plus synthetic replay.
 
-    Builds the replay set once up front, then runs seeded mini-batch gradient
-    descent on the combined objective for cfg.epochs epochs, scoring
-    validation MAE after each epoch on a chronologically held-out tail of the
-    new-task windows. Returns the checkpoint with the best validation MAE
+    Builds the replay set once up front, and the frozen model's softened
+    outputs on every training row when distilling, then runs seeded
+    mini-batch gradient descent on the combined objective for cfg.epochs
+    epochs, scoring validation MAE after each epoch on a chronologically
+    held-out tail of the new-task windows. Returns the checkpoint with the best validation MAE
     (ties to the earliest epoch) and the run report. The frozen model is
     never modified.
 
@@ -239,6 +237,10 @@ def r_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig,
     else:
         train_set = permute_windows(fit_ds, shuffle_seq.generate_state(1)[0].item())
 
+    soft_old = None
+    if cfg.distill_weight != 0.0:
+        soft_old = _soften_rows(frozen.forward_batch(train_set.inputs), cfg.tau)
+
     model = frozen.clone()
     best_mae = np.inf
     best_theta = None
@@ -249,17 +251,16 @@ def r_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig,
         loss_sum = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            x = train_set.inputs[batch]
-            y = train_set.labels[batch]
-            loss = batch_objective(model, frozen, x, y, cfg.tau,
-                                   cfg.distill_weight, cfg.reg_weight)
-            if not np.isfinite(loss):
+            p_old = soft_old[batch] if soft_old is not None else None
+            try:
+                loss, grad = value_and_grad(
+                    model, train_set.inputs[batch], train_set.labels[batch],
+                    p_old, cfg.tau, cfg.distill_weight, cfg.reg_weight)
+            except RuntimeError as exc:
                 raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch offset {lo}: "
-                    f"{loss!r} (method={method}, lr={cfg.learning_rate})"
-                )
-            grad = grad_total(model, frozen, x, y, cfg.tau,
-                              cfg.distill_weight, cfg.reg_weight)
+                    f"{exc} at epoch {epoch}, batch offset {lo} "
+                    f"(method={method}, lr={cfg.learning_rate})"
+                ) from exc
             model.theta = model.theta - cfg.learning_rate * grad
             loss_sum += loss * len(batch)
         report.train_losses.append(loss_sum / len(order))

@@ -2,7 +2,9 @@
 
 Every coefficient sequence keeps the input length: instead of downsampling
 the signal, level ``l`` dilates the base filters by inserting 2**(l-1) - 1
-zeros between taps. All convolutions are circular.
+zeros between taps. All convolutions are circular and run along the last
+axis, so an (n, T) block of signals is transformed row by row in one call,
+each row with the same arithmetic as a 1-D call on it.
 """
 
 from dataclasses import dataclass, field
@@ -41,29 +43,37 @@ class FilterBank:
 
 @dataclass(frozen=True)
 class WaveletDecomposition:
-    """Redundant pyramid for one signal: full-length coefficients per level.
+    """Redundant pyramid for a signal (or a block of signals along the last
+    axis): full-length coefficients per level.
 
     ``details[l]`` holds level l+1 (finest band first); ``approx`` is the
-    deepest low-pass output. All sequences have the input length.
+    deepest low-pass output. ``approximations[l]``, filled by
+    :func:`rwt_decompose`, is the low-pass output of level l+1, so its last
+    entry is ``approx``. All sequences have the input shape.
     """
 
     levels: int
     approx: np.ndarray
     details: list = field(default_factory=list)
     filter_bank: FilterBank = None
+    approximations: list = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.details) != self.levels:
             raise ValueError(
                 f"expected {self.levels} detail sequences, got {len(self.details)}"
             )
-        self.approx.setflags(write=False)
-        for d in self.details:
-            d.setflags(write=False)
+        if self.approximations and len(self.approximations) != self.levels:
+            raise ValueError(
+                f"expected {self.levels} approximations, "
+                f"got {len(self.approximations)}"
+            )
+        for a in [self.approx, *self.details, *self.approximations]:
+            a.setflags(write=False)
 
     @property
     def length(self) -> int:
-        return self.approx.shape[0]
+        return self.approx.shape[-1]
 
 
 def build_db4_bank() -> FilterBank:
@@ -88,19 +98,17 @@ def build_db4_bank() -> FilterBank:
     return FilterBank(dec_lo=dec_lo, dec_hi=dec_hi, rec_lo=rec_lo, rec_hi=rec_hi)
 
 
-def _atrous_conv(x: np.ndarray, taps: np.ndarray, dilation: int) -> np.ndarray:
-    """Circular convolution with zero-stuffed taps: out[n] = sum_k f[k] x[n - k*dilation]."""
+def _atrous(x: np.ndarray, taps: np.ndarray, dilation: int,
+            direction: int) -> np.ndarray:
+    """Circular filtering along the last axis with zero-stuffed taps:
+    out[..., n] = sum_k f[k] x[..., n - direction*k*dilation].
+
+    direction=+1 is the analysis convolution, direction=-1 its adjoint (the
+    correlation). Each row gets the same per-element arithmetic as a 1-D call.
+    """
     out = np.zeros_like(x)
     for k, f in enumerate(taps):
-        out += f * np.roll(x, k * dilation)
-    return out
-
-
-def _atrous_corr(x: np.ndarray, taps: np.ndarray, dilation: int) -> np.ndarray:
-    """Adjoint of :func:`_atrous_conv`: out[n] = sum_k f[k] x[n + k*dilation]."""
-    out = np.zeros_like(x)
-    for k, f in enumerate(taps):
-        out += f * np.roll(x, -k * dilation)
+        out += f * np.roll(x, direction * k * dilation, axis=-1)
     return out
 
 
@@ -111,17 +119,18 @@ def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecompositi
     by 2**(l-1), circular boundary, so every output keeps the input length.
 
     Args:
-        x: real 1-D signal, length T >= 4 * 2**(levels - 1).
+        x: real signal of length T >= 4 * 2**(levels - 1) on its last axis;
+            leading axes index independent signals.
         levels: decomposition depth, >= 1.
         bank: filter bank; defaults to the 4-tap Daubechies bank.
 
     Returns:
-        WaveletDecomposition with full-length approx and details[0..levels-1]
-        (finest band first).
+        WaveletDecomposition with full-length approx, details[0..levels-1]
+        (finest band first) and the per-level approximations.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
+    if x.ndim < 1:
+        raise ValueError(f"expected a signal along the last axis, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
     if levels < 1:
@@ -129,20 +138,22 @@ def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecompositi
     if bank is None:
         bank = build_db4_bank()
     min_len = len(bank.dec_lo) * 2 ** (levels - 1)
-    if x.shape[0] < min_len:
+    if x.shape[-1] < min_len:
         raise ValueError(
-            f"signal of length {x.shape[0]} too short for {levels} levels "
+            f"signal of length {x.shape[-1]} too short for {levels} levels "
             f"(needs >= {min_len})"
         )
 
-    approx = x.copy()
+    approx = x
     details = []
+    approximations = []
     for level in range(1, levels + 1):
         dilation = 2 ** (level - 1)
-        details.append(_atrous_conv(approx, bank.dec_hi, dilation))
-        approx = _atrous_conv(approx, bank.dec_lo, dilation)
+        details.append(_atrous(approx, bank.dec_hi, dilation, 1))
+        approx = _atrous(approx, bank.dec_lo, dilation, 1)
+        approximations.append(approx)
     return WaveletDecomposition(levels=levels, approx=approx, details=details,
-                                filter_bank=bank)
+                                filter_bank=bank, approximations=approximations)
 
 
 def rwt_reconstruct(decomp: WaveletDecomposition, alpha=1.0,
@@ -166,7 +177,7 @@ def rwt_reconstruct(decomp: WaveletDecomposition, alpha=1.0,
             (level 1) upward. Defaults to all of them.
 
     Returns:
-        The reconstructed signal, same length as the input.
+        The reconstructed signal, same shape as the decomposed input.
     """
     levels = decomp.levels
     if keep_levels is None:
@@ -180,13 +191,13 @@ def rwt_reconstruct(decomp: WaveletDecomposition, alpha=1.0,
     bank = decomp.filter_bank if decomp.filter_bank is not None else build_db4_bank()
     # synthesis kernels: stored rec taps, time-reversed (== correlation with
     # the analysis taps, since rec_lo = dec_lo and rec_hi reversed = -dec_hi)
-    approx = decomp.approx.copy()
+    approx = decomp.approx
     for level in range(levels, 0, -1):
         dilation = 2 ** (level - 1)
-        low = _atrous_corr(approx, bank.dec_lo, dilation)
+        low = _atrous(approx, bank.dec_lo, dilation, -1)
         if level <= keep_levels:
             detail = decomp.details[level - 1]
-            high = alphas[level - 1] * _atrous_corr(detail, bank.dec_hi, dilation)
+            high = alphas[level - 1] * _atrous(detail, bank.dec_hi, dilation, -1)
             approx = 0.5 * (low + high)
         else:
             approx = 0.5 * low

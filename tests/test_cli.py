@@ -2,14 +2,19 @@
 determinism of written outputs, and the report table."""
 
 import csv
+import hashlib
 import json
+import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import rtune.cli
+import rtune.forecaster
 from rtune.cli import main
-from rtune.data import read_series_csv
-from rtune.forecaster import init_forecaster, save_checkpoint
+from rtune.data import atomic_target, read_series_csv
+from rtune.forecaster import init_forecaster, load_checkpoint, save_checkpoint
 
 
 def write_csv(path, values, name="signal"):
@@ -47,7 +52,48 @@ def bench_config(tmp_path):
     return make
 
 
+@pytest.fixture
+def csv_config(tmp_path):
+    """CSV-mode config: a frozen checkpoint plus new/old-task CSV files."""
+    rng = np.random.default_rng(1)
+    t = np.arange(400.0)
+    new_csv = write_csv(tmp_path / "new.csv",
+                        np.sin(2 * np.pi * t / 25.0) + 0.1 * rng.standard_normal(400))
+    old_csv = write_csv(tmp_path / "old.csv",
+                        np.sin(2 * np.pi * t / 50.0) + 0.1 * rng.standard_normal(400))
+    ckpt = tmp_path / "frozen.ckpt"
+    save_checkpoint(init_forecaster(16, 4, 8, seed=0), ckpt)
+
+    def make(name="csv_cfg.json", **overrides):
+        base = dict(benchmark=False, checkpoint=str(ckpt), new_data=str(new_csv),
+                    old_data=[str(old_csv)], input_width=16, horizon=4,
+                    hidden_width=8, epochs=2, seeds=[0, 1],
+                    output_dir=str(tmp_path / "runs"))
+        base.update(overrides)
+        return write_config(tmp_path / name, **base)
+    return make
+
+
+def run_files(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.name in ("report.json", "model.ckpt")}
+
+
 class TestDecompose:
+    def test_csv_bytes_unchanged(self, tmp_path):
+        # digest of the body written before the decomposition kept its
+        # per-level approximations (which were then recomputed per level)
+        src = write_csv(tmp_path / "walk.csv",
+                        np.random.default_rng(5).standard_normal(96).cumsum())
+        out = tmp_path / "dec.csv"
+        assert main(["decompose", "--input", str(src), "--levels", "3",
+                     "--alpha", "0.6", "--keep", "1", "--output", str(out)]) == 0
+        echo, body = out.read_bytes().split(b"\n", 1)
+        assert json.loads(echo[2:])["levels"] == 3
+        assert hashlib.sha256(body).hexdigest() == (
+            "27feedb9ead64f0fe5a41f738d36dc920209bc55a6008799afcfdb3fc0fffee7")
+
     def test_constant_signal_zero_details(self, tmp_path):
         src = write_csv(tmp_path / "const.csv", np.full(64, 2.5))
         out = tmp_path / "out.csv"
@@ -217,6 +263,34 @@ class TestSweep:
                    for p in (tmp_path / "runs").rglob("report.json")]
         assert any(r["method"] == "ft" for r in reports)
 
+    def test_csv_read_once_per_file_per_seed(self, csv_config, tmp_path,
+                                             monkeypatch):
+        reads = Counter()
+
+        def counting_read(path):
+            reads[str(path)] += 1
+            return read_series_csv(path)
+
+        monkeypatch.setattr(rtune.cli, "read_series_csv", counting_read)
+        assert main(["sweep", "--config", str(csv_config()), "--ratios",
+                     "0,5,20", "--output", str(tmp_path / "sweep.csv")]) == 0
+        assert reads == {str(tmp_path / "new.csv"): 2,
+                         str(tmp_path / "old.csv"): 2}
+
+    def test_arms_byte_identical_to_tune(self, csv_config, tmp_path):
+        runs = tmp_path / "runs"
+        assert main(["sweep", "--config", str(csv_config()), "--ratios",
+                     "0,5,20", "--output", str(tmp_path / "sweep.csv")]) == 0
+        swept = run_files(runs)
+        assert len(swept) == 3 * 2 * 2  # report and checkpoint per arm
+        shutil.rmtree(runs)
+        for ratio in (0.0, 5.0, 20.0):
+            for seed in (0, 1):
+                cfg = csv_config(name=f"arm-{ratio}-{seed}.json",
+                                 replay_ratio=ratio, seeds=[seed])
+                assert main(["tune", "--config", str(cfg)]) == 0
+        assert run_files(runs) == swept
+
     @pytest.mark.parametrize("ratios", ["nan", "2,nan", "-1", "101"])
     def test_bad_ratio_rejected_before_any_run(self, bench_config, tmp_path,
                                                capsys, ratios):
@@ -267,3 +341,36 @@ class TestEvalAndReport:
         cfg = bench_config(method="ft")
         assert main(["tune", "--config", str(cfg)]) == 0
         assert main(["report", str(tmp_path / "runs")]) == 1
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("previous\n")
+        with pytest.raises(RuntimeError, match="disk full"):
+            with atomic_target(target) as tmp, open(tmp, "w") as fh:
+                fh.write("partial")
+                fh.flush()
+                raise RuntimeError("disk full")
+        assert target.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_checkpoint_write_keeps_previous_checkpoint(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_forecaster(4, 2, 3, seed=0), path)
+        before = path.read_bytes()
+
+        class HalfWritingJson:
+            @staticmethod
+            def dump(doc, fh, **kwargs):
+                fh.write('{"format":')
+                raise OSError("disk full")
+
+        monkeypatch.setattr(rtune.forecaster, "json", HalfWritingJson)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(init_forecaster(4, 2, 3, seed=1), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        load_checkpoint(path)

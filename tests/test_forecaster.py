@@ -1,14 +1,17 @@
 """Forward-pass oracle checks, softmax machinery, gradient correctness against
-finite differences, and checkpoint round trips."""
+finite differences, the fused training step against that oracle, and
+checkpoint round trips."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
-from rtune.forecaster import (Forecaster, grad_total, init_forecaster,
-                              load_checkpoint, save_checkpoint, soften,
-                              soften_jacobian, theta_size)
+from rtune.forecaster import (Forecaster, _soften_rows, grad_total,
+                              init_forecaster, load_checkpoint,
+                              save_checkpoint, soften, soften_jacobian,
+                              theta_size, value_and_grad)
 from rtune.tuner import batch_objective
 
 
@@ -224,6 +227,45 @@ class TestGradTotal:
         with pytest.raises(ValueError, match="positive"):
             grad_total(m, m.clone(), np.zeros((2, 4)), np.zeros((2, 2)),
                        0.0, 0.2, 1e-4)
+
+
+class TestValueAndGrad:
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9),
+           tau=st.floats(0.5, 6.0),
+           distill_weight=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           reg_weight=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)))
+    def test_matches_objective_and_grad_total(self, seed, n, tau,
+                                              distill_weight, reg_weight):
+        m_new, m_old, x, y = TestGradTotal()._random_instance(seed % 10000, n=n)
+        p_old = _soften_rows(m_old.forward_batch(x), tau)
+        loss, grad = value_and_grad(m_new, x, y, p_old, tau, distill_weight,
+                                    reg_weight)
+        assert abs(loss - batch_objective(m_new, m_old, x, y, tau,
+                                          distill_weight, reg_weight)) <= 1e-12
+        oracle = grad_total(m_new, m_old, x, y, tau, distill_weight, reg_weight)
+        assert np.max(np.abs(grad - oracle)) <= 1e-12
+
+    def test_no_distillation_needs_no_frozen_outputs(self):
+        m_new, m_old, x, y = TestGradTotal()._random_instance(3)
+        loss, grad = value_and_grad(m_new, x, y, None, 3.0, 0.0, 1e-4)
+        assert loss == batch_objective(m_new, m_old, x, y, 3.0, 0.0, 1e-4)
+        assert np.array_equal(grad, grad_total(m_new, m_old, x, y, 3.0, 0.0, 1e-4))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_non_finite_loss_raises(self):
+        m_new, _, x, y = TestGradTotal()._random_instance(4)
+        with pytest.raises(RuntimeError, match="non-finite loss"):
+            value_and_grad(m_new, x, np.full_like(y, 1e200), None, 3.0, 0.0, 0.0)
+
+    def test_errors(self):
+        m = init_forecaster(4, 2, 3, seed=0)
+        with pytest.raises(ValueError, match="inconsistent"):
+            value_and_grad(m, np.zeros((0, 4)), np.zeros((0, 2)), None,
+                           3.0, 0.0, 1e-4)
+        with pytest.raises(ValueError, match="inconsistent"):
+            value_and_grad(m, np.zeros((2, 4)), np.zeros((2, 3)), None,
+                           3.0, 0.0, 1e-4)
 
 
 class TestCheckpoint:

@@ -1,20 +1,31 @@
-"""Latent sampling, synthetic sequence generation, frequency-filtered variants,
-and training-set assembly."""
+"""Latent sampling, the replay set's full-spectrum rows and frequency-filtered
+variants, training-set assembly, and the batched build against a per-latent
+oracle."""
 
 import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rtune import replay
 from rtune.data import make_windows
-from rtune.forecaster import Forecaster, init_forecaster, theta_size
-from rtune.replay import (build_replay_set, build_train_set, expand_variants,
-                          generate_sequence, replay_count_for_fraction,
-                          replay_to_csv, sample_latents)
+from rtune.forecaster import Forecaster, grad_total, init_forecaster, theta_size
+from rtune.replay import (ReplaySet, build_replay_set, build_train_set,
+                          replay_count_for_fraction, replay_to_csv,
+                          sample_latents)
+from rtune.wavelet import rwt_decompose, rwt_reconstruct
 
 
 def zero_model(w=8, h=4, hidden=3):
     return Forecaster(w, h, hidden, np.zeros(theta_size(w, hidden, h)))
+
+
+def constant_model(value, w=8, h=4, hidden=3):
+    """Forecasts `value` at every step: all weights zero, output bias = value."""
+    theta = np.zeros(theta_size(w, hidden, h))
+    theta[-h:] = value
+    return Forecaster(w, h, hidden, theta)
 
 
 def near_identity_model(w):
@@ -29,20 +40,55 @@ def near_identity_model(w):
     return Forecaster(w, w, hidden, theta)
 
 
+@pytest.fixture
+def fixed_latents(monkeypatch):
+    """Make build_replay_set draw the given (n, d) latent block."""
+    def use(block):
+        block = np.asarray(block, dtype=np.float64)
+        monkeypatch.setattr(replay, "sample_latents",
+                            lambda n, d, seed: block.copy())
+    return use
+
+
+def oracle_replay(frozen, n, levels, k, alpha, seed):
+    """Per-latent reference: roll smoothing, the 1-D forward pass and the
+    1-D wavelet transform, one row at a time."""
+    w = frozen.input_width
+    latents = np.random.default_rng(seed).standard_normal((n, w))
+    sequences, labels, tags = [], [], []
+    for z in latents:
+        context = np.zeros(w)
+        for shift in range(-2, 3):
+            context += np.roll(z, shift)
+        context /= 5
+        base = np.concatenate([context, frozen.forward(context)])
+        rows = [("full_spectrum", base)]
+        if k:
+            decomp = rwt_decompose(base, levels)
+            rows += [(f"filtered({j})",
+                      rwt_reconstruct(decomp, alpha=alpha, keep_levels=levels - j))
+                     for j in range(1, k + 1)]
+        for tag, seq in rows:
+            tags.append(tag)
+            sequences.append(seq)
+            labels.append(frozen.forward(seq[:w]))
+    return np.array(sequences), np.array(labels), tags
+
+
 class TestLatents:
     def test_deterministic(self):
         a = sample_latents(10, 4, seed=3)
         b = sample_latents(10, 4, seed=3)
-        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a, b)
 
     def test_standard_normal_moments(self):
         batch = sample_latents(10000, 8, seed=0)
-        assert np.max(np.abs(batch.vectors.mean(axis=0))) < 0.05
-        assert np.max(np.abs(batch.vectors.var(axis=0) - 1.0)) < 0.1
+        assert np.max(np.abs(batch.mean(axis=0))) < 0.05
+        assert np.max(np.abs(batch.var(axis=0) - 1.0)) < 0.1
 
     def test_single_vector(self):
         batch = sample_latents(1, 6, seed=1)
-        assert batch.vectors.shape == (1, 6)
+        assert batch.shape == (1, 6)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -52,23 +98,25 @@ class TestLatents:
 
 
 class TestGenerateSequence:
-    def test_zero_model(self):
-        frozen = zero_model()
-        z = np.random.default_rng(0).normal(size=8)
-        s = generate_sequence(frozen, z)
-        assert s.sequence.shape == (12,)
-        assert np.all(s.sequence[8:] == 0.0)
-        assert np.all(s.pseudo_label == 0.0)
-        assert s.variant_tag == "full_spectrum"
+    """The full-spectrum rows: smoothed latent, then the frozen forecast."""
 
-    def test_identity_map_returns_its_input(self):
+    def test_zero_model(self):
+        rs = build_replay_set(zero_model(), 3, levels=1, k=1, alpha=0.7, seed=0)
+        base = rs.tags == "full_spectrum"
+        assert rs.sequences[base].shape == (3, 12)
+        assert np.all(rs.sequences[base, 8:] == 0.0)
+        assert np.all(rs.labels[base] == 0.0)
+        assert rs.tags[0] == "full_spectrum"
+
+    def test_identity_map_returns_its_input(self, fixed_latents):
         w = 8
         frozen = near_identity_model(w)
-        z = np.zeros(w)
-        z[0] = 1.0
-        s = generate_sequence(frozen, z)
-        context = s.sequence[:w]
-        assert np.max(np.abs(s.pseudo_label - context)) < 1e-8
+        z = np.zeros((1, w))
+        z[0, 0] = 1.0
+        fixed_latents(z)
+        rs = build_replay_set(frozen, 1, levels=1, k=0, alpha=0.7, seed=0)
+        context = rs.sequences[0, :w]
+        assert np.max(np.abs(rs.labels[0] - context)) < 1e-8
 
     def test_forecast_within_training_envelope(self):
         # train on sinusoid windows, then probe with smoothed noise
@@ -77,64 +125,64 @@ class TestGenerateSequence:
         windows = make_windows(series, 16, 8)
         model = init_forecaster(16, 8, 16, seed=0)
         for _ in range(200):
-            from rtune.forecaster import grad_total
             g = grad_total(model, model.clone(), windows.inputs, windows.labels,
                            tau=3.0, distill_weight=0.0, reg_weight=0.0)
             model.theta -= 0.05 * g
         envelope = np.abs(windows.labels).max() + 3 * windows.labels.std()
         for seed in range(5):
-            z = np.random.default_rng(seed).standard_normal(16)
-            s = generate_sequence(model, z)
-            assert np.all(np.isfinite(s.pseudo_label))
-            assert np.max(np.abs(s.pseudo_label)) <= envelope
+            rs = build_replay_set(model, 1, levels=1, k=0, alpha=0.7, seed=seed)
+            assert np.all(np.isfinite(rs.labels))
+            assert np.max(np.abs(rs.labels)) <= envelope
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            generate_sequence(zero_model(w=8), np.zeros(5))
+    def test_dimension_mismatch(self, fixed_latents):
+        fixed_latents(np.zeros((1, 5)))
+        with pytest.raises(ValueError, match="shape"):
+            build_replay_set(zero_model(w=8), 1, levels=1, k=1, alpha=0.7, seed=0)
 
 
 class TestExpandVariants:
-    def test_constant_sequence_unchanged(self):
-        frozen = zero_model(w=8, h=4)
-        const = SyntheticConst = np.full(12, 1.5)
-        from rtune.replay import SyntheticSample
-        base = SyntheticSample(sequence=const, variant_tag="full_spectrum",
-                               pseudo_label=frozen.forward(const[:8]))
+    """The filtered rows: top detail bands dropped, labels recomputed."""
+
+    def test_constant_sequence_unchanged(self, fixed_latents):
+        frozen = constant_model(1.5, w=8, h=4)
+        fixed_latents(np.full((1, 8), 1.5))
         for k, levels, alpha in ((1, 1, 0.7), (2, 2, 0.3)):
-            variants = expand_variants(base, frozen, levels, k, alpha)
+            rs = build_replay_set(frozen, 1, levels, k, alpha, seed=0)
+            assert np.all(rs.sequences[0] == 1.5)
+            variants = rs.sequences[rs.tags != "full_spectrum"]
             assert len(variants) == k
-            for v in variants:
-                assert np.max(np.abs(v.sequence - const)) < 1e-12
+            assert np.max(np.abs(variants - 1.5)) < 1e-12
 
     def test_k_zero_gives_empty_list(self):
-        frozen = zero_model(w=8, h=4)
-        base = generate_sequence(frozen, np.zeros(8))
-        assert expand_variants(base, frozen, levels=1, k=0, alpha=0.7) == []
+        rs = build_replay_set(zero_model(w=8, h=4), 3, levels=1, k=0,
+                              alpha=0.7, seed=0)
+        assert len(rs) == 3
+        assert list(rs.tags) == ["full_spectrum"] * 3
 
-    def test_alternating_signal_moves_toward_mean(self):
-        frozen = zero_model(w=8, h=8, hidden=3)
-        from rtune.replay import SyntheticSample
-        x = np.array([1.0, -1.0] * 8)  # length 16, pure high frequency
-        base = SyntheticSample(sequence=x, variant_tag="full_spectrum",
-                               pseudo_label=frozen.forward(x[:8]))
-        (variant,) = expand_variants(base, frozen, levels=1, k=1, alpha=0.7)
+    def test_alternating_signal_moves_toward_mean(self, fixed_latents):
+        # the smoothed alternating latent is 0.2 * [1, -1, ...], and the
+        # near-identity forecast continues it: a length-16 high-frequency row
+        frozen = near_identity_model(8)
+        fixed_latents(np.array([[1.0, -1.0] * 4]))
+        rs = build_replay_set(frozen, 1, levels=1, k=1, alpha=0.7, seed=0)
+        x, variant = rs.sequences
+        assert np.max(np.abs(x - 0.2 * np.array([1.0, -1.0] * 8))) < 1e-8
         mean = x.mean()
-        assert np.linalg.norm(variant.sequence - mean) < np.linalg.norm(x - mean)
+        assert np.linalg.norm(variant - mean) < np.linalg.norm(x - mean)
 
     def test_variant_labels_recomputed_and_tagged(self):
         frozen = init_forecaster(8, 4, 6, seed=2)
-        base = generate_sequence(frozen, np.random.default_rng(0).normal(size=8))
-        variants = expand_variants(base, frozen, levels=2, k=2, alpha=0.7)
-        assert [v.variant_tag for v in variants] == ["filtered(1)", "filtered(2)"]
-        for v in variants:
-            assert v.sequence.shape == base.sequence.shape
-            assert np.array_equal(v.pseudo_label, frozen.forward(v.sequence[:8]))
+        rs = build_replay_set(frozen, 2, levels=2, k=2, alpha=0.7, seed=0)
+        assert list(rs.tags) == ["full_spectrum", "filtered(1)", "filtered(2)"] * 2
+        assert rs.sequences.shape == (6, 12)
+        assert np.array_equal(rs.labels, frozen.forward_batch(rs.sequences[:, :8]))
+        for seq, label in zip(rs.sequences, rs.labels):
+            assert np.max(np.abs(label - frozen.forward(seq[:8]))) < 1e-12
 
     def test_k_out_of_range(self):
-        frozen = zero_model(w=8, h=4)
-        base = generate_sequence(frozen, np.zeros(8))
         with pytest.raises(ValueError, match="discard depth"):
-            expand_variants(base, frozen, levels=1, k=2, alpha=0.7)
+            build_replay_set(zero_model(w=8, h=4), 1, levels=1, k=2,
+                             alpha=0.7, seed=0)
 
 
 class TestReplaySet:
@@ -147,23 +195,55 @@ class TestReplaySet:
     def test_pseudo_labels_idempotent(self):
         frozen = init_forecaster(8, 4, 6, seed=1)
         rs = build_replay_set(frozen, 4, levels=1, k=1, alpha=0.7, seed=2)
-        for s in rs.samples:
-            assert np.array_equal(s.pseudo_label,
-                                  frozen.forward(s.sequence[:8]))
+        assert np.array_equal(rs.labels, frozen.forward_batch(rs.sequences[:, :8]))
 
     def test_deterministic(self):
         frozen = init_forecaster(8, 4, 6, seed=1)
         a = build_replay_set(frozen, 4, 1, 1, 0.7, seed=9)
         b = build_replay_set(frozen, 4, 1, 1, 0.7, seed=9)
-        for sa, sb in zip(a.samples, b.samples):
-            assert np.array_equal(sa.sequence, sb.sequence)
-            assert np.array_equal(sa.pseudo_label, sb.pseudo_label)
+        assert np.array_equal(a.sequences, b.sequences)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.tags, b.tags)
 
     def test_provenance(self):
         frozen = init_forecaster(8, 4, 6, seed=1)
         rs = build_replay_set(frozen, 2, 1, 1, 0.5, seed=3)
         assert rs.provenance == {"n": 2, "levels": 1, "discard_depth": 1,
                                  "alpha": 0.5, "seed": 3}
+
+    def test_arrays_read_only(self):
+        rs = build_replay_set(init_forecaster(8, 4, 6, seed=1), 2, 1, 1, 0.7, 0)
+        for name in ("sequences", "labels", "tags"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(rs, name)[0] = getattr(rs, name)[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf is the point
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_non_finite_rejected(self, fixed_latents, k):
+        fixed_latents(np.array([[0.0] * 7 + [np.inf], [0.0] * 8]))
+        with pytest.raises(ValueError, match="non-finite"):
+            build_replay_set(init_forecaster(8, 4, 6, seed=1), 2, 1, k, 0.7, 0)
+
+    def test_inconsistent_arrays_rejected(self):
+        with pytest.raises(ValueError, match="disagree"):
+            ReplaySet(np.zeros((3, 12)), np.zeros((2, 4)),
+                      np.array(["full_spectrum"] * 3), {})
+
+    @settings(max_examples=40, deadline=None)
+    @given(w=st.integers(4, 12), h=st.integers(1, 6), hidden=st.integers(1, 6),
+           n=st.integers(1, 5), levels=st.integers(1, 3), data=st.data(),
+           alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_latent_oracle(self, w, h, hidden, n, levels, data,
+                                       alpha, seed):
+        w = max(w, 4 * 2 ** (levels - 1) - h)  # the sequence must fit `levels`
+        k = data.draw(st.integers(0, levels), label="k")
+        frozen = init_forecaster(w, h, hidden, seed=seed % 1000)
+        rs = build_replay_set(frozen, n, levels, k, alpha, seed)
+        sequences, labels, tags = oracle_replay(frozen, n, levels, k, alpha, seed)
+        assert list(rs.tags) == tags
+        assert rs.sequences.shape == sequences.shape
+        assert np.max(np.abs(rs.sequences - sequences)) <= 1e-12
+        assert np.max(np.abs(rs.labels - labels)) <= 1e-12
 
 
 class TestTrainSet:
@@ -172,17 +252,18 @@ class TestTrainSet:
         return make_windows(series, w, h)
 
     def test_empty_replay_is_permutation(self):
-        from rtune.replay import ReplaySet
         new = self._new_data(20)
-        out = build_train_set(new, ReplaySet(samples=[], provenance={}), seed=5)
+        empty = ReplaySet(np.empty((0, 12)), np.empty((0, 4)),
+                          np.empty(0, dtype=str), {})
+        out = build_train_set(new, empty, seed=5)
         assert len(out) == 20
         assert np.array_equal(np.sort(out.starts), new.starts)
 
     def test_union_size(self):
         frozen = init_forecaster(8, 4, 6, seed=0)
         new = self._new_data(100)
-        replay = build_replay_set(frozen, 10, 1, 1, 0.7, seed=0)
-        out = build_train_set(new, replay, seed=0)
+        rs = build_replay_set(frozen, 10, 1, 1, 0.7, seed=0)
+        out = build_train_set(new, rs, seed=0)
         assert len(out) == 120
         assert sorted(set(out.origins)) == ["new", "replay"]
         assert (out.origins == "replay").sum() == 20
@@ -190,19 +271,23 @@ class TestTrainSet:
     def test_labels_by_origin(self):
         frozen = init_forecaster(8, 4, 6, seed=0)
         new = self._new_data(10)
-        replay = build_replay_set(frozen, 3, 1, 1, 0.7, seed=0)
-        out = build_train_set(new, replay, seed=1)
+        rs = build_replay_set(frozen, 3, 1, 1, 0.7, seed=0)
+        out = build_train_set(new, rs, seed=1)
+        pseudo = {rs.sequences[i, :8].tobytes(): rs.labels[i] for i in range(len(rs))}
+        truth = {new.inputs[i].tobytes(): new.labels[i] for i in range(len(new))}
         for i in range(len(out)):
+            source = pseudo if out.origins[i] == "replay" else truth
+            assert np.array_equal(out.labels[i], source[out.inputs[i].tobytes()])
             if out.origins[i] == "replay":
-                assert np.array_equal(out.labels[i],
-                                      frozen.forward(out.inputs[i]))
+                assert np.max(np.abs(out.labels[i]
+                                     - frozen.forward(out.inputs[i]))) < 1e-12
 
     def test_geometry_mismatch(self):
         frozen = init_forecaster(6, 4, 6, seed=0)  # W=6 vs data W=8
         new = self._new_data(10)
-        replay = build_replay_set(frozen, 2, 1, 1, 0.7, seed=0)
+        rs = build_replay_set(frozen, 2, 1, 1, 0.7, seed=0)
         with pytest.raises(ValueError, match="geometry"):
-            build_train_set(new, replay, seed=0)
+            build_train_set(new, rs, seed=0)
 
     def test_fraction_arithmetic(self):
         assert replay_count_for_fraction(5.0, 2000, k=1) * (1 + 1) == 100
@@ -220,4 +305,7 @@ def test_replay_csv_round_trip(tmp_path):
     assert rows[0] == ["tag"] + [f"x{i}" for i in range(12)] + [f"y{i}" for i in range(4)]
     assert len(rows) == 1 + 6
     parsed = np.array([float(v) for v in rows[1][1:13]])
-    assert np.array_equal(parsed, rs.samples[0].sequence)  # repr round-trips exactly
+    assert np.array_equal(parsed, rs.sequences[0])  # repr round-trips exactly
+    assert [row[0] for row in rows[1:]] == list(rs.tags)
+    labels = np.array([[float(v) for v in row[13:]] for row in rows[1:]])
+    assert np.array_equal(labels, rs.labels)

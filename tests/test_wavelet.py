@@ -1,8 +1,11 @@
-"""Filter-bank identities, redundant-transform properties, and the
-reconstruction round trip against a dense matrix oracle."""
+"""Filter-bank identities, redundant-transform properties, the
+reconstruction round trip against a dense matrix oracle, and the batched
+transform against 1-D calls."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rtune.wavelet import (FilterBank, build_db4_bank, rwt_decompose,
                            rwt_reconstruct)
@@ -225,3 +228,39 @@ def test_decomposition_detail_count_validated():
     with pytest.raises(ValueError, match="detail sequences"):
         WaveletDecomposition(levels=2, approx=np.zeros(8),
                              details=[np.zeros(8)], filter_bank=bank)
+
+
+def test_per_level_approximations_match_shallower_decompositions():
+    x = np.random.default_rng(8).normal(size=40)
+    d = rwt_decompose(x, 3)
+    assert len(d.approximations) == 3
+    assert d.approximations[-1] is d.approx
+    for level, approx in enumerate(d.approximations, start=1):
+        assert np.array_equal(approx, rwt_decompose(x, level).approx)
+        assert not approx.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       levels=st.integers(1, 3), extra=st.integers(0, 20), data=st.data())
+def test_batched_rows_equal_1d_calls(lead, levels, extra, data):
+    t = 4 * 2 ** (levels - 1) + extra
+    x = data.draw(arrays(np.float64, (*lead, t),
+                         elements=st.floats(-1e3, 1e3)), label="x")
+    keep = data.draw(st.integers(0, levels), label="keep")
+    alpha = data.draw(st.one_of(
+        st.floats(0.0, 1.0),
+        st.lists(st.floats(0.0, 1.0), min_size=levels, max_size=levels)),
+        label="alpha")
+    batched = rwt_decompose(x, levels)
+    rec = rwt_reconstruct(batched, alpha=alpha, keep_levels=keep)
+    assert batched.length == t and rec.shape == x.shape
+    for idx in np.ndindex(*lead):
+        row = rwt_decompose(x[idx], levels)
+        assert np.array_equal(batched.approx[idx], row.approx)
+        for b, r in zip(batched.details, row.details):
+            assert np.array_equal(b[idx], r)
+        for b, r in zip(batched.approximations, row.approximations):
+            assert np.array_equal(b[idx], r)
+        assert np.array_equal(rec[idx],
+                              rwt_reconstruct(row, alpha=alpha, keep_levels=keep))
