@@ -269,13 +269,22 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"ratios must be in [0, 100], got {ratios}")
 
     results = []
+    failed = 0
     for seed in cfg["seeds"]:
         # arms differ only in replay_ratio: prepare the seed once, and hold
         # one seed's setup at a time
         prepared = {}
         for ratio in ratios:
             arm_cfg = dict(cfg, replay_ratio=ratio, seeds=[seed])
-            model, report = _execute_run(arm_cfg, seed, prepared)
+            try:
+                model, report = _execute_run(arm_cfg, seed, prepared)
+            except (RuntimeError, FloatingPointError) as exc:
+                # a diverged arm gets no files and empty metric cells; the
+                # other arms still run
+                print(f"ratio={ratio}, seed={seed}: {exc}", file=sys.stderr)
+                failed += 1
+                results.append((ratio, seed, None, None, None, None))
+                continue
             run_dir = Path(cfg["output_dir"]) / config_hash(arm_cfg)
             _write_run_outputs(arm_cfg, seed, model, report, run_dir)
             results.append((ratio, seed, report.old_metrics.mae,
@@ -292,9 +301,10 @@ def cmd_sweep(args) -> int:
         writer.writerow(["ratio", "seed", "old_mae", "old_mse",
                          "new_mae", "new_mse"])
         for row in results:
-            writer.writerow([row[0], row[1]] + [repr(v) for v in row[2:]])
+            writer.writerow([row[0], row[1]] + ["" if v is None else repr(v)
+                                                for v in row[2:]])
     print(out_path)
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_decompose(args) -> int:

@@ -146,6 +146,10 @@ def make_windows(series, input_width: int, horizon: int,
     Window i covers series[i*stride : i*stride + input_width) as input and the
     following `horizon` values as label.
     """
+    for name, value in (("input_width", input_width), ("horizon", horizon),
+                        ("stride", stride)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     values = series.values if isinstance(series, RawSeries) else np.asarray(
         series, dtype=np.float64)
     span = input_width + horizon
@@ -155,8 +159,9 @@ def make_windows(series, input_width: int, horizon: int,
         )
     n = (len(values) - span) // stride + 1
     starts = np.arange(n, dtype=np.int64) * stride
-    inputs = np.stack([values[s:s + input_width] for s in starts])
-    labels = np.stack([values[s + input_width:s + span] for s in starts])
+    window_view = np.lib.stride_tricks.sliding_window_view
+    inputs = window_view(values, input_width)[starts]
+    labels = window_view(values[input_width:], horizon)[starts]
     return WindowedDataset(inputs, labels, None, input_width, horizon, starts)
 
 
@@ -223,10 +228,13 @@ def covered_values(series, starts, span: int) -> np.ndarray:
     windows only."""
     values = series.values if isinstance(series, RawSeries) else np.asarray(
         series, dtype=np.float64)
-    mask = np.zeros(len(values), dtype=bool)
-    for s in np.asarray(starts, dtype=np.int64):
-        mask[s:s + span] = True
-    return values[mask]
+    # +1 where a window starts, -1 where it ends: positions with a positive
+    # running sum are covered
+    starts = np.asarray(starts, dtype=np.int64)
+    edges = np.zeros(len(values) + 1, dtype=np.int64)
+    np.add.at(edges, np.minimum(starts, len(values)), 1)
+    np.add.at(edges, np.minimum(starts + span, len(values)), -1)
+    return values[np.cumsum(edges[:-1]) > 0]
 
 
 def windowed_split(series, input_width: int, horizon: int, stride: int,

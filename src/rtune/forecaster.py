@@ -8,6 +8,7 @@ for distillation.
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,18 @@ def theta_size(input_width: int, hidden_width: int, horizon: int) -> int:
     return input_width * hidden_width + hidden_width + hidden_width * horizon + horizon
 
 
+def _blocks(flat, model):
+    """(flat, hidden weights, hidden bias, output weights, output bias), the
+    last four as views into `flat`, a vector laid out like `model.theta`."""
+    w, h, hid = model.input_width, model.horizon, model.hidden_width
+    i = 0
+    w1 = flat[i:i + hid * w].reshape(hid, w); i += hid * w
+    b1 = flat[i:i + hid]; i += hid
+    w2 = flat[i:i + h * hid].reshape(h, hid); i += h * hid
+    b2 = flat[i:i + h]
+    return flat, w1, b1, w2, b2
+
+
 @dataclass
 class Forecaster:
     """Window-to-horizon perceptron with a flat parameter vector.
@@ -58,13 +71,7 @@ class Forecaster:
             raise ValueError("theta contains non-finite values")
 
     def _unpack(self):
-        w, h, hid = self.input_width, self.horizon, self.hidden_width
-        i = 0
-        w1 = self.theta[i:i + hid * w].reshape(hid, w); i += hid * w
-        b1 = self.theta[i:i + hid]; i += hid
-        w2 = self.theta[i:i + h * hid].reshape(h, hid); i += h * hid
-        b2 = self.theta[i:i + h]
-        return w1, b1, w2, b2
+        return _blocks(self.theta, self)[1:]
 
     def forward(self, x) -> np.ndarray:
         """Forecast H steps from one input window of length W."""
@@ -229,7 +236,8 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
 
     Computes what :func:`rtune.tuner.batch_objective` and :func:`grad_total`
     compute together, with the frozen model's softened outputs passed in
-    instead of recomputed, since they do not change while m_new trains.
+    instead of recomputed, since they do not change while m_new trains. This
+    is the step the training loop runs, with a fresh gradient vector.
 
     Args:
         m_new: model being adapted.
@@ -253,34 +261,56 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
         raise ValueError(
             f"inconsistent batch shapes {inputs.shape} vs {labels.shape}"
         )
-    w1, b1, w2, b2 = m_new._unpack()
+    grad = np.empty_like(m_new.theta)
+    loss = _step(_blocks(m_new.theta, m_new), _blocks(grad, m_new), inputs,
+                 labels, p_old, tau, distill_weight, reg_weight)
+    return loss, grad
+
+
+def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
+          reg_weight) -> float:
+    """One training step: returns the loss and writes the gradient into
+    `grads`, in place.
+
+    `params` and `grads` are :func:`_blocks` of the model's theta and of a
+    theta-shaped buffer. The training loop updates theta in place, so both
+    sets of views stay valid for the whole run.
+    """
+    theta, w1, b1, w2, b2 = params
+    grad, g_w1, g_b1, g_w2, g_b2 = grads
+    n = inputs.shape[0]
     hidden = np.tanh(inputs @ w1.T + b1)
     outputs = hidden @ w2.T + b2
 
-    # same arithmetic as batch_objective: task, + distillation, + L2
+    # same arithmetic as batch_objective: task, + distillation, + L2; a sum
+    # over rows divided by n has the bits of .mean()
     resid = outputs - labels
-    loss = float((resid ** 2).sum(axis=-1).mean())
+    loss = float((resid ** 2).sum(axis=-1).sum() / n)
     d_out = 2.0 * resid / n
     if distill_weight != 0.0:
-        loss += distill_weight * _cross_entropy(p_old, outputs, tau)
-        p_new = _soften_rows(outputs, tau)
-        d_out = d_out + distill_weight * (p_new - p_old) / (tau * n)
-    loss += reg_weight * float(m_new.theta @ m_new.theta)
-    if not np.isfinite(loss):
+        # one exp serves the log-softmax of _cross_entropy and the softmax
+        # of _soften_rows, with their arithmetic
+        z = outputs / tau
+        z -= z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        s = e.sum(axis=-1, keepdims=True)
+        loss += distill_weight * float(
+            -(p_old * (z - np.log(s))).sum(axis=-1).sum() / n)
+        d_out += distill_weight * (e / s - p_old) / (tau * n)
+    loss += reg_weight * float(theta @ theta)
+    if not math.isfinite(loss):
         raise RuntimeError(f"non-finite loss {loss!r}")
-    if not np.all(np.isfinite(d_out)):
+    if not np.isfinite(d_out).all():
         raise FloatingPointError("non-finite intermediate in gradient computation")
 
-    d_w2 = d_out.T @ hidden
-    d_b2 = d_out.sum(axis=0)
+    np.matmul(d_out.T, hidden, out=g_w2)
+    np.add.reduce(d_out, axis=0, out=g_b2)
     d_pre = (d_out @ w2) * (1.0 - hidden ** 2)
-    d_w1 = d_pre.T @ inputs
-    d_b1 = d_pre.sum(axis=0)
-
-    grad = np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
+    np.matmul(d_pre.T, inputs, out=g_w1)
+    np.add.reduce(d_pre, axis=0, out=g_b1)
     if reg_weight != 0.0:
-        grad = grad + 2.0 * reg_weight * m_new.theta
-    return loss, grad
+        grad += 2.0 * reg_weight * theta
+    return loss
 
 
 def save_checkpoint(model: Forecaster, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import WindowedDataset, permute_windows
-from .forecaster import Forecaster, value_and_grad, _cross_entropy, _soften_rows
+from .forecaster import Forecaster, _blocks, _cross_entropy, _soften_rows, _step
 from .metrics import MetricPair, mae, evaluate_model
 from .replay import build_replay_set, build_train_set
 
@@ -168,8 +168,8 @@ def total_loss(task: float, output: float, theta_norm_sq: float,
 def batch_objective(m_new: Forecaster, m_old: Forecaster, inputs, labels,
                     tau: float, distill_weight: float, reg_weight: float) -> float:
     """The scalar objective whose gradient :func:`rtune.forecaster.grad_total`
-    computes; the reference that the training loop's fused
-    :func:`rtune.forecaster.value_and_grad` and the finite-difference tests
+    computes; the reference that the training step
+    (:func:`rtune.forecaster.value_and_grad`) and the finite-difference tests
     are checked against."""
     preds = m_new.forward_batch(inputs)
     task = task_loss(preds, labels)
@@ -242,27 +242,34 @@ def r_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig,
         soft_old = _soften_rows(frozen.forward_batch(train_set.inputs), cfg.tau)
 
     model = frozen.clone()
+    theta = model.theta  # updated in place, so the step's views stay valid
+    params = _blocks(theta, model)
+    grad = np.empty_like(theta)
+    grads = _blocks(grad, model)
     best_mae = np.inf
     best_theta = None
     best_epoch = None
 
     for epoch in range(cfg.epochs):
+        # gather the epoch in shuffled order once; batches are then slices
         order = np.random.default_rng(epoch_seqs[epoch]).permutation(len(train_set))
+        inputs = train_set.inputs[order]
+        labels = train_set.labels[order]
+        p_old = soft_old[order] if soft_old is not None else None
         loss_sum = 0.0
         for lo in range(0, len(order), cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
-            p_old = soft_old[batch] if soft_old is not None else None
+            hi = min(lo + cfg.batch_size, len(order))
             try:
-                loss, grad = value_and_grad(
-                    model, train_set.inputs[batch], train_set.labels[batch],
-                    p_old, cfg.tau, cfg.distill_weight, cfg.reg_weight)
+                loss = _step(params, grads, inputs[lo:hi], labels[lo:hi],
+                             p_old[lo:hi] if p_old is not None else None,
+                             cfg.tau, cfg.distill_weight, cfg.reg_weight)
             except RuntimeError as exc:
                 raise RuntimeError(
                     f"{exc} at epoch {epoch}, batch offset {lo} "
                     f"(method={method}, lr={cfg.learning_rate})"
                 ) from exc
-            model.theta = model.theta - cfg.learning_rate * grad
-            loss_sum += loss * len(batch)
+            theta -= cfg.learning_rate * grad
+            loss_sum += loss * (hi - lo)
         report.train_losses.append(loss_sum / len(order))
 
         val_mae = mae(model.forward_batch(val_ds.inputs), val_ds.labels)

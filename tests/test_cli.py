@@ -203,6 +203,13 @@ class TestTune:
         err = capsys.readouterr().err
         assert str(cfg) in err and "Unterminated string" in err
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_bad_stride_rejected(self, tmp_path, csv_config, capsys, stride):
+        cfg = csv_config(stride=stride, seeds=[0])
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert f"stride must be >= 1, got {stride}" in capsys.readouterr().err
+        assert not list((tmp_path / "runs").rglob("report.json"))
+
     def test_unknown_keys_rejected(self, tmp_path, bench_config):
         cfg = bench_config()
         loaded = json.loads(cfg.read_text())
@@ -291,6 +298,33 @@ class TestSweep:
                 assert main(["tune", "--config", str(cfg)]) == 0
         assert run_files(runs) == swept
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_diverged_arm_does_not_sink_sweep(self, bench_config, tmp_path,
+                                              capsys):
+        # a tiny temperature makes the distillation term diverge; ratio 0
+        # collapses to the ft arm, which does not distil, and still trains
+        cfg = bench_config(method="r-tuning", tau=1e-300, seeds=[0, 1])
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--ratios", "0,10",
+                     "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        for seed in (0, 1):
+            assert f"ratio=10.0, seed={seed}: non-finite loss" in err
+        with open(out) as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert len(rows) == 1 + 2 * 2
+        for ratio, seed, *metrics in rows[1:]:
+            if ratio == "10.0":
+                assert metrics == ["", "", "", ""]
+            else:
+                assert all(np.isfinite(float(v)) for v in metrics)
+        reports = [json.loads(p.read_text())
+                   for p in (tmp_path / "runs").rglob("report.json")]
+        assert sorted((r["config"]["replay_n"], r["extra"]["seed"])
+                      for r in reports) == [(0, 0), (0, 1)]
+        assert len(list((tmp_path / "runs").rglob("model.ckpt"))) == 2
+        assert not list(tmp_path.rglob("*.tmp"))
+
     @pytest.mark.parametrize("ratios", ["nan", "2,nan", "-1", "101"])
     def test_bad_ratio_rejected_before_any_run(self, bench_config, tmp_path,
                                                capsys, ratios):
@@ -315,6 +349,17 @@ class TestEvalAndReport:
         doc = json.loads(out.read_text())
         assert doc["old_metrics"]["mae"] > 0
         assert doc["new_metrics"]["n_samples"] > 0
+
+    @pytest.mark.parametrize("stride", ["0", "-1"])
+    def test_eval_bad_stride_rejected(self, tmp_path, sine_csv, capsys, stride):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_forecaster(16, 4, 8, seed=2), ckpt)
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--new-data",
+                     str(sine_csv), "--stride", stride,
+                     "--output", str(out)]) == 1
+        assert f"stride must be >= 1, got {stride}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_table(self, bench_config, tmp_path):
         for method in ("frozen", "ft"):

@@ -3,6 +3,7 @@ benchmark task generator."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from rtune.data import (RawSeries, WindowedDataset, covered_values,
                         few_shot_subsample, gen_benchmark_tasks, make_windows,
@@ -91,6 +92,30 @@ class TestWindows:
         rebuilt = np.concatenate([ds.inputs[i] for i in range(len(ds))])
         assert np.array_equal(rebuilt, series[:len(rebuilt)])
 
+    @pytest.mark.parametrize("name,geometry", [
+        ("stride", (4, 2, 0)), ("stride", (4, 2, -1)),
+        ("input_width", (0, 2, 1)), ("horizon", (4, 0, 1))])
+    def test_bad_geometry_names_value(self, name, geometry):
+        input_width, horizon, stride = geometry
+        value = dict(zip(("input_width", "horizon", "stride"), geometry))[name]
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+            make_windows(np.arange(20.0), input_width, horizon, stride=stride)
+
+    @hyp_settings(max_examples=80, deadline=None)
+    @given(data=st.data(), input_width=st.integers(1, 12),
+           horizon=st.integers(1, 6), stride=st.integers(1, 9))
+    def test_matches_per_start_stack(self, data, input_width, horizon, stride):
+        span = input_width + horizon
+        length = data.draw(st.integers(span, span + 60))
+        series = np.random.default_rng(length).normal(size=length)
+        ds = make_windows(series, input_width, horizon, stride=stride)
+        starts = range(0, length - span + 1, stride)
+        assert np.array_equal(ds.starts, list(starts))
+        assert np.array_equal(
+            ds.inputs, np.stack([series[s:s + input_width] for s in starts]))
+        assert np.array_equal(
+            ds.labels, np.stack([series[s + input_width:s + span] for s in starts]))
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError, match="inputs vs"):
             WindowedDataset(np.zeros((3, 4)), np.zeros((2, 2)))
@@ -151,6 +176,21 @@ def test_covered_values_unique_in_order():
     series = np.arange(20.0)
     got = covered_values(series, starts=[0, 2], span=5)
     assert np.array_equal(got, np.arange(7.0))  # union of [0,5) and [2,7)
+
+
+@hyp_settings(max_examples=80, deadline=None)
+@given(data=st.data(), length=st.integers(1, 50), span=st.integers(1, 12))
+def test_covered_values_matches_loop_mask(data, length, span):
+    # unsorted, repeated and overlapping starts, and windows that end at or
+    # run past the end of the series
+    starts = data.draw(st.lists(st.integers(0, length + 2), max_size=12))
+    if length >= span and data.draw(st.booleans()):
+        starts.append(length - span)
+    series = np.random.default_rng(length).normal(size=length)
+    mask = np.zeros(length, dtype=bool)
+    for s in starts:
+        mask[s:s + span] = True
+    assert np.array_equal(covered_values(series, starts, span), series[mask])
 
 
 def test_normalize_windows_matches_series_normalization():

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from rtune.forecaster import (Forecaster, _soften_rows, grad_total,
-                              init_forecaster, load_checkpoint,
+from rtune.forecaster import (Forecaster, _cross_entropy, _soften_rows,
+                              grad_total, init_forecaster, load_checkpoint,
                               save_checkpoint, soften, soften_jacobian,
                               theta_size, value_and_grad)
 from rtune.tuner import batch_objective
@@ -25,6 +25,30 @@ def unpack_reference(model):
     w2 = t[hid * w + hid:hid * w + hid + h * hid].reshape(h, hid)
     b2 = t[hid * w + hid + h * hid:]
     return w1, b1, w2, b2
+
+
+def reference_value_and_grad(m_new, x, y, p_old, tau, distill_weight,
+                              reg_weight):
+    """The training step with a separate exp for the loss (_cross_entropy)
+    and for the gradient (_soften_rows), and the gradient concatenated from
+    fresh blocks."""
+    n = x.shape[0]
+    w1, b1, w2, b2 = unpack_reference(m_new)
+    hidden = np.tanh(x @ w1.T + b1)
+    outputs = hidden @ w2.T + b2
+    resid = outputs - y
+    loss = float((resid ** 2).sum(axis=-1).mean())
+    d_out = 2.0 * resid / n
+    if distill_weight != 0.0:
+        loss += distill_weight * _cross_entropy(p_old, outputs, tau)
+        d_out = d_out + distill_weight * (_soften_rows(outputs, tau) - p_old) / (tau * n)
+    loss += reg_weight * float(m_new.theta @ m_new.theta)
+    d_pre = (d_out @ w2) * (1.0 - hidden ** 2)
+    grad = np.concatenate([(d_pre.T @ x).ravel(), d_pre.sum(axis=0),
+                           (d_out.T @ hidden).ravel(), d_out.sum(axis=0)])
+    if reg_weight != 0.0:
+        grad = grad + 2.0 * reg_weight * m_new.theta
+    return loss, grad
 
 
 def finite_difference_grad(fn, theta, step=1e-5):
@@ -245,6 +269,24 @@ class TestValueAndGrad:
                                           distill_weight, reg_weight)) <= 1e-12
         oracle = grad_total(m_new, m_old, x, y, tau, distill_weight, reg_weight)
         assert np.max(np.abs(grad - oracle)) <= 1e-12
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+           tau=st.floats(0.05, 20.0), distill_weight=st.floats(0.0, 1.0),
+           reg_weight=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)),
+           scale=st.floats(0.1, 50.0))
+    def test_bit_equal_to_separate_exp_reference(self, seed, n, tau,
+                                                 distill_weight, reg_weight,
+                                                 scale):
+        m_new, m_old, x, y = TestGradTotal()._random_instance(seed % 10000, n=n)
+        x = scale * x  # large inputs saturate the softmax
+        p_old = _soften_rows(m_old.forward_batch(x), tau)
+        loss, grad = value_and_grad(m_new, x, y, p_old, tau, distill_weight,
+                                    reg_weight)
+        ref_loss, ref_grad = reference_value_and_grad(
+            m_new, x, y, p_old, tau, distill_weight, reg_weight)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
 
     def test_no_distillation_needs_no_frozen_outputs(self):
         m_new, m_old, x, y = TestGradTotal()._random_instance(3)

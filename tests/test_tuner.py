@@ -10,11 +10,14 @@ import pytest
 from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
                              run_arm)
 from rtune.cli import build_parser, load_run_config
-from rtune.data import make_windows
-from rtune.forecaster import init_forecaster, soften
+from rtune.data import make_windows, permute_windows
+from rtune.forecaster import (_soften_rows, init_forecaster, soften,
+                              value_and_grad)
 from rtune.metrics import mae
-from rtune.tuner import (METHODS, TuneConfig, distill_loss, frozen_eval,
-                         method_config, r_tune, task_loss, total_loss)
+from rtune.replay import build_replay_set, build_train_set
+from rtune.tuner import (METHODS, TuneConfig, _epoch_seeds, distill_loss,
+                         frozen_eval, method_config, r_tune, task_loss,
+                         total_loss)
 
 
 def small_dataset(n_windows=40, w=8, h=4, seed=0):
@@ -35,6 +38,50 @@ def small_config(**overrides):
 
 def ft_arm(frozen, data, cfg):
     return r_tune(frozen, data, method_config("ft", cfg), method="ft")
+
+
+def reference_r_tune(frozen, data, cfg):
+    """The training loop as a per-batch fancy-index gather, a fresh
+    value_and_grad and a new theta per step.
+
+    Returns (selected theta, train losses, val MAEs, selected epoch).
+    """
+    n = len(data)
+    n_val = max(1, int(round(cfg.validation_fraction * n)))
+    fit = data.subset(np.arange(0, n - n_val))
+    val = data.subset(np.arange(n - n_val, n))
+    latent_seq, shuffle_seq, epoch_seqs = _epoch_seeds(cfg.seed, cfg.epochs)
+    shuffle_seed = shuffle_seq.generate_state(1)[0].item()
+    if cfg.replay_n > 0:
+        replay = build_replay_set(frozen, cfg.replay_n, cfg.wavelet_levels,
+                                  cfg.discard_depth, cfg.alpha,
+                                  latent_seq.generate_state(1)[0].item())
+        train = build_train_set(fit, replay, shuffle_seed)
+    else:
+        train = permute_windows(fit, shuffle_seed)
+    soft_old = None
+    if cfg.distill_weight != 0.0:
+        soft_old = _soften_rows(frozen.forward_batch(train.inputs), cfg.tau)
+
+    model = frozen.clone()
+    losses, maes = [], []
+    best_mae, best_theta, best_epoch = np.inf, None, None
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng(epoch_seqs[epoch]).permutation(len(train))
+        loss_sum = 0.0
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            p_old = soft_old[batch] if soft_old is not None else None
+            loss, grad = value_and_grad(
+                model, train.inputs[batch], train.labels[batch], p_old,
+                cfg.tau, cfg.distill_weight, cfg.reg_weight)
+            model.theta = model.theta - cfg.learning_rate * grad
+            loss_sum += loss * len(batch)
+        losses.append(loss_sum / len(order))
+        maes.append(mae(model.forward_batch(val.inputs), val.labels))
+        if maes[-1] < best_mae:
+            best_mae, best_theta, best_epoch = maes[-1], model.theta.copy(), epoch
+    return best_theta, losses, maes, best_epoch
 
 
 class TestDistillLoss:
@@ -165,8 +212,26 @@ class TestRTune:
         data = small_dataset()
         cfg = small_config(learning_rate=1e20, epochs=10, replay_n=0,
                            distill_weight=0.0)
-        with pytest.raises(RuntimeError, match="non-finite"):
+        theta_before = frozen.theta.copy()
+        with pytest.raises(RuntimeError, match="non-finite") as info:
             r_tune(frozen, data, cfg)
+        message = str(info.value)
+        assert "epoch" in message and "batch offset" in message
+        assert "method=r-tuning" in message and "lr=1e+20" in message
+        assert np.array_equal(frozen.theta, theta_before)
+
+    @pytest.mark.parametrize("batch_size", [7, 64])  # partial last batch; one batch
+    @pytest.mark.parametrize("method", ["ft", "lwf", "replay-only", "r-tuning"])
+    def test_matches_per_batch_reference(self, method, batch_size):
+        frozen = init_forecaster(8, 4, 6, seed=9)
+        data = small_dataset()
+        cfg = method_config(method, small_config(batch_size=batch_size))
+        model, report = r_tune(frozen, data, cfg, method=method)
+        theta, losses, maes, epoch = reference_r_tune(frozen, data, cfg)
+        assert np.array_equal(model.theta, theta)
+        assert report.train_losses == losses
+        assert report.val_maes == maes
+        assert report.selected_epoch == epoch
 
     def test_errors(self):
         frozen = init_forecaster(8, 4, 6, seed=8)
