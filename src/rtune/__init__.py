@@ -8,7 +8,7 @@ from .forecaster import (Forecaster, init_forecaster, load_checkpoint,
                          save_checkpoint, soften, soften_jacobian)
 from .metrics import evaluate_model, mae, mse, relative_change
 from .replay import build_replay_set, build_train_set, sample_latents
-from .tuner import (METHODS, TuneConfig, TuneReport, distill_loss, frozen_eval,
+from .tuner import (METHODS, TuneConfig, TuneReport, distill_loss,
                     method_config, r_tune, task_loss, total_loss)
 from .wavelet import FilterBank, build_db4_bank, rwt_decompose, rwt_reconstruct
 
@@ -21,7 +21,7 @@ __all__ = [
     "init_forecaster", "soften", "soften_jacobian",
     "save_checkpoint", "load_checkpoint",
     "distill_loss", "task_loss", "total_loss",
-    "METHODS", "method_config", "r_tune", "frozen_eval",
+    "METHODS", "method_config", "r_tune",
     "zscore_fit", "zscore_apply", "zscore_invert",
     "make_windows", "split_train_test", "read_series_csv",
     "gen_benchmark_tasks", "mae", "mse", "evaluate_model", "relative_change",

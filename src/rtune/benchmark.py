@@ -5,6 +5,7 @@ slice of the new task under the selected method. Window geometry defaults to
 48 -> 12 so a full five-seed comparison stays under a minute.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from .data import few_shot_subsample, gen_benchmark_tasks, windowed_split
 from .forecaster import Forecaster, init_forecaster
 from .metrics import evaluate_model
-from .tuner import METHODS, TuneConfig, frozen_eval, method_config, r_tune
+from .tuner import METHODS, TuneConfig, TuneReport, r_tune
 
 __all__ = [
     "BenchmarkGeometry",
@@ -37,7 +38,6 @@ class BenchmarkSetup:
     normalized old/new window splits."""
 
     seed: int
-    geometry: BenchmarkGeometry
     frozen: Forecaster
     old_test: object
     new_train: object
@@ -60,7 +60,6 @@ def desk_config(seed: int, replay_n: int = 30, **overrides) -> TuneConfig:
 def prepare_benchmark(seed: int, geometry: BenchmarkGeometry = None,
                       train_fraction: float = 0.8,
                       few_shot_fraction: float = 0.10,
-                      noise_sigma: float = 0.1,
                       old_length: int = 6000, new_length: int = 12480,
                       pretrain_epochs: int = 30,
                       pretrain_lr: float = 1e-2) -> BenchmarkSetup:
@@ -71,8 +70,7 @@ def prepare_benchmark(seed: int, geometry: BenchmarkGeometry = None,
     seeds = [int(s.generate_state(1)[0]) for s in sub]
 
     old_series, new_series, gen_params = gen_benchmark_tasks(
-        seed, old_length=old_length, new_length=new_length,
-        noise_sigma=noise_sigma)
+        seed, old_length=old_length, new_length=new_length)
 
     old_train, old_test = windowed_split(
         old_series, geometry.input_width, geometry.horizon, geometry.stride,
@@ -84,30 +82,37 @@ def prepare_benchmark(seed: int, geometry: BenchmarkGeometry = None,
 
     init = init_forecaster(geometry.input_width, geometry.horizon,
                            geometry.hidden_width, seed=seeds[3])
-    pretrain_cfg = TuneConfig(replay_n=0, distill_weight=0.0,
-                              epochs=pretrain_epochs, learning_rate=pretrain_lr,
+    pretrain_cfg = TuneConfig(epochs=pretrain_epochs, learning_rate=pretrain_lr,
                               seed=seeds[4])
     frozen, _ = r_tune(init, old_train, pretrain_cfg, method="ft")
 
-    return BenchmarkSetup(seed=seed, geometry=geometry, frozen=frozen,
+    return BenchmarkSetup(seed=seed, frozen=frozen,
                           old_test=old_test, new_train=new_train,
                           new_test=new_test, gen_params=gen_params)
 
 
-def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig):
-    """Run one adaptation method on a prepared benchmark and fill in its
-    old/new-task metrics.
+def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig,
+            old_tests=None):
+    """Run one adaptation method on a prepared benchmark and score it: the
+    adapted model, or the frozen one for "frozen", on `old_tests` (default:
+    the setup's old-task test set) and the new-task test set.
 
     Returns:
         (adapted model or None for "frozen", TuneReport with metrics)
+
+    Raises:
+        RuntimeError: training diverged, or a metric is not finite.
     """
-    cfg = method_config(method, cfg)
-    if METHODS[method] is None:
-        model = None
-        report = frozen_eval(setup.frozen, [setup.old_test], setup.new_test, cfg)
+    if METHODS.get(method, {}) is None:  # the frozen arm does not train
+        model, report = None, TuneReport(method=method, config=cfg.to_dict())
     else:
         model, report = r_tune(setup.frozen, setup.new_train, cfg, method=method)
-        report.old_metrics, report.new_metrics = evaluate_model(
-            model, [setup.old_test], setup.new_test)
+    old, new = evaluate_model(model or setup.frozen,
+                              old_tests or [setup.old_test], setup.new_test)
+    if not all(map(math.isfinite, (old.mae, old.mse, new.mae, new.mse))):
+        raise RuntimeError(
+            f"non-finite metrics (method={method}): old mae/mse "
+            f"{old.mae}/{old.mse}, new mae/mse {new.mae}/{new.mse}")
+    report.old_metrics, report.new_metrics = old, new
     report.extra["benchmark"] = dict(setup.gen_params)
     return model, report

@@ -169,11 +169,8 @@ def _prepare_csv_setup(cfg: dict, seed: int):
                  for p in cfg["old_data"]]
     if not old_tests:
         old_tests = [new_test]  # degenerate fallback so evaluation is defined
-    geometry = BenchmarkGeometry(cfg["input_width"], cfg["horizon"],
-                                 cfg["stride"], cfg["hidden_width"])
-    setup = BenchmarkSetup(seed=seed, geometry=geometry, frozen=frozen,
-                           old_test=old_tests[0], new_train=new_train,
-                           new_test=new_test, gen_params={})
+    setup = BenchmarkSetup(seed=seed, frozen=frozen, old_test=old_tests[0],
+                           new_train=new_train, new_test=new_test)
     return setup, old_tests
 
 
@@ -213,12 +210,7 @@ def _execute_run(cfg: dict, seed: int, prepared: dict = None):
     if cfg["replay_ratio"] is not None and tune_cfg.replay_n == 0 \
             and method == "r-tuning":
         method = "ft"  # ratio-0 control collapses to the vanilla arm
-    model, report = run_arm(setup, method, tune_cfg)
-    if len(old_tests) > 1:
-        target = model if model is not None else setup.frozen
-        report.old_metrics, report.new_metrics = evaluate_model(
-            target, old_tests, setup.new_test)
-    return model, report
+    return run_arm(setup, method, tune_cfg, old_tests)
 
 
 def _write_run_outputs(cfg: dict, seed: int, model, report, run_dir: Path):
@@ -392,6 +384,20 @@ def _collect_reports(paths):
     return reports
 
 
+def _pool(metrics):
+    """One method's per-run metric dicts as (MetricPair of the mean MAE/MSE
+    and summed sample count, seed-variance margins when there are several
+    runs)."""
+    mae = [m["mae"] for m in metrics]
+    mse = [m["mse"] for m in metrics]
+    pair = MetricPair(float(np.mean(mae)), float(np.mean(mse)),
+                      int(sum(m["n_samples"] for m in metrics)))
+    if len(metrics) < 2:
+        return pair, {}
+    return pair, {"mae_std": float(np.std(mae, ddof=1)),  # sample std
+                  "mse_std": float(np.std(mse, ddof=1))}
+
+
 def cmd_report(args) -> int:
     reports = _collect_reports(args.runs)
     by_method = {}
@@ -400,43 +406,19 @@ def cmd_report(args) -> int:
     if "frozen" not in by_method:
         raise ValueError('need a "frozen" run to define the raw baseline row')
 
-    def aggregate(reps):
-        old_mae = [r["old_metrics"]["mae"] for r in reps]
-        old_mse = [r["old_metrics"]["mse"] for r in reps]
-        new_mae = [r["new_metrics"]["mae"] for r in reps]
-        new_mse = [r["new_metrics"]["mse"] for r in reps]
-        agg = {
-            "old": {"mae": float(np.mean(old_mae)), "mse": float(np.mean(old_mse)),
-                    "n_samples": int(sum(r["old_metrics"]["n_samples"] for r in reps))},
-            "new": {"mae": float(np.mean(new_mae)), "mse": float(np.mean(new_mse)),
-                    "n_samples": int(sum(r["new_metrics"]["n_samples"] for r in reps))},
-            "n_runs": len(reps),
-        }
-        if len(reps) > 1:  # seed-variance margins, sample std
-            agg["old"]["mae_std"] = float(np.std(old_mae, ddof=1))
-            agg["old"]["mse_std"] = float(np.std(old_mse, ddof=1))
-            agg["new"]["mae_std"] = float(np.std(new_mae, ddof=1))
-            agg["new"]["mse_std"] = float(np.std(new_mse, ddof=1))
-        return agg
-
-    aggregates = {m: aggregate(reps) for m, reps in by_method.items()}
-    raw = aggregates["frozen"]
-    raw_old = MetricPair(raw["old"]["mae"], raw["old"]["mse"], raw["old"]["n_samples"])
-    raw_new = MetricPair(raw["new"]["mae"], raw["new"]["mse"], raw["new"]["n_samples"])
+    pooled = {method: [_pool([r[f"{side}_metrics"] for r in reps])
+                       for side in ("old", "new")]
+              for method, reps in by_method.items()}
+    (raw_old, _), (raw_new, _) = pooled["frozen"]
 
     rows = []
-    for method in sorted(aggregates):
-        agg = aggregates[method]
-        row = build_comparison_row(
-            method,
-            MetricPair(agg["old"]["mae"], agg["old"]["mse"], agg["old"]["n_samples"]),
-            MetricPair(agg["new"]["mae"], agg["new"]["mse"], agg["new"]["n_samples"]),
-            raw_old, raw_new).to_dict()
-        row["n_runs"] = agg["n_runs"]
-        for side in ("old", "new"):
-            for key in ("mae_std", "mse_std"):
-                if key in agg[side]:
-                    row[side][key] = agg[side][key]
+    for method in sorted(pooled):
+        (old, old_std), (new, new_std) = pooled[method]
+        row = build_comparison_row(method, old, new, raw_old,
+                                   raw_new).to_dict()
+        row["n_runs"] = len(by_method[method])
+        row["old"].update(old_std)
+        row["new"].update(new_std)
         rows.append(row)
     doc = {"command": "report", "raw_method": "frozen", "rows": rows}
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import WindowedDataset, permute_windows
 from .forecaster import Forecaster, _blocks, _cross_entropy, _soften_rows, _step
-from .metrics import MetricPair, mae, evaluate_model
+from .metrics import MetricPair, mae
 from .replay import build_replay_set, build_train_set
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "total_loss",
     "batch_objective",
     "r_tune",
-    "frozen_eval",
 ]
 
 
@@ -64,17 +63,17 @@ class TuneConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.tau <= 0:
+        if not self.tau > 0:  # written so that NaN fails too
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not 0.0 <= self.distill_weight <= 1.0:
             raise ValueError(
                 f"distill_weight must be in [0, 1], got {self.distill_weight}"
             )
-        if self.reg_weight < 0:
+        if not self.reg_weight >= 0:
             raise ValueError(f"reg_weight must be >= 0, got {self.reg_weight}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             # zero is allowed as a degenerate no-update control
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -191,6 +190,7 @@ def r_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig,
            method: str = "r-tuning"):
     """Adapt a clone of the frozen model on new data plus synthetic replay.
 
+    Trains on `cfg` with `method`'s overrides from :data:`METHODS` applied.
     Builds the replay set once up front, and the frozen model's softened
     outputs on every training row when distilling, then runs seeded
     mini-batch gradient descent on the combined objective for cfg.epochs
@@ -200,9 +200,10 @@ def r_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig,
     never modified.
 
     Raises:
-        ValueError: empty data or geometry mismatch.
+        ValueError: unknown method, empty data or geometry mismatch.
         RuntimeError: the loss went non-finite (diverged).
     """
+    cfg = method_config(method, cfg)
     if len(new_data) == 0:
         raise ValueError("new_data is empty")
     if new_data.geometry != (frozen.input_width, frozen.horizon):
@@ -284,15 +285,3 @@ def r_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig,
                        best_theta)
     report.wall_clock_seconds = time.perf_counter() - t_start
     return tuned, report
-
-
-def frozen_eval(frozen: Forecaster, old_tests, new_test,
-                cfg: TuneConfig = None) -> TuneReport:
-    """No training: evaluate the frozen model on the old and new test sets."""
-    t_start = time.perf_counter()
-    old, new = evaluate_model(frozen, old_tests, new_test)
-    report = TuneReport(method="frozen",
-                        config=cfg.to_dict() if cfg else {},
-                        old_metrics=old, new_metrics=new)
-    report.wall_clock_seconds = time.perf_counter() - t_start
-    return report

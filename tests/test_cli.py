@@ -74,6 +74,12 @@ def csv_config(tmp_path):
     return make
 
 
+# one ft step at this rate leaves theta finite but the metrics overflow
+NON_FINITE_METRICS = dict(method="ft", epochs=1, batch_size=1000,
+                          learning_rate=1e200, benchmark_old_length=600,
+                          benchmark_new_length=900)
+
+
 def run_files(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*"))
@@ -210,6 +216,20 @@ class TestTune:
         assert f"stride must be >= 1, got {stride}" in capsys.readouterr().err
         assert not list((tmp_path / "runs").rglob("report.json"))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_non_finite_metrics_exit_1(self, bench_config, tmp_path, capsys):
+        cfg = bench_config(**NON_FINITE_METRICS)
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert "non-finite metrics (method=ft)" in capsys.readouterr().err
+        assert run_files(tmp_path / "runs") == {}
+
+    def test_nan_tau_rejected(self, bench_config, tmp_path, capsys):
+        cfg = bench_config(tau=float("nan"))
+        assert "NaN" in cfg.read_text()
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert "tau must be positive, got nan" in capsys.readouterr().err
+        assert run_files(tmp_path / "runs") == {}
+
     def test_unknown_keys_rejected(self, tmp_path, bench_config):
         cfg = bench_config()
         loaded = json.loads(cfg.read_text())
@@ -244,6 +264,33 @@ class TestTune:
         report = json.loads(next((tmp_path / "runs2").rglob("report.json")).read_text())
         assert report["old_metrics"]["mae"] > 0
         assert report["new_metrics"]["mae"] > 0
+
+    @pytest.mark.parametrize("method", ["frozen", "r-tuning"])
+    def test_two_old_files_scored_as_mean_of_eval(self, tmp_path, csv_config,
+                                                  method):
+        rng = np.random.default_rng(2)
+        old2 = write_csv(tmp_path / "old2.csv",
+                         np.cos(2 * np.pi * np.arange(300.0) / 33.0)
+                         + 0.3 * rng.standard_normal(300))
+        old_files = [str(tmp_path / "old.csv"), str(old2)]
+        cfg = csv_config(method=method, old_data=old_files, replay_n=4,
+                         seeds=[0])
+        assert main(["tune", "--config", str(cfg)]) == 0
+        seed_dir = next((tmp_path / "runs").rglob("report.json")).parent
+        report = json.loads((seed_dir / "report.json").read_text())
+        ckpt = (tmp_path / "frozen.ckpt" if method == "frozen"
+                else seed_dir / "model.ckpt")
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--new-data",
+                     str(tmp_path / "new.csv"), "--old-data", old_files[0],
+                     "--old-data", old_files[1], "--output", str(out)]) == 0
+        pairs = json.loads(out.read_text())["per_old_dataset"]
+        assert len(pairs) == 2
+        assert report["old_metrics"] == {
+            "mae": float(np.mean([p["mae"] for p in pairs])),
+            "mse": float(np.mean([p["mse"] for p in pairs])),
+            "n_samples": sum(p["n_samples"] for p in pairs),
+        }
 
 
 class TestSweep:
@@ -324,6 +371,20 @@ class TestSweep:
                       for r in reports) == [(0, 0), (0, 1)]
         assert len(list((tmp_path / "runs").rglob("model.ckpt"))) == 2
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_non_finite_metrics_leave_empty_row(self, bench_config, tmp_path,
+                                                capsys):
+        cfg = bench_config(**NON_FINITE_METRICS)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--ratios", "0",
+                     "--output", str(out)]) == 1
+        assert ("ratio=0.0, seed=0: non-finite metrics (method=ft)"
+                in capsys.readouterr().err)
+        with open(out) as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert rows[1:] == [["0.0", "0", "", "", "", ""]]
+        assert run_files(tmp_path / "runs") == {}
 
     @pytest.mark.parametrize("ratios", ["nan", "2,nan", "-1", "101"])
     def test_bad_ratio_rejected_before_any_run(self, bench_config, tmp_path,

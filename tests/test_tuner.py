@@ -13,11 +13,10 @@ from rtune.cli import build_parser, load_run_config
 from rtune.data import make_windows, permute_windows
 from rtune.forecaster import (_soften_rows, init_forecaster, soften,
                               value_and_grad)
-from rtune.metrics import mae
+from rtune.metrics import evaluate_model, mae
 from rtune.replay import build_replay_set, build_train_set
 from rtune.tuner import (METHODS, TuneConfig, _epoch_seeds, distill_loss,
-                         frozen_eval, method_config, r_tune, task_loss,
-                         total_loss)
+                         method_config, r_tune, task_loss, total_loss)
 
 
 def small_dataset(n_windows=40, w=8, h=4, seed=0):
@@ -37,7 +36,7 @@ def small_config(**overrides):
 
 
 def ft_arm(frozen, data, cfg):
-    return r_tune(frozen, data, method_config("ft", cfg), method="ft")
+    return r_tune(frozen, data, cfg, method="ft")
 
 
 def reference_r_tune(frozen, data, cfg):
@@ -308,6 +307,11 @@ def test_method_table(method, small_setup, tmp_path):
     assert np.array_equal(model.theta, direct.theta)
     assert report.train_losses == direct_report.train_losses
     assert report.val_maes == direct_report.val_maes
+    # r_tune applies the method's overrides itself
+    named, named_report = r_tune(small_setup.frozen, small_setup.new_train,
+                                 base, method=method)
+    assert np.array_equal(model.theta, named.theta)
+    assert named_report.config == report.config
 
 
 def test_unknown_method_rejected_by_cli(tmp_path):
@@ -321,31 +325,21 @@ def test_unknown_method_rejected_by_cli(tmp_path):
 
 
 class TestFrozenEval:
-    def _sets(self):
-        return [small_dataset(seed=1)], small_dataset(seed=2)
-
-    def test_repeatable(self):
-        frozen = init_forecaster(8, 4, 6, seed=14)
-        old, new = self._sets()
-        r1 = frozen_eval(frozen, old, new)
-        r2 = frozen_eval(frozen, old, new)
+    def test_repeatable(self, small_setup):
+        cfg = desk_config(2)
+        _, r1 = run_arm(small_setup, "frozen", cfg)
+        _, r2 = run_arm(small_setup, "frozen", cfg)
         assert r1.to_dict() == r2.to_dict()
 
-    def test_metrics_filled_no_training(self):
-        frozen = init_forecaster(8, 4, 6, seed=15)
-        old, new = self._sets()
-        report = frozen_eval(frozen, old, new)
+    def test_metrics_filled_no_training(self, small_setup):
+        model, report = run_arm(small_setup, "frozen", desk_config(2))
+        assert model is None
         assert report.method == "frozen"
-        assert report.old_metrics is not None
+        assert (report.old_metrics, report.new_metrics) == evaluate_model(
+            small_setup.frozen, [small_setup.old_test], small_setup.new_test)
         assert report.train_losses == []
         assert report.selected_epoch is None
-
-    def test_faster_than_training(self):
-        frozen = init_forecaster(8, 4, 6, seed=16)
-        old, new = self._sets()
-        eval_report = frozen_eval(frozen, old, new)
-        _, train_report = ft_arm(frozen, new, small_config(epochs=6))
-        assert eval_report.wall_clock_seconds < train_report.wall_clock_seconds
+        assert report.wall_clock_seconds == 0.0  # timing covers training only
 
 
 class TestConfig:
@@ -359,13 +353,13 @@ class TestConfig:
         {"alpha": 1.5}, {"tau": 0.0}, {"distill_weight": -0.1},
         {"epochs": -1}, {"batch_size": 0}, {"validation_fraction": 1.0},
         {"replay_n": -5}, {"discard_depth": 3},
+        {"tau": float("nan")}, {"learning_rate": float("nan")},
+        {"reg_weight": float("nan")},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
             TuneConfig(**bad)
 
-    def test_wall_clock_excluded_from_canonical_dict(self):
-        report_doc = frozen_eval(init_forecaster(4, 2, 3, seed=0),
-                                 [small_dataset(w=4, h=2)],
-                                 small_dataset(w=4, h=2)).to_dict()
+    def test_wall_clock_excluded_from_canonical_dict(self, small_setup):
+        report_doc = run_arm(small_setup, "frozen", desk_config(2))[1].to_dict()
         assert "wall_clock_seconds" not in report_doc
