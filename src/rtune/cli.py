@@ -19,8 +19,8 @@ import numpy as np
 from .benchmark import (BenchmarkGeometry, BenchmarkSetup, prepare_benchmark,
                         run_arm)
 from .data import (atomic_target, few_shot_subsample, make_windows,
-                   normalize_windows, read_series_csv, split_indices,
-                   windowed_split, zscore_fit)
+                   read_series_csv, split_indices, windowed_split, zscore_apply,
+                   zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
 from .metrics import (MetricPair, build_comparison_row, evaluate_model,
                       metric_pair)
@@ -142,14 +142,18 @@ def _windowed_eval_set(path, column, cfg):
     """Old-task CSVs are evaluation data: windowed in full, normalized on
     themselves (their training data is inaccessible by premise)."""
     series = _pick_series(path, column)
-    windows = make_windows(series, cfg["input_width"], cfg["horizon"],
-                           cfg["stride"])
-    return normalize_windows(windows, zscore_fit(series.values))
+    normalized = zscore_apply(series.values, zscore_fit(series.values))
+    return make_windows(normalized, cfg["input_width"], cfg["horizon"],
+                        cfg["stride"])
 
 
-def _prepare_csv_setup(cfg: dict, seed: int):
-    """Non-benchmark counterpart of the benchmark preparation: load the frozen
-    checkpoint and window/split/normalize the CSV data."""
+def _shared_inputs(cfg: dict):
+    """What every seed of a run reads: None in benchmark mode, where each seed
+    pretrains its own model; in CSV mode the frozen checkpoint, the picked
+    new-task series and the old-task evaluation sets. Built once per command,
+    so each CSV is parsed once."""
+    if cfg["benchmark"]:
+        return None
     frozen = load_checkpoint(cfg["checkpoint"])
     if (frozen.input_width, frozen.horizon) != (cfg["input_width"], cfg["horizon"]):
         raise ValueError(
@@ -157,6 +161,16 @@ def _prepare_csv_setup(cfg: dict, seed: int):
             f"does not match config ({cfg['input_width']}, {cfg['horizon']})"
         )
     new_series = _pick_series(cfg["new_data"], cfg["column"])
+    old_tests = [_windowed_eval_set(p, cfg["column"], cfg)
+                 for p in cfg["old_data"]]
+    return frozen, new_series, old_tests
+
+
+def _prepare_csv_setup(cfg: dict, seed: int, shared):
+    """Non-benchmark counterpart of the benchmark preparation: split the
+    shared new-task series for `seed`, fit its normalization on the training
+    side and take the few-shot sample."""
+    frozen, new_series, old_tests = shared
     sub = np.random.SeedSequence(seed).spawn(2)
     split_seed, shot_seed = (int(s.generate_state(1)[0]) for s in sub)
     new_train, new_test = windowed_split(
@@ -165,8 +179,6 @@ def _prepare_csv_setup(cfg: dict, seed: int):
     if cfg["few_shot_fraction"] < 1.0:
         new_train = few_shot_subsample(new_train, cfg["few_shot_fraction"],
                                        shot_seed)
-    old_tests = [_windowed_eval_set(p, cfg["column"], cfg)
-                 for p in cfg["old_data"]]
     if not old_tests:
         old_tests = [new_test]  # degenerate fallback so evaluation is defined
     setup = BenchmarkSetup(seed=seed, frozen=frozen, old_test=old_tests[0],
@@ -174,11 +186,11 @@ def _prepare_csv_setup(cfg: dict, seed: int):
     return setup, old_tests
 
 
-def _prepare_run(cfg: dict, seed: int):
+def _prepare_run(cfg: dict, seed: int, shared):
     """One seed's (setup, old-task test sets): the pretrained benchmark, or
-    the frozen checkpoint and the CSV data."""
+    the split of the shared CSV inputs."""
     if not cfg["benchmark"]:
-        return _prepare_csv_setup(cfg, seed)
+        return _prepare_csv_setup(cfg, seed, shared)
     geometry = BenchmarkGeometry(cfg["input_width"], cfg["horizon"],
                                  cfg["stride"], cfg["hidden_width"])
     setup = prepare_benchmark(
@@ -191,18 +203,18 @@ def _prepare_run(cfg: dict, seed: int):
     return setup, [setup.old_test]
 
 
-def _execute_run(cfg: dict, seed: int, prepared: dict = None):
+def _execute_run(cfg: dict, seed: int, shared, prepared: dict = None):
     """One (config, seed) arm: returns (model_or_None, report).
 
-    `prepared` caches each seed's preparation across runs whose configs
-    differ only in tuning settings, as a sweep's do: the first run of a seed
-    fills it, later runs of that seed reuse it. Tuning never modifies a
-    prepared setup.
+    `shared` is `_shared_inputs(cfg)`, built once by the command. `prepared`
+    caches each seed's preparation across runs whose configs differ only in
+    tuning settings, as a sweep's do: the first run of a seed fills it,
+    later runs of that seed reuse it. Tuning never modifies a prepared setup.
     """
     if prepared is None:
         prepared = {}
     if seed not in prepared:
-        prepared[seed] = _prepare_run(cfg, seed)
+        prepared[seed] = _prepare_run(cfg, seed, shared)
     setup, old_tests = prepared[seed]
 
     tune_cfg = tune_config_from_run(cfg, seed, len(setup.new_train))
@@ -239,11 +251,12 @@ def cmd_tune(args) -> int:
         cfg["seeds"] = [args.seed]
 
     run_dir = Path(cfg["output_dir"]) / config_hash(cfg)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(run_dir / "config.json", cfg)
-
-    for seed in cfg["seeds"]:
-        model, report = _execute_run(cfg, seed)
+    shared = _shared_inputs(cfg)
+    for i, seed in enumerate(cfg["seeds"]):
+        model, report = _execute_run(cfg, seed, shared)
+        if i == 0:  # a run that wrote no outputs leaves no run directory
+            run_dir.mkdir(parents=True, exist_ok=True)
+            _write_json(run_dir / "config.json", cfg)
         written = _write_run_outputs(cfg, seed, model, report, run_dir)
         for path in written:
             print(path)
@@ -260,6 +273,7 @@ def cmd_sweep(args) -> int:
     if not all(0.0 <= r <= 100.0 for r in ratios):
         raise ValueError(f"ratios must be in [0, 100], got {ratios}")
 
+    shared = _shared_inputs(cfg)
     results = []
     failed = 0
     for seed in cfg["seeds"]:
@@ -269,7 +283,7 @@ def cmd_sweep(args) -> int:
         for ratio in ratios:
             arm_cfg = dict(cfg, replay_ratio=ratio, seeds=[seed])
             try:
-                model, report = _execute_run(arm_cfg, seed, prepared)
+                model, report = _execute_run(arm_cfg, seed, shared, prepared)
             except (RuntimeError, FloatingPointError) as exc:
                 # a diverged arm gets no files and empty metric cells; the
                 # other arms still run

@@ -6,6 +6,7 @@ All randomness is seeded; splits and subsamples are deterministic functions of
 """
 
 import csv
+import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -72,11 +73,12 @@ class NormalizationParams:
 
 @dataclass
 class WindowedDataset:
-    """Supervised windows: inputs (n, W), labels (n, H), one origin tag per row."""
+    """Supervised windows: inputs (n, W), labels (n, H), and per row whether it
+    is a synthetic replay row (True) or a new-task window (False)."""
 
     inputs: np.ndarray
     labels: np.ndarray
-    origins: np.ndarray = None
+    is_replay: np.ndarray = None
     input_width: int = None
     horizon: int = None
     starts: np.ndarray = field(default=None, repr=False)
@@ -96,10 +98,10 @@ class WindowedDataset:
             self.horizon = self.labels.shape[1]
         if self.inputs.shape[1] != self.input_width or self.labels.shape[1] != self.horizon:
             raise ValueError("window geometry disagrees with array shapes")
-        if self.origins is None:
-            self.origins = np.full(self.inputs.shape[0], "new", dtype=object)
+        if self.is_replay is None:
+            self.is_replay = np.zeros(self.inputs.shape[0], dtype=bool)
         else:
-            self.origins = np.asarray(self.origins, dtype=object)
+            self.is_replay = np.asarray(self.is_replay, dtype=bool)
         if self.starts is None:
             self.starts = np.full(self.inputs.shape[0], -1, dtype=np.int64)
         else:
@@ -115,7 +117,7 @@ class WindowedDataset:
     def subset(self, indices) -> "WindowedDataset":
         indices = np.asarray(indices, dtype=np.int64)
         return WindowedDataset(self.inputs[indices], self.labels[indices],
-                               self.origins[indices], self.input_width,
+                               self.is_replay[indices], self.input_width,
                                self.horizon, self.starts[indices])
 
 
@@ -139,6 +141,36 @@ def zscore_invert(x, params: NormalizationParams) -> np.ndarray:
     return np.asarray(x, dtype=np.float64) * params.sigma + params.mu
 
 
+def _window_starts(length: int, input_width: int, horizon: int,
+                   stride: int) -> np.ndarray:
+    """Start of every stride-spaced window of span input_width + horizon that
+    fits in a series of `length` values."""
+    for name, value in (("input_width", input_width), ("horizon", horizon),
+                        ("stride", stride)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    span = input_width + horizon
+    if length < span:
+        raise ValueError(
+            f"series of length {length} too short for windows of span {span}"
+        )
+    return np.arange((length - span) // stride + 1, dtype=np.int64) * stride
+
+
+def _gather_windows(values, starts, input_width: int,
+                    horizon: int) -> WindowedDataset:
+    # two gathers from sliding-window views: no span-wide intermediate
+    window_view = np.lib.stride_tricks.sliding_window_view
+    inputs = window_view(values, input_width)[starts]
+    labels = window_view(values[input_width:], horizon)[starts]
+    return WindowedDataset(inputs, labels, None, input_width, horizon, starts)
+
+
+def _series_values(series) -> np.ndarray:
+    return series.values if isinstance(series, RawSeries) else np.asarray(
+        series, dtype=np.float64)
+
+
 def make_windows(series, input_width: int, horizon: int,
                  stride: int = 1) -> WindowedDataset:
     """Slice a series into stride-spaced (input, label) windows.
@@ -146,23 +178,9 @@ def make_windows(series, input_width: int, horizon: int,
     Window i covers series[i*stride : i*stride + input_width) as input and the
     following `horizon` values as label.
     """
-    for name, value in (("input_width", input_width), ("horizon", horizon),
-                        ("stride", stride)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    values = series.values if isinstance(series, RawSeries) else np.asarray(
-        series, dtype=np.float64)
-    span = input_width + horizon
-    if len(values) < span:
-        raise ValueError(
-            f"series of length {len(values)} too short for windows of span {span}"
-        )
-    n = (len(values) - span) // stride + 1
-    starts = np.arange(n, dtype=np.int64) * stride
-    window_view = np.lib.stride_tricks.sliding_window_view
-    inputs = window_view(values, input_width)[starts]
-    labels = window_view(values[input_width:], horizon)[starts]
-    return WindowedDataset(inputs, labels, None, input_width, horizon, starts)
+    values = _series_values(series)
+    starts = _window_starts(len(values), input_width, horizon, stride)
+    return _gather_windows(values, starts, input_width, horizon)
 
 
 def split_indices(n: int, train_fraction: float, seed: int):
@@ -204,7 +222,7 @@ def few_shot_subsample(train: WindowedDataset, fraction: float = 0.10,
 def normalize_windows(ds: WindowedDataset, params: NormalizationParams) -> WindowedDataset:
     return WindowedDataset(zscore_apply(ds.inputs, params),
                            zscore_apply(ds.labels, params),
-                           ds.origins.copy(), ds.input_width, ds.horizon,
+                           ds.is_replay.copy(), ds.input_width, ds.horizon,
                            ds.starts.copy())
 
 
@@ -213,7 +231,7 @@ def concat_windows(a: WindowedDataset, b: WindowedDataset) -> WindowedDataset:
         raise ValueError(f"window geometry mismatch: {a.geometry} vs {b.geometry}")
     return WindowedDataset(np.concatenate([a.inputs, b.inputs]),
                            np.concatenate([a.labels, b.labels]),
-                           np.concatenate([a.origins, b.origins]),
+                           np.concatenate([a.is_replay, b.is_replay]),
                            a.input_width, a.horizon,
                            np.concatenate([a.starts, b.starts]))
 
@@ -226,8 +244,7 @@ def covered_values(series, starts, span: int) -> np.ndarray:
     """Values of `series` covered by windows of width `span` at `starts`,
     each position once, index order. Used to fit normalization on the training
     windows only."""
-    values = series.values if isinstance(series, RawSeries) else np.asarray(
-        series, dtype=np.float64)
+    values = _series_values(series)
     # +1 where a window starts, -1 where it ends: positions with a positive
     # running sum are covered
     starts = np.asarray(starts, dtype=np.int64)
@@ -242,15 +259,21 @@ def windowed_split(series, input_width: int, horizon: int, stride: int,
     """Window, split at window granularity, and normalize both sides with
     z-score parameters fit only on the values the training windows cover.
 
+    The series is normalized first and each side's windows are cut from it,
+    which gives the bits of normalizing the windows (the arithmetic is
+    elementwise) without building the full window matrix.
+
     Returns:
         (train WindowedDataset, test WindowedDataset)
     """
-    raw = make_windows(series, input_width, horizon, stride)
-    train_idx, test_idx = split_indices(len(raw), train_fraction, seed)
-    params = zscore_fit(covered_values(series, raw.starts[train_idx],
+    values = _series_values(series)
+    starts = _window_starts(len(values), input_width, horizon, stride)
+    train_idx, test_idx = split_indices(len(starts), train_fraction, seed)
+    params = zscore_fit(covered_values(values, starts[train_idx],
                                        input_width + horizon))
-    normalized = normalize_windows(raw, params)
-    return normalized.subset(train_idx), normalized.subset(test_idx)
+    normalized = zscore_apply(values, params)
+    return (_gather_windows(normalized, starts[train_idx], input_width, horizon),
+            _gather_windows(normalized, starts[test_idx], input_width, horizon))
 
 
 def gen_benchmark_tasks(seed: int, old_length: int = 6000,
@@ -308,60 +331,82 @@ def gen_benchmark_tasks(seed: int, old_length: int = 6000,
     return old_series, new_series, params
 
 
+def _data_rows(fh):
+    """(physical line number, fields) of each non-comment, non-blank line,
+    parsed by one csv.reader.
+
+    A quote left open at the end of a line would make the reader join the
+    following lines into one row; such lines are parsed one by one instead,
+    so every line is exactly one row.
+    """
+    taken = []  # (line number, line) the reader took for its current row
+
+    def data_lines():
+        for lineno, line in enumerate(fh, start=1):
+            # a line read from a file is never empty: isspace() is "blank"
+            if not line.startswith("#") and not line.isspace():
+                taken.append((lineno, line))
+                yield line
+
+    for row in csv.reader(data_lines()):
+        if len(taken) == 1:
+            yield taken.pop()[0], row
+        else:
+            for lineno, line in taken:
+                yield lineno, next(csv.reader([line]))
+            taken.clear()
+
+
 def read_series_csv(path):
     """Read a series CSV: header row, optional leading timestamp column, one
     real-valued column per variable.
 
     The first column is treated as a timestamp (and dropped) when its header
     matches a timestamp name or its first value does not parse as a float.
-    Malformed rows and non-finite cells raise with their line number.
+    Malformed rows and non-finite cells raise with their line number. The
+    file is read in one streaming pass that keeps only the parsed values.
 
     Returns:
         list of RawSeries, one per variable column.
     """
-    header = None
-    rows = []  # (physical line number, parsed row)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            row = next(csv.reader([line]))
-            if header is None:
-                header = row
-            else:
-                rows.append((lineno, row))
-    if header is None:
-        raise ValueError(f"{path}: empty file")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+        rows = _data_rows(fh)
+        _, header = next(rows, (None, None))
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
 
-    skip_first = header[0].strip().lower() in _TIMESTAMP_NAMES
-    if not skip_first and len(header) > 1:
-        try:
-            float(rows[0][1][0])
-        except (ValueError, IndexError):
-            skip_first = True
-    first_col = 1 if skip_first else 0
-    names = [c.strip() for c in header[first_col:]]
-    if not names:
-        raise ValueError(f"{path}: no variable columns")
-
-    columns = [[] for _ in names]
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        for j, cell in enumerate(row[first_col:]):
+        skip_first = header[0].strip().lower() in _TIMESTAMP_NAMES
+        if not skip_first and len(header) > 1:
             try:
-                value = float(cell)
-            except ValueError:
+                float(first[1][0])
+            except (ValueError, IndexError):
+                skip_first = True
+        first_col = 1 if skip_first else 0
+        names = [c.strip() for c in header[first_col:]]
+        if not names:
+            raise ValueError(f"{path}: no variable columns")
+
+        width = len(header)
+        columns = [[] for _ in names]
+        appends = [column.append for column in columns]
+        for lineno, row in itertools.chain([first], rows):
+            if len(row) != width:
                 raise ValueError(
-                    f"{path}:{lineno}: cannot parse {cell!r} as a number"
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
-            columns[j].append(value)
+                    f"{path}:{lineno}: expected {width} fields, got {len(row)}"
+                )
+            for append, cell in zip(appends, row[first_col:]):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: cannot parse {cell!r} as a number"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
+                append(value)
 
     count = len(names)
     return [RawSeries(np.array(col), count, "", name)

@@ -130,9 +130,8 @@ def _replay_windows(replay: ReplaySet, input_width: int, horizon: int) -> Window
         raise ValueError(
             f"replay horizon {replay.labels.shape[1]} does not match {horizon}"
         )
-    origins = np.full(len(replay), "replay", dtype=object)
     return WindowedDataset(replay.sequences[:, :input_width], replay.labels,
-                           origins, input_width, horizon)
+                           np.ones(len(replay), dtype=bool), input_width, horizon)
 
 
 def build_train_set(new_data: WindowedDataset, replay: ReplaySet,

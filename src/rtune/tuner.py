@@ -200,10 +200,15 @@ def r_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig,
     never modified.
 
     Raises:
-        ValueError: unknown method, empty data or geometry mismatch.
+        ValueError: unknown method, the frozen method (which does not train;
+            :func:`rtune.benchmark.run_arm` scores it), empty data or
+            geometry mismatch.
         RuntimeError: the loss went non-finite (diverged).
     """
     cfg = method_config(method, cfg)
+    if METHODS[method] is None:
+        raise ValueError(f"method {method!r} does not train; use run_arm to "
+                         f"score the frozen model")
     if len(new_data) == 0:
         raise ValueError("new_data is empty")
     if new_data.geometry != (frozen.input_width, frozen.horizon):

@@ -80,6 +80,18 @@ NON_FINITE_METRICS = dict(method="ft", epochs=1, batch_size=1000,
                           benchmark_new_length=900)
 
 
+def count_csv_reads(monkeypatch):
+    """Counter of read_series_csv calls by path, filled as the CLI reads."""
+    reads = Counter()
+
+    def counting_read(path):
+        reads[str(path)] += 1
+        return read_series_csv(path)
+
+    monkeypatch.setattr(rtune.cli, "read_series_csv", counting_read)
+    return reads
+
+
 def run_files(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*"))
@@ -222,6 +234,7 @@ class TestTune:
         assert main(["tune", "--config", str(cfg)]) == 1
         assert "non-finite metrics (method=ft)" in capsys.readouterr().err
         assert run_files(tmp_path / "runs") == {}
+        assert not list((tmp_path / "runs").rglob("config.json"))
 
     def test_nan_tau_rejected(self, bench_config, tmp_path, capsys):
         cfg = bench_config(tau=float("nan"))
@@ -264,6 +277,12 @@ class TestTune:
         report = json.loads(next((tmp_path / "runs2").rglob("report.json")).read_text())
         assert report["old_metrics"]["mae"] > 0
         assert report["new_metrics"]["mae"] > 0
+
+    def test_csv_read_once_per_file(self, csv_config, tmp_path, monkeypatch):
+        reads = count_csv_reads(monkeypatch)
+        assert main(["tune", "--config", str(csv_config())]) == 0  # two seeds
+        assert reads == {str(tmp_path / "new.csv"): 1,
+                         str(tmp_path / "old.csv"): 1}
 
     @pytest.mark.parametrize("method", ["frozen", "r-tuning"])
     def test_two_old_files_scored_as_mean_of_eval(self, tmp_path, csv_config,
@@ -319,17 +338,12 @@ class TestSweep:
 
     def test_csv_read_once_per_file_per_seed(self, csv_config, tmp_path,
                                              monkeypatch):
-        reads = Counter()
-
-        def counting_read(path):
-            reads[str(path)] += 1
-            return read_series_csv(path)
-
-        monkeypatch.setattr(rtune.cli, "read_series_csv", counting_read)
+        # two seeds, three arms each: every CSV is still parsed once
+        reads = count_csv_reads(monkeypatch)
         assert main(["sweep", "--config", str(csv_config()), "--ratios",
                      "0,5,20", "--output", str(tmp_path / "sweep.csv")]) == 0
-        assert reads == {str(tmp_path / "new.csv"): 2,
-                         str(tmp_path / "old.csv"): 2}
+        assert reads == {str(tmp_path / "new.csv"): 1,
+                         str(tmp_path / "old.csv"): 1}
 
     def test_arms_byte_identical_to_tune(self, csv_config, tmp_path):
         runs = tmp_path / "runs"

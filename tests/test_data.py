@@ -1,14 +1,20 @@
 """Normalization, windowing, splits, subsampling, CSV ingestion, and the
 benchmark task generator."""
 
+import csv
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from rtune.data import (RawSeries, WindowedDataset, covered_values,
-                        few_shot_subsample, gen_benchmark_tasks, make_windows,
-                        normalize_windows, read_series_csv, split_train_test,
-                        zscore_apply, zscore_fit, zscore_invert)
+from rtune.data import (_TIMESTAMP_NAMES, RawSeries, WindowedDataset,
+                        covered_values, few_shot_subsample,
+                        gen_benchmark_tasks, make_windows, normalize_windows,
+                        read_series_csv, split_indices, split_train_test,
+                        windowed_split, zscore_apply, zscore_fit,
+                        zscore_invert)
 
 
 def periodogram_peak(values, min_period=10, max_period=200):
@@ -203,6 +209,44 @@ def test_normalize_windows_matches_series_normalization():
     assert np.allclose(norm.labels, direct.labels, atol=1e-12)
 
 
+def reference_windowed_split(series, input_width, horizon, stride,
+                             train_fraction, seed):
+    """windowed_split as the full window matrix, normalized, then subset."""
+    raw = make_windows(series, input_width, horizon, stride)
+    train_idx, test_idx = split_indices(len(raw), train_fraction, seed)
+    params = zscore_fit(covered_values(series, raw.starts[train_idx],
+                                       input_width + horizon))
+    normalized = normalize_windows(raw, params)
+    return normalized.subset(train_idx), normalized.subset(test_idx)
+
+
+@hyp_settings(max_examples=120, deadline=None)
+@given(data=st.data(), input_width=st.integers(-1, 10),
+       horizon=st.integers(0, 5), stride=st.integers(-1, 7),
+       train_fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_windowed_split_matches_reference(data, input_width, horizon, stride,
+                                          train_fraction, seed):
+    length = data.draw(st.integers(0, max(input_width + horizon, 0) + 60))
+    rng = np.random.default_rng(length)
+    series = rng.normal(data.draw(st.floats(-1e3, 1e3)), 3.0, size=length)
+    try:
+        expected = reference_windowed_split(series, input_width, horizon,
+                                            stride, train_fraction, seed)
+    except ValueError as exc:  # geometry, split and fit errors are unchanged
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            windowed_split(series, input_width, horizon, stride,
+                           train_fraction, seed)
+        return
+    got = windowed_split(series, input_width, horizon, stride, train_fraction,
+                         seed)
+    for side, want in zip(got, expected):
+        assert side.geometry == want.geometry
+        assert side.inputs.tobytes() == want.inputs.tobytes()
+        assert side.labels.tobytes() == want.labels.tobytes()
+        assert np.array_equal(side.starts, want.starts)
+        assert not side.is_replay.any()
+
+
 class TestBenchmarkTasks:
     def test_same_seed_identical(self):
         old1, new1, p1 = gen_benchmark_tasks(4)
@@ -289,6 +333,114 @@ class TestCsv:
         path = self._write(tmp_path, "")
         with pytest.raises(ValueError, match="empty"):
             read_series_csv(path)
+
+
+def reference_read_series_csv(path):
+    """The per-line parser read_series_csv replaced: every line read first,
+    one csv.reader per line, then the columns converted."""
+    header = None
+    rows = []  # (physical line number, parsed row)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.startswith("#") or not line.strip():
+                continue
+            row = next(csv.reader([line]))
+            if header is None:
+                header = row
+            else:
+                rows.append((lineno, row))
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+
+    skip_first = header[0].strip().lower() in _TIMESTAMP_NAMES
+    if not skip_first and len(header) > 1:
+        try:
+            float(rows[0][1][0])
+        except (ValueError, IndexError):
+            skip_first = True
+    first_col = 1 if skip_first else 0
+    names = [c.strip() for c in header[first_col:]]
+    if not names:
+        raise ValueError(f"{path}: no variable columns")
+
+    columns = [[] for _ in names]
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        for j, cell in enumerate(row[first_col:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: cannot parse {cell!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
+            columns[j].append(value)
+
+    count = len(names)
+    return [RawSeries(np.array(col), count, "", name)
+            for name, col in zip(names, columns)]
+
+
+_numbers = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_valid_cells = st.one_of(_numbers, _numbers, _numbers, _numbers,
+                         _numbers.map(lambda v: f'"{v}"'),   # quoted
+                         _numbers.map(lambda v: f' {v} '))   # padded
+_cells = st.one_of(
+    *[_valid_cells] * 40,
+    _numbers.map(lambda v: f'"{v}'),  # quote left open to the line's end
+    st.sampled_from(["nan", "inf", "-Infinity", "oops", "", '"a,b"',
+                     "2024-01-01", "1e999"]))
+_first_cells = st.one_of(st.integers(0, 99).map(str),
+                         st.sampled_from(["mon", "2024-01-01", '"t,1"']))
+_noise_lines = st.sampled_from(["# comment", "#", "", "   ", "\t",
+                                '# a "quote'])
+
+
+@st.composite
+def series_csv_text(draw):
+    """CSV text with a header, optional timestamp or label column, several
+    variable columns, and comments, blank lines and ragged or bad rows."""
+    n_vars = draw(st.integers(1, 3))
+    lead = draw(st.sampled_from(["none", "timestamp", "Time", "label"]))
+    names = [draw(st.sampled_from(["a", " b", '"c d"', "flow"]))
+             for _ in range(n_vars)]
+    header = names if lead == "none" else [lead] + names
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        cells = [draw(_cells) for _ in range(n_vars)]
+        if lead != "none":
+            cells = [draw(_first_cells)] + cells
+        if draw(st.integers(0, 19)) == 0:  # ragged
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        lines.append(",".join(cells))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_noise_lines))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@hyp_settings(max_examples=250, deadline=None)
+@given(text=series_csv_text())
+def test_streaming_csv_matches_per_line_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "streaming.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = reference_read_series_csv(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            read_series_csv(path)
+        return
+    got = read_series_csv(path)
+    assert [(s.name, s.variable_count) for s in got] == [
+        (s.name, s.variable_count) for s in expected]
+    for a, b in zip(got, expected):
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_raw_series_rejects_non_finite():

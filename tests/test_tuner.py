@@ -239,6 +239,9 @@ class TestRTune:
         wrong = make_windows(np.arange(30.0), 6, 4)
         with pytest.raises(ValueError, match="geometry"):
             r_tune(frozen, wrong, small_config())
+        # the frozen arm does not train; only run_arm scores it
+        with pytest.raises(ValueError, match="method 'frozen' does not train"):
+            r_tune(frozen, small_dataset(), small_config(), method="frozen")
 
 
 class TestVanillaFt:
