@@ -13,7 +13,7 @@ import numpy as np
 from .data import few_shot_subsample, gen_benchmark_tasks, windowed_split
 from .forecaster import Forecaster, init_forecaster
 from .metrics import evaluate_model
-from .tuner import METHODS, TuneConfig, TuneReport, r_tune
+from .tuner import METHODS, TuneConfig, TuneReport, r_tune, r_tune_group
 
 __all__ = [
     "BenchmarkGeometry",
@@ -21,6 +21,7 @@ __all__ = [
     "desk_config",
     "prepare_benchmark",
     "run_arm",
+    "run_arms",
 ]
 
 
@@ -95,7 +96,8 @@ def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig,
             old_tests=None):
     """Run one adaptation method on a prepared benchmark and score it: the
     adapted model, or the frozen one for "frozen", on `old_tests` (default:
-    the setup's old-task test set) and the new-task test set.
+    the setup's old-task test set) and the new-task test set. The one-arm
+    case of :func:`run_arms`.
 
     Returns:
         (adapted model or None for "frozen", TuneReport with metrics)
@@ -103,16 +105,47 @@ def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig,
     Raises:
         RuntimeError: training diverged, or a metric is not finite.
     """
-    if METHODS.get(method, {}) is None:  # the frozen arm does not train
-        model, report = None, TuneReport(method=method, config=cfg.to_dict())
-    else:
-        model, report = r_tune(setup.frozen, setup.new_train, cfg, method=method)
+    outcome, = run_arms(setup, [(method, cfg)], old_tests)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def run_arms(setup: BenchmarkSetup, arms, old_tests=None):
+    """Train and score several (method, cfg) arms on one prepared benchmark,
+    the trained ones together through :func:`rtune.tuner.r_tune_group`.
+
+    Returns:
+        One entry per arm, in order: what :func:`run_arm` returns for it, or
+        the ValueError, RuntimeError or FloatingPointError it raises. One
+        arm's failure does not stop the others.
+    """
+    trains = [METHODS.get(method, {}) is not None for method, _ in arms]
+    trained = iter(r_tune_group([(setup.frozen, setup.new_train, cfg, method)
+                                 for (method, cfg), t in zip(arms, trains) if t]))
+    outcomes = []
+    for (method, cfg), trains_model in zip(arms, trains):
+        if trains_model:
+            outcome = next(trained)
+        else:  # the frozen arm does not train
+            outcome = None, TuneReport(method=method, config=cfg.to_dict())
+        if not isinstance(outcome, Exception):
+            try:
+                _score(setup, *outcome, old_tests)
+            except (ValueError, RuntimeError) as exc:
+                outcome = exc
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _score(setup, model, report, old_tests):
+    """Fill `report`'s metrics: `model`, or the frozen one when None, on the
+    old-task tests and the setup's new-task test set."""
     old, new = evaluate_model(model or setup.frozen,
                               old_tests or [setup.old_test], setup.new_test)
     if not all(map(math.isfinite, (old.mae, old.mse, new.mae, new.mse))):
         raise RuntimeError(
-            f"non-finite metrics (method={method}): old mae/mse "
+            f"non-finite metrics (method={report.method}): old mae/mse "
             f"{old.mae}/{old.mse}, new mae/mse {new.mae}/{new.mse}")
     report.old_metrics, report.new_metrics = old, new
     report.extra["benchmark"] = dict(setup.gen_params)
-    return model, report

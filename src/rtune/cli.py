@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import (BenchmarkGeometry, BenchmarkSetup, prepare_benchmark,
-                        run_arm)
+                        run_arm, run_arms)
 from .data import (atomic_target, few_shot_subsample, make_windows,
                    read_series_csv, split_indices, windowed_split, zscore_apply,
                    zscore_fit)
@@ -203,26 +203,35 @@ def _prepare_run(cfg: dict, seed: int, shared):
     return setup, [setup.old_test]
 
 
-def _execute_run(cfg: dict, seed: int, shared, prepared: dict = None):
-    """One (config, seed) arm: returns (model_or_None, report).
-
-    `shared` is `_shared_inputs(cfg)`, built once by the command. `prepared`
-    caches each seed's preparation across runs whose configs differ only in
-    tuning settings, as a sweep's do: the first run of a seed fills it,
-    later runs of that seed reuse it. Tuning never modifies a prepared setup.
-    """
-    if prepared is None:
-        prepared = {}
-    if seed not in prepared:
-        prepared[seed] = _prepare_run(cfg, seed, shared)
-    setup, old_tests = prepared[seed]
-
+def _arm(cfg: dict, seed: int, setup):
+    """The (method, TuneConfig) that `cfg` trains for `seed` on `setup`."""
     tune_cfg = tune_config_from_run(cfg, seed, len(setup.new_train))
     method = cfg["method"]
     if cfg["replay_ratio"] is not None and tune_cfg.replay_n == 0 \
             and method == "r-tuning":
         method = "ft"  # ratio-0 control collapses to the vanilla arm
-    return run_arm(setup, method, tune_cfg, old_tests)
+    return method, tune_cfg
+
+
+def _execute_run(cfg: dict, seed: int, shared):
+    """One (config, seed) arm: returns (model_or_None, report).
+
+    `shared` is `_shared_inputs(cfg)`, built once by the command."""
+    setup, old_tests = _prepare_run(cfg, seed, shared)
+    return run_arm(setup, *_arm(cfg, seed, setup), old_tests)
+
+
+def _selection_warning(report):
+    """A warning when the selected epoch validates worse than the frozen
+    model did on the same tail (a finite but diverged run), else None."""
+    if report.frozen_val_mae is None or report.selected_epoch is None:
+        return None
+    selected = report.val_maes[report.selected_epoch]
+    if not selected > report.frozen_val_mae:
+        return None
+    return (f"warning: selected epoch {report.selected_epoch} has validation "
+            f"MAE {selected:.6g}, worse than the frozen model's "
+            f"{report.frozen_val_mae:.6g}")
 
 
 def _write_run_outputs(cfg: dict, seed: int, model, report, run_dir: Path):
@@ -264,38 +273,70 @@ def cmd_tune(args) -> int:
               f"old mae/mse {report.old_metrics.mae:.4f}/{report.old_metrics.mse:.4f} "
               f"new mae/mse {report.new_metrics.mae:.4f}/{report.new_metrics.mse:.4f} "
               f"({report.wall_clock_seconds:.2f}s)", file=sys.stderr)
+        warning = _selection_warning(report)
+        if warning:
+            print(f"seed {seed}: {warning}", file=sys.stderr)
     return 0
+
+
+def _parse_ratios(text: str):
+    """The replay ratios of `sweep --ratios`: distinct numbers in [0, 100]."""
+    ratios, seen = [], {}
+    for item in text.split(","):
+        if not item.strip():
+            raise ValueError(f"--ratios: empty item in {text!r}")
+        try:
+            ratio = float(item)
+        except ValueError:
+            raise ValueError(f"--ratios: {item!r} is not a number") from None
+        if not 0.0 <= ratio <= 100.0:
+            raise ValueError(f"--ratios must be in [0, 100], got {item!r}")
+        if ratio in seen:
+            raise ValueError(
+                f"--ratios: {item!r} repeats {seen[ratio]!r}")
+        seen[ratio] = item
+        ratios.append(ratio)
+    return ratios
 
 
 def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config)
-    ratios = [float(r) for r in args.ratios.split(",")]
-    if not all(0.0 <= r <= 100.0 for r in ratios):
-        raise ValueError(f"ratios must be in [0, 100], got {ratios}")
+    ratios = _parse_ratios(args.ratios)
 
     shared = _shared_inputs(cfg)
     results = []
     failed = 0
     for seed in cfg["seeds"]:
-        # arms differ only in replay_ratio: prepare the seed once, and hold
-        # one seed's setup at a time
-        prepared = {}
-        for ratio in ratios:
-            arm_cfg = dict(cfg, replay_ratio=ratio, seeds=[seed])
-            try:
-                model, report = _execute_run(arm_cfg, seed, shared, prepared)
-            except (RuntimeError, FloatingPointError) as exc:
+        # arms differ only in replay_ratio: prepare the seed once, hold one
+        # seed's setup at a time, and train its arms in lockstep
+        arm_cfgs = [dict(cfg, replay_ratio=ratio, seeds=[seed])
+                    for ratio in ratios]
+        try:
+            setup, old_tests = _prepare_run(cfg, seed, shared)
+        except (RuntimeError, FloatingPointError) as exc:
+            outcomes = [exc] * len(ratios)  # pretraining diverged
+        else:
+            outcomes = run_arms(setup, [_arm(arm_cfg, seed, setup)
+                                        for arm_cfg in arm_cfgs], old_tests)
+        for ratio, arm_cfg, outcome in zip(ratios, arm_cfgs, outcomes):
+            if isinstance(outcome, (RuntimeError, FloatingPointError)):
                 # a diverged arm gets no files and empty metric cells; the
                 # other arms still run
-                print(f"ratio={ratio}, seed={seed}: {exc}", file=sys.stderr)
+                print(f"ratio={ratio}, seed={seed}: {outcome}", file=sys.stderr)
                 failed += 1
                 results.append((ratio, seed, None, None, None, None))
                 continue
+            if isinstance(outcome, Exception):
+                raise outcome
+            model, report = outcome
             run_dir = Path(cfg["output_dir"]) / config_hash(arm_cfg)
             _write_run_outputs(arm_cfg, seed, model, report, run_dir)
             results.append((ratio, seed, report.old_metrics.mae,
                             report.old_metrics.mse, report.new_metrics.mae,
                             report.new_metrics.mse))
+            warning = _selection_warning(report)
+            if warning:
+                print(f"ratio={ratio}, seed={seed}: {warning}", file=sys.stderr)
     results.sort(key=lambda row: (row[0], row[1]))
 
     out_path = Path(args.output)
@@ -354,6 +395,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.test_fraction is not None and not 0.0 < args.test_fraction < 1.0:
+        raise ValueError(
+            f"--test-fraction must be in (0, 1), got {args.test_fraction}")
     model = load_checkpoint(args.checkpoint)
     cfg = {"input_width": model.input_width, "horizon": model.horizon,
            "stride": args.stride, "column": args.column}

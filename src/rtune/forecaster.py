@@ -35,16 +35,19 @@ def theta_size(input_width: int, hidden_width: int, horizon: int) -> int:
     return input_width * hidden_width + hidden_width + hidden_width * horizon + horizon
 
 
-def _blocks(flat, model):
-    """(flat, hidden weights, hidden bias, output weights, output bias), the
-    last four as views into `flat`, a vector laid out like `model.theta`."""
+def _blocks(stack, model):
+    """(stack, hidden weights, hidden bias, output weights, output bias) of a
+    (K, P) stack of vectors laid out like `model.theta`, the last four as
+    (K, hidden, W), (K, 1, hidden), (K, H, hidden) and (K, 1, H) views into
+    `stack`. The biases keep a row axis so they broadcast over a batch."""
     w, h, hid = model.input_width, model.horizon, model.hidden_width
+    k = stack.shape[0]
     i = 0
-    w1 = flat[i:i + hid * w].reshape(hid, w); i += hid * w
-    b1 = flat[i:i + hid]; i += hid
-    w2 = flat[i:i + h * hid].reshape(h, hid); i += h * hid
-    b2 = flat[i:i + h]
-    return flat, w1, b1, w2, b2
+    w1 = stack[:, i:i + hid * w].reshape(k, hid, w); i += hid * w
+    b1 = stack[:, i:i + hid].reshape(k, 1, hid); i += hid
+    w2 = stack[:, i:i + h * hid].reshape(k, h, hid); i += h * hid
+    b2 = stack[:, i:i + h].reshape(k, 1, h)
+    return stack, w1, b1, w2, b2
 
 
 @dataclass
@@ -71,7 +74,8 @@ class Forecaster:
             raise ValueError("theta contains non-finite values")
 
     def _unpack(self):
-        return _blocks(self.theta, self)[1:]
+        _, w1, b1, w2, b2 = _blocks(self.theta[None], self)
+        return w1[0], b1[0, 0], w2[0], b2[0, 0]
 
     def forward(self, x) -> np.ndarray:
         """Forecast H steps from one input window of length W."""
@@ -237,7 +241,7 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
     Computes what :func:`rtune.tuner.batch_objective` and :func:`grad_total`
     compute together, with the frozen model's softened outputs passed in
     instead of recomputed, since they do not change while m_new trains. This
-    is the step the training loop runs, with a fresh gradient vector.
+    is the training loop's step for one run, with a fresh gradient vector.
 
     Args:
         m_new: model being adapted.
@@ -261,56 +265,128 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
         raise ValueError(
             f"inconsistent batch shapes {inputs.shape} vs {labels.shape}"
         )
-    grad = np.empty_like(m_new.theta)
-    loss = _step(_blocks(m_new.theta, m_new), _blocks(grad, m_new), inputs,
-                 labels, p_old, tau, distill_weight, reg_weight)
-    return loss, grad
+    grad = np.empty((1, m_new.theta.size))
+    losses, failed = _step(
+        _blocks(m_new.theta[None], m_new), _blocks(grad, m_new), inputs[None],
+        labels[None], None if p_old is None else p_old[None], tau,
+        distill_weight, reg_weight, _workspace(1, n, m_new))
+    if failed:
+        raise failed[0][1]
+    return losses[0], grad[0]
+
+
+def _workspace(k, n, model):
+    """Preallocated intermediates of a step over k runs of n rows each, in
+    the order :func:`_step` unpacks them: hidden activations and their
+    gradient (k, n, hidden) with the gradient's transpose; outputs and their
+    gradient (k, n, H) with the gradient's transpose; softmax numerators
+    (k, n, H); two (k, n, 1) columns; squared residuals and cross-entropy
+    terms (2, k, n, H) with each half; their row sums (2, k, n) with the
+    first half; the task, cross-entropy and squared-norm sums (3, k); and a
+    (k, P) buffer for the L2 gradient."""
+    h, hid = model.horizon, model.hidden_width
+    d_hid, d_out = np.empty((k, n, hid)), np.empty((k, n, h))
+    squares, rows = np.empty((2, k, n, h)), np.empty((2, k, n))
+    return (np.empty((k, n, hid)), d_hid, d_hid.mT, np.empty((k, n, h)), d_out,
+            d_out.mT, np.empty((k, n, h)), np.empty((k, n, 1)),
+            np.empty((k, n, 1)), squares, squares[0], squares[1], rows, rows[0],
+            np.empty((3, k)), np.empty((k, theta_size(model.input_width, hid, h))))
 
 
 def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
-          reg_weight) -> float:
-    """One training step: returns the loss and writes the gradient into
-    `grads`, in place.
+          reg_weight, ws):
+    """One training step of K runs at once, each on its own batch of n rows.
 
-    `params` and `grads` are :func:`_blocks` of the model's theta and of a
-    theta-shaped buffer. The training loop updates theta in place, so both
-    sets of views stay valid for the whole run.
+    `params` and `grads` are :func:`_blocks` of a (K, P) theta stack and of a
+    stack-shaped gradient buffer; the gradients are written in place. The
+    batches are `inputs` (K, n, W), `labels` (K, n, H) and, when distilling,
+    the frozen model's softened outputs `p_old` (K, n, H). `ws` is a
+    :func:`_workspace` for (K, n). Every run's slice has the bits of the
+    same step taken alone: the batched matmuls and reductions run per slice.
+
+    Returns:
+        (losses, failed): the K losses as floats, and None or a list of
+        (run index, exception) for the runs whose loss or gradient is
+        non-finite. Their gradients are garbage; the other runs' are exact.
     """
     theta, w1, b1, w2, b2 = params
     grad, g_w1, g_b1, g_w2, g_b2 = grads
-    n = inputs.shape[0]
-    hidden = np.tanh(inputs @ w1.T + b1)
-    outputs = hidden @ w2.T + b2
+    (hidden, d_hid, d_hid_t, out, d_out, d_out_t, e, col, log_s, squares,
+     task_squares, cross_terms, rows, task_rows, sums, reg) = ws
+    n = inputs.shape[1]
+    np.matmul(inputs, w1.mT, out=hidden)
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, w2.mT, out=out)
+    out += b2
 
-    # same arithmetic as batch_objective: task, + distillation, + L2; a sum
-    # over rows divided by n has the bits of .mean()
-    resid = outputs - labels
-    loss = float((resid ** 2).sum(axis=-1).sum() / n)
-    d_out = 2.0 * resid / n
+    np.subtract(out, labels, out=d_out)
+    np.multiply(d_out, d_out, out=task_squares)
+    d_out *= 2.0
+    d_out /= n
     if distill_weight != 0.0:
         # one exp serves the log-softmax of _cross_entropy and the softmax
         # of _soften_rows, with their arithmetic
-        z = outputs / tau
-        z -= z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        s = e.sum(axis=-1, keepdims=True)
-        loss += distill_weight * float(
-            -(p_old * (z - np.log(s))).sum(axis=-1).sum() / n)
-        d_out += distill_weight * (e / s - p_old) / (tau * n)
-    loss += reg_weight * float(theta @ theta)
-    if not math.isfinite(loss):
-        raise RuntimeError(f"non-finite loss {loss!r}")
-    if not np.isfinite(d_out).all():
-        raise FloatingPointError("non-finite intermediate in gradient computation")
+        z = np.divide(out, tau, out=out)
+        np.maximum.reduce(z, axis=-1, keepdims=True, out=col)
+        z -= col
+        np.exp(z, out=e)
+        np.add.reduce(e, axis=-1, keepdims=True, out=col)
+        np.log(col, out=log_s)
+        z -= log_s
+        np.multiply(p_old, z, out=cross_terms)
+        np.add.reduce(squares, axis=-1, out=rows)
+        np.add.reduce(rows, axis=-1, out=sums[:2])
+        e /= col
+        e -= p_old
+        e *= distill_weight
+        e /= tau * n
+        d_out += e
+    else:
+        np.add.reduce(task_squares, axis=-1, out=task_rows)
+        np.add.reduce(task_rows, axis=-1, out=sums[0])
+    np.vecdot(theta, theta, out=sums[2])
 
-    np.matmul(d_out.T, hidden, out=g_w2)
-    np.add.reduce(d_out, axis=0, out=g_b2)
-    d_pre = (d_out @ w2) * (1.0 - hidden ** 2)
-    np.matmul(d_pre.T, inputs, out=g_w1)
-    np.add.reduce(d_pre, axis=0, out=g_b1)
+    # the loss as batch_objective adds it up: task, + distillation, + L2; a
+    # sum over rows divided by n has the bits of .mean(), and the
+    # cross-entropy is minus the sum of the products
+    task, cross, norm = sums.tolist()
+    if distill_weight != 0.0:
+        losses = [t / n + distill_weight * (-c / n) + reg_weight * q
+                  for t, c, q in zip(task, cross, norm)]
+    else:
+        losses = [t / n + reg_weight * q for t, q in zip(task, norm)]
+    failed = None
+    if not (math.isfinite(sum(losses))
+            and math.isfinite(np.add.reduce(d_out, axis=None))):
+        failed = _failures(losses, d_out)
+
+    np.matmul(d_out_t, hidden, out=g_w2)
+    np.add.reduce(d_out, axis=1, keepdims=True, out=g_b2)
+    np.matmul(d_out, w2, out=d_hid)
+    np.multiply(hidden, hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    d_hid *= hidden
+    np.matmul(d_hid_t, inputs, out=g_w1)
+    np.add.reduce(d_hid, axis=1, keepdims=True, out=g_b1)
     if reg_weight != 0.0:
-        grad += 2.0 * reg_weight * theta
-    return loss
+        np.multiply(theta, 2.0 * reg_weight, out=reg)
+        grad += reg
+    return losses, failed
+
+
+def _failures(losses, d_out):
+    """(run index, exception) for each run of a step whose loss or gradient
+    is non-finite: the exception the run's step alone raises. None if the
+    quick check in :func:`_step` was a false alarm (a finite sum overflowed)."""
+    failed = []
+    for k, loss in enumerate(losses):
+        if not math.isfinite(loss):
+            failed.append((k, RuntimeError(f"non-finite loss {loss!r}")))
+        elif not np.isfinite(d_out[k]).all():
+            failed.append((k, FloatingPointError(
+                "non-finite intermediate in gradient computation")))
+    return failed or None
 
 
 def save_checkpoint(model: Forecaster, path) -> None:

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import WindowedDataset, permute_windows
-from .forecaster import Forecaster, _blocks, _cross_entropy, _soften_rows, _step
+from .forecaster import (Forecaster, _blocks, _cross_entropy, _soften_rows,
+                         _step, _workspace)
 from .metrics import MetricPair, mae
 from .replay import build_replay_set, build_train_set
 
@@ -28,7 +29,13 @@ __all__ = [
     "total_loss",
     "batch_objective",
     "r_tune",
+    "r_tune_group",
 ]
+
+
+# TuneConfig fields that count something; a float or bool there is an error
+_INTEGER_FIELDS = ("replay_n", "wavelet_levels", "discard_depth", "epochs",
+                   "batch_size", "seed")
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,10 @@ class TuneConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replay_n < 0:
             raise ValueError(f"replay_n must be >= 0, got {self.replay_n}")
         if self.wavelet_levels < 1:
@@ -111,7 +122,9 @@ class TuneReport:
 
     The canonical dict (and hence the serialized report) excludes wall-clock
     time so that reruns of the same config produce byte-identical files;
-    timing stays available on the object itself.
+    timing stays available on the object itself, as does the frozen model's
+    MAE on the run's validation tail (`frozen_val_mae`; None when nothing
+    trained), the baseline the selected epoch's MAE can be checked against.
     """
 
     method: str
@@ -123,6 +136,7 @@ class TuneReport:
     new_metrics: MetricPair = None
     wall_clock_seconds: float = 0.0
     extra: dict = field(default_factory=dict)
+    frozen_val_mae: float = None
 
     def to_dict(self):
         doc = {
@@ -197,7 +211,7 @@ def r_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig,
     epochs, scoring validation MAE after each epoch on a chronologically
     held-out tail of the new-task windows. Returns the checkpoint with the best validation MAE
     (ties to the earliest epoch) and the run report. The frozen model is
-    never modified.
+    never modified. This is the one-job case of :func:`r_tune_group`.
 
     Raises:
         ValueError: unknown method, the frozen method (which does not train;
@@ -205,88 +219,214 @@ def r_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig,
             geometry mismatch.
         RuntimeError: the loss went non-finite (diverged).
     """
-    cfg = method_config(method, cfg)
-    if METHODS[method] is None:
-        raise ValueError(f"method {method!r} does not train; use run_arm to "
-                         f"score the frozen model")
-    if len(new_data) == 0:
-        raise ValueError("new_data is empty")
-    if new_data.geometry != (frozen.input_width, frozen.horizon):
-        raise ValueError(
-            f"data geometry {new_data.geometry} does not match model "
-            f"({frozen.input_width}, {frozen.horizon})"
-        )
+    outcome, = r_tune_group([(frozen, new_data, cfg, method)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def r_tune_group(jobs):
+    """Run several :func:`r_tune` jobs, training compatible ones in lockstep.
+
+    `jobs` is a sequence of (frozen, new_data, cfg, method) tuples, each as
+    :func:`r_tune` takes them. Jobs whose configs, after their method's
+    overrides, agree on every field except `seed` and `replay_n`, that all
+    replay or all do not, and whose models share one geometry form a group:
+    one stacked step kernel trains all of its runs at each batch offset. Each
+    run keeps its own replay set, shuffles, soft targets, checkpoint
+    selection and errors, and its model and report have the bits of its
+    solo :func:`r_tune`.
+
+    Returns:
+        One entry per job, in order: (model, report), or the ValueError,
+        RuntimeError or FloatingPointError that its solo :func:`r_tune`
+        raises. A run that diverges leaves its group with that error; the
+        other runs keep training. A run's `wall_clock_seconds` is the time
+        from the start of the call until its group finished training: it
+        includes the other jobs' preparation and its siblings' steps, so
+        the times of jobs trained together overlap and do not add up.
+    """
     t_start = time.perf_counter()
-    report = TuneReport(method=method, config=cfg.to_dict())
+    outcomes = [None] * len(jobs)
+    groups = {}
+    for index, job in enumerate(jobs):
+        try:
+            run = _Run(index, *job)
+        except ValueError as exc:
+            outcomes[index] = exc
+            continue
+        if run.cfg.epochs == 0:
+            run.report.wall_clock_seconds = time.perf_counter() - t_start
+            outcomes[index] = (run.frozen.clone(), run.report)
+        else:
+            groups.setdefault(run.group_key, []).append(run)
+    for runs in groups.values():
+        for run in _train_lockstep(runs):
+            outcomes[run.index] = run.outcome(t_start)
+    return outcomes
 
-    if cfg.epochs == 0:
-        report.wall_clock_seconds = time.perf_counter() - t_start
-        return frozen.clone(), report
 
-    n = len(new_data)
-    n_val = max(1, int(round(cfg.validation_fraction * n)))
-    if n - n_val < 1:
-        raise ValueError(
-            f"{n} windows leave no training data after holding out {n_val} "
-            f"for validation"
-        )
-    fit_ds = new_data.subset(np.arange(0, n - n_val))
-    val_ds = new_data.subset(np.arange(n - n_val, n))
+class _Run:
+    """One job of :func:`r_tune_group`: its data, frozen baseline and the
+    state of its checkpoint selection."""
 
-    latent_seq, shuffle_seq, epoch_seqs = _epoch_seeds(cfg.seed, cfg.epochs)
-    if cfg.replay_n > 0:
-        replay = build_replay_set(frozen, cfg.replay_n, cfg.wavelet_levels,
-                                  cfg.discard_depth, cfg.alpha,
-                                  latent_seq.generate_state(1)[0].item())
-        train_set = build_train_set(fit_ds, replay,
-                                    shuffle_seq.generate_state(1)[0].item())
-    else:
-        train_set = permute_windows(fit_ds, shuffle_seq.generate_state(1)[0].item())
+    def __init__(self, index, frozen, new_data, cfg, method="r-tuning"):
+        cfg = method_config(method, cfg)
+        if METHODS[method] is None:
+            raise ValueError(f"method {method!r} does not train; use run_arm "
+                             f"to score the frozen model")
+        if len(new_data) == 0:
+            raise ValueError("new_data is empty")
+        if new_data.geometry != (frozen.input_width, frozen.horizon):
+            raise ValueError(
+                f"data geometry {new_data.geometry} does not match model "
+                f"({frozen.input_width}, {frozen.horizon})"
+            )
+        self.index, self.frozen, self.cfg, self.method = index, frozen, cfg, method
+        self.report = TuneReport(method=method, config=cfg.to_dict())
+        self.group_key = (replace(cfg, seed=0, replay_n=0), cfg.replay_n > 0,
+                          frozen.input_width, frozen.horizon,
+                          frozen.hidden_width)
+        self.error = None
+        self.best_mae, self.best_theta = np.inf, None
+        if cfg.epochs == 0:
+            return
 
-    soft_old = None
-    if cfg.distill_weight != 0.0:
-        soft_old = _soften_rows(frozen.forward_batch(train_set.inputs), cfg.tau)
+        n = len(new_data)
+        n_val = max(1, int(round(cfg.validation_fraction * n)))
+        if n - n_val < 1:
+            raise ValueError(
+                f"{n} windows leave no training data after holding out {n_val} "
+                f"for validation"
+            )
+        fit_ds = new_data.subset(np.arange(0, n - n_val))
+        self.val = new_data.subset(np.arange(n - n_val, n))
+        self.report.frozen_val_mae = mae(frozen.forward_batch(self.val.inputs),
+                                         self.val.labels)
 
-    model = frozen.clone()
-    theta = model.theta  # updated in place, so the step's views stay valid
-    params = _blocks(theta, model)
+        latent_seq, shuffle_seq, self.epoch_seqs = _epoch_seeds(cfg.seed,
+                                                                cfg.epochs)
+        shuffle_seed = shuffle_seq.generate_state(1)[0].item()
+        if cfg.replay_n > 0:
+            replay = build_replay_set(frozen, cfg.replay_n, cfg.wavelet_levels,
+                                      cfg.discard_depth, cfg.alpha,
+                                      latent_seq.generate_state(1)[0].item())
+            self.train = build_train_set(fit_ds, replay, shuffle_seed)
+        else:
+            self.train = permute_windows(fit_ds, shuffle_seed)
+        self.soft_old = None
+        if cfg.distill_weight != 0.0:
+            self.soft_old = _soften_rows(frozen.forward_batch(self.train.inputs),
+                                         cfg.tau)
+
+    def fail(self, exc, epoch, offset):
+        """Leave training with the error the solo run raises at this step."""
+        if isinstance(exc, RuntimeError):
+            wrapped = RuntimeError(
+                f"{exc} at epoch {epoch}, batch offset {offset} "
+                f"(method={self.method}, lr={self.cfg.learning_rate})")
+            wrapped.__cause__ = exc  # as `raise ... from exc` sets it
+            exc = wrapped
+        self.error = exc
+
+    def validate(self, model, epoch):
+        val_mae = mae(model.forward_batch(self.val.inputs), self.val.labels)
+        self.report.val_maes.append(val_mae)
+        if val_mae < self.best_mae:
+            self.best_mae = val_mae
+            self.best_theta = model.theta.copy()
+            self.report.selected_epoch = epoch
+
+    def outcome(self, t_start):
+        if self.error is not None:
+            return self.error
+        try:
+            tuned = Forecaster(self.frozen.input_width, self.frozen.horizon,
+                               self.frozen.hidden_width, self.best_theta)
+        except ValueError as exc:
+            return exc
+        self.report.wall_clock_seconds = time.perf_counter() - t_start
+        return tuned, self.report
+
+
+def _schedule(sizes, batch_size):
+    """The steps of one epoch over runs sorted by descending training-set
+    size, as (first run, end run, lo, hi) row ranges: at each batch offset
+    the prefix of runs with a full batch steps together, then each run whose
+    last, partial batch starts there steps alone."""
+    steps = []
+    for lo in range(0, sizes[0], batch_size):
+        hi = lo + batch_size
+        full = sum(size >= hi for size in sizes)
+        if full:
+            steps.append((0, full, lo, hi))
+        steps += [(k, k + 1, lo, sizes[k])
+                  for k in range(full, len(sizes)) if sizes[k] > lo]
+    return steps
+
+
+def _train_lockstep(runs):
+    """Train runs of one group together; returns them, largest first, with
+    their reports filled in or their errors set."""
+    runs = sorted(runs, key=lambda run: len(run.train), reverse=True)
+    cfg, geometry = runs[0].cfg, runs[0].frozen
+    sizes = [len(run.train) for run in runs]
+    theta = np.stack([run.frozen.theta for run in runs])  # updated in place
     grad = np.empty_like(theta)
-    grads = _blocks(grad, model)
-    best_mae = np.inf
-    best_theta = None
-    best_epoch = None
+    models = [Forecaster(geometry.input_width, geometry.horizon,
+                         geometry.hidden_width, row) for row in theta]
+    # each epoch's shuffled rows of every run, padded to the largest run;
+    # every step's batches are fixed slices of these
+    inputs = np.zeros((len(runs), sizes[0], geometry.input_width))
+    labels = np.zeros((len(runs), sizes[0], geometry.horizon))
+    p_old = np.zeros_like(labels) if cfg.distill_weight != 0.0 else None
+
+    blocks, workspaces, plan = {}, {}, []
+    for first, end, lo, hi in _schedule(sizes, cfg.batch_size):
+        if (first, end) not in blocks:
+            blocks[first, end] = (_blocks(theta[first:end], geometry),
+                                  _blocks(grad[first:end], geometry))
+        if (end - first, hi - lo) not in workspaces:
+            workspaces[end - first, hi - lo] = (
+                _workspace(end - first, hi - lo, geometry),
+                np.empty((end - first, theta.shape[1])))
+        plan.append((first, lo, hi - lo, *blocks[first, end],
+                     *workspaces[end - first, hi - lo],
+                     inputs[first:end, lo:hi], labels[first:end, lo:hi],
+                     None if p_old is None else p_old[first:end, lo:hi]))
 
     for epoch in range(cfg.epochs):
-        # gather the epoch in shuffled order once; batches are then slices
-        order = np.random.default_rng(epoch_seqs[epoch]).permutation(len(train_set))
-        inputs = train_set.inputs[order]
-        labels = train_set.labels[order]
-        p_old = soft_old[order] if soft_old is not None else None
-        loss_sum = 0.0
-        for lo in range(0, len(order), cfg.batch_size):
-            hi = min(lo + cfg.batch_size, len(order))
-            try:
-                loss = _step(params, grads, inputs[lo:hi], labels[lo:hi],
-                             p_old[lo:hi] if p_old is not None else None,
-                             cfg.tau, cfg.distill_weight, cfg.reg_weight)
-            except RuntimeError as exc:
-                raise RuntimeError(
-                    f"{exc} at epoch {epoch}, batch offset {lo} "
-                    f"(method={method}, lr={cfg.learning_rate})"
-                ) from exc
-            theta -= cfg.learning_rate * grad
-            loss_sum += loss * (hi - lo)
-        report.train_losses.append(loss_sum / len(order))
-
-        val_mae = mae(model.forward_batch(val_ds.inputs), val_ds.labels)
-        report.val_maes.append(val_mae)
-        if val_mae < best_mae:
-            best_mae = val_mae
-            best_theta = model.theta.copy()
-            best_epoch = epoch
-
-    report.selected_epoch = best_epoch
-    tuned = Forecaster(frozen.input_width, frozen.horizon, frozen.hidden_width,
-                       best_theta)
-    report.wall_clock_seconds = time.perf_counter() - t_start
-    return tuned, report
+        for k, run in enumerate(runs):
+            if run.error is None:
+                order = np.random.default_rng(run.epoch_seqs[epoch]).permutation(
+                    sizes[k])
+                # a permutation is in range, so "clip" changes no index; it
+                # spares the copy through a buffer that "raise" makes
+                for source, buffer in ((run.train.inputs, inputs),
+                                       (run.train.labels, labels),
+                                       (run.soft_old, p_old)):
+                    if buffer is not None:
+                        np.take(source, order, axis=0, mode="clip",
+                                out=buffer[k, :sizes[k]])
+        loss_sums = [0.0] * len(runs)
+        for first, lo, n, params, grads, ws, scaled, x, y, p in plan:
+            losses, failed = _step(params, grads, x, y, p, cfg.tau,
+                                   cfg.distill_weight, cfg.reg_weight, ws)
+            for k, exc in failed or ():
+                runs[first + k].fail(exc, epoch, lo)
+                # the run leaves the group: a zero model on zero data with
+                # uniform targets has a zero gradient, so its slot stays
+                # finite and never warns or fails again
+                theta[first + k] = grad[first + k] = 0.0
+                inputs[first + k] = labels[first + k] = 0.0
+                if p_old is not None:
+                    p_old[first + k] = 1.0 / geometry.horizon
+            np.multiply(grads[0], cfg.learning_rate, out=scaled)
+            np.subtract(params[0], scaled, out=params[0])
+            for k, loss in enumerate(losses, first):
+                loss_sums[k] += loss * n
+        for k, run in enumerate(runs):
+            if run.error is None:
+                run.report.train_losses.append(loss_sums[k] / sizes[k])
+                run.validate(models[k], epoch)
+    return runs

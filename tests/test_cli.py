@@ -243,6 +243,17 @@ class TestTune:
         assert "tau must be positive, got nan" in capsys.readouterr().err
         assert run_files(tmp_path / "runs") == {}
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 2.0), ("batch_size", 32.0), ("replay_n", True),
+        ("wavelet_levels", 1.5), ("discard_depth", False)])
+    def test_non_integer_counts_rejected(self, bench_config, tmp_path, capsys,
+                                         key, value):
+        cfg = bench_config(**{key: value})
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert (f"error: {key} must be an integer, got {value!r}"
+                in capsys.readouterr().err)
+        assert run_files(tmp_path / "runs") == {}
+
     def test_unknown_keys_rejected(self, tmp_path, bench_config):
         cfg = bench_config()
         loaded = json.loads(cfg.read_text())
@@ -346,13 +357,15 @@ class TestSweep:
                          str(tmp_path / "old.csv"): 1}
 
     def test_arms_byte_identical_to_tune(self, csv_config, tmp_path):
+        # ratios 1, 5 and 20 train in lockstep; each arm's files are those
+        # of its own tune run
         runs = tmp_path / "runs"
         assert main(["sweep", "--config", str(csv_config()), "--ratios",
-                     "0,5,20", "--output", str(tmp_path / "sweep.csv")]) == 0
+                     "0,1,5,20", "--output", str(tmp_path / "sweep.csv")]) == 0
         swept = run_files(runs)
-        assert len(swept) == 3 * 2 * 2  # report and checkpoint per arm
+        assert len(swept) == 4 * 2 * 2  # report and checkpoint per arm
         shutil.rmtree(runs)
-        for ratio in (0.0, 5.0, 20.0):
+        for ratio in (0.0, 1.0, 5.0, 20.0):
             for seed in (0, 1):
                 cfg = csv_config(name=f"arm-{ratio}-{seed}.json",
                                  replay_ratio=ratio, seeds=[seed])
@@ -387,6 +400,22 @@ class TestSweep:
         assert not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_diverged_pretraining_leaves_empty_rows(self, bench_config,
+                                                    tmp_path, capsys):
+        cfg = bench_config(pretrain_learning_rate=1e20, seeds=[0])
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--ratios", "0,10",
+                     "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.index("ratio=0.0, seed=0: non-finite loss") \
+            < err.index("ratio=10.0, seed=0: non-finite loss")
+        with open(out) as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert rows[1:] == [["0.0", "0", "", "", "", ""],
+                            ["10.0", "0", "", "", "", ""]]
+        assert run_files(tmp_path / "runs") == {}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_non_finite_metrics_leave_empty_row(self, bench_config, tmp_path,
                                                 capsys):
         cfg = bench_config(**NON_FINITE_METRICS)
@@ -412,6 +441,40 @@ class TestSweep:
         assert not (tmp_path / "runs").exists()
 
 
+    @pytest.mark.parametrize("ratios, message", [
+        ("5,5.0,5", "--ratios: '5.0' repeats '5'"),
+        ("0,-0", "--ratios: '-0' repeats '0'"),
+        ("1,,2", "--ratios: empty item in '1,,2'"),
+        ("1,", "--ratios: empty item in '1,'"),
+        ("1,two", "--ratios: 'two' is not a number"),
+    ])
+    def test_ratio_items_checked_before_any_run(self, bench_config, tmp_path,
+                                                capsys, ratios, message):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(bench_config()), "--ratios",
+                     ratios, "--output", str(out)]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "runs").exists()
+
+    def test_finite_divergence_warns(self, bench_config, tmp_path, capsys):
+        # one epoch at this rate leaves finite but far worse models
+        cfg = bench_config(method="r-tuning", learning_rate=1e3, epochs=1,
+                           seeds=[0, 1])
+        assert main(["tune", "--config", str(cfg)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--ratios", "0,10",
+                     "--output", str(tmp_path / "sweep.csv")]) == 0
+        err = capsys.readouterr().err
+        for prefix in ("seed 0", "seed 1", "ratio=0.0, seed=0",
+                       "ratio=10.0, seed=1"):
+            assert (f"{prefix}: warning: selected epoch 0 has validation MAE"
+                    in err)
+        assert "worse than the frozen model's" in err
+        calm = bench_config(method="r-tuning", seeds=[0, 1])
+        assert main(["tune", "--config", str(calm)]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+
 class TestEvalAndReport:
     def test_eval_json(self, tmp_path, sine_csv):
         ckpt = tmp_path / "m.ckpt"
@@ -424,6 +487,19 @@ class TestEvalAndReport:
         doc = json.loads(out.read_text())
         assert doc["old_metrics"]["mae"] > 0
         assert doc["new_metrics"]["n_samples"] > 0
+
+    @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.2", "nan"])
+    def test_eval_bad_test_fraction_rejected(self, tmp_path, sine_csv, capsys,
+                                             fraction):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_forecaster(16, 4, 8, seed=2), ckpt)
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--new-data",
+                     str(sine_csv), "--test-fraction", fraction,
+                     "--output", str(out)]) == 1
+        assert (f"--test-fraction must be in (0, 1), got {float(fraction)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("stride", ["0", "-1"])
     def test_eval_bad_stride_rejected(self, tmp_path, sine_csv, capsys, stride):

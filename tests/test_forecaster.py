@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from rtune.forecaster import (Forecaster, _cross_entropy, _soften_rows,
-                              grad_total, init_forecaster, load_checkpoint,
+from rtune.forecaster import (Forecaster, _blocks, _cross_entropy,
+                              _soften_rows, _step, _workspace, grad_total,
+                              init_forecaster, load_checkpoint,
                               save_checkpoint, soften, soften_jacobian,
                               theta_size, value_and_grad)
 from rtune.tuner import batch_objective
@@ -308,6 +309,90 @@ class TestValueAndGrad:
         with pytest.raises(ValueError, match="inconsistent"):
             value_and_grad(m, np.zeros((2, 4)), np.zeros((2, 3)), None,
                            3.0, 0.0, 1e-4)
+
+
+def stacked_step(model, thetas, x, y, p_old, tau, distill_weight, reg_weight):
+    """_step over a (K, P) stack whose batches are slices of padded epoch
+    buffers, as the training loop lays them out: (losses, failed, grads)."""
+    k, n = x.shape[:2]
+    pad = np.zeros((k, n + 3, x.shape[2]))
+    pad[:, 1:n + 1] = x
+    stack = np.array(thetas)
+    grads = np.full_like(stack, np.nan)
+    losses, failed = _step(
+        _blocks(stack, model), _blocks(grads, model), pad[:, 1:n + 1], y,
+        p_old, tau, distill_weight, reg_weight, _workspace(k, n, model))
+    return losses, failed, grads
+
+
+class TestStackedStep:
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 6),
+           n=st.integers(1, 40), distill=st.booleans(),
+           tau=st.floats(0.1, 10.0), reg_weight=st.sampled_from([0.0, 1e-4]))
+    def test_slices_bit_equal_to_one_run(self, seed, k, n, distill, tau,
+                                         reg_weight):
+        rng = np.random.default_rng(seed)
+        model = init_forecaster(7, 3, 5, seed=seed % 1000)
+        thetas = model.theta + 0.3 * rng.normal(size=(k, model.theta.size))
+        x = rng.normal(size=(k, n, 7))
+        y = rng.normal(size=(k, n, 3))
+        p_old = _soften_rows(rng.normal(size=(k, n, 3)), tau) if distill else None
+        distill_weight = 0.2 if distill else 0.0
+        losses, failed, grads = stacked_step(model, thetas, x, y, p_old, tau,
+                                             distill_weight, reg_weight)
+        assert failed is None and len(losses) == k
+        for j in range(k):
+            run = Forecaster(7, 3, 5, thetas[j])
+            loss, grad = value_and_grad(run, x[j], y[j],
+                                        p_old[j] if distill else None, tau,
+                                        distill_weight, reg_weight)
+            assert losses[j] == loss
+            assert np.array_equal(grads[j], grad)
+            ref_loss, ref_grad = reference_value_and_grad(
+                run, x[j], y[j], p_old[j] if distill else None, tau,
+                distill_weight, reg_weight)
+            assert loss == ref_loss and np.array_equal(grad, ref_grad)
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 5),
+           n=st.integers(1, 12), distill_weight=st.sampled_from([0.0, 0.5]))
+    def test_matches_objective_and_grad_total(self, seed, k, n, distill_weight):
+        rng = np.random.default_rng(seed)
+        m_old = init_forecaster(6, 3, 4, seed=seed % 1000 + 1)
+        runs = [init_forecaster(6, 3, 4, seed=seed % 1000 + 2 + j)
+                for j in range(k)]
+        x = rng.normal(size=(k, n, 6))
+        y = rng.normal(size=(k, n, 3))
+        p_old = _soften_rows(m_old.forward_batch(x.reshape(-1, 6)),
+                             2.0).reshape(k, n, 3)
+        losses, _, grads = stacked_step(runs[0], [r.theta for r in runs], x, y,
+                                        p_old, 2.0, distill_weight, 1e-3)
+        for j, run in enumerate(runs):
+            assert abs(losses[j] - batch_objective(
+                run, m_old, x[j], y[j], 2.0, distill_weight, 1e-3)) <= 1e-12
+            oracle = grad_total(run, m_old, x[j], y[j], 2.0, distill_weight, 1e-3)
+            assert np.max(np.abs(grads[j] - oracle)) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_failed_run_named_and_siblings_exact(self):
+        rng = np.random.default_rng(5)
+        model = init_forecaster(6, 3, 4, seed=5)
+        thetas = model.theta + 0.1 * rng.normal(size=(3, model.theta.size))
+        x = rng.normal(size=(3, 4, 6))
+        y = rng.normal(size=(3, 4, 3))
+        y[1] = 1e200  # only the middle run's loss overflows
+        losses, failed, grads = stacked_step(model, thetas, x, y, None, 3.0,
+                                             0.0, 1e-4)
+        assert [(j, type(exc)) for j, exc in failed] == [(1, RuntimeError)]
+        with pytest.raises(RuntimeError) as info:
+            value_and_grad(Forecaster(6, 3, 4, thetas[1]), x[1], y[1], None,
+                           3.0, 0.0, 1e-4)
+        assert str(failed[0][1]) == str(info.value) == "non-finite loss inf"
+        for j in (0, 2):
+            loss, grad = value_and_grad(Forecaster(6, 3, 4, thetas[j]), x[j],
+                                        y[j], None, 3.0, 0.0, 1e-4)
+            assert losses[j] == loss and np.array_equal(grads[j], grad)
 
 
 class TestCheckpoint:

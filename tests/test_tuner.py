@@ -3,20 +3,22 @@ selection, frozen-model immutability), and the method table's baselines."""
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
-                             run_arm)
+                             run_arm, run_arms)
 from rtune.cli import build_parser, load_run_config
-from rtune.data import make_windows, permute_windows
+from rtune.data import WindowedDataset, make_windows, permute_windows
 from rtune.forecaster import (_soften_rows, init_forecaster, soften,
                               value_and_grad)
 from rtune.metrics import evaluate_model, mae
 from rtune.replay import build_replay_set, build_train_set
-from rtune.tuner import (METHODS, TuneConfig, _epoch_seeds, distill_loss,
-                         method_config, r_tune, task_loss, total_loss)
+from rtune.tuner import (METHODS, TuneConfig, _epoch_seeds, _schedule,
+                         distill_loss, method_config, r_tune, r_tune_group,
+                         task_loss, total_loss)
 
 
 def small_dataset(n_windows=40, w=8, h=4, seed=0):
@@ -244,6 +246,113 @@ class TestRTune:
             r_tune(frozen, small_dataset(), small_config(), method="frozen")
 
 
+def assert_same_run(outcome, solo):
+    model, report = outcome
+    solo_model, solo_report = solo
+    assert np.array_equal(model.theta, solo_model.theta)
+    assert report.to_dict() == solo_report.to_dict()
+    assert report.train_losses == solo_report.train_losses
+    assert report.val_maes == solo_report.val_maes
+    assert report.selected_epoch == solo_report.selected_epoch
+    assert report.frozen_val_mae == solo_report.frozen_val_mae
+
+
+class TestLockstep:
+    def jobs(self, batch_size, method="r-tuning"):
+        # different frozen models, tails, sizes, replay counts and seeds; one
+        # group
+        return [(init_forecaster(8, 4, 6, seed=9 + j),
+                 small_dataset(n_windows=40 + 7 * j, seed=j),
+                 small_config(replay_n=replay_n, seed=seed,
+                              batch_size=batch_size), method)
+                for j, (replay_n, seed) in enumerate([(4, 0), (9, 3), (1, 7),
+                                                      (4, 11)])]
+
+    @pytest.mark.parametrize("batch_size", [7, 32, 200])  # 200 > every N
+    @pytest.mark.parametrize("method", ["ft", "lwf", "replay-only", "r-tuning"])
+    def test_group_bit_equal_to_solo_runs(self, method, batch_size):
+        jobs = self.jobs(batch_size, method)
+        outcomes = r_tune_group(jobs)
+        for job, outcome in zip(jobs, outcomes):
+            assert_same_run(outcome, r_tune(*job))
+
+    def test_incompatible_jobs_split_into_groups(self):
+        jobs = self.jobs(8)
+        frozen, data, cfg, _ = jobs[0]
+        jobs += [(frozen, data, replace(cfg, learning_rate=2e-2), "r-tuning"),
+                 (frozen, data, replace(cfg, replay_n=0), "r-tuning"),
+                 (frozen, data, cfg, "ft"),
+                 (frozen, data, replace(cfg, epochs=0), "r-tuning"),
+                 (init_forecaster(8, 4, 5, seed=1), data, cfg, "r-tuning")]
+        for job, outcome in zip(jobs, r_tune_group(jobs)):
+            assert_same_run(outcome, r_tune(*job))
+
+    def test_invalid_job_gets_its_error_and_others_train(self):
+        jobs = self.jobs(8)
+        frozen, data, cfg, _ = jobs[0]
+        jobs.insert(1, (frozen, data.subset([]), cfg, "r-tuning"))
+        jobs.insert(2, (frozen, data, cfg, "frozen"))
+        outcomes = r_tune_group(jobs)
+        assert str(outcomes[1]) == "new_data is empty"
+        assert "does not train" in str(outcomes[2])
+        for j in (0, 3, 4, 5):
+            assert_same_run(outcomes[j], r_tune(*jobs[j]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_diverged_run_leaves_with_its_solo_error(self):
+        jobs = self.jobs(7)
+        frozen, data, cfg, method = jobs[2]
+        labels = data.labels.copy()
+        labels[17] = 1e200  # a training row: some batch of epoch 0 overflows
+        jobs[2] = (frozen, WindowedDataset(data.inputs, labels), cfg, method)
+        outcomes = r_tune_group(jobs)
+        with pytest.raises(RuntimeError) as info:
+            r_tune(*jobs[2])
+        assert type(outcomes[2]) is RuntimeError
+        assert str(outcomes[2]) == str(info.value)
+        assert str(outcomes[2].__cause__) == str(info.value.__cause__)
+        # the first epoch meets the row; the error is that step's, not a
+        # later one's, and three more epochs step the others without it
+        assert str(outcomes[2]).startswith("non-finite loss inf at epoch 0, ")
+        assert str(outcomes[2].__cause__) == "non-finite loss inf"
+        for j in (0, 1, 3):
+            assert_same_run(outcomes[j], r_tune(*jobs[j]))
+
+    def test_schedule(self):
+        # sizes sorted largest first: shared full batches, then each run's
+        # partial last batch alone
+        assert _schedule([10, 9, 4], 4) == [
+            (0, 3, 0, 4), (0, 2, 4, 8), (0, 1, 8, 10), (1, 2, 8, 9)]
+        assert _schedule([3, 2], 8) == [(0, 1, 0, 3), (1, 2, 0, 2)]
+        steps = _schedule([33, 32, 20, 20], 8)
+        for k, size in enumerate([33, 32, 20, 20]):
+            rows = [(lo, hi) for first, end, lo, hi in steps if first <= k < end]
+            assert rows == [(lo, min(lo + 8, size)) for lo in range(0, size, 8)]
+
+    def test_run_arms_match_run_arm(self, small_setup):
+        arms = [(method, desk_config(2, replay_n=replay_n, epochs=2))
+                for method in METHODS for replay_n in (2, 5)]
+        for (method, cfg), outcome in zip(arms, run_arms(small_setup, arms)):
+            model, report = run_arm(small_setup, method, cfg)
+            assert report.to_dict() == outcome[1].to_dict()
+            if model is None:
+                assert outcome[0] is None
+            else:
+                assert np.array_equal(model.theta, outcome[0].theta)
+
+    def test_frozen_val_mae_reported_but_not_serialized(self):
+        frozen = init_forecaster(8, 4, 6, seed=9)
+        data = small_dataset()
+        _, report = r_tune(frozen, data, small_config())
+        n_val = max(1, int(round(0.2 * len(data))))
+        tail = data.subset(np.arange(len(data) - n_val, len(data)))
+        assert report.frozen_val_mae == mae(frozen.forward_batch(tail.inputs),
+                                            tail.labels)
+        assert "frozen_val_mae" not in json.dumps(report.to_dict())
+        _, untrained = r_tune(frozen, data, small_config(epochs=0))
+        assert untrained.frozen_val_mae is None
+
+
 class TestVanillaFt:
     def test_zero_learning_rate_is_identity(self):
         frozen = init_forecaster(8, 4, 6, seed=9)
@@ -362,6 +471,19 @@ class TestConfig:
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
             TuneConfig(**bad)
+
+    @pytest.mark.parametrize("field", ["replay_n", "wavelet_levels",
+                                       "discard_depth", "epochs", "batch_size",
+                                       "seed"])
+    @pytest.mark.parametrize("value", [2.0, True])
+    def test_integer_fields_reject_float_and_bool(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            TuneConfig(**{field: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = TuneConfig(replay_n=np.int64(3), epochs=np.int32(2),
+                         seed=np.uint32(7), batch_size=np.int64(4))
+        assert (cfg.replay_n, cfg.epochs, cfg.seed) == (3, 2, 7)
 
     def test_wall_clock_excluded_from_canonical_dict(self, small_setup):
         report_doc = run_arm(small_setup, "frozen", desk_config(2))[1].to_dict()
