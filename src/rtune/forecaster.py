@@ -36,10 +36,11 @@ def theta_size(input_width: int, hidden_width: int, horizon: int) -> int:
 
 
 def _blocks(stack, model):
-    """(stack, hidden weights, hidden bias, output weights, output bias) of a
-    (K, P) stack of vectors laid out like `model.theta`, the last four as
-    (K, hidden, W), (K, 1, hidden), (K, H, hidden) and (K, 1, H) views into
-    `stack`. The biases keep a row axis so they broadcast over a batch."""
+    """(stack, hidden weights, hidden bias, output weights, output bias, rows,
+    columns) of a (K, P) stack of vectors laid out like `model.theta`, the
+    rest as (K, hidden, W), (K, 1, hidden), (K, H, hidden), (K, 1, H),
+    (K, 1, P) and (K, P, 1) views into `stack`. The biases keep a row axis so
+    they broadcast over a batch; rows times columns are the squared norms."""
     w, h, hid = model.input_width, model.horizon, model.hidden_width
     k = stack.shape[0]
     i = 0
@@ -47,7 +48,7 @@ def _blocks(stack, model):
     b1 = stack[:, i:i + hid].reshape(k, 1, hid); i += hid
     w2 = stack[:, i:i + h * hid].reshape(k, h, hid); i += h * hid
     b2 = stack[:, i:i + h].reshape(k, 1, h)
-    return stack, w1, b1, w2, b2
+    return stack, w1, b1, w2, b2, stack[:, None], stack[:, :, None]
 
 
 @dataclass
@@ -74,7 +75,7 @@ class Forecaster:
             raise ValueError("theta contains non-finite values")
 
     def _unpack(self):
-        _, w1, b1, w2, b2 = _blocks(self.theta[None], self)
+        _, w1, b1, w2, b2, _, _ = _blocks(self.theta[None], self)
         return w1[0], b1[0, 0], w2[0], b2[0, 0]
 
     def forward(self, x) -> np.ndarray:
@@ -282,15 +283,18 @@ def _workspace(k, n, model):
     gradient (k, n, H) with the gradient's transpose; softmax numerators
     (k, n, H); two (k, n, 1) columns; squared residuals and cross-entropy
     terms (2, k, n, H) with each half; their row sums (2, k, n) with the
-    first half; the task, cross-entropy and squared-norm sums (3, k); and a
-    (k, P) buffer for the L2 gradient."""
+    first half; the task, cross-entropy and squared-norm sums (3, k) with
+    the last as (k, 1, 1); and a (k, P) buffer for the L2 gradient."""
     h, hid = model.horizon, model.hidden_width
     d_hid, d_out = np.empty((k, n, hid)), np.empty((k, n, h))
-    squares, rows = np.empty((2, k, n, h)), np.empty((2, k, n))
-    return (np.empty((k, n, hid)), d_hid, d_hid.mT, np.empty((k, n, h)), d_out,
-            d_out.mT, np.empty((k, n, h)), np.empty((k, n, 1)),
+    squares, rows, sums = (np.empty((2, k, n, h)), np.empty((2, k, n)),
+                           np.empty((3, k)))
+    return (np.empty((k, n, hid)), d_hid, d_hid.swapaxes(1, 2),
+            np.empty((k, n, h)), d_out, d_out.swapaxes(1, 2),
+            np.empty((k, n, h)), np.empty((k, n, 1)),
             np.empty((k, n, 1)), squares, squares[0], squares[1], rows, rows[0],
-            np.empty((3, k)), np.empty((k, theta_size(model.input_width, hid, h))))
+            sums, sums[2, :, None, None],
+            np.empty((k, theta_size(model.input_width, hid, h))))
 
 
 def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
@@ -309,15 +313,15 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
         (run index, exception) for the runs whose loss or gradient is
         non-finite. Their gradients are garbage; the other runs' are exact.
     """
-    theta, w1, b1, w2, b2 = params
-    grad, g_w1, g_b1, g_w2, g_b2 = grads
+    theta, w1, b1, w2, b2, rows, columns = params
+    grad, g_w1, g_b1, g_w2, g_b2, _, _ = grads
     (hidden, d_hid, d_hid_t, out, d_out, d_out_t, e, col, log_s, squares,
-     task_squares, cross_terms, rows, task_rows, sums, reg) = ws
+     task_squares, cross_terms, row_sums, task_rows, sums, norm, reg) = ws
     n = inputs.shape[1]
-    np.matmul(inputs, w1.mT, out=hidden)
+    np.matmul(inputs, w1.swapaxes(1, 2), out=hidden)
     hidden += b1
     np.tanh(hidden, out=hidden)
-    np.matmul(hidden, w2.mT, out=out)
+    np.matmul(hidden, w2.swapaxes(1, 2), out=out)
     out += b2
 
     np.subtract(out, labels, out=d_out)
@@ -335,8 +339,8 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
         np.log(col, out=log_s)
         z -= log_s
         np.multiply(p_old, z, out=cross_terms)
-        np.add.reduce(squares, axis=-1, out=rows)
-        np.add.reduce(rows, axis=-1, out=sums[:2])
+        np.add.reduce(squares, axis=-1, out=row_sums)
+        np.add.reduce(row_sums, axis=-1, out=sums[:2])
         e /= col
         e -= p_old
         e *= distill_weight
@@ -345,7 +349,8 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
     else:
         np.add.reduce(task_squares, axis=-1, out=task_rows)
         np.add.reduce(task_rows, axis=-1, out=sums[0])
-    np.vecdot(theta, theta, out=sums[2])
+    # a (1, P) @ (P, 1) product per run has the bits of theta @ theta
+    np.matmul(rows, columns, out=norm)
 
     # the loss as batch_objective adds it up: task, + distillation, + L2; a
     # sum over rows divided by n has the bits of .mean(), and the

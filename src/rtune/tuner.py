@@ -230,21 +230,21 @@ def r_tune_group(jobs):
 
     `jobs` is a sequence of (frozen, new_data, cfg, method) tuples, each as
     :func:`r_tune` takes them. Jobs whose configs, after their method's
-    overrides, agree on every field except `seed` and `replay_n`, that all
-    replay or all do not, and whose models share one geometry form a group:
-    one stacked step kernel trains all of its runs at each batch offset. Each
-    run keeps its own replay set, shuffles, soft targets, checkpoint
-    selection and errors, and its model and report have the bits of its
-    solo :func:`r_tune`.
+    overrides, agree on every field except `seed` and `replay_n` and whose
+    models share one geometry form a group: one stacked step kernel trains
+    all of its runs at each batch offset. Each run keeps its own replay set,
+    shuffles, soft targets, checkpoint selection and errors, and its model
+    and report have the bits of its solo :func:`r_tune`.
 
     Returns:
         One entry per job, in order: (model, report), or the ValueError,
         RuntimeError or FloatingPointError that its solo :func:`r_tune`
-        raises. A run that diverges leaves its group with that error; the
-        other runs keep training. A run's `wall_clock_seconds` is the time
-        from the start of the call until its group finished training: it
-        includes the other jobs' preparation and its siblings' steps, so
-        the times of jobs trained together overlap and do not add up.
+        raises. A run that diverges leaves its group with that error at the
+        end of the epoch; the other runs keep training. A run's
+        `wall_clock_seconds` is the time from the start of the call until
+        its group finished training: it includes the other jobs' preparation
+        and its siblings' steps, so the times of jobs trained together
+        overlap and do not add up.
     """
     t_start = time.perf_counter()
     outcomes = [None] * len(jobs)
@@ -284,9 +284,8 @@ class _Run:
             )
         self.index, self.frozen, self.cfg, self.method = index, frozen, cfg, method
         self.report = TuneReport(method=method, config=cfg.to_dict())
-        self.group_key = (replace(cfg, seed=0, replay_n=0), cfg.replay_n > 0,
-                          frozen.input_width, frozen.horizon,
-                          frozen.hidden_width)
+        self.group_key = (replace(cfg, seed=0, replay_n=0), frozen.input_width,
+                          frozen.horizon, frozen.hidden_width)
         self.error = None
         self.best_mae, self.best_theta = np.inf, None
         if cfg.epochs == 0:
@@ -329,12 +328,13 @@ class _Run:
             exc = wrapped
         self.error = exc
 
-    def validate(self, model, epoch):
-        val_mae = mae(model.forward_batch(self.val.inputs), self.val.labels)
+    def validate(self, epoch):
+        val_mae = mae(self.model.forward_batch(self.val.inputs),
+                      self.val.labels)
         self.report.val_maes.append(val_mae)
         if val_mae < self.best_mae:
             self.best_mae = val_mae
-            self.best_theta = model.theta.copy()
+            self.best_theta = self.model.theta.copy()
             self.report.selected_epoch = epoch
 
     def outcome(self, t_start):
@@ -367,14 +367,29 @@ def _schedule(sizes, batch_size):
 
 def _train_lockstep(runs):
     """Train runs of one group together; returns them, largest first, with
-    their reports filled in or their errors set."""
+    their reports filled in or their errors set. A run that fails leaves the
+    stack at the end of its epoch; until then, steps of failed runs alone are
+    skipped."""
     runs = sorted(runs, key=lambda run: len(run.train), reverse=True)
+    for run in runs:
+        run.model = run.frozen.clone()
+    live, epoch = runs, 0
+    while live and epoch < live[0].cfg.epochs:
+        epoch = _train_stack(live, epoch)
+        live = [run for run in live if run.error is None]
+    return runs
+
+
+def _train_stack(runs, start):
+    """Train runs, sorted largest first, as one stack from epoch `start`
+    until the last epoch or one in which a run failed; returns the epoch to
+    go on from."""
     cfg, geometry = runs[0].cfg, runs[0].frozen
     sizes = [len(run.train) for run in runs]
-    theta = np.stack([run.frozen.theta for run in runs])  # updated in place
+    theta = np.stack([run.model.theta for run in runs])  # updated in place
+    for run, row in zip(runs, theta):
+        run.model.theta = row
     grad = np.empty_like(theta)
-    models = [Forecaster(geometry.input_width, geometry.horizon,
-                         geometry.hidden_width, row) for row in theta]
     # each epoch's shuffled rows of every run, padded to the largest run;
     # every step's batches are fixed slices of these
     inputs = np.zeros((len(runs), sizes[0], geometry.input_width))
@@ -390,37 +405,42 @@ def _train_lockstep(runs):
             workspaces[end - first, hi - lo] = (
                 _workspace(end - first, hi - lo, geometry),
                 np.empty((end - first, theta.shape[1])))
-        plan.append((first, lo, hi - lo, *blocks[first, end],
+        plan.append((first, end, lo, hi - lo, *blocks[first, end],
                      *workspaces[end - first, hi - lo],
                      inputs[first:end, lo:hi], labels[first:end, lo:hi],
                      None if p_old is None else p_old[first:end, lo:hi]))
 
-    for epoch in range(cfg.epochs):
+    for epoch in range(start, cfg.epochs):
         for k, run in enumerate(runs):
-            if run.error is None:
-                order = np.random.default_rng(run.epoch_seqs[epoch]).permutation(
-                    sizes[k])
-                # a permutation is in range, so "clip" changes no index; it
-                # spares the copy through a buffer that "raise" makes
-                for source, buffer in ((run.train.inputs, inputs),
-                                       (run.train.labels, labels),
-                                       (run.soft_old, p_old)):
-                    if buffer is not None:
-                        np.take(source, order, axis=0, mode="clip",
-                                out=buffer[k, :sizes[k]])
+            order = np.random.default_rng(run.epoch_seqs[epoch]).permutation(
+                sizes[k])
+            # a permutation is in range, so "clip" changes no index; it
+            # spares the copy through a buffer that "raise" makes
+            for source, buffer in ((run.train.inputs, inputs),
+                                   (run.train.labels, labels),
+                                   (run.soft_old, p_old)):
+                if buffer is not None:
+                    np.take(source, order, axis=0, mode="clip",
+                            out=buffer[k, :sizes[k]])
         loss_sums = [0.0] * len(runs)
-        for first, lo, n, params, grads, ws, scaled, x, y, p in plan:
+        failures = False
+        for first, end, lo, n, params, grads, ws, scaled, x, y, p in plan:
+            if failures and all(run.error is not None
+                                for run in runs[first:end]):
+                continue
             losses, failed = _step(params, grads, x, y, p, cfg.tau,
                                    cfg.distill_weight, cfg.reg_weight, ws)
-            for k, exc in failed or ():
-                runs[first + k].fail(exc, epoch, lo)
-                # the run leaves the group: a zero model on zero data with
-                # uniform targets has a zero gradient, so its slot stays
-                # finite and never warns or fails again
-                theta[first + k] = grad[first + k] = 0.0
-                inputs[first + k] = labels[first + k] = 0.0
-                if p_old is not None:
-                    p_old[first + k] = 1.0 / geometry.horizon
+            if failed:
+                failures = True
+                for k, exc in failed:
+                    runs[first + k].fail(exc, epoch, lo)
+                    # until the epoch ends: a zero model on zero data with
+                    # uniform targets has a zero gradient, so its slot stays
+                    # finite and never warns or fails again
+                    theta[first + k] = grad[first + k] = 0.0
+                    inputs[first + k] = labels[first + k] = 0.0
+                    if p_old is not None:
+                        p_old[first + k] = 1.0 / geometry.horizon
             np.multiply(grads[0], cfg.learning_rate, out=scaled)
             np.subtract(params[0], scaled, out=params[0])
             for k, loss in enumerate(losses, first):
@@ -428,5 +448,7 @@ def _train_lockstep(runs):
         for k, run in enumerate(runs):
             if run.error is None:
                 run.report.train_losses.append(loss_sums[k] / sizes[k])
-                run.validate(models[k], epoch)
-    return runs
+                run.validate(epoch)
+        if failures:
+            return epoch + 1
+    return cfg.epochs

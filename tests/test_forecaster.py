@@ -2,7 +2,9 @@
 finite differences, the fused training step against that oracle, and
 checkpoint round trips."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,13 @@ from rtune.forecaster import (Forecaster, _blocks, _cross_entropy,
                               init_forecaster, load_checkpoint,
                               save_checkpoint, soften, soften_jacobian,
                               theta_size, value_and_grad)
+import rtune
 from rtune.tuner import batch_objective
+
+# numpy names first released in 2.0 or later; the package supports 1.24
+NUMPY_2_NAMES = {"mT", "vecdot", "matrix_transpose", "unstack", "concat",
+                 "permute_dims", "isdtype", "trapezoid", "bool",
+                 "cumulative_sum", "cumulative_prod", "matvec", "vecmat"}
 
 
 def unpack_reference(model):
@@ -416,3 +424,11 @@ class TestCheckpoint:
         path.write_text(json.dumps({"format": "other"}))
         with pytest.raises(ValueError, match="not a"):
             load_checkpoint(path)
+
+
+def test_package_uses_no_numpy_2_names():
+    used = {node.attr
+            for path in Path(rtune.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    assert not used & NUMPY_2_NAMES

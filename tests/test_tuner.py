@@ -3,6 +3,7 @@ selection, frozen-model immutability), and the method table's baselines."""
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
                              run_arm, run_arms)
 from rtune.cli import build_parser, load_run_config
 from rtune.data import WindowedDataset, make_windows, permute_windows
-from rtune.forecaster import (_soften_rows, init_forecaster, soften,
+from rtune import tuner
+from rtune.forecaster import (_soften_rows, _step, init_forecaster, soften,
                               value_and_grad)
 from rtune.metrics import evaluate_model, mae
 from rtune.replay import build_replay_set, build_train_set
@@ -276,7 +278,7 @@ class TestLockstep:
         for job, outcome in zip(jobs, outcomes):
             assert_same_run(outcome, r_tune(*job))
 
-    def test_incompatible_jobs_split_into_groups(self):
+    def test_incompatible_jobs_split_into_groups(self, monkeypatch):
         jobs = self.jobs(8)
         frozen, data, cfg, _ = jobs[0]
         jobs += [(frozen, data, replace(cfg, learning_rate=2e-2), "r-tuning"),
@@ -284,7 +286,13 @@ class TestLockstep:
                  (frozen, data, cfg, "ft"),
                  (frozen, data, replace(cfg, epochs=0), "r-tuning"),
                  (init_forecaster(8, 4, 5, seed=1), data, cfg, "r-tuning")]
-        for job, outcome in zip(jobs, r_tune_group(jobs)):
+        widths = self.count_steps(monkeypatch)
+        outcomes = r_tune_group(jobs)
+        # the replay_n=0 job joins the first four: without replay, a run
+        # steps the same kernel on its own train set
+        assert max(widths) == 5
+        monkeypatch.undo()
+        for job, outcome in zip(jobs, outcomes):
             assert_same_run(outcome, r_tune(*job))
 
     def test_invalid_job_gets_its_error_and_others_train(self):
@@ -298,14 +306,41 @@ class TestLockstep:
         for j in (0, 3, 4, 5):
             assert_same_run(outcomes[j], r_tune(*jobs[j]))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-    def test_diverged_run_leaves_with_its_solo_error(self):
-        jobs = self.jobs(7)
-        frozen, data, cfg, method = jobs[2]
+    @staticmethod
+    def count_steps(monkeypatch):
+        """The number of runs of each stacked step training takes."""
+        widths = []
+
+        def counted(params, *args):
+            widths.append(params[0].shape[0])
+            return _step(params, *args)
+
+        monkeypatch.setattr(tuner, "_step", counted)
+        return widths
+
+    @staticmethod
+    def diverging(job, rows=(17,)):
+        # training rows whose labels overflow the loss in epoch 0
+        frozen, data, cfg, method = job
         labels = data.labels.copy()
-        labels[17] = 1e200  # a training row: some batch of epoch 0 overflows
-        jobs[2] = (frozen, WindowedDataset(data.inputs, labels), cfg, method)
+        labels[list(rows)] = 1e200
+        return frozen, WindowedDataset(data.inputs, labels), cfg, method
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_diverged_run_leaves_with_its_solo_error(self, monkeypatch):
+        jobs = self.jobs(7)
+        jobs[2] = self.diverging(jobs[2])
+        widths = self.count_steps(monkeypatch)
         outcomes = r_tune_group(jobs)
+        # the diverged run shares the four-run steps of epoch 0 only: the
+        # other three restack without it for the three epochs after
+        sizes = sorted((len(data) - max(1, round(0.2 * len(data)))
+                        + cfg.replay_n for _, data, cfg, _ in jobs),
+                       reverse=True)
+        shared = [end - first for first, end, _, _ in _schedule(sizes, 7)]
+        assert widths.count(4) == shared.count(4) > 0
+        assert widths.count(3) >= 3 * shared.count(4)
+        monkeypatch.undo()
         with pytest.raises(RuntimeError) as info:
             r_tune(*jobs[2])
         assert type(outcomes[2]) is RuntimeError
@@ -317,6 +352,29 @@ class TestLockstep:
         assert str(outcomes[2].__cause__) == "non-finite loss inf"
         for j in (0, 1, 3):
             assert_same_run(outcomes[j], r_tune(*jobs[j]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_diverged_solo_run_stops_at_its_step(self, monkeypatch):
+        job = self.diverging(self.jobs(7)[2])
+        widths = self.count_steps(monkeypatch)
+        with pytest.raises(RuntimeError, match="at epoch 0, ") as info:
+            r_tune(*job)
+        # no step after the failing one, of this epoch or the three after
+        offset = int(re.search(r"batch offset (\d+)", str(info.value))[1])
+        assert widths == [1] * (offset // 7 + 1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_group_whose_runs_all_diverge_stops_at_once(self, monkeypatch):
+        jobs = [self.diverging(job, range(30)) for job in self.jobs(7)[:2]]
+        widths = self.count_steps(monkeypatch)
+        outcomes = r_tune_group(jobs)
+        assert widths == [2]  # both fail in the first step
+        monkeypatch.undo()
+        for job, outcome in zip(jobs, outcomes):
+            with pytest.raises(RuntimeError) as info:
+                r_tune(*job)
+            assert type(outcome) is RuntimeError
+            assert str(outcome) == str(info.value)
 
     def test_schedule(self):
         # sizes sorted largest first: shared full batches, then each run's
