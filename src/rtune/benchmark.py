@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import few_shot_subsample, gen_benchmark_tasks, windowed_split
+from .data import gen_benchmark_tasks, windowed_split
 from .forecaster import Forecaster, init_forecaster
 from .metrics import evaluate_model
 from .tuner import METHODS, TuneConfig, TuneReport, r_tune, r_tune_group
@@ -76,10 +76,9 @@ def prepare_benchmark(seed: int, geometry: BenchmarkGeometry = None,
     old_train, old_test = windowed_split(
         old_series, geometry.input_width, geometry.horizon, geometry.stride,
         train_fraction, seeds[0])
-    new_train_full, new_test = windowed_split(
+    new_train, new_test = windowed_split(
         new_series, geometry.input_width, geometry.horizon, geometry.stride,
-        train_fraction, seeds[1])
-    new_train = few_shot_subsample(new_train_full, few_shot_fraction, seeds[2])
+        train_fraction, seeds[1], few_shot_fraction, seeds[2])
 
     init = init_forecaster(geometry.input_width, geometry.horizon,
                            geometry.hidden_width, seed=seeds[3])

@@ -18,9 +18,8 @@ import numpy as np
 
 from .benchmark import (BenchmarkGeometry, BenchmarkSetup, prepare_benchmark,
                         run_arm, run_arms)
-from .data import (atomic_target, few_shot_subsample, make_windows,
-                   read_series_csv, split_indices, windowed_split, zscore_apply,
-                   zscore_fit)
+from .data import (atomic_target, make_windows, read_series_csv,
+                   split_indices, windowed_split, zscore_apply, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
 from .metrics import (MetricPair, build_comparison_row, evaluate_model,
                       metric_pair)
@@ -115,6 +114,14 @@ def load_run_config(path) -> dict:
             raise ValueError(f"{path}: checkpoint is required unless benchmark is true")
     if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
         raise ValueError(f"{path}: seeds must be a nonempty list")
+    seen = set()
+    for seed in cfg["seeds"]:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(
+                f"{path}: seeds must be integers >= 0, got {seed!r}")
+        if seed in seen:
+            raise ValueError(f"{path}: seeds: {seed!r} repeats")
+        seen.add(seed)
     return cfg
 
 
@@ -173,12 +180,11 @@ def _prepare_csv_setup(cfg: dict, seed: int, shared):
     frozen, new_series, old_tests = shared
     sub = np.random.SeedSequence(seed).spawn(2)
     split_seed, shot_seed = (int(s.generate_state(1)[0]) for s in sub)
+    shot_fraction = cfg["few_shot_fraction"]
     new_train, new_test = windowed_split(
         new_series, cfg["input_width"], cfg["horizon"], cfg["stride"],
-        cfg["train_fraction"], split_seed)
-    if cfg["few_shot_fraction"] < 1.0:
-        new_train = few_shot_subsample(new_train, cfg["few_shot_fraction"],
-                                       shot_seed)
+        cfg["train_fraction"], split_seed,
+        shot_fraction if shot_fraction < 1.0 else None, shot_seed)
     if not old_tests:
         old_tests = [new_test]  # degenerate fallback so evaluation is defined
     setup = BenchmarkSetup(seed=seed, frozen=frozen, old_test=old_tests[0],
@@ -257,6 +263,8 @@ def cmd_tune(args) -> int:
         if getattr(args, dest) is not None:
             cfg[key] = getattr(args, dest)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         cfg["seeds"] = [args.seed]
 
     run_dir = Path(cfg["output_dir"]) / config_hash(cfg)

@@ -9,6 +9,7 @@ import csv
 import itertools
 import math
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -204,19 +205,22 @@ def split_train_test(windows: WindowedDataset, train_fraction: float = 0.8,
     return windows.subset(train_idx), windows.subset(test_idx)
 
 
+def _few_shot_indices(n: int, fraction: float, seed: int) -> np.ndarray:
+    """Sorted indices of a seeded uniform sample of range(n) without
+    replacement, round(fraction * n) of them."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    n_keep = int(round(fraction * n))
+    if n_keep == 0:
+        raise ValueError(f"subsampling {n} windows at {fraction} selects nothing")
+    return np.sort(np.random.default_rng(seed).choice(n, size=n_keep,
+                                                      replace=False))
+
+
 def few_shot_subsample(train: WindowedDataset, fraction: float = 0.10,
                        seed: int = 0) -> WindowedDataset:
     """Seeded uniform subsample without replacement; the remainder is discarded."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    n_keep = int(round(fraction * len(train)))
-    if n_keep == 0:
-        raise ValueError(
-            f"subsampling {len(train)} windows at {fraction} selects nothing"
-        )
-    chosen = np.random.default_rng(seed).choice(len(train), size=n_keep,
-                                                replace=False)
-    return train.subset(np.sort(chosen))
+    return train.subset(_few_shot_indices(len(train), fraction, seed))
 
 
 def normalize_windows(ds: WindowedDataset, params: NormalizationParams) -> WindowedDataset:
@@ -255,7 +259,8 @@ def covered_values(series, starts, span: int) -> np.ndarray:
 
 
 def windowed_split(series, input_width: int, horizon: int, stride: int,
-                   train_fraction: float, seed: int):
+                   train_fraction: float, seed: int,
+                   few_shot_fraction: float = None, few_shot_seed: int = 0):
     """Window, split at window granularity, and normalize both sides with
     z-score parameters fit only on the values the training windows cover.
 
@@ -263,16 +268,25 @@ def windowed_split(series, input_width: int, horizon: int, stride: int,
     which gives the bits of normalizing the windows (the arithmetic is
     elementwise) without building the full window matrix.
 
+    With a `few_shot_fraction`, the training side is
+    ``few_shot_subsample(train, few_shot_fraction, few_shot_seed)``: the
+    sample is drawn over the training starts and only its windows are cut,
+    while normalization is still fit on every training window.
+
     Returns:
         (train WindowedDataset, test WindowedDataset)
     """
     values = _series_values(series)
     starts = _window_starts(len(values), input_width, horizon, stride)
     train_idx, test_idx = split_indices(len(starts), train_fraction, seed)
-    params = zscore_fit(covered_values(values, starts[train_idx],
+    train_starts = starts[train_idx]
+    params = zscore_fit(covered_values(values, train_starts,
                                        input_width + horizon))
+    if few_shot_fraction is not None:
+        train_starts = train_starts[_few_shot_indices(
+            len(train_starts), few_shot_fraction, few_shot_seed)]
     normalized = zscore_apply(values, params)
-    return (_gather_windows(normalized, starts[train_idx], input_width, horizon),
+    return (_gather_windows(normalized, train_starts, input_width, horizon),
             _gather_windows(normalized, starts[test_idx], input_width, horizon))
 
 
@@ -331,30 +345,64 @@ def gen_benchmark_tasks(seed: int, old_length: int = 6000,
     return old_series, new_series, params
 
 
-def _data_rows(fh):
-    """(physical line number, fields) of each non-comment, non-blank line,
-    parsed by one csv.reader.
+# characters of whole lines that read_series_csv takes per block
+_BLOCK_CHARS = 1 << 16
 
-    A quote left open at the end of a line would make the reader join the
-    following lines into one row; such lines are parsed one by one instead,
-    so every line is exactly one row.
+
+def _line_rows(lines, lineno):
+    """(physical line number, fields) of each non-comment, non-blank line of
+    `lines`, the first of which is line `lineno`.
+
+    Each line is parsed by its own csv.reader, so a quote left open at the
+    end of a line never joins the following lines into its row.
     """
-    taken = []  # (line number, line) the reader took for its current row
+    for lineno, line in enumerate(lines, start=lineno):
+        # a line read from a file is never empty: isspace() is "blank"
+        if not line.startswith("#") and not line.isspace():
+            yield lineno, next(csv.reader([line]))
 
-    def data_lines():
-        for lineno, line in enumerate(fh, start=1):
-            # a line read from a file is never empty: isspace() is "blank"
-            if not line.startswith("#") and not line.isspace():
-                taken.append((lineno, line))
-                yield line
 
-    for row in csv.reader(data_lines()):
-        if len(taken) == 1:
-            yield taken.pop()[0], row
-        else:
-            for lineno, line in taken:
-                yield lineno, next(csv.reader([line]))
-            taken.clear()
+def _append_rows(path, rows, width, first_col, columns):
+    """Check each (line number, fields) row and append its variable cells to
+    `columns`; the first malformed row or cell raises with its line."""
+    for lineno, row in rows:
+        if len(row) != width:
+            raise ValueError(
+                f"{path}:{lineno}: expected {width} fields, got {len(row)}"
+            )
+        for column, cell in zip(columns, row[first_col:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: cannot parse {cell!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
+            column.append(value)
+
+
+def _plain_block(lines, width, first_col):
+    """The variable columns of a block of lines parsed in bulk, or None when
+    the block needs the per-line parser: it holds a quote, a '#', a blank or
+    ragged line, or a cell that is not a finite number."""
+    text = ",".join(lines)
+    if '"' in text or "#" in text:
+        return None
+    if list(map(str.count, lines, itertools.repeat(","))).count(
+            width - 1) != len(lines):
+        return None
+    # every line holds `width` cells; its terminator stays on its last cell,
+    # and float() strips it as it strips the cell's other outer whitespace
+    cells = text.split(",")
+    try:
+        block = [array("d", map(float, cells[j::width]))
+                 for j in range(first_col, width)]
+    except ValueError:
+        return None
+    if not all(np.isfinite(np.frombuffer(values)).all() for values in block):
+        return None
+    return block
 
 
 def read_series_csv(path):
@@ -363,14 +411,19 @@ def read_series_csv(path):
 
     The first column is treated as a timestamp (and dropped) when its header
     matches a timestamp name or its first value does not parse as a float.
-    Malformed rows and non-finite cells raise with their line number. The
-    file is read in one streaming pass that keeps only the parsed values.
+    A leading UTF-8 byte order mark is ignored. Malformed rows and
+    non-finite cells raise with their line number.
+
+    The file is read in one streaming pass over blocks of whole lines that
+    keeps only the parsed values. A block without quotes or comments is split
+    in bulk; any other block, or one whose bulk parse fails, is parsed again
+    line by line, which accepts blank lines and names the first faulty line.
 
     Returns:
         list of RawSeries, one per variable column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = _data_rows(fh)
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        rows = _line_rows(iter(fh.readline, ""), 1)
         _, header = next(rows, (None, None))
         if header is None:
             raise ValueError(f"{path}: empty file")
@@ -390,23 +443,18 @@ def read_series_csv(path):
             raise ValueError(f"{path}: no variable columns")
 
         width = len(header)
-        columns = [[] for _ in names]
-        appends = [column.append for column in columns]
-        for lineno, row in itertools.chain([first], rows):
-            if len(row) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(row)}"
-                )
-            for append, cell in zip(appends, row[first_col:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: cannot parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
-                append(value)
+        columns = [array("d") for _ in names]
+        _append_rows(path, [first], width, first_col, columns)
+        lineno = first[0] + 1
+        while lines := fh.readlines(_BLOCK_CHARS):
+            block = _plain_block(lines, width, first_col)
+            if block is None:
+                _append_rows(path, _line_rows(lines, lineno), width,
+                             first_col, columns)
+            else:
+                for column, values in zip(columns, block):
+                    column.extend(values)
+            lineno += len(lines)
 
     count = len(names)
     return [RawSeries(np.array(col), count, "", name)

@@ -65,6 +65,8 @@ class TuneConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replay_n < 0:
             raise ValueError(f"replay_n must be >= 0, got {self.replay_n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.wavelet_levels < 1:
             raise ValueError(f"wavelet_levels must be >= 1, got {self.wavelet_levels}")
         if not 0 <= self.discard_depth <= self.wavelet_levels:

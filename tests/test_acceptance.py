@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from rtune.benchmark import desk_config, prepare_benchmark, run_arm
+from rtune.benchmark import desk_config, prepare_benchmark, run_arms
 from rtune.cli import main as cli_main
 from rtune.forecaster import (Forecaster, grad_total, init_forecaster, soften,
                               soften_jacobian)
@@ -38,12 +38,23 @@ def setups():
     return {seed: prepare_benchmark(seed) for seed in SEEDS}
 
 
+def lockstep_reports(setup, arms):
+    """Reports of (method, cfg) arms trained together by run_arms; each has
+    the bits of its solo run_arm."""
+    outcomes = run_arms(setup, arms)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [report for _, report in outcomes]
+
+
 @pytest.fixture(scope="module")
 def arm_reports(setups):
     reports = {}
     for seed, setup in setups.items():
         cfg = desk_config(seed)
-        reports[seed] = {m: run_arm(setup, m, cfg)[1] for m in ARMS}
+        reports[seed] = dict(zip(ARMS, lockstep_reports(
+            setup, [(m, cfg) for m in ARMS])))
     return reports
 
 
@@ -215,15 +226,15 @@ def test_criterion_6_forgetting_benchmark(arm_reports):
 
 def test_criterion_7_replay_ratio_sweep(setups):
     with criterion(7, "replay-ratio sweep direction and plateau"):
-        ratio_means = {}
-        for ratio in (1.0, 5.0, 10.0):
-            vals = []
-            for seed, setup in setups.items():
-                n = replay_count_for_fraction(ratio, len(setup.new_train), 1)
-                cfg = desk_config(seed, replay_n=n)
-                _, rep = run_arm(setup, "r-tuning", cfg)
-                vals.append(rep.old_metrics.mae)
-            ratio_means[ratio] = float(np.mean(vals))
+        ratios = (1.0, 5.0, 10.0)
+        vals = {ratio: [] for ratio in ratios}
+        for seed, setup in setups.items():
+            cfgs = [desk_config(seed, replay_n=replay_count_for_fraction(
+                ratio, len(setup.new_train), 1)) for ratio in ratios]
+            reports = lockstep_reports(setup, [("r-tuning", c) for c in cfgs])
+            for ratio, rep in zip(ratios, reports):
+                vals[ratio].append(rep.old_metrics.mae)
+        ratio_means = {ratio: float(np.mean(vals[ratio])) for ratio in ratios}
         assert ratio_means[5.0] <= ratio_means[1.0], ratio_means
         early = abs(ratio_means[1.0] - ratio_means[5.0])
         late = abs(ratio_means[10.0] - ratio_means[5.0])

@@ -261,6 +261,31 @@ class TestTune:
         cfg.write_text(json.dumps(loaded))
         assert main(["tune", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("command", [["tune"], ["sweep", "--ratios", "1"]])
+    @pytest.mark.parametrize("seeds, message", [
+        ([-1], "seeds must be integers >= 0, got -1"),
+        ([0, 2.5], "seeds must be integers >= 0, got 2.5"),
+        ([1, 0, 1], "seeds: 1 repeats"),
+    ])
+    def test_bad_seeds_rejected_before_any_run(self, bench_config, tmp_path,
+                                               capsys, command, seeds,
+                                               message):
+        cfg = bench_config(seeds=seeds)
+        out = tmp_path / "sweep.csv"
+        argv = command[:1] + ["--config", str(cfg)] + command[1:]
+        if command[0] == "sweep":
+            argv += ["--output", str(out)]
+        assert main(argv) == 1
+        assert f"error: {cfg}: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "runs").exists()
+
+    def test_negative_seed_flag_rejected(self, bench_config, tmp_path, capsys):
+        assert main(["tune", "--config", str(bench_config()), "--seed",
+                     "-1"]) == 1
+        assert "error: --seed must be >= 0, got -1\n" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_flag_overrides(self, bench_config, tmp_path):
         cfg = bench_config(method="ft")
         assert main(["tune", "--config", str(cfg), "--method", "frozen",

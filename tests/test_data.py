@@ -2,6 +2,7 @@
 benchmark task generator."""
 
 import csv
+import itertools
 import math
 import re
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+import rtune.data
 from rtune.data import (_TIMESTAMP_NAMES, RawSeries, WindowedDataset,
                         covered_values, few_shot_subsample,
                         gen_benchmark_tasks, make_windows, normalize_windows,
@@ -157,6 +159,7 @@ class TestFewShot:
         ds = make_windows(np.arange(86.0), 5, 2)  # 80 windows
         sub = few_shot_subsample(ds, 0.10, seed=0)
         assert len(sub) == 8
+        assert np.all(np.diff(sub.starts) > 0)  # kept in index order
 
     def test_full_fraction_is_identity_up_to_order(self):
         ds = make_windows(np.arange(30.0), 4, 2)
@@ -210,35 +213,42 @@ def test_normalize_windows_matches_series_normalization():
 
 
 def reference_windowed_split(series, input_width, horizon, stride,
-                             train_fraction, seed):
-    """windowed_split as the full window matrix, normalized, then subset."""
+                             train_fraction, seed, few_shot_fraction=None,
+                             few_shot_seed=0):
+    """windowed_split as the full window matrix, normalized, then subset,
+    then few_shot_subsample on the training side."""
     raw = make_windows(series, input_width, horizon, stride)
     train_idx, test_idx = split_indices(len(raw), train_fraction, seed)
     params = zscore_fit(covered_values(series, raw.starts[train_idx],
                                        input_width + horizon))
     normalized = normalize_windows(raw, params)
-    return normalized.subset(train_idx), normalized.subset(test_idx)
+    train = normalized.subset(train_idx)
+    if few_shot_fraction is not None:
+        train = few_shot_subsample(train, few_shot_fraction, few_shot_seed)
+    return train, normalized.subset(test_idx)
 
 
 @hyp_settings(max_examples=120, deadline=None)
 @given(data=st.data(), input_width=st.integers(-1, 10),
        horizon=st.integers(0, 5), stride=st.integers(-1, 7),
-       train_fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+       train_fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1),
+       few_shot=st.one_of(st.none(), st.floats(-0.1, 1.1)),
+       few_shot_seed=st.integers(0, 2**32 - 1))
 def test_windowed_split_matches_reference(data, input_width, horizon, stride,
-                                          train_fraction, seed):
+                                          train_fraction, seed, few_shot,
+                                          few_shot_seed):
     length = data.draw(st.integers(0, max(input_width + horizon, 0) + 60))
     rng = np.random.default_rng(length)
     series = rng.normal(data.draw(st.floats(-1e3, 1e3)), 3.0, size=length)
+    args = (series, input_width, horizon, stride, train_fraction, seed,
+            few_shot, few_shot_seed)
     try:
-        expected = reference_windowed_split(series, input_width, horizon,
-                                            stride, train_fraction, seed)
-    except ValueError as exc:  # geometry, split and fit errors are unchanged
+        expected = reference_windowed_split(*args)
+    except ValueError as exc:  # geometry, split, fit and sample errors
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            windowed_split(series, input_width, horizon, stride,
-                           train_fraction, seed)
+            windowed_split(*args)
         return
-    got = windowed_split(series, input_width, horizon, stride, train_fraction,
-                         seed)
+    got = windowed_split(*args)
     for side, want in zip(got, expected):
         assert side.geometry == want.geometry
         assert side.inputs.tobytes() == want.inputs.tobytes()
@@ -329,6 +339,14 @@ class TestCsv:
         with pytest.raises(ValueError, match=f":3: non-finite value '{cell}'"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("text, names", [
+        ("\ufefftimestamp,flow\n0,1.5\n1,2.5\n", ["flow"]),
+        ("\ufeffa,b\n1.5,7\n2.5,8\n", ["a", "b"])])
+    def test_utf8_bom_ignored(self, tmp_path, text, names):
+        series = read_series_csv(self._write(tmp_path, text))
+        assert [s.name for s in series] == names
+        assert np.array_equal(series[0].values, [1.5, 2.5])
+
     def test_empty_file(self, tmp_path):
         path = self._write(tmp_path, "")
         with pytest.raises(ValueError, match="empty"):
@@ -397,15 +415,16 @@ _cells = st.one_of(
     st.sampled_from(["nan", "inf", "-Infinity", "oops", "", '"a,b"',
                      "2024-01-01", "1e999"]))
 _first_cells = st.one_of(st.integers(0, 99).map(str),
-                         st.sampled_from(["mon", "2024-01-01", '"t,1"']))
+                         st.sampled_from(["mon", "2024-01-01", '"t,1"', '"t']))
 _noise_lines = st.sampled_from(["# comment", "#", "", "   ", "\t",
-                                '# a "quote'])
+                                '# a "quote', "#,1", "#0,1,2"])
 
 
 @st.composite
 def series_csv_text(draw):
     """CSV text with a header, optional timestamp or label column, several
-    variable columns, and comments, blank lines and ragged or bad rows."""
+    variable columns, and comments, blank lines and ragged or bad rows; each
+    line ends in LF, CRLF or CR."""
     n_vars = draw(st.integers(1, 3))
     lead = draw(st.sampled_from(["none", "timestamp", "Time", "label"]))
     names = [draw(st.sampled_from(["a", " b", '"c d"', "flow"]))
@@ -421,15 +440,14 @@ def series_csv_text(draw):
         lines.append(",".join(cells))
     for _ in range(draw(st.integers(0, 4))):
         lines.insert(draw(st.integers(0, len(lines))), draw(_noise_lines))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + draw(st.sampled_from(["", end]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(ends) for line in lines[:-1]) + lines[-1] + \
+        draw(st.one_of(st.just(""), ends))
 
 
-@hyp_settings(max_examples=250, deadline=None)
-@given(text=series_csv_text())
-def test_streaming_csv_matches_per_line_reference(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "streaming.csv"
-    path.write_bytes(text.encode("utf-8"))
+def assert_matches_reference(path):
+    """read_series_csv gives the reference's values bit for bit, or raises
+    the reference's exact message."""
     try:
         expected = reference_read_series_csv(path)
     except ValueError as exc:
@@ -441,6 +459,50 @@ def test_streaming_csv_matches_per_line_reference(tmp_path_factory, text):
         (s.name, s.variable_count) for s in expected]
     for a, b in zip(got, expected):
         assert a.values.tobytes() == b.values.tobytes()
+
+
+@hyp_settings(max_examples=250, deadline=None)
+@given(text=series_csv_text(),
+       block_chars=st.one_of(st.integers(1, 60), st.just(rtune.data._BLOCK_CHARS)))
+def test_streaming_csv_matches_per_line_reference(tmp_path_factory, text,
+                                                  block_chars):
+    # small blocks hold one to a few lines, so a file spans several of them
+    path = tmp_path_factory.getbasetemp() / "streaming.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rtune.data, "_BLOCK_CHARS", block_chars)
+        assert_matches_reference(path)
+
+
+@pytest.fixture(scope="module")
+def long_csv_lines():
+    """Header and data lines of a 2-variable file longer than one default
+    block, and the index of a line in the middle of its second block."""
+    values = np.random.default_rng(7).normal(size=(1500, 2)).tolist()
+    lines = ["timestamp,a,b"] + [
+        f"2024-01-01T{i // 60:02d}:{i % 60:02d}:00+00:00,{x!r},{y!r}"
+        for i, (x, y) in enumerate(values)]
+    offsets = np.cumsum([len(line) + 1 for line in lines])
+    assert offsets[-1] > 1.4 * rtune.data._BLOCK_CHARS
+    return lines, int(np.searchsorted(offsets, 1.2 * rtune.data._BLOCK_CHARS))
+
+
+_LONG_FAULTS = ["t,oops,2", "t,2", "t,2,3,4", "t,nan,2", "t,2,-inf", "t,1e999,2",
+                "# comment", "#t,2.5,3", 't,"2.5",3', 't,"2.5,3', '"t,2.5,3',
+                "", " \t"]
+
+
+@pytest.mark.parametrize("fault, end", zip(
+    _LONG_FAULTS, itertools.cycle(["\n", "\r\n", "\r"])))
+@pytest.mark.parametrize("where", ["first", "later block", "last"])
+def test_long_csv_faults_match_reference(tmp_path, long_csv_lines, fault, end,
+                                         where):
+    lines, later = long_csv_lines
+    lines = list(lines)
+    lines[{"first": 1, "later block": later, "last": -1}[where]] = fault
+    path = tmp_path / "long.csv"
+    path.write_bytes((end.join(lines) + end).encode("utf-8"))
+    assert_matches_reference(path)
 
 
 def test_raw_series_rejects_non_finite():

@@ -538,6 +538,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             TuneConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            TuneConfig(seed=-1)
+
     def test_integer_fields_accept_numpy_integers(self):
         cfg = TuneConfig(replay_n=np.int64(3), epochs=np.int32(2),
                          seed=np.uint32(7), batch_size=np.int64(4))
