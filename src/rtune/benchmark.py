@@ -22,6 +22,7 @@ __all__ = [
     "prepare_benchmark",
     "run_arm",
     "run_arms",
+    "run_arm_jobs",
 ]
 
 
@@ -111,19 +112,32 @@ def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig,
 
 
 def run_arms(setup: BenchmarkSetup, arms, old_tests=None):
-    """Train and score several (method, cfg) arms on one prepared benchmark,
-    the trained ones together through :func:`rtune.tuner.r_tune_group`.
+    """Train and score several (method, cfg) arms on one prepared benchmark:
+    :func:`run_arm_jobs` of one setup.
 
     Returns:
         One entry per arm, in order: what :func:`run_arm` returns for it, or
         the ValueError, RuntimeError or FloatingPointError it raises. One
         arm's failure does not stop the others.
     """
-    trains = [METHODS.get(method, {}) is not None for method, _ in arms]
+    return run_arm_jobs([(setup, method, cfg, old_tests)
+                         for method, cfg in arms])
+
+
+def run_arm_jobs(jobs):
+    """Train and score (setup, method, cfg, old_tests) arms, which may come
+    from several prepared benchmarks, the trained ones together through one
+    :func:`rtune.tuner.r_tune_group` call.
+
+    Returns:
+        One entry per job, in order, as :func:`run_arms` returns them.
+    """
+    trains = [METHODS.get(method, {}) is not None for _, method, _, _ in jobs]
     trained = iter(r_tune_group([(setup.frozen, setup.new_train, cfg, method)
-                                 for (method, cfg), t in zip(arms, trains) if t]))
+                                 for (setup, method, cfg, _), t
+                                 in zip(jobs, trains) if t]))
     outcomes = []
-    for (method, cfg), trains_model in zip(arms, trains):
+    for (setup, method, cfg, old_tests), trains_model in zip(jobs, trains):
         if trains_model:
             outcome = next(trained)
         else:  # the frozen arm does not train

@@ -12,19 +12,20 @@ import dataclasses
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .benchmark import (BenchmarkGeometry, BenchmarkSetup, prepare_benchmark,
-                        run_arm, run_arms)
+                        run_arm, run_arm_jobs)
 from .data import (atomic_target, make_windows, read_series_csv,
                    split_indices, windowed_split, zscore_apply, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
 from .metrics import (MetricPair, build_comparison_row, evaluate_model,
                       metric_pair)
 from .replay import build_replay_set, replay_count_for_fraction, replay_to_csv
-from .tuner import METHODS, TuneConfig
+from .tuner import METHODS, TuneConfig, lockstep_key
 from .wavelet import rwt_decompose, rwt_reconstruct
 
 # flat JSON schema for run configs; unknown keys are rejected outright
@@ -60,6 +61,12 @@ RUN_CONFIG_DEFAULTS = {
     "seeds": [0],
     "output_dir": "runs",
 }
+
+# A sweep trains the arms of several seeds in one lockstep call while no
+# stack grows past this many runs: a stacked step costs least per run at
+# K = 5-10 (ROADMAP item 2), and the cap keeps the setups a sweep holds at
+# once from growing with its seed count.
+SWEEP_STACK_CAP = 8
 
 # run-config keys named differently in TuneConfig; the rest match by name
 _TUNE_RENAMES = {"lambda": "distill_weight", "beta": "reg_weight"}
@@ -112,6 +119,11 @@ def load_run_config(path) -> dict:
             raise ValueError(f"{path}: new_data is required unless benchmark is true")
         if not cfg["checkpoint"]:
             raise ValueError(f"{path}: checkpoint is required unless benchmark is true")
+    shot = cfg["few_shot_fraction"]
+    if isinstance(shot, bool) or not isinstance(shot, (int, float)) \
+            or not 0.0 < shot <= 1.0:  # written so that NaN fails too
+        raise ValueError(
+            f"{path}: few_shot_fraction must be in (0, 1], got {shot!r}")
     if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
         raise ValueError(f"{path}: seeds must be a nonempty list")
     seen = set()
@@ -307,44 +319,73 @@ def _parse_ratios(text: str):
     return ratios
 
 
+def _sweep_batches(cfg: dict, ratios, shared):
+    """The sweep's seeds, prepared one after another and yielded in batches
+    that train together. Each entry is (seed, arm configs, per arm its
+    (setup, method, TuneConfig, old tests) job or the error that stopped
+    the seed's preparation). A seed joins the batch while every lockstep
+    stack of the batch stays within SWEEP_STACK_CAP runs, so the setups held
+    at once (a batch's, and the prepared seed that starts the next) do not
+    grow with the number of seeds."""
+    batch, stacks = [], Counter()
+    for seed in cfg["seeds"]:
+        arm_cfgs = [dict(cfg, replay_ratio=ratio, seeds=[seed])
+                    for ratio in ratios]
+        try:
+            setup, old_tests = _prepare_run(cfg, seed, shared)
+        except (RuntimeError, FloatingPointError) as exc:
+            # pretraining diverged
+            batch.append((seed, arm_cfgs, [exc] * len(ratios)))
+            continue
+        jobs = [(setup, *_arm(arm_cfg, seed, setup), old_tests)
+                for arm_cfg in arm_cfgs]
+        runs = Counter(lockstep_key(setup.frozen, tune_cfg, method)
+                       for _, method, tune_cfg, _ in jobs)
+        del runs[None]
+        if stacks and any(stacks[key] + count > SWEEP_STACK_CAP
+                          for key, count in runs.items()):
+            yield batch
+            batch, stacks = [], Counter()
+        batch.append((seed, arm_cfgs, jobs))
+        stacks.update(runs)
+    if batch:
+        yield batch
+
+
+def _sweep_row(cfg: dict, ratio, seed, arm_cfg: dict, outcome):
+    """Write one arm's files and return its sweep CSV row. A diverged arm
+    gets no files and empty metric cells, and the other arms still run."""
+    if isinstance(outcome, (RuntimeError, FloatingPointError)):
+        print(f"ratio={ratio}, seed={seed}: {outcome}", file=sys.stderr)
+        return ratio, seed, None, None, None, None
+    if isinstance(outcome, Exception):
+        raise outcome
+    model, report = outcome
+    run_dir = Path(cfg["output_dir"]) / config_hash(arm_cfg)
+    _write_run_outputs(arm_cfg, seed, model, report, run_dir)
+    warning = _selection_warning(report)
+    if warning:
+        print(f"ratio={ratio}, seed={seed}: {warning}", file=sys.stderr)
+    return (ratio, seed, report.old_metrics.mae, report.old_metrics.mse,
+            report.new_metrics.mae, report.new_metrics.mse)
+
+
 def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config)
     ratios = _parse_ratios(args.ratios)
 
     shared = _shared_inputs(cfg)
     results = []
-    failed = 0
-    for seed in cfg["seeds"]:
-        # arms differ only in replay_ratio: prepare the seed once, hold one
-        # seed's setup at a time, and train its arms in lockstep
-        arm_cfgs = [dict(cfg, replay_ratio=ratio, seeds=[seed])
-                    for ratio in ratios]
-        try:
-            setup, old_tests = _prepare_run(cfg, seed, shared)
-        except (RuntimeError, FloatingPointError) as exc:
-            outcomes = [exc] * len(ratios)  # pretraining diverged
-        else:
-            outcomes = run_arms(setup, [_arm(arm_cfg, seed, setup)
-                                        for arm_cfg in arm_cfgs], old_tests)
-        for ratio, arm_cfg, outcome in zip(ratios, arm_cfgs, outcomes):
-            if isinstance(outcome, (RuntimeError, FloatingPointError)):
-                # a diverged arm gets no files and empty metric cells; the
-                # other arms still run
-                print(f"ratio={ratio}, seed={seed}: {outcome}", file=sys.stderr)
-                failed += 1
-                results.append((ratio, seed, None, None, None, None))
-                continue
-            if isinstance(outcome, Exception):
-                raise outcome
-            model, report = outcome
-            run_dir = Path(cfg["output_dir"]) / config_hash(arm_cfg)
-            _write_run_outputs(arm_cfg, seed, model, report, run_dir)
-            results.append((ratio, seed, report.old_metrics.mae,
-                            report.old_metrics.mse, report.new_metrics.mae,
-                            report.new_metrics.mse))
-            warning = _selection_warning(report)
-            if warning:
-                print(f"ratio={ratio}, seed={seed}: {warning}", file=sys.stderr)
+    for batch in _sweep_batches(cfg, ratios, shared):
+        # arms differ only in seed and replay_ratio: each seed is prepared
+        # once, and the arms of all the batch's seeds train in lockstep
+        trained = iter(run_arm_jobs([job for _, _, jobs in batch
+                                     for job in jobs
+                                     if not isinstance(job, Exception)]))
+        for seed, arm_cfgs, jobs in batch:
+            for ratio, arm_cfg, job in zip(ratios, arm_cfgs, jobs):
+                outcome = job if isinstance(job, Exception) else next(trained)
+                results.append(_sweep_row(cfg, ratio, seed, arm_cfg, outcome))
     results.sort(key=lambda row: (row[0], row[1]))
 
     out_path = Path(args.output)
@@ -359,7 +400,7 @@ def cmd_sweep(args) -> int:
             writer.writerow([row[0], row[1]] + ["" if v is None else repr(v)
                                                 for v in row[2:]])
     print(out_path)
-    return 1 if failed else 0
+    return 1 if any(row[2] is None for row in results) else 0
 
 
 def cmd_decompose(args) -> int:
@@ -406,6 +447,8 @@ def cmd_eval(args) -> int:
     if args.test_fraction is not None and not 0.0 < args.test_fraction < 1.0:
         raise ValueError(
             f"--test-fraction must be in (0, 1), got {args.test_fraction}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     model = load_checkpoint(args.checkpoint)
     cfg = {"input_width": model.input_width, "horizon": model.horizon,
            "stride": args.stride, "column": args.column}

@@ -13,11 +13,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import WindowedDataset, permute_windows
+from .data import WindowedDataset
 from .forecaster import (Forecaster, _blocks, _cross_entropy, _soften_rows,
                          _step, _workspace)
 from .metrics import MetricPair, mae
-from .replay import build_replay_set, build_train_set
+from .replay import build_replay_set
 
 __all__ = [
     "METHODS",
@@ -30,8 +30,14 @@ __all__ = [
     "batch_objective",
     "r_tune",
     "r_tune_group",
+    "lockstep_key",
 ]
 
+
+# batches a stack's buffers hold, shared by its runs: each of K runs gathers
+# the rows of GATHER_BATCHES // K batches (at least one) at a time from its
+# source, 8 in a stack of 8, so the buffers stay the same size whatever K
+GATHER_BATCHES = 64
 
 # TuneConfig fields that count something; a float or bool there is an error
 _INTEGER_FIELDS = ("replay_n", "wavelet_levels", "discard_depth", "epochs",
@@ -231,12 +237,14 @@ def r_tune_group(jobs):
     """Run several :func:`r_tune` jobs, training compatible ones in lockstep.
 
     `jobs` is a sequence of (frozen, new_data, cfg, method) tuples, each as
-    :func:`r_tune` takes them. Jobs whose configs, after their method's
-    overrides, agree on every field except `seed` and `replay_n` and whose
-    models share one geometry form a group: one stacked step kernel trains
-    all of its runs at each batch offset. Each run keeps its own replay set,
-    shuffles, soft targets, checkpoint selection and errors, and its model
-    and report have the bits of its solo :func:`r_tune`.
+    :func:`r_tune` takes them. Jobs with one :func:`lockstep_key` form a
+    group: one stacked step kernel trains all of its runs at each batch
+    offset. Each run keeps its own replay set, shuffles, soft targets,
+    checkpoint selection and errors, and its model and report have the bits
+    of its solo :func:`r_tune`. Runs read their training rows in place: a
+    run without replay from its new-task arrays, and the runs with replay on
+    one new-task dataset from one source holding its fit rows once and then
+    each run's replay rows.
 
     Returns:
         One entry per job, in order: (model, report), or the ValueError,
@@ -250,7 +258,7 @@ def r_tune_group(jobs):
     """
     t_start = time.perf_counter()
     outcomes = [None] * len(jobs)
-    groups = {}
+    runs = []
     for index, job in enumerate(jobs):
         try:
             run = _Run(index, *job)
@@ -261,16 +269,38 @@ def r_tune_group(jobs):
             run.report.wall_clock_seconds = time.perf_counter() - t_start
             outcomes[index] = (run.frozen.clone(), run.report)
         else:
-            groups.setdefault(run.group_key, []).append(run)
-    for runs in groups.values():
-        for run in _train_lockstep(runs):
+            runs.append(run)
+    _read_in_place(runs)
+    groups = {}
+    for run in runs:
+        run.soften_targets()
+        groups.setdefault(run.group_key, []).append(run)
+    for group in groups.values():
+        for run in _train_lockstep(group):
             outcomes[run.index] = run.outcome(t_start)
     return outcomes
 
 
+def lockstep_key(frozen: Forecaster, cfg: TuneConfig, method="r-tuning"):
+    """What the jobs of one :func:`r_tune_group` stack share: the config
+    after `method`'s overrides apart from `seed` and `replay_n`, and the
+    model geometry; None for a job that does not train (the frozen method
+    or zero epochs)."""
+    cfg = method_config(method, cfg)
+    if METHODS[method] is None or cfg.epochs == 0:
+        return None
+    return (replace(cfg, seed=0, replay_n=0), frozen.input_width,
+            frozen.horizon, frozen.hidden_width)
+
+
 class _Run:
-    """One job of :func:`r_tune_group`: its data, frozen baseline and the
-    state of its checkpoint selection."""
+    """One job of :func:`r_tune_group`: its rows, frozen baseline and the
+    state of its checkpoint selection.
+
+    Its training set, in the order :func:`rtune.replay.build_train_set`
+    shuffles it, is the rows `rows` of the arrays `inputs` and `labels`,
+    which :func:`_read_in_place` sets; until then `rows` index the fit rows
+    followed by the run's own `replay`."""
 
     def __init__(self, index, frozen, new_data, cfg, method="r-tuning"):
         cfg = method_config(method, cfg)
@@ -286,8 +316,7 @@ class _Run:
             )
         self.index, self.frozen, self.cfg, self.method = index, frozen, cfg, method
         self.report = TuneReport(method=method, config=cfg.to_dict())
-        self.group_key = (replace(cfg, seed=0, replay_n=0), frozen.input_width,
-                          frozen.horizon, frozen.hidden_width)
+        self.group_key = lockstep_key(frozen, cfg, method)
         self.error = None
         self.best_mae, self.best_theta = np.inf, None
         if cfg.epochs == 0:
@@ -300,25 +329,32 @@ class _Run:
                 f"{n} windows leave no training data after holding out {n_val} "
                 f"for validation"
             )
-        fit_ds = new_data.subset(np.arange(0, n - n_val))
-        self.val = new_data.subset(np.arange(n - n_val, n))
-        self.report.frozen_val_mae = mae(frozen.forward_batch(self.val.inputs),
-                                         self.val.labels)
+        self.data, self.n_fit = new_data, n - n_val
+        self.val_inputs = new_data.inputs[self.n_fit:]
+        self.val_labels = new_data.labels[self.n_fit:]
+        self.report.frozen_val_mae = mae(frozen.forward_batch(self.val_inputs),
+                                         self.val_labels)
 
         latent_seq, shuffle_seq, self.epoch_seqs = _epoch_seeds(cfg.seed,
                                                                 cfg.epochs)
-        shuffle_seed = shuffle_seq.generate_state(1)[0].item()
+        self.replay = None
         if cfg.replay_n > 0:
-            replay = build_replay_set(frozen, cfg.replay_n, cfg.wavelet_levels,
-                                      cfg.discard_depth, cfg.alpha,
-                                      latent_seq.generate_state(1)[0].item())
-            self.train = build_train_set(fit_ds, replay, shuffle_seed)
-        else:
-            self.train = permute_windows(fit_ds, shuffle_seed)
+            self.replay = build_replay_set(frozen, cfg.replay_n,
+                                           cfg.wavelet_levels,
+                                           cfg.discard_depth, cfg.alpha,
+                                           latent_seq.generate_state(1)[0].item())
+        n_train = self.n_fit + (0 if self.replay is None else len(self.replay))
+        shuffle_seed = shuffle_seq.generate_state(1)[0].item()
+        self.rows = np.random.default_rng(shuffle_seed).permutation(n_train)
         self.soft_old = None
-        if cfg.distill_weight != 0.0:
-            self.soft_old = _soften_rows(frozen.forward_batch(self.train.inputs),
-                                         cfg.tau)
+
+    def soften_targets(self):
+        """The frozen model's softened outputs on the training rows, in
+        training order, when distilling."""
+        if self.cfg.distill_weight != 0.0:
+            train_inputs = np.take(self.inputs, self.rows, axis=0)
+            self.soft_old = _soften_rows(self.frozen.forward_batch(train_inputs),
+                                         self.cfg.tau)
 
     def fail(self, exc, epoch, offset):
         """Leave training with the error the solo run raises at this step."""
@@ -331,8 +367,8 @@ class _Run:
         self.error = exc
 
     def validate(self, epoch):
-        val_mae = mae(self.model.forward_batch(self.val.inputs),
-                      self.val.labels)
+        val_mae = mae(self.model.forward_batch(self.val_inputs),
+                      self.val_labels)
         self.report.val_maes.append(val_mae)
         if val_mae < self.best_mae:
             self.best_mae = val_mae
@@ -349,6 +385,33 @@ class _Run:
             return exc
         self.report.wall_clock_seconds = time.perf_counter() - t_start
         return tuned, self.report
+
+
+def _read_in_place(runs):
+    """Point each run's `rows` into the arrays it trains from: a run
+    without replay reads its new-task arrays; the runs with replay on one
+    new-task dataset share one source, its fit rows once and then each
+    run's replay rows, so no run holds a copy of its own training set."""
+    sharing = {}
+    for run in runs:
+        if run.replay is None:
+            run.inputs, run.labels = run.data.inputs, run.data.labels
+        else:
+            sharing.setdefault((id(run.data), run.n_fit), []).append(run)
+    for group in sharing.values():
+        data, n_fit = group[0].data, group[0].n_fit
+        width = data.input_width
+        inputs = np.concatenate(
+            [data.inputs[:n_fit]]
+            + [run.replay.sequences[:, :width] for run in group])
+        labels = np.concatenate([data.labels[:n_fit]]
+                                + [run.replay.labels for run in group])
+        offset = n_fit
+        for run in group:
+            # the run's replay row j sits at offset + j of the source
+            run.rows[run.rows >= n_fit] += offset - n_fit
+            offset += len(run.replay)
+            run.inputs, run.labels, run.replay = inputs, labels, None
 
 
 def _schedule(sizes, batch_size):
@@ -372,7 +435,7 @@ def _train_lockstep(runs):
     their reports filled in or their errors set. A run that fails leaves the
     stack at the end of its epoch; until then, steps of failed runs alone are
     skipped."""
-    runs = sorted(runs, key=lambda run: len(run.train), reverse=True)
+    runs = sorted(runs, key=lambda run: len(run.rows), reverse=True)
     for run in runs:
         run.model = run.frozen.clone()
     live, epoch = runs, 0
@@ -387,18 +450,36 @@ def _train_stack(runs, start):
     until the last epoch or one in which a run failed; returns the epoch to
     go on from."""
     cfg, geometry = runs[0].cfg, runs[0].frozen
-    sizes = [len(run.train) for run in runs]
+    sizes = [len(run.rows) for run in runs]
     theta = np.stack([run.model.theta for run in runs])  # updated in place
     for run, row in zip(runs, theta):
         run.model.theta = row
     grad = np.empty_like(theta)
-    # each epoch's shuffled rows of every run, padded to the largest run;
-    # every step's batches are fixed slices of these
-    inputs = np.zeros((len(runs), sizes[0], geometry.input_width))
-    labels = np.zeros((len(runs), sizes[0], geometry.horizon))
+    # every run's rows of a chunk of batches, gathered from its source in
+    # its epoch's order; every step's batches are fixed slices of these
+    chunk = max(1, GATHER_BATCHES // len(runs)) * cfg.batch_size
+    width = min(chunk, sizes[0])
+    inputs = np.zeros((len(runs), width, geometry.input_width))
+    labels = np.zeros((len(runs), width, geometry.horizon))
     p_old = np.zeros_like(labels) if cfg.distill_weight != 0.0 else None
+    # each run's epoch order over its training rows, and the source rows
+    # that order meets
+    orders = [np.empty(size, dtype=np.int64) for size in sizes]
+    source_rows = [np.empty(size, dtype=np.int64) for size in sizes]
 
-    blocks, workspaces, plan = {}, {}, []
+    # per chunk: its gathers (run, source, source indices, buffer), then
+    # its steps
+    chunks = {base: ([], []) for base in range(0, sizes[0], chunk)}
+    for k, run in enumerate(runs):
+        for base in range(0, sizes[k], chunk):
+            rows = slice(base, min(base + chunk, sizes[k]))
+            n = rows.stop - base
+            gathers = chunks[base][0]
+            gathers += [(k, run.inputs, source_rows[k][rows], inputs[k, :n]),
+                        (k, run.labels, source_rows[k][rows], labels[k, :n])]
+            if p_old is not None:
+                gathers.append((k, run.soft_old, orders[k][rows], p_old[k, :n]))
+    blocks, workspaces = {}, {}
     for first, end, lo, hi in _schedule(sizes, cfg.batch_size):
         if (first, end) not in blocks:
             blocks[first, end] = (_blocks(theta[first:end], geometry),
@@ -407,46 +488,49 @@ def _train_stack(runs, start):
             workspaces[end - first, hi - lo] = (
                 _workspace(end - first, hi - lo, geometry),
                 np.empty((end - first, theta.shape[1])))
-        plan.append((first, end, lo, hi - lo, *blocks[first, end],
-                     *workspaces[end - first, hi - lo],
-                     inputs[first:end, lo:hi], labels[first:end, lo:hi],
-                     None if p_old is None else p_old[first:end, lo:hi]))
+        at = lo % chunk
+        batch = slice(at, at + hi - lo)
+        chunks[lo - at][1].append(
+            (first, end, lo, hi - lo, *blocks[first, end],
+             *workspaces[end - first, hi - lo],
+             inputs[first:end, batch], labels[first:end, batch],
+             None if p_old is None else p_old[first:end, batch]))
 
     for epoch in range(start, cfg.epochs):
         for k, run in enumerate(runs):
-            order = np.random.default_rng(run.epoch_seqs[epoch]).permutation(
-                sizes[k])
-            # a permutation is in range, so "clip" changes no index; it
-            # spares the copy through a buffer that "raise" makes
-            for source, buffer in ((run.train.inputs, inputs),
-                                   (run.train.labels, labels),
-                                   (run.soft_old, p_old)):
-                if buffer is not None:
-                    np.take(source, order, axis=0, mode="clip",
-                            out=buffer[k, :sizes[k]])
+            orders[k][:] = np.random.default_rng(
+                run.epoch_seqs[epoch]).permutation(sizes[k])
+            run.rows.take(orders[k], mode="clip", out=source_rows[k])
         loss_sums = [0.0] * len(runs)
         failures = False
-        for first, end, lo, n, params, grads, ws, scaled, x, y, p in plan:
-            if failures and all(run.error is not None
-                                for run in runs[first:end]):
-                continue
-            losses, failed = _step(params, grads, x, y, p, cfg.tau,
-                                   cfg.distill_weight, cfg.reg_weight, ws)
-            if failed:
-                failures = True
-                for k, exc in failed:
-                    runs[first + k].fail(exc, epoch, lo)
-                    # until the epoch ends: a zero model on zero data with
-                    # uniform targets has a zero gradient, so its slot stays
-                    # finite and never warns or fails again
-                    theta[first + k] = grad[first + k] = 0.0
-                    inputs[first + k] = labels[first + k] = 0.0
-                    if p_old is not None:
-                        p_old[first + k] = 1.0 / geometry.horizon
-            np.multiply(grads[0], cfg.learning_rate, out=scaled)
-            np.subtract(params[0], scaled, out=params[0])
-            for k, loss in enumerate(losses, first):
-                loss_sums[k] += loss * n
+        for gathers, plan in chunks.values():
+            for k, source, index, buffer in gathers:
+                # a failed run's slot stays as its failure left it; indices
+                # are in range, so "clip" changes none, and it spares the
+                # copy through a buffer that "raise" makes
+                if runs[k].error is None:
+                    source.take(index, axis=0, mode="clip", out=buffer)
+            for first, end, lo, n, params, grads, ws, scaled, x, y, p in plan:
+                if failures and all(run.error is not None
+                                    for run in runs[first:end]):
+                    continue
+                losses, failed = _step(params, grads, x, y, p, cfg.tau,
+                                       cfg.distill_weight, cfg.reg_weight, ws)
+                if failed:
+                    failures = True
+                    for k, exc in failed:
+                        runs[first + k].fail(exc, epoch, lo)
+                        # until the epoch ends: a zero model on zero data
+                        # with uniform targets has a zero gradient, so its
+                        # slot stays finite and never warns or fails again
+                        theta[first + k] = grad[first + k] = 0.0
+                        inputs[first + k] = labels[first + k] = 0.0
+                        if p_old is not None:
+                            p_old[first + k] = 1.0 / geometry.horizon
+                np.multiply(grads[0], cfg.learning_rate, out=scaled)
+                np.subtract(params[0], scaled, out=params[0])
+                for k, loss in enumerate(losses, first):
+                    loss_sums[k] += loss * n
         for k, run in enumerate(runs):
             if run.error is None:
                 run.report.train_losses.append(loss_sums[k] / sizes[k])

@@ -10,11 +10,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import rtune.benchmark
 import rtune.cli
 import rtune.forecaster
+import rtune.tuner
 from rtune.cli import main
 from rtune.data import atomic_target, read_series_csv
 from rtune.forecaster import init_forecaster, load_checkpoint, save_checkpoint
+from rtune.replay import ReplaySet, build_replay_set
+from rtune.tuner import _epoch_seeds, r_tune_group
 
 
 def write_csv(path, values, name="signal"):
@@ -286,6 +290,18 @@ class TestTune:
         assert "error: --seed must be >= 0, got -1\n" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("mode", ["csv", "benchmark"])
+    @pytest.mark.parametrize("fraction", [1.5, 0, -0.1, float("nan"), "0.1",
+                                          None])
+    def test_bad_few_shot_fraction_rejected(self, bench_config, csv_config,
+                                            tmp_path, capsys, mode, fraction):
+        make = csv_config if mode == "csv" else bench_config
+        cfg = make(few_shot_fraction=fraction)
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert (f"error: {cfg}: few_shot_fraction must be in (0, 1], "
+                f"got {fraction!r}\n" in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
     def test_flag_overrides(self, bench_config, tmp_path):
         cfg = bench_config(method="ft")
         assert main(["tune", "--config", str(cfg), "--method", "frozen",
@@ -381,21 +397,91 @@ class TestSweep:
         assert reads == {str(tmp_path / "new.csv"): 1,
                          str(tmp_path / "old.csv"): 1}
 
-    def test_arms_byte_identical_to_tune(self, csv_config, tmp_path):
-        # ratios 1, 5 and 20 train in lockstep; each arm's files are those
-        # of its own tune run
+    # ratio 1 replays nothing at this size and collapses to ft; 5-50 replay
+    SEED_BATCH_RATIOS = "0,1,5,10,20,50"
+
+    @staticmethod
+    def count_groups(monkeypatch):
+        """The number of jobs of each r_tune_group call the sweep makes."""
+        groups = []
+
+        def counted(jobs):
+            groups.append(len(jobs))
+            return r_tune_group(jobs)
+
+        monkeypatch.setattr(rtune.benchmark, "r_tune_group", counted)
+        return groups
+
+    def test_arms_byte_identical_to_tune(self, csv_config, tmp_path,
+                                         monkeypatch):
+        # four replaying ratios of three seeds pass the stack cap: seeds 0
+        # and 1 train in one call (a stack of eight), seed 2 in the next;
+        # each arm's files are those of its own tune run and of a one-seed
+        # sweep
+        assert rtune.cli.SWEEP_STACK_CAP == 8
         runs = tmp_path / "runs"
-        assert main(["sweep", "--config", str(csv_config()), "--ratios",
-                     "0,1,5,20", "--output", str(tmp_path / "sweep.csv")]) == 0
+        groups = self.count_groups(monkeypatch)
+        assert main(["sweep", "--config", str(csv_config(seeds=[0, 1, 2])),
+                     "--ratios", self.SEED_BATCH_RATIOS,
+                     "--output", str(tmp_path / "sweep.csv")]) == 0
+        assert groups == [2 * 6, 6]
+        monkeypatch.undo()
         swept = run_files(runs)
-        assert len(swept) == 4 * 2 * 2  # report and checkpoint per arm
+        assert len(swept) == 6 * 3 * 2  # report and checkpoint per arm
+        for seed in (0, 1, 2):
+            shutil.rmtree(runs)
+            assert main(["sweep", "--config",
+                         str(csv_config(name=f"seed-{seed}.json",
+                                        seeds=[seed])),
+                         "--ratios", self.SEED_BATCH_RATIOS,
+                         "--output", str(tmp_path / "one.csv")]) == 0
+            one_seed = run_files(runs)
+            assert one_seed == {path: data for path, data in swept.items()
+                                if f"/seed-{seed}/" in path}
         shutil.rmtree(runs)
-        for ratio in (0.0, 1.0, 5.0, 20.0):
-            for seed in (0, 1):
+        for ratio in (0.0, 1.0, 5.0, 10.0, 20.0, 50.0):
+            for seed in (0, 1, 2):
                 cfg = csv_config(name=f"arm-{ratio}-{seed}.json",
                                  replay_ratio=ratio, seeds=[seed])
                 assert main(["tune", "--config", str(cfg)]) == 0
         assert run_files(runs) == swept
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_diverged_arm_leaves_other_seeds_unchanged(self, csv_config,
+                                                       tmp_path, monkeypatch,
+                                                       capsys):
+        # the ratio-20 arm of seed 1 gets a replay label that overflows its
+        # loss; it trains in the stack of seeds 0 and 1
+        argv = ["sweep", "--config", str(csv_config(seeds=[0, 1, 2])),
+                "--ratios", self.SEED_BATCH_RATIOS,
+                "--output", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        clean = run_files(tmp_path / "runs")
+        shutil.rmtree(tmp_path / "runs")
+        latent_seed = _epoch_seeds(1, 2)[0].generate_state(1)[0].item()
+
+        def diverging(frozen, n, levels, k, alpha, seed):
+            replay = build_replay_set(frozen, n, levels, k, alpha, seed)
+            if (n, seed) != (3, latent_seed):
+                return replay
+            labels = replay.labels.copy()
+            labels[0] = 1e200
+            return ReplaySet(replay.sequences, labels, replay.tags,
+                             replay.provenance)
+
+        monkeypatch.setattr(rtune.tuner, "build_replay_set", diverging)
+        assert main(argv) == 1
+        assert ("ratio=20.0, seed=1: non-finite loss"
+                in capsys.readouterr().err)
+        dirty = run_files(tmp_path / "runs")
+        missing = sorted(set(clean) - set(dirty))
+        assert dirty == {path: data for path, data in clean.items()
+                         if path not in missing}
+        # what is missing is the diverged arm's report and checkpoint
+        assert len(missing) == 2
+        assert all("/seed-1/" in path for path in missing)
+        assert [json.loads(clean[path])["extra"]["config_echo"]["replay_ratio"]
+                for path in missing if path.endswith("report.json")] == [20.0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_diverged_arm_does_not_sink_sweep(self, bench_config, tmp_path,
@@ -523,6 +609,16 @@ class TestEvalAndReport:
                      str(sine_csv), "--test-fraction", fraction,
                      "--output", str(out)]) == 1
         assert (f"--test-fraction must be in (0, 1), got {float(fraction)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_eval_negative_seed_rejected(self, tmp_path, sine_csv, capsys):
+        # checked before the checkpoint is read: this one does not exist
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--new-data", str(sine_csv), "--test-fraction", "0.5",
+                     "--seed", "-1", "--output", str(out)]) == 1
+        assert ("error: --seed must be >= 0, got -1\n"
                 in capsys.readouterr().err)
         assert not out.exists()
 

@@ -4,6 +4,7 @@ selection, frozen-model immutability), and the method table's baselines."""
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -260,11 +261,11 @@ def assert_same_run(outcome, solo):
 
 
 class TestLockstep:
-    def jobs(self, batch_size, method="r-tuning"):
+    def jobs(self, batch_size, method="r-tuning", n_windows=40):
         # different frozen models, tails, sizes, replay counts and seeds; one
         # group
         return [(init_forecaster(8, 4, 6, seed=9 + j),
-                 small_dataset(n_windows=40 + 7 * j, seed=j),
+                 small_dataset(n_windows=n_windows + 7 * j, seed=j),
                  small_config(replay_n=replay_n, seed=seed,
                               batch_size=batch_size), method)
                 for j, (replay_n, seed) in enumerate([(4, 0), (9, 3), (1, 7),
@@ -354,6 +355,43 @@ class TestLockstep:
             assert_same_run(outcomes[j], r_tune(*jobs[j]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_diverged_run_in_a_later_gather_chunk(self):
+        # training sets of about four gather chunks; the run meets its first
+        # overflowing row in the second chunk and one more in each chunk
+        # after, which would fail it again (and replace its error) if a
+        # refill reloaded its slot
+        jobs = self.jobs(7, n_windows=500)
+        frozen, data, cfg, _ = jobs[2]
+        chunk = tuner.GATHER_BATCHES // len(jobs) * cfg.batch_size
+        n_fit = len(data) - max(1, round(cfg.validation_fraction * len(data)))
+        latent_seq, shuffle_seq, epoch_seqs = _epoch_seeds(cfg.seed, cfg.epochs)
+        replay = build_replay_set(frozen, cfg.replay_n, cfg.wavelet_levels,
+                                  cfg.discard_depth, cfg.alpha,
+                                  latent_seq.generate_state(1)[0].item())
+        train = build_train_set(data.subset(np.arange(n_fit)), replay,
+                                shuffle_seq.generate_state(1)[0].item())
+        # the data rows of the run's first epoch in the order it meets them;
+        # -1 marks a replay row
+        met = train.starts[
+            np.random.default_rng(epoch_seqs[0]).permutation(len(train))]
+        assert min(len(job[1]) for job in jobs) > 4 * chunk
+        rows = [next(start for start in met[lo:lo + chunk] if start >= 0)
+                for lo in range(chunk, len(met), chunk)]
+        assert len(rows) >= 3
+        jobs[2] = self.diverging(jobs[2], rows)
+        outcomes = r_tune_group(jobs)
+        with pytest.raises(RuntimeError) as info:
+            r_tune(*jobs[2])
+        assert type(outcomes[2]) is RuntimeError
+        assert str(outcomes[2]) == str(info.value)
+        assert str(outcomes[2].__cause__) == str(info.value.__cause__)
+        offset = int(re.search(r"batch offset (\d+)", str(outcomes[2]))[1])
+        assert str(outcomes[2]).startswith("non-finite loss inf at epoch 0, ")
+        assert chunk <= offset < 2 * chunk
+        for j in (0, 1, 3):
+            assert_same_run(outcomes[j], r_tune(*jobs[j]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_diverged_solo_run_stops_at_its_step(self, monkeypatch):
         job = self.diverging(self.jobs(7)[2])
         widths = self.count_steps(monkeypatch)
@@ -409,6 +447,22 @@ class TestLockstep:
         assert "frozen_val_mae" not in json.dumps(report.to_dict())
         _, untrained = r_tune(frozen, data, small_config(epochs=0))
         assert untrained.frozen_val_mae is None
+
+
+class TestMemory:
+    def test_training_reads_rows_in_place(self):
+        # tracemalloc counts numpy's buffers: a run without replay gathers
+        # its batches from the new-task arrays and copies none of them
+        data = small_dataset(n_windows=20000, w=48, h=12)
+        frozen = init_forecaster(48, 12, 32, seed=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            r_tune(frozen, data, TuneConfig(epochs=1), method="ft")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (data.inputs.nbytes + data.labels.nbytes)
 
 
 class TestVanillaFt:
