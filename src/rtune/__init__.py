@@ -1,7 +1,7 @@
 """Continual adaptation of frozen time-series forecasters via wavelet-guided
 synthetic replay and temperature-scaled distillation."""
 
-from .benchmark import desk_config, prepare_benchmark, run_arm, run_arms
+from .benchmark import desk_config, prepare_benchmark, run_arm
 from .data import (gen_benchmark_tasks, make_windows, read_series_csv,
                    split_train_test, zscore_apply, zscore_fit, zscore_invert)
 from .forecaster import (Forecaster, init_forecaster, load_checkpoint,
@@ -26,5 +26,5 @@ __all__ = [
     "zscore_fit", "zscore_apply", "zscore_invert",
     "make_windows", "split_train_test", "read_series_csv",
     "gen_benchmark_tasks", "mae", "mse", "evaluate_model", "relative_change",
-    "prepare_benchmark", "run_arm", "run_arms", "desk_config",
+    "prepare_benchmark", "run_arm", "desk_config",
 ]

@@ -21,7 +21,6 @@ __all__ = [
     "desk_config",
     "prepare_benchmark",
     "run_arm",
-    "run_arms",
     "run_arm_jobs",
 ]
 
@@ -97,7 +96,7 @@ def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig,
     """Run one adaptation method on a prepared benchmark and score it: the
     adapted model, or the frozen one for "frozen", on `old_tests` (default:
     the setup's old-task test set) and the new-task test set. The one-arm
-    case of :func:`run_arms`.
+    case of :func:`run_arm_jobs`.
 
     Returns:
         (adapted model or None for "frozen", TuneReport with metrics)
@@ -105,23 +104,10 @@ def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig,
     Raises:
         RuntimeError: training diverged, or a metric is not finite.
     """
-    outcome, = run_arms(setup, [(method, cfg)], old_tests)
+    outcome, = run_arm_jobs([(setup, method, cfg, old_tests)])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-def run_arms(setup: BenchmarkSetup, arms, old_tests=None):
-    """Train and score several (method, cfg) arms on one prepared benchmark:
-    :func:`run_arm_jobs` of one setup.
-
-    Returns:
-        One entry per arm, in order: what :func:`run_arm` returns for it, or
-        the ValueError, RuntimeError or FloatingPointError it raises. One
-        arm's failure does not stop the others.
-    """
-    return run_arm_jobs([(setup, method, cfg, old_tests)
-                         for method, cfg in arms])
 
 
 def run_arm_jobs(jobs):
@@ -130,7 +116,9 @@ def run_arm_jobs(jobs):
     :func:`rtune.tuner.r_tune_group` call.
 
     Returns:
-        One entry per job, in order, as :func:`run_arms` returns them.
+        One entry per job, in order: what :func:`run_arm` returns for it, or
+        the ValueError, RuntimeError or FloatingPointError it raises. One
+        arm's failure does not stop the others.
     """
     trains = [METHODS.get(method, {}) is not None for _, method, _, _ in jobs]
     trained = iter(r_tune_group([(setup.frozen, setup.new_train, cfg, method)

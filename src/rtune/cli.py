@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import (BenchmarkGeometry, BenchmarkSetup, prepare_benchmark,
-                        run_arm, run_arm_jobs)
+                        run_arm_jobs)
 from .data import (atomic_target, make_windows, read_series_csv,
                    split_indices, windowed_split, zscore_apply, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
@@ -62,11 +62,11 @@ RUN_CONFIG_DEFAULTS = {
     "output_dir": "runs",
 }
 
-# A sweep trains the arms of several seeds in one lockstep call while no
-# stack grows past this many runs: a stacked step costs least per run at
-# K = 5-10 (ROADMAP item 2), and the cap keeps the setups a sweep holds at
-# once from growing with its seed count.
-SWEEP_STACK_CAP = 8
+# `tune` and `sweep` train the arms of several seeds in one lockstep call
+# while no stack grows past this many runs: a stacked step costs least per
+# run at K = 5-10 (ROADMAP item 2), and the cap keeps the setups a command
+# holds at once from growing with its seed count.
+STACK_CAP = 8
 
 # run-config keys named differently in TuneConfig; the rest match by name
 _TUNE_RENAMES = {"lambda": "distill_weight", "beta": "reg_weight"}
@@ -114,6 +114,21 @@ def load_run_config(path) -> dict:
             f"{path}: method must be one of {', '.join(METHODS)}, "
             f"got {cfg['method']!r}"
         )
+    old_data = cfg["old_data"]
+    if not isinstance(old_data, list) \
+            or not all(isinstance(p, str) for p in old_data):
+        raise ValueError(
+            f"{path}: old_data must be a list of file names, got {old_data!r}")
+    for key in ("new_data", "checkpoint"):
+        if cfg[key] is not None and not isinstance(cfg[key], str):
+            raise ValueError(
+                f"{path}: {key} must be a file name, got {cfg[key]!r}")
+    ratio = cfg["replay_ratio"]
+    if ratio is not None and (isinstance(ratio, bool)
+                              or not isinstance(ratio, (int, float))
+                              or not 0.0 <= ratio <= 100.0):  # NaN fails too
+        raise ValueError(
+            f"{path}: replay_ratio must be null or in [0, 100], got {ratio!r}")
     if not cfg["benchmark"]:
         if not cfg["new_data"]:
             raise ValueError(f"{path}: new_data is required unless benchmark is true")
@@ -231,12 +246,48 @@ def _arm(cfg: dict, seed: int, setup):
     return method, tune_cfg
 
 
-def _execute_run(cfg: dict, seed: int, shared):
-    """One (config, seed) arm: returns (model_or_None, report).
+def _trained_arms(cfg: dict, variants, shared):
+    """Train and score the arms of every seed of `cfg`: per seed, one arm
+    `dict(cfg, **variant, seeds=[seed])` per override dict in `variants`.
+    Yields (seed, arm config, (model, report) or the error that stopped the
+    arm) in seed and arm order; an error that stopped a seed's preparation
+    is the outcome of each of its arms.
 
-    `shared` is `_shared_inputs(cfg)`, built once by the command."""
-    setup, old_tests = _prepare_run(cfg, seed, shared)
-    return run_arm(setup, *_arm(cfg, seed, setup), old_tests)
+    Seeds are prepared one after another and batched: a seed joins the
+    batch while every lockstep stack of the batch (the arms that do not
+    train count as one) stays within STACK_CAP runs, and each batch trains
+    in one `run_arm_jobs` call. So the setups held at once (a batch's, and
+    the prepared seed that starts the next) do not grow with the number of
+    seeds. `shared` is `_shared_inputs(cfg)`, built once by the command."""
+    batch, stacks = [], Counter()
+    for seed in cfg["seeds"]:
+        arm_cfgs = [dict(cfg, **variant, seeds=[seed]) for variant in variants]
+        try:
+            setup, old_tests = _prepare_run(cfg, seed, shared)
+            jobs = [(setup, *_arm(arm_cfg, seed, setup), old_tests)
+                    for arm_cfg in arm_cfgs]
+        except Exception as exc:  # held, not swallowed: met in seed order
+            batch.append((seed, arm_cfgs, [exc] * len(arm_cfgs)))
+            continue
+        runs = Counter(lockstep_key(setup.frozen, tune_cfg, method)
+                       for _, method, tune_cfg, _ in jobs)
+        if stacks and any(stacks[key] + count > STACK_CAP
+                          for key, count in runs.items()):
+            yield from _train_batch(batch)
+            batch, stacks = [], Counter()
+        batch.append((seed, arm_cfgs, jobs))
+        stacks.update(runs)
+    yield from _train_batch(batch)
+
+
+def _train_batch(batch):
+    """The outcomes of one `_trained_arms` batch, its jobs trained together."""
+    trained = iter(run_arm_jobs([job for _, _, jobs in batch for job in jobs
+                                 if not isinstance(job, Exception)]))
+    for seed, arm_cfgs, jobs in batch:
+        for arm_cfg, job in zip(arm_cfgs, jobs):
+            yield seed, arm_cfg, (job if isinstance(job, Exception)
+                                  else next(trained))
 
 
 def _selection_warning(report):
@@ -252,12 +303,13 @@ def _selection_warning(report):
             f"{report.frozen_val_mae:.6g}")
 
 
-def _write_run_outputs(cfg: dict, seed: int, model, report, run_dir: Path):
+def _write_run_outputs(arm_cfg: dict, model, report, run_dir: Path):
+    """Write one arm's report (and checkpoint, when it trained) under
+    `run_dir`; `arm_cfg` is its one-seed config, echoed in the report."""
+    seed, = arm_cfg["seeds"]
     seed_dir = run_dir / f"seed-{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
-    echo = dict(cfg)
-    echo["seeds"] = [seed]
-    report.extra["config_echo"] = echo
+    report.extra["config_echo"] = arm_cfg
     report.extra["seed"] = seed
     report_path = seed_dir / "report.json"
     _write_json(report_path, report.to_dict())
@@ -281,13 +333,16 @@ def cmd_tune(args) -> int:
 
     run_dir = Path(cfg["output_dir"]) / config_hash(cfg)
     shared = _shared_inputs(cfg)
-    for i, seed in enumerate(cfg["seeds"]):
-        model, report = _execute_run(cfg, seed, shared)
-        if i == 0:  # a run that wrote no outputs leaves no run directory
+    # the first failed seed stops the run: the seeds before it are written,
+    # and a run that wrote no outputs leaves no run directory
+    for seed, arm_cfg, outcome in _trained_arms(cfg, [{}], shared):
+        if isinstance(outcome, Exception):
+            raise outcome
+        model, report = outcome
+        if seed == cfg["seeds"][0]:
             run_dir.mkdir(parents=True, exist_ok=True)
             _write_json(run_dir / "config.json", cfg)
-        written = _write_run_outputs(cfg, seed, model, report, run_dir)
-        for path in written:
+        for path in _write_run_outputs(arm_cfg, model, report, run_dir):
             print(path)
         print(f"seed {seed}: method={report.method} "
               f"old mae/mse {report.old_metrics.mae:.4f}/{report.old_metrics.mse:.4f} "
@@ -319,50 +374,18 @@ def _parse_ratios(text: str):
     return ratios
 
 
-def _sweep_batches(cfg: dict, ratios, shared):
-    """The sweep's seeds, prepared one after another and yielded in batches
-    that train together. Each entry is (seed, arm configs, per arm its
-    (setup, method, TuneConfig, old tests) job or the error that stopped
-    the seed's preparation). A seed joins the batch while every lockstep
-    stack of the batch stays within SWEEP_STACK_CAP runs, so the setups held
-    at once (a batch's, and the prepared seed that starts the next) do not
-    grow with the number of seeds."""
-    batch, stacks = [], Counter()
-    for seed in cfg["seeds"]:
-        arm_cfgs = [dict(cfg, replay_ratio=ratio, seeds=[seed])
-                    for ratio in ratios]
-        try:
-            setup, old_tests = _prepare_run(cfg, seed, shared)
-        except (RuntimeError, FloatingPointError) as exc:
-            # pretraining diverged
-            batch.append((seed, arm_cfgs, [exc] * len(ratios)))
-            continue
-        jobs = [(setup, *_arm(arm_cfg, seed, setup), old_tests)
-                for arm_cfg in arm_cfgs]
-        runs = Counter(lockstep_key(setup.frozen, tune_cfg, method)
-                       for _, method, tune_cfg, _ in jobs)
-        del runs[None]
-        if stacks and any(stacks[key] + count > SWEEP_STACK_CAP
-                          for key, count in runs.items()):
-            yield batch
-            batch, stacks = [], Counter()
-        batch.append((seed, arm_cfgs, jobs))
-        stacks.update(runs)
-    if batch:
-        yield batch
-
-
-def _sweep_row(cfg: dict, ratio, seed, arm_cfg: dict, outcome):
+def _sweep_row(seed, arm_cfg: dict, outcome):
     """Write one arm's files and return its sweep CSV row. A diverged arm
     gets no files and empty metric cells, and the other arms still run."""
+    ratio = arm_cfg["replay_ratio"]
     if isinstance(outcome, (RuntimeError, FloatingPointError)):
         print(f"ratio={ratio}, seed={seed}: {outcome}", file=sys.stderr)
         return ratio, seed, None, None, None, None
     if isinstance(outcome, Exception):
         raise outcome
     model, report = outcome
-    run_dir = Path(cfg["output_dir"]) / config_hash(arm_cfg)
-    _write_run_outputs(arm_cfg, seed, model, report, run_dir)
+    run_dir = Path(arm_cfg["output_dir"]) / config_hash(arm_cfg)
+    _write_run_outputs(arm_cfg, model, report, run_dir)
     warning = _selection_warning(report)
     if warning:
         print(f"ratio={ratio}, seed={seed}: {warning}", file=sys.stderr)
@@ -374,18 +397,10 @@ def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config)
     ratios = _parse_ratios(args.ratios)
 
-    shared = _shared_inputs(cfg)
-    results = []
-    for batch in _sweep_batches(cfg, ratios, shared):
-        # arms differ only in seed and replay_ratio: each seed is prepared
-        # once, and the arms of all the batch's seeds train in lockstep
-        trained = iter(run_arm_jobs([job for _, _, jobs in batch
-                                     for job in jobs
-                                     if not isinstance(job, Exception)]))
-        for seed, arm_cfgs, jobs in batch:
-            for ratio, arm_cfg, job in zip(ratios, arm_cfgs, jobs):
-                outcome = job if isinstance(job, Exception) else next(trained)
-                results.append(_sweep_row(cfg, ratio, seed, arm_cfg, outcome))
+    # arms differ only in seed and replay_ratio: each seed is prepared once
+    arms = _trained_arms(cfg, [{"replay_ratio": ratio} for ratio in ratios],
+                         _shared_inputs(cfg))
+    results = [_sweep_row(*arm) for arm in arms]
     results.sort(key=lambda row: (row[0], row[1]))
 
     out_path = Path(args.output)

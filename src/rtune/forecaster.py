@@ -97,8 +97,12 @@ class Forecaster:
                 f"expected inputs of shape (n, {self.input_width}), got {inputs.shape}"
             )
         w1, b1, w2, b2 = self._unpack()
-        hidden = np.tanh(inputs @ w1.T + b1)
-        return hidden @ w2.T + b2
+        hidden = inputs @ w1.T  # bias and tanh in place: one (n, hidden) array
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        out = hidden @ w2.T
+        out += b2
+        return out
 
     def clone(self) -> "Forecaster":
         return Forecaster(self.input_width, self.horizon, self.hidden_width,

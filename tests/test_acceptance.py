@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from rtune.benchmark import desk_config, prepare_benchmark, run_arms
+from rtune.benchmark import desk_config, prepare_benchmark, run_arm_jobs
 from rtune.cli import main as cli_main
 from rtune.forecaster import (Forecaster, grad_total, init_forecaster, soften,
                               soften_jacobian)
@@ -39,9 +39,9 @@ def setups():
 
 
 def lockstep_reports(setup, arms):
-    """Reports of (method, cfg) arms trained together by run_arms; each has
-    the bits of its solo run_arm."""
-    outcomes = run_arms(setup, arms)
+    """Reports of (method, cfg) arms trained together by run_arm_jobs; each
+    has the bits of its solo run_arm."""
+    outcomes = run_arm_jobs([(setup, method, cfg, None) for method, cfg in arms])
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

@@ -14,7 +14,7 @@ import rtune.benchmark
 import rtune.cli
 import rtune.forecaster
 import rtune.tuner
-from rtune.cli import main
+from rtune.cli import load_run_config, main
 from rtune.data import atomic_target, read_series_csv
 from rtune.forecaster import init_forecaster, load_checkpoint, save_checkpoint
 from rtune.replay import ReplaySet, build_replay_set
@@ -100,6 +100,12 @@ def run_files(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*"))
             if p.name in ("report.json", "model.ckpt")}
+
+
+def seed_files(root):
+    """run_files keyed by seed directory, not by run directory."""
+    return {"/".join(path.split("/")[-2:]): data
+            for path, data in run_files(root).items()}
 
 
 class TestDecompose:
@@ -213,7 +219,6 @@ class TestTune:
         cfg = bench_config(method="ft")
         assert main(["tune", "--config", str(cfg)]) == 0
         echo_path = next((tmp_path / "runs").rglob("config.json"))
-        from rtune.cli import load_run_config
         original = load_run_config(cfg)
         reloaded = load_run_config(echo_path)
         assert reloaded == original
@@ -300,6 +305,35 @@ class TestTune:
         assert main(["tune", "--config", str(cfg)]) == 1
         assert (f"error: {cfg}: few_shot_fraction must be in (0, 1], "
                 f"got {fraction!r}\n" in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("replay_ratio", float("nan"), "must be null or in [0, 100]"),
+        ("replay_ratio", "5", "must be null or in [0, 100]"),
+        ("replay_ratio", 500, "must be null or in [0, 100]"),
+        ("replay_ratio", -1, "must be null or in [0, 100]"),
+        ("replay_ratio", True, "must be null or in [0, 100]"),
+        ("replay_ratio", None, None),
+        ("replay_ratio", 0, None),
+        ("replay_ratio", 2.5, None),
+        ("replay_ratio", 100, None),
+        ("old_data", "old.csv", "must be a list of file names"),
+        ("old_data", [0], "must be a list of file names"),
+        ("old_data", None, "must be a list of file names"),
+        ("new_data", 0, "must be a file name"),
+        ("new_data", ["new.csv"], "must be a file name"),
+        ("checkpoint", 1.5, "must be a file name"),
+    ])
+    def test_config_values_checked_before_any_run(self, csv_config, tmp_path,
+                                                  capsys, key, value,
+                                                  message):
+        cfg = csv_config(**{key: value})
+        if message is None:
+            assert load_run_config(cfg)[key] == value
+            return
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert (f"error: {cfg}: {key} {message}, got {value!r}\n"
+                in capsys.readouterr().err)
         assert not (tmp_path / "runs").exists()
 
     def test_flag_overrides(self, bench_config, tmp_path):
@@ -418,7 +452,7 @@ class TestSweep:
         # and 1 train in one call (a stack of eight), seed 2 in the next;
         # each arm's files are those of its own tune run and of a one-seed
         # sweep
-        assert rtune.cli.SWEEP_STACK_CAP == 8
+        assert rtune.cli.STACK_CAP == 8
         runs = tmp_path / "runs"
         groups = self.count_groups(monkeypatch)
         assert main(["sweep", "--config", str(csv_config(seeds=[0, 1, 2])),
@@ -445,6 +479,90 @@ class TestSweep:
                                  replay_ratio=ratio, seeds=[seed])
                 assert main(["tune", "--config", str(cfg)]) == 0
         assert run_files(runs) == swept
+
+    def test_tune_seeds_train_together_as_their_own_runs(self, csv_config,
+                                                         tmp_path,
+                                                         monkeypatch):
+        runs = tmp_path / "runs"
+        cfg = csv_config(replay_n=4, seeds=[0, 1, 2])
+        groups = self.count_groups(monkeypatch)
+        assert main(["tune", "--config", str(cfg)]) == 0
+        assert groups == [3]
+        monkeypatch.undo()
+        together = seed_files(runs)
+        assert len(together) == 3 * 2
+        shutil.rmtree(runs)
+        for seed in (0, 1, 2):
+            assert main(["tune", "--config", str(cfg), "--seed",
+                         str(seed)]) == 0
+        assert seed_files(runs) == together
+
+    @pytest.mark.parametrize("command, jobs", [
+        (["tune", "--method", "frozen"], [8, 4]),
+        (["sweep", "--ratios", "0,5", "--output", "sweep.csv"], [8, 8, 8]),
+    ])
+    def test_untrained_arms_batched_within_cap(self, csv_config, tmp_path,
+                                               monkeypatch, command, jobs):
+        # frozen arms and zero-epoch arms do not train; they count as one
+        # stack, so twelve seeds still train in calls of at most STACK_CAP
+        calls = []
+
+        def counted(batch):
+            calls.append(len(batch))
+            return rtune.benchmark.run_arm_jobs(batch)
+
+        monkeypatch.setattr(rtune.cli, "run_arm_jobs", counted)
+        monkeypatch.chdir(tmp_path)
+        cfg = csv_config(epochs=0, seeds=list(range(12)))
+        assert main(command[:1] + ["--config", str(cfg)] + command[1:]) == 0
+        assert calls == jobs
+        assert max(calls) <= rtune.cli.STACK_CAP
+        assert len(list((tmp_path / "runs").rglob("report.json"))) == sum(jobs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.parametrize("stage", ["training", "preparation"])
+    def test_tune_stops_at_first_failed_seed(self, csv_config, tmp_path,
+                                             monkeypatch, capsys, stage):
+        # seed 1 of three fails; seed 0 is written as in a clean run, and
+        # nothing after the failure is
+        runs = tmp_path / "runs"
+        argv = ["tune", "--config", str(csv_config(replay_n=4,
+                                                   seeds=[0, 1, 2]))]
+        assert main(argv) == 0
+        clean = run_files(runs)
+        shutil.rmtree(runs)
+        if stage == "training":
+            latent_seed = _epoch_seeds(1, 2)[0].generate_state(1)[0].item()
+
+            def diverging(frozen, n, levels, k, alpha, seed):
+                replay = build_replay_set(frozen, n, levels, k, alpha, seed)
+                if seed != latent_seed:
+                    return replay
+                labels = replay.labels.copy()
+                labels[0] = 1e200
+                return ReplaySet(replay.sequences, labels, replay.tags,
+                                 replay.provenance)
+
+            monkeypatch.setattr(rtune.tuner, "build_replay_set", diverging)
+            message = "error: non-finite loss"
+        else:
+            prepare = rtune.cli._prepare_csv_setup
+
+            def failing(cfg, seed, shared):
+                if seed == 1:
+                    raise ValueError("seed 1 cannot be split")
+                return prepare(cfg, seed, shared)
+
+            monkeypatch.setattr(rtune.cli, "_prepare_csv_setup", failing)
+            message = "error: seed 1 cannot be split"
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        dirty = run_files(runs)
+        assert dirty == {path: data for path, data in clean.items()
+                         if "/seed-0/" in path}
+        assert len(dirty) == 2
+        assert len(list(runs.rglob("config.json"))) == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_diverged_arm_leaves_other_seeds_unchanged(self, csv_config,

@@ -3,6 +3,7 @@ finite differences, the fused training step against that oracle, and
 checkpoint round trips."""
 
 import ast
+import importlib
 import json
 from pathlib import Path
 
@@ -100,6 +101,15 @@ class TestForward:
         batch = m.forward_batch(xs)
         for i, x in enumerate(xs):
             assert np.allclose(batch[i], m.forward(x), atol=1e-14)
+
+    def test_batch_bits_of_out_of_place_pass(self):
+        # bias and tanh are taken in place; the bits must not move
+        m = init_forecaster(9, 4, hidden_width=7, seed=5)
+        w1, b1, w2, b2 = unpack_reference(m)
+        for n in (0, 1, 33):
+            xs = np.random.default_rng(n).normal(size=(n, 9))
+            assert np.array_equal(m.forward_batch(xs),
+                                  np.tanh(xs @ w1.T + b1) @ w2.T + b2)
 
     def test_length_mismatch(self):
         m = init_forecaster(6, 3, seed=0)
@@ -432,3 +442,12 @@ def test_package_uses_no_numpy_2_names():
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute)}
     assert not used & NUMPY_2_NAMES
+
+
+def test_every_exported_name_resolves():
+    modules = [rtune] + [importlib.import_module(f"rtune.{path.stem}")
+                         for path in Path(rtune.__file__).parent.glob("*.py")
+                         if path.stem != "__init__"]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
-                             run_arm, run_arms)
+                             run_arm, run_arm_jobs)
 from rtune.cli import build_parser, load_run_config
 from rtune.data import WindowedDataset, make_windows, permute_windows
 from rtune import tuner
@@ -425,10 +425,11 @@ class TestLockstep:
             rows = [(lo, hi) for first, end, lo, hi in steps if first <= k < end]
             assert rows == [(lo, min(lo + 8, size)) for lo in range(0, size, 8)]
 
-    def test_run_arms_match_run_arm(self, small_setup):
-        arms = [(method, desk_config(2, replay_n=replay_n, epochs=2))
+    def test_run_arm_jobs_match_run_arm(self, small_setup):
+        jobs = [(small_setup, method, desk_config(2, replay_n=replay_n,
+                                                  epochs=2), None)
                 for method in METHODS for replay_n in (2, 5)]
-        for (method, cfg), outcome in zip(arms, run_arms(small_setup, arms)):
+        for (_, method, cfg, _), outcome in zip(jobs, run_arm_jobs(jobs)):
             model, report = run_arm(small_setup, method, cfg)
             assert report.to_dict() == outcome[1].to_dict()
             if model is None:
