@@ -62,6 +62,11 @@ RUN_CONFIG_DEFAULTS = {
     "output_dir": "runs",
 }
 
+# run-config keys that count something, with the least value each takes
+_COUNT_KEYS = {"input_width": 1, "horizon": 1, "stride": 1, "hidden_width": 1,
+               "pretrain_epochs": 0, "benchmark_old_length": 1,
+               "benchmark_new_length": 1}
+
 # `tune` and `sweep` train the arms of several seeds in one lockstep call
 # while no stack grows past this many runs: a stacked step costs least per
 # run at K = 5-10 (ROADMAP item 2), and the cap keeps the setups a command
@@ -109,6 +114,26 @@ def load_run_config(path) -> dict:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     cfg = dict(RUN_CONFIG_DEFAULTS)
     cfg.update(user)
+    for key, least in _COUNT_KEYS.items():
+        value = cfg[key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{path}: {key} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{path}: {key} must be >= {least}, got {value!r}")
+    rate = cfg["pretrain_learning_rate"]
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
+            or not rate >= 0:  # written so that NaN fails too
+        raise ValueError(f"{path}: pretrain_learning_rate must be a number "
+                         f">= 0, got {rate!r}")
+    if not isinstance(cfg["benchmark"], bool):
+        raise ValueError(
+            f"{path}: benchmark must be true or false, got {cfg['benchmark']!r}")
+    if not isinstance(cfg["output_dir"], str):
+        raise ValueError(f"{path}: output_dir must be a directory name, "
+                         f"got {cfg['output_dir']!r}")
+    if cfg["column"] is not None and not isinstance(cfg["column"], str):
+        raise ValueError(f"{path}: column must be null or a column name, "
+                         f"got {cfg['column']!r}")
     if cfg["method"] not in METHODS:
         raise ValueError(
             f"{path}: method must be one of {', '.join(METHODS)}, "

@@ -271,10 +271,13 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
             f"inconsistent batch shapes {inputs.shape} vs {labels.shape}"
         )
     grad = np.empty((1, m_new.theta.size))
-    losses, failed = _step(
+    terms, norm = np.empty((2, 1, n, m_new.horizon)), np.empty((1, 1, 1))
+    d_out = _step(
         _blocks(m_new.theta[None], m_new), _blocks(grad, m_new), inputs[None],
         labels[None], None if p_old is None else p_old[None], tau,
-        distill_weight, reg_weight, _workspace(1, n, m_new))
+        distill_weight, reg_weight, _workspace(1, n, m_new), terms, norm)
+    losses = _step_losses(terms, norm[:, 0, 0], n, distill_weight, reg_weight)
+    failed = _failures(losses, d_out)
     if failed:
         raise failed[0][1]
     return losses[0], grad[0]
@@ -285,42 +288,40 @@ def _workspace(k, n, model):
     the order :func:`_step` unpacks them: hidden activations and their
     gradient (k, n, hidden) with the gradient's transpose; outputs and their
     gradient (k, n, H) with the gradient's transpose; softmax numerators
-    (k, n, H); two (k, n, 1) columns; squared residuals and cross-entropy
-    terms (2, k, n, H) with each half; their row sums (2, k, n) with the
-    first half; the task, cross-entropy and squared-norm sums (3, k) with
-    the last as (k, 1, 1); and a (k, P) buffer for the L2 gradient."""
+    (k, n, H); two (k, n, 1) columns; and a (k, P) buffer for the L2
+    gradient."""
     h, hid = model.horizon, model.hidden_width
     d_hid, d_out = np.empty((k, n, hid)), np.empty((k, n, h))
-    squares, rows, sums = (np.empty((2, k, n, h)), np.empty((2, k, n)),
-                           np.empty((3, k)))
     return (np.empty((k, n, hid)), d_hid, d_hid.swapaxes(1, 2),
             np.empty((k, n, h)), d_out, d_out.swapaxes(1, 2),
-            np.empty((k, n, h)), np.empty((k, n, 1)),
-            np.empty((k, n, 1)), squares, squares[0], squares[1], rows, rows[0],
-            sums, sums[2, :, None, None],
+            np.empty((k, n, h)), np.empty((k, n, 1)), np.empty((k, n, 1)),
             np.empty((k, theta_size(model.input_width, hid, h))))
 
 
 def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
-          reg_weight, ws):
-    """One training step of K runs at once, each on its own batch of n rows.
+          reg_weight, ws, terms, norm):
+    """The gradient kernel: one training step of K runs at once, each on its
+    own batch of n rows.
 
     `params` and `grads` are :func:`_blocks` of a (K, P) theta stack and of a
     stack-shaped gradient buffer; the gradients are written in place. The
     batches are `inputs` (K, n, W), `labels` (K, n, H) and, when distilling,
     the frozen model's softened outputs `p_old` (K, n, H). `ws` is a
-    :func:`_workspace` for (K, n). Every run's slice has the bits of the
-    same step taken alone: the batched matmuls and reductions run per slice.
+    :func:`_workspace` for (K, n). What the loss is made of goes to `terms`
+    (2, K, n, H): the squared residuals and, when distilling, the
+    cross-entropy terms; and to `norm` (K, 1, 1): each run's squared norm.
+    :func:`_step_losses`, or :func:`_account` for a chunk of steps, adds
+    them up. Every run's slice has the bits of the same step taken alone:
+    the batched matmuls run per slice.
 
     Returns:
-        (losses, failed): the K losses as floats, and None or a list of
-        (run index, exception) for the runs whose loss or gradient is
-        non-finite. Their gradients are garbage; the other runs' are exact.
+        The (K, n, H) gradient of the loss wrt the outputs, which
+        :func:`_failures` checks. A run whose loss or output gradient is
+        non-finite has a garbage gradient; the other runs' are exact.
     """
     theta, w1, b1, w2, b2, rows, columns = params
     grad, g_w1, g_b1, g_w2, g_b2, _, _ = grads
-    (hidden, d_hid, d_hid_t, out, d_out, d_out_t, e, col, log_s, squares,
-     task_squares, cross_terms, row_sums, task_rows, sums, norm, reg) = ws
+    hidden, d_hid, d_hid_t, out, d_out, d_out_t, e, col, log_s, reg = ws
     n = inputs.shape[1]
     np.matmul(inputs, w1.swapaxes(1, 2), out=hidden)
     hidden += b1
@@ -329,7 +330,7 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
     out += b2
 
     np.subtract(out, labels, out=d_out)
-    np.multiply(d_out, d_out, out=task_squares)
+    np.multiply(d_out, d_out, out=terms[0])
     d_out *= 2.0
     d_out /= n
     if distill_weight != 0.0:
@@ -342,33 +343,14 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
         np.add.reduce(e, axis=-1, keepdims=True, out=col)
         np.log(col, out=log_s)
         z -= log_s
-        np.multiply(p_old, z, out=cross_terms)
-        np.add.reduce(squares, axis=-1, out=row_sums)
-        np.add.reduce(row_sums, axis=-1, out=sums[:2])
+        np.multiply(p_old, z, out=terms[1])
         e /= col
         e -= p_old
         e *= distill_weight
         e /= tau * n
         d_out += e
-    else:
-        np.add.reduce(task_squares, axis=-1, out=task_rows)
-        np.add.reduce(task_rows, axis=-1, out=sums[0])
     # a (1, P) @ (P, 1) product per run has the bits of theta @ theta
     np.matmul(rows, columns, out=norm)
-
-    # the loss as batch_objective adds it up: task, + distillation, + L2; a
-    # sum over rows divided by n has the bits of .mean(), and the
-    # cross-entropy is minus the sum of the products
-    task, cross, norm = sums.tolist()
-    if distill_weight != 0.0:
-        losses = [t / n + distill_weight * (-c / n) + reg_weight * q
-                  for t, c, q in zip(task, cross, norm)]
-    else:
-        losses = [t / n + reg_weight * q for t, q in zip(task, norm)]
-    failed = None
-    if not (math.isfinite(sum(losses))
-            and math.isfinite(np.add.reduce(d_out, axis=None))):
-        failed = _failures(losses, d_out)
 
     np.matmul(d_out_t, hidden, out=g_w2)
     np.add.reduce(d_out, axis=1, keepdims=True, out=g_b2)
@@ -381,13 +363,67 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
     if reg_weight != 0.0:
         np.multiply(theta, 2.0 * reg_weight, out=reg)
         grad += reg
-    return losses, failed
+    return d_out
+
+
+def _losses(sums, norms, n, distill_weight, reg_weight):
+    """Losses as batch_objective adds them up, task, + distillation, + L2,
+    from `sums` (2, ...): each step's summed squared residuals and, when
+    distilling, cross-entropy terms; `norms` (...) the squared norms and
+    `n` the row counts. A sum over rows divided by n has the bits of
+    .mean(), and the cross-entropy is minus the sum of the products."""
+    # silent, as the same arithmetic on Python floats is
+    with np.errstate(all="ignore"):
+        loss = sums[0] / n
+        if distill_weight != 0.0:
+            loss = loss + distill_weight * (-sums[1] / n)
+        return loss + reg_weight * norms
+
+
+def _step_losses(terms, norms, n, distill_weight, reg_weight):
+    """The one-step accounting: the K losses, as floats, of a step whose
+    terms (2, K, n, H) and squared norms (K,) :func:`_step` wrote."""
+    rows = np.add.reduce(terms[:1 if distill_weight == 0.0 else 2], axis=-1)
+    sums = np.add.reduce(rows, axis=-1)
+    return _losses(sums, norms, n, distill_weight, reg_weight).tolist()
+
+
+def _account(terms, norms, rows, partial, distill_weight, reg_weight, sums):
+    """The chunk accounting: add the losses of a chunk of steps into each
+    run's running sum, with the bits of adding them up step by step.
+
+    `terms` (2, S, K, b, H) and `norms` (S, K) are what :func:`_step`
+    wrote for the chunk's S batches of K runs; `rows` (S, K) is the row
+    count of each step, 0 where a run took none; `partial` lists the
+    (batch, run, rows) of steps on fewer than b rows, which are summed at
+    their own length: padding would move a pairwise sum's bits. `sums` is
+    the K running sums, a list updated in place.
+
+    Returns:
+        False, leaving `sums` as it was, if the loss of a step is not finite.
+    """
+    row_sums = np.add.reduce(terms[:1 if distill_weight == 0.0 else 2],
+                             axis=-1)
+    step_sums = np.add.reduce(row_sums, axis=-1)
+    for s, k, n in partial:
+        step_sums[:, s, k] = np.add.reduce(row_sums[:, s, k, :n], axis=-1)
+    losses = _losses(step_sums, norms, rows, distill_weight, reg_weight)
+    np.copyto(losses, 0.0, where=rows == 0)
+    if not np.isfinite(losses).all():
+        return False
+    # sum += loss * n, step after step, from the running sums
+    losses *= rows
+    sums[:] = np.add.accumulate(np.concatenate(([sums], losses)))[-1].tolist()
+    return True
 
 
 def _failures(losses, d_out):
-    """(run index, exception) for each run of a step whose loss or gradient
-    is non-finite: the exception the run's step alone raises. None if the
-    quick check in :func:`_step` was a false alarm (a finite sum overflowed)."""
+    """(run index, exception) for each run of a step whose loss or output
+    gradient is non-finite: the exception the run's step alone raises; None
+    if there is none."""
+    if (math.isfinite(sum(losses))
+            and math.isfinite(np.add.reduce(d_out, axis=None))):
+        return None
     failed = []
     for k, loss in enumerate(losses):
         if not math.isfinite(loss):
@@ -395,6 +431,7 @@ def _failures(losses, d_out):
         elif not np.isfinite(d_out[k]).all():
             failed.append((k, FloatingPointError(
                 "non-finite intermediate in gradient computation")))
+    # a finite sum can still overflow: then no run failed
     return failed or None
 
 

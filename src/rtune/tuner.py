@@ -14,8 +14,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import WindowedDataset
-from .forecaster import (Forecaster, _blocks, _cross_entropy, _soften_rows,
-                         _step, _workspace)
+from .forecaster import (Forecaster, _account, _blocks, _cross_entropy,
+                         _failures, _soften_rows, _step, _step_losses,
+                         _workspace)
 from .metrics import MetricPair, mae
 from .replay import build_replay_set
 
@@ -448,13 +449,19 @@ def _train_lockstep(runs):
 def _train_stack(runs, start):
     """Train runs, sorted largest first, as one stack from epoch `start`
     until the last epoch or one in which a run failed; returns the epoch to
-    go on from."""
+    go on from.
+
+    Each chunk of batches runs speculatively (:func:`_speculate`). A chunk
+    in which a loss or a theta went non-finite is rolled back and replayed
+    one step at a time, each step checked as its runs alone check it, so a
+    failing run gets the error, offset and warnings of its solo run and its
+    siblings keep their bits."""
     cfg, geometry = runs[0].cfg, runs[0].frozen
     sizes = [len(run.rows) for run in runs]
     theta = np.stack([run.model.theta for run in runs])  # updated in place
     for run, row in zip(runs, theta):
         run.model.theta = row
-    grad = np.empty_like(theta)
+    grad, saved = np.empty_like(theta), np.empty_like(theta)
     # every run's rows of a chunk of batches, gathered from its source in
     # its epoch's order; every step's batches are fixed slices of these
     chunk = max(1, GATHER_BATCHES // len(runs)) * cfg.batch_size
@@ -462,14 +469,26 @@ def _train_stack(runs, start):
     inputs = np.zeros((len(runs), width, geometry.input_width))
     labels = np.zeros((len(runs), width, geometry.horizon))
     p_old = np.zeros_like(labels) if cfg.distill_weight != 0.0 else None
+    # what each step of a chunk leaves for the loss, by its batch in the
+    # chunk and its run: the terms of _step, then the squared norms
+    batch, batches = min(cfg.batch_size, sizes[0]), -(-width // cfg.batch_size)
+    terms = np.zeros((1 if p_old is None else 2, batches, len(runs), batch,
+                      geometry.horizon))
+    norms = np.zeros((batches, len(runs)))
     # each run's epoch order over its training rows, and the source rows
     # that order meets
     orders = [np.empty(size, dtype=np.int64) for size in sizes]
     source_rows = [np.empty(size, dtype=np.int64) for size in sizes]
 
-    # per chunk: its gathers (run, source, source indices, buffer), then
-    # its steps
-    chunks = {base: ([], []) for base in range(0, sizes[0], chunk)}
+    # per chunk: its gathers (run, source, source indices, buffer), its
+    # steps, and what _account reads of them: the record of its batches,
+    # the rows each run steps on by batch (0 for none) and the (batch, run,
+    # rows) of its partial batches
+    chunks = {}
+    for base in range(0, sizes[0], chunk):
+        used = -(-min(chunk, sizes[0] - base) // cfg.batch_size)
+        chunks[base] = ([], [], (terms[:, :used], norms[:used],
+                                 np.zeros((used, len(runs))), []))
     for k, run in enumerate(runs):
         for base in range(0, sizes[k], chunk):
             rows = slice(base, min(base + chunk, sizes[k]))
@@ -488,13 +507,17 @@ def _train_stack(runs, start):
             workspaces[end - first, hi - lo] = (
                 _workspace(end - first, hi - lo, geometry),
                 np.empty((end - first, theta.shape[1])))
-        at = lo % chunk
-        batch = slice(at, at + hi - lo)
-        chunks[lo - at][1].append(
-            (first, end, lo, hi - lo, *blocks[first, end],
-             *workspaces[end - first, hi - lo],
-             inputs[first:end, batch], labels[first:end, batch],
-             None if p_old is None else p_old[first:end, batch]))
+        at, n = lo % chunk, hi - lo
+        s = at // cfg.batch_size
+        _, plan, (_, _, steps, partial) = chunks[lo - at]
+        steps[s, first:end] = n
+        if n < batch:
+            partial.append((s, first, n))
+        plan.append(
+            (first, end, lo, n, *blocks[first, end], *workspaces[end - first, n],
+             inputs[first:end, at:at + n], labels[first:end, at:at + n],
+             None if p_old is None else p_old[first:end, at:at + n],
+             terms[:, s, first:end, :n], norms[s, first:end, None, None]))
 
     for epoch in range(start, cfg.epochs):
         for k, run in enumerate(runs):
@@ -503,19 +526,27 @@ def _train_stack(runs, start):
             run.rows.take(orders[k], mode="clip", out=source_rows[k])
         loss_sums = [0.0] * len(runs)
         failures = False
-        for gathers, plan in chunks.values():
+        for gathers, plan, record in chunks.values():
             for k, source, index, buffer in gathers:
                 # a failed run's slot stays as its failure left it; indices
                 # are in range, so "clip" changes none, and it spares the
                 # copy through a buffer that "raise" makes
                 if runs[k].error is None:
                     source.take(index, axis=0, mode="clip", out=buffer)
-            for first, end, lo, n, params, grads, ws, scaled, x, y, p in plan:
+            np.copyto(saved, theta)
+            if _speculate(plan, runs, failures, theta, cfg, record, loss_sums):
+                continue
+            np.copyto(theta, saved)
+            for (first, end, lo, n, params, grads, ws, scaled, x, y, p, t,
+                 norm) in plan:
                 if failures and all(run.error is not None
                                     for run in runs[first:end]):
                     continue
-                losses, failed = _step(params, grads, x, y, p, cfg.tau,
-                                       cfg.distill_weight, cfg.reg_weight, ws)
+                d_out = _step(params, grads, x, y, p, cfg.tau,
+                              cfg.distill_weight, cfg.reg_weight, ws, t, norm)
+                losses = _step_losses(t, norm[:, 0, 0], n, cfg.distill_weight,
+                                      cfg.reg_weight)
+                failed = _failures(losses, d_out)
                 if failed:
                     failures = True
                     for k, exc in failed:
@@ -538,3 +569,27 @@ def _train_stack(runs, start):
         if failures:
             return epoch + 1
     return cfg.epochs
+
+
+def _speculate(plan, runs, failures, theta, cfg, record, sums):
+    """Take a chunk's steps with floating-point warnings off, then add up
+    their losses in one :func:`rtune.forecaster._account` call on `record`.
+
+    Returns True if every step's loss and theta at the chunk's end are
+    finite: then no step failed, since a step whose output gradient is
+    non-finite leaves theta non-finite, and a non-finite theta stays so.
+    Otherwise the steps do not count: `sums` is as it was, and theta needs
+    restoring."""
+    tau, distill_weight, reg_weight = cfg.tau, cfg.distill_weight, cfg.reg_weight
+    rate = cfg.learning_rate
+    with np.errstate(all="ignore"):
+        for first, end, _, _, params, grads, ws, scaled, x, y, p, t, norm in plan:
+            if failures and all(run.error is not None
+                                for run in runs[first:end]):
+                continue
+            _step(params, grads, x, y, p, tau, distill_weight, reg_weight, ws,
+                  t, norm)
+            np.multiply(grads[0], rate, out=scaled)
+            np.subtract(params[0], scaled, out=params[0])
+        return bool(np.isfinite(theta).all()) and _account(
+            *record, distill_weight, reg_weight, sums)

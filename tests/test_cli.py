@@ -336,6 +336,55 @@ class TestTune:
                 in capsys.readouterr().err)
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("input_width", 4.5, "must be an integer"),
+        ("input_width", 0, "must be >= 1"),
+        ("horizon", True, "must be an integer"),
+        ("horizon", "4", "must be an integer"),
+        ("stride", 0, "must be >= 1"),
+        ("stride", 2.0, "must be an integer"),
+        ("hidden_width", 0, "must be >= 1"),
+        ("hidden_width", None, "must be an integer"),
+        ("pretrain_epochs", -1, "must be >= 0"),
+        ("pretrain_epochs", False, "must be an integer"),
+        ("pretrain_epochs", 0, None),
+        ("benchmark_old_length", 0, "must be >= 1"),
+        ("benchmark_new_length", 1e4, "must be an integer"),
+        ("pretrain_learning_rate", -0.1, "must be a number >= 0"),
+        ("pretrain_learning_rate", float("nan"), "must be a number >= 0"),
+        ("pretrain_learning_rate", "0.01", "must be a number >= 0"),
+        ("pretrain_learning_rate", True, "must be a number >= 0"),
+        ("pretrain_learning_rate", 0, None),
+        ("output_dir", 7, "must be a directory name"),
+        ("output_dir", None, "must be a directory name"),
+        ("column", 3, "must be null or a column name"),
+        ("column", ["new"], "must be null or a column name"),
+        ("column", "signal", None),
+    ])
+    @pytest.mark.parametrize("mode", ["csv", "benchmark"])
+    def test_geometry_and_io_keys_checked_in_both_modes(
+            self, csv_config, bench_config, tmp_path, capsys, mode, key,
+            value, message):
+        make = csv_config if mode == "csv" else bench_config
+        cfg = make(**{key: value})
+        if message is None:
+            assert load_run_config(cfg)[key] == value
+            return
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert (f"error: {cfg}: {key} {message}, got {value!r}\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("value", ["yes", 1, None])
+    def test_benchmark_flag_must_be_bool(self, csv_config, tmp_path, capsys,
+                                         value):
+        # "yes" would otherwise run benchmark mode
+        cfg = csv_config(benchmark=value)
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert (f"error: {cfg}: benchmark must be true or false, "
+                f"got {value!r}\n" in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
     def test_flag_overrides(self, bench_config, tmp_path):
         cfg = bench_config(method="ft")
         assert main(["tune", "--config", str(cfg), "--method", "frozen",

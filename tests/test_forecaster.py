@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from rtune.forecaster import (Forecaster, _blocks, _cross_entropy,
-                              _soften_rows, _step, _workspace, grad_total,
+from rtune.forecaster import (Forecaster, _blocks, _cross_entropy, _failures,
+                              _soften_rows, _step, _step_losses, _workspace,
+                              grad_total,
                               init_forecaster, load_checkpoint,
                               save_checkpoint, soften, soften_jacobian,
                               theta_size, value_and_grad)
@@ -307,6 +308,30 @@ class TestValueAndGrad:
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
 
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+           tau=st.floats(0.05, 10.0), distill_weight=st.floats(0.0, 1.0),
+           reg_weight=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)),
+           label_exponent=st.integers(0, 200),
+           input_exponent=st.integers(0, 150))
+    def test_finite_loss_comes_with_finite_gradient(
+            self, seed, n, tau, distill_weight, reg_weight, label_exponent,
+            input_exponent):
+        # a speculative training chunk commits when every loss and the
+        # final theta are finite: a step whose loss is finite must not be
+        # one that fails on a non-finite gradient
+        m_new, m_old, x, y = TestGradTotal()._random_instance(seed % 10000, n=n)
+        x = 10.0 ** input_exponent * x
+        y = 10.0 ** label_exponent * y
+        with np.errstate(all="ignore"):
+            p_old = _soften_rows(m_old.forward_batch(x), tau)
+            try:
+                loss, grad = value_and_grad(m_new, x, y, p_old, tau,
+                                            distill_weight, reg_weight)
+            except RuntimeError:  # a non-finite loss
+                return
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+
     def test_no_distillation_needs_no_frozen_outputs(self):
         m_new, m_old, x, y = TestGradTotal()._random_instance(3)
         loss, grad = value_and_grad(m_new, x, y, None, 3.0, 0.0, 1e-4)
@@ -331,16 +356,21 @@ class TestValueAndGrad:
 
 def stacked_step(model, thetas, x, y, p_old, tau, distill_weight, reg_weight):
     """_step over a (K, P) stack whose batches are slices of padded epoch
-    buffers, as the training loop lays them out: (losses, failed, grads)."""
+    buffers, as the training loop lays them out, then the one-step
+    accounting and check of a replayed step: (losses, failed, grads)."""
     k, n = x.shape[:2]
     pad = np.zeros((k, n + 3, x.shape[2]))
     pad[:, 1:n + 1] = x
     stack = np.array(thetas)
     grads = np.full_like(stack, np.nan)
-    losses, failed = _step(
+    terms, norm = np.full((2, k, n, y.shape[2]), np.nan), np.empty((k, 1, 1))
+    d_out = _step(
         _blocks(stack, model), _blocks(grads, model), pad[:, 1:n + 1], y,
-        p_old, tau, distill_weight, reg_weight, _workspace(k, n, model))
-    return losses, failed, grads
+        p_old, tau, distill_weight, reg_weight, _workspace(k, n, model),
+        terms, norm)
+    losses = _step_losses(terms, norm[:, 0, 0], n, distill_weight,
+                          reg_weight)
+    return losses, _failures(losses, d_out), grads
 
 
 class TestStackedStep:

@@ -309,14 +309,24 @@ class TestLockstep:
 
     @staticmethod
     def count_steps(monkeypatch):
-        """The number of runs of each stacked step training takes."""
+        """The number of runs of each stacked step training commits: the
+        steps of a speculative chunk that is rolled back do not count."""
         widths = []
+        speculate = tuner._speculate
 
         def counted(params, *args):
             widths.append(params[0].shape[0])
             return _step(params, *args)
 
+        def committed(*args):
+            mark = len(widths)
+            if speculate(*args):
+                return True
+            del widths[mark:]
+            return False
+
         monkeypatch.setattr(tuner, "_step", counted)
+        monkeypatch.setattr(tuner, "_speculate", committed)
         return widths
 
     @staticmethod
@@ -361,19 +371,8 @@ class TestLockstep:
         # after, which would fail it again (and replace its error) if a
         # refill reloaded its slot
         jobs = self.jobs(7, n_windows=500)
-        frozen, data, cfg, _ = jobs[2]
-        chunk = tuner.GATHER_BATCHES // len(jobs) * cfg.batch_size
-        n_fit = len(data) - max(1, round(cfg.validation_fraction * len(data)))
-        latent_seq, shuffle_seq, epoch_seqs = _epoch_seeds(cfg.seed, cfg.epochs)
-        replay = build_replay_set(frozen, cfg.replay_n, cfg.wavelet_levels,
-                                  cfg.discard_depth, cfg.alpha,
-                                  latent_seq.generate_state(1)[0].item())
-        train = build_train_set(data.subset(np.arange(n_fit)), replay,
-                                shuffle_seq.generate_state(1)[0].item())
-        # the data rows of the run's first epoch in the order it meets them;
-        # -1 marks a replay row
-        met = train.starts[
-            np.random.default_rng(epoch_seqs[0]).permutation(len(train))]
+        chunk = tuner.GATHER_BATCHES // len(jobs) * 7
+        met = self.first_epoch_rows(jobs[2])
         assert min(len(job[1]) for job in jobs) > 4 * chunk
         rows = [next(start for start in met[lo:lo + chunk] if start >= 0)
                 for lo in range(chunk, len(met), chunk)]
@@ -390,6 +389,117 @@ class TestLockstep:
         assert chunk <= offset < 2 * chunk
         for j in (0, 1, 3):
             assert_same_run(outcomes[j], r_tune(*jobs[j]))
+
+    @staticmethod
+    def first_epoch_rows(job):
+        """The data rows of a job's first epoch in the order it meets them;
+        -1 marks a replay row."""
+        frozen, data, cfg, _ = job
+        n_fit = len(data) - max(1, round(cfg.validation_fraction * len(data)))
+        latent_seq, shuffle_seq, epoch_seqs = _epoch_seeds(cfg.seed, cfg.epochs)
+        replay = build_replay_set(frozen, cfg.replay_n, cfg.wavelet_levels,
+                                  cfg.discard_depth, cfg.alpha,
+                                  latent_seq.generate_state(1)[0].item())
+        train = build_train_set(data.subset(np.arange(n_fit)), replay,
+                                shuffle_seq.generate_state(1)[0].item())
+        return train.starts[
+            np.random.default_rng(epoch_seqs[0]).permutation(len(train))]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.parametrize("steps", [
+        {2: (1, 0)},  # run 2 at the first step of the second chunk
+        {2: (1, 8)},  # a middle step
+        {2: (1, 15)},  # the chunk's last step
+        {1: None},  # run 1's partial last batch, a step of its own
+        {1: (1, 3), 2: (1, 9)},  # two runs, two steps of one chunk
+        {0: (2, 15), 3: (3, 0)},  # the last step of a chunk, then the next
+    ])
+    def test_divergence_at_chunk_edges(self, steps):
+        # each chunk of 16 batches runs speculatively, and one whose loss
+        # goes non-finite is replayed step by step: the diverged runs leave
+        # with their solo errors at their own steps, the others keep their
+        # solo bits
+        jobs = self.jobs(7, n_windows=500)
+        chunk = tuner.GATHER_BATCHES // len(jobs) * 7
+        assert chunk == 16 * 7
+        offsets = {}
+        for j, step in steps.items():
+            met = self.first_epoch_rows(jobs[j])
+            if step is None:
+                assert len(met) % 7
+                offsets[j] = len(met) - len(met) % 7
+            else:
+                offsets[j] = step[0] * chunk + step[1] * 7
+            row = next(r for r in met[offsets[j]:offsets[j] + 7] if r >= 0)
+            jobs[j] = self.diverging(jobs[j], [row])
+        outcomes = r_tune_group(jobs)
+        for j, job in enumerate(jobs):
+            if j not in offsets:
+                assert_same_run(outcomes[j], r_tune(*job))
+                continue
+            with pytest.raises(RuntimeError) as info:
+                r_tune(*job)
+            assert type(outcomes[j]) is RuntimeError
+            assert str(outcomes[j]) == str(info.value)
+            assert str(outcomes[j].__cause__) == str(info.value.__cause__)
+            assert str(outcomes[j]).startswith(
+                f"non-finite loss inf at epoch 0, batch offset {offsets[j]} ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_chunk_ending_on_non_finite_theta_is_replayed(self, monkeypatch):
+        # a step whose loss is finite but whose output gradient is not fails
+        # alone; at a chunk's last step, only the non-finite theta it leaves
+        # shows that the chunk must be replayed
+        job = self.jobs(4, n_windows=500)[2]
+        assert len(self.first_epoch_rows(job)) > tuner.GATHER_BATCHES * 4
+        batches = []
+
+        def poisoned(params, grads, x, *args):
+            d_out = _step(params, grads, x, *args)
+            if id(x) not in batches:
+                batches.append(id(x))
+            if batches.index(id(x)) == tuner.GATHER_BATCHES - 1:
+                d_out[0, 0, 0] = np.inf
+                grads[0][:] = np.inf
+            return d_out
+
+        monkeypatch.setattr(tuner, "_step", poisoned)
+        outcome, = r_tune_group([job])
+        assert type(outcome) is FloatingPointError
+        assert str(outcome) == "non-finite intermediate in gradient computation"
+
+    def test_clean_training_accounts_once_per_chunk(self, monkeypatch):
+        # two stacks of a few chunks each, neither diverging: every chunk
+        # of every epoch is accounted once, and no step takes the one-step
+        # path
+        jobs = self.jobs(7, n_windows=500)
+        jobs += [(frozen, data, replace(cfg, learning_rate=2e-2), "ft")
+                 for frozen, data, cfg, _ in jobs[:2]]
+        chunks = 0
+        for group, width in ((jobs[:4], 4), (jobs[4:], 2)):
+            largest = max(len(data) - max(1, round(0.2 * len(data)))
+                          + method_config(method, cfg).replay_n
+                          for _, data, cfg, method in group)
+            chunk = tuner.GATHER_BATCHES // width * 7
+            chunks += -(-largest // chunk) * group[0][2].epochs
+        calls = []
+        account = tuner._account
+
+        def counted(*args):
+            calls.append(args)
+            return account(*args)
+
+        def per_step(*args):
+            raise AssertionError("a clean chunk took the one-step path")
+
+        monkeypatch.setattr(tuner, "_account", counted)
+        monkeypatch.setattr(tuner, "_step_losses", per_step)
+        monkeypatch.setattr(tuner, "_failures", per_step)
+        outcomes = r_tune_group(jobs)
+        assert len(calls) == chunks == (4 + 2) * 4
+        monkeypatch.undo()
+        for job, outcome in zip(jobs, outcomes):
+            assert_same_run(outcome, r_tune(*job))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_diverged_solo_run_stops_at_its_step(self, monkeypatch):
