@@ -37,10 +37,12 @@ def theta_size(input_width: int, hidden_width: int, horizon: int) -> int:
 
 def _blocks(stack, model):
     """(stack, hidden weights, hidden bias, output weights, output bias, rows,
-    columns) of a (K, P) stack of vectors laid out like `model.theta`, the
-    rest as (K, hidden, W), (K, 1, hidden), (K, H, hidden), (K, 1, H),
-    (K, 1, P) and (K, P, 1) views into `stack`. The biases keep a row axis so
-    they broadcast over a batch; rows times columns are the squared norms."""
+    columns, hidden weights transposed, output weights transposed) of a
+    (K, P) stack of vectors laid out like `model.theta`, the rest as
+    (K, hidden, W), (K, 1, hidden), (K, H, hidden), (K, 1, H), (K, 1, P),
+    (K, P, 1), (K, W, hidden) and (K, hidden, H) views into `stack`. The
+    biases keep a row axis so they broadcast over a batch; rows times
+    columns are the squared norms."""
     w, h, hid = model.input_width, model.horizon, model.hidden_width
     k = stack.shape[0]
     i = 0
@@ -48,7 +50,8 @@ def _blocks(stack, model):
     b1 = stack[:, i:i + hid].reshape(k, 1, hid); i += hid
     w2 = stack[:, i:i + h * hid].reshape(k, h, hid); i += h * hid
     b2 = stack[:, i:i + h].reshape(k, 1, h)
-    return stack, w1, b1, w2, b2, stack[:, None], stack[:, :, None]
+    return (stack, w1, b1, w2, b2, stack[:, None], stack[:, :, None],
+            w1.swapaxes(1, 2), w2.swapaxes(1, 2))
 
 
 @dataclass
@@ -75,7 +78,7 @@ class Forecaster:
             raise ValueError("theta contains non-finite values")
 
     def _unpack(self):
-        _, w1, b1, w2, b2, _, _ = _blocks(self.theta[None], self)
+        _, w1, b1, w2, b2 = _blocks(self.theta[None], self)[:5]
         return w1[0], b1[0, 0], w2[0], b2[0, 0]
 
     def forward(self, x) -> np.ndarray:
@@ -272,11 +275,14 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
         )
     grad = np.empty((1, m_new.theta.size))
     terms, norm = np.empty((2, 1, n, m_new.horizon)), np.empty((1, 1, 1))
+    sums = np.empty((1, n, 1))
+    p_old = None if p_old is None else p_old[None]
     d_out = _step(
         _blocks(m_new.theta[None], m_new), _blocks(grad, m_new), inputs[None],
-        labels[None], None if p_old is None else p_old[None], tau,
-        distill_weight, reg_weight, _workspace(1, n, m_new), terms, norm)
-    losses = _step_losses(terms, norm[:, 0, 0], n, distill_weight, reg_weight)
+        labels[None], p_old, tau, distill_weight, reg_weight,
+        _workspace(1, n, m_new), terms, sums, norm)
+    losses = _step_losses(terms, sums, p_old, norm[:, 0, 0], n,
+                          distill_weight, reg_weight)
     failed = _failures(losses, d_out)
     if failed:
         raise failed[0][1]
@@ -288,18 +294,18 @@ def _workspace(k, n, model):
     the order :func:`_step` unpacks them: hidden activations and their
     gradient (k, n, hidden) with the gradient's transpose; outputs and their
     gradient (k, n, H) with the gradient's transpose; softmax numerators
-    (k, n, H); two (k, n, 1) columns; and a (k, P) buffer for the L2
+    (k, n, H); a (k, n, 1) column; and a (k, P) buffer for the L2
     gradient."""
     h, hid = model.horizon, model.hidden_width
     d_hid, d_out = np.empty((k, n, hid)), np.empty((k, n, h))
     return (np.empty((k, n, hid)), d_hid, d_hid.swapaxes(1, 2),
             np.empty((k, n, h)), d_out, d_out.swapaxes(1, 2),
-            np.empty((k, n, h)), np.empty((k, n, 1)), np.empty((k, n, 1)),
+            np.empty((k, n, h)), np.empty((k, n, 1)),
             np.empty((k, theta_size(model.input_width, hid, h))))
 
 
 def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
-          reg_weight, ws, terms, norm):
+          reg_weight, ws, terms, sums, norm):
     """The gradient kernel: one training step of K runs at once, each on its
     own batch of n rows.
 
@@ -307,44 +313,43 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
     stack-shaped gradient buffer; the gradients are written in place. The
     batches are `inputs` (K, n, W), `labels` (K, n, H) and, when distilling,
     the frozen model's softened outputs `p_old` (K, n, H). `ws` is a
-    :func:`_workspace` for (K, n). What the loss is made of goes to `terms`
-    (2, K, n, H): the squared residuals and, when distilling, the
-    cross-entropy terms; and to `norm` (K, 1, 1): each run's squared norm.
-    :func:`_step_losses`, or :func:`_account` for a chunk of steps, adds
-    them up. Every run's slice has the bits of the same step taken alone:
-    the batched matmuls run per slice.
+    :func:`_workspace` for (K, n). The kernel computes only what the
+    gradient needs and records what the loss is made of, raw: the
+    residuals in `terms` (2, K, n, H) and, when distilling, the max-shifted
+    logits in its second slot and their exp sums in `sums` (K, n, 1); each
+    run's squared norm goes to `norm` (K, 1, 1). :func:`_terms` forms the
+    loss terms from that record, which :func:`_step_losses`, or
+    :func:`_account` for a chunk of steps, adds up. Every run's slice has
+    the bits of the same step taken alone: the batched matmuls run per
+    slice.
 
     Returns:
         The (K, n, H) gradient of the loss wrt the outputs, which
         :func:`_failures` checks. A run whose loss or output gradient is
         non-finite has a garbage gradient; the other runs' are exact.
     """
-    theta, w1, b1, w2, b2, rows, columns = params
-    grad, g_w1, g_b1, g_w2, g_b2, _, _ = grads
-    hidden, d_hid, d_hid_t, out, d_out, d_out_t, e, col, log_s, reg = ws
+    theta, _, b1, w2, b2, rows, columns, w1_t, w2_t = params
+    grad, g_w1, g_b1, g_w2, g_b2, _, _, _, _ = grads
+    hidden, d_hid, d_hid_t, out, d_out, d_out_t, e, col, reg = ws
     n = inputs.shape[1]
-    np.matmul(inputs, w1.swapaxes(1, 2), out=hidden)
+    np.matmul(inputs, w1_t, out=hidden)
     hidden += b1
     np.tanh(hidden, out=hidden)
-    np.matmul(hidden, w2.swapaxes(1, 2), out=out)
+    np.matmul(hidden, w2_t, out=out)
     out += b2
 
-    np.subtract(out, labels, out=d_out)
-    np.multiply(d_out, d_out, out=terms[0])
-    d_out *= 2.0
-    d_out /= n
+    # 2r is exact, so r / (n / 2) rounds 2r / n once, as 2.0 * r / n does
+    np.subtract(out, labels, out=terms[0])
+    np.divide(terms[0], n / 2.0, out=d_out)
     if distill_weight != 0.0:
-        # one exp serves the log-softmax of _cross_entropy and the softmax
-        # of _soften_rows, with their arithmetic
-        z = np.divide(out, tau, out=out)
-        np.maximum.reduce(z, axis=-1, keepdims=True, out=col)
+        # the softmax of _soften_rows, with its arithmetic; its shifted
+        # logits and exp sums serve the log-softmax of _cross_entropy
+        z = np.divide(out, tau, out=terms[1])
+        np.maximum.reduce(z, -1, None, col, True)
         z -= col
         np.exp(z, out=e)
-        np.add.reduce(e, axis=-1, keepdims=True, out=col)
-        np.log(col, out=log_s)
-        z -= log_s
-        np.multiply(p_old, z, out=terms[1])
-        e /= col
+        np.add.reduce(e, -1, None, sums, True)
+        e /= sums
         e -= p_old
         e *= distill_weight
         e /= tau * n
@@ -353,17 +358,29 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
     np.matmul(rows, columns, out=norm)
 
     np.matmul(d_out_t, hidden, out=g_w2)
-    np.add.reduce(d_out, axis=1, keepdims=True, out=g_b2)
+    np.add.reduce(d_out, 1, None, g_b2, True)
     np.matmul(d_out, w2, out=d_hid)
     np.multiply(hidden, hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     d_hid *= hidden
     np.matmul(d_hid_t, inputs, out=g_w1)
-    np.add.reduce(d_hid, axis=1, keepdims=True, out=g_b1)
+    np.add.reduce(d_hid, 1, None, g_b1, True)
     if reg_weight != 0.0:
         np.multiply(theta, 2.0 * reg_weight, out=reg)
         grad += reg
     return d_out
+
+
+def _terms(terms, sums, p_old):
+    """Form in place the loss terms of a record :func:`_step` wrote, with
+    the arithmetic of task_loss and _cross_entropy: the squared residuals
+    and, if `terms` holds a second slot, the cross-entropy terms p_old
+    times the log-softmax, the shifted logits less the log of `sums`."""
+    np.multiply(terms[0], terms[0], out=terms[0])
+    if len(terms) > 1:
+        z = terms[1]
+        z -= np.log(sums)
+        np.multiply(p_old, z, out=z)
 
 
 def _losses(sums, norms, n, distill_weight, reg_weight):
@@ -380,30 +397,38 @@ def _losses(sums, norms, n, distill_weight, reg_weight):
         return loss + reg_weight * norms
 
 
-def _step_losses(terms, norms, n, distill_weight, reg_weight):
+def _step_losses(terms, sums, p_old, norms, n, distill_weight, reg_weight):
     """The one-step accounting: the K losses, as floats, of a step whose
-    terms (2, K, n, H) and squared norms (K,) :func:`_step` wrote."""
-    rows = np.add.reduce(terms[:1 if distill_weight == 0.0 else 2], axis=-1)
+    record, terms (2, K, n, H) and sums (K, n, 1), and squared norms (K,)
+    :func:`_step` wrote; the terms are formed in place."""
+    terms = terms[:1 if distill_weight == 0.0 else 2]
+    _terms(terms, sums, p_old)
+    rows = np.add.reduce(terms, axis=-1)
     sums = np.add.reduce(rows, axis=-1)
     return _losses(sums, norms, n, distill_weight, reg_weight).tolist()
 
 
-def _account(terms, norms, rows, partial, distill_weight, reg_weight, sums):
+def _account(terms, sums, p_old, norms, rows, partial, distill_weight,
+             reg_weight, running):
     """The chunk accounting: add the losses of a chunk of steps into each
     run's running sum, with the bits of adding them up step by step.
 
-    `terms` (2, S, K, b, H) and `norms` (S, K) are what :func:`_step`
-    wrote for the chunk's S batches of K runs; `rows` (S, K) is the row
-    count of each step, 0 where a run took none; `partial` lists the
-    (batch, run, rows) of steps on fewer than b rows, which are summed at
-    their own length: padding would move a pairwise sum's bits. `sums` is
-    the K running sums, a list updated in place.
+    `terms` (2, S, K, b, H), `sums` (S, K, b, 1) and `norms` (S, K) are
+    what :func:`_step` wrote for the chunk's S batches of K runs, and
+    `p_old` (S, K, b, H) the soft targets it read; the terms are formed in
+    place. `rows` (S, K) is the row count of each step, 0 where a run took
+    none; `partial` lists the (batch, run, rows) of steps on fewer than b
+    rows, which are summed at their own length: padding would move a
+    pairwise sum's bits. `running` is the K running sums, a list updated in
+    place.
 
     Returns:
-        False, leaving `sums` as it was, if the loss of a step is not finite.
+        False, leaving `running` as it was, if the loss of a step is not
+        finite.
     """
-    row_sums = np.add.reduce(terms[:1 if distill_weight == 0.0 else 2],
-                             axis=-1)
+    terms = terms[:1 if distill_weight == 0.0 else 2]
+    _terms(terms, sums, p_old)
+    row_sums = np.add.reduce(terms, axis=-1)
     step_sums = np.add.reduce(row_sums, axis=-1)
     for s, k, n in partial:
         step_sums[:, s, k] = np.add.reduce(row_sums[:, s, k, :n], axis=-1)
@@ -413,7 +438,8 @@ def _account(terms, norms, rows, partial, distill_weight, reg_weight, sums):
         return False
     # sum += loss * n, step after step, from the running sums
     losses *= rows
-    sums[:] = np.add.accumulate(np.concatenate(([sums], losses)))[-1].tolist()
+    running[:] = np.add.accumulate(
+        np.concatenate(([running], losses)))[-1].tolist()
     return True
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .data import (WindowedDataset, atomic_target, concat_windows,
                    permute_windows)
 from .forecaster import Forecaster
-from .wavelet import rwt_decompose, rwt_reconstruct
+from .wavelet import _roll_into, rwt_decompose, rwt_reconstruct
 
 __all__ = [
     "ReplaySet",
@@ -70,10 +70,11 @@ def sample_latents(n: int, d: int, seed: int) -> np.ndarray:
 def _smooth(z: np.ndarray) -> np.ndarray:
     # circular moving average along each row; raw white noise is spectrally
     # unlike any forecaster's training inputs
-    out = np.zeros_like(z)
+    out, rolled = np.zeros_like(z), np.empty_like(z)
     half = SMOOTHING_TAPS // 2
     for k in range(-half, half + 1):
-        out += np.roll(z, k, axis=-1)
+        _roll_into(rolled, z, k)
+        out += rolled
     return out / SMOOTHING_TAPS
 
 
@@ -94,6 +95,8 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
         raise ValueError(f"replay size must be >= 1, got {n}")
     if not 0 <= k <= levels:
         raise ValueError(f"discard depth must be in [0, {levels}], got {k}")
+    if not 0.0 <= alpha <= 1.0:  # NaN fails too
+        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
     w = frozen.input_width
     contexts = _smooth(sample_latents(n, w, seed))
     forecasts = frozen.forward_batch(contexts)

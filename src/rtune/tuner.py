@@ -466,14 +466,22 @@ def _train_stack(runs, start):
     # its epoch's order; every step's batches are fixed slices of these
     chunk = max(1, GATHER_BATCHES // len(runs)) * cfg.batch_size
     width = min(chunk, sizes[0])
+    batch, batches = min(cfg.batch_size, sizes[0]), -(-width // cfg.batch_size)
     inputs = np.zeros((len(runs), width, geometry.input_width))
     labels = np.zeros((len(runs), width, geometry.horizon))
-    p_old = np.zeros_like(labels) if cfg.distill_weight != 0.0 else None
     # what each step of a chunk leaves for the loss, by its batch in the
-    # chunk and its run: the terms of _step, then the squared norms
-    batch, batches = min(cfg.batch_size, sizes[0]), -(-width // cfg.batch_size)
-    terms = np.zeros((1 if p_old is None else 2, batches, len(runs), batch,
+    # chunk and its run: the record of _step, then the squared norms; the
+    # softmax sums start at 1, so the log of a slot no step wrote is finite
+    distilling = cfg.distill_weight != 0.0
+    terms = np.zeros((2 if distilling else 1, batches, len(runs), batch,
                       geometry.horizon))
+    sums = soft = p_old = None
+    if distilling:
+        sums = np.ones((batches, len(runs), batch, 1))
+        # a whole number of batches wide, so the accounting reads the soft
+        # targets by batch and run as the record holds the logits
+        p_old = np.zeros((len(runs), batches * batch, geometry.horizon))
+        soft = p_old.reshape(len(runs), batches, batch, -1).swapaxes(0, 1)
     norms = np.zeros((batches, len(runs)))
     # each run's epoch order over its training rows, and the source rows
     # that order meets
@@ -481,14 +489,18 @@ def _train_stack(runs, start):
     source_rows = [np.empty(size, dtype=np.int64) for size in sizes]
 
     # per chunk: its gathers (run, source, source indices, buffer), its
-    # steps, and what _account reads of them: the record of its batches,
-    # the rows each run steps on by batch (0 for none) and the (batch, run,
-    # rows) of its partial batches
+    # steps, and what _account reads of them: the record of its batches
+    # with their soft targets, the rows each run steps on by batch (0 for
+    # none, or once the run failed) and the (batch, run, rows) of its
+    # partial batches
     chunks = {}
     for base in range(0, sizes[0], chunk):
         used = -(-min(chunk, sizes[0] - base) // cfg.batch_size)
-        chunks[base] = ([], [], (terms[:, :used], norms[:used],
-                                 np.zeros((used, len(runs))), []))
+        chunks[base] = ([], [], (terms[:, :used],
+                                 None if sums is None else sums[:used],
+                                 None if soft is None else soft[:used],
+                                 norms[:used], np.zeros((used, len(runs))),
+                                 []))
     for k, run in enumerate(runs):
         for base in range(0, sizes[k], chunk):
             rows = slice(base, min(base + chunk, sizes[k]))
@@ -509,7 +521,7 @@ def _train_stack(runs, start):
                 np.empty((end - first, theta.shape[1])))
         at, n = lo % chunk, hi - lo
         s = at // cfg.batch_size
-        _, plan, (_, _, steps, partial) = chunks[lo - at]
+        _, plan, (*_, steps, partial) = chunks[lo - at]
         steps[s, first:end] = n
         if n < batch:
             partial.append((s, first, n))
@@ -517,7 +529,9 @@ def _train_stack(runs, start):
             (first, end, lo, n, *blocks[first, end], *workspaces[end - first, n],
              inputs[first:end, at:at + n], labels[first:end, at:at + n],
              None if p_old is None else p_old[first:end, at:at + n],
-             terms[:, s, first:end, :n], norms[s, first:end, None, None]))
+             terms[:, s, first:end, :n],
+             None if sums is None else sums[s, first:end, :n],
+             norms[s, first:end, None, None]))
 
     for epoch in range(start, cfg.epochs):
         for k, run in enumerate(runs):
@@ -538,19 +552,24 @@ def _train_stack(runs, start):
                 continue
             np.copyto(theta, saved)
             for (first, end, lo, n, params, grads, ws, scaled, x, y, p, t,
-                 norm) in plan:
+                 sm, norm) in plan:
                 if failures and all(run.error is not None
                                     for run in runs[first:end]):
                     continue
                 d_out = _step(params, grads, x, y, p, cfg.tau,
-                              cfg.distill_weight, cfg.reg_weight, ws, t, norm)
-                losses = _step_losses(t, norm[:, 0, 0], n, cfg.distill_weight,
-                                      cfg.reg_weight)
+                              cfg.distill_weight, cfg.reg_weight, ws, t, sm,
+                              norm)
+                losses = _step_losses(t, sm, p, norm[:, 0, 0], n,
+                                      cfg.distill_weight, cfg.reg_weight)
                 failed = _failures(losses, d_out)
                 if failed:
                     failures = True
                     for k, exc in failed:
                         runs[first + k].fail(exc, epoch, lo)
+                        # its steps no longer count, nor leave a stale slot
+                        # for the accounting to trip on
+                        for _, _, (*_, steps, _) in chunks.values():
+                            steps[:, first + k] = 0
                         # until the epoch ends: a zero model on zero data
                         # with uniform targets has a zero gradient, so its
                         # slot stays finite and never warns or fails again
@@ -583,12 +602,13 @@ def _speculate(plan, runs, failures, theta, cfg, record, sums):
     tau, distill_weight, reg_weight = cfg.tau, cfg.distill_weight, cfg.reg_weight
     rate = cfg.learning_rate
     with np.errstate(all="ignore"):
-        for first, end, _, _, params, grads, ws, scaled, x, y, p, t, norm in plan:
+        for (first, end, _, _, params, grads, ws, scaled, x, y, p, t, sm,
+             norm) in plan:
             if failures and all(run.error is not None
                                 for run in runs[first:end]):
                 continue
             _step(params, grads, x, y, p, tau, distill_weight, reg_weight, ws,
-                  t, norm)
+                  t, sm, norm)
             np.multiply(grads[0], rate, out=scaled)
             np.subtract(params[0], scaled, out=params[0])
         return bool(np.isfinite(theta).all()) and _account(

@@ -106,10 +106,23 @@ def _atrous(x: np.ndarray, taps: np.ndarray, dilation: int,
     direction=+1 is the analysis convolution, direction=-1 its adjoint (the
     correlation). Each row gets the same per-element arithmetic as a 1-D call.
     """
-    out = np.zeros_like(x)
+    out, rolled = np.zeros_like(x), np.empty_like(x)
     for k, f in enumerate(taps):
-        out += f * np.roll(x, direction * k * dilation, axis=-1)
+        _roll_into(rolled, x, direction * k * dilation)
+        rolled *= f
+        out += rolled
     return out
+
+
+def _roll_into(out, x, shift):
+    """np.roll(x, shift, axis=-1), written into `out` by two sliced copies:
+    the same values, without allocating the rolled array; in-place
+    arithmetic on `out` then runs on one contiguous block where sliced
+    in-place adds would run row by row."""
+    n = x.shape[-1]
+    shift %= n
+    out[..., shift:] = x[..., :n - shift]
+    out[..., :shift] = x[..., n - shift:]
 
 
 def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecomposition:
@@ -187,6 +200,8 @@ def rwt_reconstruct(decomp: WaveletDecomposition, alpha=1.0,
             f"keep_levels must be in [0, {levels}], got {keep_levels}"
         )
     alphas = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (levels,))
+    if not ((alphas >= 0.0) & (alphas <= 1.0)).all():  # NaN fails too
+        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
 
     bank = decomp.filter_bank if decomp.filter_bank is not None else build_db4_bank()
     # synthesis kernels: stored rec taps, time-reversed (== correlation with

@@ -162,8 +162,28 @@ class TestDecompose:
                    "--levels", "1", "--output", str(tmp_path / "o.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("alpha", ["nan", "2", "-0.5"])
+    def test_alpha_out_of_range(self, tmp_path, sine_csv, alpha, capsys):
+        out = tmp_path / "dec.csv"
+        rc = main(["decompose", "--input", str(sine_csv), "--levels", "2",
+                   "--alpha", alpha, "--output", str(out)])
+        assert rc == 1 and not out.exists()
+        assert "alpha must be in [0, 1]" in capsys.readouterr().err
+
 
 class TestSynth:
+    @pytest.mark.parametrize("levels, alpha", [("1", "-1"), ("2", "nan"),
+                                               ("1", "1.5")])
+    def test_alpha_out_of_range(self, tmp_path, levels, alpha, capsys):
+        ckpt = tmp_path / "frozen.ckpt"
+        save_checkpoint(init_forecaster(16, 4, 8, seed=0), ckpt)
+        out = tmp_path / "replay.csv"
+        rc = main(["synth", "--checkpoint", str(ckpt), "--replay-n", "5",
+                   "--levels", levels, "--discard-depth", "1", "--alpha",
+                   alpha, "--output", str(out)])
+        assert rc == 1 and not out.exists()
+        assert "alpha must be in [0, 1]" in capsys.readouterr().err
+
     def test_replay_csv_written(self, tmp_path):
         ckpt = tmp_path / "frozen.ckpt"
         save_checkpoint(init_forecaster(16, 4, 8, seed=0), ckpt)

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from rtune.forecaster import (Forecaster, _blocks, _cross_entropy, _failures,
-                              _soften_rows, _step, _step_losses, _workspace,
+from rtune.forecaster import (Forecaster, _account, _blocks, _cross_entropy,
+                              _failures, _soften_rows, _step, _step_losses,
+                              _workspace,
                               grad_total,
                               init_forecaster, load_checkpoint,
                               save_checkpoint, soften, soften_jacobian,
                               theta_size, value_and_grad)
 import rtune
-from rtune.tuner import batch_objective
+from rtune.tuner import _schedule, batch_objective
 
 # numpy names first released in 2.0 or later; the package supports 1.24
 NUMPY_2_NAMES = {"mT", "vecdot", "matrix_transpose", "unstack", "concat",
@@ -364,12 +365,13 @@ def stacked_step(model, thetas, x, y, p_old, tau, distill_weight, reg_weight):
     stack = np.array(thetas)
     grads = np.full_like(stack, np.nan)
     terms, norm = np.full((2, k, n, y.shape[2]), np.nan), np.empty((k, 1, 1))
+    sums = np.full((k, n, 1), np.nan)
     d_out = _step(
         _blocks(stack, model), _blocks(grads, model), pad[:, 1:n + 1], y,
         p_old, tau, distill_weight, reg_weight, _workspace(k, n, model),
-        terms, norm)
-    losses = _step_losses(terms, norm[:, 0, 0], n, distill_weight,
-                          reg_weight)
+        terms, sums, norm)
+    losses = _step_losses(terms, sums, p_old, norm[:, 0, 0], n,
+                          distill_weight, reg_weight)
     return losses, _failures(losses, d_out), grads
 
 
@@ -441,6 +443,71 @@ class TestStackedStep:
             loss, grad = value_and_grad(Forecaster(6, 3, 4, thetas[j]), x[j],
                                         y[j], None, 3.0, 0.0, 1e-4)
             assert losses[j] == loss and np.array_equal(grads[j], grad)
+
+
+class TestAccount:
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           sizes=st.lists(st.integers(1, 23), min_size=1, max_size=5),
+           batch_size=st.integers(1, 6), distill=st.booleans(),
+           tau=st.floats(0.05, 10.0), scale=st.sampled_from([1.0, 50.0]),
+           reg_weight=st.sampled_from([0.0, 1e-4]))
+    def test_chunk_bit_equal_to_reference_step_by_step(
+            self, seed, sizes, batch_size, distill, tau, scale, reg_weight):
+        # a chunk recorded as the training loop records it: K runs sorted
+        # largest first, stepping in the schedule's stacks, partial last
+        # batches alone; stale finite values in the slots no step writes
+        rng = np.random.default_rng(seed)
+        model = init_forecaster(7, 3, 5, seed=seed % 1000)
+        sizes = sorted(sizes, reverse=True)
+        k, batch = len(sizes), min(batch_size, sizes[0])
+        batches = -(-sizes[0] // batch_size)
+        distill_weight = 0.2 if distill else 0.0
+        x = scale * rng.normal(size=(k, batches * batch, 7))
+        y = rng.normal(size=(k, batches * batch, 3))
+        p_old = _soften_rows(scale * rng.normal(size=y.shape), tau)
+        terms = rng.normal(size=(2 if distill else 1, batches, k, batch, 3))
+        sums, norms = np.ones((batches, k, batch, 1)), np.zeros((batches, k))
+        rows, partial = np.zeros((batches, k)), []
+        thetas = model.theta + 0.3 * rng.normal(
+            size=(batches, k, model.theta.size))
+        running = rng.normal(size=k).tolist()
+        expected = [list(running)]
+        for first, end, lo, hi in _schedule(sizes, batch_size):
+            s, n = lo // batch_size, hi - lo
+            rows[s, first:end] = n
+            if n < batch:
+                partial.append((s, first, n))
+            _step(_blocks(thetas[s, first:end], model),
+                  _blocks(np.empty((end - first, model.theta.size)), model),
+                  x[first:end, lo:hi], y[first:end, lo:hi],
+                  p_old[first:end, lo:hi] if distill else None, tau,
+                  distill_weight, reg_weight,
+                  _workspace(end - first, n, model),
+                  terms[:, s, first:end, :n], sums[s, first:end, :n],
+                  norms[s, first:end, None, None])
+        for s in range(batches):
+            after = list(expected[-1])
+            for j in range(k):
+                n = int(rows[s, j])
+                if n:
+                    lo = s * batch_size
+                    loss, _ = reference_value_and_grad(
+                        Forecaster(7, 3, 5, thetas[s, j]), x[j, lo:lo + n],
+                        y[j, lo:lo + n], p_old[j, lo:lo + n], tau,
+                        distill_weight, reg_weight)
+                    after[j] += loss * n
+            expected.append(after)
+        soft = p_old.reshape(k, batches, batch, 3).swapaxes(0, 1)
+        for t in range(1, batches + 1):
+            # the first t batches as one chunk, from a fresh copy of the
+            # record: the accounting forms the terms in place
+            totals = list(running)
+            assert _account(terms[:, :t].copy(), sums[:t], soft[:t],
+                            norms[:t], rows[:t],
+                            [step for step in partial if step[0] < t],
+                            distill_weight, reg_weight, totals)
+            assert totals == expected[t]
 
 
 class TestCheckpoint:

@@ -97,6 +97,26 @@ class TestLatents:
             sample_latents(4, 0, seed=0)
 
 
+def roll_smooth(z):
+    """The np.roll form of the latent smoothing: a rolled copy per tap."""
+    out = np.zeros_like(z)
+    for shift in range(-2, 3):
+        out += np.roll(z, shift, axis=-1)
+    return out / 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), d=st.integers(1, 30), strided=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_smoothing_bit_equal_to_roll_form(n, d, strided, seed):
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(2 * n, 2 * d)) * 10.0 ** rng.integers(
+        -300, 300, size=(2 * n, 2 * d))
+    z = block[::2, ::2] if strided else block[:n, :d]
+    with np.errstate(over="ignore"):
+        assert replay._smooth(z).tobytes() == roll_smooth(z).tobytes()
+
+
 class TestGenerateSequence:
     """The full-spectrum rows: smoothed latent, then the frozen forecast."""
 
@@ -183,6 +203,14 @@ class TestExpandVariants:
         with pytest.raises(ValueError, match="discard depth"):
             build_replay_set(zero_model(w=8, h=4), 1, levels=1, k=2,
                              alpha=0.7, seed=0)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("alpha", [np.nan, -1.0, 1.5])
+    def test_alpha_out_of_range(self, alpha, k):
+        # rejected before any work, also where no band is filtered
+        with pytest.raises(ValueError, match="alpha must be in"):
+            build_replay_set(zero_model(w=8, h=4), 1, levels=1, k=k,
+                             alpha=alpha, seed=0)
 
 
 class TestReplaySet:

@@ -14,7 +14,7 @@ from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
                              run_arm, run_arm_jobs)
 from rtune.cli import build_parser, load_run_config
 from rtune.data import WindowedDataset, make_windows, permute_windows
-from rtune import tuner
+from rtune import forecaster, tuner
 from rtune.forecaster import (_soften_rows, _step, init_forecaster, soften,
                               value_and_grad)
 from rtune.metrics import evaluate_model, mae
@@ -390,6 +390,35 @@ class TestLockstep:
         for j in (0, 1, 3):
             assert_same_run(outcomes[j], r_tune(*jobs[j]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_failed_run_rolls_back_only_its_chunk(self, monkeypatch):
+        # two runs in 32-batch chunks: the smaller fails in batch 5 of the
+        # first chunk, and its partial last batch, skipped, is batch 5 of
+        # the second; the slot its failing step left must not make that
+        # clean chunk roll back
+        cfg = small_config(batch_size=7, replay_n=1)
+        jobs = [(init_forecaster(8, 4, 6, seed=9 + j),
+                 small_dataset(n_windows=n, seed=1 + j), cfg, "r-tuning")
+                for j, n in enumerate((700, 325))]
+        met = self.first_epoch_rows(jobs[1])
+        chunk = tuner.GATHER_BATCHES // 2 * 7
+        assert len(met) == chunk + 5 * 7 + 3
+        jobs[1] = self.diverging(jobs[1], [next(row for row in met[35:42]
+                                                if row >= 0)])
+        speculate, committed = tuner._speculate, []
+
+        def counted(*args):
+            committed.append(speculate(*args))
+            return committed[-1]
+
+        monkeypatch.setattr(tuner, "_speculate", counted)
+        outcomes = r_tune_group(jobs)
+        assert committed.count(False) == 1 and not committed[0]
+        monkeypatch.undo()
+        assert str(outcomes[1]).startswith(
+            "non-finite loss inf at epoch 0, batch offset 35 ")
+        assert_same_run(outcomes[0], r_tune(*jobs[0]))
+
     @staticmethod
     def first_epoch_rows(job):
         """The data rows of a job's first epoch in the order it meets them;
@@ -471,19 +500,20 @@ class TestLockstep:
     def test_clean_training_accounts_once_per_chunk(self, monkeypatch):
         # two stacks of a few chunks each, neither diverging: every chunk
         # of every epoch is accounted once, and no step takes the one-step
-        # path
+        # path; the loss terms, cross-entropy ones included, are formed
+        # once per chunk, never inside the kernel
         jobs = self.jobs(7, n_windows=500)
         jobs += [(frozen, data, replace(cfg, learning_rate=2e-2), "ft")
                  for frozen, data, cfg, _ in jobs[:2]]
-        chunks = 0
+        chunks = []
         for group, width in ((jobs[:4], 4), (jobs[4:], 2)):
             largest = max(len(data) - max(1, round(0.2 * len(data)))
                           + method_config(method, cfg).replay_n
                           for _, data, cfg, method in group)
             chunk = tuner.GATHER_BATCHES // width * 7
-            chunks += -(-largest // chunk) * group[0][2].epochs
-        calls = []
-        account = tuner._account
+            chunks.append(-(-largest // chunk) * group[0][2].epochs)
+        calls, formed, stepping, signs = [], [], [], set()
+        account, terms, step = tuner._account, forecaster._terms, tuner._step
 
         def counted(*args):
             calls.append(args)
@@ -492,11 +522,34 @@ class TestLockstep:
         def per_step(*args):
             raise AssertionError("a clean chunk took the one-step path")
 
+        def forming(record, *args):
+            assert not stepping, "the kernel formed loss terms"
+            formed.append(len(record))
+            return terms(record, *args)
+
+        def kernel(*args):
+            stepping.append(True)
+            d_out = step(*args)
+            stepping.pop()
+            record = args[9]
+            # the kernel leaves the residuals, of either sign, and the
+            # max-shifted logits, whose largest entry in each row is 0,
+            # not their loss terms
+            signs.update(np.sign(record[0]).ravel().tolist())
+            if len(record) > 1:
+                assert (record[1].max(axis=-1) == 0.0).all()
+            return d_out
+
         monkeypatch.setattr(tuner, "_account", counted)
         monkeypatch.setattr(tuner, "_step_losses", per_step)
         monkeypatch.setattr(tuner, "_failures", per_step)
+        monkeypatch.setattr(forecaster, "_terms", forming)
+        monkeypatch.setattr(tuner, "_step", kernel)
         outcomes = r_tune_group(jobs)
-        assert len(calls) == chunks == (4 + 2) * 4
+        assert len(calls) == sum(chunks) == (4 + 2) * 4
+        # the four distilling runs' chunks form the cross-entropy terms
+        assert formed == [2] * chunks[0] + [1] * chunks[1]
+        assert -1.0 in signs
         monkeypatch.undo()
         for job, outcome in zip(jobs, outcomes):
             assert_same_run(outcome, r_tune(*job))
