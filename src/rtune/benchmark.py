@@ -117,8 +117,8 @@ def run_arm_jobs(jobs):
 
     Returns:
         One entry per job, in order: what :func:`run_arm` returns for it, or
-        the ValueError, RuntimeError or FloatingPointError it raises. One
-        arm's failure does not stop the others.
+        the ValueError or RuntimeError it raises. One arm's failure does not
+        stop the others.
     """
     trains = [METHODS.get(method, {}) is not None for _, method, _, _ in jobs]
     trained = iter(r_tune_group([(setup.frozen, setup.new_train, cfg, method)

@@ -164,6 +164,18 @@ def load_run_config(path) -> dict:
             or not 0.0 < shot <= 1.0:  # written so that NaN fails too
         raise ValueError(
             f"{path}: few_shot_fraction must be in (0, 1], got {shot!r}")
+    split = cfg["train_fraction"]
+    if isinstance(split, bool) or not isinstance(split, (int, float)) \
+            or not 0.0 < split < 1.0:  # written so that NaN fails too
+        raise ValueError(
+            f"{path}: train_fraction must be in (0, 1), got {split!r}")
+    try:
+        TuneConfig(**_tune_fields(cfg))
+    except ValueError as exc:
+        # TuneConfig's messages start with the field's name; name the key
+        field, rest = str(exc).split(" ", 1)
+        keys = {renamed: key for key, renamed in _TUNE_RENAMES.items()}
+        raise ValueError(f"{path}: {keys.get(field, field)} {rest}") from None
     if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
         raise ValueError(f"{path}: seeds must be a nonempty list")
     seen = set()
@@ -177,9 +189,14 @@ def load_run_config(path) -> dict:
     return cfg
 
 
-def tune_config_from_run(cfg: dict, seed: int, n_new: int) -> TuneConfig:
+def _tune_fields(cfg: dict) -> dict:
+    """The TuneConfig fields that a run config sets, by field name."""
     fields = {_TUNE_RENAMES.get(key, key): value for key, value in cfg.items()}
-    fields = {key: value for key, value in fields.items() if key in _TUNE_FIELDS}
+    return {key: value for key, value in fields.items() if key in _TUNE_FIELDS}
+
+
+def tune_config_from_run(cfg: dict, seed: int, n_new: int) -> TuneConfig:
+    fields = _tune_fields(cfg)
     fields["seed"] = seed
     if cfg["replay_ratio"] is not None:
         fields["replay_n"] = replay_count_for_fraction(
@@ -403,7 +420,7 @@ def _sweep_row(seed, arm_cfg: dict, outcome):
     """Write one arm's files and return its sweep CSV row. A diverged arm
     gets no files and empty metric cells, and the other arms still run."""
     ratio = arm_cfg["replay_ratio"]
-    if isinstance(outcome, (RuntimeError, FloatingPointError)):
+    if isinstance(outcome, RuntimeError):
         print(f"ratio={ratio}, seed={seed}: {outcome}", file=sys.stderr)
         return ratio, seed, None, None, None, None
     if isinstance(outcome, Exception):

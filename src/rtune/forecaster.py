@@ -266,7 +266,6 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
 
     Raises:
         RuntimeError: the loss is non-finite (training diverged).
-        FloatingPointError: a non-finite intermediate in the gradient.
     """
     n = inputs.shape[0]
     if n == 0 or labels.shape != (n, m_new.horizon):
@@ -274,19 +273,19 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
             f"inconsistent batch shapes {inputs.shape} vs {labels.shape}"
         )
     grad = np.empty((1, m_new.theta.size))
-    terms, norm = np.empty((2, 1, n, m_new.horizon)), np.empty((1, 1, 1))
-    sums = np.empty((1, n, 1))
+    # the record of a chunk that is one step of one run
+    terms, norms = np.empty((2, 1, 1, n, m_new.horizon)), np.empty((1, 1))
+    sums = np.empty((1, 1, n, 1))
     p_old = None if p_old is None else p_old[None]
-    d_out = _step(
-        _blocks(m_new.theta[None], m_new), _blocks(grad, m_new), inputs[None],
-        labels[None], p_old, tau, distill_weight, reg_weight,
-        _workspace(1, n, m_new), terms, sums, norm)
-    losses = _step_losses(terms, sums, p_old, norm[:, 0, 0], n,
-                          distill_weight, reg_weight)
-    failed = _failures(losses, d_out)
-    if failed:
-        raise failed[0][1]
-    return losses[0], grad[0]
+    _step(_blocks(m_new.theta[None], m_new), _blocks(grad, m_new),
+          inputs[None], labels[None], p_old, tau, distill_weight, reg_weight,
+          _workspace(1, n, m_new), terms[:, 0], sums[0],
+          norms[0, :, None, None])
+    loss = float(_account(terms, sums, p_old, norms, np.full((1, 1), n), [],
+                          distill_weight, reg_weight)[0, 0])
+    if not math.isfinite(loss):
+        raise RuntimeError(f"non-finite loss {loss!r}")
+    return loss, grad[0]
 
 
 def _workspace(k, n, model):
@@ -317,16 +316,11 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
     gradient needs and records what the loss is made of, raw: the
     residuals in `terms` (2, K, n, H) and, when distilling, the max-shifted
     logits in its second slot and their exp sums in `sums` (K, n, 1); each
-    run's squared norm goes to `norm` (K, 1, 1). :func:`_terms` forms the
-    loss terms from that record, which :func:`_step_losses`, or
-    :func:`_account` for a chunk of steps, adds up. Every run's slice has
-    the bits of the same step taken alone: the batched matmuls run per
-    slice.
-
-    Returns:
-        The (K, n, H) gradient of the loss wrt the outputs, which
-        :func:`_failures` checks. A run whose loss or output gradient is
-        non-finite has a garbage gradient; the other runs' are exact.
+    run's squared norm goes to `norm` (K, 1, 1). :func:`_account` forms the
+    loss terms from that record and adds them up for a chunk of steps.
+    Every run's slice has the bits of the same step taken alone: the
+    batched matmuls run per slice, so a run whose loss or gradient is
+    non-finite leaves the other runs' gradients exact.
     """
     theta, _, b1, w2, b2, rows, columns, w1_t, w2_t = params
     grad, g_w1, g_b1, g_w2, g_b2, _, _, _, _ = grads
@@ -368,7 +362,6 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
     if reg_weight != 0.0:
         np.multiply(theta, 2.0 * reg_weight, out=reg)
         grad += reg
-    return d_out
 
 
 def _terms(terms, sums, p_old):
@@ -383,35 +376,11 @@ def _terms(terms, sums, p_old):
         np.multiply(p_old, z, out=z)
 
 
-def _losses(sums, norms, n, distill_weight, reg_weight):
-    """Losses as batch_objective adds them up, task, + distillation, + L2,
-    from `sums` (2, ...): each step's summed squared residuals and, when
-    distilling, cross-entropy terms; `norms` (...) the squared norms and
-    `n` the row counts. A sum over rows divided by n has the bits of
-    .mean(), and the cross-entropy is minus the sum of the products."""
-    # silent, as the same arithmetic on Python floats is
-    with np.errstate(all="ignore"):
-        loss = sums[0] / n
-        if distill_weight != 0.0:
-            loss = loss + distill_weight * (-sums[1] / n)
-        return loss + reg_weight * norms
-
-
-def _step_losses(terms, sums, p_old, norms, n, distill_weight, reg_weight):
-    """The one-step accounting: the K losses, as floats, of a step whose
-    record, terms (2, K, n, H) and sums (K, n, 1), and squared norms (K,)
-    :func:`_step` wrote; the terms are formed in place."""
-    terms = terms[:1 if distill_weight == 0.0 else 2]
-    _terms(terms, sums, p_old)
-    rows = np.add.reduce(terms, axis=-1)
-    sums = np.add.reduce(rows, axis=-1)
-    return _losses(sums, norms, n, distill_weight, reg_weight).tolist()
-
-
 def _account(terms, sums, p_old, norms, rows, partial, distill_weight,
-             reg_weight, running):
-    """The chunk accounting: add the losses of a chunk of steps into each
-    run's running sum, with the bits of adding them up step by step.
+             reg_weight):
+    """The losses of a chunk of steps, each with the bits of the same step's
+    loss taken alone, as batch_objective adds it up: task, + distillation,
+    + L2.
 
     `terms` (2, S, K, b, H), `sums` (S, K, b, 1) and `norms` (S, K) are
     what :func:`_step` wrote for the chunk's S batches of K runs, and
@@ -419,12 +388,12 @@ def _account(terms, sums, p_old, norms, rows, partial, distill_weight,
     place. `rows` (S, K) is the row count of each step, 0 where a run took
     none; `partial` lists the (batch, run, rows) of steps on fewer than b
     rows, which are summed at their own length: padding would move a
-    pairwise sum's bits. `running` is the K running sums, a list updated in
-    place.
+    pairwise sum's bits. A sum over rows divided by the row count has the
+    bits of .mean(), and the cross-entropy is minus the sum of the
+    products.
 
     Returns:
-        False, leaving `running` as it was, if the loss of a step is not
-        finite.
+        The (S, K) losses, 0 where a run took no step.
     """
     terms = terms[:1 if distill_weight == 0.0 else 2]
     _terms(terms, sums, p_old)
@@ -432,33 +401,14 @@ def _account(terms, sums, p_old, norms, rows, partial, distill_weight,
     step_sums = np.add.reduce(row_sums, axis=-1)
     for s, k, n in partial:
         step_sums[:, s, k] = np.add.reduce(row_sums[:, s, k, :n], axis=-1)
-    losses = _losses(step_sums, norms, rows, distill_weight, reg_weight)
+    # silent, as the same arithmetic on Python floats is
+    with np.errstate(all="ignore"):
+        losses = step_sums[0] / rows
+        if distill_weight != 0.0:
+            losses = losses + distill_weight * (-step_sums[1] / rows)
+        losses = losses + reg_weight * norms
     np.copyto(losses, 0.0, where=rows == 0)
-    if not np.isfinite(losses).all():
-        return False
-    # sum += loss * n, step after step, from the running sums
-    losses *= rows
-    running[:] = np.add.accumulate(
-        np.concatenate(([running], losses)))[-1].tolist()
-    return True
-
-
-def _failures(losses, d_out):
-    """(run index, exception) for each run of a step whose loss or output
-    gradient is non-finite: the exception the run's step alone raises; None
-    if there is none."""
-    if (math.isfinite(sum(losses))
-            and math.isfinite(np.add.reduce(d_out, axis=None))):
-        return None
-    failed = []
-    for k, loss in enumerate(losses):
-        if not math.isfinite(loss):
-            failed.append((k, RuntimeError(f"non-finite loss {loss!r}")))
-        elif not np.isfinite(d_out[k]).all():
-            failed.append((k, FloatingPointError(
-                "non-finite intermediate in gradient computation")))
-    # a finite sum can still overflow: then no run failed
-    return failed or None
+    return losses
 
 
 def save_checkpoint(model: Forecaster, path) -> None:
@@ -484,11 +434,24 @@ def save_checkpoint(model: Forecaster, path) -> None:
 
 def load_checkpoint(path) -> Forecaster:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    theta = np.frombuffer(base64.b64decode(doc["theta_b64"]), dtype="<f8")
-    return Forecaster(doc["input_width"], doc["horizon"], doc["hidden_width"],
-                      theta.astype(np.float64))
+        raise ValueError(
+            f"{path}: unsupported checkpoint version {doc.get('version')}")
+    try:
+        raw = base64.b64decode(doc["theta_b64"])
+        if len(raw) % 8:
+            raise ValueError(f"theta_b64 holds {len(raw)} bytes, not a whole "
+                             f"number of float64 values")
+        return Forecaster(doc["input_width"], doc["horizon"],
+                          doc["hidden_width"],
+                          np.frombuffer(raw, dtype="<f8").astype(np.float64))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:  # malformed values
+        raise ValueError(f"{path}: {exc}") from None

@@ -8,15 +8,15 @@ distillation), distillation-only, replay-only, and a no-training frozen
 evaluation.
 """
 
+import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .data import WindowedDataset
 from .forecaster import (Forecaster, _account, _blocks, _cross_entropy,
-                         _failures, _soften_rows, _step, _step_losses,
-                         _workspace)
+                         _soften_rows, _step, _workspace)
 from .metrics import MetricPair, mae
 from .replay import build_replay_set
 
@@ -40,10 +40,6 @@ __all__ = [
 # source, 8 in a stack of 8, so the buffers stay the same size whatever K
 GATHER_BATCHES = 64
 
-# TuneConfig fields that count something; a float or bool there is an error
-_INTEGER_FIELDS = ("replay_n", "wavelet_levels", "discard_depth", "epochs",
-                   "batch_size", "seed")
-
 
 @dataclass(frozen=True)
 class TuneConfig:
@@ -66,10 +62,15 @@ class TuneConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # each field holds a value of its annotated kind; a bool is neither
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.type is int and (isinstance(value, bool) or not
+                                     isinstance(value, (int, np.integer))):
+                raise ValueError(f"{spec.name} must be an integer, got {value!r}")
+            if spec.type is float and (isinstance(value, bool) or not
+                                       isinstance(value, numbers.Real)):
+                raise ValueError(f"{spec.name} must be a number, got {value!r}")
         if self.replay_n < 0:
             raise ValueError(f"replay_n must be >= 0, got {self.replay_n}")
         if self.seed < 0:
@@ -248,14 +249,13 @@ def r_tune_group(jobs):
     each run's replay rows.
 
     Returns:
-        One entry per job, in order: (model, report), or the ValueError,
-        RuntimeError or FloatingPointError that its solo :func:`r_tune`
-        raises. A run that diverges leaves its group with that error at the
-        end of the epoch; the other runs keep training. A run's
-        `wall_clock_seconds` is the time from the start of the call until
-        its group finished training: it includes the other jobs' preparation
-        and its siblings' steps, so the times of jobs trained together
-        overlap and do not add up.
+        One entry per job, in order: (model, report), or the ValueError or
+        RuntimeError that its solo :func:`r_tune` raises. A run that
+        diverges leaves its group with that error at the end of the epoch;
+        the other runs keep training. A run's `wall_clock_seconds` is the
+        time from the start of the call until its group finished training:
+        it includes the other jobs' preparation and its siblings' steps, so
+        the times of jobs trained together overlap and do not add up.
     """
     t_start = time.perf_counter()
     outcomes = [None] * len(jobs)
@@ -451,17 +451,19 @@ def _train_stack(runs, start):
     until the last epoch or one in which a run failed; returns the epoch to
     go on from.
 
-    Each chunk of batches runs speculatively (:func:`_speculate`). A chunk
-    in which a loss or a theta went non-finite is rolled back and replayed
-    one step at a time, each step checked as its runs alone check it, so a
-    failing run gets the error, offset and warnings of its solo run and its
-    siblings keep their bits."""
+    Training runs with floating-point warnings off. Each chunk of batches
+    takes its steps, then one :func:`rtune.forecaster._account` call gives
+    the loss of each of its steps. A run fails at its first step whose loss
+    is not finite, with the error and batch offset of its solo run; its
+    steps stop counting, its slot is not refilled, and steps of failed runs
+    alone are skipped. The other runs keep their bits: each run's slice of
+    the stacked kernel is computed on its own."""
     cfg, geometry = runs[0].cfg, runs[0].frozen
     sizes = [len(run.rows) for run in runs]
     theta = np.stack([run.model.theta for run in runs])  # updated in place
     for run, row in zip(runs, theta):
         run.model.theta = row
-    grad, saved = np.empty_like(theta), np.empty_like(theta)
+    grad = np.empty_like(theta)
     # every run's rows of a chunk of batches, gathered from its source in
     # its epoch's order; every step's batches are fixed slices of these
     chunk = max(1, GATHER_BATCHES // len(runs)) * cfg.batch_size
@@ -526,90 +528,60 @@ def _train_stack(runs, start):
         if n < batch:
             partial.append((s, first, n))
         plan.append(
-            (first, end, lo, n, *blocks[first, end], *workspaces[end - first, n],
+            (first, end, *blocks[first, end], *workspaces[end - first, n],
              inputs[first:end, at:at + n], labels[first:end, at:at + n],
              None if p_old is None else p_old[first:end, at:at + n],
              terms[:, s, first:end, :n],
              None if sums is None else sums[s, first:end, :n],
              norms[s, first:end, None, None]))
 
-    for epoch in range(start, cfg.epochs):
-        for k, run in enumerate(runs):
-            orders[k][:] = np.random.default_rng(
-                run.epoch_seqs[epoch]).permutation(sizes[k])
-            run.rows.take(orders[k], mode="clip", out=source_rows[k])
-        loss_sums = [0.0] * len(runs)
-        failures = False
-        for gathers, plan, record in chunks.values():
-            for k, source, index, buffer in gathers:
-                # a failed run's slot stays as its failure left it; indices
-                # are in range, so "clip" changes none, and it spares the
-                # copy through a buffer that "raise" makes
-                if runs[k].error is None:
-                    source.take(index, axis=0, mode="clip", out=buffer)
-            np.copyto(saved, theta)
-            if _speculate(plan, runs, failures, theta, cfg, record, loss_sums):
-                continue
-            np.copyto(theta, saved)
-            for (first, end, lo, n, params, grads, ws, scaled, x, y, p, t,
-                 sm, norm) in plan:
-                if failures and all(run.error is not None
-                                    for run in runs[first:end]):
-                    continue
-                d_out = _step(params, grads, x, y, p, cfg.tau,
-                              cfg.distill_weight, cfg.reg_weight, ws, t, sm,
-                              norm)
-                losses = _step_losses(t, sm, p, norm[:, 0, 0], n,
-                                      cfg.distill_weight, cfg.reg_weight)
-                failed = _failures(losses, d_out)
-                if failed:
-                    failures = True
-                    for k, exc in failed:
-                        runs[first + k].fail(exc, epoch, lo)
-                        # its steps no longer count, nor leave a stale slot
-                        # for the accounting to trip on
-                        for _, _, (*_, steps, _) in chunks.values():
-                            steps[:, first + k] = 0
-                        # until the epoch ends: a zero model on zero data
-                        # with uniform targets has a zero gradient, so its
-                        # slot stays finite and never warns or fails again
-                        theta[first + k] = grad[first + k] = 0.0
-                        inputs[first + k] = labels[first + k] = 0.0
-                        if p_old is not None:
-                            p_old[first + k] = 1.0 / geometry.horizon
-                np.multiply(grads[0], cfg.learning_rate, out=scaled)
-                np.subtract(params[0], scaled, out=params[0])
-                for k, loss in enumerate(losses, first):
-                    loss_sums[k] += loss * n
-        for k, run in enumerate(runs):
-            if run.error is None:
-                run.report.train_losses.append(loss_sums[k] / sizes[k])
-                run.validate(epoch)
-        if failures:
-            return epoch + 1
-    return cfg.epochs
-
-
-def _speculate(plan, runs, failures, theta, cfg, record, sums):
-    """Take a chunk's steps with floating-point warnings off, then add up
-    their losses in one :func:`rtune.forecaster._account` call on `record`.
-
-    Returns True if every step's loss and theta at the chunk's end are
-    finite: then no step failed, since a step whose output gradient is
-    non-finite leaves theta non-finite, and a non-finite theta stays so.
-    Otherwise the steps do not count: `sums` is as it was, and theta needs
-    restoring."""
     tau, distill_weight, reg_weight = cfg.tau, cfg.distill_weight, cfg.reg_weight
     rate = cfg.learning_rate
     with np.errstate(all="ignore"):
-        for (first, end, _, _, params, grads, ws, scaled, x, y, p, t, sm,
-             norm) in plan:
-            if failures and all(run.error is not None
-                                for run in runs[first:end]):
-                continue
-            _step(params, grads, x, y, p, tau, distill_weight, reg_weight, ws,
-                  t, sm, norm)
-            np.multiply(grads[0], rate, out=scaled)
-            np.subtract(params[0], scaled, out=params[0])
-        return bool(np.isfinite(theta).all()) and _account(
-            *record, distill_weight, reg_weight, sums)
+        for epoch in range(start, cfg.epochs):
+            for k, run in enumerate(runs):
+                orders[k][:] = np.random.default_rng(
+                    run.epoch_seqs[epoch]).permutation(sizes[k])
+                run.rows.take(orders[k], mode="clip", out=source_rows[k])
+            loss_sums = [0.0] * len(runs)
+            failures = False
+            for base, (gathers, plan, record) in chunks.items():
+                for k, source, index, buffer in gathers:
+                    # a failed run's slot is not refilled; indices are in
+                    # range, so "clip" changes none, and it spares the copy
+                    # through a buffer that "raise" makes
+                    if runs[k].error is None:
+                        source.take(index, axis=0, mode="clip", out=buffer)
+                for (first, end, params, grads, ws, scaled, x, y, p, t, sm,
+                     norm) in plan:
+                    if failures and all(run.error is not None
+                                        for run in runs[first:end]):
+                        continue
+                    _step(params, grads, x, y, p, tau, distill_weight,
+                          reg_weight, ws, t, sm, norm)
+                    np.multiply(grads[0], rate, out=scaled)
+                    np.subtract(params[0], scaled, out=params[0])
+                losses = _account(*record, distill_weight, reg_weight)
+                diverged = ~np.isfinite(losses)
+                if diverged.any():
+                    failures = True
+                    for k in np.flatnonzero(diverged.any(axis=0)):
+                        s = int(diverged[:, k].argmax())
+                        runs[k].fail(RuntimeError(
+                            f"non-finite loss {float(losses[s, k])!r}"),
+                            epoch, base + s * cfg.batch_size)
+                        # its steps no longer count, nor can fail it again
+                        for _, _, (*_, steps, _) in chunks.values():
+                            steps[:, k] = 0
+                # sum += loss * n, step after step, from the running sums;
+                # the record's rows are each step's n
+                losses *= record[4]
+                loss_sums = np.add.accumulate(
+                    np.concatenate(([loss_sums], losses)))[-1].tolist()
+            for k, run in enumerate(runs):
+                if run.error is None:
+                    run.report.train_losses.append(loss_sums[k] / sizes[k])
+                    run.validate(epoch)
+            if failures:
+                return epoch + 1
+    return cfg.epochs

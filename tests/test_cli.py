@@ -279,7 +279,7 @@ class TestTune:
                                          key, value):
         cfg = bench_config(**{key: value})
         assert main(["tune", "--config", str(cfg)]) == 1
-        assert (f"error: {key} must be an integer, got {value!r}"
+        assert (f"error: {cfg}: {key} must be an integer, got {value!r}"
                 in capsys.readouterr().err)
         assert run_files(tmp_path / "runs") == {}
 
@@ -380,6 +380,16 @@ class TestTune:
         ("column", 3, "must be null or a column name"),
         ("column", ["new"], "must be null or a column name"),
         ("column", "signal", None),
+        # training keys, which TuneConfig and the train/test split check
+        ("lambda", "x", "must be a number"),
+        ("lambda", 2, "must be in [0, 1]"),
+        ("beta", -1, "must be >= 0"),
+        ("learning_rate", None, "must be a number"),
+        ("tau", -1, "must be positive"),
+        ("batch_size", 0, "must be >= 1"),
+        ("validation_fraction", 1.0, "must be in (0, 1)"),
+        ("train_fraction", 1.5, "must be in (0, 1)"),
+        ("train_fraction", 0.5, None),
     ])
     @pytest.mark.parametrize("mode", ["csv", "benchmark"])
     def test_geometry_and_io_keys_checked_in_both_modes(

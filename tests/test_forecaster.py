@@ -5,6 +5,7 @@ checkpoint round trips."""
 import ast
 import importlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from rtune.forecaster import (Forecaster, _account, _blocks, _cross_entropy,
-                              _failures, _soften_rows, _step, _step_losses,
-                              _workspace,
-                              grad_total,
+                              _soften_rows, _step, _workspace, grad_total,
                               init_forecaster, load_checkpoint,
                               save_checkpoint, soften, soften_jacobian,
                               theta_size, value_and_grad)
@@ -318,9 +317,8 @@ class TestValueAndGrad:
     def test_finite_loss_comes_with_finite_gradient(
             self, seed, n, tau, distill_weight, reg_weight, label_exponent,
             input_exponent):
-        # a speculative training chunk commits when every loss and the
-        # final theta are finite: a step whose loss is finite must not be
-        # one that fails on a non-finite gradient
+        # training tells a failed run by its first non-finite loss alone: a
+        # step whose loss is finite must not leave a non-finite gradient
         m_new, m_old, x, y = TestGradTotal()._random_instance(seed % 10000, n=n)
         x = 10.0 ** input_exponent * x
         y = 10.0 ** label_exponent * y
@@ -357,22 +355,22 @@ class TestValueAndGrad:
 
 def stacked_step(model, thetas, x, y, p_old, tau, distill_weight, reg_weight):
     """_step over a (K, P) stack whose batches are slices of padded epoch
-    buffers, as the training loop lays them out, then the one-step
-    accounting and check of a replayed step: (losses, failed, grads)."""
+    buffers, as the training loop lays them out, then the accounting of it
+    as a chunk of one batch: (losses, grads)."""
     k, n = x.shape[:2]
     pad = np.zeros((k, n + 3, x.shape[2]))
     pad[:, 1:n + 1] = x
     stack = np.array(thetas)
     grads = np.full_like(stack, np.nan)
-    terms, norm = np.full((2, k, n, y.shape[2]), np.nan), np.empty((k, 1, 1))
-    sums = np.full((k, n, 1), np.nan)
-    d_out = _step(
-        _blocks(stack, model), _blocks(grads, model), pad[:, 1:n + 1], y,
-        p_old, tau, distill_weight, reg_weight, _workspace(k, n, model),
-        terms, sums, norm)
-    losses = _step_losses(terms, sums, p_old, norm[:, 0, 0], n,
-                          distill_weight, reg_weight)
-    return losses, _failures(losses, d_out), grads
+    terms = np.full((2, 1, k, n, y.shape[2]), np.nan)
+    sums, norms = np.full((1, k, n, 1), np.nan), np.empty((1, k))
+    _step(_blocks(stack, model), _blocks(grads, model), pad[:, 1:n + 1], y,
+          p_old, tau, distill_weight, reg_weight, _workspace(k, n, model),
+          terms[:, 0], sums[0], norms[0, :, None, None])
+    losses = _account(terms, sums, None if p_old is None else p_old[None],
+                      norms, np.full((1, k), n), [], distill_weight,
+                      reg_weight)
+    return losses[0].tolist(), grads
 
 
 class TestStackedStep:
@@ -389,9 +387,9 @@ class TestStackedStep:
         y = rng.normal(size=(k, n, 3))
         p_old = _soften_rows(rng.normal(size=(k, n, 3)), tau) if distill else None
         distill_weight = 0.2 if distill else 0.0
-        losses, failed, grads = stacked_step(model, thetas, x, y, p_old, tau,
-                                             distill_weight, reg_weight)
-        assert failed is None and len(losses) == k
+        losses, grads = stacked_step(model, thetas, x, y, p_old, tau,
+                                     distill_weight, reg_weight)
+        assert len(losses) == k
         for j in range(k):
             run = Forecaster(7, 3, 5, thetas[j])
             loss, grad = value_and_grad(run, x[j], y[j],
@@ -416,8 +414,8 @@ class TestStackedStep:
         y = rng.normal(size=(k, n, 3))
         p_old = _soften_rows(m_old.forward_batch(x.reshape(-1, 6)),
                              2.0).reshape(k, n, 3)
-        losses, _, grads = stacked_step(runs[0], [r.theta for r in runs], x, y,
-                                        p_old, 2.0, distill_weight, 1e-3)
+        losses, grads = stacked_step(runs[0], [r.theta for r in runs], x, y,
+                                     p_old, 2.0, distill_weight, 1e-3)
         for j, run in enumerate(runs):
             assert abs(losses[j] - batch_objective(
                 run, m_old, x[j], y[j], 2.0, distill_weight, 1e-3)) <= 1e-12
@@ -432,13 +430,15 @@ class TestStackedStep:
         x = rng.normal(size=(3, 4, 6))
         y = rng.normal(size=(3, 4, 3))
         y[1] = 1e200  # only the middle run's loss overflows
-        losses, failed, grads = stacked_step(model, thetas, x, y, None, 3.0,
-                                             0.0, 1e-4)
-        assert [(j, type(exc)) for j, exc in failed] == [(1, RuntimeError)]
+        losses, grads = stacked_step(model, thetas, x, y, None, 3.0, 0.0,
+                                     1e-4)
+        assert [j for j, loss in enumerate(losses)
+                if not np.isfinite(loss)] == [1]
         with pytest.raises(RuntimeError) as info:
             value_and_grad(Forecaster(6, 3, 4, thetas[1]), x[1], y[1], None,
                            3.0, 0.0, 1e-4)
-        assert str(failed[0][1]) == str(info.value) == "non-finite loss inf"
+        assert f"non-finite loss {losses[1]!r}" == str(info.value)
+        assert str(info.value) == "non-finite loss inf"
         for j in (0, 2):
             loss, grad = value_and_grad(Forecaster(6, 3, 4, thetas[j]), x[j],
                                         y[j], None, 3.0, 0.0, 1e-4)
@@ -471,8 +471,6 @@ class TestAccount:
         rows, partial = np.zeros((batches, k)), []
         thetas = model.theta + 0.3 * rng.normal(
             size=(batches, k, model.theta.size))
-        running = rng.normal(size=k).tolist()
-        expected = [list(running)]
         for first, end, lo, hi in _schedule(sizes, batch_size):
             s, n = lo // batch_size, hi - lo
             rows[s, first:end] = n
@@ -486,28 +484,25 @@ class TestAccount:
                   _workspace(end - first, n, model),
                   terms[:, s, first:end, :n], sums[s, first:end, :n],
                   norms[s, first:end, None, None])
+        expected = np.zeros((batches, k))
         for s in range(batches):
-            after = list(expected[-1])
             for j in range(k):
                 n = int(rows[s, j])
                 if n:
                     lo = s * batch_size
-                    loss, _ = reference_value_and_grad(
+                    expected[s, j], _ = reference_value_and_grad(
                         Forecaster(7, 3, 5, thetas[s, j]), x[j, lo:lo + n],
                         y[j, lo:lo + n], p_old[j, lo:lo + n], tau,
                         distill_weight, reg_weight)
-                    after[j] += loss * n
-            expected.append(after)
         soft = p_old.reshape(k, batches, batch, 3).swapaxes(0, 1)
         for t in range(1, batches + 1):
             # the first t batches as one chunk, from a fresh copy of the
             # record: the accounting forms the terms in place
-            totals = list(running)
-            assert _account(terms[:, :t].copy(), sums[:t], soft[:t],
-                            norms[:t], rows[:t],
-                            [step for step in partial if step[0] < t],
-                            distill_weight, reg_weight, totals)
-            assert totals == expected[t]
+            losses = _account(terms[:, :t].copy(), sums[:t], soft[:t],
+                              norms[:t], rows[:t],
+                              [step for step in partial if step[0] < t],
+                              distill_weight, reg_weight)
+            assert losses.tolist() == expected[:t].tolist()
 
 
 class TestCheckpoint:
@@ -526,11 +521,28 @@ class TestCheckpoint:
         save_checkpoint(m, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_rejects_foreign_files(self, tmp_path):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {"format": "other"}, "not a rtune-checkpoint file"),
+        (lambda doc: [doc], "not a rtune-checkpoint file"),
+        (lambda doc: dict(doc, version=2), "unsupported checkpoint version 2"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "theta_b64"},
+         "missing key 'theta_b64'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "horizon"},
+         "missing key 'horizon'"),
+        (lambda doc: dict(doc, theta_b64=doc["theta_b64"][:-4]),
+         "not a whole number of float64 values"),
+        (lambda doc: dict(doc, theta_b64="A"), "Invalid base64"),
+        (lambda doc: dict(doc, hidden_width=4), "theta must have shape"),
+        (lambda doc: "{", "Expecting property name"),
+    ])
+    def test_rejects_foreign_files(self, tmp_path, edit, message):
         path = tmp_path / "junk.json"
-        path.write_text(json.dumps({"format": "other"}))
-        with pytest.raises(ValueError, match="not a"):
+        save_checkpoint(init_forecaster(4, 2, 3, seed=5), path)
+        doc = edit(json.loads(path.read_text()))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
             load_checkpoint(path)
+        assert str(path) in str(info.value)
 
 
 def test_package_uses_no_numpy_2_names():

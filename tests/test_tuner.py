@@ -15,8 +15,8 @@ from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
 from rtune.cli import build_parser, load_run_config
 from rtune.data import WindowedDataset, make_windows, permute_windows
 from rtune import forecaster, tuner
-from rtune.forecaster import (_soften_rows, _step, init_forecaster, soften,
-                              value_and_grad)
+from rtune.forecaster import (Forecaster, _soften_rows, _step,
+                              init_forecaster, soften, value_and_grad)
 from rtune.metrics import evaluate_model, mae
 from rtune.replay import build_replay_set, build_train_set
 from rtune.tuner import (METHODS, TuneConfig, _epoch_seeds, _schedule,
@@ -210,7 +210,6 @@ class TestRTune:
                                                       distill_weight=0.0))
         assert min(report.val_maes) < report.val_maes[0] * 1.01
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_non_finite_loss_aborts(self):
         frozen = init_forecaster(8, 4, 6, seed=7)
         data = small_dataset()
@@ -309,24 +308,14 @@ class TestLockstep:
 
     @staticmethod
     def count_steps(monkeypatch):
-        """The number of runs of each stacked step training commits: the
-        steps of a speculative chunk that is rolled back do not count."""
+        """The number of runs of each stacked step training takes."""
         widths = []
-        speculate = tuner._speculate
 
         def counted(params, *args):
             widths.append(params[0].shape[0])
             return _step(params, *args)
 
-        def committed(*args):
-            mark = len(widths)
-            if speculate(*args):
-                return True
-            del widths[mark:]
-            return False
-
         monkeypatch.setattr(tuner, "_step", counted)
-        monkeypatch.setattr(tuner, "_speculate", committed)
         return widths
 
     @staticmethod
@@ -337,7 +326,6 @@ class TestLockstep:
         labels[list(rows)] = 1e200
         return frozen, WindowedDataset(data.inputs, labels), cfg, method
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_diverged_run_leaves_with_its_solo_error(self, monkeypatch):
         jobs = self.jobs(7)
         jobs[2] = self.diverging(jobs[2])
@@ -364,7 +352,6 @@ class TestLockstep:
         for j in (0, 1, 3):
             assert_same_run(outcomes[j], r_tune(*jobs[j]))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_diverged_run_in_a_later_gather_chunk(self):
         # training sets of about four gather chunks; the run meets its first
         # overflowing row in the second chunk and one more in each chunk
@@ -390,35 +377,6 @@ class TestLockstep:
         for j in (0, 1, 3):
             assert_same_run(outcomes[j], r_tune(*jobs[j]))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-    def test_failed_run_rolls_back_only_its_chunk(self, monkeypatch):
-        # two runs in 32-batch chunks: the smaller fails in batch 5 of the
-        # first chunk, and its partial last batch, skipped, is batch 5 of
-        # the second; the slot its failing step left must not make that
-        # clean chunk roll back
-        cfg = small_config(batch_size=7, replay_n=1)
-        jobs = [(init_forecaster(8, 4, 6, seed=9 + j),
-                 small_dataset(n_windows=n, seed=1 + j), cfg, "r-tuning")
-                for j, n in enumerate((700, 325))]
-        met = self.first_epoch_rows(jobs[1])
-        chunk = tuner.GATHER_BATCHES // 2 * 7
-        assert len(met) == chunk + 5 * 7 + 3
-        jobs[1] = self.diverging(jobs[1], [next(row for row in met[35:42]
-                                                if row >= 0)])
-        speculate, committed = tuner._speculate, []
-
-        def counted(*args):
-            committed.append(speculate(*args))
-            return committed[-1]
-
-        monkeypatch.setattr(tuner, "_speculate", counted)
-        outcomes = r_tune_group(jobs)
-        assert committed.count(False) == 1 and not committed[0]
-        monkeypatch.undo()
-        assert str(outcomes[1]).startswith(
-            "non-finite loss inf at epoch 0, batch offset 35 ")
-        assert_same_run(outcomes[0], r_tune(*jobs[0]))
-
     @staticmethod
     def first_epoch_rows(job):
         """The data rows of a job's first epoch in the order it meets them;
@@ -434,7 +392,6 @@ class TestLockstep:
         return train.starts[
             np.random.default_rng(epoch_seqs[0]).permutation(len(train))]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     @pytest.mark.parametrize("steps", [
         {2: (1, 0)},  # run 2 at the first step of the second chunk
         {2: (1, 8)},  # a middle step
@@ -444,10 +401,9 @@ class TestLockstep:
         {0: (2, 15), 3: (3, 0)},  # the last step of a chunk, then the next
     ])
     def test_divergence_at_chunk_edges(self, steps):
-        # each chunk of 16 batches runs speculatively, and one whose loss
-        # goes non-finite is replayed step by step: the diverged runs leave
-        # with their solo errors at their own steps, the others keep their
-        # solo bits
+        # the accounting of each chunk of 16 batches gives every step's
+        # loss: the diverged runs leave with their solo errors at their own
+        # steps, the others keep their solo bits
         jobs = self.jobs(7, n_windows=500)
         chunk = tuner.GATHER_BATCHES // len(jobs) * 7
         assert chunk == 16 * 7
@@ -474,34 +430,58 @@ class TestLockstep:
             assert str(outcomes[j]).startswith(
                 f"non-finite loss inf at epoch 0, batch offset {offsets[j]} ")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-    def test_chunk_ending_on_non_finite_theta_is_replayed(self, monkeypatch):
-        # a step whose loss is finite but whose output gradient is not fails
-        # alone; at a chunk's last step, only the non-finite theta it leaves
-        # shows that the chunk must be replayed
-        job = self.jobs(4, n_windows=500)[2]
-        assert len(self.first_epoch_rows(job)) > tuner.GATHER_BATCHES * 4
-        batches = []
+    @staticmethod
+    def overflowing(job):
+        """The job without replay, its model and inputs rescaled so that
+        its first update overflows theta while that step's loss is finite:
+        hidden weights scaled down by 1e160 and inputs up by as much leave
+        the hidden layer as it was, and output weights scaled up by 1e150
+        give residuals of about 1e150, so the loss stays near 1e301 while
+        the hidden-weight gradient, the residuals through the output
+        weights times the inputs, passes 1e400 at any learning rate."""
+        frozen, data, cfg, method = job
+        theta = frozen.theta.copy()
+        _, w1, _, w2, _ = forecaster._blocks(theta[None], frozen)[:5]
+        w1 *= 1e-160
+        w2 *= 1e150
+        frozen = Forecaster(frozen.input_width, frozen.horizon,
+                            frozen.hidden_width, theta)
+        return (frozen, WindowedDataset(1e160 * data.inputs, data.labels),
+                replace(cfg, replay_n=0), method)
 
-        def poisoned(params, grads, x, *args):
-            d_out = _step(params, grads, x, *args)
-            if id(x) not in batches:
-                batches.append(id(x))
-            if batches.index(id(x)) == tuner.GATHER_BATCHES - 1:
-                d_out[0, 0, 0] = np.inf
-                grads[0][:] = np.inf
-            return d_out
-
-        monkeypatch.setattr(tuner, "_step", poisoned)
-        outcome, = r_tune_group([job])
-        assert type(outcome) is FloatingPointError
-        assert str(outcome) == "non-finite intermediate in gradient computation"
+    @pytest.mark.parametrize("batch_size, gather, epoch, offset", [
+        (7, 64, 0, 7),  # the next step is in the same chunk
+        (7, 4, 0, 7),  # chunks of one batch: the next step starts a chunk
+        (200, 64, 1, 0),  # one step an epoch: the next is the next epoch's
+    ])
+    def test_overflowed_theta_fails_at_the_next_step(
+            self, monkeypatch, batch_size, gather, epoch, offset):
+        monkeypatch.setattr(tuner, "GATHER_BATCHES", gather)
+        jobs = self.jobs(batch_size)
+        jobs[2] = self.overflowing(jobs[2])
+        frozen, data, cfg, _ = jobs[2]
+        # on any batch of the run, the first step's loss is finite and its
+        # gradient, so its update, is not
+        with np.errstate(all="ignore"):
+            loss, grad = value_and_grad(frozen, data.inputs[:7],
+                                        data.labels[:7], None, cfg.tau, 0.0,
+                                        cfg.reg_weight)
+        assert np.isfinite(loss) and not np.isfinite(grad).all()
+        outcomes = r_tune_group(jobs)
+        with pytest.raises(RuntimeError) as info:
+            r_tune(*jobs[2])
+        assert type(outcomes[2]) is RuntimeError
+        assert str(outcomes[2]) == str(info.value)
+        assert str(outcomes[2].__cause__) == str(info.value.__cause__)
+        assert re.match(r"non-finite loss (inf|nan) at epoch "
+                        f"{epoch}, batch offset {offset} ", str(outcomes[2]))
+        for j in (0, 1, 3):
+            assert_same_run(outcomes[j], r_tune(*jobs[j]))
 
     def test_clean_training_accounts_once_per_chunk(self, monkeypatch):
         # two stacks of a few chunks each, neither diverging: every chunk
-        # of every epoch is accounted once, and no step takes the one-step
-        # path; the loss terms, cross-entropy ones included, are formed
-        # once per chunk, never inside the kernel
+        # of every epoch is accounted once; the loss terms, cross-entropy
+        # ones included, are formed once per chunk, never inside the kernel
         jobs = self.jobs(7, n_windows=500)
         jobs += [(frozen, data, replace(cfg, learning_rate=2e-2), "ft")
                  for frozen, data, cfg, _ in jobs[:2]]
@@ -519,9 +499,6 @@ class TestLockstep:
             calls.append(args)
             return account(*args)
 
-        def per_step(*args):
-            raise AssertionError("a clean chunk took the one-step path")
-
         def forming(record, *args):
             assert not stepping, "the kernel formed loss terms"
             formed.append(len(record))
@@ -529,7 +506,7 @@ class TestLockstep:
 
         def kernel(*args):
             stepping.append(True)
-            d_out = step(*args)
+            step(*args)
             stepping.pop()
             record = args[9]
             # the kernel leaves the residuals, of either sign, and the
@@ -538,11 +515,8 @@ class TestLockstep:
             signs.update(np.sign(record[0]).ravel().tolist())
             if len(record) > 1:
                 assert (record[1].max(axis=-1) == 0.0).all()
-            return d_out
 
         monkeypatch.setattr(tuner, "_account", counted)
-        monkeypatch.setattr(tuner, "_step_losses", per_step)
-        monkeypatch.setattr(tuner, "_failures", per_step)
         monkeypatch.setattr(forecaster, "_terms", forming)
         monkeypatch.setattr(tuner, "_step", kernel)
         outcomes = r_tune_group(jobs)
@@ -554,28 +528,43 @@ class TestLockstep:
         for job, outcome in zip(jobs, outcomes):
             assert_same_run(outcome, r_tune(*job))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-    def test_diverged_solo_run_stops_at_its_step(self, monkeypatch):
-        job = self.diverging(self.jobs(7)[2])
+    def test_diverged_solo_run_stops_after_its_chunk(self, monkeypatch):
+        # the run fails in the first of its two chunks: it takes that
+        # chunk's steps and none after, of this epoch or the three after
+        job = self.jobs(7, n_windows=600)[2]
+        met = self.first_epoch_rows(job)
+        chunk = tuner.GATHER_BATCHES * 7
+        assert chunk < len(met)
+        job = self.diverging(job, [next(row for row in met[:chunk] if row >= 0)])
         widths = self.count_steps(monkeypatch)
         with pytest.raises(RuntimeError, match="at epoch 0, ") as info:
             r_tune(*job)
-        # no step after the failing one, of this epoch or the three after
         offset = int(re.search(r"batch offset (\d+)", str(info.value))[1])
-        assert widths == [1] * (offset // 7 + 1)
+        assert offset < chunk
+        assert widths == [1] * (chunk // 7)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-    def test_group_whose_runs_all_diverge_stops_at_once(self, monkeypatch):
-        jobs = [self.diverging(job, range(30)) for job in self.jobs(7)[:2]]
+    def test_group_whose_runs_all_diverge_stops_after_the_chunk(
+            self, monkeypatch):
+        # both runs fail in their first step, in the first of their chunks:
+        # the group takes that chunk's steps and none after
+        jobs = self.jobs(7, n_windows=500)[:2]
+        met = [self.first_epoch_rows(job) for job in jobs]
+        jobs = [self.diverging(job, [row for row in rows[:7] if row >= 0])
+                for job, rows in zip(jobs, met)]
+        chunk = tuner.GATHER_BATCHES // 2 * 7
+        sizes = sorted(map(len, met), reverse=True)
+        assert chunk < sizes[1]
         widths = self.count_steps(monkeypatch)
         outcomes = r_tune_group(jobs)
-        assert widths == [2]  # both fail in the first step
+        assert widths == [end - first for first, end, lo, _
+                          in _schedule(sizes, 7) if lo < chunk]
         monkeypatch.undo()
         for job, outcome in zip(jobs, outcomes):
             with pytest.raises(RuntimeError) as info:
                 r_tune(*job)
             assert type(outcome) is RuntimeError
             assert str(outcome) == str(info.value)
+            assert ", batch offset 0 " in str(outcome)
 
     def test_schedule(self):
         # sizes sorted largest first: shared full batches, then each run's
