@@ -169,13 +169,7 @@ def load_run_config(path) -> dict:
             or not 0.0 < split < 1.0:  # written so that NaN fails too
         raise ValueError(
             f"{path}: train_fraction must be in (0, 1), got {split!r}")
-    try:
-        TuneConfig(**_tune_fields(cfg))
-    except ValueError as exc:
-        # TuneConfig's messages start with the field's name; name the key
-        field, rest = str(exc).split(" ", 1)
-        keys = {renamed: key for key, renamed in _TUNE_RENAMES.items()}
-        raise ValueError(f"{path}: {keys.get(field, field)} {rest}") from None
+    _check_tune_fields(cfg, {key: f"{path}: {key}" for key in cfg})
     if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
         raise ValueError(f"{path}: seeds must be a nonempty list")
     seen = set()
@@ -187,6 +181,19 @@ def load_run_config(path) -> dict:
             raise ValueError(f"{path}: seeds: {seed!r} repeats")
         seen.add(seed)
     return cfg
+
+
+def _check_tune_fields(cfg: dict, names: dict) -> None:
+    """Check the TuneConfig fields of `cfg`; the error names the offending
+    run-config key as `names` maps it."""
+    try:
+        TuneConfig(**_tune_fields(cfg))
+    except ValueError as exc:
+        # TuneConfig's messages start with the field's name; name the key
+        field, rest = str(exc).split(" ", 1)
+        keys = {renamed: key for key, renamed in _TUNE_RENAMES.items()}
+        key = keys.get(field, field)
+        raise ValueError(f"{names[key]} {rest}") from None
 
 
 def _tune_fields(cfg: dict) -> dict:
@@ -365,9 +372,13 @@ def _write_run_outputs(arm_cfg: dict, model, report, run_dir: Path):
 
 def cmd_tune(args) -> int:
     cfg = load_run_config(args.config)
+    names = {key: f"{args.config}: {key}" for key in cfg}
     for dest, key in _TUNE_FLAGS.items():
         if getattr(args, dest) is not None:
             cfg[key] = getattr(args, dest)
+            names[key] = "--" + dest.rstrip("_").replace("_", "-")
+    # the flags' values, checked before any seed is prepared
+    _check_tune_fields(cfg, names)
     if args.seed is not None:
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")

@@ -36,22 +36,24 @@ def theta_size(input_width: int, hidden_width: int, horizon: int) -> int:
 
 
 def _blocks(stack, model):
-    """(stack, hidden weights, hidden bias, output weights, output bias, rows,
-    columns, hidden weights transposed, output weights transposed) of a
-    (K, P) stack of vectors laid out like `model.theta`, the rest as
+    """(vectors, hidden weights, hidden bias, output weights, output bias,
+    rows, columns, hidden weights transposed, output weights transposed) of
+    a (K, P) stack of vectors laid out like `model.theta`, the rest as
     (K, hidden, W), (K, 1, hidden), (K, H, hidden), (K, 1, H), (K, 1, P),
-    (K, P, 1), (K, W, hidden) and (K, hidden, H) views into `stack`. The
-    biases keep a row axis so they broadcast over a batch; rows times
-    columns are the squared norms."""
+    (K, P, 1), (K, W, hidden) and (K, hidden, H) views into `stack`. One
+    run's (P,) vector gives the same views without the K axis: rank-2
+    blocks, which :func:`_step` multiplies with np.dot. The biases keep a
+    row axis so they broadcast over a batch; rows times columns are the
+    squared norms."""
     w, h, hid = model.input_width, model.horizon, model.hidden_width
-    k = stack.shape[0]
+    lead = stack.shape[:-1]
     i = 0
-    w1 = stack[:, i:i + hid * w].reshape(k, hid, w); i += hid * w
-    b1 = stack[:, i:i + hid].reshape(k, 1, hid); i += hid
-    w2 = stack[:, i:i + h * hid].reshape(k, h, hid); i += h * hid
-    b2 = stack[:, i:i + h].reshape(k, 1, h)
-    return (stack, w1, b1, w2, b2, stack[:, None], stack[:, :, None],
-            w1.swapaxes(1, 2), w2.swapaxes(1, 2))
+    w1 = stack[..., i:i + hid * w].reshape(lead + (hid, w)); i += hid * w
+    b1 = stack[..., i:i + hid].reshape(lead + (1, hid)); i += hid
+    w2 = stack[..., i:i + h * hid].reshape(lead + (h, hid)); i += h * hid
+    b2 = stack[..., i:i + h].reshape(lead + (1, h))
+    return (stack, w1, b1, w2, b2, stack[..., None, :], stack[..., None],
+            w1.swapaxes(-1, -2), w2.swapaxes(-1, -2))
 
 
 @dataclass
@@ -78,8 +80,9 @@ class Forecaster:
             raise ValueError("theta contains non-finite values")
 
     def _unpack(self):
-        _, w1, b1, w2, b2 = _blocks(self.theta[None], self)[:5]
-        return w1[0], b1[0, 0], w2[0], b2[0, 0]
+        """Hidden weights, hidden bias, output weights and output bias; the
+        biases as (1, hidden) and (1, H) rows."""
+        return _blocks(self.theta, self)[1:5]
 
     def forward(self, x) -> np.ndarray:
         """Forecast H steps from one input window of length W."""
@@ -88,9 +91,7 @@ class Forecaster:
             raise ValueError(
                 f"expected input of length {self.input_width}, got shape {x.shape}"
             )
-        w1, b1, w2, b2 = self._unpack()
-        hidden = np.tanh(w1 @ x + b1)
-        return w2 @ hidden + b2
+        return self.forward_batch(x[None])[0]
 
     def forward_batch(self, inputs) -> np.ndarray:
         """Vectorized forward pass over rows of an (n, W) array."""
@@ -272,20 +273,18 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
         raise ValueError(
             f"inconsistent batch shapes {inputs.shape} vs {labels.shape}"
         )
-    grad = np.empty((1, m_new.theta.size))
+    grad = np.empty_like(m_new.theta)
     # the record of a chunk that is one step of one run
     terms, norms = np.empty((2, 1, 1, n, m_new.horizon)), np.empty((1, 1))
     sums = np.empty((1, 1, n, 1))
-    p_old = None if p_old is None else p_old[None]
-    _step(_blocks(m_new.theta[None], m_new), _blocks(grad, m_new),
-          inputs[None], labels[None], p_old, tau, distill_weight, reg_weight,
-          _workspace(1, n, m_new), terms[:, 0], sums[0],
-          norms[0, :, None, None])
+    _step(_blocks(m_new.theta, m_new), _blocks(grad, m_new), inputs, labels,
+          p_old, tau, distill_weight, reg_weight, _workspace(1, n, m_new),
+          terms[:, 0, 0], sums[0, 0], norms)
     loss = float(_account(terms, sums, p_old, norms, np.full((1, 1), n), [],
                           distill_weight, reg_weight)[0, 0])
     if not math.isfinite(loss):
         raise RuntimeError(f"non-finite loss {loss!r}")
-    return loss, grad[0]
+    return loss, grad
 
 
 def _workspace(k, n, model):
@@ -294,13 +293,15 @@ def _workspace(k, n, model):
     gradient (k, n, hidden) with the gradient's transpose; outputs and their
     gradient (k, n, H) with the gradient's transpose; softmax numerators
     (k, n, H); a (k, n, 1) column; and a (k, P) buffer for the L2
-    gradient."""
+    gradient. For one run (k == 1) the arrays have no k axis, to match the
+    rank-2 :func:`_blocks` of a one-run stack."""
     h, hid = model.horizon, model.hidden_width
-    d_hid, d_out = np.empty((k, n, hid)), np.empty((k, n, h))
-    return (np.empty((k, n, hid)), d_hid, d_hid.swapaxes(1, 2),
-            np.empty((k, n, h)), d_out, d_out.swapaxes(1, 2),
-            np.empty((k, n, h)), np.empty((k, n, 1)),
-            np.empty((k, theta_size(model.input_width, hid, h))))
+    lead = () if k == 1 else (k,)
+    d_hid, d_out = np.empty(lead + (n, hid)), np.empty(lead + (n, h))
+    return (np.empty(lead + (n, hid)), d_hid, d_hid.swapaxes(-1, -2),
+            np.empty(lead + (n, h)), d_out, d_out.swapaxes(-1, -2),
+            np.empty(lead + (n, h)), np.empty(lead + (n, 1)),
+            np.empty(lead + (theta_size(model.input_width, hid, h),)))
 
 
 def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
@@ -318,18 +319,24 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
     logits in its second slot and their exp sums in `sums` (K, n, 1); each
     run's squared norm goes to `norm` (K, 1, 1). :func:`_account` forms the
     loss terms from that record and adds them up for a chunk of steps.
-    Every run's slice has the bits of the same step taken alone: the
-    batched matmuls run per slice, so a run whose loss or gradient is
-    non-finite leaves the other runs' gradients exact.
+
+    One run comes without the K axis: the blocks of its (P,) vector, rank-2
+    batches and record ((2, n, H) terms, (n, 1) sums, a (1, 1) norm) and a
+    workspace for k == 1. Its products run through np.dot, which skips the
+    batched matmul's per-call cost; stacks of two or more runs take the
+    batched np.matmul, which runs per slice. Either way every run's slice
+    has the bits of the same step taken alone, so a run whose loss or
+    gradient is non-finite leaves the other runs' gradients exact.
     """
     theta, _, b1, w2, b2, rows, columns, w1_t, w2_t = params
     grad, g_w1, g_b1, g_w2, g_b2, _, _, _, _ = grads
     hidden, d_hid, d_hid_t, out, d_out, d_out_t, e, col, reg = ws
-    n = inputs.shape[1]
-    np.matmul(inputs, w1_t, out=hidden)
+    n = inputs.shape[-2]
+    mm = np.dot if inputs.ndim == 2 else np.matmul
+    mm(inputs, w1_t, out=hidden)
     hidden += b1
     np.tanh(hidden, out=hidden)
-    np.matmul(hidden, w2_t, out=out)
+    mm(hidden, w2_t, out=out)
     out += b2
 
     # 2r is exact, so r / (n / 2) rounds 2r / n once, as 2.0 * r / n does
@@ -349,16 +356,16 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
         e /= tau * n
         d_out += e
     # a (1, P) @ (P, 1) product per run has the bits of theta @ theta
-    np.matmul(rows, columns, out=norm)
+    mm(rows, columns, out=norm)
 
-    np.matmul(d_out_t, hidden, out=g_w2)
-    np.add.reduce(d_out, 1, None, g_b2, True)
-    np.matmul(d_out, w2, out=d_hid)
+    mm(d_out_t, hidden, out=g_w2)
+    np.add.reduce(d_out, -2, None, g_b2, True)
+    mm(d_out, w2, out=d_hid)
     np.multiply(hidden, hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     d_hid *= hidden
-    np.matmul(d_hid_t, inputs, out=g_w1)
-    np.add.reduce(d_hid, 1, None, g_b1, True)
+    mm(d_hid_t, inputs, out=g_w1)
+    np.add.reduce(d_hid, -2, None, g_b1, True)
     if reg_weight != 0.0:
         np.multiply(theta, 2.0 * reg_weight, out=reg)
         grad += reg

@@ -371,7 +371,9 @@ class _Run:
         val_mae = mae(self.model.forward_batch(self.val_inputs),
                       self.val_labels)
         self.report.val_maes.append(val_mae)
-        if val_mae < self.best_mae:
+        # a theta that overflowed can still validate finite (a saturated
+        # tanh hides an infinite hidden bias); it is no checkpoint
+        if val_mae < self.best_mae and np.isfinite(self.model.theta).all():
             self.best_mae = val_mae
             self.best_theta = self.model.theta.copy()
             self.report.selected_epoch = epoch
@@ -379,13 +381,14 @@ class _Run:
     def outcome(self, t_start):
         if self.error is not None:
             return self.error
-        try:
-            tuned = Forecaster(self.frozen.input_width, self.frozen.horizon,
-                               self.frozen.hidden_width, self.best_theta)
-        except ValueError as exc:
-            return exc
+        if self.best_theta is None:
+            return RuntimeError(
+                f"training diverged: no epoch validated to a finite MAE "
+                f"(method={self.method}, lr={self.cfg.learning_rate})")
         self.report.wall_clock_seconds = time.perf_counter() - t_start
-        return tuned, self.report
+        return (Forecaster(self.frozen.input_width, self.frozen.horizon,
+                           self.frozen.hidden_width, self.best_theta),
+                self.report)
 
 
 def _read_in_place(runs):
@@ -514,14 +517,16 @@ def _train_stack(runs, start):
                 gathers.append((k, run.soft_old, orders[k][rows], p_old[k, :n]))
     blocks, workspaces = {}, {}
     for first, end, lo, hi in _schedule(sizes, cfg.batch_size):
+        # a step of one run takes rank-2 views (no run axis), which _step
+        # multiplies with np.dot; a step of several takes (K, ...) stacks
+        k = first if end - first == 1 else slice(first, end)
         if (first, end) not in blocks:
-            blocks[first, end] = (_blocks(theta[first:end], geometry),
-                                  _blocks(grad[first:end], geometry))
-        if (end - first, hi - lo) not in workspaces:
-            workspaces[end - first, hi - lo] = (
-                _workspace(end - first, hi - lo, geometry),
-                np.empty((end - first, theta.shape[1])))
+            blocks[first, end] = (_blocks(theta[k], geometry),
+                                  _blocks(grad[k], geometry))
         at, n = lo % chunk, hi - lo
+        if (end - first, n) not in workspaces:
+            workspaces[end - first, n] = (_workspace(end - first, n, geometry),
+                                          np.empty_like(theta[k]))
         s = at // cfg.batch_size
         _, plan, (*_, steps, partial) = chunks[lo - at]
         steps[s, first:end] = n
@@ -529,11 +534,10 @@ def _train_stack(runs, start):
             partial.append((s, first, n))
         plan.append(
             (first, end, *blocks[first, end], *workspaces[end - first, n],
-             inputs[first:end, at:at + n], labels[first:end, at:at + n],
-             None if p_old is None else p_old[first:end, at:at + n],
-             terms[:, s, first:end, :n],
-             None if sums is None else sums[s, first:end, :n],
-             norms[s, first:end, None, None]))
+             inputs[k, at:at + n], labels[k, at:at + n],
+             None if p_old is None else p_old[k, at:at + n],
+             terms[:, s, k, :n], None if sums is None else sums[s, k, :n],
+             norms[s, k, None, None]))
 
     tau, distill_weight, reg_weight = cfg.tau, cfg.distill_weight, cfg.reg_weight
     rate = cfg.learning_rate

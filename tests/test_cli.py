@@ -6,6 +6,7 @@ import hashlib
 import json
 import shutil
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import rtune.cli
 import rtune.forecaster
 import rtune.tuner
 from rtune.cli import load_run_config, main
-from rtune.data import atomic_target, read_series_csv
+from rtune.data import WindowedDataset, atomic_target, read_series_csv
 from rtune.forecaster import init_forecaster, load_checkpoint, save_checkpoint
 from rtune.replay import ReplaySet, build_replay_set
 from rtune.tuner import _epoch_seeds, r_tune_group
@@ -415,6 +416,36 @@ class TestTune:
                 f"got {value!r}\n" in capsys.readouterr().err)
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["--lambda", "2"], {}, "--lambda must be in [0, 1], got 2.0"),
+        (["--tau", "0"], {}, "--tau must be positive, got 0.0"),
+        (["--beta", "-1"], {}, "--beta must be >= 0, got -1.0"),
+        (["--alpha", "1.5"], {}, "--alpha must be in [0, 1], got 1.5"),
+        (["--levels", "0"], {}, "--levels must be >= 1, got 0"),
+        (["--replay-n", "-3"], {}, "--replay-n must be >= 0, got -3"),
+        # a flag that leaves a config key out of range: the key is named
+        (["--levels", "1"], {"wavelet_levels": 2, "discard_depth": 2},
+         "discard_depth must be in [0, 1], got 2"),
+    ])
+    def test_flag_values_checked_before_any_seed(self, bench_config,
+                                                 tmp_path, capsys,
+                                                 monkeypatch, argv, config,
+                                                 message):
+        prepared = []
+
+        def counting(*args, **kwargs):
+            prepared.append(args)
+            return rtune.benchmark.prepare_benchmark(*args, **kwargs)
+
+        monkeypatch.setattr(rtune.cli, "prepare_benchmark", counting)
+        cfg = bench_config(**config)
+        assert main(["tune", "--config", str(cfg)] + argv) == 1
+        if not message.startswith("--"):
+            message = f"{cfg}: {message}"
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert prepared == []
+        assert not (tmp_path / "runs").exists()
+
     def test_flag_overrides(self, bench_config, tmp_path):
         cfg = bench_config(method="ft")
         assert main(["tune", "--config", str(cfg), "--method", "frozen",
@@ -706,6 +737,48 @@ class TestSweep:
                       for r in reports) == [(0, 0), (0, 1)]
         assert len(list((tmp_path / "runs").rglob("model.ckpt"))) == 2
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_arm_without_a_finite_epoch_leaves_an_empty_row(
+            self, bench_config, tmp_path, monkeypatch, capsys):
+        # seed 1's frozen model has hidden weights scaled by 1e-160 and
+        # output weights by 1e150, its training inputs 1e160: the one step
+        # of its one epoch has a finite loss and an update that overflows
+        # theta, so no epoch validates to a finite MAE; it trains in the
+        # stack of seeds 0 and 2, whose rows are still written
+        prepare = rtune.cli._prepare_run
+
+        def overflowing(cfg, seed, shared):
+            setup, old_tests = prepare(cfg, seed, shared)
+            if seed != 1:
+                return setup, old_tests
+            frozen = setup.frozen.clone()
+            _, w1, _, w2, _ = rtune.forecaster._blocks(frozen.theta,
+                                                       frozen)[:5]
+            w1 *= 1e-160
+            w2 *= 1e150
+            train = WindowedDataset(1e160 * setup.new_train.inputs,
+                                    setup.new_train.labels)
+            return replace(setup, frozen=frozen, new_train=train), old_tests
+
+        monkeypatch.setattr(rtune.cli, "_prepare_run", overflowing)
+        cfg = bench_config(epochs=1, batch_size=200, seeds=[0, 1, 2])
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--ratios", "0",
+                     "--output", str(out)]) == 1
+        assert ("ratio=0.0, seed=1: training diverged: no epoch validated "
+                "to a finite MAE (method=ft, lr=0.01)\n"
+                in capsys.readouterr().err)
+        with open(out) as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert [row[:2] for row in rows[1:]] == [["0.0", "0"], ["0.0", "1"],
+                                                 ["0.0", "2"]]
+        assert rows[2][2:] == ["", "", "", ""]
+        for row in (rows[1], rows[3]):
+            assert all(np.isfinite(float(v)) for v in row[2:])
+        assert sorted(path.split("/")[-2] for path
+                      in run_files(tmp_path / "runs")) == [
+            "seed-0", "seed-0", "seed-2", "seed-2"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_diverged_pretraining_leaves_empty_rows(self, bench_config,

@@ -353,23 +353,34 @@ class TestValueAndGrad:
                            3.0, 0.0, 1e-4)
 
 
-def stacked_step(model, thetas, x, y, p_old, tau, distill_weight, reg_weight):
+def stacked_step(model, thetas, x, y, p_old, tau, distill_weight, reg_weight,
+                 width=None):
     """_step over a (K, P) stack whose batches are slices of padded epoch
     buffers, as the training loop lays them out, then the accounting of it
-    as a chunk of one batch: (losses, grads)."""
+    as a chunk of one batch: (losses, grads). The record holds batches of
+    `width` rows (default n); a step on n < width rows is a partial batch,
+    accounted at its own length."""
     k, n = x.shape[:2]
-    pad = np.zeros((k, n + 3, x.shape[2]))
+    width = n if width is None else width
+    pad = np.zeros((k, width + 3, x.shape[2]))
     pad[:, 1:n + 1] = x
     stack = np.array(thetas)
     grads = np.full_like(stack, np.nan)
-    terms = np.full((2, 1, k, n, y.shape[2]), np.nan)
-    sums, norms = np.full((1, k, n, 1), np.nan), np.empty((1, k))
-    _step(_blocks(stack, model), _blocks(grads, model), pad[:, 1:n + 1], y,
-          p_old, tau, distill_weight, reg_weight, _workspace(k, n, model),
-          terms[:, 0], sums[0], norms[0, :, None, None])
-    losses = _account(terms, sums, None if p_old is None else p_old[None],
-                      norms, np.full((1, k), n), [], distill_weight,
-                      reg_weight)
+    terms = np.full((2, 1, k, width, y.shape[2]), np.nan)
+    sums, norms = np.full((1, k, width, 1), np.nan), np.empty((1, k))
+    soft = None
+    if p_old is not None:
+        soft = np.zeros((1, k, width, y.shape[2]))
+        soft[0, :, :n] = p_old
+    # one run takes rank-2 views, as the training loop passes it
+    j = 0 if k == 1 else slice(None)
+    _step(_blocks(stack[j], model), _blocks(grads[j], model),
+          pad[j, 1:n + 1], y[j], None if p_old is None else soft[0, j, :n],
+          tau, distill_weight, reg_weight, _workspace(k, n, model),
+          terms[:, 0, j, :n], sums[0, j, :n], norms[0, j, None, None])
+    partial = [(0, run, n) for run in range(k)] if n < width else []
+    losses = _account(terms, sums, soft, norms, np.full((1, k), n), partial,
+                      distill_weight, reg_weight)
     return losses[0].tolist(), grads
 
 
@@ -401,6 +412,42 @@ class TestStackedStep:
                 run, x[j], y[j], p_old[j] if distill else None, tau,
                 distill_weight, reg_weight)
             assert loss == ref_loss and np.array_equal(grad, ref_grad)
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 6),
+           batch=st.integers(1, 40), data=st.data(), distill=st.booleans(),
+           tau=st.floats(0.05, 10.0), scale=st.sampled_from([1.0, 50.0]),
+           reg_weight=st.sampled_from([0.0, 1e-4]))
+    def test_one_run_step_bit_equal_to_stack_slice(self, seed, k, batch,
+                                                   data, distill, tau, scale,
+                                                   reg_weight):
+        # each run's step alone, on the rank-2 views of a one-run stack
+        # (np.dot), against its slice of a K-run step (batched np.matmul)
+        # on the same n rows, and against the reference; n < batch is a
+        # partial last batch in record slots of the full batch's width
+        n = data.draw(st.integers(1, batch), label="n")
+        rng = np.random.default_rng(seed)
+        model = init_forecaster(7, 3, 5, seed=seed % 1000)
+        thetas = model.theta + 0.3 * rng.normal(size=(k, model.theta.size))
+        x = scale * rng.normal(size=(k, n, 7))
+        y = rng.normal(size=(k, n, 3))
+        p_old = (_soften_rows(scale * rng.normal(size=(k, n, 3)), tau)
+                 if distill else None)
+        distill_weight = 0.2 if distill else 0.0
+        losses, grads = stacked_step(model, thetas, x, y, p_old, tau,
+                                     distill_weight, reg_weight)
+        for j in range(k):
+            one = None if p_old is None else p_old[j:j + 1]
+            (loss,), grad = stacked_step(model, thetas[j:j + 1], x[j:j + 1],
+                                         y[j:j + 1], one, tau,
+                                         distill_weight, reg_weight, batch)
+            assert loss == losses[j]
+            assert np.array_equal(grad[0], grads[j])
+            ref_loss, ref_grad = reference_value_and_grad(
+                Forecaster(7, 3, 5, thetas[j]), x[j], y[j],
+                None if p_old is None else p_old[j], tau, distill_weight,
+                reg_weight)
+            assert loss == ref_loss and np.array_equal(grad[0], ref_grad)
 
     @hyp_settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 5),
@@ -476,14 +523,15 @@ class TestAccount:
             rows[s, first:end] = n
             if n < batch:
                 partial.append((s, first, n))
-            _step(_blocks(thetas[s, first:end], model),
-                  _blocks(np.empty((end - first, model.theta.size)), model),
-                  x[first:end, lo:hi], y[first:end, lo:hi],
-                  p_old[first:end, lo:hi] if distill else None, tau,
+            j = first if end - first == 1 else slice(first, end)
+            _step(_blocks(thetas[s, j], model),
+                  _blocks(np.empty_like(thetas[s, j]), model),
+                  x[j, lo:hi], y[j, lo:hi],
+                  p_old[j, lo:hi] if distill else None, tau,
                   distill_weight, reg_weight,
                   _workspace(end - first, n, model),
-                  terms[:, s, first:end, :n], sums[s, first:end, :n],
-                  norms[s, first:end, None, None])
+                  terms[:, s, j, :n], sums[s, j, :n],
+                  norms[s, j, None, None])
         expected = np.zeros((batches, k))
         for s in range(batches):
             for j in range(k):

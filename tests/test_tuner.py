@@ -308,15 +308,44 @@ class TestLockstep:
 
     @staticmethod
     def count_steps(monkeypatch):
-        """The number of runs of each stacked step training takes."""
+        """The number of runs of each stacked step training takes; a
+        one-run step's parameters are a rank-1 vector."""
         widths = []
 
         def counted(params, *args):
-            widths.append(params[0].shape[0])
+            widths.append(1 if params[0].ndim == 1 else params[0].shape[0])
             return _step(params, *args)
 
         monkeypatch.setattr(tuner, "_step", counted)
         return widths
+
+    def test_one_run_steps_take_rank_2_views(self, monkeypatch):
+        # a lone run, and each step of a stack that only one run takes (a
+        # partial last batch, or a batch only the largest run fills), reach
+        # the kernel without a run axis; steps of several runs with one
+        steps = []
+
+        def spy(params, grads, inputs, labels, p_old, tau, distill_weight,
+                reg_weight, ws, terms, sums, norm):
+            steps.append((params[0].ndim, grads[0].ndim, inputs.ndim,
+                          labels.ndim, p_old.ndim, terms.ndim, sums.ndim,
+                          norm.ndim, ws[0].ndim))
+            return _step(params, grads, inputs, labels, p_old, tau,
+                         distill_weight, reg_weight, ws, terms, sums, norm)
+
+        monkeypatch.setattr(tuner, "_step", spy)
+        jobs = self.jobs(7)
+        solo = (1, 1, 2, 2, 2, 3, 2, 2, 2)
+        r_tune(*jobs[0])
+        assert steps and set(steps) == {solo}
+        steps.clear()
+        r_tune_group(jobs)
+        sizes = sorted(map(len, map(self.first_epoch_rows, jobs)),
+                       reverse=True)
+        schedule = _schedule(sizes, 7)
+        assert [step == solo for step in steps] == [
+            end - first == 1 for first, end, _, _ in schedule] * 4
+        assert set(steps) == {solo, (2, 2, 3, 3, 3, 4, 3, 3, 3)}
 
     @staticmethod
     def diverging(job, rows=(17,)):
@@ -477,6 +506,39 @@ class TestLockstep:
                         f"{epoch}, batch offset {offset} ", str(outcomes[2]))
         for j in (0, 1, 3):
             assert_same_run(outcomes[j], r_tune(*jobs[j]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_no_finite_epoch_is_a_divergence(self):
+        # one epoch of one step, whose loss is finite and whose update
+        # overflows theta: the run does not fail at a step, but no epoch
+        # validates to a finite MAE, which is a divergence of its own; the
+        # other runs of its group keep their solo bits
+        jobs = [(frozen, data, replace(cfg, epochs=1), method)
+                for frozen, data, cfg, method in self.jobs(200)]
+        jobs[2] = self.overflowing(jobs[2])
+        message = ("training diverged: no epoch validated to a finite MAE "
+                   f"(method=r-tuning, lr={jobs[2][2].learning_rate})")
+        with pytest.raises(RuntimeError) as info:
+            r_tune(*jobs[2])
+        assert str(info.value) == message
+        outcomes = r_tune_group(jobs)
+        assert type(outcomes[2]) is RuntimeError
+        assert str(outcomes[2]) == message
+        for j in (0, 1, 3):
+            assert_same_run(outcomes[j], r_tune(*jobs[j]))
+
+    def test_overflowed_theta_is_never_selected(self):
+        # an infinite hidden bias saturates tanh, so such a theta can
+        # validate to a finite MAE; it is not a checkpoint
+        frozen, data, cfg, method = self.jobs(7)[0]
+        run = tuner._Run(0, frozen, data, cfg, method)
+        run.model = frozen.clone()
+        hidden_bias = frozen.input_width * frozen.hidden_width
+        run.model.theta[hidden_bias] = np.inf
+        run.validate(0)
+        assert np.isfinite(run.report.val_maes).all()
+        assert run.report.selected_epoch is None
+        assert str(run.outcome(0.0)).startswith("training diverged: ")
 
     def test_clean_training_accounts_once_per_chunk(self, monkeypatch):
         # two stacks of a few chunks each, neither diverging: every chunk
