@@ -76,15 +76,16 @@ def prepare_benchmark(seed: int, geometry: BenchmarkGeometry = None,
     old_train, old_test = windowed_split(
         old_series, geometry.input_width, geometry.horizon, geometry.stride,
         train_fraction, seeds[0])
-    new_train, new_test = windowed_split(
-        new_series, geometry.input_width, geometry.horizon, geometry.stride,
-        train_fraction, seeds[1], few_shot_fraction, seeds[2])
-
     init = init_forecaster(geometry.input_width, geometry.horizon,
                            geometry.hidden_width, seed=seeds[3])
     pretrain_cfg = TuneConfig(epochs=pretrain_epochs, learning_rate=pretrain_lr,
                               seed=seeds[4])
     frozen, _ = r_tune(init, old_train, pretrain_cfg, method="ft")
+    # cut after pretraining, whose memory peak it would otherwise raise;
+    # its seeds are its own, so the windows are the same
+    new_train, new_test = windowed_split(
+        new_series, geometry.input_width, geometry.horizon, geometry.stride,
+        train_fraction, seeds[1], few_shot_fraction, seeds[2])
 
     return BenchmarkSetup(seed=seed, frozen=frozen,
                           old_test=old_test, new_train=new_train,

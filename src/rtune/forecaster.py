@@ -36,15 +36,11 @@ def theta_size(input_width: int, hidden_width: int, horizon: int) -> int:
 
 
 def _blocks(stack, model):
-    """(vectors, hidden weights, hidden bias, output weights, output bias,
-    rows, columns, hidden weights transposed, output weights transposed) of
-    a (K, P) stack of vectors laid out like `model.theta`, the rest as
-    (K, hidden, W), (K, 1, hidden), (K, H, hidden), (K, 1, H), (K, 1, P),
-    (K, P, 1), (K, W, hidden) and (K, hidden, H) views into `stack`. One
-    run's (P,) vector gives the same views without the K axis: rank-2
-    blocks, which :func:`_step` multiplies with np.dot. The biases keep a
-    row axis so they broadcast over a batch; rows times columns are the
-    squared norms."""
+    """(vectors, hidden weights, hidden bias, output weights, output bias) of
+    a (..., P) stack of vectors laid out like `model.theta`, the rest as
+    (..., hidden, W), (..., 1, hidden), (..., H, hidden) and (..., 1, H)
+    views into `stack`; the biases keep a row axis so they broadcast over a
+    batch."""
     w, h, hid = model.input_width, model.horizon, model.hidden_width
     lead = stack.shape[:-1]
     i = 0
@@ -52,7 +48,40 @@ def _blocks(stack, model):
     b1 = stack[..., i:i + hid].reshape(lead + (1, hid)); i += hid
     w2 = stack[..., i:i + h * hid].reshape(lead + (h, hid)); i += h * hid
     b2 = stack[..., i:i + h].reshape(lead + (1, h))
-    return (stack, w1, b1, w2, b2, stack[..., None, :], stack[..., None],
+    return stack, w1, b1, w2, b2
+
+
+def _training_order(model):
+    """The positions in `model.theta` of the training layout's entries.
+
+    Training keeps each run's parameters in a layout of its own: the hidden
+    weights with the hidden bias as a last column (hidden, W + 1), then the
+    output weights and bias as in `model.theta`. Its rows meet inputs with a
+    ones column, so one product adds the hidden bias and one gives its
+    gradient. `theta[..., order]` is a vector in the training layout, and
+    `theta[..., order] = trained` puts one back; both are exact."""
+    w, hid = model.input_width, model.hidden_width
+    weights = np.arange(hid * w).reshape(hid, w)
+    bias = np.arange(hid * w, hid * (w + 1))[:, None]
+    return np.concatenate([np.hstack([weights, bias]).ravel(), np.arange(
+        hid * (w + 1), theta_size(w, hid, model.horizon))])
+
+
+def _training_blocks(stack, model):
+    """(vectors, hidden weights with the hidden bias as a last column,
+    output weights, output bias, rows, columns, hidden weights transposed,
+    output weights transposed) of a (K, P) stack of vectors in the training
+    layout (:func:`_training_order`), the rest as (K, hidden, W + 1),
+    (K, H, hidden), (K, 1, H), (K, 1, P), (K, P, 1), (K, W + 1, hidden) and
+    (K, hidden, H) views into `stack`. One run's (P,) vector gives the same
+    views without the K axis: rank-2 blocks, which :func:`_step` multiplies
+    with np.dot. Rows times columns are the squared norms."""
+    w, h, hid = model.input_width + 1, model.horizon, model.hidden_width
+    lead = stack.shape[:-1]
+    w1 = stack[..., :hid * w].reshape(lead + (hid, w))
+    w2 = stack[..., hid * w:hid * w + h * hid].reshape(lead + (h, hid))
+    b2 = stack[..., hid * w + h * hid:].reshape(lead + (1, h))
+    return (stack, w1, w2, b2, stack[..., None, :], stack[..., None],
             w1.swapaxes(-1, -2), w2.swapaxes(-1, -2))
 
 
@@ -82,7 +111,7 @@ class Forecaster:
     def _unpack(self):
         """Hidden weights, hidden bias, output weights and output bias; the
         biases as (1, hidden) and (1, H) rows."""
-        return _blocks(self.theta, self)[1:5]
+        return _blocks(self.theta, self)[1:]
 
     def forward(self, x) -> np.ndarray:
         """Forecast H steps from one input window of length W."""
@@ -249,8 +278,10 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
 
     Computes what :func:`rtune.tuner.batch_objective` and :func:`grad_total`
     compute together, with the frozen model's softened outputs passed in
-    instead of recomputed, since they do not change while m_new trains. This
-    is the training loop's step for one run, with a fresh gradient vector.
+    instead of recomputed, since they do not change while m_new trains. It
+    is the training step at learning rate 1, plus the L2 term 2 *
+    reg_weight * theta, which training folds into its update instead: the
+    oracle that tests hold the kernel to.
 
     Args:
         m_new: model being adapted.
@@ -273,18 +304,25 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
         raise ValueError(
             f"inconsistent batch shapes {inputs.shape} vs {labels.shape}"
         )
-    grad = np.empty_like(m_new.theta)
+    order = _training_order(m_new)
+    theta = m_new.theta[order]
+    grad = np.empty_like(theta)
     # the record of a chunk that is one step of one run
     terms, norms = np.empty((2, 1, 1, n, m_new.horizon)), np.empty((1, 1))
     sums = np.empty((1, 1, n, 1))
-    _step(_blocks(m_new.theta, m_new), _blocks(grad, m_new), inputs, labels,
-          p_old, tau, distill_weight, reg_weight, _workspace(1, n, m_new),
-          terms[:, 0, 0], sums[0, 0], norms)
+    _step(_training_blocks(theta, m_new), _training_blocks(grad, m_new),
+          np.hstack([inputs, np.ones((n, 1))]), labels, p_old, tau,
+          distill_weight, 1.0, _workspace(1, n, m_new), terms[:, 0, 0],
+          sums[0, 0], norms)
     loss = float(_account(terms, sums, p_old, norms, np.full((1, 1), n), [],
                           distill_weight, reg_weight)[0, 0])
     if not math.isfinite(loss):
         raise RuntimeError(f"non-finite loss {loss!r}")
-    return loss, grad
+    if reg_weight != 0.0:
+        grad += 2.0 * reg_weight * theta
+    out = np.empty_like(grad)
+    out[order] = grad
+    return loss, out
 
 
 def _workspace(k, n, model):
@@ -292,33 +330,37 @@ def _workspace(k, n, model):
     the order :func:`_step` unpacks them: hidden activations and their
     gradient (k, n, hidden) with the gradient's transpose; outputs and their
     gradient (k, n, H) with the gradient's transpose; softmax numerators
-    (k, n, H); a (k, n, 1) column; and a (k, P) buffer for the L2
-    gradient. For one run (k == 1) the arrays have no k axis, to match the
-    rank-2 :func:`_blocks` of a one-run stack."""
+    (k, n, H); and a (k, n, 1) column. For one run (k == 1) the arrays have
+    no k axis, to match the rank-2 :func:`_training_blocks` of a one-run
+    stack."""
     h, hid = model.horizon, model.hidden_width
     lead = () if k == 1 else (k,)
     d_hid, d_out = np.empty(lead + (n, hid)), np.empty(lead + (n, h))
     return (np.empty(lead + (n, hid)), d_hid, d_hid.swapaxes(-1, -2),
             np.empty(lead + (n, h)), d_out, d_out.swapaxes(-1, -2),
-            np.empty(lead + (n, h)), np.empty(lead + (n, 1)),
-            np.empty(lead + (theta_size(model.input_width, hid, h),)))
+            np.empty(lead + (n, h)), np.empty(lead + (n, 1)))
 
 
-def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
-          reg_weight, ws, terms, sums, norm):
+def _step(params, grads, inputs, labels, p_old, tau, distill_weight, rate,
+          ws, terms, sums, norm):
     """The gradient kernel: one training step of K runs at once, each on its
     own batch of n rows.
 
-    `params` and `grads` are :func:`_blocks` of a (K, P) theta stack and of a
-    stack-shaped gradient buffer; the gradients are written in place. The
-    batches are `inputs` (K, n, W), `labels` (K, n, H) and, when distilling,
-    the frozen model's softened outputs `p_old` (K, n, H). `ws` is a
-    :func:`_workspace` for (K, n). The kernel computes only what the
-    gradient needs and records what the loss is made of, raw: the
-    residuals in `terms` (2, K, n, H) and, when distilling, the max-shifted
-    logits in its second slot and their exp sums in `sums` (K, n, 1); each
-    run's squared norm goes to `norm` (K, 1, 1). :func:`_account` forms the
-    loss terms from that record and adds them up for a chunk of steps.
+    `params` and `grads` are :func:`_training_blocks` of a (K, P) theta
+    stack in the training layout and of a stack-shaped gradient buffer; the
+    gradients are written in place, in the training layout and scaled by the
+    learning rate `rate`, without the L2 term: the update is theta *= 1 -
+    2 * rate * reg_weight, then theta -= grad. The batches are `inputs`
+    (K, n, W + 1), whose last column is ones, so the first product adds
+    the hidden bias and the last gives its gradient; `labels` (K, n, H);
+    and, when distilling, the frozen model's softened outputs `p_old`
+    (K, n, H). `ws` is a :func:`_workspace` for (K, n). The kernel computes
+    only what the gradient needs and records what the loss is made of, raw:
+    the residuals in `terms` (2, K, n, H) and, when distilling, the
+    max-shifted logits in its second slot and their exp sums in `sums`
+    (K, n, 1); each run's squared norm goes to `norm` (K, 1, 1).
+    :func:`_account` forms the loss terms from that record and adds them up
+    for a chunk of steps.
 
     One run comes without the K axis: the blocks of its (P,) vector, rank-2
     batches and record ((2, n, H) terms, (n, 1) sums, a (1, 1) norm) and a
@@ -328,20 +370,18 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
     has the bits of the same step taken alone, so a run whose loss or
     gradient is non-finite leaves the other runs' gradients exact.
     """
-    theta, _, b1, w2, b2, rows, columns, w1_t, w2_t = params
-    grad, g_w1, g_b1, g_w2, g_b2, _, _, _, _ = grads
-    hidden, d_hid, d_hid_t, out, d_out, d_out_t, e, col, reg = ws
+    _, _, w2, b2, rows, columns, w1_t, w2_t = params
+    _, g_w1, g_w2, g_b2 = grads[:4]
+    hidden, d_hid, d_hid_t, out, d_out, d_out_t, e, col = ws
     n = inputs.shape[-2]
     mm = np.dot if inputs.ndim == 2 else np.matmul
     mm(inputs, w1_t, out=hidden)
-    hidden += b1
     np.tanh(hidden, out=hidden)
     mm(hidden, w2_t, out=out)
     out += b2
 
-    # 2r is exact, so r / (n / 2) rounds 2r / n once, as 2.0 * r / n does
     np.subtract(out, labels, out=terms[0])
-    np.divide(terms[0], n / 2.0, out=d_out)
+    np.multiply(terms[0], 2.0 * rate / n, out=d_out)
     if distill_weight != 0.0:
         # the softmax of _soften_rows, with its arithmetic; its shifted
         # logits and exp sums serve the log-softmax of _cross_entropy
@@ -352,8 +392,7 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
         np.add.reduce(e, -1, None, sums, True)
         e /= sums
         e -= p_old
-        e *= distill_weight
-        e /= tau * n
+        e *= distill_weight * rate / (tau * n)
         d_out += e
     # a (1, P) @ (P, 1) product per run has the bits of theta @ theta
     mm(rows, columns, out=norm)
@@ -365,10 +404,6 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight,
     np.subtract(1.0, hidden, out=hidden)
     d_hid *= hidden
     mm(d_hid_t, inputs, out=g_w1)
-    np.add.reduce(d_hid, -2, None, g_b1, True)
-    if reg_weight != 0.0:
-        np.multiply(theta, 2.0 * reg_weight, out=reg)
-        grad += reg
 
 
 def _terms(terms, sums, p_old):

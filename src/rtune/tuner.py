@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import WindowedDataset
-from .forecaster import (Forecaster, _account, _blocks, _cross_entropy,
-                         _soften_rows, _step, _workspace)
+from .forecaster import (Forecaster, _account, _cross_entropy, _soften_rows,
+                         _step, _training_blocks, _training_order, _workspace)
 from .metrics import MetricPair, mae
 from .replay import build_replay_set
 
@@ -191,9 +191,11 @@ def total_loss(task: float, output: float, theta_norm_sq: float,
 def batch_objective(m_new: Forecaster, m_old: Forecaster, inputs, labels,
                     tau: float, distill_weight: float, reg_weight: float) -> float:
     """The scalar objective whose gradient :func:`rtune.forecaster.grad_total`
-    computes; the reference that the training step
-    (:func:`rtune.forecaster.value_and_grad`) and the finite-difference tests
-    are checked against."""
+    computes; the reference that the finite-difference tests and
+    :func:`rtune.forecaster.value_and_grad` (the training step at learning
+    rate 1 with the L2 gradient added) are checked against, to 1e-12: the
+    step adds the hidden bias inside a matrix product and sums its terms in
+    its own order, so the bits differ."""
     preds = m_new.forward_batch(inputs)
     task = task_loss(preds, labels)
     if distill_weight != 0.0:
@@ -243,10 +245,9 @@ def r_tune_group(jobs):
     group: one stacked step kernel trains all of its runs at each batch
     offset. Each run keeps its own replay set, shuffles, soft targets,
     checkpoint selection and errors, and its model and report have the bits
-    of its solo :func:`r_tune`. Runs read their training rows in place: a
-    run without replay from its new-task arrays, and the runs with replay on
-    one new-task dataset from one source holding its fit rows once and then
-    each run's replay rows.
+    of its solo :func:`r_tune`. The runs on one new-task dataset read their
+    training rows through an index into one source, which holds its fit
+    rows once and then each run's replay rows.
 
     Returns:
         One entry per job, in order: (model, report), or the ValueError or
@@ -299,9 +300,9 @@ class _Run:
     state of its checkpoint selection.
 
     Its training set, in the order :func:`rtune.replay.build_train_set`
-    shuffles it, is the rows `rows` of the arrays `inputs` and `labels`,
-    which :func:`_read_in_place` sets; until then `rows` index the fit rows
-    followed by the run's own `replay`."""
+    shuffles it, is the rows `rows` of the arrays `inputs` (with a ones
+    column) and `labels`, which :func:`_read_in_place` sets; until then
+    `rows` index the fit rows followed by the run's own `replay`."""
 
     def __init__(self, index, frozen, new_data, cfg, method="r-tuning"):
         cfg = method_config(method, cfg)
@@ -353,7 +354,9 @@ class _Run:
         """The frozen model's softened outputs on the training rows, in
         training order, when distilling."""
         if self.cfg.distill_weight != 0.0:
-            train_inputs = np.take(self.inputs, self.rows, axis=0)
+            # take copies a source that is not contiguous; drop the ones
+            # column from the gathered rows instead
+            train_inputs = np.take(self.inputs, self.rows, axis=0)[:, :-1]
             self.soft_old = _soften_rows(self.frozen.forward_batch(train_inputs),
                                          self.cfg.tau)
 
@@ -392,29 +395,35 @@ class _Run:
 
 
 def _read_in_place(runs):
-    """Point each run's `rows` into the arrays it trains from: a run
-    without replay reads its new-task arrays; the runs with replay on one
-    new-task dataset share one source, its fit rows once and then each
-    run's replay rows, so no run holds a copy of its own training set."""
+    """Point each run's `rows` into the arrays it trains from. The runs on
+    one new-task dataset share one source: its fit rows once, then each
+    run's replay rows, so no run holds a copy of its own training set. The
+    source's inputs carry a ones column, the hidden bias's input in the
+    training layout; the labels of a source without replay rows are the
+    dataset's own."""
     sharing = {}
     for run in runs:
-        if run.replay is None:
-            run.inputs, run.labels = run.data.inputs, run.data.labels
-        else:
-            sharing.setdefault((id(run.data), run.n_fit), []).append(run)
+        sharing.setdefault((id(run.data), run.n_fit), []).append(run)
     for group in sharing.values():
         data, n_fit = group[0].data, group[0].n_fit
+        replays = [run.replay for run in group if run.replay is not None]
         width = data.input_width
-        inputs = np.concatenate(
-            [data.inputs[:n_fit]]
-            + [run.replay.sequences[:, :width] for run in group])
-        labels = np.concatenate([data.labels[:n_fit]]
-                                + [run.replay.labels for run in group])
+        inputs = np.empty((n_fit + sum(map(len, replays)), width + 1))
+        inputs[:n_fit, :width] = data.inputs[:n_fit]
+        inputs[:, width] = 1.0
+        if replays:
+            labels = np.concatenate([data.labels[:n_fit]]
+                                    + [replay.labels for replay in replays])
+        else:
+            labels = np.ascontiguousarray(data.labels)
         offset = n_fit
         for run in group:
-            # the run's replay row j sits at offset + j of the source
-            run.rows[run.rows >= n_fit] += offset - n_fit
-            offset += len(run.replay)
+            if run.replay is not None:
+                # the run's replay row j sits at offset + j of the source
+                rows = slice(offset, offset + len(run.replay))
+                inputs[rows, :width] = run.replay.sequences[:, :width]
+                run.rows[run.rows >= n_fit] += offset - n_fit
+                offset = rows.stop
             run.inputs, run.labels, run.replay = inputs, labels, None
 
 
@@ -460,19 +469,22 @@ def _train_stack(runs, start):
     is not finite, with the error and batch offset of its solo run; its
     steps stop counting, its slot is not refilled, and steps of failed runs
     alone are skipped. The other runs keep their bits: each run's slice of
-    the stacked kernel is computed on its own."""
+    the stacked kernel is computed on its own.
+
+    The stack is in the training layout (:func:`_training_order`) and is
+    updated in place; each epoch's validation puts every run's row back
+    into its model in the standard layout."""
     cfg, geometry = runs[0].cfg, runs[0].frozen
     sizes = [len(run.rows) for run in runs]
-    theta = np.stack([run.model.theta for run in runs])  # updated in place
-    for run, row in zip(runs, theta):
-        run.model.theta = row
+    order = _training_order(geometry)
+    theta = np.stack([run.model.theta[order] for run in runs])
     grad = np.empty_like(theta)
     # every run's rows of a chunk of batches, gathered from its source in
     # its epoch's order; every step's batches are fixed slices of these
     chunk = max(1, GATHER_BATCHES // len(runs)) * cfg.batch_size
     width = min(chunk, sizes[0])
     batch, batches = min(cfg.batch_size, sizes[0]), -(-width // cfg.batch_size)
-    inputs = np.zeros((len(runs), width, geometry.input_width))
+    inputs = np.zeros((len(runs), width, geometry.input_width + 1))
     labels = np.zeros((len(runs), width, geometry.horizon))
     # what each step of a chunk leaves for the loss, by its batch in the
     # chunk and its run: the record of _step, then the squared norms; the
@@ -521,19 +533,18 @@ def _train_stack(runs, start):
         # multiplies with np.dot; a step of several takes (K, ...) stacks
         k = first if end - first == 1 else slice(first, end)
         if (first, end) not in blocks:
-            blocks[first, end] = (_blocks(theta[k], geometry),
-                                  _blocks(grad[k], geometry))
+            blocks[first, end] = (_training_blocks(theta[k], geometry),
+                                  _training_blocks(grad[k], geometry))
         at, n = lo % chunk, hi - lo
         if (end - first, n) not in workspaces:
-            workspaces[end - first, n] = (_workspace(end - first, n, geometry),
-                                          np.empty_like(theta[k]))
+            workspaces[end - first, n] = _workspace(end - first, n, geometry)
         s = at // cfg.batch_size
         _, plan, (*_, steps, partial) = chunks[lo - at]
         steps[s, first:end] = n
         if n < batch:
             partial.append((s, first, n))
         plan.append(
-            (first, end, *blocks[first, end], *workspaces[end - first, n],
+            (first, end, *blocks[first, end], workspaces[end - first, n],
              inputs[k, at:at + n], labels[k, at:at + n],
              None if p_old is None else p_old[k, at:at + n],
              terms[:, s, k, :n], None if sums is None else sums[s, k, :n],
@@ -541,6 +552,7 @@ def _train_stack(runs, start):
 
     tau, distill_weight, reg_weight = cfg.tau, cfg.distill_weight, cfg.reg_weight
     rate = cfg.learning_rate
+    decay = 1.0 - 2.0 * rate * reg_weight
     with np.errstate(all="ignore"):
         for epoch in range(start, cfg.epochs):
             for k, run in enumerate(runs):
@@ -556,15 +568,15 @@ def _train_stack(runs, start):
                     # through a buffer that "raise" makes
                     if runs[k].error is None:
                         source.take(index, axis=0, mode="clip", out=buffer)
-                for (first, end, params, grads, ws, scaled, x, y, p, t, sm,
+                for (first, end, params, grads, ws, x, y, p, t, sm,
                      norm) in plan:
                     if failures and all(run.error is not None
                                         for run in runs[first:end]):
                         continue
-                    _step(params, grads, x, y, p, tau, distill_weight,
-                          reg_weight, ws, t, sm, norm)
-                    np.multiply(grads[0], rate, out=scaled)
-                    np.subtract(params[0], scaled, out=params[0])
+                    _step(params, grads, x, y, p, tau, distill_weight, rate,
+                          ws, t, sm, norm)
+                    np.multiply(params[0], decay, out=params[0])
+                    np.subtract(params[0], grads[0], out=params[0])
                 losses = _account(*record, distill_weight, reg_weight)
                 diverged = ~np.isfinite(losses)
                 if diverged.any():
@@ -585,6 +597,7 @@ def _train_stack(runs, start):
             for k, run in enumerate(runs):
                 if run.error is None:
                     run.report.train_losses.append(loss_sums[k] / sizes[k])
+                    run.model.theta[order] = theta[k]
                     run.validate(epoch)
             if failures:
                 return epoch + 1

@@ -5,6 +5,7 @@ import pytest
 
 from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
                              run_arm)
+from rtune.data import gen_benchmark_tasks, windowed_split
 
 SMALL = dict(geometry=BenchmarkGeometry(16, 4, 1, 8), old_length=600,
              new_length=900, pretrain_epochs=3)
@@ -16,6 +17,20 @@ def test_preparation_deterministic():
     assert np.array_equal(a.frozen.theta, b.frozen.theta)
     assert np.array_equal(a.new_train.inputs, b.new_train.inputs)
     assert a.gen_params == b.gen_params
+
+
+def test_new_task_split_is_the_direct_split():
+    # the new-task split is cut after pretraining, from seeds of its own
+    setup = prepare_benchmark(4, **SMALL)
+    seeds = [int(s.generate_state(1)[0])
+             for s in np.random.SeedSequence(4).spawn(5)]
+    _, new_series, _ = gen_benchmark_tasks(4, old_length=600, new_length=900)
+    train, test = windowed_split(new_series, 16, 4, 1, 0.8, seeds[1], 0.10,
+                                 seeds[2])
+    for got, want in ((setup.new_train, train), (setup.new_test, test)):
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert np.array_equal(got.starts, want.starts)
 
 
 def test_splits_shaped_for_geometry():

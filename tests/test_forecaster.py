@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from rtune.forecaster import (Forecaster, _account, _blocks, _cross_entropy,
-                              _soften_rows, _step, _workspace, grad_total,
+from rtune.forecaster import (Forecaster, _account, _cross_entropy,
+                              _soften_rows, _step, _training_blocks,
+                              _training_order, _workspace, grad_total,
                               init_forecaster, load_checkpoint,
                               save_checkpoint, soften, soften_jacobian,
                               theta_size, value_and_grad)
@@ -40,22 +41,30 @@ def unpack_reference(model):
 
 def reference_value_and_grad(m_new, x, y, p_old, tau, distill_weight,
                               reg_weight):
-    """The training step with a separate exp for the loss (_cross_entropy)
-    and for the gradient (_soften_rows), and the gradient concatenated from
-    fresh blocks."""
+    """The training step at learning rate 1, straight-line, in the training
+    layout: the hidden bias as a last column of the hidden weights, met by
+    a ones column on the inputs. A separate exp for the loss
+    (_cross_entropy) and for the gradient (_soften_rows); the gradient
+    concatenated from fresh blocks, the L2 term added, and put back in the
+    standard layout."""
     n = x.shape[0]
     w1, b1, w2, b2 = unpack_reference(m_new)
-    hidden = np.tanh(x @ w1.T + b1)
+    w1b = np.column_stack([w1, b1])
+    xb = np.column_stack([x, np.ones(n)])
+    theta = np.concatenate([w1b.ravel(), w2.ravel(), b2])
+    hidden = np.tanh(xb @ w1b.T)
     outputs = hidden @ w2.T + b2
     resid = outputs - y
     loss = float((resid ** 2).sum(axis=-1).mean())
-    d_out = 2.0 * resid / n
+    d_out = resid * (2.0 / n)
     if distill_weight != 0.0:
         loss += distill_weight * _cross_entropy(p_old, outputs, tau)
-        d_out = d_out + distill_weight * (_soften_rows(outputs, tau) - p_old) / (tau * n)
-    loss += reg_weight * float(m_new.theta @ m_new.theta)
+        d_out = d_out + (_soften_rows(outputs, tau) - p_old) * (
+            distill_weight / (tau * n))
+    loss += reg_weight * float(theta @ theta)
     d_pre = (d_out @ w2) * (1.0 - hidden ** 2)
-    grad = np.concatenate([(d_pre.T @ x).ravel(), d_pre.sum(axis=0),
+    g_w1b = d_pre.T @ xb
+    grad = np.concatenate([g_w1b[:, :-1].ravel(), g_w1b[:, -1],
                            (d_out.T @ hidden).ravel(), d_out.sum(axis=0)])
     if reg_weight != 0.0:
         grad = grad + 2.0 * reg_weight * m_new.theta
@@ -334,8 +343,13 @@ class TestValueAndGrad:
     def test_no_distillation_needs_no_frozen_outputs(self):
         m_new, m_old, x, y = TestGradTotal()._random_instance(3)
         loss, grad = value_and_grad(m_new, x, y, None, 3.0, 0.0, 1e-4)
-        assert loss == batch_objective(m_new, m_old, x, y, 3.0, 0.0, 1e-4)
-        assert np.array_equal(grad, grad_total(m_new, m_old, x, y, 3.0, 0.0, 1e-4))
+        ref_loss, ref_grad = reference_value_and_grad(m_new, x, y, None, 3.0,
+                                                      0.0, 1e-4)
+        assert loss == ref_loss and np.array_equal(grad, ref_grad)
+        assert abs(loss - batch_objective(m_new, m_old, x, y, 3.0, 0.0,
+                                          1e-4)) <= 1e-12
+        oracle = grad_total(m_new, m_old, x, y, 3.0, 0.0, 1e-4)
+        assert np.max(np.abs(grad - oracle)) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_non_finite_loss_raises(self):
@@ -355,16 +369,19 @@ class TestValueAndGrad:
 
 def stacked_step(model, thetas, x, y, p_old, tau, distill_weight, reg_weight,
                  width=None):
-    """_step over a (K, P) stack whose batches are slices of padded epoch
-    buffers, as the training loop lays them out, then the accounting of it
-    as a chunk of one batch: (losses, grads). The record holds batches of
-    `width` rows (default n); a step on n < width rows is a partial batch,
-    accounted at its own length."""
+    """_step at learning rate 1 over a (K, P) stack in the training layout
+    whose batches are slices of padded epoch buffers with a ones column, as
+    the training loop lays them out, then the accounting of it as a chunk
+    of one batch: (losses, grads), the grads with the L2 term added and in
+    the standard layout. The record holds batches of `width` rows (default
+    n); a step on n < width rows is a partial batch, accounted at its own
+    length."""
     k, n = x.shape[:2]
     width = n if width is None else width
-    pad = np.zeros((k, width + 3, x.shape[2]))
-    pad[:, 1:n + 1] = x
-    stack = np.array(thetas)
+    pad = np.ones((k, width + 3, x.shape[2] + 1))
+    pad[:, 1:n + 1, :-1] = x
+    order = _training_order(model)
+    stack = np.array(thetas).take(order, axis=-1)
     grads = np.full_like(stack, np.nan)
     terms = np.full((2, 1, k, width, y.shape[2]), np.nan)
     sums, norms = np.full((1, k, width, 1), np.nan), np.empty((1, k))
@@ -374,14 +391,44 @@ def stacked_step(model, thetas, x, y, p_old, tau, distill_weight, reg_weight,
         soft[0, :, :n] = p_old
     # one run takes rank-2 views, as the training loop passes it
     j = 0 if k == 1 else slice(None)
-    _step(_blocks(stack[j], model), _blocks(grads[j], model),
+    _step(_training_blocks(stack[j], model), _training_blocks(grads[j], model),
           pad[j, 1:n + 1], y[j], None if p_old is None else soft[0, j, :n],
-          tau, distill_weight, reg_weight, _workspace(k, n, model),
+          tau, distill_weight, 1.0, _workspace(k, n, model),
           terms[:, 0, j, :n], sums[0, j, :n], norms[0, j, None, None])
     partial = [(0, run, n) for run in range(k)] if n < width else []
     losses = _account(terms, sums, soft, norms, np.full((1, k), n), partial,
                       distill_weight, reg_weight)
-    return losses[0].tolist(), grads
+    if reg_weight != 0.0:
+        grads += 2.0 * reg_weight * stack
+    out = np.empty_like(grads)
+    out[:, order] = grads
+    return losses[0].tolist(), out
+
+
+class TestTrainingLayout:
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), w=st.integers(1, 9),
+           h=st.integers(1, 5), hid=st.integers(1, 7), k=st.integers(1, 4))
+    def test_round_trip_bit_exact(self, seed, w, h, hid, k):
+        # entries of every magnitude, subnormals and signed zeros included
+        rng = np.random.default_rng(seed)
+        model = init_forecaster(w, h, hid, seed=seed % 1000)
+        size = model.theta.size
+        thetas = rng.normal(size=(k, size)) * 10.0 ** rng.integers(
+            -320, 300, size=(k, size))
+        thetas[rng.random((k, size)) < 0.1] = -0.0
+        order = _training_order(model)
+        trained = thetas[..., order]
+        back = np.empty_like(thetas)
+        back[..., order] = trained
+        assert back.tobytes() == thetas.tobytes()
+        # the hidden bias is the last column of the hidden weights; the
+        # output weights and bias are where the standard layout has them
+        for theta, row in zip(thetas, trained):
+            w1, b1, w2, b2 = unpack_reference(Forecaster(w, h, hid, theta))
+            _, w1b, w2b, b2b = _training_blocks(row, model)[:4]
+            assert np.array_equal(w1b, np.column_stack([w1, b1]))
+            assert np.array_equal(w2b, w2) and np.array_equal(b2b[0], b2)
 
 
 class TestStackedStep:
@@ -518,17 +565,19 @@ class TestAccount:
         rows, partial = np.zeros((batches, k)), []
         thetas = model.theta + 0.3 * rng.normal(
             size=(batches, k, model.theta.size))
+        trained = thetas.take(_training_order(model), axis=-1)
+        xb = np.concatenate([x, np.ones(x.shape[:2] + (1,))], axis=-1)
         for first, end, lo, hi in _schedule(sizes, batch_size):
             s, n = lo // batch_size, hi - lo
             rows[s, first:end] = n
             if n < batch:
                 partial.append((s, first, n))
             j = first if end - first == 1 else slice(first, end)
-            _step(_blocks(thetas[s, j], model),
-                  _blocks(np.empty_like(thetas[s, j]), model),
-                  x[j, lo:hi], y[j, lo:hi],
+            _step(_training_blocks(trained[s, j], model),
+                  _training_blocks(np.empty_like(trained[s, j]), model),
+                  xb[j, lo:hi], y[j, lo:hi],
                   p_old[j, lo:hi] if distill else None, tau,
-                  distill_weight, reg_weight,
+                  distill_weight, 1.0,
                   _workspace(end - first, n, model),
                   terms[:, s, j, :n], sums[s, j, :n],
                   norms[s, j, None, None])

@@ -9,14 +9,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
                              run_arm, run_arm_jobs)
 from rtune.cli import build_parser, load_run_config
 from rtune.data import WindowedDataset, make_windows, permute_windows
 from rtune import forecaster, tuner
-from rtune.forecaster import (Forecaster, _soften_rows, _step,
-                              init_forecaster, soften, value_and_grad)
+from rtune.forecaster import (Forecaster, _cross_entropy, _soften_rows, _step,
+                              grad_total, init_forecaster, soften,
+                              value_and_grad)
 from rtune.metrics import evaluate_model, mae
 from rtune.replay import build_replay_set, build_train_set
 from rtune.tuner import (METHODS, TuneConfig, _epoch_seeds, _schedule,
@@ -40,34 +42,90 @@ def small_config(**overrides):
     return TuneConfig(**base)
 
 
+TRAINING = [method for method, overrides in METHODS.items()
+            if overrides is not None]
+
+
 def ft_arm(frozen, data, cfg):
     return r_tune(frozen, data, cfg, method="ft")
 
 
-def reference_r_tune(frozen, data, cfg):
-    """The training loop as a per-batch fancy-index gather, a fresh
-    value_and_grad and a new theta per step.
+def lean_step(theta, x, y, p_old, cfg, geometry):
+    """One training step, straight-line, on a parameter vector in the
+    training layout (the hidden bias as a last column of the hidden
+    weights) and inputs with a ones column: the gradient scaled by the
+    learning rate and without the L2 term, then theta * (1 - 2 * lr * reg)
+    less it. Returns (loss, new theta)."""
+    w, h, hid = geometry.input_width + 1, geometry.horizon, geometry.hidden_width
+    rate, n = cfg.learning_rate, x.shape[0]
+    w1 = theta[:hid * w].reshape(hid, w)
+    w2 = theta[hid * w:hid * w + h * hid].reshape(h, hid)
+    b2 = theta[hid * w + h * hid:]
+    hidden = np.tanh(x @ w1.T)
+    outputs = hidden @ w2.T + b2
+    resid = outputs - y
+    loss = float((resid ** 2).sum(axis=-1).mean())
+    d_out = resid * (2.0 * rate / n)
+    if cfg.distill_weight != 0.0:
+        loss += cfg.distill_weight * _cross_entropy(p_old, outputs, cfg.tau)
+        d_out = d_out + (_soften_rows(outputs, cfg.tau) - p_old) * (
+            cfg.distill_weight * rate / (cfg.tau * n))
+    loss += cfg.reg_weight * float(theta @ theta)
+    d_pre = (d_out @ w2) * (1.0 - hidden ** 2)
+    grad = np.concatenate([(d_pre.T @ x).ravel(), (d_out.T @ hidden).ravel(),
+                           d_out.sum(axis=0)])
+    return loss, theta * (1.0 - 2.0 * rate * cfg.reg_weight) - grad
 
-    Returns (selected theta, train losses, val MAEs, selected epoch).
-    """
+
+def training_layout(model):
+    """The model's parameters in the training layout, and the inverse."""
+    w, hid = model.input_width, model.hidden_width
+    t = model.theta
+    w1 = t[:hid * w].reshape(hid, w)
+    b1 = t[hid * w:hid * (w + 1)]
+    theta = np.concatenate([np.column_stack([w1, b1]).ravel(),
+                            t[hid * (w + 1):]])
+
+    def standard(trained):
+        w1b = trained[:hid * (w + 1)].reshape(hid, w + 1)
+        return np.concatenate([w1b[:, :w].ravel(), w1b[:, w],
+                               trained[hid * (w + 1):]])
+
+    return theta, standard
+
+
+def training_split(frozen, data, cfg):
+    """A run's training set, in the order it is shuffled into, and its
+    validation tail."""
     n = len(data)
     n_val = max(1, int(round(cfg.validation_fraction * n)))
     fit = data.subset(np.arange(0, n - n_val))
     val = data.subset(np.arange(n - n_val, n))
-    latent_seq, shuffle_seq, epoch_seqs = _epoch_seeds(cfg.seed, cfg.epochs)
+    latent_seq, shuffle_seq, _ = _epoch_seeds(cfg.seed, cfg.epochs)
     shuffle_seed = shuffle_seq.generate_state(1)[0].item()
     if cfg.replay_n > 0:
         replay = build_replay_set(frozen, cfg.replay_n, cfg.wavelet_levels,
                                   cfg.discard_depth, cfg.alpha,
                                   latent_seq.generate_state(1)[0].item())
-        train = build_train_set(fit, replay, shuffle_seed)
-    else:
-        train = permute_windows(fit, shuffle_seed)
+        return build_train_set(fit, replay, shuffle_seed), val
+    return permute_windows(fit, shuffle_seed), val
+
+
+def reference_r_tune(frozen, data, cfg):
+    """The training loop as a per-batch fancy-index gather, a straight-line
+    lean step and a new theta per step.
+
+    Returns (selected theta, train losses, val MAEs, selected epoch).
+    """
+    train, val = training_split(frozen, data, cfg)
+    epoch_seqs = _epoch_seeds(cfg.seed, cfg.epochs)[2]
     soft_old = None
     if cfg.distill_weight != 0.0:
         soft_old = _soften_rows(frozen.forward_batch(train.inputs), cfg.tau)
+    inputs = np.column_stack([train.inputs, np.ones(len(train))])
 
     model = frozen.clone()
+    theta, standard = training_layout(model)
     losses, maes = [], []
     best_mae, best_theta, best_epoch = np.inf, None, None
     for epoch in range(cfg.epochs):
@@ -76,12 +134,11 @@ def reference_r_tune(frozen, data, cfg):
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             p_old = soft_old[batch] if soft_old is not None else None
-            loss, grad = value_and_grad(
-                model, train.inputs[batch], train.labels[batch], p_old,
-                cfg.tau, cfg.distill_weight, cfg.reg_weight)
-            model.theta = model.theta - cfg.learning_rate * grad
+            loss, theta = lean_step(theta, inputs[batch], train.labels[batch],
+                                    p_old, cfg, frozen)
             loss_sum += loss * len(batch)
         losses.append(loss_sum / len(order))
+        model.theta = standard(theta)
         maes.append(mae(model.forward_batch(val.inputs), val.labels))
         if maes[-1] < best_mae:
             best_mae, best_theta, best_epoch = maes[-1], model.theta.copy(), epoch
@@ -236,6 +293,41 @@ class TestRTune:
         assert report.val_maes == maes
         assert report.selected_epoch == epoch
 
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 1000), method=st.sampled_from(TRAINING),
+           rate=st.floats(1e-4, 0.1),
+           reg_weight=st.sampled_from([0.0, 1e-4, 1e-2]),
+           tau=st.floats(0.5, 6.0), distill_weight=st.floats(0.05, 1.0))
+    def test_one_update_is_the_gradient_step(self, seed, method, rate,
+                                             reg_weight, tau, distill_weight):
+        # one step over the whole training set: the folded update,
+        # theta * (1 - 2 lr reg) less the lr-scaled gradient, is
+        # theta - lr * grad_total to 1e-12 of the updated parameters
+        frozen = init_forecaster(8, 4, 6, seed=seed)
+        data = small_dataset(seed=seed)
+        cfg = method_config(method, small_config(
+            epochs=1, batch_size=len(data), learning_rate=rate, seed=seed,
+            reg_weight=reg_weight, tau=tau, distill_weight=distill_weight))
+        model, report = r_tune(frozen, data, cfg)
+        assert report.selected_epoch == 0
+        train, _ = training_split(frozen, data, cfg)
+        want = frozen.theta - rate * grad_total(
+            frozen, frozen, train.inputs, train.labels, cfg.tau,
+            cfg.distill_weight, cfg.reg_weight)
+        assert np.max(np.abs(model.theta - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 1000), method=st.sampled_from(TRAINING),
+           epochs=st.integers(1, 3), batch_size=st.integers(1, 40),
+           reg_weight=st.sampled_from([0.0, 1e-4, 1e-2]))
+    def test_zero_learning_rate_leaves_theta_bit_identical(
+            self, seed, method, epochs, batch_size, reg_weight):
+        frozen = init_forecaster(8, 4, 6, seed=seed)
+        model, _ = r_tune(frozen, small_dataset(seed=seed), small_config(
+            learning_rate=0.0, epochs=epochs, batch_size=batch_size,
+            reg_weight=reg_weight, seed=seed), method=method)
+        assert model.theta.tobytes() == frozen.theta.tobytes()
+
     def test_errors(self):
         frozen = init_forecaster(8, 4, 6, seed=8)
         with pytest.raises(ValueError, match="empty"):
@@ -362,8 +454,7 @@ class TestLockstep:
         outcomes = r_tune_group(jobs)
         # the diverged run shares the four-run steps of epoch 0 only: the
         # other three restack without it for the three epochs after
-        sizes = sorted((len(data) - max(1, round(0.2 * len(data)))
-                        + cfg.replay_n for _, data, cfg, _ in jobs),
+        sizes = sorted(map(len, map(self.first_epoch_rows, jobs)),
                        reverse=True)
         shared = [end - first for first, end, _, _ in _schedule(sizes, 7)]
         assert widths.count(4) == shared.count(4) > 0
@@ -667,7 +758,8 @@ class TestLockstep:
 class TestMemory:
     def test_training_reads_rows_in_place(self):
         # tracemalloc counts numpy's buffers: a run without replay gathers
-        # its batches from the new-task arrays and copies none of them
+        # its batches from one source, its fit rows with a ones column, and
+        # copies nothing else of the new-task arrays
         data = small_dataset(n_windows=20000, w=48, h=12)
         frozen = init_forecaster(48, 12, 32, seed=0)
         tracemalloc.start()
@@ -677,7 +769,37 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * (data.inputs.nbytes + data.labels.nbytes)
+        source = (len(data) - 2000) * (48 + 1) * 8
+        assert peak - source < 0.5 * (data.inputs.nbytes + data.labels.nbytes)
+
+    def test_gather_sources_and_buffers_are_c_contiguous(self, monkeypatch):
+        # take(out=...) into a view that is not C-contiguous goes through a
+        # hidden buffer and runs about three times slower; a run's batch is
+        # a slice of its gather buffer with the buffer's strides
+        jobs = TestLockstep().jobs(7)
+        frozen, data, cfg, _ = jobs[0]
+        jobs += [(frozen, data, cfg, "ft"), (frozen, data, cfg, "lwf")]
+        sources, batches = [], []
+        train, step = tuner._train_lockstep, tuner._step
+
+        def training(runs):
+            sources.extend(array for run in runs
+                           for array in (run.inputs, run.labels, run.soft_old)
+                           if array is not None)
+            return train(runs)
+
+        def kernel(params, grads, inputs, labels, p_old, *args):
+            for array in (inputs, labels, p_old):
+                if array is not None:
+                    batches.extend([array] if array.ndim == 2 else array)
+            return step(params, grads, inputs, labels, p_old, *args)
+
+        monkeypatch.setattr(tuner, "_train_lockstep", training)
+        monkeypatch.setattr(tuner, "_step", kernel)
+        r_tune_group(jobs)
+        assert len(sources) == 2 * len(jobs) + 5  # five runs distil
+        assert all(array.flags.c_contiguous for array in sources)
+        assert batches and all(array.flags.c_contiguous for array in batches)
 
 
 class TestVanillaFt:
