@@ -39,6 +39,9 @@ __all__ = [
 # the rows of GATHER_BATCHES // K batches (at least one) at a time from its
 # source, 8 in a stack of 8, so the buffers stay the same size whatever K
 GATHER_BATCHES = 64
+# rows a run that reads its dataset's own inputs gathers at once into a
+# scratch buffer, before they are copied beside its buffer's ones column
+GATHER_PIECE = 256
 
 
 @dataclass(frozen=True)
@@ -300,9 +303,10 @@ class _Run:
     state of its checkpoint selection.
 
     Its training set, in the order :func:`rtune.replay.build_train_set`
-    shuffles it, is the rows `rows` of the arrays `inputs` (with a ones
-    column) and `labels`, which :func:`_read_in_place` sets; until then
-    `rows` index the fit rows followed by the run's own `replay`."""
+    shuffles it, is the rows `rows` of the arrays `inputs` (a source with a
+    ones column, or the dataset's own) and `labels`, which
+    :func:`_read_in_place` sets; until then `rows` index the fit rows
+    followed by the run's own `replay`."""
 
     def __init__(self, index, frozen, new_data, cfg, method="r-tuning"):
         cfg = method_config(method, cfg)
@@ -354,9 +358,10 @@ class _Run:
         """The frozen model's softened outputs on the training rows, in
         training order, when distilling."""
         if self.cfg.distill_weight != 0.0:
-            # take copies a source that is not contiguous; drop the ones
+            # take copies a source that is not contiguous; drop a ones
             # column from the gathered rows instead
-            train_inputs = np.take(self.inputs, self.rows, axis=0)[:, :-1]
+            train_inputs = np.take(self.inputs, self.rows,
+                                   axis=0)[:, :self.frozen.input_width]
             self.soft_old = _soften_rows(self.frozen.forward_batch(train_inputs),
                                          self.cfg.tau)
 
@@ -396,26 +401,30 @@ class _Run:
 
 def _read_in_place(runs):
     """Point each run's `rows` into the arrays it trains from. The runs on
-    one new-task dataset share one source: its fit rows once, then each
-    run's replay rows, so no run holds a copy of its own training set. The
-    source's inputs carry a ones column, the hidden bias's input in the
-    training layout; the labels of a source without replay rows are the
-    dataset's own."""
+    one new-task dataset that any of them replays on share one source: its
+    fit rows once, then each run's replay rows, with a ones column, the
+    hidden bias's input in the training layout. The runs on a dataset that
+    none of them replays on read its own arrays: a source would copy the
+    dataset, so training memory would grow with it."""
     sharing = {}
     for run in runs:
         sharing.setdefault((id(run.data), run.n_fit), []).append(run)
     for group in sharing.values():
         data, n_fit = group[0].data, group[0].n_fit
         replays = [run.replay for run in group if run.replay is not None]
+        if not replays:
+            # take copies a source that is not contiguous at every call
+            inputs = np.ascontiguousarray(data.inputs)
+            labels = np.ascontiguousarray(data.labels)
+            for run in group:
+                run.inputs, run.labels = inputs, labels
+            continue
         width = data.input_width
         inputs = np.empty((n_fit + sum(map(len, replays)), width + 1))
         inputs[:n_fit, :width] = data.inputs[:n_fit]
         inputs[:, width] = 1.0
-        if replays:
-            labels = np.concatenate([data.labels[:n_fit]]
-                                    + [replay.labels for replay in replays])
-        else:
-            labels = np.ascontiguousarray(data.labels)
+        labels = np.concatenate([data.labels[:n_fit]]
+                                + [replay.labels for replay in replays])
         offset = n_fit
         for run in group:
             if run.replay is not None:
@@ -484,8 +493,10 @@ def _train_stack(runs, start):
     chunk = max(1, GATHER_BATCHES // len(runs)) * cfg.batch_size
     width = min(chunk, sizes[0])
     batch, batches = min(cfg.batch_size, sizes[0]), -(-width // cfg.batch_size)
+    # zeros, not ones: calloc leaves the pages no gather writes unmapped
     inputs = np.zeros((len(runs), width, geometry.input_width + 1))
     labels = np.zeros((len(runs), width, geometry.horizon))
+    scratch = None
     # what each step of a chunk leaves for the loss, by its batch in the
     # chunk and its run: the record of _step, then the squared norms; the
     # softmax sums start at 1, so the log of a slot no step wrote is finite
@@ -505,11 +516,11 @@ def _train_stack(runs, start):
     orders = [np.empty(size, dtype=np.int64) for size in sizes]
     source_rows = [np.empty(size, dtype=np.int64) for size in sizes]
 
-    # per chunk: its gathers (run, source, source indices, buffer), its
-    # steps, and what _account reads of them: the record of its batches
-    # with their soft targets, the rows each run steps on by batch (0 for
-    # none, or once the run failed) and the (batch, run, rows) of its
-    # partial batches
+    # per chunk: its gathers (run, source, source indices, buffer, and
+    # where the buffer is copied to or None), its steps, and what _account
+    # reads of them: the record of its batches with their soft targets, the
+    # rows each run steps on by batch (0 for none, or once the run failed)
+    # and the (batch, run, rows) of its partial batches
     chunks = {}
     for base in range(0, sizes[0], chunk):
         used = -(-min(chunk, sizes[0] - base) // cfg.batch_size)
@@ -523,10 +534,28 @@ def _train_stack(runs, start):
             rows = slice(base, min(base + chunk, sizes[k]))
             n = rows.stop - base
             gathers = chunks[base][0]
-            gathers += [(k, run.inputs, source_rows[k][rows], inputs[k, :n]),
-                        (k, run.labels, source_rows[k][rows], labels[k, :n])]
+            if run.inputs.shape[1] == inputs.shape[2]:
+                gathers.append((k, run.inputs, source_rows[k][rows],
+                                inputs[k, :n], None))
+            else:
+                # the dataset's own inputs: the ones column is set here once,
+                # and rows are gathered a piece at a time into `scratch`,
+                # then copied beside it, as take into a view that is not
+                # contiguous goes through a hidden buffer that it first fills
+                if scratch is None:
+                    scratch = np.empty((min(GATHER_PIECE, width),
+                                        geometry.input_width))
+                inputs[k, :n, -1] = 1.0
+                for lo in range(0, n, len(scratch)):
+                    hi = min(lo + len(scratch), n)
+                    gathers.append((k, run.inputs,
+                                    source_rows[k][base + lo:base + hi],
+                                    scratch[:hi - lo], inputs[k, lo:hi, :-1]))
+            gathers.append((k, run.labels, source_rows[k][rows],
+                            labels[k, :n], None))
             if p_old is not None:
-                gathers.append((k, run.soft_old, orders[k][rows], p_old[k, :n]))
+                gathers.append((k, run.soft_old, orders[k][rows], p_old[k, :n],
+                                None))
     blocks, workspaces = {}, {}
     for first, end, lo, hi in _schedule(sizes, cfg.batch_size):
         # a step of one run takes rank-2 views (no run axis), which _step
@@ -562,12 +591,14 @@ def _train_stack(runs, start):
             loss_sums = [0.0] * len(runs)
             failures = False
             for base, (gathers, plan, record) in chunks.items():
-                for k, source, index, buffer in gathers:
+                for k, source, index, buffer, copy in gathers:
                     # a failed run's slot is not refilled; indices are in
                     # range, so "clip" changes none, and it spares the copy
                     # through a buffer that "raise" makes
                     if runs[k].error is None:
                         source.take(index, axis=0, mode="clip", out=buffer)
+                        if copy is not None:
+                            np.copyto(copy, buffer)
                 for (first, end, params, grads, ws, x, y, p, t, sm,
                      norm) in plan:
                     if failures and all(run.error is not None

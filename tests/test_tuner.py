@@ -293,6 +293,16 @@ class TestRTune:
         assert report.val_maes == maes
         assert report.selected_epoch == epoch
 
+    @pytest.mark.parametrize("method", ["ft", "lwf", "replay-only", "r-tuning"])
+    def test_small_gathers_match_per_batch_reference(self, monkeypatch,
+                                                     method):
+        # chunks of two batches, and the dataset's own inputs (ft, lwf)
+        # gathered five rows at a time: a chunk past the first, and a last
+        # piece shorter than the others
+        monkeypatch.setattr(tuner, "GATHER_BATCHES", 2)
+        monkeypatch.setattr(tuner, "GATHER_PIECE", 5)
+        self.test_matches_per_batch_reference(method, 7)
+
     @hyp_settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 1000), method=st.sampled_from(TRAINING),
            rate=st.floats(1e-4, 0.1),
@@ -758,8 +768,7 @@ class TestLockstep:
 class TestMemory:
     def test_training_reads_rows_in_place(self):
         # tracemalloc counts numpy's buffers: a run without replay gathers
-        # its batches from one source, its fit rows with a ones column, and
-        # copies nothing else of the new-task arrays
+        # its batches from the new-task arrays and copies none of them
         data = small_dataset(n_windows=20000, w=48, h=12)
         frozen = init_forecaster(48, 12, 32, seed=0)
         tracemalloc.start()
@@ -769,18 +778,22 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        source = (len(data) - 2000) * (48 + 1) * 8
-        assert peak - source < 0.5 * (data.inputs.nbytes + data.labels.nbytes)
+        assert peak < 0.5 * (data.inputs.nbytes + data.labels.nbytes)
 
     def test_gather_sources_and_buffers_are_c_contiguous(self, monkeypatch):
         # take(out=...) into a view that is not C-contiguous goes through a
         # hidden buffer and runs about three times slower; a run's batch is
-        # a slice of its gather buffer with the buffer's strides
+        # a slice of its gather buffer with the buffer's strides. Runs
+        # without replay read a shared source (jobs[0]'s dataset) or, where
+        # no run replays, their dataset's own inputs, which are gathered
+        # into a scratch buffer and copied beside the ones column
         jobs = TestLockstep().jobs(7)
         frozen, data, cfg, _ = jobs[0]
-        jobs += [(frozen, data, cfg, "ft"), (frozen, data, cfg, "lwf")]
-        sources, batches = [], []
-        train, step = tuner._train_lockstep, tuner._step
+        own = small_dataset(n_windows=45, seed=5)
+        jobs += [(frozen, data, cfg, "ft"), (frozen, data, cfg, "lwf"),
+                 (frozen, own, cfg, "ft"), (frozen, own, cfg, "lwf")]
+        sources, batches, gathered = [], [], []
+        train, step, copyto = tuner._train_lockstep, tuner._step, np.copyto
 
         def training(runs):
             sources.extend(array for run in runs
@@ -794,12 +807,20 @@ class TestMemory:
                     batches.extend([array] if array.ndim == 2 else array)
             return step(params, grads, inputs, labels, p_old, *args)
 
+        def copy(dst, src, **kwargs):
+            if isinstance(src, np.ndarray) and src.shape[-1] == own.input_width:
+                gathered.append(src)  # a gather's copy, not the accounting's
+            return copyto(dst, src, **kwargs)
+
         monkeypatch.setattr(tuner, "_train_lockstep", training)
         monkeypatch.setattr(tuner, "_step", kernel)
+        monkeypatch.setattr(tuner.np, "copyto", copy)
         r_tune_group(jobs)
-        assert len(sources) == 2 * len(jobs) + 5  # five runs distil
+        assert len(sources) == 2 * len(jobs) + 6  # six runs distil
+        assert sum(array is own.inputs for array in sources) == 2
         assert all(array.flags.c_contiguous for array in sources)
         assert batches and all(array.flags.c_contiguous for array in batches)
+        assert gathered and all(array.flags.c_contiguous for array in gathered)
 
 
 class TestVanillaFt:
