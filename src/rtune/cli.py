@@ -353,20 +353,22 @@ def _selection_warning(report):
 
 
 def _write_run_outputs(arm_cfg: dict, model, report, run_dir: Path):
-    """Write one arm's report (and checkpoint, when it trained) under
-    `run_dir`; `arm_cfg` is its one-seed config, echoed in the report."""
+    """Write one arm's checkpoint (when it trained), then its report, under
+    `run_dir`; `arm_cfg` is its one-seed config, echoed in the report.
+    Returns the report's path, then the checkpoint's. The report goes last,
+    so a failed checkpoint write leaves no report for `report` to pool."""
     seed, = arm_cfg["seeds"]
     seed_dir = run_dir / f"seed-{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     report.extra["config_echo"] = arm_cfg
     report.extra["seed"] = seed
     report_path = seed_dir / "report.json"
-    _write_json(report_path, report.to_dict())
     written = [report_path]
     if model is not None:
         ckpt_path = seed_dir / "model.ckpt"
         save_checkpoint(model, ckpt_path)
         written.append(ckpt_path)
+    _write_json(report_path, report.to_dict())
     return written
 
 

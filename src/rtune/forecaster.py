@@ -56,33 +56,39 @@ def _training_order(model):
 
     Training keeps each run's parameters in a layout of its own: the hidden
     weights with the hidden bias as a last column (hidden, W + 1), then the
-    output weights and bias as in `model.theta`. Its rows meet inputs with a
-    ones column, so one product adds the hidden bias and one gives its
-    gradient. `theta[..., order]` is a vector in the training layout, and
-    `theta[..., order] = trained` puts one back; both are exact."""
-    w, hid = model.input_width, model.hidden_width
-    weights = np.arange(hid * w).reshape(hid, w)
-    bias = np.arange(hid * w, hid * (w + 1))[:, None]
-    return np.concatenate([np.hstack([weights, bias]).ravel(), np.arange(
-        hid * (w + 1), theta_size(w, hid, model.horizon))])
+    output weights with the output bias as a last column, stored transposed
+    as (hidden + 1, H), so that the output weights alone are its first
+    `hidden` rows, one contiguous block. Its rows meet inputs with a ones
+    column and hidden activations with a ones row, so one product adds each
+    bias and one gives each bias's gradient. `theta[..., order]` is a vector
+    in the training layout, and `theta[..., order] = trained` puts one back;
+    both are exact."""
+    w, h, hid = model.input_width, model.horizon, model.hidden_width
+
+    def with_bias(start, rows, cols):
+        weights = start + np.arange(rows * cols).reshape(rows, cols)
+        bias = start + rows * cols + np.arange(rows)[:, None]
+        return np.hstack([weights, bias])
+
+    return np.concatenate([with_bias(0, hid, w).ravel(),
+                           with_bias(hid * (w + 1), h, hid).T.ravel()])
 
 
 def _training_blocks(stack, model):
     """(vectors, hidden weights with the hidden bias as a last column,
-    output weights, output bias, rows, columns, hidden weights transposed,
-    output weights transposed) of a (K, P) stack of vectors in the training
-    layout (:func:`_training_order`), the rest as (K, hidden, W + 1),
-    (K, H, hidden), (K, 1, H), (K, 1, P), (K, P, 1), (K, W + 1, hidden) and
-    (K, hidden, H) views into `stack`. One run's (P,) vector gives the same
+    output block, rows, columns, output weights) of a (K, P) stack of
+    vectors in the training layout (:func:`_training_order`), the rest as
+    (K, hidden, W + 1), (K, hidden + 1, H), (K, 1, P), (K, P, 1) and
+    (K, hidden, H) views into `stack`; the output block and weights are
+    transposed, [w2 | b2].T and w2.T. One run's (P,) vector gives the same
     views without the K axis: rank-2 blocks, which :func:`_step` multiplies
     with np.dot. Rows times columns are the squared norms."""
     w, h, hid = model.input_width + 1, model.horizon, model.hidden_width
     lead = stack.shape[:-1]
     w1 = stack[..., :hid * w].reshape(lead + (hid, w))
-    w2 = stack[..., hid * w:hid * w + h * hid].reshape(lead + (h, hid))
-    b2 = stack[..., hid * w + h * hid:].reshape(lead + (1, h))
-    return (stack, w1, w2, b2, stack[..., None, :], stack[..., None],
-            w1.swapaxes(-1, -2), w2.swapaxes(-1, -2))
+    w2 = stack[..., hid * w:].reshape(lead + (hid + 1, h))
+    return (stack, w1, w2, stack[..., None, :], stack[..., None],
+            w2[..., :hid, :])
 
 
 @dataclass
@@ -327,17 +333,38 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
 
 def _workspace(k, n, model):
     """Preallocated intermediates of a step over k runs of n rows each, in
-    the order :func:`_step` unpacks them: hidden activations and their
-    gradient (k, n, hidden) with the gradient's transpose; outputs and their
-    gradient (k, n, H) with the gradient's transpose; softmax numerators
-    (k, n, H); and a (k, n, 1) column. For one run (k == 1) the arrays have
-    no k axis, to match the rank-2 :func:`_training_blocks` of a one-run
-    stack."""
+    the order :func:`_step` unpacks them: the hidden activations (k, hidden,
+    n), transposed so that the products write them to contiguous blocks,
+    and the same activations as one array for elementwise work; the
+    (k, hidden + 1, n) array they are the top of, whose last row is ones,
+    the output bias's input, and its (k, n, hidden + 1) transpose; their
+    gradient (k, hidden, n), also with an elementwise view; outputs and
+    their gradient (k, n, H) with the gradient's transpose; softmax
+    numerators (k, n, H); and a (k, n, 1) column. For one run (k == 1) the
+    arrays have no k axis, to match the rank-2 :func:`_training_blocks` of
+    a one-run stack, and each elementwise view is its array.
+
+    In a stack, the activations and their gradient are stored hidden unit
+    by hidden unit across the runs, (hidden, k, n): the elementwise views
+    are then contiguous, which numpy's fast loops need, where the
+    (k, hidden, n) view of a (k, hidden + 1, n) array goes through buffers.
+    That leaves each run's blocks strided, which changes no bit of a
+    matrix-matrix product; a stack whose products include matrix-vector
+    ones (one row, or a horizon of one) keeps each run's blocks contiguous
+    instead, as a strided matrix or vector there sums in another order
+    than np.dot's."""
     h, hid = model.horizon, model.hidden_width
     lead = () if k == 1 else (k,)
-    d_hid, d_out = np.empty(lead + (n, hid)), np.empty(lead + (n, h))
-    return (np.empty(lead + (n, hid)), d_hid, d_hid.swapaxes(-1, -2),
-            np.empty(lead + (n, h)), d_out, d_out.swapaxes(-1, -2),
+    if k > 1 and n > 1 and h > 1:
+        stored, d_act = np.ones((hid + 1, k, n)), np.empty((hid, k, n))
+        hidden, act = np.moveaxis(stored, 0, 1), stored[:hid]
+        d_hid = np.moveaxis(d_act, 0, 1)
+    else:
+        hidden, d_hid = np.ones(lead + (hid + 1, n)), np.empty(lead + (hid, n))
+        act, d_act = hidden[..., :hid, :], d_hid
+    d_out = np.empty(lead + (n, h))
+    return (hidden[..., :hid, :], act, hidden, hidden.swapaxes(-1, -2), d_hid,
+            d_act, np.empty(lead + (n, h)), d_out, d_out.swapaxes(-1, -2),
             np.empty(lead + (n, h)), np.empty(lead + (n, 1)))
 
 
@@ -354,13 +381,15 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight, rate,
     (K, n, W + 1), whose last column is ones, so the first product adds
     the hidden bias and the last gives its gradient; `labels` (K, n, H);
     and, when distilling, the frozen model's softened outputs `p_old`
-    (K, n, H). `ws` is a :func:`_workspace` for (K, n). The kernel computes
-    only what the gradient needs and records what the loss is made of, raw:
-    the residuals in `terms` (2, K, n, H) and, when distilling, the
-    max-shifted logits in its second slot and their exp sums in `sums`
-    (K, n, 1); each run's squared norm goes to `norm` (K, 1, 1).
-    :func:`_account` forms the loss terms from that record and adds them up
-    for a chunk of steps.
+    (K, n, H). `ws` is a :func:`_workspace` for (K, n): its hidden
+    activations sit above a ones row, so the output product adds the
+    output bias and the output gradient's product gives its gradient. The
+    kernel computes only what the gradient needs and records what the loss
+    is made of, raw: the residuals in `terms` (2, K, n, H) and, when
+    distilling, the max-shifted logits in its second slot and their exp
+    sums in `sums` (K, n, 1); each run's squared norm goes to `norm`
+    (K, 1, 1). :func:`_account` forms the loss terms from that record and
+    adds them up for a chunk of steps.
 
     One run comes without the K axis: the blocks of its (P,) vector, rank-2
     batches and record ((2, n, H) terms, (n, 1) sums, a (1, 1) norm) and a
@@ -368,17 +397,20 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight, rate,
     batched matmul's per-call cost; stacks of two or more runs take the
     batched np.matmul, which runs per slice. Either way every run's slice
     has the bits of the same step taken alone, so a run whose loss or
-    gradient is non-finite leaves the other runs' gradients exact.
+    gradient is non-finite leaves the other runs' gradients exact. Every
+    operand of one run is contiguous or a transpose of a contiguous block:
+    np.dot would copy any other, and its one-row products would then sum
+    in another order than np.matmul's.
     """
-    _, _, w2, b2, rows, columns, w1_t, w2_t = params
-    _, g_w1, g_w2, g_b2 = grads[:4]
-    hidden, d_hid, d_hid_t, out, d_out, d_out_t, e, col = ws
+    _, w1, w2, rows, columns, w2_weights = params
+    _, g_w1, g_w2 = grads[:3]
+    (hidden, act, hidden_ones, hidden_ones_t, d_hid, d_act, out, d_out,
+     d_out_t, e, col) = ws
     n = inputs.shape[-2]
     mm = np.dot if inputs.ndim == 2 else np.matmul
-    mm(inputs, w1_t, out=hidden)
-    np.tanh(hidden, out=hidden)
-    mm(hidden, w2_t, out=out)
-    out += b2
+    mm(w1, inputs.swapaxes(-1, -2), out=hidden)
+    np.tanh(act, out=act)
+    mm(hidden_ones_t, w2, out=out)
 
     np.subtract(out, labels, out=terms[0])
     np.multiply(terms[0], 2.0 * rate / n, out=d_out)
@@ -397,13 +429,12 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight, rate,
     # a (1, P) @ (P, 1) product per run has the bits of theta @ theta
     mm(rows, columns, out=norm)
 
-    mm(d_out_t, hidden, out=g_w2)
-    np.add.reduce(d_out, -2, None, g_b2, True)
-    mm(d_out, w2, out=d_hid)
-    np.multiply(hidden, hidden, out=hidden)
-    np.subtract(1.0, hidden, out=hidden)
-    d_hid *= hidden
-    mm(d_hid_t, inputs, out=g_w1)
+    mm(hidden_ones, d_out, out=g_w2)
+    mm(w2_weights, d_out_t, out=d_hid)
+    np.multiply(act, act, out=act)
+    np.subtract(1.0, act, out=act)
+    d_act *= act
+    mm(d_hid, inputs, out=g_w1)
 
 
 def _terms(terms, sums, p_old):
@@ -429,9 +460,10 @@ def _account(terms, sums, p_old, norms, rows, partial, distill_weight,
     `p_old` (S, K, b, H) the soft targets it read; the terms are formed in
     place. `rows` (S, K) is the row count of each step, 0 where a run took
     none; `partial` lists the (batch, run, rows) of steps on fewer than b
-    rows, which are summed at their own length: padding would move a
-    pairwise sum's bits. A sum over rows divided by the row count has the
-    bits of .mean(), and the cross-entropy is minus the sum of the
+    rows. Each step's terms are summed in one pairwise pass over its
+    contiguous b * H entries, a partial step's over the n * H of its rows:
+    padding would move a pairwise sum's bits. The sum divided by the row
+    count is the batch mean, and the cross-entropy is minus the sum of the
     products.
 
     Returns:
@@ -439,10 +471,11 @@ def _account(terms, sums, p_old, norms, rows, partial, distill_weight,
     """
     terms = terms[:1 if distill_weight == 0.0 else 2]
     _terms(terms, sums, p_old)
-    row_sums = np.add.reduce(terms, axis=-1)
-    step_sums = np.add.reduce(row_sums, axis=-1)
+    h = terms.shape[-1]
+    flat = terms.reshape(terms.shape[:-2] + (-1,))
+    step_sums = np.add.reduce(flat, axis=-1)
     for s, k, n in partial:
-        step_sums[:, s, k] = np.add.reduce(row_sums[:, s, k, :n], axis=-1)
+        step_sums[:, s, k] = np.add.reduce(flat[:, s, k, :n * h], axis=-1)
     # silent, as the same arithmetic on Python floats is
     with np.errstate(all="ignore"):
         losses = step_sums[0] / rows

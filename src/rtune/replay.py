@@ -67,15 +67,30 @@ def sample_latents(n: int, d: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((n, d))
 
 
-def _smooth(z: np.ndarray) -> np.ndarray:
-    # circular moving average along each row; raw white noise is spectrally
-    # unlike any forecaster's training inputs
+def _tap_sum(z: np.ndarray) -> np.ndarray:
+    # the sum of the SMOOTHING_TAPS circular shifts of each row around it;
+    # divided by SMOOTHING_TAPS, the circular moving average that smooths
+    # the latents
     out, rolled = np.zeros_like(z), np.empty_like(z)
     half = SMOOTHING_TAPS // 2
     for k in range(-half, half + 1):
         _roll_into(rolled, z, k)
         out += rolled
-    return out / SMOOTHING_TAPS
+    return out
+
+
+def _filter_operators(width: int, levels: int, k: int, alpha) -> np.ndarray:
+    """The k filtered variants as one (width, k * width) matrix: a row x
+    times its block j - 1 is x with the top j detail bands of its
+    depth-`levels` redundant decomposition discarded and the kept bands
+    scaled by `alpha`, as rwt_reconstruct(rwt_decompose(x, levels), alpha,
+    levels - j) gives it up to rounding. Built from those two applied to
+    the identity, so their checks (signal length, alpha, keep levels) hold
+    here too."""
+    decomp = rwt_decompose(np.eye(width), levels)
+    return np.hstack([rwt_reconstruct(decomp, alpha=alpha,
+                                      keep_levels=levels - j)
+                      for j in range(1, k + 1)])
 
 
 def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
@@ -97,20 +112,26 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
         raise ValueError(f"discard depth must be in [0, {levels}], got {k}")
     if not 0.0 <= alpha <= 1.0:  # NaN fails too
         raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
-    w = frozen.input_width
-    contexts = _smooth(sample_latents(n, w, seed))
+    w, span = frozen.input_width, frozen.input_width + frozen.horizon
+    # latents smoothed by a circular moving average, as raw white noise is
+    # spectrally unlike any forecaster's training inputs. Both stages are
+    # fixed linear maps on rows, one product each; the smoothing's tap
+    # counts, applied before its division, keep a constant row exact
+    contexts = np.dot(sample_latents(n, w, seed), _tap_sum(np.eye(w)))
+    contexts /= SMOOTHING_TAPS
     forecasts = frozen.forward_batch(contexts)
 
     # (n, 1 + k, T) view of the final (N, T) block: one slot per variant
-    sequences = np.empty((n * (1 + k), w + frozen.horizon))
+    sequences = np.empty((n * (1 + k), span))
     per_latent = sequences.reshape(n, 1 + k, -1)
     per_latent[:, 0, :w] = contexts
     per_latent[:, 0, w:] = forecasts
     if k:
-        decomp = rwt_decompose(per_latent[:, 0], levels)
-        for j in range(1, k + 1):
-            per_latent[:, j] = rwt_reconstruct(decomp, alpha=alpha,
-                                               keep_levels=levels - j)
+        # rwt_decompose's check, which the operator product cannot make
+        if not np.all(np.isfinite(per_latent[:, 0])):
+            raise ValueError("signal contains non-finite values")
+        np.matmul(per_latent[:, 0], _filter_operators(span, levels, k, alpha),
+                  out=per_latent[:, 1:].reshape(n, k * span))
     if not np.all(np.isfinite(sequences)):
         raise ValueError("synthetic sequences contain non-finite values")
 

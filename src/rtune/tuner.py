@@ -197,8 +197,8 @@ def batch_objective(m_new: Forecaster, m_old: Forecaster, inputs, labels,
     computes; the reference that the finite-difference tests and
     :func:`rtune.forecaster.value_and_grad` (the training step at learning
     rate 1 with the L2 gradient added) are checked against, to 1e-12: the
-    step adds the hidden bias inside a matrix product and sums its terms in
-    its own order, so the bits differ."""
+    step adds both biases inside matrix products and sums each step's terms
+    in one pass over all its entries, so the bits differ."""
     preds = m_new.forward_batch(inputs)
     task = task_loss(preds, labels)
     if distill_weight != 0.0:

@@ -7,6 +7,7 @@ import json
 import shutil
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -961,3 +962,25 @@ class TestAtomicWrites:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
         load_checkpoint(path)
+
+    def test_failed_checkpoint_leaves_no_report(self, bench_config, tmp_path,
+                                                monkeypatch, capsys):
+        # the checkpoint is written before the report, so a seed whose
+        # checkpoint write fails leaves nothing for `report` to pool
+        cfg = bench_config(method="ft")
+
+        def failing(model, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(rtune.cli, "save_checkpoint", failing)
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert "error: disk full" in capsys.readouterr().err
+        assert not list((tmp_path / "runs").rglob("report.json"))
+        assert not list((tmp_path / "runs").rglob("model.ckpt"))
+        monkeypatch.undo()
+        # a clean run still prints the report's path before the checkpoint's
+        assert main(["tune", "--config", str(cfg)]) == 0
+        printed = capsys.readouterr().out.split()
+        assert [Path(path).name for path in printed] == ["report.json",
+                                                         "model.ckpt"]
+        assert all(Path(path).is_file() for path in printed)

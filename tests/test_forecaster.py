@@ -6,6 +6,7 @@ import ast
 import importlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,32 +41,42 @@ def unpack_reference(model):
 
 
 def reference_value_and_grad(m_new, x, y, p_old, tau, distill_weight,
-                              reg_weight):
+                             reg_weight):
     """The training step at learning rate 1, straight-line, in the training
     layout: the hidden bias as a last column of the hidden weights, met by
-    a ones column on the inputs. A separate exp for the loss
-    (_cross_entropy) and for the gradient (_soften_rows); the gradient
+    a ones column on the inputs, and the output layer transposed with the
+    output bias as a last row, met by a ones row under the transposed hidden
+    activations. Each loss term summed over all of the batch's entries at
+    once and divided by n; a separate exp for the loss (the log-softmax of
+    _cross_entropy) and for the gradient (_soften_rows); the gradient
     concatenated from fresh blocks, the L2 term added, and put back in the
-    standard layout."""
+    standard layout. The products take the kernel's orientations, with
+    fresh contiguous blocks: a one-row batch makes them matrix-vector
+    products, whose bits depend on the orientation."""
     n = x.shape[0]
     w1, b1, w2, b2 = unpack_reference(m_new)
     w1b = np.column_stack([w1, b1])
+    w2b_t = np.ascontiguousarray(np.column_stack([w2, b2]).T)
     xb = np.column_stack([x, np.ones(n)])
-    theta = np.concatenate([w1b.ravel(), w2.ravel(), b2])
-    hidden = np.tanh(xb @ w1b.T)
-    outputs = hidden @ w2.T + b2
+    theta = np.concatenate([w1b.ravel(), w2b_t.ravel()])
+    hidden = np.vstack([np.tanh(w1b @ xb.T), np.ones(n)])
+    outputs = hidden.T @ w2b_t
     resid = outputs - y
-    loss = float((resid ** 2).sum(axis=-1).mean())
+    loss = float((resid ** 2).sum() / n)
     d_out = resid * (2.0 / n)
     if distill_weight != 0.0:
-        loss += distill_weight * _cross_entropy(p_old, outputs, tau)
+        z = outputs / tau
+        z = z - z.max(axis=-1, keepdims=True)
+        log_p_new = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        loss += distill_weight * float(-(p_old * log_p_new).sum() / n)
         d_out = d_out + (_soften_rows(outputs, tau) - p_old) * (
             distill_weight / (tau * n))
     loss += reg_weight * float(theta @ theta)
-    d_pre = (d_out @ w2) * (1.0 - hidden ** 2)
-    g_w1b = d_pre.T @ xb
+    d_pre = (w2b_t[:-1] @ d_out.T) * (1.0 - hidden[:-1] ** 2)
+    g_w1b = d_pre @ xb
+    g_w2b_t = hidden @ d_out
     grad = np.concatenate([g_w1b[:, :-1].ravel(), g_w1b[:, -1],
-                           (d_out.T @ hidden).ravel(), d_out.sum(axis=0)])
+                           g_w2b_t[:-1].T.ravel(), g_w2b_t[-1]])
     if reg_weight != 0.0:
         grad = grad + 2.0 * reg_weight * m_new.theta
     return loss, grad
@@ -422,13 +433,18 @@ class TestTrainingLayout:
         back = np.empty_like(thetas)
         back[..., order] = trained
         assert back.tobytes() == thetas.tobytes()
-        # the hidden bias is the last column of the hidden weights; the
-        # output weights and bias are where the standard layout has them
+        # each layer's bias is the last column of its weights, the output
+        # layer stored transposed, bit for bit
         for theta, row in zip(thetas, trained):
             w1, b1, w2, b2 = unpack_reference(Forecaster(w, h, hid, theta))
-            _, w1b, w2b, b2b = _training_blocks(row, model)[:4]
-            assert np.array_equal(w1b, np.column_stack([w1, b1]))
-            assert np.array_equal(w2b, w2) and np.array_equal(b2b[0], b2)
+            w1b, w2b = np.column_stack([w1, b1]), np.column_stack([w2, b2])
+            assert row.tobytes() == np.concatenate(
+                [w1b.ravel(), w2b.T.ravel()]).tobytes()
+            _, w1_block, w2_block, _, _, w2_weights = _training_blocks(row,
+                                                                       model)
+            assert w1_block.tobytes() == w1b.tobytes()
+            assert w2_block.tobytes() == w2b.T.tobytes()
+            assert w2_weights.tobytes() == w2.T.tobytes()
 
 
 class TestStackedStep:
@@ -496,6 +512,30 @@ class TestStackedStep:
                 reg_weight)
             assert loss == ref_loss and np.array_equal(grad[0], ref_grad)
 
+    @hyp_settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 5),
+           n=st.integers(1, 12), w=st.integers(1, 40), h=st.integers(1, 3),
+           hid=st.integers(1, 20), distill=st.booleans())
+    def test_stack_slices_bit_equal_across_geometries(self, seed, k, n, w, h,
+                                                      hid, distill):
+        # one row, a horizon of one and a single hidden unit make some
+        # products matrix-vector ones, which a stack's workspace lays out
+        # apart from the matrix-matrix case
+        rng = np.random.default_rng(seed)
+        model = init_forecaster(w, h, hid, seed=seed % 1000)
+        thetas = model.theta + 0.3 * rng.normal(size=(k, model.theta.size))
+        x = rng.normal(size=(k, n, w))
+        y = rng.normal(size=(k, n, h))
+        p_old = _soften_rows(rng.normal(size=(k, n, h)), 3.0) if distill else None
+        distill_weight = 0.2 if distill else 0.0
+        losses, grads = stacked_step(model, thetas, x, y, p_old, 3.0,
+                                     distill_weight, 1e-4)
+        for j in range(k):
+            loss, grad = reference_value_and_grad(
+                Forecaster(w, h, hid, thetas[j]), x[j], y[j],
+                None if p_old is None else p_old[j], 3.0, distill_weight, 1e-4)
+            assert losses[j] == loss and np.array_equal(grads[j], grad)
+
     @hyp_settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 5),
            n=st.integers(1, 12), distill_weight=st.sampled_from([0.0, 0.5]))
@@ -537,6 +577,40 @@ class TestStackedStep:
             loss, grad = value_and_grad(Forecaster(6, 3, 4, thetas[j]), x[j],
                                         y[j], None, 3.0, 0.0, 1e-4)
             assert losses[j] == loss and np.array_equal(grads[j], grad)
+
+
+@pytest.mark.parametrize("distill_weight", [0.0, 0.2])
+def test_one_run_step_allocates_no_array(distill_weight):
+    # the kernel writes every intermediate into its preallocated workspace
+    # and record, and the update runs in place: after a warm-up, a step and
+    # its update raise the traced peak by less than one (n, hidden) array
+    n, model = 32, init_forecaster(48, 12, 32, seed=0)
+    rng = np.random.default_rng(0)
+    theta = model.theta[_training_order(model)]
+    grad = np.empty_like(theta)
+    params, grads = (_training_blocks(theta, model),
+                     _training_blocks(grad, model))
+    x = np.column_stack([rng.normal(size=(n, 48)), np.ones(n)])
+    y = rng.normal(size=(n, 12))
+    p_old = _soften_rows(rng.normal(size=(n, 12)), 3.0)
+    ws, terms = _workspace(1, n, model), np.empty((2, n, 12))
+    sums, norm = np.empty((n, 1)), np.empty((1, 1))
+
+    def step():
+        _step(params, grads, x, y, p_old, 3.0, distill_weight, 1e-2, ws,
+              terms, sums, norm)
+        np.multiply(params[0], 1.0 - 2e-6, out=params[0])
+        np.subtract(params[0], grads[0], out=params[0])
+
+    step()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < n * model.hidden_width * 8
 
 
 class TestAccount:

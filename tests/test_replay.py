@@ -3,6 +3,7 @@ variants, training-set assembly, and the batched build against a per-latent
 oracle."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -114,7 +115,88 @@ def test_smoothing_bit_equal_to_roll_form(n, d, strided, seed):
         -300, 300, size=(2 * n, 2 * d))
     z = block[::2, ::2] if strided else block[:n, :d]
     with np.errstate(over="ignore"):
-        assert replay._smooth(z).tobytes() == roll_smooth(z).tobytes()
+        smoothed = replay._tap_sum(z) / replay.SMOOTHING_TAPS
+        assert smoothed.tobytes() == roll_smooth(z).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), d=st.integers(1, 60), scale=st.sampled_from(
+    [1e-3, 1.0, 1e3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_smoothing_operator_matches_roll_form(n, d, scale, seed):
+    # the tap counts as a matrix, applied before the division, as the
+    # replay build smooths its latents
+    z = scale * np.random.default_rng(seed).normal(size=(n, d))
+    taps = replay._tap_sum(np.eye(d))
+    assert np.array_equal(taps, roll_smooth(np.eye(d)) * 5)
+    smoothed = z @ taps / replay.SMOOTHING_TAPS
+    assert np.max(np.abs(smoothed - roll_smooth(z))) <= 1e-12 * scale
+    constant = np.full((1, d), 1.5)
+    assert np.all(constant @ taps / replay.SMOOTHING_TAPS == 1.5)
+
+
+ALPHAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(levels=st.integers(1, 4), extra=st.integers(0, 24), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_filter_operators_match_the_transform(levels, extra, data, seed):
+    # block j - 1 of the operator drops the top j bands: the transform
+    # with keep_levels = levels - j, for a scalar alpha or one per level
+    width = 4 * 2 ** (levels - 1) + extra
+    k = data.draw(st.integers(1, levels), label="k")
+    alpha = data.draw(st.one_of(ALPHAS, st.lists(ALPHAS, min_size=levels,
+                                                 max_size=levels)),
+                      label="alpha")
+    filters = replay._filter_operators(width, levels, k, alpha)
+    assert filters.shape == (width, k * width)
+    x = np.random.default_rng(seed).normal(size=(3, width))
+    decomp = rwt_decompose(x, levels)
+    for j in range(1, k + 1):
+        oracle = rwt_reconstruct(decomp, alpha=alpha, keep_levels=levels - j)
+        block = filters[:, (j - 1) * width:j * width]
+        assert np.max(np.abs(x @ block - oracle)) <= 1e-12
+
+
+class TestOperatorErrors:
+    """The operator path raises what the transform raised on the rows."""
+
+    def test_short_signal(self):
+        # W + H = 6 holds no depth-2 decomposition
+        message = "signal of length 6 too short for 2 levels (needs >= 8)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rwt_decompose(np.zeros((2, 6)), 2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replay._filter_operators(6, 2, 1, 0.7)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_replay_set(init_forecaster(4, 2, 3, seed=0), 2, 2, 1, 0.7, 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 is the point
+    def test_non_finite_rows(self, fixed_latents):
+        message = "signal contains non-finite values"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rwt_decompose(np.array([0.0, 0.0, 0.0, np.inf]), 1)
+        fixed_latents(np.array([[0.0] * 7 + [np.inf], [0.0] * 8]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_replay_set(init_forecaster(8, 4, 6, seed=1), 2, 1, 1, 0.7, 0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, -0.5, 1.5, [0.5, np.nan],
+                                       [1.0, 1.01]])
+    def test_alpha_out_of_range(self, alpha):
+        message = f"alpha must be in [0, 1], got {alpha!r}"
+        decomp = rwt_decompose(np.zeros(8), 2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rwt_reconstruct(decomp, alpha=alpha, keep_levels=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replay._filter_operators(8, 2, 1, alpha)
+        if np.ndim(alpha) == 0:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build_replay_set(zero_model(w=8, h=4), 1, 2, 1, alpha, 0)
+
+    def test_discard_deeper_than_levels(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "discard depth must be in [0, 2], got 3")):
+            build_replay_set(zero_model(w=8, h=4), 1, 2, 3, 0.7, 0)
 
 
 class TestGenerateSequence:

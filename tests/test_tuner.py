@@ -16,7 +16,7 @@ from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
 from rtune.cli import build_parser, load_run_config
 from rtune.data import WindowedDataset, make_windows, permute_windows
 from rtune import forecaster, tuner
-from rtune.forecaster import (Forecaster, _cross_entropy, _soften_rows, _step,
+from rtune.forecaster import (Forecaster, _soften_rows, _step,
                               grad_total, init_forecaster, soften,
                               value_and_grad)
 from rtune.metrics import evaluate_model, mae
@@ -53,43 +53,51 @@ def ft_arm(frozen, data, cfg):
 def lean_step(theta, x, y, p_old, cfg, geometry):
     """One training step, straight-line, on a parameter vector in the
     training layout (the hidden bias as a last column of the hidden
-    weights) and inputs with a ones column: the gradient scaled by the
-    learning rate and without the L2 term, then theta * (1 - 2 * lr * reg)
-    less it. Returns (loss, new theta)."""
+    weights, then the output layer transposed with the output bias as a
+    last row) and inputs with a ones column: each loss term summed over
+    the batch's entries at once and divided by n, the gradient scaled by
+    the learning rate and without the L2 term, then theta * (1 - 2 * lr *
+    reg) less it. The products take the kernel's orientations on
+    contiguous blocks, as a one-row batch needs for its bits. Returns
+    (loss, new theta)."""
     w, h, hid = geometry.input_width + 1, geometry.horizon, geometry.hidden_width
     rate, n = cfg.learning_rate, x.shape[0]
     w1 = theta[:hid * w].reshape(hid, w)
-    w2 = theta[hid * w:hid * w + h * hid].reshape(h, hid)
-    b2 = theta[hid * w + h * hid:]
-    hidden = np.tanh(x @ w1.T)
-    outputs = hidden @ w2.T + b2
+    w2 = theta[hid * w:].reshape(hid + 1, h)
+    hidden = np.vstack([np.tanh(w1 @ x.T), np.ones(n)])
+    outputs = hidden.T @ w2
     resid = outputs - y
-    loss = float((resid ** 2).sum(axis=-1).mean())
+    loss = float((resid ** 2).sum() / n)
     d_out = resid * (2.0 * rate / n)
     if cfg.distill_weight != 0.0:
-        loss += cfg.distill_weight * _cross_entropy(p_old, outputs, cfg.tau)
+        z = outputs / cfg.tau
+        z = z - z.max(axis=-1, keepdims=True)
+        log_p_new = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        loss += cfg.distill_weight * float(-(p_old * log_p_new).sum() / n)
         d_out = d_out + (_soften_rows(outputs, cfg.tau) - p_old) * (
             cfg.distill_weight * rate / (cfg.tau * n))
     loss += cfg.reg_weight * float(theta @ theta)
-    d_pre = (d_out @ w2) * (1.0 - hidden ** 2)
-    grad = np.concatenate([(d_pre.T @ x).ravel(), (d_out.T @ hidden).ravel(),
-                           d_out.sum(axis=0)])
+    d_pre = (w2[:-1] @ d_out.T) * (1.0 - hidden[:-1] ** 2)
+    grad = np.concatenate([(d_pre @ x).ravel(), (hidden @ d_out).ravel()])
     return loss, theta * (1.0 - 2.0 * rate * cfg.reg_weight) - grad
 
 
 def training_layout(model):
     """The model's parameters in the training layout, and the inverse."""
-    w, hid = model.input_width, model.hidden_width
+    w, h, hid = model.input_width, model.horizon, model.hidden_width
     t = model.theta
     w1 = t[:hid * w].reshape(hid, w)
     b1 = t[hid * w:hid * (w + 1)]
+    w2 = t[hid * (w + 1):hid * (w + 1) + h * hid].reshape(h, hid)
+    b2 = t[hid * (w + 1) + h * hid:]
     theta = np.concatenate([np.column_stack([w1, b1]).ravel(),
-                            t[hid * (w + 1):]])
+                            np.column_stack([w2, b2]).T.ravel()])
 
     def standard(trained):
         w1b = trained[:hid * (w + 1)].reshape(hid, w + 1)
+        w2b_t = trained[hid * (w + 1):].reshape(hid + 1, h)
         return np.concatenate([w1b[:, :w].ravel(), w1b[:, w],
-                               trained[hid * (w + 1):]])
+                               w2b_t[:hid].T.ravel(), w2b_t[hid]])
 
     return theta, standard
 
@@ -827,10 +835,16 @@ class TestVanillaFt:
     def test_zero_learning_rate_is_identity(self):
         frozen = init_forecaster(8, 4, 6, seed=9)
         data = small_dataset()
-        model, report = ft_arm(frozen, data,
-                               small_config(learning_rate=0.0, epochs=3))
+        cfg = small_config(learning_rate=0.0, epochs=3)
+        model, report = ft_arm(frozen, data, cfg)
         assert np.array_equal(model.theta, frozen.theta)
-        assert len(set(report.train_losses)) == 1  # constant losses
+        # each epoch's loss is the frozen model's on the whole training set,
+        # summed in that epoch's batch order: bit-equal to the reference's,
+        # and equal across epochs up to the rounding of that order
+        _, losses, _, _ = reference_r_tune(frozen, data,
+                                           method_config("ft", cfg))
+        assert report.train_losses == losses
+        assert np.ptp(losses) <= 1e-12 * losses[0]
 
     def test_monotone_descent_small_lr(self):
         frozen = init_forecaster(8, 4, 6, seed=10)
