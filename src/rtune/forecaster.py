@@ -351,8 +351,8 @@ def _workspace(k, n, model):
     That leaves each run's blocks strided, which changes no bit of a
     matrix-matrix product; a stack whose products include matrix-vector
     ones (one row, or a horizon of one) keeps each run's blocks contiguous
-    instead, as a strided matrix or vector there sums in another order
-    than np.dot's."""
+    instead, for the bits rather than for speed: a strided matrix or vector
+    there sums in another order than np.dot's."""
     h, hid = model.horizon, model.hidden_width
     lead = () if k == 1 else (k,)
     if k > 1 and n > 1 and h > 1:
@@ -437,45 +437,51 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight, rate,
     mm(d_hid, inputs, out=g_w1)
 
 
-def _terms(terms, sums, p_old):
-    """Form in place the loss terms of a record :func:`_step` wrote, with
-    the arithmetic of task_loss and _cross_entropy: the squared residuals
-    and, if `terms` holds a second slot, the cross-entropy terms p_old
-    times the log-softmax, the shifted logits less the log of `sums`."""
-    np.multiply(terms[0], terms[0], out=terms[0])
+def _terms(terms, sums, p_old, row_sums):
+    """Sum each row's loss terms of a record :func:`_step` wrote into
+    `row_sums`, with the arithmetic of task_loss and _cross_entropy: its
+    squared residuals and, if `terms` holds a second slot, its
+    cross-entropy terms, p_old times the log-softmax, the shifted logits
+    less the log of `sums` (formed in place). Each row is one product-sum
+    by np.einsum, which gives a row the same bits wherever it sits."""
+    np.einsum("...h,...h->...", terms[0], terms[0], out=row_sums[0])
     if len(terms) > 1:
         z = terms[1]
         z -= np.log(sums)
-        np.multiply(p_old, z, out=z)
+        np.einsum("...h,...h->...", p_old, z, out=row_sums[1])
 
 
 def _account(terms, sums, p_old, norms, rows, partial, distill_weight,
-             reg_weight):
+             reg_weight, row_sums=None):
     """The losses of a chunk of steps, each with the bits of the same step's
     loss taken alone, as batch_objective adds it up: task, + distillation,
     + L2.
 
     `terms` (2, S, K, b, H), `sums` (S, K, b, 1) and `norms` (S, K) are
     what :func:`_step` wrote for the chunk's S batches of K runs, and
-    `p_old` (S, K, b, H) the soft targets it read; the terms are formed in
-    place. `rows` (S, K) is the row count of each step, 0 where a run took
-    none; `partial` lists the (batch, run, rows) of steps on fewer than b
-    rows. Each step's terms are summed in one pairwise pass over its
-    contiguous b * H entries, a partial step's over the n * H of its rows:
-    padding would move a pairwise sum's bits. The sum divided by the row
-    count is the batch mean, and the cross-entropy is minus the sum of the
-    products.
+    `p_old` (S, K, b, H) the soft targets it read. `rows` (S, K) is the
+    row count of each step, 0 where a run took none; `partial` lists the
+    (batch, run, rows) of steps on fewer than b rows. :func:`_terms` sums
+    each row's terms into `row_sums` (2, S, K, b), allocated when not
+    given; each step's row sums are then added in one pairwise pass, a
+    partial step's over its n rows. The sum divided by the row count is
+    the batch mean, and the cross-entropy is minus the sum of the
+    products. A row's sums have its bits wherever it sits, so the rows of
+    an epoch can be added up in an order that does not depend on the
+    batches they fell into; slots no step wrote hold whatever their stale
+    terms sum to.
 
     Returns:
         The (S, K) losses, 0 where a run took no step.
     """
     terms = terms[:1 if distill_weight == 0.0 else 2]
-    _terms(terms, sums, p_old)
-    h = terms.shape[-1]
-    flat = terms.reshape(terms.shape[:-2] + (-1,))
-    step_sums = np.add.reduce(flat, axis=-1)
+    if row_sums is None:
+        row_sums = np.empty(terms.shape[:-1])
+    row_sums = row_sums[:len(terms)]
+    _terms(terms, sums, p_old, row_sums)
+    step_sums = np.add.reduce(row_sums, axis=-1)
     for s, k, n in partial:
-        step_sums[:, s, k] = np.add.reduce(flat[:, s, k, :n * h], axis=-1)
+        step_sums[:, s, k] = np.add.reduce(row_sums[:, s, k, :n], axis=-1)
     # silent, as the same arithmetic on Python floats is
     with np.errstate(all="ignore"):
         losses = step_sums[0] / rows

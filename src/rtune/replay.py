@@ -28,6 +28,16 @@ __all__ = [
 
 SMOOTHING_TAPS = 5
 
+# Widest rows that build_replay_set smooths, and widest sequences that it
+# filters, with one product by a dense operator. The product costs width**2
+# per row where the per-row transform costs width * taps * levels, so wider
+# rows take the transform. At 2000 latents (2-core Xeon VM, one BLAS
+# thread), the product's smoothing takes 8.0 against 8.3 ms at width 240
+# and 10.6 against 8.7 ms at 280; its filter (one level, one band) 29
+# against 51 ms at 500, and it is at parity near 800.
+PRODUCT_MAX_WIDTH = 256
+PRODUCT_MAX_SPAN = 512
+
 
 @dataclass(frozen=True)
 class ReplaySet:
@@ -115,9 +125,13 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
     w, span = frozen.input_width, frozen.input_width + frozen.horizon
     # latents smoothed by a circular moving average, as raw white noise is
     # spectrally unlike any forecaster's training inputs. Both stages are
-    # fixed linear maps on rows, one product each; the smoothing's tap
+    # fixed linear maps on rows: one product each up to PRODUCT_MAX_WIDTH
+    # and PRODUCT_MAX_SPAN, the per-row forms beyond. The smoothing's tap
     # counts, applied before its division, keep a constant row exact
-    contexts = np.dot(sample_latents(n, w, seed), _tap_sum(np.eye(w)))
+    if w <= PRODUCT_MAX_WIDTH:
+        contexts = np.dot(sample_latents(n, w, seed), _tap_sum(np.eye(w)))
+    else:
+        contexts = _tap_sum(sample_latents(n, w, seed))
     contexts /= SMOOTHING_TAPS
     forecasts = frozen.forward_batch(contexts)
 
@@ -126,12 +140,17 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
     per_latent = sequences.reshape(n, 1 + k, -1)
     per_latent[:, 0, :w] = contexts
     per_latent[:, 0, w:] = forecasts
-    if k:
+    if k and span <= PRODUCT_MAX_SPAN:
         # rwt_decompose's check, which the operator product cannot make
         if not np.all(np.isfinite(per_latent[:, 0])):
             raise ValueError("signal contains non-finite values")
         np.matmul(per_latent[:, 0], _filter_operators(span, levels, k, alpha),
                   out=per_latent[:, 1:].reshape(n, k * span))
+    elif k:
+        decomp = rwt_decompose(per_latent[:, 0], levels)
+        for j in range(1, k + 1):
+            per_latent[:, j] = rwt_reconstruct(decomp, alpha=alpha,
+                                               keep_levels=levels - j)
     if not np.all(np.isfinite(sequences)):
         raise ValueError("synthetic sequences contain non-finite values")
 

@@ -197,8 +197,8 @@ def batch_objective(m_new: Forecaster, m_old: Forecaster, inputs, labels,
     computes; the reference that the finite-difference tests and
     :func:`rtune.forecaster.value_and_grad` (the training step at learning
     rate 1 with the L2 gradient added) are checked against, to 1e-12: the
-    step adds both biases inside matrix products and sums each step's terms
-    in one pass over all its entries, so the bits differ."""
+    step adds both biases inside matrix products and sums each row's terms
+    with np.einsum, then each step's rows, so the bits differ."""
     preds = m_new.forward_batch(inputs)
     task = task_loss(preds, labels)
     if distill_weight != 0.0:
@@ -467,6 +467,25 @@ def _train_lockstep(runs):
     return runs
 
 
+def _epoch_loss(row_sums, order, in_order, norm_sum, distill_weight,
+                reg_weight):
+    """One run's loss over an epoch of n rows from `row_sums` (2, batches,
+    batch), its rows' sums of each loss term in the epoch's order, `order`,
+    the training row each epoch position took, and `norm_sum`, the sum of
+    its steps' squared norms times their rows: each term's sums are put in
+    training-row order in `in_order` (n,) and added up in one pairwise pass,
+    then formed as a step's loss is, with n rows."""
+    n = len(in_order)
+    totals = []
+    for sums in row_sums[:1 if distill_weight == 0.0 else 2]:
+        in_order[order] = sums.reshape(-1)[:n]
+        totals.append(float(np.add.reduce(in_order)))
+    loss = totals[0] / n
+    if distill_weight != 0.0:
+        loss = loss + distill_weight * (-totals[1] / n)
+    return loss + reg_weight * (norm_sum / n)
+
+
 def _train_stack(runs, start):
     """Train runs, sorted largest first, as one stack from epoch `start`
     until the last epoch or one in which a run failed; returns the epoch to
@@ -474,7 +493,13 @@ def _train_stack(runs, start):
 
     Training runs with floating-point warnings off. Each chunk of batches
     takes its steps, then one :func:`rtune.forecaster._account` call gives
-    the loss of each of its steps. A run fails at its first step whose loss
+    the loss of each of its steps and each row's sums of its loss terms. An
+    epoch's loss is the mean of its rows' terms, each term's row sums added
+    up in the order of the run's training rows rather than of its batches,
+    plus the L2 term of each step weighted by its rows, step after step: a
+    model that does not move reports one loss every epoch, as long as no
+    step takes a single row, whose matrix-vector products sum in another
+    order than a batch's. A run fails at its first step whose loss
     is not finite, with the error and batch offset of its solo run; its
     steps stop counting, its slot is not refilled, and steps of failed runs
     alone are skipped. The other runs keep their bits: each run's slice of
@@ -511,6 +536,11 @@ def _train_stack(runs, start):
         p_old = np.zeros((len(runs), batches * batch, geometry.horizon))
         soft = p_old.reshape(len(runs), batches, batch, -1).swapaxes(0, 1)
     norms = np.zeros((batches, len(runs)))
+    # each row's sums of its terms over the whole epoch, by batch, run and
+    # row as the record holds them, and one run's in training-row order
+    row_terms = np.zeros(terms.shape[:1] + (-(-sizes[0] // cfg.batch_size),)
+                         + terms.shape[2:4])
+    in_order = np.empty(sizes[0])
     # each run's epoch order over its training rows, and the source rows
     # that order meets
     orders = [np.empty(size, dtype=np.int64) for size in sizes]
@@ -520,15 +550,18 @@ def _train_stack(runs, start):
     # where the buffer is copied to or None), its steps, and what _account
     # reads of them: the record of its batches with their soft targets, the
     # rows each run steps on by batch (0 for none, or once the run failed)
-    # and the (batch, run, rows) of its partial batches
+    # and the (batch, run, rows) of its partial batches; then where its row
+    # sums go
     chunks = {}
     for base in range(0, sizes[0], chunk):
         used = -(-min(chunk, sizes[0] - base) // cfg.batch_size)
+        first_batch = base // cfg.batch_size
         chunks[base] = ([], [], (terms[:, :used],
                                  None if sums is None else sums[:used],
                                  None if soft is None else soft[:used],
                                  norms[:used], np.zeros((used, len(runs))),
-                                 []))
+                                 []),
+                       row_terms[:, first_batch:first_batch + used])
     for k, run in enumerate(runs):
         for base in range(0, sizes[k], chunk):
             rows = slice(base, min(base + chunk, sizes[k]))
@@ -568,7 +601,7 @@ def _train_stack(runs, start):
         if (end - first, n) not in workspaces:
             workspaces[end - first, n] = _workspace(end - first, n, geometry)
         s = at // cfg.batch_size
-        _, plan, (*_, steps, partial) = chunks[lo - at]
+        _, plan, (*_, steps, partial), _ = chunks[lo - at]
         steps[s, first:end] = n
         if n < batch:
             partial.append((s, first, n))
@@ -588,9 +621,9 @@ def _train_stack(runs, start):
                 orders[k][:] = np.random.default_rng(
                     run.epoch_seqs[epoch]).permutation(sizes[k])
                 run.rows.take(orders[k], mode="clip", out=source_rows[k])
-            loss_sums = [0.0] * len(runs)
+            norm_sums = [0.0] * len(runs)
             failures = False
-            for base, (gathers, plan, record) in chunks.items():
+            for base, (gathers, plan, record, row_sums) in chunks.items():
                 for k, source, index, buffer, copy in gathers:
                     # a failed run's slot is not refilled; indices are in
                     # range, so "clip" changes none, and it spares the copy
@@ -608,7 +641,8 @@ def _train_stack(runs, start):
                           ws, t, sm, norm)
                     np.multiply(params[0], decay, out=params[0])
                     np.subtract(params[0], grads[0], out=params[0])
-                losses = _account(*record, distill_weight, reg_weight)
+                losses = _account(*record, distill_weight, reg_weight,
+                                  row_sums)
                 diverged = ~np.isfinite(losses)
                 if diverged.any():
                     failures = True
@@ -618,16 +652,20 @@ def _train_stack(runs, start):
                             f"non-finite loss {float(losses[s, k])!r}"),
                             epoch, base + s * cfg.batch_size)
                         # its steps no longer count, nor can fail it again
-                        for _, _, (*_, steps, _) in chunks.values():
+                        for _, _, (*_, steps, _), _ in chunks.values():
                             steps[:, k] = 0
-                # sum += loss * n, step after step, from the running sums;
+                # sum += norm * n, step after step, from the running sums;
                 # the record's rows are each step's n
-                losses *= record[4]
-                loss_sums = np.add.accumulate(
-                    np.concatenate(([loss_sums], losses)))[-1].tolist()
+                steps = record[4]
+                weighted = np.multiply(record[3], steps)
+                np.copyto(weighted, 0.0, where=steps == 0)
+                norm_sums = np.add.accumulate(
+                    np.concatenate(([norm_sums], weighted)))[-1].tolist()
             for k, run in enumerate(runs):
                 if run.error is None:
-                    run.report.train_losses.append(loss_sums[k] / sizes[k])
+                    run.report.train_losses.append(_epoch_loss(
+                        row_terms[:, :, k], orders[k], in_order[:sizes[k]],
+                        norm_sums[k], distill_weight, reg_weight))
                     run.model.theta[order] = theta[k]
                     run.validate(epoch)
             if failures:

@@ -46,9 +46,10 @@ def reference_value_and_grad(m_new, x, y, p_old, tau, distill_weight,
     layout: the hidden bias as a last column of the hidden weights, met by
     a ones column on the inputs, and the output layer transposed with the
     output bias as a last row, met by a ones row under the transposed hidden
-    activations. Each loss term summed over all of the batch's entries at
-    once and divided by n; a separate exp for the loss (the log-softmax of
-    _cross_entropy) and for the gradient (_soften_rows); the gradient
+    activations. Each loss term summed as one product-sum per row
+    (np.einsum), then over the rows, and divided by n; a separate exp for
+    the loss (the log-softmax of _cross_entropy) and for the gradient
+    (_soften_rows); the gradient
     concatenated from fresh blocks, the L2 term added, and put back in the
     standard layout. The products take the kernel's orientations, with
     fresh contiguous blocks: a one-row batch makes them matrix-vector
@@ -62,13 +63,14 @@ def reference_value_and_grad(m_new, x, y, p_old, tau, distill_weight,
     hidden = np.vstack([np.tanh(w1b @ xb.T), np.ones(n)])
     outputs = hidden.T @ w2b_t
     resid = outputs - y
-    loss = float((resid ** 2).sum() / n)
+    loss = float(np.add.reduce(np.einsum("bh,bh->b", resid, resid)) / n)
     d_out = resid * (2.0 / n)
     if distill_weight != 0.0:
         z = outputs / tau
         z = z - z.max(axis=-1, keepdims=True)
         log_p_new = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        loss += distill_weight * float(-(p_old * log_p_new).sum() / n)
+        loss += distill_weight * float(
+            -np.add.reduce(np.einsum("bh,bh->b", p_old, log_p_new)) / n)
         d_out = d_out + (_soften_rows(outputs, tau) - p_old) * (
             distill_weight / (tau * n))
     loss += reg_weight * float(theta @ theta)
@@ -674,6 +676,40 @@ class TestAccount:
                               [step for step in partial if step[0] < t],
                               distill_weight, reg_weight)
             assert losses.tolist() == expected[:t].tolist()
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
+           batches=st.integers(1, 4), batch=st.integers(1, 9),
+           h=st.integers(1, 40), distill=st.booleans(),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_row_sums_have_each_rows_bits_alone(self, seed, k, batches,
+                                                batch, h, distill, scale):
+        # a row's sums are its product-sums as a (rows, H) block of the row
+        # alone, or of any rows from it on, gives them: the bits an epoch's
+        # total by training row relies on
+        rng = np.random.default_rng(seed)
+        slots = 2 if distill else 1
+        terms = scale * rng.normal(size=(slots, batches, k, batch, h))
+        p_old = _soften_rows(rng.normal(size=(batches, k, batch, h)), 2.0)
+        sums = rng.uniform(1.0, 3.0, size=(batches, k, batch, 1))
+        formed = terms.copy()
+        row_sums = np.full((2, batches, k, batch), np.nan)
+        _account(formed, sums, p_old, np.zeros((batches, k)),
+                 np.full((batches, k), batch), [], 0.2 if distill else 0.0,
+                 0.0, row_sums)
+        # the residuals stay; the shifted logits become the log-softmax
+        operands = [(formed[0], formed[0])]
+        if distill:
+            operands.append((p_old, formed[1]))
+        for slot, (a, b) in enumerate(operands):
+            for index in np.ndindex(a.shape[:-2]):
+                for lo in range(batch):
+                    alone = np.einsum("bh,bh->b", a[index][lo:].copy(),
+                                      b[index][lo:].copy())
+                    got = row_sums[slot][index][lo:]
+                    assert got.tolist() == alone.tolist()
+        assert np.array_equal(formed[0], terms[0])
+        assert np.isnan(row_sums[slots:]).all()
 
 
 class TestCheckpoint:

@@ -158,6 +158,41 @@ def test_filter_operators_match_the_transform(levels, extra, data, seed):
         assert np.max(np.abs(x @ block - oracle)) <= 1e-12
 
 
+WIDTH, SPAN = replay.PRODUCT_MAX_WIDTH, replay.PRODUCT_MAX_SPAN
+
+
+@pytest.mark.parametrize("w, h", [(WIDTH, SPAN - WIDTH),
+                                  (WIDTH + 1, SPAN - WIDTH),
+                                  (WIDTH - 1, SPAN - WIDTH + 2)])
+def test_each_stage_takes_the_product_up_to_its_width(w, h, monkeypatch):
+    # up to its limit a stage is one product, within 1e-12 of the per-row
+    # form; past it, the per-row form itself, bit for bit
+    frozen = init_forecaster(w, h, 3, seed=w)
+    levels, k, alpha, n = 2, 2, 0.7, 3
+    tap_sums, operators = [], []
+    tap_sum, filter_operators = replay._tap_sum, replay._filter_operators
+    monkeypatch.setattr(replay, "_tap_sum", lambda z: (
+        tap_sums.append(z.shape), tap_sum(z))[1])
+    monkeypatch.setattr(replay, "_filter_operators", lambda *args: (
+        operators.append(args), filter_operators(*args))[1])
+    rs = build_replay_set(frozen, n, levels, k, alpha, seed=5)
+    assert tap_sums == [(w, w) if w <= WIDTH else (n, w)]
+    assert operators == ([(w + h, levels, k, alpha)] if w + h <= SPAN else [])
+    rows = rs.sequences.reshape(n, 1 + k, w + h)
+    contexts = roll_smooth(sample_latents(n, w, 5))
+    if w <= replay.PRODUCT_MAX_WIDTH:
+        assert np.max(np.abs(rows[:, 0, :w] - contexts)) <= 1e-12
+    else:
+        assert rows[:, 0, :w].tobytes() == contexts.tobytes()
+    decomp = rwt_decompose(rows[:, 0], levels)
+    for j in range(1, k + 1):
+        oracle = rwt_reconstruct(decomp, alpha=alpha, keep_levels=levels - j)
+        if w + h <= replay.PRODUCT_MAX_SPAN:
+            assert np.max(np.abs(rows[:, j] - oracle)) <= 1e-12
+        else:
+            assert rows[:, j].tobytes() == oracle.tobytes()
+
+
 class TestOperatorErrors:
     """The operator path raises what the transform raised on the rows."""
 
