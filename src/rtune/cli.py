@@ -7,6 +7,7 @@ under reruns so results can be reproduced exactly from any echo.
 """
 
 import argparse
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -28,59 +29,75 @@ from .replay import build_replay_set, replay_count_for_fraction, replay_to_csv
 from .tuner import METHODS, TuneConfig, lockstep_key
 from .wavelet import rwt_decompose, rwt_reconstruct
 
-# flat JSON schema for run configs; unknown keys are rejected outright
-RUN_CONFIG_DEFAULTS = {
-    "method": "r-tuning",
-    "benchmark": False,
-    "checkpoint": None,          # frozen model (required unless benchmark)
-    "old_data": [],              # old-task CSVs, evaluated in full
-    "new_data": None,            # new-task CSV (required unless benchmark)
-    "column": None,              # variable name; first column if null
-    "input_width": 48,
-    "horizon": 12,
-    "stride": 1,
-    "hidden_width": 32,
-    "train_fraction": 0.8,
-    "few_shot_fraction": 0.10,
-    "pretrain_epochs": 30,       # benchmark mode only
-    "pretrain_learning_rate": 0.01,
-    "benchmark_old_length": 6000,
-    "benchmark_new_length": 12480,
-    "replay_n": 2000,
-    "replay_ratio": None,        # percent of the new-task training windows
-    "wavelet_levels": 1,
-    "discard_depth": 1,
-    "alpha": 0.7,
-    "tau": 3.0,
-    "lambda": 0.2,
-    "beta": 1e-4,
-    "epochs": 10,
-    "learning_rate": 0.01,
-    "batch_size": 32,
-    "validation_fraction": 0.1,
-    "seeds": [0],
-    "output_dir": "runs",
+
+def _int(value) -> bool:  # a bool is neither an integer nor a number here
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _name(value) -> bool:  # of a file or a column, or null
+    return value is None or isinstance(value, str)
+
+
+_OPEN_FRACTION = ("in (0, 1)", lambda v: _real(v) and 0.0 < v < 1.0)
+
+# The run-config schema, one row per key; unknown keys are rejected. A row is
+# (default, rule), the rule being the least value of an integer count or
+# (what the value must be, a test written so that NaN fails); or it names the
+# TuneConfig field that the key feeds, which checks it and holds its default.
+RUN_CONFIG = {
+    "method": ("r-tuning", (f"one of {', '.join(METHODS)}",
+                            lambda v: isinstance(v, str) and v in METHODS)),
+    "benchmark": (False, ("true or false", lambda v: isinstance(v, bool))),
+    "checkpoint": (None, ("a file name", _name)),  # the frozen model
+    "old_data": ([], ("a list of file names",  # old-task CSVs, evaluated in full
+                      lambda v: isinstance(v, list)
+                      and all(isinstance(p, str) for p in v))),
+    "new_data": (None, ("a file name", _name)),  # the new-task CSV
+    "column": (None, ("null or a column name", _name)),  # first column if null
+    "input_width": (48, 1),
+    "horizon": (12, 1),
+    "stride": (1, 1),
+    "hidden_width": (32, 1),
+    "train_fraction": (0.8, _OPEN_FRACTION),
+    "few_shot_fraction": (0.10, ("in (0, 1]", lambda v: _real(v) and 0.0 < v <= 1.0)),
+    "pretrain_epochs": (30, 0),  # benchmark mode only, as are the next three
+    "pretrain_learning_rate": (0.01, ("a number >= 0", lambda v: _real(v) and v >= 0)),
+    "benchmark_old_length": (6000, 1),
+    "benchmark_new_length": (12480, 1),
+    "replay_n": "replay_n",
+    "replay_ratio": (None, ("null or in [0, 100]",  # percent of new-task windows
+                            lambda v: v is None or _real(v) and 0.0 <= v <= 100.0)),
+    "wavelet_levels": "wavelet_levels",
+    "discard_depth": "discard_depth",
+    "alpha": "alpha",
+    "tau": "tau",
+    "lambda": "distill_weight",
+    "beta": "reg_weight",
+    "epochs": "epochs",
+    "learning_rate": "learning_rate",
+    "batch_size": "batch_size",
+    "validation_fraction": "validation_fraction",
+    "seeds": ([0], ("a nonempty list", lambda v: isinstance(v, list) and v != [])),
+    "output_dir": ("runs", ("a directory name", lambda v: isinstance(v, str))),
 }
 
-# run-config keys that count something, with the least value each takes
-_COUNT_KEYS = {"input_width": 1, "horizon": 1, "stride": 1, "hidden_width": 1,
-               "pretrain_epochs": 0, "benchmark_old_length": 1,
-               "benchmark_new_length": 1}
+# the run-config keys that feed a TuneConfig field, and the field each feeds
+_TUNE_KEYS = {key: row for key, row in RUN_CONFIG.items() if isinstance(row, str)}
+
+# `tune` flags (argparse dest) that override a run-config key, in help order
+_TUNE_OVERRIDES = {"method": "method", "levels": "wavelet_levels",
+                   "alpha": "alpha", "tau": "tau", "lambda_": "lambda",
+                   "beta": "beta", "replay_n": "replay_n"}
 
 # `tune` and `sweep` train the arms of several seeds in one lockstep call
 # while no stack grows past this many runs: a stacked step costs least per
 # run at K = 5-10 (ROADMAP item 2), and the cap keeps the setups a command
 # holds at once from growing with its seed count.
 STACK_CAP = 8
-
-# run-config keys named differently in TuneConfig; the rest match by name
-_TUNE_RENAMES = {"lambda": "distill_weight", "beta": "reg_weight"}
-_TUNE_FIELDS = {f.name for f in dataclasses.fields(TuneConfig)}
-
-# `rtune tune` flags (argparse dest) that override a run-config key
-_TUNE_FLAGS = {"method": "method", "tau": "tau", "alpha": "alpha",
-               "levels": "wavelet_levels", "lambda_": "lambda", "beta": "beta",
-               "replay_n": "replay_n"}
 
 
 def canonical_json(obj) -> str:
@@ -97,118 +114,72 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object; `json.load` would keep a repeated key's last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        (key, _), = Counter(key for key, _ in pairs).most_common(1)
+        raise ValueError(f"{key} is given twice")
+    return doc
+
+
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # a JSONDecodeError or a repeated key
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _check(name: str, value, rule) -> None:
+    """Raise "{name} must be {text}, got {value!r}" unless `value` keeps
+    `rule`: the least value of an integer count, or (text, test)."""
+    if isinstance(rule, int):  # rule.__le__(v) is rule <= v
+        rule = (f">= {rule}", rule.__le__) if _int(value) else ("an integer", _int)
+    text, test = rule
+    if not test(value):
+        raise ValueError(f"{name} must be {text}, got {value!r}")
+
+
+def default_run_config() -> dict:
+    """Every run-config key with its default."""
+    fields = {f.name: f.default for f in dataclasses.fields(TuneConfig)}
+    return {key: fields[_TUNE_KEYS[key]] if key in _TUNE_KEYS
+            else copy.copy(row[0]) for key, row in RUN_CONFIG.items()}
 
 
 def load_run_config(path) -> dict:
     user = _load_json(path)
     if not isinstance(user, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(user) - set(RUN_CONFIG_DEFAULTS))
+    unknown = sorted(set(user) - set(RUN_CONFIG))
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    cfg = dict(RUN_CONFIG_DEFAULTS)
-    cfg.update(user)
-    for key, least in _COUNT_KEYS.items():
-        value = cfg[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{path}: {key} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{path}: {key} must be >= {least}, got {value!r}")
-    rate = cfg["pretrain_learning_rate"]
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
-            or not rate >= 0:  # written so that NaN fails too
-        raise ValueError(f"{path}: pretrain_learning_rate must be a number "
-                         f">= 0, got {rate!r}")
-    if not isinstance(cfg["benchmark"], bool):
-        raise ValueError(
-            f"{path}: benchmark must be true or false, got {cfg['benchmark']!r}")
-    if not isinstance(cfg["output_dir"], str):
-        raise ValueError(f"{path}: output_dir must be a directory name, "
-                         f"got {cfg['output_dir']!r}")
-    if cfg["column"] is not None and not isinstance(cfg["column"], str):
-        raise ValueError(f"{path}: column must be null or a column name, "
-                         f"got {cfg['column']!r}")
-    if cfg["method"] not in METHODS:
-        raise ValueError(
-            f"{path}: method must be one of {', '.join(METHODS)}, "
-            f"got {cfg['method']!r}"
-        )
-    old_data = cfg["old_data"]
-    if not isinstance(old_data, list) \
-            or not all(isinstance(p, str) for p in old_data):
-        raise ValueError(
-            f"{path}: old_data must be a list of file names, got {old_data!r}")
-    for key in ("new_data", "checkpoint"):
-        if cfg[key] is not None and not isinstance(cfg[key], str):
-            raise ValueError(
-                f"{path}: {key} must be a file name, got {cfg[key]!r}")
-    ratio = cfg["replay_ratio"]
-    if ratio is not None and (isinstance(ratio, bool)
-                              or not isinstance(ratio, (int, float))
-                              or not 0.0 <= ratio <= 100.0):  # NaN fails too
-        raise ValueError(
-            f"{path}: replay_ratio must be null or in [0, 100], got {ratio!r}")
-    if not cfg["benchmark"]:
-        if not cfg["new_data"]:
-            raise ValueError(f"{path}: new_data is required unless benchmark is true")
-        if not cfg["checkpoint"]:
-            raise ValueError(f"{path}: checkpoint is required unless benchmark is true")
-    shot = cfg["few_shot_fraction"]
-    if isinstance(shot, bool) or not isinstance(shot, (int, float)) \
-            or not 0.0 < shot <= 1.0:  # written so that NaN fails too
-        raise ValueError(
-            f"{path}: few_shot_fraction must be in (0, 1], got {shot!r}")
-    split = cfg["train_fraction"]
-    if isinstance(split, bool) or not isinstance(split, (int, float)) \
-            or not 0.0 < split < 1.0:  # written so that NaN fails too
-        raise ValueError(
-            f"{path}: train_fraction must be in (0, 1), got {split!r}")
+    cfg = {**default_run_config(), **user}
+    for key, row in RUN_CONFIG.items():
+        if key not in _TUNE_KEYS:
+            _check(f"{path}: {key}", cfg[key], row[1])
     _check_tune_fields(cfg, {key: f"{path}: {key}" for key in cfg})
-    if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
-        raise ValueError(f"{path}: seeds must be a nonempty list")
-    seen = set()
-    for seed in cfg["seeds"]:
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ValueError(
-                f"{path}: seeds must be integers >= 0, got {seed!r}")
-        if seed in seen:
+    # the rules that tie keys together
+    for key in ("new_data", "checkpoint"):
+        if not cfg["benchmark"] and not cfg[key]:
+            raise ValueError(f"{path}: {key} is required unless benchmark is true")
+    for i, seed in enumerate(cfg["seeds"]):
+        _check(f"{path}: seeds", seed, ("integers >= 0", lambda v: _int(v) and v >= 0))
+        if seed in cfg["seeds"][:i]:
             raise ValueError(f"{path}: seeds: {seed!r} repeats")
-        seen.add(seed)
     return cfg
 
 
 def _check_tune_fields(cfg: dict, names: dict) -> None:
-    """Check the TuneConfig fields of `cfg`; the error names the offending
-    run-config key as `names` maps it."""
+    """Check the TuneConfig fields of `cfg`, naming a bad key by `names`."""
     try:
-        TuneConfig(**_tune_fields(cfg))
+        TuneConfig(**{field: cfg[key] for key, field in _TUNE_KEYS.items()})
     except ValueError as exc:
         # TuneConfig's messages start with the field's name; name the key
         field, rest = str(exc).split(" ", 1)
-        keys = {renamed: key for key, renamed in _TUNE_RENAMES.items()}
-        key = keys.get(field, field)
+        key, = (key for key, name in _TUNE_KEYS.items() if name == field)
         raise ValueError(f"{names[key]} {rest}") from None
-
-
-def _tune_fields(cfg: dict) -> dict:
-    """The TuneConfig fields that a run config sets, by field name."""
-    fields = {_TUNE_RENAMES.get(key, key): value for key, value in cfg.items()}
-    return {key: value for key, value in fields.items() if key in _TUNE_FIELDS}
-
-
-def tune_config_from_run(cfg: dict, seed: int, n_new: int) -> TuneConfig:
-    fields = _tune_fields(cfg)
-    fields["seed"] = seed
-    if cfg["replay_ratio"] is not None:
-        fields["replay_n"] = replay_count_for_fraction(
-            cfg["replay_ratio"], n_new, cfg["discard_depth"])
-    return TuneConfig(**fields)
 
 
 def _pick_series(path, column):
@@ -287,12 +258,14 @@ def _prepare_run(cfg: dict, seed: int, shared):
 
 def _arm(cfg: dict, seed: int, setup):
     """The (method, TuneConfig) that `cfg` trains for `seed` on `setup`."""
-    tune_cfg = tune_config_from_run(cfg, seed, len(setup.new_train))
-    method = cfg["method"]
-    if cfg["replay_ratio"] is not None and tune_cfg.replay_n == 0 \
-            and method == "r-tuning":
-        method = "ft"  # ratio-0 control collapses to the vanilla arm
-    return method, tune_cfg
+    fields = {field: cfg[key] for key, field in _TUNE_KEYS.items()}
+    method, ratio = cfg["method"], cfg["replay_ratio"]
+    if ratio is not None:  # it sets replay_n
+        fields["replay_n"] = replay_count_for_fraction(
+            ratio, len(setup.new_train), cfg["discard_depth"])
+        if fields["replay_n"] == 0 and method == "r-tuning":
+            method = "ft"  # ratio-0 control collapses to the vanilla arm
+    return method, TuneConfig(**fields, seed=seed)
 
 
 def _trained_arms(cfg: dict, variants, shared):
@@ -375,15 +348,17 @@ def _write_run_outputs(arm_cfg: dict, model, report, run_dir: Path):
 def cmd_tune(args) -> int:
     cfg = load_run_config(args.config)
     names = {key: f"{args.config}: {key}" for key in cfg}
-    for dest, key in _TUNE_FLAGS.items():
+    for dest, key in _TUNE_OVERRIDES.items():
         if getattr(args, dest) is not None:
             cfg[key] = getattr(args, dest)
-            names[key] = "--" + dest.rstrip("_").replace("_", "-")
+            names[key] = _flag(dest)
     # the flags' values, checked before any seed is prepared
+    if args.replay_n is not None and cfg["replay_ratio"] is not None:
+        raise ValueError("--replay-n cannot be combined with replay_ratio, "
+                         "which sets replay_n")
     _check_tune_fields(cfg, names)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        _check("--seed", args.seed, 0)
         cfg["seeds"] = [args.seed]
 
     run_dir = Path(cfg["output_dir"]) / config_hash(cfg)
@@ -501,6 +476,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check("--seed", args.seed, 0)
+    _check("--levels", args.levels, 1)
+    _check("--replay-n", args.replay_n, 1)
     frozen = load_checkpoint(args.checkpoint)
     replay = build_replay_set(frozen, args.replay_n, args.levels,
                               args.discard_depth, args.alpha, args.seed)
@@ -514,11 +492,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.test_fraction is not None and not 0.0 < args.test_fraction < 1.0:
-        raise ValueError(
-            f"--test-fraction must be in (0, 1), got {args.test_fraction}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.test_fraction is not None:
+        _check("--test-fraction", args.test_fraction, _OPEN_FRACTION)
+    _check("--seed", args.seed, 0)
     model = load_checkpoint(args.checkpoint)
     cfg = {"input_width": model.input_width, "horizon": model.horizon,
            "stride": args.stride, "column": args.column}
@@ -620,6 +596,11 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _flag(dest: str) -> str:
+    """The `tune` flag of an argparse dest: `lambda_` is `--lambda`."""
+    return "--" + dest.rstrip("_").replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtune",
@@ -649,13 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="run one adaptation method from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--lambda", dest="lambda_", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--replay-n", type=int, default=None)
+    defaults = default_run_config()
+    for dest, key in _TUNE_OVERRIDES.items():
+        p.add_argument(_flag(dest), dest=dest, type=type(defaults[key]),
+                       choices=METHODS if key == "method" else None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_tune)
 

@@ -2,8 +2,10 @@
 determinism of written outputs, and the report table."""
 
 import csv
+import dataclasses
 import hashlib
 import json
+import re
 import shutil
 from collections import Counter
 from dataclasses import replace
@@ -20,7 +22,7 @@ from rtune.cli import load_run_config, main
 from rtune.data import WindowedDataset, atomic_target, read_series_csv
 from rtune.forecaster import init_forecaster, load_checkpoint, save_checkpoint
 from rtune.replay import ReplaySet, build_replay_set
-from rtune.tuner import _epoch_seeds, r_tune_group
+from rtune.tuner import TuneConfig, _epoch_seeds, r_tune_group
 
 
 def write_csv(path, values, name="signal"):
@@ -199,6 +201,21 @@ class TestSynth:
         assert "seed" in lines[0]
         assert len(lines) == 1 + 1 + 5 * 2  # comment + header + n*(1+k)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
+        ("--levels", "0", "--levels must be >= 1, got 0"),
+        ("--replay-n", "0", "--replay-n must be >= 1, got 0"),
+        ("--replay-n", "-2", "--replay-n must be >= 1, got -2"),
+    ])
+    def test_flags_checked_before_checkpoint_read(self, tmp_path, capsys, flag,
+                                                  value, message):
+        # the checkpoint does not exist: the flag is named first
+        out = tmp_path / "replay.csv"
+        rc = main(["synth", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                   flag, value, "--output", str(out)])
+        assert rc == 1 and not out.exists()
+        assert f"error: {message}\n" in capsys.readouterr().err
+
 
 class TestTune:
     def test_benchmark_run_byte_identical(self, bench_config, tmp_path):
@@ -285,6 +302,17 @@ class TestTune:
                 in capsys.readouterr().err)
         assert run_files(tmp_path / "runs") == {}
 
+    def test_duplicate_keys_rejected(self, tmp_path, bench_config, capsys):
+        # json.load would keep the last value and train 0 epochs
+        cfg = bench_config(seeds=[0])
+        text = cfg.read_text()
+        cfg.write_text(text[:-1] + ', "epochs": 0}')
+        assert text.count('"epochs"') == 1
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert (f"error: {cfg}: epochs is given twice\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
     def test_unknown_keys_rejected(self, tmp_path, bench_config):
         cfg = bench_config()
         loaded = json.loads(cfg.read_text())
@@ -345,6 +373,10 @@ class TestTune:
         ("new_data", 0, "must be a file name"),
         ("new_data", ["new.csv"], "must be a file name"),
         ("checkpoint", 1.5, "must be a file name"),
+        ("method", ["ft"], "must be one of r-tuning, ft, frozen, lwf, "
+                           "replay-only"),
+        ("method", {"a": 1}, "must be one of r-tuning, ft, frozen, lwf, "
+                             "replay-only"),
     ])
     def test_config_values_checked_before_any_run(self, csv_config, tmp_path,
                                                   capsys, key, value,
@@ -424,6 +456,10 @@ class TestTune:
         (["--alpha", "1.5"], {}, "--alpha must be in [0, 1], got 1.5"),
         (["--levels", "0"], {}, "--levels must be >= 1, got 0"),
         (["--replay-n", "-3"], {}, "--replay-n must be >= 0, got -3"),
+        # replay_ratio sets replay_n, so the flag would be echoed but unused
+        (["--replay-n", "7"], {"replay_ratio": 5},
+         "--replay-n cannot be combined with replay_ratio, which sets "
+         "replay_n"),
         # a flag that leaves a config key out of range: the key is named
         (["--levels", "1"], {"wavelet_levels": 2, "discard_depth": 2},
          "discard_depth must be in [0, 1], got 2"),
@@ -507,6 +543,22 @@ class TestTune:
             "mse": float(np.mean([p["mse"] for p in pairs])),
             "n_samples": sum(p["n_samples"] for p in pairs),
         }
+
+
+def test_readme_run_config_block_matches_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Run configs", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    documented = json.loads(re.sub(r"//.*", "", block))
+    assert documented == rtune.cli.default_run_config()
+    assert list(documented) == list(rtune.cli.RUN_CONFIG)
+
+
+def test_every_tune_field_fed_by_one_run_config_key():
+    fed = Counter(row for row in rtune.cli.RUN_CONFIG.values()
+                  if isinstance(row, str))
+    fields = {f.name for f in dataclasses.fields(TuneConfig)} - {"seed"}
+    assert fed == Counter(fields)
 
 
 class TestSweep:
