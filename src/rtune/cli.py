@@ -448,7 +448,18 @@ def cmd_sweep(args) -> int:
     return 1 if any(row[2] is None for row in results) else 0
 
 
+def _check_wavelet_flags(args, bands_flag, bands) -> None:
+    """Check --levels, --alpha and `bands_flag`, whose value `bands` is a
+    count of detail bands in [0, --levels] or None (unset)."""
+    _check("--levels", args.levels, 1)
+    if bands is not None:
+        _check(bands_flag, bands, (f"in [0, {args.levels}]",
+                                   lambda v: 0 <= v <= args.levels))
+    _check("--alpha", args.alpha, ("in [0, 1]", lambda v: 0.0 <= v <= 1.0))
+
+
 def cmd_decompose(args) -> int:
+    _check_wavelet_flags(args, "--keep", args.keep)
     series = _pick_series(args.input, args.column)
     decomp = rwt_decompose(series.values, args.levels)
     keep = args.keep if args.keep is not None else args.levels
@@ -477,7 +488,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_synth(args) -> int:
     _check("--seed", args.seed, 0)
-    _check("--levels", args.levels, 1)
+    _check_wavelet_flags(args, "--discard-depth", args.discard_depth)
     _check("--replay-n", args.replay_n, 1)
     frozen = load_checkpoint(args.checkpoint)
     replay = build_replay_set(frozen, args.replay_n, args.levels,
@@ -495,6 +506,7 @@ def cmd_eval(args) -> int:
     if args.test_fraction is not None:
         _check("--test-fraction", args.test_fraction, _OPEN_FRACTION)
     _check("--seed", args.seed, 0)
+    _check("--stride", args.stride, 1)
     model = load_checkpoint(args.checkpoint)
     cfg = {"input_width": model.input_width, "horizon": model.horizon,
            "stride": args.stride, "column": args.column}

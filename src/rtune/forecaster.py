@@ -313,15 +313,17 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
     order = _training_order(m_new)
     theta = m_new.theta[order]
     grad = np.empty_like(theta)
-    # the record of a chunk that is one step of one run
-    terms, norms = np.empty((2, 1, 1, n, m_new.horizon)), np.empty((1, 1))
-    sums = np.empty((1, 1, n, 1))
+    # the record of one step of one run, and its rows' sums of each term
+    slots = 1 if distill_weight == 0.0 else 2
+    terms, norms = np.empty((slots, 1, 1, n, m_new.horizon)), np.empty((1, 1))
+    sums, row_sums = np.empty((1, 1, n, 1)), np.empty((slots, 1, 1, n))
     _step(_training_blocks(theta, m_new), _training_blocks(grad, m_new),
           np.hstack([inputs, np.ones((n, 1))]), labels, p_old, tau,
           distill_weight, 1.0, _workspace(1, n, m_new), terms[:, 0, 0],
           sums[0, 0], norms)
-    loss = float(_account(terms, sums, p_old, norms, np.full((1, 1), n), [],
-                          distill_weight, reg_weight)[0, 0])
+    _terms(terms, sums, p_old, row_sums)
+    loss = float(_losses(row_sums, norms, np.full((1, 1), n), [],
+                         distill_weight, reg_weight)[0, 0])
     if not math.isfinite(loss):
         raise RuntimeError(f"non-finite loss {loss!r}")
     if reg_weight != 0.0:
@@ -388,8 +390,8 @@ def _step(params, grads, inputs, labels, p_old, tau, distill_weight, rate,
     is made of, raw: the residuals in `terms` (2, K, n, H) and, when
     distilling, the max-shifted logits in its second slot and their exp
     sums in `sums` (K, n, 1); each run's squared norm goes to `norm`
-    (K, 1, 1). :func:`_account` forms the loss terms from that record and
-    adds them up for a chunk of steps.
+    (K, 1, 1). :func:`_terms` sums each row's loss terms from that record,
+    and :func:`_losses` adds them up into each step's loss.
 
     One run comes without the K axis: the blocks of its (P,) vector, rank-2
     batches and record ((2, n, H) terms, (n, 1) sums, a (1, 1) norm) and a
@@ -443,7 +445,10 @@ def _terms(terms, sums, p_old, row_sums):
     squared residuals and, if `terms` holds a second slot, its
     cross-entropy terms, p_old times the log-softmax, the shifted logits
     less the log of `sums` (formed in place). Each row is one product-sum
-    by np.einsum, which gives a row the same bits wherever it sits."""
+    by np.einsum, which gives a row the same bits wherever it sits, so the
+    rows of an epoch can be added up in an order that does not depend on
+    the batches they fell into. Slots no step wrote get whatever their
+    stale terms sum to."""
     np.einsum("...h,...h->...", terms[0], terms[0], out=row_sums[0])
     if len(terms) > 1:
         z = terms[1]
@@ -451,34 +456,22 @@ def _terms(terms, sums, p_old, row_sums):
         np.einsum("...h,...h->...", p_old, z, out=row_sums[1])
 
 
-def _account(terms, sums, p_old, norms, rows, partial, distill_weight,
-             reg_weight, row_sums=None):
-    """The losses of a chunk of steps, each with the bits of the same step's
-    loss taken alone, as batch_objective adds it up: task, + distillation,
-    + L2.
+def _losses(row_sums, norms, rows, partial, distill_weight, reg_weight):
+    """The losses of S batches of steps of K runs, each with the bits of the
+    same step's loss taken alone, as batch_objective adds it up: task, +
+    distillation, + L2.
 
-    `terms` (2, S, K, b, H), `sums` (S, K, b, 1) and `norms` (S, K) are
-    what :func:`_step` wrote for the chunk's S batches of K runs, and
-    `p_old` (S, K, b, H) the soft targets it read. `rows` (S, K) is the
-    row count of each step, 0 where a run took none; `partial` lists the
-    (batch, run, rows) of steps on fewer than b rows. :func:`_terms` sums
-    each row's terms into `row_sums` (2, S, K, b), allocated when not
-    given; each step's row sums are then added in one pairwise pass, a
-    partial step's over its n rows. The sum divided by the row count is
-    the batch mean, and the cross-entropy is minus the sum of the
-    products. A row's sums have its bits wherever it sits, so the rows of
-    an epoch can be added up in an order that does not depend on the
-    batches they fell into; slots no step wrote hold whatever their stale
-    terms sum to.
+    `row_sums` (terms, S, K, b) are each row's sums of its loss terms, as
+    :func:`_terms` forms them, and `norms` (S, K) each step's squared
+    norm. `rows` (S, K) is the row count of each step, 0 where a run took
+    none; `partial` lists the (batch, run, rows) of steps on fewer than b
+    rows. Each step's row sums are added in one pairwise pass, a partial
+    step's over its n rows. The sum divided by the row count is the batch
+    mean, and the cross-entropy is minus the sum of the products.
 
     Returns:
         The (S, K) losses, 0 where a run took no step.
     """
-    terms = terms[:1 if distill_weight == 0.0 else 2]
-    if row_sums is None:
-        row_sums = np.empty(terms.shape[:-1])
-    row_sums = row_sums[:len(terms)]
-    _terms(terms, sums, p_old, row_sums)
     step_sums = np.add.reduce(row_sums, axis=-1)
     for s, k, n in partial:
         step_sums[:, s, k] = np.add.reduce(row_sums[:, s, k, :n], axis=-1)

@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import WindowedDataset
-from .forecaster import (Forecaster, _account, _cross_entropy, _soften_rows,
-                         _step, _training_blocks, _training_order, _workspace)
+from .forecaster import (Forecaster, _cross_entropy, _losses, _soften_rows,
+                         _step, _terms, _training_blocks, _training_order,
+                         _workspace)
 from .metrics import MetricPair, mae
 from .replay import build_replay_set
 
@@ -455,8 +456,7 @@ def _schedule(sizes, batch_size):
 def _train_lockstep(runs):
     """Train runs of one group together; returns them, largest first, with
     their reports filled in or their errors set. A run that fails leaves the
-    stack at the end of its epoch; until then, steps of failed runs alone are
-    skipped."""
+    stack at the end of its epoch."""
     runs = sorted(runs, key=lambda run: len(run.rows), reverse=True)
     for run in runs:
         run.model = run.frozen.clone()
@@ -492,18 +492,19 @@ def _train_stack(runs, start):
     go on from.
 
     Training runs with floating-point warnings off. Each chunk of batches
-    takes its steps, then one :func:`rtune.forecaster._account` call gives
-    the loss of each of its steps and each row's sums of its loss terms. An
+    takes its steps, then :func:`rtune.forecaster._terms` sums each row's
+    loss terms into an epoch-long array; at the end of the epoch one
+    :func:`rtune.forecaster._losses` pass gives the loss of every step. An
     epoch's loss is the mean of its rows' terms, each term's row sums added
     up in the order of the run's training rows rather than of its batches,
     plus the L2 term of each step weighted by its rows, step after step: a
     model that does not move reports one loss every epoch, as long as no
     step takes a single row, whose matrix-vector products sum in another
-    order than a batch's. A run fails at its first step whose loss
-    is not finite, with the error and batch offset of its solo run; its
-    steps stop counting, its slot is not refilled, and steps of failed runs
-    alone are skipped. The other runs keep their bits: each run's slice of
-    the stacked kernel is computed on its own.
+    order than a batch's. A run fails at its first step whose loss is not
+    finite, with the error and batch offset of its solo run, and leaves
+    the stack at the end of that epoch; until then it keeps stepping. The
+    other runs keep their bits: each run's slice of the stacked kernel is
+    computed on its own.
 
     The stack is in the training layout (:func:`_training_order`) and is
     updated in place; each epoch's validation puts every run's row back
@@ -523,23 +524,26 @@ def _train_stack(runs, start):
     labels = np.zeros((len(runs), width, geometry.horizon))
     scratch = None
     # what each step of a chunk leaves for the loss, by its batch in the
-    # chunk and its run: the record of _step, then the squared norms; the
-    # softmax sums start at 1, so the log of a slot no step wrote is finite
+    # chunk and its run: the record of _step; the softmax sums start at 1,
+    # so the log of a slot no step wrote is finite
     distilling = cfg.distill_weight != 0.0
     terms = np.zeros((2 if distilling else 1, batches, len(runs), batch,
                       geometry.horizon))
     sums = soft = p_old = None
     if distilling:
         sums = np.ones((batches, len(runs), batch, 1))
-        # a whole number of batches wide, so the accounting reads the soft
-        # targets by batch and run as the record holds the logits
+        # a whole number of batches wide, so _terms reads the soft targets
+        # by batch and run as the record holds the logits
         p_old = np.zeros((len(runs), batches * batch, geometry.horizon))
         soft = p_old.reshape(len(runs), batches, batch, -1).swapaxes(0, 1)
-    norms = np.zeros((batches, len(runs)))
-    # each row's sums of its terms over the whole epoch, by batch, run and
-    # row as the record holds them, and one run's in training-row order
-    row_terms = np.zeros(terms.shape[:1] + (-(-sizes[0] // cfg.batch_size),)
-                         + terms.shape[2:4])
+    # over the whole epoch, by batch and run: each step's squared norm and
+    # rows (0 where a run takes no step), the (batch, run, rows) of partial
+    # steps, and each row's sums of its terms, by row as the record holds
+    # them; then one run's row sums in training-row order
+    epoch_batches = -(-sizes[0] // cfg.batch_size)
+    norms = np.zeros((epoch_batches, len(runs)))
+    step_rows, partial = np.zeros_like(norms), []
+    row_terms = np.zeros(terms.shape[:1] + norms.shape + terms.shape[3:4])
     in_order = np.empty(sizes[0])
     # each run's epoch order over its training rows, and the source rows
     # that order meets
@@ -547,21 +551,16 @@ def _train_stack(runs, start):
     source_rows = [np.empty(size, dtype=np.int64) for size in sizes]
 
     # per chunk: its gathers (run, source, source indices, buffer, and
-    # where the buffer is copied to or None), its steps, and what _account
-    # reads of them: the record of its batches with their soft targets, the
-    # rows each run steps on by batch (0 for none, or once the run failed)
-    # and the (batch, run, rows) of its partial batches; then where its row
-    # sums go
+    # where the buffer is copied to or None), its steps, the record of its
+    # batches with their soft targets, and where _terms puts its row sums
     chunks = {}
     for base in range(0, sizes[0], chunk):
         used = -(-min(chunk, sizes[0] - base) // cfg.batch_size)
         first_batch = base // cfg.batch_size
         chunks[base] = ([], [], (terms[:, :used],
                                  None if sums is None else sums[:used],
-                                 None if soft is None else soft[:used],
-                                 norms[:used], np.zeros((used, len(runs))),
-                                 []),
-                       row_terms[:, first_batch:first_batch + used])
+                                 None if soft is None else soft[:used]),
+                        row_terms[:, first_batch:first_batch + used])
     for k, run in enumerate(runs):
         for base in range(0, sizes[k], chunk):
             rows = slice(base, min(base + chunk, sizes[k]))
@@ -597,19 +596,18 @@ def _train_stack(runs, start):
         if (first, end) not in blocks:
             blocks[first, end] = (_training_blocks(theta[k], geometry),
                                   _training_blocks(grad[k], geometry))
-        at, n = lo % chunk, hi - lo
+        at, n, s = lo % chunk, hi - lo, lo // cfg.batch_size
         if (end - first, n) not in workspaces:
             workspaces[end - first, n] = _workspace(end - first, n, geometry)
-        s = at // cfg.batch_size
-        _, plan, (*_, steps, partial), _ = chunks[lo - at]
-        steps[s, first:end] = n
+        step_rows[s, first:end] = n
         if n < batch:
             partial.append((s, first, n))
-        plan.append(
-            (first, end, *blocks[first, end], workspaces[end - first, n],
+        slot = at // cfg.batch_size
+        chunks[lo - at][1].append(
+            (*blocks[first, end], workspaces[end - first, n],
              inputs[k, at:at + n], labels[k, at:at + n],
              None if p_old is None else p_old[k, at:at + n],
-             terms[:, s, k, :n], None if sums is None else sums[s, k, :n],
+             terms[:, slot, k, :n], None if sums is None else sums[slot, k, :n],
              norms[s, k, None, None]))
 
     tau, distill_weight, reg_weight = cfg.tau, cfg.distill_weight, cfg.reg_weight
@@ -621,53 +619,36 @@ def _train_stack(runs, start):
                 orders[k][:] = np.random.default_rng(
                     run.epoch_seqs[epoch]).permutation(sizes[k])
                 run.rows.take(orders[k], mode="clip", out=source_rows[k])
-            norm_sums = [0.0] * len(runs)
-            failures = False
-            for base, (gathers, plan, record, row_sums) in chunks.items():
+            for gathers, plan, record, row_sums in chunks.values():
                 for k, source, index, buffer, copy in gathers:
-                    # a failed run's slot is not refilled; indices are in
-                    # range, so "clip" changes none, and it spares the copy
-                    # through a buffer that "raise" makes
-                    if runs[k].error is None:
-                        source.take(index, axis=0, mode="clip", out=buffer)
-                        if copy is not None:
-                            np.copyto(copy, buffer)
-                for (first, end, params, grads, ws, x, y, p, t, sm,
-                     norm) in plan:
-                    if failures and all(run.error is not None
-                                        for run in runs[first:end]):
-                        continue
+                    # indices are in range, so "clip" changes none, and it
+                    # spares the copy through a buffer that "raise" makes
+                    source.take(index, axis=0, mode="clip", out=buffer)
+                    if copy is not None:
+                        np.copyto(copy, buffer)
+                for params, grads, ws, x, y, p, t, sm, norm in plan:
                     _step(params, grads, x, y, p, tau, distill_weight, rate,
                           ws, t, sm, norm)
                     np.multiply(params[0], decay, out=params[0])
                     np.subtract(params[0], grads[0], out=params[0])
-                losses = _account(*record, distill_weight, reg_weight,
-                                  row_sums)
-                diverged = ~np.isfinite(losses)
-                if diverged.any():
-                    failures = True
-                    for k in np.flatnonzero(diverged.any(axis=0)):
-                        s = int(diverged[:, k].argmax())
-                        runs[k].fail(RuntimeError(
-                            f"non-finite loss {float(losses[s, k])!r}"),
-                            epoch, base + s * cfg.batch_size)
-                        # its steps no longer count, nor can fail it again
-                        for _, _, (*_, steps, _), _ in chunks.values():
-                            steps[:, k] = 0
-                # sum += norm * n, step after step, from the running sums;
-                # the record's rows are each step's n
-                steps = record[4]
-                weighted = np.multiply(record[3], steps)
-                np.copyto(weighted, 0.0, where=steps == 0)
-                norm_sums = np.add.accumulate(
-                    np.concatenate(([norm_sums], weighted)))[-1].tolist()
+                _terms(*record, row_sums)
+            losses = _losses(row_terms, norms, step_rows, partial,
+                             distill_weight, reg_weight)
+            diverged = ~np.isfinite(losses)
+            # sum += norm * n, step after step; a slot no step writes adds 0
+            norm_sums = np.add.accumulate(norms * step_rows)[-1].tolist()
             for k, run in enumerate(runs):
-                if run.error is None:
-                    run.report.train_losses.append(_epoch_loss(
-                        row_terms[:, :, k], orders[k], in_order[:sizes[k]],
-                        norm_sums[k], distill_weight, reg_weight))
-                    run.model.theta[order] = theta[k]
-                    run.validate(epoch)
-            if failures:
+                if diverged[:, k].any():
+                    s = int(diverged[:, k].argmax())
+                    run.fail(RuntimeError(
+                        f"non-finite loss {float(losses[s, k])!r}"),
+                        epoch, s * cfg.batch_size)
+                    continue
+                run.report.train_losses.append(_epoch_loss(
+                    row_terms[:, :, k], orders[k], in_order[:sizes[k]],
+                    norm_sums[k], distill_weight, reg_weight))
+                run.model.theta[order] = theta[k]
+                run.validate(epoch)
+            if diverged.any():
                 return epoch + 1
     return cfg.epochs

@@ -174,6 +174,23 @@ class TestDecompose:
         assert rc == 1 and not out.exists()
         assert "alpha must be in [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--levels", "0"], "--levels must be >= 1, got 0"),
+        (["--levels", "-1", "--keep", "5"], "--levels must be >= 1, got -1"),
+        (["--levels", "2", "--keep", "5"], "--keep must be in [0, 2], got 5"),
+        (["--keep", "-1"], "--keep must be in [0, 1], got -1"),
+        (["--alpha", "1.5"], "--alpha must be in [0, 1], got 1.5"),
+        (["--alpha", "nan"], "--alpha must be in [0, 1], got nan"),
+    ])
+    def test_flags_checked_before_input_read(self, tmp_path, capsys, flags,
+                                             message):
+        # the input does not exist: the flag is named first
+        out = tmp_path / "dec.csv"
+        rc = main(["decompose", "--input", str(tmp_path / "missing.csv"),
+                   *flags, "--output", str(out)])
+        assert rc == 1 and not out.exists()
+        assert f"error: {message}\n" in capsys.readouterr().err
+
 
 class TestSynth:
     @pytest.mark.parametrize("levels, alpha", [("1", "-1"), ("2", "nan"),
@@ -206,6 +223,10 @@ class TestSynth:
         ("--levels", "0", "--levels must be >= 1, got 0"),
         ("--replay-n", "0", "--replay-n must be >= 1, got 0"),
         ("--replay-n", "-2", "--replay-n must be >= 1, got -2"),
+        ("--discard-depth", "3", "--discard-depth must be in [0, 1], got 3"),
+        ("--discard-depth", "-1", "--discard-depth must be in [0, 1], got -1"),
+        ("--alpha", "1.5", "--alpha must be in [0, 1], got 1.5"),
+        ("--alpha", "nan", "--alpha must be in [0, 1], got nan"),
     ])
     def test_flags_checked_before_checkpoint_read(self, tmp_path, capsys, flag,
                                                   value, message):
@@ -215,6 +236,14 @@ class TestSynth:
                    flag, value, "--output", str(out)])
         assert rc == 1 and not out.exists()
         assert f"error: {message}\n" in capsys.readouterr().err
+
+    def test_discard_depth_checked_against_levels(self, tmp_path, capsys):
+        out = tmp_path / "replay.csv"
+        assert main(["synth", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--levels", "3", "--discard-depth", "4",
+                     "--output", str(out)]) == 1
+        assert ("error: --discard-depth must be in [0, 3], got 4\n"
+                in capsys.readouterr().err)
 
 
 class TestTune:
@@ -953,7 +982,14 @@ class TestEvalAndReport:
         assert main(["eval", "--checkpoint", str(ckpt), "--new-data",
                      str(sine_csv), "--stride", stride,
                      "--output", str(out)]) == 1
-        assert f"stride must be >= 1, got {stride}" in capsys.readouterr().err
+        message = f"error: --stride must be >= 1, got {stride}\n"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        # checked before the checkpoint is read: this one does not exist
+        assert main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--new-data", str(sine_csv), "--stride", stride,
+                     "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_table(self, bench_config, tmp_path):

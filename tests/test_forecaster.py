@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from rtune.forecaster import (Forecaster, _account, _cross_entropy,
-                              _soften_rows, _step, _training_blocks,
+from rtune.forecaster import (Forecaster, _cross_entropy, _losses,
+                              _soften_rows, _step, _terms, _training_blocks,
                               _training_order, _workspace, grad_total,
                               init_forecaster, load_checkpoint,
                               save_checkpoint, soften, soften_jacobian,
@@ -409,8 +409,11 @@ def stacked_step(model, thetas, x, y, p_old, tau, distill_weight, reg_weight,
           tau, distill_weight, 1.0, _workspace(k, n, model),
           terms[:, 0, j, :n], sums[0, j, :n], norms[0, j, None, None])
     partial = [(0, run, n) for run in range(k)] if n < width else []
-    losses = _account(terms, sums, soft, norms, np.full((1, k), n), partial,
-                      distill_weight, reg_weight)
+    terms = terms[:1 if distill_weight == 0.0 else 2]
+    row_sums = np.empty(terms.shape[:-1])
+    _terms(terms, sums, soft, row_sums)
+    losses = _losses(row_sums, norms, np.full((1, k), n), partial,
+                     distill_weight, reg_weight)
     if reg_weight != 0.0:
         grads += 2.0 * reg_weight * stack
     out = np.empty_like(grads)
@@ -671,10 +674,12 @@ class TestAccount:
         for t in range(1, batches + 1):
             # the first t batches as one chunk, from a fresh copy of the
             # record: the accounting forms the terms in place
-            losses = _account(terms[:, :t].copy(), sums[:t], soft[:t],
-                              norms[:t], rows[:t],
-                              [step for step in partial if step[0] < t],
-                              distill_weight, reg_weight)
+            formed = terms[:, :t].copy()
+            row_sums = np.empty(formed.shape[:-1])
+            _terms(formed, sums[:t], soft[:t], row_sums)
+            losses = _losses(row_sums, norms[:t], rows[:t],
+                             [step for step in partial if step[0] < t],
+                             distill_weight, reg_weight)
             assert losses.tolist() == expected[:t].tolist()
 
     @hyp_settings(max_examples=40, deadline=None)
@@ -694,9 +699,10 @@ class TestAccount:
         sums = rng.uniform(1.0, 3.0, size=(batches, k, batch, 1))
         formed = terms.copy()
         row_sums = np.full((2, batches, k, batch), np.nan)
-        _account(formed, sums, p_old, np.zeros((batches, k)),
-                 np.full((batches, k), batch), [], 0.2 if distill else 0.0,
-                 0.0, row_sums)
+        _terms(formed, sums, p_old, row_sums)
+        _losses(row_sums, np.zeros((batches, k)),
+                np.full((batches, k), batch), [], 0.2 if distill else 0.0,
+                0.0)
         # the residuals stay; the shifted logits become the log-softmax
         operands = [(formed[0], formed[0])]
         if distill:

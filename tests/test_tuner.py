@@ -683,26 +683,30 @@ class TestLockstep:
         assert run.report.selected_epoch is None
         assert str(run.outcome(0.0)).startswith("training diverged: ")
 
-    def test_clean_training_accounts_once_per_chunk(self, monkeypatch):
-        # two stacks of a few chunks each, neither diverging: every chunk
-        # of every epoch is accounted once; the loss terms, cross-entropy
-        # ones included, are formed once per chunk, never inside the kernel
+    def test_clean_training_forms_terms_per_chunk_and_losses_per_epoch(
+            self, monkeypatch):
+        # two stacks of a few chunks each, neither diverging: the loss terms,
+        # cross-entropy ones included, are formed once per chunk of every
+        # epoch, never inside the kernel, and every step's loss once per
+        # epoch of each stack
         jobs = self.jobs(7, n_windows=500)
         jobs += [(frozen, data, replace(cfg, learning_rate=2e-2), "ft")
                  for frozen, data, cfg, _ in jobs[:2]]
-        chunks = []
-        for group, width in ((jobs[:4], 4), (jobs[4:], 2)):
+        chunks, epochs = [], []
+        for group, width, slots in ((jobs[:4], 4, 2), (jobs[4:], 2, 1)):
             largest = max(len(data) - max(1, round(0.2 * len(data)))
                           + method_config(method, cfg).replay_n
                           for _, data, cfg, method in group)
             chunk = tuner.GATHER_BATCHES // width * 7
             chunks.append(-(-largest // chunk) * group[0][2].epochs)
+            # the row sums of every batch of an epoch: (terms, batches, runs)
+            epochs += [(slots, -(-largest // 7), width)] * group[0][2].epochs
         calls, formed, stepping, signs = [], [], [], set()
-        account, terms, step = tuner._account, forecaster._terms, tuner._step
+        losses, terms, step = tuner._losses, tuner._terms, tuner._step
 
         def counted(*args):
             calls.append(args)
-            return account(*args)
+            return losses(*args)
 
         def forming(record, *args):
             assert not stepping, "the kernel formed loss terms"
@@ -721,11 +725,13 @@ class TestLockstep:
             if len(record) > 1:
                 assert (record[1].max(axis=-1) == 0.0).all()
 
-        monkeypatch.setattr(tuner, "_account", counted)
-        monkeypatch.setattr(forecaster, "_terms", forming)
+        monkeypatch.setattr(tuner, "_losses", counted)
+        monkeypatch.setattr(tuner, "_terms", forming)
         monkeypatch.setattr(tuner, "_step", kernel)
         outcomes = r_tune_group(jobs)
-        assert len(calls) == sum(chunks) == (4 + 2) * 4
+        assert sum(chunks) == (4 + 2) * 4
+        # one pass an epoch over each stack's epoch-long row sums
+        assert [args[0].shape[:3] for args in calls] == epochs
         # the four distilling runs' chunks form the cross-entropy terms
         assert formed == [2] * chunks[0] + [1] * chunks[1]
         assert -1.0 in signs
@@ -733,9 +739,9 @@ class TestLockstep:
         for job, outcome in zip(jobs, outcomes):
             assert_same_run(outcome, r_tune(*job))
 
-    def test_diverged_solo_run_stops_after_its_chunk(self, monkeypatch):
-        # the run fails in the first of its two chunks: it takes that
-        # chunk's steps and none after, of this epoch or the three after
+    def test_diverged_solo_run_stops_after_its_epoch(self, monkeypatch):
+        # the run fails in the first of its two chunks: it takes every step
+        # of that epoch and none of the three epochs after
         job = self.jobs(7, n_windows=600)[2]
         met = self.first_epoch_rows(job)
         chunk = tuner.GATHER_BATCHES * 7
@@ -746,12 +752,12 @@ class TestLockstep:
             r_tune(*job)
         offset = int(re.search(r"batch offset (\d+)", str(info.value))[1])
         assert offset < chunk
-        assert widths == [1] * (chunk // 7)
+        assert widths == [1] * -(-len(met) // 7)
 
-    def test_group_whose_runs_all_diverge_stops_after_the_chunk(
+    def test_group_whose_runs_all_diverge_stops_after_the_epoch(
             self, monkeypatch):
         # both runs fail in their first step, in the first of their chunks:
-        # the group takes that chunk's steps and none after
+        # the group takes every step of that epoch and none after
         jobs = self.jobs(7, n_windows=500)[:2]
         met = [self.first_epoch_rows(job) for job in jobs]
         jobs = [self.diverging(job, [row for row in rows[:7] if row >= 0])
@@ -761,8 +767,8 @@ class TestLockstep:
         assert chunk < sizes[1]
         widths = self.count_steps(monkeypatch)
         outcomes = r_tune_group(jobs)
-        assert widths == [end - first for first, end, lo, _
-                          in _schedule(sizes, 7) if lo < chunk]
+        assert widths == [end - first for first, end, _, _
+                          in _schedule(sizes, 7)]
         monkeypatch.undo()
         for job, outcome in zip(jobs, outcomes):
             with pytest.raises(RuntimeError) as info:
