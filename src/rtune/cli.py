@@ -364,16 +364,15 @@ def cmd_tune(args) -> int:
     run_dir = Path(cfg["output_dir"]) / config_hash(cfg)
     shared = _shared_inputs(cfg)
     # the first failed seed stops the run: the seeds before it are written,
-    # and a run that wrote no outputs leaves no run directory
+    # and a run whose first seed wrote no outputs leaves no config.json
     for seed, arm_cfg, outcome in _trained_arms(cfg, [{}], shared):
         if isinstance(outcome, Exception):
             raise outcome
         model, report = outcome
-        if seed == cfg["seeds"][0]:
-            run_dir.mkdir(parents=True, exist_ok=True)
-            _write_json(run_dir / "config.json", cfg)
         for path in _write_run_outputs(arm_cfg, model, report, run_dir):
             print(path)
+        if seed == cfg["seeds"][0]:
+            _write_json(run_dir / "config.json", cfg)
         print(f"seed {seed}: method={report.method} "
               f"old mae/mse {report.old_metrics.mae:.4f}/{report.old_metrics.mse:.4f} "
               f"new mae/mse {report.new_metrics.mae:.4f}/{report.new_metrics.mse:.4f} "

@@ -75,20 +75,19 @@ def _training_order(model):
 
 
 def _training_blocks(stack, model):
-    """(vectors, hidden weights with the hidden bias as a last column,
-    output block, rows, columns, output weights) of a (K, P) stack of
-    vectors in the training layout (:func:`_training_order`), the rest as
-    (K, hidden, W + 1), (K, hidden + 1, H), (K, 1, P), (K, P, 1) and
-    (K, hidden, H) views into `stack`; the output block and weights are
-    transposed, [w2 | b2].T and w2.T. One run's (P,) vector gives the same
-    views without the K axis: rank-2 blocks, which :func:`_step` multiplies
-    with np.dot. Rows times columns are the squared norms."""
+    """(hidden weights with the hidden bias as a last column, output block,
+    rows, columns, output weights) of a (K, P) stack of vectors in the
+    training layout (:func:`_training_order`), as (K, hidden, W + 1),
+    (K, hidden + 1, H), (K, 1, P), (K, P, 1) and (K, hidden, H) views into
+    `stack`; the output block and weights are transposed, [w2 | b2].T and
+    w2.T. One run's (P,) vector gives the same views without the K axis:
+    rank-2 blocks, which :func:`_kernel` multiplies with np.dot. Rows times
+    columns are the squared norms."""
     w, h, hid = model.input_width + 1, model.horizon, model.hidden_width
     lead = stack.shape[:-1]
     w1 = stack[..., :hid * w].reshape(lead + (hid, w))
     w2 = stack[..., hid * w:].reshape(lead + (hid + 1, h))
-    return (stack, w1, w2, stack[..., None, :], stack[..., None],
-            w2[..., :hid, :])
+    return w1, w2, stack[..., None, :], stack[..., None], w2[..., :hid, :]
 
 
 @dataclass
@@ -284,10 +283,11 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
 
     Computes what :func:`rtune.tuner.batch_objective` and :func:`grad_total`
     compute together, with the frozen model's softened outputs passed in
-    instead of recomputed, since they do not change while m_new trains. It
-    is the training step at learning rate 1, plus the L2 term 2 *
-    reg_weight * theta, which training folds into its update instead: the
-    oracle that tests hold the kernel to.
+    instead of recomputed, since they do not change while m_new trains. Its
+    gradient is that of the training step at learning rate 1, taken on a
+    copy of theta, plus the L2 term 2 * reg_weight * theta, which training
+    folds into its update instead: the oracle that tests hold the kernel
+    to.
 
     Args:
         m_new: model being adapted.
@@ -317,10 +317,9 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
     slots = 1 if distill_weight == 0.0 else 2
     terms, norms = np.empty((slots, 1, 1, n, m_new.horizon)), np.empty((1, 1))
     sums, row_sums = np.empty((1, 1, n, 1)), np.empty((slots, 1, 1, n))
-    _step(_training_blocks(theta, m_new), _training_blocks(grad, m_new),
-          np.hstack([inputs, np.ones((n, 1))]), labels, p_old, tau,
-          distill_weight, 1.0, _workspace(1, n, m_new), terms[:, 0, 0],
-          sums[0, 0], norms)
+    x = np.hstack([inputs, np.ones((n, 1))])
+    _kernel(theta.copy(), grad, m_new, n, tau, distill_weight, 1.0, 0.0)(
+        x, x.T, labels, p_old, terms[:, 0, 0], sums[0, 0], norms)
     _terms(terms, sums, p_old, row_sums)
     loss = float(_losses(row_sums, norms, np.full((1, 1), n), [],
                          distill_weight, reg_weight)[0, 0])
@@ -333,18 +332,19 @@ def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
     return loss, out
 
 
-def _workspace(k, n, model):
-    """Preallocated intermediates of a step over k runs of n rows each, in
-    the order :func:`_step` unpacks them: the hidden activations (k, hidden,
-    n), transposed so that the products write them to contiguous blocks,
-    and the same activations as one array for elementwise work; the
-    (k, hidden + 1, n) array they are the top of, whose last row is ones,
-    the output bias's input, and its (k, n, hidden + 1) transpose; their
-    gradient (k, hidden, n), also with an elementwise view; outputs and
-    their gradient (k, n, H) with the gradient's transpose; softmax
-    numerators (k, n, H); and a (k, n, 1) column. For one run (k == 1) the
-    arrays have no k axis, to match the rank-2 :func:`_training_blocks` of
-    a one-run stack, and each elementwise view is its array.
+def _workspace(lead, n, model):
+    """Preallocated intermediates of a step over the k runs of a theta of
+    shape lead + (P,) (lead () or (k,)), on n rows each, in the order
+    :func:`_kernel` unpacks them: the hidden activations (k, hidden, n),
+    transposed so that the products write contiguous blocks, and the same
+    activations as one array for elementwise work; the (k, hidden + 1, n)
+    array they are the top of, whose last row is ones, the output bias's
+    input, and its (k, n, hidden + 1) transpose; their gradient (k, hidden,
+    n), also with an elementwise view; outputs and their gradient (k, n, H)
+    with the gradient's transpose; softmax numerators (k, n, H); and a
+    (k, n, 1) column. For one run's (P,) vector the arrays have no k axis,
+    to match its rank-2 :func:`_training_blocks`, and each elementwise view
+    is its array.
 
     In a stack, the activations and their gradient are stored hidden unit
     by hidden unit across the runs, (hidden, k, n): the elementwise views
@@ -356,7 +356,7 @@ def _workspace(k, n, model):
     instead, for the bits rather than for speed: a strided matrix or vector
     there sums in another order than np.dot's."""
     h, hid = model.horizon, model.hidden_width
-    lead = () if k == 1 else (k,)
+    k = lead[0] if lead else 1
     if k > 1 and n > 1 and h > 1:
         stored, d_act = np.ones((hid + 1, k, n)), np.empty((hid, k, n))
         hidden, act = np.moveaxis(stored, 0, 1), stored[:hid]
@@ -370,78 +370,84 @@ def _workspace(k, n, model):
             np.empty(lead + (n, h)), np.empty(lead + (n, 1)))
 
 
-def _step(params, grads, inputs, labels, p_old, tau, distill_weight, rate,
-          ws, terms, sums, norm):
-    """The gradient kernel: one training step of K runs at once, each on its
-    own batch of n rows.
+def _kernel(theta, grad, model, n, tau, distill_weight, rate, reg_weight):
+    """The training step of K runs at once, each on its own batch of n rows,
+    bound once: returns step(x, x_t, y, p_old, terms, sums, norm), which
+    writes the gradients into `grad`, scaled by the learning rate `rate`,
+    without the L2 term, then updates `theta` in place: theta *= 1 - 2 *
+    rate * reg_weight; theta -= grad.
 
-    `params` and `grads` are :func:`_training_blocks` of a (K, P) theta
-    stack in the training layout and of a stack-shaped gradient buffer; the
-    gradients are written in place, in the training layout and scaled by the
-    learning rate `rate`, without the L2 term: the update is theta *= 1 -
-    2 * rate * reg_weight, then theta -= grad. The batches are `inputs`
-    (K, n, W + 1), whose last column is ones, so the first product adds
-    the hidden bias and the last gives its gradient; `labels` (K, n, H);
-    and, when distilling, the frozen model's softened outputs `p_old`
-    (K, n, H). `ws` is a :func:`_workspace` for (K, n): its hidden
-    activations sit above a ones row, so the output product adds the
-    output bias and the output gradient's product gives its gradient. The
-    kernel computes only what the gradient needs and records what the loss
-    is made of, raw: the residuals in `terms` (2, K, n, H) and, when
-    distilling, the max-shifted logits in its second slot and their exp
-    sums in `sums` (K, n, 1); each run's squared norm goes to `norm`
-    (K, 1, 1). :func:`_terms` sums each row's loss terms from that record,
-    and :func:`_losses` adds them up into each step's loss.
+    `theta` is a (K, P) stack in the training layout (:func:`_training_order`)
+    and `grad` a buffer of its shape. The kernel binds their
+    :func:`_training_blocks`, a :func:`_workspace` for (K, n), the product
+    function and its constants. A step's batches are `x` (K, n, W + 1),
+    whose last column is ones, so the first product adds the hidden bias
+    and the last gives its gradient, and `x_t`, its transpose; `y` (K, n,
+    H); and, when distilling, the frozen model's softened outputs `p_old`
+    (K, n, H). The step computes only what the gradient needs and records
+    what the loss is made of, raw: the residuals in `terms` (2, K, n, H)
+    and, when distilling, the max-shifted logits in its second slot and
+    their exp sums in `sums` (K, n, 1); each run's squared norm before the
+    update goes to `norm` (K, 1, 1), for :func:`_terms` and :func:`_losses`
+    to form each step's loss from.
 
-    One run comes without the K axis: the blocks of its (P,) vector, rank-2
-    batches and record ((2, n, H) terms, (n, 1) sums, a (1, 1) norm) and a
-    workspace for k == 1. Its products run through np.dot, which skips the
-    batched matmul's per-call cost; stacks of two or more runs take the
-    batched np.matmul, which runs per slice. Either way every run's slice
-    has the bits of the same step taken alone, so a run whose loss or
-    gradient is non-finite leaves the other runs' gradients exact. Every
-    operand of one run is contiguous or a transpose of a contiguous block:
-    np.dot would copy any other, and its one-row products would then sum
-    in another order than np.matmul's.
+    One run comes without the K axis: a (P,) theta, rank-2 batches and
+    record. Its products run through np.dot, which skips the batched
+    matmul's per-call cost; stacks take the batched np.matmul, which runs
+    per slice. Either way every run's slice has the bits of the same step
+    taken alone, so a run whose loss or gradient is non-finite leaves the
+    others exact. Every operand of one run is contiguous or a transpose of
+    a contiguous block: np.dot would copy any other, and its one-row
+    products would then sum in another order than np.matmul's.
     """
-    _, w1, w2, rows, columns, w2_weights = params
-    _, g_w1, g_w2 = grads[:3]
+    w1, w2, rows, columns, w2_weights = _training_blocks(theta, model)
+    g_w1, g_w2 = _training_blocks(grad, model)[:2]
     (hidden, act, hidden_ones, hidden_ones_t, d_hid, d_act, out, d_out,
-     d_out_t, e, col) = ws
-    n = inputs.shape[-2]
-    mm = np.dot if inputs.ndim == 2 else np.matmul
-    mm(w1, inputs.swapaxes(-1, -2), out=hidden)
-    np.tanh(act, out=act)
-    mm(hidden_ones_t, w2, out=out)
+     d_out_t, e, col) = _workspace(theta.shape[:-1], n, model)
+    mm = np.dot if theta.ndim == 1 else np.matmul
+    # constants as 0-d arrays (the same bits), ufuncs as locals, outputs
+    # by position: numpy converts a Python float and parses a keyword `out`
+    # at every call; together a tenth of a desk step on a 2-core Xeon VM
+    scale, temperature, soft_scale, one, decay = map(np.array, (
+        2.0 * rate / n, tau, distill_weight * rate / (tau * n), 1.0,
+        1.0 - 2.0 * rate * reg_weight))
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    tanh, exp, most, total = np.tanh, np.exp, np.maximum.reduce, np.add.reduce
 
-    np.subtract(out, labels, out=terms[0])
-    np.multiply(terms[0], 2.0 * rate / n, out=d_out)
-    if distill_weight != 0.0:
-        # the softmax of _soften_rows, with its arithmetic; its shifted
-        # logits and exp sums serve the log-softmax of _cross_entropy
-        z = np.divide(out, tau, out=terms[1])
-        np.maximum.reduce(z, -1, None, col, True)
-        z -= col
-        np.exp(z, out=e)
-        np.add.reduce(e, -1, None, sums, True)
-        e /= sums
-        e -= p_old
-        e *= distill_weight * rate / (tau * n)
-        d_out += e
-    # a (1, P) @ (P, 1) product per run has the bits of theta @ theta
-    mm(rows, columns, out=norm)
+    def step(x, x_t, y, p_old, terms, sums, norm):
+        mm(w1, x_t, hidden)
+        tanh(act, act)
+        mm(hidden_ones_t, w2, out)
+        multiply(subtract(out, y, terms[0]), scale, d_out)
+        if distill_weight != 0.0:
+            # the softmax of _soften_rows, with its arithmetic; its shifted
+            # logits and exp sums serve the log-softmax of _cross_entropy
+            z = divide(out, temperature, terms[1])
+            most(z, -1, None, col, True)
+            subtract(z, col, z)
+            exp(z, e)
+            total(e, -1, None, sums, True)
+            divide(e, sums, e)
+            subtract(e, p_old, e)
+            multiply(e, soft_scale, e)
+            add(d_out, e, d_out)
+        # a (1, P) @ (P, 1) product per run has the bits of theta @ theta
+        mm(rows, columns, norm)
+        mm(hidden_ones, d_out, g_w2)
+        mm(w2_weights, d_out_t, d_hid)
+        multiply(act, act, act)
+        subtract(one, act, act)
+        multiply(d_act, act, d_act)
+        mm(d_hid, x, g_w1)
+        multiply(theta, decay, theta)
+        subtract(theta, grad, theta)
 
-    mm(hidden_ones, d_out, out=g_w2)
-    mm(w2_weights, d_out_t, out=d_hid)
-    np.multiply(act, act, out=act)
-    np.subtract(1.0, act, out=act)
-    d_act *= act
-    mm(d_hid, inputs, out=g_w1)
+    return step
 
 
 def _terms(terms, sums, p_old, row_sums):
-    """Sum each row's loss terms of a record :func:`_step` wrote into
-    `row_sums`, with the arithmetic of task_loss and _cross_entropy: its
+    """Sum each row's loss terms of a record a :func:`_kernel` step wrote
+    into `row_sums`, with the arithmetic of task_loss and _cross_entropy: its
     squared residuals and, if `terms` holds a second slot, its
     cross-entropy terms, p_old times the log-softmax, the shifted logits
     less the log of `sums` (formed in place). Each row is one product-sum

@@ -110,8 +110,9 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
     Row i * (1 + k) is latent i's smoothed context followed by the frozen
     model's forecast on it; row i * (1 + k) + j keeps only the lowest
     levels - j detail bands (scaled by alpha) of that sequence's depth-`levels`
-    redundant decomposition. Labels are recomputed on every row's own input
-    window, so inputs and labels stay consistent.
+    redundant decomposition. Every row's label is the frozen model's
+    forecast on its own input window, so inputs and labels stay consistent:
+    a full-spectrum row's is the forecast that completes it.
 
     The result has n * (1 + k) rows and is a deterministic function of the
     frozen parameters, the seed, and the settings.
@@ -154,12 +155,19 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
     if not np.all(np.isfinite(sequences)):
         raise ValueError("synthetic sequences contain non-finite values")
 
+    # a full-spectrum row's input window is its context, whose forecast is
+    # its label; the frozen model labels the filtered rows
+    h = frozen.horizon
+    labels = np.empty((n, 1 + k, h))
+    labels[:, 0] = forecasts
+    if k:
+        labels[:, 1:] = frozen.forward_batch(
+            per_latent[:, 1:, :w].reshape(n * k, w)).reshape(n, k, -1)
     tags = np.array(["full_spectrum"]
                     + [f"filtered({j})" for j in range(1, k + 1)])
     provenance = {"n": n, "levels": levels, "discard_depth": k,
                   "alpha": alpha, "seed": seed}
-    return ReplaySet(sequences=sequences,
-                     labels=frozen.forward_batch(sequences[:, :w]),
+    return ReplaySet(sequences=sequences, labels=labels.reshape(-1, h),
                      tags=np.tile(tags, n), provenance=provenance)
 
 

@@ -15,9 +15,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import WindowedDataset
-from .forecaster import (Forecaster, _cross_entropy, _losses, _soften_rows,
-                         _step, _terms, _training_blocks, _training_order,
-                         _workspace)
+from .forecaster import (Forecaster, _cross_entropy, _kernel, _losses,
+                         _soften_rows, _terms, _training_order)
 from .metrics import MetricPair, mae
 from .replay import build_replay_set
 
@@ -357,14 +356,14 @@ class _Run:
 
     def soften_targets(self):
         """The frozen model's softened outputs on the training rows, in
-        training order, when distilling."""
+        training order, when distilling. A replay row's label is the frozen
+        model's output on its input, so only the fit rows are forwarded."""
         if self.cfg.distill_weight != 0.0:
-            # take copies a source that is not contiguous; drop a ones
-            # column from the gathered rows instead
-            train_inputs = np.take(self.inputs, self.rows,
-                                   axis=0)[:, :self.frozen.input_width]
-            self.soft_old = _soften_rows(self.frozen.forward_batch(train_inputs),
-                                         self.cfg.tau)
+            logits = np.take(self.labels, self.rows, axis=0)
+            fit = self.rows < self.n_fit
+            logits[fit] = self.frozen.forward_batch(
+                self.data.inputs[self.rows[fit]])
+            self.soft_old = _soften_rows(logits, self.cfg.tau)
 
     def fail(self, exc, epoch, offset):
         """Leave training with the error the solo run raises at this step."""
@@ -491,9 +490,12 @@ def _train_stack(runs, start):
     until the last epoch or one in which a run failed; returns the epoch to
     go on from.
 
-    Training runs with floating-point warnings off. Each chunk of batches
-    takes its steps, then :func:`rtune.forecaster._terms` sums each row's
-    loss terms into an epoch-long array; at the end of the epoch one
+    Training runs with floating-point warnings off. Each run range and
+    batch length of the schedule binds one step kernel
+    (:func:`rtune.forecaster._kernel`) to its slice of the stack, and a step
+    is one call of it. Each chunk of batches takes its steps, then
+    :func:`rtune.forecaster._terms` sums each row's loss terms into an
+    epoch-long array; at the end of the epoch one
     :func:`rtune.forecaster._losses` pass gives the loss of every step. An
     epoch's loss is the mean of its rows' terms, each term's row sums added
     up in the order of the run's training rows rather than of its batches,
@@ -524,8 +526,8 @@ def _train_stack(runs, start):
     labels = np.zeros((len(runs), width, geometry.horizon))
     scratch = None
     # what each step of a chunk leaves for the loss, by its batch in the
-    # chunk and its run: the record of _step; the softmax sums start at 1,
-    # so the log of a slot no step wrote is finite
+    # chunk and its run: a kernel's record; the softmax sums start at 1, so
+    # the log of a slot no step wrote is finite
     distilling = cfg.distill_weight != 0.0
     terms = np.zeros((2 if distilling else 1, batches, len(runs), batch,
                       geometry.horizon))
@@ -588,31 +590,26 @@ def _train_stack(runs, start):
             if p_old is not None:
                 gathers.append((k, run.soft_old, orders[k][rows], p_old[k, :n],
                                 None))
-    blocks, workspaces = {}, {}
+    kernels = {}
     for first, end, lo, hi in _schedule(sizes, cfg.batch_size):
-        # a step of one run takes rank-2 views (no run axis), which _step
-        # multiplies with np.dot; a step of several takes (K, ...) stacks
+        # one run's kernel binds views without the run axis, so its products
+        # run through np.dot; a kernel of several binds (K, ...) stacks
         k = first if end - first == 1 else slice(first, end)
-        if (first, end) not in blocks:
-            blocks[first, end] = (_training_blocks(theta[k], geometry),
-                                  _training_blocks(grad[k], geometry))
         at, n, s = lo % chunk, hi - lo, lo // cfg.batch_size
-        if (end - first, n) not in workspaces:
-            workspaces[end - first, n] = _workspace(end - first, n, geometry)
+        if (first, end, n) not in kernels:
+            kernels[first, end, n] = _kernel(
+                theta[k], grad[k], geometry, n, cfg.tau, cfg.distill_weight,
+                cfg.learning_rate, cfg.reg_weight)
         step_rows[s, first:end] = n
         if n < batch:
             partial.append((s, first, n))
-        slot = at // cfg.batch_size
-        chunks[lo - at][1].append(
-            (*blocks[first, end], workspaces[end - first, n],
-             inputs[k, at:at + n], labels[k, at:at + n],
-             None if p_old is None else p_old[k, at:at + n],
-             terms[:, slot, k, :n], None if sums is None else sums[slot, k, :n],
-             norms[s, k, None, None]))
+        slot, x = at // cfg.batch_size, inputs[k, at:at + n]
+        chunks[lo - at][1].append((kernels[first, end, n], (
+            x, x.swapaxes(-1, -2), labels[k, at:at + n],
+            None if p_old is None else p_old[k, at:at + n],
+            terms[:, slot, k, :n], None if sums is None else sums[slot, k, :n],
+            norms[s, k, None, None])))
 
-    tau, distill_weight, reg_weight = cfg.tau, cfg.distill_weight, cfg.reg_weight
-    rate = cfg.learning_rate
-    decay = 1.0 - 2.0 * rate * reg_weight
     with np.errstate(all="ignore"):
         for epoch in range(start, cfg.epochs):
             for k, run in enumerate(runs):
@@ -626,14 +623,11 @@ def _train_stack(runs, start):
                     source.take(index, axis=0, mode="clip", out=buffer)
                     if copy is not None:
                         np.copyto(copy, buffer)
-                for params, grads, ws, x, y, p, t, sm, norm in plan:
-                    _step(params, grads, x, y, p, tau, distill_weight, rate,
-                          ws, t, sm, norm)
-                    np.multiply(params[0], decay, out=params[0])
-                    np.subtract(params[0], grads[0], out=params[0])
+                for step, args in plan:
+                    step(*args)
                 _terms(*record, row_sums)
             losses = _losses(row_terms, norms, step_rows, partial,
-                             distill_weight, reg_weight)
+                             cfg.distill_weight, cfg.reg_weight)
             diverged = ~np.isfinite(losses)
             # sum += norm * n, step after step; a slot no step writes adds 0
             norm_sums = np.add.accumulate(norms * step_rows)[-1].tolist()
@@ -646,7 +640,7 @@ def _train_stack(runs, start):
                     continue
                 run.report.train_losses.append(_epoch_loss(
                     row_terms[:, :, k], orders[k], in_order[:sizes[k]],
-                    norm_sums[k], distill_weight, reg_weight))
+                    norm_sums[k], cfg.distill_weight, cfg.reg_weight))
                 run.model.theta[order] = theta[k]
                 run.validate(epoch)
             if diverged.any():

@@ -1051,6 +1051,41 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == [path]
         load_checkpoint(path)
 
+    @staticmethod
+    def failing(model, path):
+        raise OSError("disk full")
+
+    def test_failed_first_checkpoint_leaves_no_config(
+            self, bench_config, tmp_path, monkeypatch, capsys):
+        # config.json follows the first seed's checkpoint and report
+        cfg = bench_config(method="ft", seeds=[0, 1])
+        monkeypatch.setattr(rtune.cli, "save_checkpoint", self.failing)
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert "error: disk full" in capsys.readouterr().err
+        assert not list((tmp_path / "runs").rglob("config.json"))
+
+    def test_rerun_keeps_the_existing_run_files(self, bench_config, tmp_path,
+                                                monkeypatch):
+        # over a finished run directory, a rerun whose first checkpoint write
+        # fails and a clean rerun both leave every file byte for byte
+        cfg = bench_config(method="ft", seeds=[0, 1])
+        runs = tmp_path / "runs"
+
+        def files():
+            return {p: p.read_bytes() for p in runs.rglob("*") if p.is_file()}
+
+        assert main(["tune", "--config", str(cfg)]) == 0
+        before = files()
+        assert sorted(p.name for p in before) == [
+            "config.json", "model.ckpt", "model.ckpt", "report.json",
+            "report.json"]
+        monkeypatch.setattr(rtune.cli, "save_checkpoint", self.failing)
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert files() == before
+        monkeypatch.undo()
+        assert main(["tune", "--config", str(cfg)]) == 0
+        assert files() == before
+
     def test_failed_checkpoint_leaves_no_report(self, bench_config, tmp_path,
                                                 monkeypatch, capsys):
         # the checkpoint is written before the report, so a seed whose

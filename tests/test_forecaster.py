@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from rtune.forecaster import (Forecaster, _cross_entropy, _losses,
-                              _soften_rows, _step, _terms, _training_blocks,
-                              _training_order, _workspace, grad_total,
+from rtune.forecaster import (Forecaster, _cross_entropy, _kernel, _losses,
+                              _soften_rows, _terms, _training_blocks,
+                              _training_order, grad_total,
                               init_forecaster, load_checkpoint,
                               save_checkpoint, soften, soften_jacobian,
                               theta_size, value_and_grad)
@@ -382,13 +382,13 @@ class TestValueAndGrad:
 
 def stacked_step(model, thetas, x, y, p_old, tau, distill_weight, reg_weight,
                  width=None):
-    """_step at learning rate 1 over a (K, P) stack in the training layout
-    whose batches are slices of padded epoch buffers with a ones column, as
-    the training loop lays them out, then the accounting of it as a chunk
-    of one batch: (losses, grads), the grads with the L2 term added and in
-    the standard layout. The record holds batches of `width` rows (default
-    n); a step on n < width rows is a partial batch, accounted at its own
-    length."""
+    """A step kernel at learning rate 1, bound to a scratch copy of a (K, P)
+    stack in the training layout, on batches that are slices of padded
+    epoch buffers with a ones column, as the training loop lays them out,
+    then the accounting of it as a chunk of one batch: (losses, grads), the
+    grads with the L2 term added and in the standard layout. The record
+    holds batches of `width` rows (default n); a step on n < width rows is
+    a partial batch, accounted at its own length."""
     k, n = x.shape[:2]
     width = n if width is None else width
     pad = np.ones((k, width + 3, x.shape[2] + 1))
@@ -402,12 +402,13 @@ def stacked_step(model, thetas, x, y, p_old, tau, distill_weight, reg_weight,
     if p_old is not None:
         soft = np.zeros((1, k, width, y.shape[2]))
         soft[0, :, :n] = p_old
-    # one run takes rank-2 views, as the training loop passes it
+    # one run's kernel binds rank-1 theta, as the training loop binds it
     j = 0 if k == 1 else slice(None)
-    _step(_training_blocks(stack[j], model), _training_blocks(grads[j], model),
-          pad[j, 1:n + 1], y[j], None if p_old is None else soft[0, j, :n],
-          tau, distill_weight, 1.0, _workspace(k, n, model),
-          terms[:, 0, j, :n], sums[0, j, :n], norms[0, j, None, None])
+    batch = pad[j, 1:n + 1]
+    _kernel(stack[j].copy(), grads[j], model, n, tau, distill_weight, 1.0,
+            0.0)(batch, batch.swapaxes(-1, -2), y[j],
+                 None if p_old is None else soft[0, j, :n], terms[:, 0, j, :n],
+                 sums[0, j, :n], norms[0, j, None, None])
     partial = [(0, run, n) for run in range(k)] if n < width else []
     terms = terms[:1 if distill_weight == 0.0 else 2]
     row_sums = np.empty(terms.shape[:-1])
@@ -445,8 +446,8 @@ class TestTrainingLayout:
             w1b, w2b = np.column_stack([w1, b1]), np.column_stack([w2, b2])
             assert row.tobytes() == np.concatenate(
                 [w1b.ravel(), w2b.T.ravel()]).tobytes()
-            _, w1_block, w2_block, _, _, w2_weights = _training_blocks(row,
-                                                                       model)
+            w1_block, w2_block, _, _, w2_weights = _training_blocks(row,
+                                                                    model)
             assert w1_block.tobytes() == w1b.tobytes()
             assert w2_block.tobytes() == w2b.T.tobytes()
             assert w2_weights.tobytes() == w2.T.tobytes()
@@ -592,26 +593,19 @@ def test_one_run_step_allocates_no_array(distill_weight):
     n, model = 32, init_forecaster(48, 12, 32, seed=0)
     rng = np.random.default_rng(0)
     theta = model.theta[_training_order(model)]
-    grad = np.empty_like(theta)
-    params, grads = (_training_blocks(theta, model),
-                     _training_blocks(grad, model))
+    step = _kernel(theta, np.empty_like(theta), model, n, 3.0, distill_weight,
+                   1e-2, 1e-4)
     x = np.column_stack([rng.normal(size=(n, 48)), np.ones(n)])
     y = rng.normal(size=(n, 12))
     p_old = _soften_rows(rng.normal(size=(n, 12)), 3.0)
-    ws, terms = _workspace(1, n, model), np.empty((2, n, 12))
-    sums, norm = np.empty((n, 1)), np.empty((1, 1))
+    args = (x, x.T, y, p_old, np.empty((2, n, 12)), np.empty((n, 1)),
+            np.empty((1, 1)))
 
-    def step():
-        _step(params, grads, x, y, p_old, 3.0, distill_weight, 1e-2, ws,
-              terms, sums, norm)
-        np.multiply(params[0], 1.0 - 2e-6, out=params[0])
-        np.subtract(params[0], grads[0], out=params[0])
-
-    step()
+    step(*args)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        step()
+        step(*args)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -652,14 +646,13 @@ class TestAccount:
             if n < batch:
                 partial.append((s, first, n))
             j = first if end - first == 1 else slice(first, end)
-            _step(_training_blocks(trained[s, j], model),
-                  _training_blocks(np.empty_like(trained[s, j]), model),
-                  xb[j, lo:hi], y[j, lo:hi],
-                  p_old[j, lo:hi] if distill else None, tau,
-                  distill_weight, 1.0,
-                  _workspace(end - first, n, model),
-                  terms[:, s, j, :n], sums[s, j, :n],
-                  norms[s, j, None, None])
+            rows_x = xb[j, lo:hi]
+            # the kernel updates its scratch rows of `trained` in place
+            _kernel(trained[s, j], np.empty_like(trained[s, j]), model, n,
+                    tau, distill_weight, 1.0, 0.0)(
+                rows_x, rows_x.swapaxes(-1, -2), y[j, lo:hi],
+                p_old[j, lo:hi] if distill else None, terms[:, s, j, :n],
+                sums[s, j, :n], norms[s, j, None, None])
         expected = np.zeros((batches, k))
         for s in range(batches):
             for j in range(k):

@@ -316,6 +316,19 @@ class TestExpandVariants:
         for seq, label in zip(rs.sequences, rs.labels):
             assert np.max(np.abs(label - frozen.forward(seq[:8]))) < 1e-12
 
+    @pytest.mark.parametrize("n, k", [(1, 1), (30, 1), (64, 2), (2000, 1)])
+    def test_labels_match_the_full_frozen_pass(self, n, k):
+        # a full-spectrum row's label is the forecast that completes its
+        # sequence, and only the filtered rows get a pass of their own: the
+        # labels one frozen pass over every row gives, up to the order in
+        # which BLAS sums a row at another row count (matrix-vector for one)
+        frozen = init_forecaster(48, 12, 32, seed=3)
+        rs = build_replay_set(frozen, n, levels=2, k=k, alpha=0.7, seed=n)
+        full = rs.labels[::1 + k]
+        assert np.array_equal(full, rs.sequences[::1 + k, 48:])
+        every_row = frozen.forward_batch(rs.sequences[:, :48])
+        assert np.max(np.abs(rs.labels - every_row)) <= 1e-12
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="discard depth"):
             build_replay_set(zero_model(w=8, h=4), 1, levels=1, k=2,

@@ -17,9 +17,8 @@ from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
 from rtune.cli import build_parser, load_run_config
 from rtune.data import WindowedDataset, make_windows, permute_windows
 from rtune import forecaster, tuner
-from rtune.forecaster import (Forecaster, _soften_rows, _step,
-                              grad_total, init_forecaster, soften,
-                              value_and_grad)
+from rtune.forecaster import (Forecaster, _soften_rows, grad_total,
+                              init_forecaster, soften, value_and_grad)
 from rtune.metrics import evaluate_model, mae
 from rtune.replay import build_replay_set, build_train_set
 from rtune.tuner import (METHODS, TuneConfig, _epoch_seeds, _schedule,
@@ -49,6 +48,20 @@ TRAINING = [method for method, overrides in METHODS.items()
 
 def ft_arm(frozen, data, cfg):
     return r_tune(frozen, data, cfg, method="ft")
+
+
+def spy_steps(monkeypatch, spy):
+    """Wrap every step kernel that training builds: spy(theta, grad, args,
+    step) stands in for each step, where theta and grad are what the kernel
+    binds (a stack, or one run's vector), args the step's arguments and
+    step the kernel's own step."""
+    kernel = tuner._kernel
+
+    def factory(theta, grad, *bound):
+        step = kernel(theta, grad, *bound)
+        return lambda *args: spy(theta, grad, args, step)
+
+    monkeypatch.setattr(tuner, "_kernel", factory)
 
 
 def lean_step(theta, x, y, p_old, cfg, geometry):
@@ -453,14 +466,14 @@ class TestLockstep:
     @staticmethod
     def count_steps(monkeypatch):
         """The number of runs of each stacked step training takes; a
-        one-run step's parameters are a rank-1 vector."""
+        one-run kernel binds a rank-1 parameter vector."""
         widths = []
 
-        def counted(params, *args):
-            widths.append(1 if params[0].ndim == 1 else params[0].shape[0])
-            return _step(params, *args)
+        def counted(theta, grad, args, step):
+            widths.append(1 if theta.ndim == 1 else theta.shape[0])
+            return step(*args)
 
-        monkeypatch.setattr(tuner, "_step", counted)
+        spy_steps(monkeypatch, counted)
         return widths
 
     def test_one_run_steps_take_rank_2_views(self, monkeypatch):
@@ -469,15 +482,14 @@ class TestLockstep:
         # the kernel without a run axis; steps of several runs with one
         steps = []
 
-        def spy(params, grads, inputs, labels, p_old, tau, distill_weight,
-                reg_weight, ws, terms, sums, norm):
-            steps.append((params[0].ndim, grads[0].ndim, inputs.ndim,
-                          labels.ndim, p_old.ndim, terms.ndim, sums.ndim,
-                          norm.ndim, ws[0].ndim))
-            return _step(params, grads, inputs, labels, p_old, tau,
-                         distill_weight, reg_weight, ws, terms, sums, norm)
+        def spy(theta, grad, args, step):
+            inputs, inputs_t, labels, p_old, terms, sums, norm = args
+            steps.append((theta.ndim, grad.ndim, inputs.ndim, labels.ndim,
+                          p_old.ndim, terms.ndim, sums.ndim, norm.ndim,
+                          inputs_t.ndim))
+            return step(*args)
 
-        monkeypatch.setattr(tuner, "_step", spy)
+        spy_steps(monkeypatch, spy)
         jobs = self.jobs(7)
         solo = (1, 1, 2, 2, 2, 3, 2, 2, 2)
         r_tune(*jobs[0])
@@ -490,6 +502,44 @@ class TestLockstep:
         assert [step == solo for step in steps] == [
             end - first == 1 for first, end, _, _ in schedule] * 4
         assert set(steps) == {solo, (2, 2, 3, 3, 3, 4, 3, 3, 3)}
+
+    @pytest.mark.parametrize("method, batch_size, solo",
+                             [("ft", 7, 2), ("r-tuning", 11, 1)])
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_training_kernels_bit_equal_to_solo_lean_steps(
+            self, monkeypatch, method, batch_size, solo, runs):
+        # every step of the kernels that training builds, without and with
+        # distillation, in a lone run and in a stack of three: full batches,
+        # partial last batches and one-row batches, each run's slice against
+        # a lean step of that run alone on the same rows
+        jobs = self.jobs(batch_size, method)
+        jobs = jobs[:3] if runs == 3 else [jobs[solo]]
+        frozen, cfg = jobs[0][0], method_config(method, jobs[0][2])
+        seen = set()
+
+        def check(theta, grad, args, step):
+            x, _, y, p_old, terms, _, norm = args
+            before = theta.copy()
+            step(*args)
+            with_axis = [a if theta.ndim == 2 else a[None]
+                         for a in (before, theta, x, y, terms[0], norm)]
+            softs = ([None] * len(with_axis[0]) if p_old is None
+                     else p_old if theta.ndim == 2 else p_old[None])
+            seen.add((len(with_axis[0]), with_axis[3].shape[1]))
+            for old, new, rows, labels, resid, squared, soft in zip(
+                    *with_axis, softs):
+                task, _, norm_sq, expected = lean_step(old, rows, labels,
+                                                       soft, cfg, frozen)
+                assert new.tobytes() == expected.tobytes()
+                assert squared.item() == norm_sq
+                assert np.einsum("bh->b", resid ** 2).tolist() == task.tolist()
+
+        spy_steps(monkeypatch, check)
+        r_tune_group(jobs)
+        assert (1, 1) in seen
+        if runs == 3:
+            assert (3, batch_size) in seen
+            assert any(1 < n < batch_size for _, n in seen)
 
     @staticmethod
     def diverging(job, rows=(17,)):
@@ -702,7 +752,7 @@ class TestLockstep:
             # the row sums of every batch of an epoch: (terms, batches, runs)
             epochs += [(slots, -(-largest // 7), width)] * group[0][2].epochs
         calls, formed, stepping, signs = [], [], [], set()
-        losses, terms, step = tuner._losses, tuner._terms, tuner._step
+        losses, terms = tuner._losses, tuner._terms
 
         def counted(*args):
             calls.append(args)
@@ -713,11 +763,11 @@ class TestLockstep:
             formed.append(len(record))
             return terms(record, *args)
 
-        def kernel(*args):
+        def kernel(theta, grad, args, step):
             stepping.append(True)
             step(*args)
             stepping.pop()
-            record = args[9]
+            record = args[4]
             # the kernel leaves the residuals, of either sign, and the
             # max-shifted logits, whose largest entry in each row is 0,
             # not their loss terms
@@ -727,7 +777,7 @@ class TestLockstep:
 
         monkeypatch.setattr(tuner, "_losses", counted)
         monkeypatch.setattr(tuner, "_terms", forming)
-        monkeypatch.setattr(tuner, "_step", kernel)
+        spy_steps(monkeypatch, kernel)
         outcomes = r_tune_group(jobs)
         assert sum(chunks) == (4 + 2) * 4
         # one pass an epoch over each stack's epoch-long row sums
@@ -800,6 +850,26 @@ class TestLockstep:
             else:
                 assert np.array_equal(model.theta, outcome[0].theta)
 
+    @pytest.mark.parametrize("method", ["lwf", "r-tuning"])
+    def test_soft_targets_match_the_full_frozen_pass(self, method):
+        # a replay row's soft target is its softened label, and only the
+        # fit rows get a frozen pass: the softened frozen outputs on every
+        # training row, up to the order in which BLAS sums a row at another
+        # row count
+        frozen = init_forecaster(48, 12, 32, seed=0)
+        data = small_dataset(n_windows=400, w=48, h=12)
+        cfg = TuneConfig(replay_n=60, epochs=1)
+        run = tuner._Run(0, frozen, data, cfg, method)
+        tuner._read_in_place([run])
+        run.soften_targets()
+        every_row = frozen.forward_batch(run.inputs[run.rows][:, :48])
+        assert np.max(np.abs(run.soft_old
+                             - _soften_rows(every_row, cfg.tau))) <= 1e-12
+        replay = run.rows >= run.n_fit
+        assert replay.any() == (method == "r-tuning")
+        assert np.array_equal(run.soft_old[replay], _soften_rows(
+            run.labels[run.rows[replay]], cfg.tau))
+
     def test_frozen_val_mae_reported_but_not_serialized(self):
         frozen = init_forecaster(8, 4, 6, seed=9)
         data = small_dataset()
@@ -841,7 +911,7 @@ class TestMemory:
         jobs += [(frozen, data, cfg, "ft"), (frozen, data, cfg, "lwf"),
                  (frozen, own, cfg, "ft"), (frozen, own, cfg, "lwf")]
         sources, batches, gathered = [], [], []
-        train, step, copyto = tuner._train_lockstep, tuner._step, np.copyto
+        train, copyto = tuner._train_lockstep, np.copyto
 
         def training(runs):
             sources.extend(array for run in runs
@@ -849,11 +919,12 @@ class TestMemory:
                            if array is not None)
             return train(runs)
 
-        def kernel(params, grads, inputs, labels, p_old, *args):
+        def kernel(theta, grad, args, step):
+            inputs, _, labels, p_old = args[:4]
             for array in (inputs, labels, p_old):
                 if array is not None:
                     batches.extend([array] if array.ndim == 2 else array)
-            return step(params, grads, inputs, labels, p_old, *args)
+            return step(*args)
 
         def copy(dst, src, **kwargs):
             if isinstance(src, np.ndarray) and src.shape[-1] == own.input_width:
@@ -861,7 +932,7 @@ class TestMemory:
             return copyto(dst, src, **kwargs)
 
         monkeypatch.setattr(tuner, "_train_lockstep", training)
-        monkeypatch.setattr(tuner, "_step", kernel)
+        spy_steps(monkeypatch, kernel)
         monkeypatch.setattr(tuner.np, "copyto", copy)
         r_tune_group(jobs)
         assert len(sources) == 2 * len(jobs) + 6  # six runs distil
