@@ -75,7 +75,10 @@ class NormalizationParams:
 @dataclass
 class WindowedDataset:
     """Supervised windows: inputs (n, W), labels (n, H), and per row whether it
-    is a synthetic replay row (True) or a new-task window (False)."""
+    is a synthetic replay row (True) or a new-task window (False). `inputs`
+    is a view of `padded`, a C-contiguous (n, W + 1) array whose last column,
+    1.0, is the hidden bias's input in the training layout: inputs given as
+    such a view are kept, others copied beside fresh ones."""
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -83,28 +86,39 @@ class WindowedDataset:
     input_width: int = None
     horizon: int = None
     starts: np.ndarray = field(default=None, repr=False)
+    padded: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.float64)
-        if self.inputs.ndim != 2 or self.labels.ndim != 2:
+        inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.labels = np.ascontiguousarray(self.labels, dtype=np.float64)
+        if inputs.ndim != 2 or self.labels.ndim != 2:
             raise ValueError("inputs and labels must be 2-D arrays")
-        if self.inputs.shape[0] != self.labels.shape[0]:
+        if inputs.shape[0] != self.labels.shape[0]:
             raise ValueError(
-                f"{self.inputs.shape[0]} inputs vs {self.labels.shape[0]} labels"
+                f"{inputs.shape[0]} inputs vs {self.labels.shape[0]} labels"
             )
         if self.input_width is None:
-            self.input_width = self.inputs.shape[1]
+            self.input_width = inputs.shape[1]
         if self.horizon is None:
             self.horizon = self.labels.shape[1]
-        if self.inputs.shape[1] != self.input_width or self.labels.shape[1] != self.horizon:
+        if inputs.shape[1] != self.input_width or self.labels.shape[1] != self.horizon:
             raise ValueError("window geometry disagrees with array shapes")
+        n, width = inputs.shape
+        padded = inputs.base
+        if not (isinstance(padded, np.ndarray) and padded.flags.c_contiguous
+                and padded.shape == (n, width + 1) and padded.dtype == np.float64
+                and inputs.ctypes.data == padded.ctypes.data
+                and inputs.strides == padded.strides and (padded[:, width] == 1.0).all()):
+            padded = np.empty((n, width + 1))
+            padded[:, :width] = inputs
+            padded[:, width] = 1.0
+        self.padded, self.inputs = padded, padded[:, :width]
         if self.is_replay is None:
-            self.is_replay = np.zeros(self.inputs.shape[0], dtype=bool)
+            self.is_replay = np.zeros(n, dtype=bool)
         else:
             self.is_replay = np.asarray(self.is_replay, dtype=bool)
         if self.starts is None:
-            self.starts = np.full(self.inputs.shape[0], -1, dtype=np.int64)
+            self.starts = np.full(n, -1, dtype=np.int64)
         else:
             self.starts = np.asarray(self.starts, dtype=np.int64)
 
@@ -117,9 +131,9 @@ class WindowedDataset:
 
     def subset(self, indices) -> "WindowedDataset":
         indices = np.asarray(indices, dtype=np.int64)
-        return WindowedDataset(self.inputs[indices], self.labels[indices],
-                               self.is_replay[indices], self.input_width,
-                               self.horizon, self.starts[indices])
+        return WindowedDataset(self.padded[indices][:, :self.input_width],
+                               self.labels[indices], self.is_replay[indices],
+                               self.input_width, self.horizon, self.starts[indices])
 
 
 def zscore_fit(train) -> NormalizationParams:
@@ -160,11 +174,14 @@ def _window_starts(length: int, input_width: int, horizon: int,
 
 def _gather_windows(values, starts, input_width: int,
                     horizon: int) -> WindowedDataset:
-    # two gathers from sliding-window views: no span-wide intermediate
+    # two gathers from sliding-window views: no span-wide intermediate; the
+    # inputs are cut W + 1 wide, and their last column made the ones column
     window_view = np.lib.stride_tricks.sliding_window_view
-    inputs = window_view(values, input_width)[starts]
+    padded = window_view(values, input_width + 1)[starts]
+    padded[:, input_width] = 1.0
     labels = window_view(values[input_width:], horizon)[starts]
-    return WindowedDataset(inputs, labels, None, input_width, horizon, starts)
+    return WindowedDataset(padded[:, :input_width], labels, None, input_width,
+                           horizon, starts)
 
 
 def _series_values(series) -> np.ndarray:

@@ -39,9 +39,6 @@ __all__ = [
 # the rows of GATHER_BATCHES // K batches (at least one) at a time from its
 # source, 8 in a stack of 8, so the buffers stay the same size whatever K
 GATHER_BATCHES = 64
-# rows a run that reads its dataset's own inputs gathers at once into a
-# scratch buffer, before they are copied beside its buffer's ones column
-GATHER_PIECE = 256
 
 
 @dataclass(frozen=True)
@@ -304,7 +301,7 @@ class _Run:
 
     Its training set, in the order :func:`rtune.replay.build_train_set`
     shuffles it, is the rows `rows` of the arrays `inputs` (a source with a
-    ones column, or the dataset's own) and `labels`, which
+    ones column, or the dataset's padded inputs) and `labels`, which
     :func:`_read_in_place` sets; until then `rows` index the fit rows
     followed by the run's own `replay`."""
 
@@ -404,8 +401,8 @@ def _read_in_place(runs):
     one new-task dataset that any of them replays on share one source: its
     fit rows once, then each run's replay rows, with a ones column, the
     hidden bias's input in the training layout. The runs on a dataset that
-    none of them replays on read its own arrays: a source would copy the
-    dataset, so training memory would grow with it."""
+    none of them replays on read its own padded inputs and labels: a source
+    would copy the dataset, so training memory would grow with it."""
     sharing = {}
     for run in runs:
         sharing.setdefault((id(run.data), run.n_fit), []).append(run)
@@ -413,16 +410,13 @@ def _read_in_place(runs):
         data, n_fit = group[0].data, group[0].n_fit
         replays = [run.replay for run in group if run.replay is not None]
         if not replays:
-            # take copies a source that is not contiguous at every call
-            inputs = np.ascontiguousarray(data.inputs)
-            labels = np.ascontiguousarray(data.labels)
             for run in group:
-                run.inputs, run.labels = inputs, labels
+                run.inputs, run.labels = data.padded, data.labels
             continue
         width = data.input_width
         inputs = np.empty((n_fit + sum(map(len, replays)), width + 1))
-        inputs[:n_fit, :width] = data.inputs[:n_fit]
-        inputs[:, width] = 1.0
+        inputs[:n_fit] = data.padded[:n_fit]
+        inputs[n_fit:, width] = 1.0
         labels = np.concatenate([data.labels[:n_fit]]
                                 + [replay.labels for replay in replays])
         offset = n_fit
@@ -524,7 +518,6 @@ def _train_stack(runs, start):
     # zeros, not ones: calloc leaves the pages no gather writes unmapped
     inputs = np.zeros((len(runs), width, geometry.input_width + 1))
     labels = np.zeros((len(runs), width, geometry.horizon))
-    scratch = None
     # what each step of a chunk leaves for the loss, by its batch in the
     # chunk and its run: a kernel's record; the softmax sums start at 1, so
     # the log of a slot no step wrote is finite
@@ -552,9 +545,9 @@ def _train_stack(runs, start):
     orders = [np.empty(size, dtype=np.int64) for size in sizes]
     source_rows = [np.empty(size, dtype=np.int64) for size in sizes]
 
-    # per chunk: its gathers (run, source, source indices, buffer, and
-    # where the buffer is copied to or None), its steps, the record of its
-    # batches with their soft targets, and where _terms puts its row sums
+    # per chunk: its gathers (source, source indices, buffer), its steps,
+    # the record of its batches with their soft targets, and where _terms
+    # puts its row sums
     chunks = {}
     for base in range(0, sizes[0], chunk):
         used = -(-min(chunk, sizes[0] - base) // cfg.batch_size)
@@ -568,28 +561,10 @@ def _train_stack(runs, start):
             rows = slice(base, min(base + chunk, sizes[k]))
             n = rows.stop - base
             gathers = chunks[base][0]
-            if run.inputs.shape[1] == inputs.shape[2]:
-                gathers.append((k, run.inputs, source_rows[k][rows],
-                                inputs[k, :n], None))
-            else:
-                # the dataset's own inputs: the ones column is set here once,
-                # and rows are gathered a piece at a time into `scratch`,
-                # then copied beside it, as take into a view that is not
-                # contiguous goes through a hidden buffer that it first fills
-                if scratch is None:
-                    scratch = np.empty((min(GATHER_PIECE, width),
-                                        geometry.input_width))
-                inputs[k, :n, -1] = 1.0
-                for lo in range(0, n, len(scratch)):
-                    hi = min(lo + len(scratch), n)
-                    gathers.append((k, run.inputs,
-                                    source_rows[k][base + lo:base + hi],
-                                    scratch[:hi - lo], inputs[k, lo:hi, :-1]))
-            gathers.append((k, run.labels, source_rows[k][rows],
-                            labels[k, :n], None))
+            gathers.append((run.inputs, source_rows[k][rows], inputs[k, :n]))
+            gathers.append((run.labels, source_rows[k][rows], labels[k, :n]))
             if p_old is not None:
-                gathers.append((k, run.soft_old, orders[k][rows], p_old[k, :n],
-                                None))
+                gathers.append((run.soft_old, orders[k][rows], p_old[k, :n]))
     kernels = {}
     for first, end, lo, hi in _schedule(sizes, cfg.batch_size):
         # one run's kernel binds views without the run axis, so its products
@@ -617,12 +592,10 @@ def _train_stack(runs, start):
                     run.epoch_seqs[epoch]).permutation(sizes[k])
                 run.rows.take(orders[k], mode="clip", out=source_rows[k])
             for gathers, plan, record, row_sums in chunks.values():
-                for k, source, index, buffer, copy in gathers:
+                for source, index, buffer in gathers:
                     # indices are in range, so "clip" changes none, and it
                     # spares the copy through a buffer that "raise" makes
                     source.take(index, axis=0, mode="clip", out=buffer)
-                    if copy is not None:
-                        np.copyto(copy, buffer)
                 for step, args in plan:
                     step(*args)
                 _terms(*record, row_sums)

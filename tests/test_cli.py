@@ -1100,6 +1100,8 @@ class TestAtomicWrites:
         assert "error: disk full" in capsys.readouterr().err
         assert not list((tmp_path / "runs").rglob("report.json"))
         assert not list((tmp_path / "runs").rglob("model.ckpt"))
+        # nor the seed directory that this run made for them
+        assert not list((tmp_path / "runs").rglob("seed-*"))
         monkeypatch.undo()
         # a clean run still prints the report's path before the checkpoint's
         assert main(["tune", "--config", str(cfg)]) == 0

@@ -5,6 +5,7 @@ import csv
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from rtune.data import (_TIMESTAMP_NAMES, RawSeries, WindowedDataset,
                         read_series_csv, split_indices, split_train_test,
                         windowed_split, zscore_apply, zscore_fit,
                         zscore_invert)
+from rtune.forecaster import init_forecaster
+from rtune.replay import _replay_windows, build_replay_set
 
 
 def periodogram_peak(values, min_period=10, max_period=200):
@@ -127,6 +130,91 @@ class TestWindows:
     def test_geometry_validation(self):
         with pytest.raises(ValueError, match="inputs vs"):
             WindowedDataset(np.zeros((3, 4)), np.zeros((2, 2)))
+
+
+def assert_padded(ds, inputs):
+    """`ds.inputs` equals `inputs` and is the leading columns of its padded
+    storage, C-contiguous with a last column of exactly 1.0; its labels are
+    C-contiguous."""
+    assert np.array_equal(ds.inputs, inputs)
+    assert ds.padded.shape == (len(inputs), inputs.shape[1] + 1)
+    assert ds.padded.flags.c_contiguous and ds.labels.flags.c_contiguous
+    assert np.shares_memory(ds.inputs, ds.padded)
+    assert np.array_equal(ds.padded[:, :-1], inputs)
+    assert np.all(ds.padded[:, -1] == 1.0)
+
+
+class TestLayout:
+    # each construction's inputs sit beside a ones column, and the arrays it
+    # was given are left as they were
+    def test_make_windows(self):
+        series = RawSeries(np.random.default_rng(4).normal(size=50))
+        ds = make_windows(series, 6, 3, stride=2)
+        assert_padded(ds, np.stack([series.values[s:s + 6] for s in ds.starts]))
+        assert np.array_equal(ds.labels, np.stack(
+            [series.values[s + 6:s + 9] for s in ds.starts]))
+        assert np.array_equal(series.values,
+                              np.random.default_rng(4).normal(size=50))
+
+    @pytest.mark.parametrize("few_shot", [None, 0.5])
+    def test_windowed_split(self, few_shot):
+        series = np.random.default_rng(5).normal(2.0, 3.0, size=80)
+        given_series = series.copy()
+        got = windowed_split(series, 6, 3, 1, 0.8, 7, few_shot, 8)
+        want = reference_windowed_split(series, 6, 3, 1, 0.8, 7, few_shot, 8)
+        for side, expected in zip(got, want):
+            assert_padded(side, expected.inputs)
+        assert np.array_equal(series, given_series)
+
+    def test_subset(self):
+        ds = make_windows(np.arange(40.0), 5, 2)
+        padded = ds.padded.copy()
+        sub = ds.subset([7, 2, 30])
+        assert_padded(sub, ds.inputs[[7, 2, 30]])
+        assert np.array_equal(sub.labels, ds.labels[[7, 2, 30]])
+        assert not np.shares_memory(sub.padded, ds.padded)
+        assert np.array_equal(ds.padded, padded)
+
+    def test_non_contiguous_arrays_are_copied(self):
+        rng = np.random.default_rng(6)
+        inputs, labels = rng.normal(size=(12, 9))[::2, 1:6], rng.normal(size=(2, 6)).T
+        given = inputs.copy(), labels.copy()
+        ds = WindowedDataset(inputs, labels)
+        assert_padded(ds, given[0])
+        assert np.array_equal(ds.labels, given[1])
+        assert np.array_equal(inputs, given[0])
+        assert np.array_equal(labels, given[1])
+
+    def test_a_view_beside_ones_is_kept(self):
+        storage = np.ones((4, 6))
+        storage[:, :5] = np.arange(20.0).reshape(4, 5)
+        ds = WindowedDataset(storage[:, :5], np.zeros((4, 2)))
+        assert ds.padded is storage
+        assert_padded(ds, np.arange(20.0).reshape(4, 5))
+
+    def test_replay_forecast_column_is_not_adopted(self):
+        # at H = 1 the replay inputs are a view of an (N, W + 1) array whose
+        # last column is the forecast, not ones
+        replay = build_replay_set(init_forecaster(8, 1, 6, seed=0), 10, 1, 1,
+                                  0.7, 0)
+        sequences = replay.sequences.copy()
+        ds = _replay_windows(replay, 8, 1)
+        assert replay.sequences.shape == (len(replay), 9)
+        assert_padded(ds, sequences[:, :8])
+        assert not np.shares_memory(ds.padded, replay.sequences)
+        assert np.array_equal(replay.sequences, sequences)
+
+    def test_windows_are_cut_without_a_second_copy(self):
+        series = np.random.default_rng(7).normal(size=20000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = make_windows(series, 48, 12)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kept = ds.padded.nbytes + ds.labels.nbytes + ds.starts.nbytes
+        assert peak < kept + 0.5 * ds.inputs.nbytes
 
 
 class TestSplit:

@@ -328,11 +328,9 @@ class TestRTune:
     @pytest.mark.parametrize("method", ["ft", "lwf", "replay-only", "r-tuning"])
     def test_small_gathers_match_per_batch_reference(self, monkeypatch,
                                                      method):
-        # chunks of two batches, and the dataset's own inputs (ft, lwf)
-        # gathered five rows at a time: a chunk past the first, and a last
-        # piece shorter than the others
+        # chunks of two batches: a chunk past the first, and a last chunk
+        # shorter than the others
         monkeypatch.setattr(tuner, "GATHER_BATCHES", 2)
-        monkeypatch.setattr(tuner, "GATHER_PIECE", 5)
         self.test_matches_per_batch_reference(method, 7)
 
     @hyp_settings(max_examples=40, deadline=None)
@@ -903,14 +901,14 @@ class TestMemory:
         # hidden buffer and runs about three times slower; a run's batch is
         # a slice of its gather buffer with the buffer's strides. Runs
         # without replay read a shared source (jobs[0]'s dataset) or, where
-        # no run replays, their dataset's own inputs, which are gathered
-        # into a scratch buffer and copied beside the ones column
+        # no run replays, their dataset's padded inputs, ones column and
+        # all, so every gather is one take and none copies
         jobs = TestLockstep().jobs(7)
         frozen, data, cfg, _ = jobs[0]
         own = small_dataset(n_windows=45, seed=5)
         jobs += [(frozen, data, cfg, "ft"), (frozen, data, cfg, "lwf"),
                  (frozen, own, cfg, "ft"), (frozen, own, cfg, "lwf")]
-        sources, batches, gathered = [], [], []
+        sources, batches, copied = [], [], []
         train, copyto = tuner._train_lockstep, np.copyto
 
         def training(runs):
@@ -927,8 +925,8 @@ class TestMemory:
             return step(*args)
 
         def copy(dst, src, **kwargs):
-            if isinstance(src, np.ndarray) and src.shape[-1] == own.input_width:
-                gathered.append(src)  # a gather's copy, not the accounting's
+            if isinstance(src, np.ndarray):
+                copied.append(src)  # an array's copy, not the accounting's
             return copyto(dst, src, **kwargs)
 
         monkeypatch.setattr(tuner, "_train_lockstep", training)
@@ -936,10 +934,11 @@ class TestMemory:
         monkeypatch.setattr(tuner.np, "copyto", copy)
         r_tune_group(jobs)
         assert len(sources) == 2 * len(jobs) + 6  # six runs distil
-        assert sum(array is own.inputs for array in sources) == 2
+        assert sum(array is own.padded for array in sources) == 2
+        assert sum(array is own.labels for array in sources) == 2
         assert all(array.flags.c_contiguous for array in sources)
         assert batches and all(array.flags.c_contiguous for array in batches)
-        assert gathered and all(array.flags.c_contiguous for array in gathered)
+        assert not copied
 
 
 class TestVanillaFt:
