@@ -3,14 +3,16 @@ synthetic replay and temperature-scaled distillation."""
 
 from .benchmark import desk_config, prepare_benchmark, run_arm
 from .data import (gen_benchmark_tasks, make_windows, read_series_csv,
-                   split_train_test, zscore_apply, zscore_fit, zscore_invert)
+                   zscore_apply, zscore_fit, zscore_invert)
 from .forecaster import (Forecaster, init_forecaster, load_checkpoint,
-                         save_checkpoint, soften, soften_jacobian)
+                         save_checkpoint)
 from .metrics import evaluate_model, mae, mse, relative_change
-from .replay import build_replay_set, build_train_set, sample_latents
-from .tuner import (METHODS, TuneConfig, TuneReport, distill_loss,
-                    method_config, r_tune, r_tune_group, task_loss,
-                    total_loss)
+from .reference import (build_train_set, distill_loss, soften,
+                        soften_jacobian, split_train_test, task_loss,
+                        total_loss)
+from .replay import build_replay_set, sample_latents
+from .tuner import (METHODS, TuneConfig, TuneReport, method_config, r_tune,
+                    r_tune_group)
 from .wavelet import FilterBank, build_db4_bank, rwt_decompose, rwt_reconstruct
 
 __version__ = "0.1.0"

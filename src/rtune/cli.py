@@ -545,13 +545,31 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _is_report(doc) -> bool:
+    """A run report as `report` reads it: a string method, and old and new
+    metrics objects with a number for each of mae, mse and n_samples."""
+    return (isinstance(doc, dict) and isinstance(doc.get("method"), str)
+            and all(isinstance(doc.get(side), dict)
+                    and all(_real(doc[side].get(key))
+                            for key in ("mae", "mse", "n_samples"))
+                    for side in ("old_metrics", "new_metrics")))
+
+
 def _collect_reports(paths):
     reports = []
     for root in paths:
         root = Path(root)
+        if not root.exists():
+            raise ValueError(f"{root}: no such file or directory")
         candidates = [root] if root.is_file() else sorted(root.rglob("report.json"))
         for p in candidates:
-            reports.append(_load_json(p))
+            doc = _load_json(p)
+            if not _is_report(doc):
+                raise ValueError(
+                    f"{p}: not a run report (needs a string method and "
+                    f"old_metrics and new_metrics objects holding mae, mse "
+                    f"and n_samples)")
+            reports.append(doc)
     if not reports:
         raise ValueError("no report.json files found under the given paths")
     return reports

@@ -25,11 +25,6 @@ __all__ = [
     "zscore_invert",
     "make_windows",
     "split_indices",
-    "split_train_test",
-    "few_shot_subsample",
-    "normalize_windows",
-    "concat_windows",
-    "permute_windows",
     "covered_values",
     "windowed_split",
     "gen_benchmark_tasks",
@@ -215,13 +210,6 @@ def split_indices(n: int, train_fraction: float, seed: int):
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def split_train_test(windows: WindowedDataset, train_fraction: float = 0.8,
-                     seed: int = 0):
-    """Random split at window granularity; exact and disjoint."""
-    train_idx, test_idx = split_indices(len(windows), train_fraction, seed)
-    return windows.subset(train_idx), windows.subset(test_idx)
-
-
 def _few_shot_indices(n: int, fraction: float, seed: int) -> np.ndarray:
     """Sorted indices of a seeded uniform sample of range(n) without
     replacement, round(fraction * n) of them."""
@@ -232,33 +220,6 @@ def _few_shot_indices(n: int, fraction: float, seed: int) -> np.ndarray:
         raise ValueError(f"subsampling {n} windows at {fraction} selects nothing")
     return np.sort(np.random.default_rng(seed).choice(n, size=n_keep,
                                                       replace=False))
-
-
-def few_shot_subsample(train: WindowedDataset, fraction: float = 0.10,
-                       seed: int = 0) -> WindowedDataset:
-    """Seeded uniform subsample without replacement; the remainder is discarded."""
-    return train.subset(_few_shot_indices(len(train), fraction, seed))
-
-
-def normalize_windows(ds: WindowedDataset, params: NormalizationParams) -> WindowedDataset:
-    return WindowedDataset(zscore_apply(ds.inputs, params),
-                           zscore_apply(ds.labels, params),
-                           ds.is_replay.copy(), ds.input_width, ds.horizon,
-                           ds.starts.copy())
-
-
-def concat_windows(a: WindowedDataset, b: WindowedDataset) -> WindowedDataset:
-    if a.geometry != b.geometry:
-        raise ValueError(f"window geometry mismatch: {a.geometry} vs {b.geometry}")
-    return WindowedDataset(np.concatenate([a.inputs, b.inputs]),
-                           np.concatenate([a.labels, b.labels]),
-                           np.concatenate([a.is_replay, b.is_replay]),
-                           a.input_width, a.horizon,
-                           np.concatenate([a.starts, b.starts]))
-
-
-def permute_windows(ds: WindowedDataset, seed: int) -> WindowedDataset:
-    return ds.subset(np.random.default_rng(seed).permutation(len(ds)))
 
 
 def covered_values(series, starts, span: int) -> np.ndarray:
@@ -286,9 +247,10 @@ def windowed_split(series, input_width: int, horizon: int, stride: int,
     elementwise) without building the full window matrix.
 
     With a `few_shot_fraction`, the training side is
-    ``few_shot_subsample(train, few_shot_fraction, few_shot_seed)``: the
-    sample is drawn over the training starts and only its windows are cut,
-    while normalization is still fit on every training window.
+    ``rtune.reference.few_shot_subsample(train, few_shot_fraction,
+    few_shot_seed)``: the sample is drawn over the training starts and only
+    its windows are cut, while normalization is still fit on every training
+    window.
 
     Returns:
         (train WindowedDataset, test WindowedDataset)

@@ -1,14 +1,14 @@
-"""Small trainable forecaster plus the temperature-softmax pieces used by distillation.
+"""Small trainable forecaster, its training step kernel and checkpoints.
 
 One hidden layer (tanh) mapping an input window of width W to an H-step
 forecast; parameters live in one flat float64 vector so gradient checks and
 checkpointing stay simple. The H forecast entries double as the logit vector
-for distillation.
+for distillation. The slow reference forms of the objective and its
+gradient, which the kernel is tested against, are in :mod:`rtune.reference`.
 """
 
 import base64
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +17,7 @@ from .data import atomic_target
 
 __all__ = [
     "Forecaster",
-    "SoftenedDistribution",
     "init_forecaster",
-    "soften",
-    "soften_jacobian",
-    "grad_total",
-    "value_and_grad",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -33,22 +28,6 @@ CHECKPOINT_VERSION = 1
 
 def theta_size(input_width: int, hidden_width: int, horizon: int) -> int:
     return input_width * hidden_width + hidden_width + hidden_width * horizon + horizon
-
-
-def _blocks(stack, model):
-    """(vectors, hidden weights, hidden bias, output weights, output bias) of
-    a (..., P) stack of vectors laid out like `model.theta`, the rest as
-    (..., hidden, W), (..., 1, hidden), (..., H, hidden) and (..., 1, H)
-    views into `stack`; the biases keep a row axis so they broadcast over a
-    batch."""
-    w, h, hid = model.input_width, model.horizon, model.hidden_width
-    lead = stack.shape[:-1]
-    i = 0
-    w1 = stack[..., i:i + hid * w].reshape(lead + (hid, w)); i += hid * w
-    b1 = stack[..., i:i + hid].reshape(lead + (1, hid)); i += hid
-    w2 = stack[..., i:i + h * hid].reshape(lead + (h, hid)); i += h * hid
-    b2 = stack[..., i:i + h].reshape(lead + (1, h))
-    return stack, w1, b1, w2, b2
 
 
 def _training_order(model):
@@ -114,9 +93,15 @@ class Forecaster:
             raise ValueError("theta contains non-finite values")
 
     def _unpack(self):
-        """Hidden weights, hidden bias, output weights and output bias; the
-        biases as (1, hidden) and (1, H) rows."""
-        return _blocks(self.theta, self)[1:]
+        """Hidden weights (hidden, W), hidden bias, output weights (H,
+        hidden) and output bias as views into theta; the biases as
+        (1, hidden) and (1, H) rows, so they broadcast over a batch."""
+        w, h, hid = self.input_width, self.horizon, self.hidden_width
+        i, j = hid * w, hid * (w + 1)
+        k = j + h * hid
+        t = self.theta
+        return (t[:i].reshape(hid, w), t[i:j].reshape(1, hid),
+                t[j:k].reshape(h, hid), t[k:].reshape(1, h))
 
     def forward(self, x) -> np.ndarray:
         """Forecast H steps from one input window of length W."""
@@ -162,174 +147,12 @@ def init_forecaster(input_width: int, horizon: int, hidden_width: int = 32,
     return Forecaster(input_width, horizon, hidden_width, np.concatenate(parts))
 
 
-@dataclass(frozen=True)
-class SoftenedDistribution:
-    probs: np.ndarray
-    temperature: float
-
-
 def _soften_rows(logits: np.ndarray, tau: float) -> np.ndarray:
     # max-subtraction keeps exp() in range for arbitrarily large logits
     z = logits / tau
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _cross_entropy(p_old: np.ndarray, logits: np.ndarray, tau: float) -> float:
-    # batch-mean cross-entropy of softened `logits` against `p_old`, via the
-    # log-softmax directly so saturated entries cannot produce log(0)
-    z = logits / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    log_p_new = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return float(-(p_old * log_p_new).sum(axis=-1).mean())
-
-
-def soften(logits, tau: float) -> SoftenedDistribution:
-    """Temperature-scaled softmax of a logit vector.
-
-    probs[j] = exp(logits[j]/tau) / sum_k exp(logits[k]/tau), computed with
-    max-subtraction so huge logits cannot overflow.
-    """
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("logits contain non-finite values")
-    return SoftenedDistribution(probs=_soften_rows(logits, tau), temperature=tau)
-
-
-def soften_jacobian(logits, tau: float) -> np.ndarray:
-    """Jacobian of :func:`soften` wrt the logits.
-
-    Entry (j, m) is p[j] * (delta_jm - p[m]) / tau; rows sum to zero because
-    the probabilities are constrained to sum to one.
-    """
-    p = soften(logits, tau).probs
-    return (np.diag(p) - np.outer(p, p)) / tau
-
-
-def grad_total(m_new: Forecaster, m_old: Forecaster, inputs, labels,
-               tau: float, distill_weight: float, reg_weight: float) -> np.ndarray:
-    """Analytic gradient of the combined objective wrt m_new.theta.
-
-    The objective is the batch-mean squared forecast error, plus
-    distill_weight times the batch-mean cross-entropy between the softened
-    outputs of m_old (held constant) and m_new, plus reg_weight times
-    ||theta||^2.
-
-    Args:
-        m_new: model being adapted; gradient is taken wrt its parameters.
-        m_old: frozen reference model, same geometry.
-        inputs: (n, W) batch of input windows.
-        labels: (n, H) batch of forecast targets.
-        tau: softmax temperature, > 0.
-        distill_weight: weight on the distillation term.
-        reg_weight: weight on the L2 parameter penalty.
-
-    Returns:
-        Flat gradient vector, same shape as m_new.theta.
-    """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if inputs.ndim != 2 or labels.ndim != 2 or inputs.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"inconsistent batch shapes {inputs.shape} vs {labels.shape}"
-        )
-    n = inputs.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-    if labels.shape[1] != m_new.horizon:
-        raise ValueError(
-            f"labels have horizon {labels.shape[1]}, model has {m_new.horizon}"
-        )
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    if (m_old.input_width, m_old.horizon) != (m_new.input_width, m_new.horizon):
-        raise ValueError("old and new models disagree on window geometry")
-
-    w1, b1, w2, b2 = m_new._unpack()
-    pre_hidden = inputs @ w1.T + b1
-    hidden = np.tanh(pre_hidden)
-    outputs = hidden @ w2.T + b2
-
-    # d(mean task loss)/d(outputs); per-sample loss is the squared L2 residual
-    d_out = 2.0 * (outputs - labels) / n
-    if distill_weight != 0.0:
-        p_new = _soften_rows(outputs, tau)
-        p_old = _soften_rows(m_old.forward_batch(inputs), tau)
-        d_out = d_out + distill_weight * (p_new - p_old) / (tau * n)
-
-    if not np.all(np.isfinite(d_out)):
-        raise FloatingPointError("non-finite intermediate in gradient computation")
-
-    d_w2 = d_out.T @ hidden
-    d_b2 = d_out.sum(axis=0)
-    d_hidden = d_out @ w2
-    d_pre = d_hidden * (1.0 - hidden ** 2)
-    d_w1 = d_pre.T @ inputs
-    d_b1 = d_pre.sum(axis=0)
-
-    grad = np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
-    if reg_weight != 0.0:
-        grad = grad + 2.0 * reg_weight * m_new.theta
-    return grad
-
-
-def value_and_grad(m_new: Forecaster, inputs, labels, p_old, tau: float,
-                   distill_weight: float, reg_weight: float):
-    """The combined objective and its gradient wrt m_new.theta from one
-    forward pass.
-
-    Computes what :func:`rtune.tuner.batch_objective` and :func:`grad_total`
-    compute together, with the frozen model's softened outputs passed in
-    instead of recomputed, since they do not change while m_new trains. Its
-    gradient is that of the training step at learning rate 1, taken on a
-    copy of theta, plus the L2 term 2 * reg_weight * theta, which training
-    folds into its update instead: the oracle that tests hold the kernel
-    to.
-
-    Args:
-        m_new: model being adapted.
-        inputs: (n, W) batch of input windows.
-        labels: (n, H) batch of forecast targets.
-        p_old: (n, H) softened frozen-model outputs on `inputs` at
-            temperature `tau`; unused (may be None) when distill_weight is 0.
-        tau: softmax temperature, > 0.
-        distill_weight: weight on the distillation term.
-        reg_weight: weight on the L2 parameter penalty.
-
-    Returns:
-        (loss, flat gradient vector shaped like m_new.theta)
-
-    Raises:
-        RuntimeError: the loss is non-finite (training diverged).
-    """
-    n = inputs.shape[0]
-    if n == 0 or labels.shape != (n, m_new.horizon):
-        raise ValueError(
-            f"inconsistent batch shapes {inputs.shape} vs {labels.shape}"
-        )
-    order = _training_order(m_new)
-    theta = m_new.theta[order]
-    grad = np.empty_like(theta)
-    # the record of one step of one run, and its rows' sums of each term
-    slots = 1 if distill_weight == 0.0 else 2
-    terms, norms = np.empty((slots, 1, 1, n, m_new.horizon)), np.empty((1, 1))
-    sums, row_sums = np.empty((1, 1, n, 1)), np.empty((slots, 1, 1, n))
-    x = np.hstack([inputs, np.ones((n, 1))])
-    _kernel(theta.copy(), grad, m_new, n, tau, distill_weight, 1.0, 0.0)(
-        x, x.T, labels, p_old, terms[:, 0, 0], sums[0, 0], norms)
-    _terms(terms, sums, p_old, row_sums)
-    loss = float(_losses(row_sums, norms, np.full((1, 1), n), [],
-                         distill_weight, reg_weight)[0, 0])
-    if not math.isfinite(loss):
-        raise RuntimeError(f"non-finite loss {loss!r}")
-    if reg_weight != 0.0:
-        grad += 2.0 * reg_weight * theta
-    out = np.empty_like(grad)
-    out[order] = grad
-    return loss, out
 
 
 def _workspace(lead, n, model):
@@ -421,7 +244,8 @@ def _kernel(theta, grad, model, n, tau, distill_weight, rate, reg_weight):
         multiply(subtract(out, y, terms[0]), scale, d_out)
         if distill_weight != 0.0:
             # the softmax of _soften_rows, with its arithmetic; its shifted
-            # logits and exp sums serve the log-softmax of _cross_entropy
+            # logits and exp sums serve the log-softmax of the reference
+            # cross-entropy
             z = divide(out, temperature, terms[1])
             most(z, -1, None, col, True)
             subtract(z, col, z)
@@ -447,10 +271,11 @@ def _kernel(theta, grad, model, n, tau, distill_weight, rate, reg_weight):
 
 def _terms(terms, sums, p_old, row_sums):
     """Sum each row's loss terms of a record a :func:`_kernel` step wrote
-    into `row_sums`, with the arithmetic of task_loss and _cross_entropy: its
-    squared residuals and, if `terms` holds a second slot, its
-    cross-entropy terms, p_old times the log-softmax, the shifted logits
-    less the log of `sums` (formed in place). Each row is one product-sum
+    into `row_sums`, with the arithmetic of :mod:`rtune.reference`'s
+    task_loss and _cross_entropy: its squared residuals and, if `terms`
+    holds a second slot, its cross-entropy terms, p_old times the
+    log-softmax, the shifted logits less the log of `sums` (formed in
+    place). Each row is one product-sum
     by np.einsum, which gives a row the same bits wherever it sits, so the
     rows of an epoch can be added up in an order that does not depend on
     the batches they fell into. Slots no step wrote get whatever their
@@ -464,8 +289,8 @@ def _terms(terms, sums, p_old, row_sums):
 
 def _losses(row_sums, norms, rows, partial, distill_weight, reg_weight):
     """The losses of S batches of steps of K runs, each with the bits of the
-    same step's loss taken alone, as batch_objective adds it up: task, +
-    distillation, + L2.
+    same step's loss taken alone, as :func:`rtune.reference.batch_objective`
+    adds it up: task, + distillation, + L2.
 
     `row_sums` (terms, S, K, b) are each row's sums of its loss terms, as
     :func:`_terms` forms them, and `norms` (S, K) each step's squared

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (WindowedDataset, atomic_target, concat_windows,
-                   permute_windows)
+from .data import atomic_target
 from .forecaster import Forecaster
 from .wavelet import _roll_into, rwt_decompose, rwt_reconstruct
 
@@ -21,7 +20,6 @@ __all__ = [
     "ReplaySet",
     "sample_latents",
     "build_replay_set",
-    "build_train_set",
     "replay_count_for_fraction",
     "replay_to_csv",
 ]
@@ -169,34 +167,6 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
                   "alpha": alpha, "seed": seed}
     return ReplaySet(sequences=sequences, labels=labels.reshape(-1, h),
                      tags=np.tile(tags, n), provenance=provenance)
-
-
-def _replay_windows(replay: ReplaySet, input_width: int, horizon: int) -> WindowedDataset:
-    span = input_width + horizon
-    if replay.sequences.shape[1] != span:
-        raise ValueError(
-            f"replay geometry mismatch: sequences must have length {span}"
-        )
-    if replay.labels.shape[1] != horizon:
-        raise ValueError(
-            f"replay horizon {replay.labels.shape[1]} does not match {horizon}"
-        )
-    return WindowedDataset(replay.sequences[:, :input_width], replay.labels,
-                           np.ones(len(replay), dtype=bool), input_width, horizon)
-
-
-def build_train_set(new_data: WindowedDataset, replay: ReplaySet,
-                    seed: int = 0) -> WindowedDataset:
-    """Union of new-task windows and replay rows, in seeded shuffled order.
-
-    New samples keep their ground-truth labels and "new" origin; replay
-    rows carry their pseudo-labels and "replay" origin.
-    """
-    if len(replay) == 0:
-        return permute_windows(new_data, seed)
-    combined = concat_windows(
-        new_data, _replay_windows(replay, new_data.input_width, new_data.horizon))
-    return permute_windows(combined, seed)
 
 
 def replay_count_for_fraction(fraction_percent: float, n_new: int, k: int) -> int:

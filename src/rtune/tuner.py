@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import WindowedDataset
-from .forecaster import (Forecaster, _cross_entropy, _kernel, _losses,
-                         _soften_rows, _terms, _training_order)
+from .forecaster import (Forecaster, _kernel, _losses, _soften_rows, _terms,
+                         _training_order)
 from .metrics import MetricPair, mae
 from .replay import build_replay_set
 
@@ -25,10 +25,6 @@ __all__ = [
     "TuneConfig",
     "TuneReport",
     "method_config",
-    "distill_loss",
-    "task_loss",
-    "total_loss",
-    "batch_objective",
     "r_tune",
     "r_tune_group",
     "lockstep_key",
@@ -163,49 +159,6 @@ class TuneReport:
         return doc
 
 
-def distill_loss(y_old, y_new, tau: float) -> float:
-    """Cross-entropy between the softened old and new logit vectors."""
-    y_old = np.asarray(y_old, dtype=np.float64)
-    y_new = np.asarray(y_new, dtype=np.float64)
-    if y_old.shape != y_new.shape:
-        raise ValueError(f"logit shape mismatch: {y_old.shape} vs {y_new.shape}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return _cross_entropy(_soften_rows(y_old, tau), y_new, tau)
-
-
-def task_loss(preds, labels) -> float:
-    """Mean over samples of the squared L2 residual norm."""
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if preds.shape != labels.shape:
-        raise ValueError(f"shape mismatch: {preds.shape} vs {labels.shape}")
-    return float(((preds - labels) ** 2).sum(axis=-1).mean())
-
-
-def total_loss(task: float, output: float, theta_norm_sq: float,
-               distill_weight: float, reg_weight: float) -> float:
-    return task + distill_weight * output + reg_weight * theta_norm_sq
-
-
-def batch_objective(m_new: Forecaster, m_old: Forecaster, inputs, labels,
-                    tau: float, distill_weight: float, reg_weight: float) -> float:
-    """The scalar objective whose gradient :func:`rtune.forecaster.grad_total`
-    computes; the reference that the finite-difference tests and
-    :func:`rtune.forecaster.value_and_grad` (the training step at learning
-    rate 1 with the L2 gradient added) are checked against, to 1e-12: the
-    step adds both biases inside matrix products and sums each row's terms
-    with np.einsum, then each step's rows, so the bits differ."""
-    preds = m_new.forward_batch(inputs)
-    task = task_loss(preds, labels)
-    if distill_weight != 0.0:
-        output = distill_loss(m_old.forward_batch(inputs), preds, tau)
-    else:
-        output = 0.0
-    return total_loss(task, output, float(m_new.theta @ m_new.theta),
-                      distill_weight, reg_weight)
-
-
 def _epoch_seeds(seed: int, epochs: int):
     # independent child streams: replay latents, train-set shuffle, one per epoch
     children = np.random.SeedSequence(seed).spawn(2 + epochs)
@@ -299,7 +252,7 @@ class _Run:
     """One job of :func:`r_tune_group`: its rows, frozen baseline and the
     state of its checkpoint selection.
 
-    Its training set, in the order :func:`rtune.replay.build_train_set`
+    Its training set, in the order :func:`rtune.reference.build_train_set`
     shuffles it, is the rows `rows` of the arrays `inputs` (a source with a
     ones column, or the dataset's padded inputs) and `labels`, which
     :func:`_read_in_place` sets; until then `rows` index the fit rows

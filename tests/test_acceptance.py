@@ -13,10 +13,11 @@ import pytest
 
 from rtune.benchmark import desk_config, prepare_benchmark, run_arm_jobs
 from rtune.cli import main as cli_main
-from rtune.forecaster import (Forecaster, grad_total, init_forecaster, soften,
-                              soften_jacobian)
+from rtune.forecaster import Forecaster, init_forecaster
+from rtune.reference import (batch_objective, distill_loss, grad_total,
+                             soften, soften_jacobian)
 from rtune.replay import replay_count_for_fraction
-from rtune.tuner import batch_objective, distill_loss, r_tune
+from rtune.tuner import r_tune
 from rtune.wavelet import build_db4_bank, rwt_decompose, rwt_reconstruct
 
 SEEDS = (0, 1, 2, 3, 4)

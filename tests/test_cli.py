@@ -835,8 +835,7 @@ class TestSweep:
             if seed != 1:
                 return setup, old_tests
             frozen = setup.frozen.clone()
-            _, w1, _, w2, _ = rtune.forecaster._blocks(frozen.theta,
-                                                       frozen)[:5]
+            w1, _, w2, _ = frozen._unpack()
             w1 *= 1e-160
             w2 *= 1e150
             train = WindowedDataset(1e160 * setup.new_train.inputs,
@@ -1017,6 +1016,28 @@ class TestEvalAndReport:
         cfg = bench_config(method="ft")
         assert main(["tune", "--config", str(cfg)]) == 0
         assert main(["report", str(tmp_path / "runs")]) == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"x": 1},
+        [1, 2],
+        {"method": "ft", "old_metrics": {"mae": 1.0, "mse": 1.0},
+         "new_metrics": {"mae": 1.0, "mse": 1.0, "n_samples": 3}},
+    ])
+    def test_report_of_another_shape_names_file(self, tmp_path, capsys, doc):
+        report = tmp_path / "runs" / "seed-0" / "report.json"
+        report.parent.mkdir(parents=True)
+        report.write_text(json.dumps(doc))
+        assert main(["report", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {report}: not a run report (needs a string method and "
+            f"old_metrics and new_metrics objects holding mae, mse and "
+            f"n_samples)\n")
+
+    def test_report_names_missing_path(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-runs"
+        assert main(["report", str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {missing}: no such file or directory\n")
 
 
 class TestAtomicWrites:

@@ -13,13 +13,13 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 import rtune.data
 from rtune.data import (_TIMESTAMP_NAMES, RawSeries, WindowedDataset,
-                        covered_values, few_shot_subsample,
-                        gen_benchmark_tasks, make_windows, normalize_windows,
-                        read_series_csv, split_indices, split_train_test,
-                        windowed_split, zscore_apply, zscore_fit,
-                        zscore_invert)
+                        covered_values, gen_benchmark_tasks, make_windows,
+                        read_series_csv, split_indices, windowed_split,
+                        zscore_apply, zscore_fit, zscore_invert)
 from rtune.forecaster import init_forecaster
-from rtune.replay import _replay_windows, build_replay_set
+from rtune.reference import (_replay_windows, few_shot_subsample,
+                             normalize_windows, split_train_test)
+from rtune.replay import build_replay_set
 
 
 def periodogram_peak(values, min_period=10, max_period=200):

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from rtune import replay
 from rtune.data import make_windows
-from rtune.forecaster import Forecaster, grad_total, init_forecaster, theta_size
-from rtune.replay import (ReplaySet, build_replay_set, build_train_set,
+from rtune.forecaster import Forecaster, init_forecaster, theta_size
+from rtune.reference import build_train_set, grad_total
+from rtune.replay import (ReplaySet, build_replay_set,
                           replay_count_for_fraction, replay_to_csv,
                           sample_latents)
 from rtune.wavelet import rwt_decompose, rwt_reconstruct
@@ -312,7 +313,15 @@ class TestExpandVariants:
         rs = build_replay_set(frozen, 2, levels=2, k=2, alpha=0.7, seed=0)
         assert list(rs.tags) == ["full_spectrum", "filtered(1)", "filtered(2)"] * 2
         assert rs.sequences.shape == (6, 12)
-        assert np.array_equal(rs.labels, frozen.forward_batch(rs.sequences[:, :8]))
+        # with build_replay_set's call shapes: the 2 contexts in one pass,
+        # the 4 filtered rows in another; a product's bits may depend on
+        # its row count
+        inputs = rs.sequences[:, :8].reshape(2, 3, 8)
+        expected = np.empty((2, 3, 4))
+        expected[:, 0] = frozen.forward_batch(inputs[:, 0].copy())
+        expected[:, 1:] = frozen.forward_batch(
+            inputs[:, 1:].reshape(4, 8)).reshape(2, 2, 4)
+        assert np.array_equal(rs.labels, expected.reshape(6, 4))
         for seq, label in zip(rs.sequences, rs.labels):
             assert np.max(np.abs(label - frozen.forward(seq[:8]))) < 1e-12
 

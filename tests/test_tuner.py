@@ -15,15 +15,15 @@ from hypothesis import (assume, given, settings as hyp_settings,
 from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
                              run_arm, run_arm_jobs)
 from rtune.cli import build_parser, load_run_config
-from rtune.data import WindowedDataset, make_windows, permute_windows
-from rtune import forecaster, tuner
-from rtune.forecaster import (Forecaster, _soften_rows, grad_total,
-                              init_forecaster, soften, value_and_grad)
+from rtune.data import WindowedDataset, make_windows
+from rtune import tuner
+from rtune.forecaster import Forecaster, _soften_rows, init_forecaster
 from rtune.metrics import evaluate_model, mae
-from rtune.replay import build_replay_set, build_train_set
+from rtune.reference import (build_train_set, distill_loss, grad_total,
+                             permute_windows, soften, task_loss, total_loss)
+from rtune.replay import build_replay_set
 from rtune.tuner import (METHODS, TuneConfig, _epoch_seeds, _schedule,
-                         distill_loss, method_config, r_tune, r_tune_group,
-                         task_loss, total_loss)
+                         method_config, r_tune, r_tune_group)
 
 
 def small_dataset(n_windows=40, w=8, h=4, seed=0):
@@ -660,12 +660,10 @@ class TestLockstep:
         the hidden-weight gradient, the residuals through the output
         weights times the inputs, passes 1e400 at any learning rate."""
         frozen, data, cfg, method = job
-        theta = frozen.theta.copy()
-        _, w1, _, w2, _ = forecaster._blocks(theta[None], frozen)[:5]
+        frozen = frozen.clone()
+        w1, _, w2, _ = frozen._unpack()
         w1 *= 1e-160
         w2 *= 1e150
-        frozen = Forecaster(frozen.input_width, frozen.horizon,
-                            frozen.hidden_width, theta)
         return (frozen, WindowedDataset(1e160 * data.inputs, data.labels),
                 replace(cfg, replay_n=0), method)
 
@@ -682,11 +680,14 @@ class TestLockstep:
         frozen, data, cfg, _ = jobs[2]
         # on any batch of the run, the first step's loss is finite and its
         # gradient, so its update, is not
+        theta, _ = training_layout(frozen)
+        x = np.column_stack([data.inputs[:7], np.ones(7)])
         with np.errstate(all="ignore"):
-            loss, grad = value_and_grad(frozen, data.inputs[:7],
-                                        data.labels[:7], None, cfg.tau, 0.0,
-                                        cfg.reg_weight)
-        assert np.isfinite(loss) and not np.isfinite(grad).all()
+            task, _, norm, updated = lean_step(
+                theta, x, data.labels[:7], None,
+                replace(cfg, distill_weight=0.0), frozen)
+            loss = task.sum() / 7 + cfg.reg_weight * norm
+        assert np.isfinite(loss) and not np.isfinite(updated).all()
         outcomes = r_tune_group(jobs)
         with pytest.raises(RuntimeError) as info:
             r_tune(*jobs[2])
