@@ -7,11 +7,13 @@ under reruns so results can be reproduced exactly from any echo.
 """
 
 import argparse
+import contextlib
 import copy
 import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -182,6 +184,16 @@ def _check_tune_fields(cfg: dict, names: dict) -> None:
         raise ValueError(f"{names[key]} {rest}") from None
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix `path` to a ValueError raised inside: an error about a
+    series' content names its file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _pick_series(path, column):
     series_list = read_series_csv(path)
     if column is None:
@@ -196,9 +208,10 @@ def _windowed_eval_set(path, column, cfg):
     """Old-task CSVs are evaluation data: windowed in full, normalized on
     themselves (their training data is inaccessible by premise)."""
     series = _pick_series(path, column)
-    normalized = zscore_apply(series.values, zscore_fit(series.values))
-    return make_windows(normalized, cfg["input_width"], cfg["horizon"],
-                        cfg["stride"])
+    with _naming(path):
+        normalized = zscore_apply(series.values, zscore_fit(series.values))
+        return make_windows(normalized, cfg["input_width"], cfg["horizon"],
+                            cfg["stride"])
 
 
 def _shared_inputs(cfg: dict):
@@ -228,10 +241,11 @@ def _prepare_csv_setup(cfg: dict, seed: int, shared):
     sub = np.random.SeedSequence(seed).spawn(2)
     split_seed, shot_seed = (int(s.generate_state(1)[0]) for s in sub)
     shot_fraction = cfg["few_shot_fraction"]
-    new_train, new_test = windowed_split(
-        new_series, cfg["input_width"], cfg["horizon"], cfg["stride"],
-        cfg["train_fraction"], split_seed,
-        shot_fraction if shot_fraction < 1.0 else None, shot_seed)
+    with _naming(cfg["new_data"]):
+        new_train, new_test = windowed_split(
+            new_series, cfg["input_width"], cfg["horizon"], cfg["stride"],
+            cfg["train_fraction"], split_seed,
+            shot_fraction if shot_fraction < 1.0 else None, shot_seed)
     if not old_tests:
         old_tests = [new_test]  # degenerate fallback so evaluation is defined
     setup = BenchmarkSetup(seed=seed, frozen=frozen, old_test=old_tests[0],
@@ -467,7 +481,8 @@ def _check_wavelet_flags(args, bands_flag, bands) -> None:
 def cmd_decompose(args) -> int:
     _check_wavelet_flags(args, "--keep", args.keep)
     series = _pick_series(args.input, args.column)
-    decomp = rwt_decompose(series.values, args.levels)
+    with _naming(args.input):
+        decomp = rwt_decompose(series.values, args.levels)
     keep = args.keep if args.keep is not None else args.levels
     filtered = rwt_reconstruct(decomp, alpha=args.alpha, keep_levels=keep)
 
@@ -556,13 +571,18 @@ def _is_report(doc) -> bool:
 
 
 def _collect_reports(paths):
-    reports = []
+    """The run reports under `paths`, each once however many paths reach
+    it."""
+    reports, seen = [], set()
     for root in paths:
         root = Path(root)
         if not root.exists():
             raise ValueError(f"{root}: no such file or directory")
         candidates = [root] if root.is_file() else sorted(root.rglob("report.json"))
         for p in candidates:
+            if p.resolve() in seen:
+                continue
+            seen.add(p.resolve())
             doc = _load_json(p)
             if not _is_report(doc):
                 raise ValueError(
@@ -590,6 +610,8 @@ def _pool(metrics):
 
 
 def cmd_report(args) -> int:
+    _check("--display-scale", args.display_scale,
+           ("finite and positive", lambda v: math.isfinite(v) and v > 0))
     reports = _collect_reports(args.runs)
     by_method = {}
     for rep in reports:

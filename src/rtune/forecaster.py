@@ -275,11 +275,9 @@ def _terms(terms, sums, p_old, row_sums):
     task_loss and _cross_entropy: its squared residuals and, if `terms`
     holds a second slot, its cross-entropy terms, p_old times the
     log-softmax, the shifted logits less the log of `sums` (formed in
-    place). Each row is one product-sum
-    by np.einsum, which gives a row the same bits wherever it sits, so the
-    rows of an epoch can be added up in an order that does not depend on
-    the batches they fell into. Slots no step wrote get whatever their
-    stale terms sum to."""
+    place). Each row is one product-sum by np.einsum, which gives a row the
+    same bits wherever it sits, so a run's row sums in a stack are those it
+    has alone. Slots no step wrote get whatever their stale terms sum to."""
     np.einsum("...h,...h->...", terms[0], terms[0], out=row_sums[0])
     if len(terms) > 1:
         z = terms[1]
@@ -287,7 +285,7 @@ def _terms(terms, sums, p_old, row_sums):
         np.einsum("...h,...h->...", p_old, z, out=row_sums[1])
 
 
-def _losses(row_sums, norms, rows, partial, distill_weight, reg_weight):
+def _losses(row_sums, norms, rows, distill_weight, reg_weight):
     """The losses of S batches of steps of K runs, each with the bits of the
     same step's loss taken alone, as :func:`rtune.reference.batch_objective`
     adds it up: task, + distillation, + L2.
@@ -295,16 +293,17 @@ def _losses(row_sums, norms, rows, partial, distill_weight, reg_weight):
     `row_sums` (terms, S, K, b) are each row's sums of its loss terms, as
     :func:`_terms` forms them, and `norms` (S, K) each step's squared
     norm. `rows` (S, K) is the row count of each step, 0 where a run took
-    none; `partial` lists the (batch, run, rows) of steps on fewer than b
-    rows. Each step's row sums are added in one pairwise pass, a partial
-    step's over its n rows. The sum divided by the row count is the batch
-    mean, and the cross-entropy is minus the sum of the products.
+    none. Each step's row sums are added in one pairwise pass, a partial
+    step's (0 < rows < b) over its own rows. The sum divided by the row
+    count is the batch mean, and the cross-entropy is minus the sum of the
+    products.
 
     Returns:
         The (S, K) losses, 0 where a run took no step.
     """
     step_sums = np.add.reduce(row_sums, axis=-1)
-    for s, k, n in partial:
+    for s, k in zip(*np.nonzero((rows > 0) & (rows < row_sums.shape[-1]))):
+        n = int(rows[s, k])
         step_sums[:, s, k] = np.add.reduce(row_sums[:, s, k, :n], axis=-1)
     # silent, as the same arithmetic on Python floats is
     with np.errstate(all="ignore"):

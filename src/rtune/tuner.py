@@ -205,11 +205,11 @@ def r_tune_group(jobs):
     Returns:
         One entry per job, in order: (model, report), or the ValueError or
         RuntimeError that its solo :func:`r_tune` raises. A run that
-        diverges leaves its group with that error at the end of the epoch;
-        the other runs keep training. A run's `wall_clock_seconds` is the
-        time from the start of the call until its group finished training:
-        it includes the other jobs' preparation and its siblings' steps, so
-        the times of jobs trained together overlap and do not add up.
+        diverges gets that error and the other runs keep training. A run's
+        `wall_clock_seconds` is the time from the start of the call until
+        its group finished training: it includes the other jobs' preparation
+        and its siblings' steps, so the times of jobs trained together
+        overlap and do not add up.
     """
     t_start = time.perf_counter()
     outcomes = [None] * len(jobs)
@@ -231,7 +231,8 @@ def r_tune_group(jobs):
         run.soften_targets()
         groups.setdefault(run.group_key, []).append(run)
     for group in groups.values():
-        for run in _train_lockstep(group):
+        _train_stack(group)
+        for run in group:
             outcomes[run.index] = run.outcome(t_start)
     return outcomes
 
@@ -316,7 +317,7 @@ class _Run:
             self.soft_old = _soften_rows(logits, self.cfg.tau)
 
     def fail(self, exc, epoch, offset):
-        """Leave training with the error the solo run raises at this step."""
+        """Fail with the error the solo run raises at this step."""
         if isinstance(exc, RuntimeError):
             wrapped = RuntimeError(
                 f"{exc} at epoch {epoch}, batch offset {offset} "
@@ -399,65 +400,31 @@ def _schedule(sizes, batch_size):
     return steps
 
 
-def _train_lockstep(runs):
-    """Train runs of one group together; returns them, largest first, with
-    their reports filled in or their errors set. A run that fails leaves the
-    stack at the end of its epoch."""
-    runs = sorted(runs, key=lambda run: len(run.rows), reverse=True)
-    for run in runs:
-        run.model = run.frozen.clone()
-    live, epoch = runs, 0
-    while live and epoch < live[0].cfg.epochs:
-        epoch = _train_stack(live, epoch)
-        live = [run for run in live if run.error is None]
-    return runs
+def _train_stack(runs):
+    """Train runs of one group as one stack, filling in their reports or
+    setting their errors.
 
-
-def _epoch_loss(row_sums, order, in_order, norm_sum, distill_weight,
-                reg_weight):
-    """One run's loss over an epoch of n rows from `row_sums` (2, batches,
-    batch), its rows' sums of each loss term in the epoch's order, `order`,
-    the training row each epoch position took, and `norm_sum`, the sum of
-    its steps' squared norms times their rows: each term's sums are put in
-    training-row order in `in_order` (n,) and added up in one pairwise pass,
-    then formed as a step's loss is, with n rows."""
-    n = len(in_order)
-    totals = []
-    for sums in row_sums[:1 if distill_weight == 0.0 else 2]:
-        in_order[order] = sums.reshape(-1)[:n]
-        totals.append(float(np.add.reduce(in_order)))
-    loss = totals[0] / n
-    if distill_weight != 0.0:
-        loss = loss + distill_weight * (-totals[1] / n)
-    return loss + reg_weight * (norm_sum / n)
-
-
-def _train_stack(runs, start):
-    """Train runs, sorted largest first, as one stack from epoch `start`
-    until the last epoch or one in which a run failed; returns the epoch to
-    go on from.
-
-    Training runs with floating-point warnings off. Each run range and
-    batch length of the schedule binds one step kernel
-    (:func:`rtune.forecaster._kernel`) to its slice of the stack, and a step
-    is one call of it. Each chunk of batches takes its steps, then
-    :func:`rtune.forecaster._terms` sums each row's loss terms into an
-    epoch-long array; at the end of the epoch one
+    Training runs with floating-point warnings off, on the runs sorted by
+    descending training-set size. Each run range and batch length of the
+    schedule binds one step kernel (:func:`rtune.forecaster._kernel`) to its
+    slice of the stack, and a step is one call of it. Each chunk of batches
+    takes its steps, then :func:`rtune.forecaster._terms` sums each row's
+    loss terms into an epoch-long array; at the end of the epoch one
     :func:`rtune.forecaster._losses` pass gives the loss of every step. An
-    epoch's loss is the mean of its rows' terms, each term's row sums added
-    up in the order of the run's training rows rather than of its batches,
-    plus the L2 term of each step weighted by its rows, step after step: a
-    model that does not move reports one loss every epoch, as long as no
-    step takes a single row, whose matrix-vector products sum in another
-    order than a batch's. A run fails at its first step whose loss is not
-    finite, with the error and batch offset of its solo run, and leaves
-    the stack at the end of that epoch; until then it keeps stepping. The
-    other runs keep their bits: each run's slice of the stacked kernel is
-    computed on its own.
+    epoch's loss is its steps' losses times their rows, added step after
+    step, over the run's rows. A run fails at its first step whose loss is
+    not finite, with the error and batch offset of its solo run. It keeps
+    its slot, but its later steps count for nothing: no loss, no
+    validation. The other runs keep their bits: each run's slice of the
+    stacked kernel is computed on its own. The stack stops after an epoch
+    at whose end every run has failed.
 
     The stack is in the training layout (:func:`_training_order`) and is
     updated in place; each epoch's validation puts every run's row back
     into its model in the standard layout."""
+    runs = sorted(runs, key=lambda run: len(run.rows), reverse=True)
+    for run in runs:
+        run.model = run.frozen.clone()
     cfg, geometry = runs[0].cfg, runs[0].frozen
     sizes = [len(run.rows) for run in runs]
     order = _training_order(geometry)
@@ -485,14 +452,12 @@ def _train_stack(runs, start):
         p_old = np.zeros((len(runs), batches * batch, geometry.horizon))
         soft = p_old.reshape(len(runs), batches, batch, -1).swapaxes(0, 1)
     # over the whole epoch, by batch and run: each step's squared norm and
-    # rows (0 where a run takes no step), the (batch, run, rows) of partial
-    # steps, and each row's sums of its terms, by row as the record holds
-    # them; then one run's row sums in training-row order
+    # rows (0 where a run takes no step), and each row's sums of its terms,
+    # by row as the record holds them
     epoch_batches = -(-sizes[0] // cfg.batch_size)
     norms = np.zeros((epoch_batches, len(runs)))
-    step_rows, partial = np.zeros_like(norms), []
+    step_rows = np.zeros_like(norms)
     row_terms = np.zeros(terms.shape[:1] + norms.shape + terms.shape[3:4])
-    in_order = np.empty(sizes[0])
     # each run's epoch order over its training rows, and the source rows
     # that order meets
     orders = [np.empty(size, dtype=np.int64) for size in sizes]
@@ -529,8 +494,6 @@ def _train_stack(runs, start):
                 theta[k], grad[k], geometry, n, cfg.tau, cfg.distill_weight,
                 cfg.learning_rate, cfg.reg_weight)
         step_rows[s, first:end] = n
-        if n < batch:
-            partial.append((s, first, n))
         slot, x = at // cfg.batch_size, inputs[k, at:at + n]
         chunks[lo - at][1].append((kernels[first, end, n], (
             x, x.swapaxes(-1, -2), labels[k, at:at + n],
@@ -539,7 +502,7 @@ def _train_stack(runs, start):
             norms[s, k, None, None])))
 
     with np.errstate(all="ignore"):
-        for epoch in range(start, cfg.epochs):
+        for epoch in range(cfg.epochs):
             for k, run in enumerate(runs):
                 orders[k][:] = np.random.default_rng(
                     run.epoch_seqs[epoch]).permutation(sizes[k])
@@ -552,23 +515,23 @@ def _train_stack(runs, start):
                 for step, args in plan:
                     step(*args)
                 _terms(*record, row_sums)
-            losses = _losses(row_terms, norms, step_rows, partial,
-                             cfg.distill_weight, cfg.reg_weight)
-            diverged = ~np.isfinite(losses)
-            # sum += norm * n, step after step; a slot no step writes adds 0
-            norm_sums = np.add.accumulate(norms * step_rows)[-1].tolist()
+            losses = _losses(row_terms, norms, step_rows, cfg.distill_weight,
+                             cfg.reg_weight)
+            # sequential sums, so a run has the same bits alone or in a
+            # stack; a slot no step writes adds 0
+            totals = np.add.accumulate(losses * step_rows)[-1].tolist()
             for k, run in enumerate(runs):
-                if diverged[:, k].any():
-                    s = int(diverged[:, k].argmax())
+                if run.error is not None:
+                    continue
+                diverged = ~np.isfinite(losses[:, k])
+                if diverged.any():
+                    s = int(diverged.argmax())
                     run.fail(RuntimeError(
                         f"non-finite loss {float(losses[s, k])!r}"),
                         epoch, s * cfg.batch_size)
                     continue
-                run.report.train_losses.append(_epoch_loss(
-                    row_terms[:, :, k], orders[k], in_order[:sizes[k]],
-                    norm_sums[k], cfg.distill_weight, cfg.reg_weight))
+                run.report.train_losses.append(totals[k] / sizes[k])
                 run.model.theta[order] = theta[k]
                 run.validate(epoch)
-            if diverged.any():
-                return epoch + 1
-    return cfg.epochs
+            if all(run.error is not None for run in runs):
+                break

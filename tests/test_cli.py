@@ -166,6 +166,16 @@ class TestDecompose:
                    "--levels", "1", "--output", str(tmp_path / "o.csv")])
         assert rc == 1
 
+    def test_short_signal_names_file(self, tmp_path, capsys):
+        src = write_csv(tmp_path / "short.csv", [1.0, 2.0, 4.0])
+        out = tmp_path / "dec.csv"
+        assert main(["decompose", "--input", str(src), "--levels", "2",
+                     "--output", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {src}: signal of length 3 too short for 2 levels "
+            f"(needs >= 8)\n")
+
     @pytest.mark.parametrize("alpha", ["nan", "2", "-0.5"])
     def test_alpha_out_of_range(self, tmp_path, sine_csv, alpha, capsys):
         out = tmp_path / "dec.csv"
@@ -539,6 +549,17 @@ class TestTune:
         report = json.loads(next((tmp_path / "runs2").rglob("report.json")).read_text())
         assert report["old_metrics"]["mae"] > 0
         assert report["new_metrics"]["mae"] > 0
+
+    @pytest.mark.parametrize("values, message", [
+        (np.full(100, 2.5), "constant series: standard deviation is zero"),
+        ([1.0, 2.0, 4.0], "series of length 3 too short for windows of span 20"),
+    ], ids=["constant", "short"])
+    def test_bad_new_series_names_file(self, csv_config, tmp_path, capsys,
+                                       values, message):
+        new_csv = write_csv(tmp_path / "new.csv", values)
+        assert main(["tune", "--config", str(csv_config())]) == 1
+        assert capsys.readouterr().err == f"error: {new_csv}: {message}\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_csv_read_once_per_file(self, csv_config, tmp_path, monkeypatch):
         reads = count_csv_reads(monkeypatch)
@@ -991,6 +1012,24 @@ class TestEvalAndReport:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("side, values, message", [
+        ("old", np.full(100, 2.5), "constant series: standard deviation is zero"),
+        ("new", np.full(100, 2.5), "constant series: standard deviation is zero"),
+        ("new", [1.0, 2.0, 4.0], "series of length 3 too short for windows of span 20"),
+    ], ids=["constant-old", "constant-new", "short-new"])
+    def test_eval_bad_series_names_file(self, tmp_path, sine_csv, capsys,
+                                        side, values, message):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_forecaster(16, 4, 8, seed=2), ckpt)
+        bad = write_csv(tmp_path / "bad.csv", values)
+        files = {"old": sine_csv, "new": sine_csv, side: bad}
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--new-data",
+                     str(files["new"]), "--old-data", str(files["old"]),
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
     def test_report_table(self, bench_config, tmp_path):
         for method in ("frozen", "ft"):
             cfg = bench_config(method=method)
@@ -1032,6 +1071,30 @@ class TestEvalAndReport:
             f"error: {report}: not a run report (needs a string method and "
             f"old_metrics and new_metrics objects holding mae, mse and "
             f"n_samples)\n")
+
+    def test_report_counts_a_report_once(self, bench_config, tmp_path):
+        # the run directory and one of its reports, under another spelling:
+        # each report is pooled once
+        assert main(["tune", "--config", str(bench_config(method="frozen"))]) == 0
+        report = next((tmp_path / "runs").rglob("report.json"))
+        again = tmp_path / "runs" / ".." / report.relative_to(tmp_path)
+        out = tmp_path / "table.json"
+        assert main(["report", str(tmp_path / "runs"), str(again),
+                     "--output", str(out)]) == 0
+        row, = json.loads(out.read_text())["rows"]
+        single = json.loads(report.read_text())["old_metrics"]["n_samples"]
+        assert (row["n_runs"], row["old"]["n_samples"]) == (1, single)
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-2", "0"])
+    def test_report_bad_display_scale_rejected(self, tmp_path, capsys, scale):
+        # checked before any report is read: this path does not exist
+        out = tmp_path / "table.json"
+        assert main(["report", str(tmp_path / "runs"), "--display-scale",
+                     scale, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --display-scale must be finite and positive, "
+            f"got {float(scale)!r}\n")
+        assert not out.exists()
 
     def test_report_names_missing_path(self, tmp_path, capsys):
         missing = tmp_path / "no-such-runs"

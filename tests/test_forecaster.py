@@ -395,12 +395,11 @@ def stacked_step(model, thetas, x, y, p_old, tau, distill_weight, reg_weight,
             0.0)(batch, batch.swapaxes(-1, -2), y[j],
                  None if p_old is None else soft[0, j, :n], terms[:, 0, j, :n],
                  sums[0, j, :n], norms[0, j, None, None])
-    partial = [(0, run, n) for run in range(k)] if n < width else []
     terms = terms[:1 if distill_weight == 0.0 else 2]
     row_sums = np.empty(terms.shape[:-1])
     _terms(terms, sums, soft, row_sums)
-    losses = _losses(row_sums, norms, np.full((1, k), n), partial,
-                     distill_weight, reg_weight)
+    losses = _losses(row_sums, norms, np.full((1, k), n), distill_weight,
+                     reg_weight)
     if reg_weight != 0.0:
         grads += 2.0 * reg_weight * stack
     out = np.empty_like(grads)
@@ -629,7 +628,7 @@ class TestAccount:
         p_old = _soften_rows(scale * rng.normal(size=y.shape), tau)
         terms = rng.normal(size=(2 if distill else 1, batches, k, batch, 3))
         sums, norms = np.ones((batches, k, batch, 1)), np.zeros((batches, k))
-        rows, partial = np.zeros((batches, k)), []
+        rows = np.zeros((batches, k))
         thetas = model.theta + 0.3 * rng.normal(
             size=(batches, k, model.theta.size))
         trained = thetas.take(_training_order(model), axis=-1)
@@ -637,8 +636,6 @@ class TestAccount:
         for first, end, lo, hi in _schedule(sizes, batch_size):
             s, n = lo // batch_size, hi - lo
             rows[s, first:end] = n
-            if n < batch:
-                partial.append((s, first, n))
             j = first if end - first == 1 else slice(first, end)
             rows_x = xb[j, lo:hi]
             # the kernel updates its scratch rows of `trained` in place
@@ -664,9 +661,8 @@ class TestAccount:
             formed = terms[:, :t].copy()
             row_sums = np.empty(formed.shape[:-1])
             _terms(formed, sums[:t], soft[:t], row_sums)
-            losses = _losses(row_sums, norms[:t], rows[:t],
-                             [step for step in partial if step[0] < t],
-                             distill_weight, reg_weight)
+            losses = _losses(row_sums, norms[:t], rows[:t], distill_weight,
+                             reg_weight)
             assert losses.tolist() == expected[:t].tolist()
 
     @hyp_settings(max_examples=40, deadline=None)
@@ -677,8 +673,8 @@ class TestAccount:
     def test_row_sums_have_each_rows_bits_alone(self, seed, k, batches,
                                                 batch, h, distill, scale):
         # a row's sums are its product-sums as a (rows, H) block of the row
-        # alone, or of any rows from it on, gives them: the bits an epoch's
-        # total by training row relies on
+        # alone, or of any rows from it on, gives them: the bits a run's
+        # steps in a stack share with the same steps alone
         rng = np.random.default_rng(seed)
         slots = 2 if distill else 1
         terms = scale * rng.normal(size=(slots, batches, k, batch, h))
@@ -688,8 +684,7 @@ class TestAccount:
         row_sums = np.full((2, batches, k, batch), np.nan)
         _terms(formed, sums, p_old, row_sums)
         _losses(row_sums, np.zeros((batches, k)),
-                np.full((batches, k), batch), [], 0.2 if distill else 0.0,
-                0.0)
+                np.full((batches, k), batch), 0.2 if distill else 0.0, 0.0)
         # the residuals stay; the shifted logits become the log-softmax
         operands = [(formed[0], formed[0])]
         if distill:
