@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import copy
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -25,19 +24,11 @@ from .benchmark import (BenchmarkGeometry, BenchmarkSetup, prepare_benchmark,
 from .data import (atomic_target, make_windows, read_series_csv,
                    split_indices, windowed_split, zscore_apply, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
-from .metrics import (MetricPair, build_comparison_row, evaluate_model,
-                      metric_pair)
+from .metrics import MetricPair, _mean_pair, build_comparison_row, metric_pair
 from .replay import build_replay_set, replay_count_for_fraction, replay_to_csv
-from .tuner import METHODS, TuneConfig, lockstep_key
+from .tuner import (METHODS, TuneConfig, _check, _check_fields, _int, _real,
+                    lockstep_key)
 from .wavelet import rwt_decompose, rwt_reconstruct
-
-
-def _int(value) -> bool:  # a bool is neither an integer nor a number here
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _name(value) -> bool:  # of a file or a column, or null
@@ -49,7 +40,8 @@ _OPEN_FRACTION = ("in (0, 1)", lambda v: _real(v) and 0.0 < v < 1.0)
 # The run-config schema, one row per key; unknown keys are rejected. A row is
 # (default, rule), the rule being the least value of an integer count or
 # (what the value must be, a test written so that NaN fails); or it names the
-# TuneConfig field that the key feeds, which checks it and holds its default.
+# TuneConfig field that the key feeds, whose rule in tuner._FIELD_RULES checks
+# it and whose default it takes.
 RUN_CONFIG = {
     "method": ("r-tuning", (f"one of {', '.join(METHODS)}",
                             lambda v: isinstance(v, str) and v in METHODS)),
@@ -133,19 +125,9 @@ def _load_json(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _check(name: str, value, rule) -> None:
-    """Raise "{name} must be {text}, got {value!r}" unless `value` keeps
-    `rule`: the least value of an integer count, or (text, test)."""
-    if isinstance(rule, int):  # rule.__le__(v) is rule <= v
-        rule = (f">= {rule}", rule.__le__) if _int(value) else ("an integer", _int)
-    text, test = rule
-    if not test(value):
-        raise ValueError(f"{name} must be {text}, got {value!r}")
-
-
 def default_run_config() -> dict:
     """Every run-config key with its default."""
-    fields = {f.name: f.default for f in dataclasses.fields(TuneConfig)}
+    fields = vars(TuneConfig())
     return {key: fields[_TUNE_KEYS[key]] if key in _TUNE_KEYS
             else copy.copy(row[0]) for key, row in RUN_CONFIG.items()}
 
@@ -174,14 +156,9 @@ def load_run_config(path) -> dict:
 
 
 def _check_tune_fields(cfg: dict, names: dict) -> None:
-    """Check the TuneConfig fields of `cfg`, naming a bad key by `names`."""
-    try:
-        TuneConfig(**{field: cfg[key] for key, field in _TUNE_KEYS.items()})
-    except ValueError as exc:
-        # TuneConfig's messages start with the field's name; name the key
-        field, rest = str(exc).split(" ", 1)
-        key, = (key for key, name in _TUNE_KEYS.items() if name == field)
-        raise ValueError(f"{names[key]} {rest}") from None
+    """Check the keys of `cfg` that feed TuneConfig fields, named by `names`."""
+    _check_fields({field: cfg[key] for key, field in _TUNE_KEYS.items()},
+                  {field: names[key] for key, field in _TUNE_KEYS.items()})
 
 
 @contextlib.contextmanager
@@ -379,7 +356,7 @@ def cmd_tune(args) -> int:
                          "which sets replay_n")
     _check_tune_fields(cfg, names)
     if args.seed is not None:
-        _check("--seed", args.seed, 0)
+        _check_fields({"seed": args.seed}, {"seed": "--seed"})
         cfg["seeds"] = [args.seed]
 
     run_dir = Path(cfg["output_dir"]) / config_hash(cfg)
@@ -468,22 +445,15 @@ def cmd_sweep(args) -> int:
     return 1 if any(row[2] is None for row in results) else 0
 
 
-def _check_wavelet_flags(args, bands_flag, bands) -> None:
-    """Check --levels, --alpha and `bands_flag`, whose value `bands` is a
-    count of detail bands in [0, --levels] or None (unset)."""
-    _check("--levels", args.levels, 1)
-    if bands is not None:
-        _check(bands_flag, bands, (f"in [0, {args.levels}]",
-                                   lambda v: 0 <= v <= args.levels))
-    _check("--alpha", args.alpha, ("in [0, 1]", lambda v: 0.0 <= v <= 1.0))
-
-
 def cmd_decompose(args) -> int:
-    _check_wavelet_flags(args, "--keep", args.keep)
+    keep = args.keep if args.keep is not None else args.levels
+    _check_fields({"wavelet_levels": args.levels, "discard_depth": keep,
+                   "alpha": args.alpha},
+                  {"wavelet_levels": "--levels", "discard_depth": "--keep",
+                   "alpha": "--alpha"})
     series = _pick_series(args.input, args.column)
     with _naming(args.input):
         decomp = rwt_decompose(series.values, args.levels)
-    keep = args.keep if args.keep is not None else args.levels
     filtered = rwt_reconstruct(decomp, alpha=args.alpha, keep_levels=keep)
 
     echo = {"command": "decompose", "input": str(args.input),
@@ -508,8 +478,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _check("--seed", args.seed, 0)
-    _check_wavelet_flags(args, "--discard-depth", args.discard_depth)
+    _check_fields({"wavelet_levels": args.levels,
+                   "discard_depth": args.discard_depth, "alpha": args.alpha,
+                   "seed": args.seed},
+                  {"wavelet_levels": "--levels",
+                   "discard_depth": "--discard-depth", "alpha": "--alpha",
+                   "seed": "--seed"})
     _check("--replay-n", args.replay_n, 1)
     frozen = load_checkpoint(args.checkpoint)
     replay = build_replay_set(frozen, args.replay_n, args.levels,
@@ -538,19 +512,17 @@ def cmd_eval(args) -> int:
         _, test_idx = split_indices(len(new_set), 1.0 - args.test_fraction,
                                     args.seed)
         new_set = new_set.subset(test_idx)
-    if not old_tests:
-        old_tests = [new_set]
-    old, new = evaluate_model(model, old_tests, new_set)
+    new = metric_pair(model.forward_batch(new_set.inputs), new_set.labels)
+    # with no old-task data, the new-task set stands in for it
+    per_old = [metric_pair(model.forward_batch(ds.inputs), ds.labels)
+               for ds in old_tests] or [new]
     doc = {
         "command": "eval",
         "checkpoint": str(args.checkpoint),
         "seed": args.seed,
-        "old_metrics": old.to_dict(),
+        "old_metrics": _mean_pair(per_old).to_dict(),
         "new_metrics": new.to_dict(),
-        "per_old_dataset": [
-            metric_pair(model.forward_batch(ds.inputs), ds.labels).to_dict()
-            for ds in old_tests
-        ],
+        "per_old_dataset": [pair.to_dict() for pair in per_old],
     }
     if args.output:
         _write_json(args.output, doc)

@@ -92,15 +92,20 @@ def evaluate_model(model, old_tests, new_test):
     """
     if not old_tests:
         raise ValueError("need at least one old-task test set")
-    pairs = [metric_pair(model.forward_batch(ds.inputs), ds.labels)
-             for ds in old_tests]
-    old = MetricPair(
+    old = _mean_pair([metric_pair(model.forward_batch(ds.inputs), ds.labels)
+                      for ds in old_tests])
+    new = metric_pair(model.forward_batch(new_test.inputs), new_test.labels)
+    return old, new
+
+
+def _mean_pair(pairs) -> MetricPair:
+    """The unweighted mean of per-dataset metrics, with their summed sample
+    count."""
+    return MetricPair(
         mae=float(np.mean([p.mae for p in pairs])),
         mse=float(np.mean([p.mse for p in pairs])),
         n_samples=int(sum(p.n_samples for p in pairs)),
     )
-    new = metric_pair(model.forward_batch(new_test.inputs), new_test.labels)
-    return old, new
 
 
 def relative_change(raw: float, method: float) -> float:

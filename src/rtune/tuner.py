@@ -10,7 +10,7 @@ evaluation.
 
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +37,59 @@ __all__ = [
 GATHER_BATCHES = 64
 
 
+def _int(value) -> bool:  # a bool is neither an integer nor a number here
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check(name: str, value, rule) -> None:
+    """Raise "{name} must be {text}, got {value!r}" unless `value` keeps
+    `rule`: the least value of an integer count, or (text, test)."""
+    if isinstance(rule, int):
+        least = rule  # least <= v, as int.__le__ does not take numpy integers
+        rule = ((f">= {least}", lambda v: least <= v) if _int(value)
+                else ("an integer", _int))
+    text, test = rule
+    if not test(value):
+        raise ValueError(f"{name} must be {text}, got {value!r}")
+
+
+# The rule of each TuneConfig field, which run configs and CLI flags share: the
+# least value of an integer count, or (what a number must be, a test written
+# so that NaN fails). discard_depth is a count of at most wavelet_levels.
+_FIELD_RULES = {
+    "replay_n": 0,
+    "wavelet_levels": 1,
+    "discard_depth": 0,
+    "alpha": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "tau": ("positive", lambda v: v > 0),
+    "distill_weight": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "reg_weight": (">= 0", lambda v: v >= 0),
+    "epochs": 0,
+    "learning_rate": (">= 0", lambda v: v >= 0),  # 0: a no-update control
+    "batch_size": 1,
+    "seed": 0,
+    "validation_fraction": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+}
+
+
+def _check_fields(values: dict, names: dict) -> None:
+    """Check the TuneConfig fields in `values`, naming field f by names[f]."""
+    for key, rule in _FIELD_RULES.items():
+        if key not in values:
+            continue
+        name, value = names[key], values[key]
+        if key == "discard_depth" and _int(value):
+            levels = values["wavelet_levels"]  # checked the row before
+            rule = (f"in [0, {levels}]", lambda v: 0 <= v <= levels)
+        elif not isinstance(rule, int):
+            _check(name, value, ("a number", _real))
+        _check(name, value, rule)
+
+
 @dataclass(frozen=True)
 class TuneConfig:
     """All knobs of one tuning run. Defaults follow the standard setting:
@@ -58,47 +111,7 @@ class TuneConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
-        # each field holds a value of its annotated kind; a bool is neither
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.type is int and (isinstance(value, bool) or not
-                                     isinstance(value, (int, np.integer))):
-                raise ValueError(f"{spec.name} must be an integer, got {value!r}")
-            if spec.type is float and (isinstance(value, bool) or not
-                                       isinstance(value, numbers.Real)):
-                raise ValueError(f"{spec.name} must be a number, got {value!r}")
-        if self.replay_n < 0:
-            raise ValueError(f"replay_n must be >= 0, got {self.replay_n}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.wavelet_levels < 1:
-            raise ValueError(f"wavelet_levels must be >= 1, got {self.wavelet_levels}")
-        if not 0 <= self.discard_depth <= self.wavelet_levels:
-            raise ValueError(
-                f"discard_depth must be in [0, {self.wavelet_levels}], "
-                f"got {self.discard_depth}"
-            )
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not self.tau > 0:  # written so that NaN fails too
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not 0.0 <= self.distill_weight <= 1.0:
-            raise ValueError(
-                f"distill_weight must be in [0, 1], got {self.distill_weight}"
-            )
-        if not self.reg_weight >= 0:
-            raise ValueError(f"reg_weight must be >= 0, got {self.reg_weight}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.learning_rate >= 0:
-            # zero is allowed as a degenerate no-update control
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError(
-                f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
-            )
+        _check_fields(vars(self), {name: name for name in _FIELD_RULES})
 
     def to_dict(self):
         return asdict(self)
@@ -413,11 +426,11 @@ def _train_stack(runs):
     :func:`rtune.forecaster._losses` pass gives the loss of every step. An
     epoch's loss is its steps' losses times their rows, added step after
     step, over the run's rows. A run fails at its first step whose loss is
-    not finite, with the error and batch offset of its solo run. It keeps
-    its slot, but its later steps count for nothing: no loss, no
-    validation. The other runs keep their bits: each run's slice of the
-    stacked kernel is computed on its own. The stack stops after an epoch
-    at whose end every run has failed.
+    not finite, with the error and batch offset of its solo run. Its slot
+    stays, zeroed so that its later steps run on finite values; they count
+    for nothing: no loss, no validation. The other runs keep their bits:
+    each run's slice of the stacked kernel is computed on its own. The
+    stack stops after an epoch at whose end every run has failed.
 
     The stack is in the training layout (:func:`_training_order`) and is
     updated in place; each epoch's validation puts every run's row back
@@ -529,6 +542,7 @@ def _train_stack(runs):
                     run.fail(RuntimeError(
                         f"non-finite loss {float(losses[s, k])!r}"),
                         epoch, s * cfg.batch_size)
+                    theta[k] = 0.0
                     continue
                 run.report.train_losses.append(totals[k] / sizes[k])
                 run.model.theta[order] = theta[k]

@@ -21,6 +21,7 @@ import rtune.tuner
 from rtune.cli import load_run_config, main
 from rtune.data import WindowedDataset, atomic_target, read_series_csv
 from rtune.forecaster import init_forecaster, load_checkpoint, save_checkpoint
+from rtune.metrics import evaluate_model, metric_pair
 from rtune.replay import ReplaySet, build_replay_set
 from rtune.tuner import TuneConfig, _epoch_seeds, r_tune_group
 
@@ -611,6 +612,72 @@ def test_every_tune_field_fed_by_one_run_config_key():
     assert fed == Counter(fields)
 
 
+# one bad value per TuneConfig field, with the run-config key that feeds it
+# and the tune and synth flags that set it (None where there is none)
+ONE_BAD_VALUE_PER_FIELD = [
+    ("replay_n", -1, "replay_n", "--replay-n", None),
+    ("wavelet_levels", 0, "wavelet_levels", "--levels", "--levels"),
+    ("discard_depth", 2, "discard_depth", None, "--discard-depth"),
+    ("alpha", 1.5, "alpha", "--alpha", "--alpha"),
+    ("tau", -1.0, "tau", "--tau", None),
+    ("distill_weight", 2.0, "lambda", "--lambda", None),
+    ("reg_weight", -1.0, "beta", "--beta", None),
+    ("epochs", -1, "epochs", None, None),
+    ("learning_rate", -0.5, "learning_rate", None, None),
+    ("batch_size", 0, "batch_size", None, None),
+    ("seed", -1, None, "--seed", "--seed"),
+    ("validation_fraction", 1.0, "validation_fraction", None, None),
+]
+
+
+def test_field_rules_hold_exactly_the_tune_fields():
+    fields = [f.name for f in dataclasses.fields(TuneConfig)]
+    assert list(rtune.tuner._FIELD_RULES) == fields
+    assert [row[0] for row in ONE_BAD_VALUE_PER_FIELD] == fields
+
+
+@pytest.mark.parametrize("field, value, key, tune_flag, synth_flag",
+                         ONE_BAD_VALUE_PER_FIELD)
+def test_one_rule_per_field_at_every_entry_point(
+        bench_config, tmp_path, capsys, field, value, key, tune_flag,
+        synth_flag):
+    # TuneConfig, the run-config key and the flags say the same thing after
+    # the name, from the field's one rule
+    with pytest.raises(ValueError) as info:
+        TuneConfig(**{field: value})
+    message = str(info.value)
+    assert message.startswith(f"{field} must be ")
+    tail = message[len(field):]
+    assert tail.endswith(f", got {value!r}")
+    if key is not None:
+        cfg = bench_config(**{key: value})
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {key}{tail}\n"
+    if tune_flag is not None:
+        cfg = bench_config()
+        assert main(["tune", "--config", str(cfg), tune_flag,
+                     str(value)]) == 1
+        assert capsys.readouterr().err == f"error: {tune_flag}{tail}\n"
+    if synth_flag is not None:
+        assert main(["synth", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     synth_flag, str(value), "--output",
+                     str(tmp_path / "replay.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {synth_flag}{tail}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_readme_python_blocks_run_in_order():
+    # the library tour's examples, run as a reader runs them: in order, in
+    # one namespace
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].selected_epoch is not None
+
+
 class TestSweep:
     def test_rows_per_ratio_and_seed(self, bench_config, tmp_path):
         cfg = bench_config(method="r-tuning", seeds=[0, 1])
@@ -970,6 +1037,45 @@ class TestEvalAndReport:
         doc = json.loads(out.read_text())
         assert doc["old_metrics"]["mae"] > 0
         assert doc["new_metrics"]["n_samples"] > 0
+
+    @pytest.mark.parametrize("n_old", [0, 1, 2])
+    def test_eval_forwards_each_set_once(self, tmp_path, sine_csv,
+                                         monkeypatch, n_old):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_forecaster(16, 4, 8, seed=2), ckpt)
+        other = write_csv(tmp_path / "other.csv", np.cos(np.arange(150.0) / 7))
+        old_files = [other, sine_csv][:n_old]
+        forwarded = []
+        forward = rtune.forecaster.Forecaster.forward_batch
+
+        def counting(model, inputs):
+            forwarded.append(len(inputs))
+            return forward(model, inputs)
+
+        monkeypatch.setattr(rtune.forecaster.Forecaster, "forward_batch",
+                            counting)
+        out = tmp_path / "eval.json"
+        argv = ["eval", "--checkpoint", str(ckpt), "--new-data",
+                str(sine_csv), "--output", str(out)]
+        for path in old_files:
+            argv += ["--old-data", str(path)]
+        assert main(argv) == 0
+        monkeypatch.undo()
+        # the new-task set and each old-task set, once each
+        cfg = {"input_width": 16, "horizon": 4, "stride": 1}
+        sets = [rtune.cli._windowed_eval_set(path, None, cfg)
+                for path in [sine_csv] + old_files]
+        assert sorted(forwarded) == sorted(len(ds) for ds in sets)
+        # the numbers evaluate_model gives, the new-task set standing in
+        # for old-task data when there is none
+        model = load_checkpoint(ckpt)
+        old, new = evaluate_model(model, sets[1:] or sets[:1], sets[0])
+        doc = json.loads(out.read_text())
+        assert doc["old_metrics"] == old.to_dict()
+        assert doc["new_metrics"] == new.to_dict()
+        assert doc["per_old_dataset"] == [
+            metric_pair(model.forward_batch(ds.inputs), ds.labels).to_dict()
+            for ds in sets[1:] or sets[:1]]
 
     @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.2", "nan"])
     def test_eval_bad_test_fraction_rejected(self, tmp_path, sine_csv, capsys,

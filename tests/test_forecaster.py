@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import (example, given, settings as hyp_settings,
+                        strategies as st)
 
 from rtune.forecaster import (Forecaster, _kernel, _losses, _soften_rows,
                               _terms, _training_blocks, _training_order,
@@ -517,6 +518,11 @@ class TestStackedStep:
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 5),
            n=st.integers(1, 12), w=st.integers(1, 40), h=st.integers(1, 3),
            hid=st.integers(1, 20), distill=st.booleans())
+    # a known falsifying input on OpenBLAS's generic kernel
+    # (OPENBLAS_CORETYPE=Prescott), so a run there fails it every time, not
+    # only once hypothesis has stored an example
+    @example(seed=0, k=2, n=1, w=2, h=1, hid=1, distill=False)
+    @example(seed=0, k=2, n=1, w=2, h=1, hid=1, distill=True)
     def test_stack_slices_bit_equal_across_geometries(self, seed, k, n, w, h,
                                                       hid, distill):
         # one row, a horizon of one and a single hidden unit make some

@@ -544,6 +544,13 @@ class TestLockstep:
         jobs = self.jobs(7)
         jobs[2] = self.diverging(jobs[2])
         widths = self.count_steps(monkeypatch)
+        finite = []
+
+        def checking(theta, grad, args, step):
+            finite.append(bool(np.isfinite(theta).all()))
+            return step(*args)
+
+        spy_steps(monkeypatch, checking)
         validated = []
         validate = tuner._Run.validate
 
@@ -560,6 +567,9 @@ class TestLockstep:
                        reverse=True)
         shared = [end - first for first, end, _, _ in _schedule(sizes, 7)]
         assert widths == shared * 4 and 4 in shared
+        # the failed run's slot is zeroed when it fails, so epoch 1's steps
+        # run on finite values (they ran on inf and NaN when it was not)
+        assert all(finite[len(shared):2 * len(shared)])
         assert sorted(validated) == [(j, epoch) for j in (0, 1, 3)
                                      for epoch in range(4)]
         # alone, the run stops after the epoch in which it failed
