@@ -599,8 +599,7 @@ def cmd_report(args) -> int:
     rows = []
     for method in sorted(pooled):
         (old, old_std), (new, new_std) = pooled[method]
-        row = build_comparison_row(method, old, new, raw_old,
-                                   raw_new).to_dict()
+        row = build_comparison_row(method, old, new, raw_old, raw_new)
         row["n_runs"] = len(by_method[method])
         row["old"].update(old_std)
         row["new"].update(new_std)

@@ -40,8 +40,6 @@ class RawSeries:
     """One ingested series (univariate in scope; one instance per channel)."""
 
     values: np.ndarray
-    variable_count: int = 1
-    frequency_label: str = ""
     name: str = ""
 
     def __post_init__(self):
@@ -69,17 +67,14 @@ class NormalizationParams:
 
 @dataclass
 class WindowedDataset:
-    """Supervised windows: inputs (n, W), labels (n, H), and per row whether it
-    is a synthetic replay row (True) or a new-task window (False). `inputs`
+    """Supervised windows: inputs (n, W), labels (n, H), and each row's start
+    in its series (-1 for a row that has none, such as a replay row). `inputs`
     is a view of `padded`, a C-contiguous (n, W + 1) array whose last column,
     1.0, is the hidden bias's input in the training layout: inputs given as
     such a view are kept, others copied beside fresh ones."""
 
     inputs: np.ndarray
     labels: np.ndarray
-    is_replay: np.ndarray = None
-    input_width: int = None
-    horizon: int = None
     starts: np.ndarray = field(default=None, repr=False)
     padded: np.ndarray = field(default=None, init=False, repr=False)
 
@@ -92,12 +87,6 @@ class WindowedDataset:
             raise ValueError(
                 f"{inputs.shape[0]} inputs vs {self.labels.shape[0]} labels"
             )
-        if self.input_width is None:
-            self.input_width = inputs.shape[1]
-        if self.horizon is None:
-            self.horizon = self.labels.shape[1]
-        if inputs.shape[1] != self.input_width or self.labels.shape[1] != self.horizon:
-            raise ValueError("window geometry disagrees with array shapes")
         n, width = inputs.shape
         padded = inputs.base
         if not (isinstance(padded, np.ndarray) and padded.flags.c_contiguous
@@ -108,10 +97,6 @@ class WindowedDataset:
             padded[:, :width] = inputs
             padded[:, width] = 1.0
         self.padded, self.inputs = padded, padded[:, :width]
-        if self.is_replay is None:
-            self.is_replay = np.zeros(n, dtype=bool)
-        else:
-            self.is_replay = np.asarray(self.is_replay, dtype=bool)
         if self.starts is None:
             self.starts = np.full(n, -1, dtype=np.int64)
         else:
@@ -121,14 +106,21 @@ class WindowedDataset:
         return self.inputs.shape[0]
 
     @property
+    def input_width(self) -> int:
+        return self.inputs.shape[1]
+
+    @property
+    def horizon(self) -> int:
+        return self.labels.shape[1]
+
+    @property
     def geometry(self):
         return (self.input_width, self.horizon)
 
     def subset(self, indices) -> "WindowedDataset":
         indices = np.asarray(indices, dtype=np.int64)
         return WindowedDataset(self.padded[indices][:, :self.input_width],
-                               self.labels[indices], self.is_replay[indices],
-                               self.input_width, self.horizon, self.starts[indices])
+                               self.labels[indices], self.starts[indices])
 
 
 def zscore_fit(train) -> NormalizationParams:
@@ -175,8 +167,7 @@ def _gather_windows(values, starts, input_width: int,
     padded = window_view(values, input_width + 1)[starts]
     padded[:, input_width] = 1.0
     labels = window_view(values[input_width:], horizon)[starts]
-    return WindowedDataset(padded[:, :input_width], labels, None, input_width,
-                           horizon, starts)
+    return WindowedDataset(padded[:, :input_width], labels, starts)
 
 
 def _series_values(series) -> np.ndarray:
@@ -319,8 +310,8 @@ def gen_benchmark_tasks(seed: int, old_length: int = 6000,
            + params["new_square_amp"] * square)
     new = new + noise_sigma * rng.standard_normal(new_length)
 
-    old_series = RawSeries(old, 1, "synthetic", f"benchmark-old-{seed}")
-    new_series = RawSeries(new, 1, "synthetic", f"benchmark-new-{seed}")
+    old_series = RawSeries(old, f"benchmark-old-{seed}")
+    new_series = RawSeries(new, f"benchmark-new-{seed}")
     return old_series, new_series, params
 
 
@@ -435,9 +426,7 @@ def read_series_csv(path):
                     column.extend(values)
             lineno += len(lines)
 
-    count = len(names)
-    return [RawSeries(np.array(col), count, "", name)
-            for name, col in zip(names, columns)]
+    return [RawSeries(np.array(col), name) for name, col in zip(names, columns)]
 
 
 @contextmanager

@@ -26,6 +26,10 @@ CHECKPOINT_FORMAT = "rtune-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
+def _int(value) -> bool:  # a bool is neither an integer nor a number here
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def theta_size(input_width: int, hidden_width: int, horizon: int) -> int:
     return input_width * hidden_width + hidden_width + hidden_width * horizon + horizon
 
@@ -83,6 +87,11 @@ class Forecaster:
     theta: np.ndarray
 
     def __post_init__(self):
+        for name in ("input_width", "horizon", "hidden_width"):
+            value = getattr(self, name)
+            if not (_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            setattr(self, name, int(value))  # a numpy integer is not JSON
         self.theta = np.asarray(self.theta, dtype=np.float64)
         expected = theta_size(self.input_width, self.hidden_width, self.horizon)
         if self.theta.shape != (expected,):

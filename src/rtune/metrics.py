@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "MetricPair",
-    "ComparisonRow",
     "mae",
     "mse",
     "metric_pair",
@@ -29,30 +28,6 @@ class MetricPair:
 
     def to_dict(self):
         return {"mae": self.mae, "mse": self.mse, "n_samples": self.n_samples}
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One method's metrics plus its percent change against the raw row."""
-
-    method: str
-    old: MetricPair
-    new: MetricPair
-    old_mae_change: float
-    old_mse_change: float
-    new_mae_change: float
-    new_mse_change: float
-
-    def to_dict(self):
-        return {
-            "method": self.method,
-            "old": self.old.to_dict(),
-            "new": self.new.to_dict(),
-            "old_mae_change_pct": self.old_mae_change,
-            "old_mse_change_pct": self.old_mse_change,
-            "new_mae_change_pct": self.new_mae_change,
-            "new_mse_change_pct": self.new_mse_change,
-        }
 
 
 def _residuals(preds, labels) -> np.ndarray:
@@ -119,13 +94,14 @@ def relative_change(raw: float, method: float) -> float:
 
 
 def build_comparison_row(method: str, old: MetricPair, new: MetricPair,
-                         raw_old: MetricPair, raw_new: MetricPair) -> ComparisonRow:
-    return ComparisonRow(
-        method=method,
-        old=old,
-        new=new,
-        old_mae_change=relative_change(raw_old.mae, old.mae),
-        old_mse_change=relative_change(raw_old.mse, old.mse),
-        new_mae_change=relative_change(raw_new.mae, new.mae),
-        new_mse_change=relative_change(raw_new.mse, new.mse),
-    )
+                         raw_old: MetricPair, raw_new: MetricPair) -> dict:
+    """One method's metrics plus its percent change against the raw row."""
+    return {
+        "method": method,
+        "old": old.to_dict(),
+        "new": new.to_dict(),
+        "old_mae_change_pct": relative_change(raw_old.mae, old.mae),
+        "old_mse_change_pct": relative_change(raw_old.mse, old.mse),
+        "new_mae_change_pct": relative_change(raw_new.mae, new.mae),
+        "new_mse_change_pct": relative_change(raw_new.mse, new.mse),
+    }

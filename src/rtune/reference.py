@@ -199,9 +199,7 @@ def few_shot_subsample(train: WindowedDataset, fraction: float = 0.10,
 
 def normalize_windows(ds: WindowedDataset, params: NormalizationParams) -> WindowedDataset:
     return WindowedDataset(zscore_apply(ds.inputs, params),
-                           zscore_apply(ds.labels, params),
-                           ds.is_replay.copy(), ds.input_width, ds.horizon,
-                           ds.starts.copy())
+                           zscore_apply(ds.labels, params), ds.starts.copy())
 
 
 def concat_windows(a: WindowedDataset, b: WindowedDataset) -> WindowedDataset:
@@ -209,8 +207,6 @@ def concat_windows(a: WindowedDataset, b: WindowedDataset) -> WindowedDataset:
         raise ValueError(f"window geometry mismatch: {a.geometry} vs {b.geometry}")
     return WindowedDataset(np.concatenate([a.inputs, b.inputs]),
                            np.concatenate([a.labels, b.labels]),
-                           np.concatenate([a.is_replay, b.is_replay]),
-                           a.input_width, a.horizon,
                            np.concatenate([a.starts, b.starts]))
 
 
@@ -228,16 +224,16 @@ def _replay_windows(replay: ReplaySet, input_width: int, horizon: int) -> Window
         raise ValueError(
             f"replay horizon {replay.labels.shape[1]} does not match {horizon}"
         )
-    return WindowedDataset(replay.sequences[:, :input_width], replay.labels,
-                           np.ones(len(replay), dtype=bool), input_width, horizon)
+    return WindowedDataset(replay.sequences[:, :input_width], replay.labels)
 
 
 def build_train_set(new_data: WindowedDataset, replay: ReplaySet,
                     seed: int = 0) -> WindowedDataset:
     """Union of new-task windows and replay rows, in seeded shuffled order.
 
-    New samples keep their ground-truth labels and "new" origin; replay
-    rows carry their pseudo-labels and "replay" origin.
+    New samples keep their ground-truth labels and series starts; replay
+    rows carry their pseudo-labels and start -1, as they have no series
+    start.
     """
     if len(replay) == 0:
         return permute_windows(new_data, seed)

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import WindowedDataset
-from .forecaster import (Forecaster, _kernel, _losses, _soften_rows, _terms,
-                         _training_order)
+from .forecaster import (Forecaster, _int, _kernel, _losses, _soften_rows,
+                         _terms, _training_order)
 from .metrics import MetricPair, mae
 from .replay import build_replay_set
 
@@ -35,10 +35,6 @@ __all__ = [
 # the rows of GATHER_BATCHES // K batches (at least one) at a time from its
 # source, 8 in a stack of 8, so the buffers stay the same size whatever K
 GATHER_BATCHES = 64
-
-
-def _int(value) -> bool:  # a bool is neither an integer nor a number here
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _real(value) -> bool:
@@ -112,6 +108,11 @@ class TuneConfig:
 
     def __post_init__(self):
         _check_fields(vars(self), {name: name for name in _FIELD_RULES})
+        # a numpy scalar is kept as the Python number it holds, so the config
+        # stays JSON; Python values are kept as given
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, value.item())
 
     def to_dict(self):
         return asdict(self)

@@ -22,20 +22,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FilterBank:
-    """The four tap sets of the 4-tap Daubechies filter bank.
+    """The analysis taps of a two-channel filter bank, low- and high-pass.
 
-    ``rec_lo``/``rec_hi`` are the companion synthesis taps (``rec_lo = dec_lo``,
-    ``rec_hi[k] = (-1)**k * dec_lo[k]``). Reconstruction applies them in
-    time-reversed orientation; see :func:`rwt_reconstruct`.
+    Decomposition convolves with them and reconstruction correlates with
+    them, so they define both directions; see :func:`rwt_reconstruct`.
     """
 
     dec_lo: np.ndarray
     dec_hi: np.ndarray
-    rec_lo: np.ndarray
-    rec_hi: np.ndarray
 
     def __post_init__(self):
-        for name in ("dec_lo", "dec_hi", "rec_lo", "rec_hi"):
+        for name in ("dec_lo", "dec_hi"):
             taps = np.asarray(getattr(self, name), dtype=np.float64)
             taps.setflags(write=False)
             object.__setattr__(self, name, taps)
@@ -93,9 +90,7 @@ def build_db4_bank() -> FilterBank:
     )
     k = np.arange(4)
     dec_hi = (-1.0) ** k * dec_lo[::-1]
-    rec_lo = dec_lo.copy()
-    rec_hi = (-1.0) ** k * dec_lo
-    return FilterBank(dec_lo=dec_lo, dec_hi=dec_hi, rec_lo=rec_lo, rec_hi=rec_hi)
+    return FilterBank(dec_lo=dec_lo, dec_hi=dec_hi)
 
 
 def _atrous(x: np.ndarray, taps: np.ndarray, dilation: int,
@@ -175,12 +170,10 @@ def rwt_reconstruct(decomp: WaveletDecomposition, alpha=1.0,
 
     Iterates from the deepest level down, substituting zeros for every detail
     band above `keep_levels` and scaling the kept bands by `alpha`. Each level
-    applies the synthesis taps time-reversed (the adjoint of the analysis
-    convolution) and halves the result; with alpha = 1 and all bands kept this
-    inverts the decomposition exactly. Applying the stored rec taps in the
-    plain convolution orientation does not invert the analysis bank for any
-    scalar normalization (checked against a dense single-level matrix on
-    length-8 signals), so the time-reversed orientation is used throughout.
+    correlates with the analysis taps (the adjoint of the analysis
+    convolution) and halves the result; the 4-tap Daubechies bank satisfies
+    0.5 * (G^T G + H^T H) = I for its convolution matrices G and H, so with
+    alpha = 1 and all bands kept this inverts the decomposition exactly.
 
     Args:
         decomp: a valid decomposition.
@@ -204,8 +197,6 @@ def rwt_reconstruct(decomp: WaveletDecomposition, alpha=1.0,
         raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
 
     bank = decomp.filter_bank if decomp.filter_bank is not None else build_db4_bank()
-    # synthesis kernels: stored rec taps, time-reversed (== correlation with
-    # the analysis taps, since rec_lo = dec_lo and rec_hi reversed = -dec_hi)
     approx = decomp.approx
     for level in range(levels, 0, -1):
         dilation = 2 ** (level - 1)

@@ -1077,6 +1077,19 @@ class TestEvalAndReport:
             metric_pair(model.forward_batch(ds.inputs), ds.labels).to_dict()
             for ds in sets[1:] or sets[:1]]
 
+    def test_eval_bad_checkpoint_dimension_names_file(self, tmp_path,
+                                                       sine_csv, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_forecaster(16, 4, 8, seed=2), ckpt)
+        doc = json.loads(ckpt.read_text())
+        ckpt.write_text(json.dumps(dict(doc, input_width=16.0)))
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--new-data",
+                     str(sine_csv), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: input_width must be an integer >= 1, got 16.0\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.2", "nan"])
     def test_eval_bad_test_fraction_rejected(self, tmp_path, sine_csv, capsys,
                                              fraction):

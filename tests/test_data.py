@@ -127,6 +127,15 @@ class TestWindows:
         assert np.array_equal(
             ds.labels, np.stack([series[s + input_width:s + span] for s in starts]))
 
+    def test_geometry_from_shapes(self):
+        ds = WindowedDataset(np.zeros((3, 7)), np.zeros((3, 2)))
+        assert (ds.input_width, ds.horizon, ds.geometry) == (7, 2, (7, 2))
+        empty = make_windows(np.arange(30.0), 6, 3).subset([])
+        assert len(empty) == 0 and empty.geometry == (6, 3)
+        assert empty.padded.shape == (0, 7) and empty.starts.shape == (0,)
+        with pytest.raises(AttributeError):
+            ds.input_width = 5
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError, match="inputs vs"):
             WindowedDataset(np.zeros((3, 4)), np.zeros((2, 2)))
@@ -191,6 +200,19 @@ class TestLayout:
         ds = WindowedDataset(storage[:, :5], np.zeros((4, 2)))
         assert ds.padded is storage
         assert_padded(ds, np.arange(20.0).reshape(4, 5))
+
+    def test_subset_of_a_padded_view_keeps_the_view(self):
+        storage = np.ones((5, 4))
+        storage[:, :3] = np.arange(15.0).reshape(5, 3)
+        ds = WindowedDataset(storage[:, :3], np.zeros((5, 2)), np.arange(5))
+        assert ds.padded is storage
+        sub = ds.subset([4, 0])
+        assert_padded(sub, storage[[4, 0], :3])
+        assert sub.inputs.base is sub.padded
+        assert np.array_equal(sub.starts, [4, 0])
+        # subset passes its gathered rows as such a view, which is kept
+        gathered = ds.padded[[4, 0]]
+        assert WindowedDataset(gathered[:, :3], sub.labels).padded is gathered
 
     def test_replay_forecast_column_is_not_adopted(self):
         # at H = 1 the replay inputs are a view of an (N, W + 1) array whose
@@ -342,7 +364,7 @@ def test_windowed_split_matches_reference(data, input_width, horizon, stride,
         assert side.inputs.tobytes() == want.inputs.tobytes()
         assert side.labels.tobytes() == want.labels.tobytes()
         assert np.array_equal(side.starts, want.starts)
-        assert not side.is_replay.any()
+        assert (side.starts >= 0).all()
 
 
 class TestBenchmarkTasks:
@@ -404,7 +426,6 @@ class TestCsv:
         path = self._write(tmp_path, "when,a,b\nmon,1,10\ntue,2,20\n")
         series = read_series_csv(path)
         assert [s.name for s in series] == ["a", "b"]
-        assert series[1].variable_count == 2
 
     def test_plain_numeric_first_column_kept(self, tmp_path):
         path = self._write(tmp_path, "a,b\n1,10\n2,20\n")
@@ -488,9 +509,7 @@ def reference_read_series_csv(path):
                 raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
             columns[j].append(value)
 
-    count = len(names)
-    return [RawSeries(np.array(col), count, "", name)
-            for name, col in zip(names, columns)]
+    return [RawSeries(np.array(col), name) for name, col in zip(names, columns)]
 
 
 _numbers = st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -543,8 +562,7 @@ def assert_matches_reference(path):
             read_series_csv(path)
         return
     got = read_series_csv(path)
-    assert [(s.name, s.variable_count) for s in got] == [
-        (s.name, s.variable_count) for s in expected]
+    assert [s.name for s in got] == [s.name for s in expected]
     for a, b in zip(got, expected):
         assert a.values.tobytes() == b.values.tobytes()
 

@@ -715,6 +715,13 @@ class TestCheckpoint:
         assert np.array_equal(loaded.theta, m.theta)
         assert (loaded.input_width, loaded.horizon, loaded.hidden_width) == (6, 3, 5)
 
+    def test_numpy_integer_dimensions_round_trip(self, tmp_path):
+        m = init_forecaster(np.int64(6), np.int32(3), np.int64(5), seed=77)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(m, path)
+        save_checkpoint(init_forecaster(6, 3, 5, seed=77), tmp_path / "b.ckpt")
+        assert path.read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
     def test_save_is_byte_deterministic(self, tmp_path):
         m = init_forecaster(4, 2, 3, seed=5)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -734,6 +741,14 @@ class TestCheckpoint:
          "not a whole number of float64 values"),
         (lambda doc: dict(doc, theta_b64="A"), "Invalid base64"),
         (lambda doc: dict(doc, hidden_width=4), "theta must have shape"),
+        (lambda doc: dict(doc, input_width=4.0),
+         "input_width must be an integer >= 1, got 4.0"),
+        (lambda doc: dict(doc, horizon=True),
+         "horizon must be an integer >= 1, got True"),
+        (lambda doc: dict(doc, hidden_width=0),
+         "hidden_width must be an integer >= 1, got 0"),
+        (lambda doc: dict(doc, input_width="4"),
+         "input_width must be an integer >= 1, got '4'"),
         (lambda doc: "{", "Expecting property name"),
     ])
     def test_rejects_foreign_files(self, tmp_path, edit, message):

@@ -126,10 +126,12 @@ def test_comparison_row():
     raw_new = metric_pair(np.zeros((2, 2)), 2 * np.ones((2, 2)))  # mae 2, mse 4
     old = metric_pair(np.zeros((2, 2)), 0.5 * np.ones((2, 2)))
     new = metric_pair(np.zeros((2, 2)), np.ones((2, 2)))
-    row = build_comparison_row("ft", old, new, raw_old, raw_new)
-    assert row.old_mae_change == 50.0
-    assert row.new_mae_change == 50.0
-    assert row.new_mse_change == 75.0
-    doc = row.to_dict()
+    doc = build_comparison_row("ft", old, new, raw_old, raw_new)
+    assert list(doc) == ["method", "old", "new", "old_mae_change_pct",
+                         "old_mse_change_pct", "new_mae_change_pct",
+                         "new_mse_change_pct"]
+    assert doc["old_mae_change_pct"] == 50.0
+    assert doc["new_mae_change_pct"] == 50.0
+    assert doc["new_mse_change_pct"] == 75.0
     assert doc["method"] == "ft"
     assert doc["old"]["mae"] == 0.5

@@ -432,8 +432,9 @@ class TestTrainSet:
         rs = build_replay_set(frozen, 10, 1, 1, 0.7, seed=0)
         out = build_train_set(new, rs, seed=0)
         assert len(out) == 120
-        assert sorted(set(out.is_replay.tolist())) == [False, True]
-        assert out.is_replay.sum() == 20
+        # replay rows have no series start; every new-task window has one
+        assert (out.starts == -1).sum() == 20
+        assert np.array_equal(np.sort(out.starts[out.starts >= 0]), new.starts)
 
     def test_labels_by_origin(self):
         frozen = init_forecaster(8, 4, 6, seed=0)
@@ -443,9 +444,10 @@ class TestTrainSet:
         pseudo = {rs.sequences[i, :8].tobytes(): rs.labels[i] for i in range(len(rs))}
         truth = {new.inputs[i].tobytes(): new.labels[i] for i in range(len(new))}
         for i in range(len(out)):
-            source = pseudo if out.is_replay[i] else truth
+            replayed = out.starts[i] == -1
+            source = pseudo if replayed else truth
             assert np.array_equal(out.labels[i], source[out.inputs[i].tobytes()])
-            if out.is_replay[i]:
+            if replayed:
                 assert np.max(np.abs(out.labels[i]
                                      - frozen.forward(out.inputs[i]))) < 1e-12
 

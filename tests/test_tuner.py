@@ -15,6 +15,7 @@ from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
                              run_arm, run_arm_jobs)
 from rtune.cli import build_parser, load_run_config
 from rtune.data import WindowedDataset, make_windows
+import rtune.cli
 from rtune import tuner
 from rtune.forecaster import Forecaster, _soften_rows, init_forecaster
 from rtune.metrics import evaluate_model, mae
@@ -1095,6 +1096,24 @@ class TestConfig:
         cfg = TuneConfig(replay_n=np.int64(3), epochs=np.int32(2),
                          seed=np.uint32(7), batch_size=np.int64(4))
         assert (cfg.replay_n, cfg.epochs, cfg.seed) == (3, 2, 7)
+
+    def test_numpy_scalars_write_the_python_report(self, tmp_path):
+        # a config of numpy scalars is echoed as the Python numbers they
+        # hold: its report has the bytes of the Python config's
+        frozen, data = init_forecaster(8, 4, 6, seed=0), small_dataset()
+        python = small_config(seed=1, epochs=2, tau=3)
+        numpy_cfg = small_config(seed=np.int64(1), epochs=np.int32(2),
+                                 tau=np.int64(3), alpha=np.float64(0.7))
+        assert type(numpy_cfg.alpha) is float and type(numpy_cfg.tau) is int
+        written = []
+        for name, cfg in (("python", python), ("numpy", numpy_cfg)):
+            model, report = r_tune(frozen, data, cfg)
+            written.append(rtune.cli._write_run_outputs(
+                {"seeds": [1]}, model, report, tmp_path / name))
+        (report_a, ckpt_a), (report_b, ckpt_b) = written
+        assert report_a.read_bytes() == report_b.read_bytes()
+        assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
+        assert b'"tau":3,' in report_a.read_bytes()
 
     def test_wall_clock_excluded_from_canonical_dict(self, small_setup):
         report_doc = run_arm(small_setup, "frozen", desk_config(2))[1].to_dict()

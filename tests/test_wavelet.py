@@ -63,13 +63,6 @@ class TestFilterBank:
         assert abs(bank.dec_hi.sum()) < 1e-12
         assert abs((bank.dec_lo ** 2).sum() - 1.0) < 1e-12
 
-    def test_rec_taps(self):
-        bank = build_db4_bank()
-        assert np.array_equal(bank.rec_lo, bank.dec_lo)
-        for k in range(4):
-            assert bank.rec_hi[k] == pytest.approx(
-                (-1) ** k * bank.dec_lo[k], abs=1e-15)
-
     def test_deterministic(self):
         a, b = build_db4_bank(), build_db4_bank()
         assert np.array_equal(a.dec_lo, b.dec_lo)
