@@ -16,21 +16,12 @@ from .metrics import evaluate_model
 from .tuner import METHODS, TuneConfig, TuneReport, r_tune, r_tune_group
 
 __all__ = [
-    "BenchmarkGeometry",
     "BenchmarkSetup",
     "desk_config",
     "prepare_benchmark",
     "run_arm",
     "run_arm_jobs",
 ]
-
-
-@dataclass(frozen=True)
-class BenchmarkGeometry:
-    input_width: int = 48
-    horizon: int = 12
-    stride: int = 1
-    hidden_width: int = 32
 
 
 @dataclass
@@ -58,15 +49,14 @@ def desk_config(seed: int, replay_n: int = 30, **overrides) -> TuneConfig:
     return replace(base, **overrides) if overrides else base
 
 
-def prepare_benchmark(seed: int, geometry: BenchmarkGeometry = None,
+def prepare_benchmark(seed: int, input_width: int = 48, horizon: int = 12,
+                      stride: int = 1, hidden_width: int = 32,
                       train_fraction: float = 0.8,
                       few_shot_fraction: float = 0.10,
                       old_length: int = 6000, new_length: int = 12480,
                       pretrain_epochs: int = 30,
                       pretrain_lr: float = 1e-2) -> BenchmarkSetup:
     """Build one seed's benchmark: data, splits, and the pretrained frozen model."""
-    if geometry is None:
-        geometry = BenchmarkGeometry()
     sub = np.random.SeedSequence(seed).spawn(5)
     seeds = [int(s.generate_state(1)[0]) for s in sub]
 
@@ -74,18 +64,16 @@ def prepare_benchmark(seed: int, geometry: BenchmarkGeometry = None,
         seed, old_length=old_length, new_length=new_length)
 
     old_train, old_test = windowed_split(
-        old_series, geometry.input_width, geometry.horizon, geometry.stride,
-        train_fraction, seeds[0])
-    init = init_forecaster(geometry.input_width, geometry.horizon,
-                           geometry.hidden_width, seed=seeds[3])
+        old_series, input_width, horizon, stride, train_fraction, seeds[0])
+    init = init_forecaster(input_width, horizon, hidden_width, seed=seeds[3])
     pretrain_cfg = TuneConfig(epochs=pretrain_epochs, learning_rate=pretrain_lr,
                               seed=seeds[4])
     frozen, _ = r_tune(init, old_train, pretrain_cfg, method="ft")
     # cut after pretraining, whose memory peak it would otherwise raise;
     # its seeds are its own, so the windows are the same
     new_train, new_test = windowed_split(
-        new_series, geometry.input_width, geometry.horizon, geometry.stride,
-        train_fraction, seeds[1], few_shot_fraction, seeds[2])
+        new_series, input_width, horizon, stride, train_fraction, seeds[1],
+        few_shot_fraction, seeds[2])
 
     return BenchmarkSetup(seed=seed, frozen=frozen,
                           old_test=old_test, new_train=new_train,

@@ -9,7 +9,6 @@ under reruns so results can be reproduced exactly from any echo.
 import argparse
 import contextlib
 import copy
-import csv
 import hashlib
 import json
 import math
@@ -19,9 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmark import (BenchmarkGeometry, BenchmarkSetup, prepare_benchmark,
-                        run_arm_jobs)
-from .data import (atomic_target, make_windows, read_series_csv,
+from .benchmark import BenchmarkSetup, prepare_benchmark, run_arm_jobs
+from .data import (_write_csv, atomic_target, make_windows, read_series_csv,
                    split_indices, windowed_split, zscore_apply, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
 from .metrics import MetricPair, _mean_pair, build_comparison_row, metric_pair
@@ -106,6 +104,15 @@ def _write_json(path, doc) -> None:
     with atomic_target(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(doc))
         fh.write("\n")
+
+
+def _emit(doc, output) -> None:
+    """Write `doc` to `output` and print the path; without one, print `doc`."""
+    if output:
+        _write_json(output, doc)
+        print(output)
+    else:
+        print(canonical_json(doc))
 
 
 def _unique_keys(pairs) -> dict:
@@ -235,10 +242,10 @@ def _prepare_run(cfg: dict, seed: int, shared):
     the split of the shared CSV inputs."""
     if not cfg["benchmark"]:
         return _prepare_csv_setup(cfg, seed, shared)
-    geometry = BenchmarkGeometry(cfg["input_width"], cfg["horizon"],
-                                 cfg["stride"], cfg["hidden_width"])
     setup = prepare_benchmark(
-        seed, geometry=geometry, train_fraction=cfg["train_fraction"],
+        seed, input_width=cfg["input_width"], horizon=cfg["horizon"],
+        stride=cfg["stride"], hidden_width=cfg["hidden_width"],
+        train_fraction=cfg["train_fraction"],
         few_shot_fraction=cfg["few_shot_fraction"],
         old_length=cfg["benchmark_old_length"],
         new_length=cfg["benchmark_new_length"],
@@ -432,15 +439,10 @@ def cmd_sweep(args) -> int:
 
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_target(out_path) as tmp, \
-            open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {canonical_json(cfg)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["ratio", "seed", "old_mae", "old_mse",
-                         "new_mae", "new_mse"])
-        for row in results:
-            writer.writerow([row[0], row[1]] + ["" if v is None else repr(v)
-                                                for v in row[2:]])
+    _write_csv(out_path, canonical_json(cfg),
+               ["ratio", "seed", "old_mae", "old_mse", "new_mae", "new_mse"],
+               ([ratio, seed] + ["" if v is None else v for v in metrics]
+                for ratio, seed, *metrics in results))
     print(out_path)
     return 1 if any(row[2] is None for row in results) else 0
 
@@ -459,20 +461,10 @@ def cmd_decompose(args) -> int:
     echo = {"command": "decompose", "input": str(args.input),
             "levels": args.levels, "alpha": args.alpha, "keep": keep,
             "column": series.name}
-
-    with atomic_target(args.output) as tmp, \
-            open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {canonical_json(echo)}\n")
-        writer = csv.writer(fh)
-        header = ([f"approx{l}" for l in range(1, args.levels + 1)]
-                  + [f"detail{l}" for l in range(1, args.levels + 1)]
-                  + ["filtered"])
-        writer.writerow(header)
-        for i in range(len(series.values)):
-            row = [repr(float(a[i])) for a in decomp.approximations]
-            row += [repr(float(d[i])) for d in decomp.details]
-            row.append(repr(float(filtered[i])))
-            writer.writerow(row)
+    header = [f"{kind}{l}" for kind in ("approx", "detail")
+              for l in range(1, args.levels + 1)] + ["filtered"]
+    _write_csv(args.output, canonical_json(echo), header, np.column_stack(
+        decomp.approximations + decomp.details + [filtered]).tolist())
     print(args.output)
     return 0
 
@@ -524,11 +516,7 @@ def cmd_eval(args) -> int:
         "new_metrics": new.to_dict(),
         "per_old_dataset": [pair.to_dict() for pair in per_old],
     }
-    if args.output:
-        _write_json(args.output, doc)
-        print(args.output)
-    else:
-        print(canonical_json(doc))
+    _emit(doc, args.output)
     return 0
 
 
@@ -617,11 +605,7 @@ def cmd_report(args) -> int:
               f"{row['new']['mse'] * scale:>7.3f}/{row['new_mse_change_pct']:>+.2f}%",
               file=sys.stderr)
 
-    if args.output:
-        _write_json(args.output, doc)
-        print(args.output)
-    else:
-        print(canonical_json(doc))
+    _emit(doc, args.output)
     return 0
 
 

@@ -447,3 +447,15 @@ def atomic_target(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_csv(path, comment, header, rows) -> None:
+    """Write an optional "# `comment`" line (a config echo), `header` and
+    `rows` as CSV to `path` through :func:`atomic_target`; floats as repr."""
+    with atomic_target(path) as tmp, \
+            open(tmp, "w", encoding="utf-8", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -9,6 +9,7 @@ gradient, which the kernel is tested against, are in :mod:`rtune.reference`.
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,15 @@ CHECKPOINT_VERSION = 1
 
 def _int(value) -> bool:  # a bool is neither an integer nor a number here
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _dimensions(*dims) -> list:
+    """input_width, horizon and hidden_width, checked, as Python ints (a
+    numpy integer is not JSON, and overflows or rounds in a small dtype)."""
+    for name, value in zip(("input_width", "horizon", "hidden_width"), dims):
+        if not (_int(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return [int(value) for value in dims]
 
 
 def theta_size(input_width: int, hidden_width: int, horizon: int) -> int:
@@ -87,11 +97,8 @@ class Forecaster:
     theta: np.ndarray
 
     def __post_init__(self):
-        for name in ("input_width", "horizon", "hidden_width"):
-            value = getattr(self, name)
-            if not (_int(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-            setattr(self, name, int(value))  # a numpy integer is not JSON
+        self.input_width, self.horizon, self.hidden_width = _dimensions(
+            self.input_width, self.horizon, self.hidden_width)
         self.theta = np.asarray(self.theta, dtype=np.float64)
         expected = theta_size(self.input_width, self.hidden_width, self.horizon)
         if self.theta.shape != (expected,):
@@ -144,9 +151,11 @@ class Forecaster:
 def init_forecaster(input_width: int, horizon: int, hidden_width: int = 32,
                     seed: int = 0) -> Forecaster:
     """Seeded init: each layer uniform in +/- 1/sqrt(fan_in)."""
+    input_width, horizon, hidden_width = _dimensions(input_width, horizon,
+                                                     hidden_width)
     rng = np.random.default_rng(seed)
-    bound1 = 1.0 / np.sqrt(input_width)
-    bound2 = 1.0 / np.sqrt(hidden_width)
+    bound1 = 1.0 / math.sqrt(input_width)
+    bound2 = 1.0 / math.sqrt(hidden_width)
     parts = [
         rng.uniform(-bound1, bound1, size=hidden_width * input_width),
         rng.uniform(-bound1, bound1, size=hidden_width),
@@ -164,44 +173,6 @@ def _soften_rows(logits: np.ndarray, tau: float) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _workspace(lead, n, model):
-    """Preallocated intermediates of a step over the k runs of a theta of
-    shape lead + (P,) (lead () or (k,)), on n rows each, in the order
-    :func:`_kernel` unpacks them: the hidden activations (k, hidden, n),
-    transposed so that the products write contiguous blocks, and the same
-    activations as one array for elementwise work; the (k, hidden + 1, n)
-    array they are the top of, whose last row is ones, the output bias's
-    input, and its (k, n, hidden + 1) transpose; their gradient (k, hidden,
-    n), also with an elementwise view; outputs and their gradient (k, n, H)
-    with the gradient's transpose; softmax numerators (k, n, H); and a
-    (k, n, 1) column. For one run's (P,) vector the arrays have no k axis,
-    to match its rank-2 :func:`_training_blocks`, and each elementwise view
-    is its array.
-
-    In a stack, the activations and their gradient are stored hidden unit
-    by hidden unit across the runs, (hidden, k, n): the elementwise views
-    are then contiguous, which numpy's fast loops need, where the
-    (k, hidden, n) view of a (k, hidden + 1, n) array goes through buffers.
-    That leaves each run's blocks strided, which changes no bit of a
-    matrix-matrix product; a stack whose products include matrix-vector
-    ones (one row, or a horizon of one) keeps each run's blocks contiguous
-    instead, for the bits rather than for speed: a strided matrix or vector
-    there sums in another order than np.dot's."""
-    h, hid = model.horizon, model.hidden_width
-    k = lead[0] if lead else 1
-    if k > 1 and n > 1 and h > 1:
-        stored, d_act = np.ones((hid + 1, k, n)), np.empty((hid, k, n))
-        hidden, act = np.moveaxis(stored, 0, 1), stored[:hid]
-        d_hid = np.moveaxis(d_act, 0, 1)
-    else:
-        hidden, d_hid = np.ones(lead + (hid + 1, n)), np.empty(lead + (hid, n))
-        act, d_act = hidden[..., :hid, :], d_hid
-    d_out = np.empty(lead + (n, h))
-    return (hidden[..., :hid, :], act, hidden, hidden.swapaxes(-1, -2), d_hid,
-            d_act, np.empty(lead + (n, h)), d_out, d_out.swapaxes(-1, -2),
-            np.empty(lead + (n, h)), np.empty(lead + (n, 1)))
-
-
 def _kernel(theta, grad, model, n, tau, distill_weight, rate, reg_weight):
     """The training step of K runs at once, each on its own batch of n rows,
     bound once: returns step(x, x_t, y, p_old, terms, sums, norm), which
@@ -211,11 +182,11 @@ def _kernel(theta, grad, model, n, tau, distill_weight, rate, reg_weight):
 
     `theta` is a (K, P) stack in the training layout (:func:`_training_order`)
     and `grad` a buffer of its shape. The kernel binds their
-    :func:`_training_blocks`, a :func:`_workspace` for (K, n), the product
-    function and its constants. A step's batches are `x` (K, n, W + 1),
-    whose last column is ones, so the first product adds the hidden bias
-    and the last gives its gradient, and `x_t`, its transpose; `y` (K, n,
-    H); and, when distilling, the frozen model's softened outputs `p_old`
+    :func:`_training_blocks`, a workspace for the step's intermediates, the
+    product function and its constants. A step's batches are `x` (K, n, W +
+    1), whose last column is ones, so the first product adds the hidden
+    bias and the last gives its gradient, and `x_t`, its transpose; `y` (K,
+    n, H); and, when distilling, the frozen model's softened outputs `p_old`
     (K, n, H). The step computes only what the gradient needs and records
     what the loss is made of, raw: the residuals in `terms` (2, K, n, H)
     and, when distilling, the max-shifted logits in its second slot and
@@ -234,8 +205,27 @@ def _kernel(theta, grad, model, n, tau, distill_weight, rate, reg_weight):
     """
     w1, w2, rows, columns, w2_weights = _training_blocks(theta, model)
     g_w1, g_w2 = _training_blocks(grad, model)[:2]
-    (hidden, act, hidden_ones, hidden_ones_t, d_hid, d_act, out, d_out,
-     d_out_t, e, col) = _workspace(theta.shape[:-1], n, model)
+    # The workspace. The hidden activations, over a ones row (the output
+    # bias's input), are kept transposed, (K, hidden + 1, n), so that the
+    # products write contiguous blocks. A stack stores them and their
+    # gradient by hidden unit across the runs, (hidden, K, n), so that the
+    # elementwise views `act` and `d_act` are contiguous, as numpy's fast
+    # loops need; that changes no bit of a matrix-matrix product, but a
+    # strided operand of a matrix-vector one (one row, or a horizon of one)
+    # sums in another order than np.dot's, so such a stack keeps each run's
+    # blocks contiguous. One run's arrays have no K axis.
+    lead, h, hid = theta.shape[:-1], model.horizon, model.hidden_width
+    if theta.ndim == 2 and min(len(theta), n, h) > 1:
+        stored, d_act = np.ones((hid + 1, *lead, n)), np.empty((hid, *lead, n))
+        hidden_ones, act = np.moveaxis(stored, 0, 1), stored[:hid]
+        d_hid = np.moveaxis(d_act, 0, 1)
+    else:
+        hidden_ones, d_hid = np.ones(lead + (hid + 1, n)), np.empty(lead + (hid, n))
+        act, d_act = hidden_ones[..., :hid, :], d_hid
+    hidden, hidden_ones_t = hidden_ones[..., :hid, :], hidden_ones.swapaxes(-1, -2)
+    # outputs, their gradient and its transpose, softmax numerators, a column
+    d_out, out, e = (np.empty(lead + (n, h)) for _ in range(3))
+    d_out_t, col = d_out.swapaxes(-1, -2), np.empty(lead + (n, 1))
     mm = np.dot if theta.ndim == 1 else np.matmul
     # constants as 0-d arrays (the same bits), ufuncs as locals, outputs
     # by position: numpy converts a Python float and parses a keyword `out`

@@ -7,12 +7,11 @@ that drop the top detail bands of its redundant wavelet decomposition. Every
 pseudo-label is the frozen model's forecast on its row's own input window.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_target
+from .data import _write_csv
 from .forecaster import Forecaster
 from .wavelet import _roll_into, rwt_decompose, rwt_reconstruct
 
@@ -177,21 +176,12 @@ def replay_count_for_fraction(fraction_percent: float, n_new: int, k: int) -> in
 
 
 def replay_to_csv(replay: ReplaySet, path, comment: str = None) -> None:
-    """One row per sample: tag, the T sequence values, then the H label values.
-
-    An optional '#'-prefixed comment line (e.g. a config echo) goes first.
-    The file is replaced atomically.
-    """
+    """One row per sample: tag, the T sequence values, then the H label
+    values, after an optional "# `comment`" line; replaced atomically."""
     seq_len, horizon = replay.sequences.shape[1], replay.labels.shape[1]
     header = (["tag"] + [f"x{i}" for i in range(seq_len)]
               + [f"y{i}" for i in range(horizon)])
-    with atomic_target(path) as tmp, \
-            open(tmp, "w", encoding="utf-8", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for tag, sequence, label in zip(replay.tags, replay.sequences.tolist(),
-                                        replay.labels.tolist()):
-            writer.writerow([tag] + [repr(v) for v in sequence]
-                            + [repr(v) for v in label])
+    _write_csv(path, comment, header,
+               ([tag, *sequence, *label] for tag, sequence, label
+                in zip(replay.tags, replay.sequences.tolist(),
+                       replay.labels.tolist())))

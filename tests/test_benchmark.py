@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
-                             run_arm)
+from rtune.benchmark import desk_config, prepare_benchmark, run_arm
 from rtune.data import gen_benchmark_tasks, windowed_split
 
-SMALL = dict(geometry=BenchmarkGeometry(16, 4, 1, 8), old_length=600,
-             new_length=900, pretrain_epochs=3)
+SMALL = dict(input_width=16, horizon=4, stride=1, hidden_width=8,
+             old_length=600, new_length=900, pretrain_epochs=3)
 
 
 def test_preparation_deterministic():

@@ -150,6 +150,24 @@ class TestForward:
         assert np.max(np.abs(np.concatenate([w1.ravel(), b1]))) <= 1 / np.sqrt(8)
         assert np.max(np.abs(np.concatenate([w2.ravel(), b2]))) <= 1 / np.sqrt(4)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+    def test_init_draw_independent_of_width_dtype(self, dtype):
+        # np.sqrt of a uint8 or int16 is a float16, a bound off in its bits,
+        # and 48 * 32 overflows a uint8
+        for widths in ((6, 3, 5), (48, 12, 32)):
+            want = init_forecaster(*widths, seed=77)
+            got = init_forecaster(*map(dtype, widths), seed=77)
+            assert np.array_equal(got.theta, want.theta)
+            assert type(got.hidden_width) is int
+
+    @pytest.mark.parametrize("widths,name", [
+        ((0, 3, 5), "input_width"), ((6, 0, 5), "horizon"),
+        ((6, 3, 0), "hidden_width")])
+    def test_init_names_a_zero_width(self, widths, name):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer >= 1, got 0$"):
+            init_forecaster(*widths, seed=77)
+
 
 class TestSoften:
     def test_equal_logits_uniform(self):

@@ -3,6 +3,7 @@ variants, training-set assembly, and the batched build against a per-latent
 oracle."""
 
 import csv
+import hashlib
 import re
 
 import numpy as np
@@ -478,3 +479,21 @@ def test_replay_csv_round_trip(tmp_path):
     assert [row[0] for row in rows[1:]] == list(rs.tags)
     labels = np.array([[float(v) for v in row[13:]] for row in rows[1:]])
     assert np.array_equal(labels, rs.labels)
+
+
+def test_replay_csv_bytes_unchanged(tmp_path):
+    # exact values, no arithmetic a BLAS kernel could move: the digests hold
+    # everywhere; they were taken before the echo-headed CSVs shared a writer
+    rs = ReplaySet(
+        sequences=np.array([[0.1, -2.5, 1e-300, 3.0, -0.0],
+                            [1 / 3, 7.25e10, -4.0, 0.5, 5e-324]]),
+        labels=np.array([[0.2, -1.0], [1e16, 1.7976931348623157e308]]),
+        tags=np.array(["full_spectrum", "filtered(1)"]), provenance={})
+    path = tmp_path / "replay.csv"
+    for comment, digest in [
+        (None,
+         "69b0dc2c604bdcbb28170169dd750a37b48181eaf2526695c3d45cc4ab286f18"),
+        ('{"command":"synth","seed":0}',
+         "4537442bdfd38d70ced43210546576c361d41c6ffc26adc20b0b0f57928a1323")]:
+        replay_to_csv(rs, path, comment=comment)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

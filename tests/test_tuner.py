@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from rtune.benchmark import (BenchmarkGeometry, desk_config, prepare_benchmark,
-                             run_arm, run_arm_jobs)
+from rtune.benchmark import (desk_config, prepare_benchmark, run_arm,
+                             run_arm_jobs)
 from rtune.cli import build_parser, load_run_config
 from rtune.data import WindowedDataset, make_windows
 import rtune.cli
@@ -999,8 +999,9 @@ EXPECTED_OVERRIDES = {
 
 @pytest.fixture(scope="module")
 def small_setup():
-    return prepare_benchmark(2, geometry=BenchmarkGeometry(16, 4, 1, 8),
-                             old_length=600, new_length=900, pretrain_epochs=3)
+    return prepare_benchmark(2, input_width=16, horizon=4, stride=1,
+                             hidden_width=8, old_length=600, new_length=900,
+                             pretrain_epochs=3)
 
 
 @pytest.mark.parametrize("method", sorted(EXPECTED_OVERRIDES))
