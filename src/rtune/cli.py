@@ -522,10 +522,12 @@ def cmd_eval(args) -> int:
 
 def _is_report(doc) -> bool:
     """A run report as `report` reads it: a string method, and old and new
-    metrics objects with a number for each of mae, mse and n_samples."""
+    metrics objects with a number in the float range for each of mae, mse
+    and n_samples: JSON's NaN and Infinity, and larger integers, fail."""
     return (isinstance(doc, dict) and isinstance(doc.get("method"), str)
             and all(isinstance(doc.get(side), dict)
                     and all(_real(doc[side].get(key))
+                            and abs(doc[side][key]) <= sys.float_info.max
                             for key in ("mae", "mse", "n_samples"))
                     for side in ("old_metrics", "new_metrics")))
 
@@ -547,8 +549,8 @@ def _collect_reports(paths):
             if not _is_report(doc):
                 raise ValueError(
                     f"{p}: not a run report (needs a string method and "
-                    f"old_metrics and new_metrics objects holding mae, mse "
-                    f"and n_samples)")
+                    f"old_metrics and new_metrics objects holding finite "
+                    f"mae, mse and n_samples)")
             reports.append(doc)
     if not reports:
         raise ValueError("no report.json files found under the given paths")

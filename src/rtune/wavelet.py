@@ -120,6 +120,15 @@ def _roll_into(out, x, shift):
     out[..., :shift] = x[..., n - shift:]
 
 
+def _check_depth(length: int, levels: int, bank: FilterBank) -> None:
+    """Raise unless a signal of `length` holds a depth-`levels` decomposition
+    by `bank`."""
+    min_len = len(bank.dec_lo) * 2 ** (levels - 1)
+    if length < min_len:
+        raise ValueError(f"signal of length {length} too short for {levels} "
+                         f"levels (needs >= {min_len})")
+
+
 def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecomposition:
     """Decompose a signal into `levels` redundant detail bands plus one approximation.
 
@@ -145,12 +154,7 @@ def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecompositi
         raise ValueError(f"levels must be >= 1, got {levels}")
     if bank is None:
         bank = build_db4_bank()
-    min_len = len(bank.dec_lo) * 2 ** (levels - 1)
-    if x.shape[-1] < min_len:
-        raise ValueError(
-            f"signal of length {x.shape[-1]} too short for {levels} levels "
-            f"(needs >= {min_len})"
-        )
+    _check_depth(x.shape[-1], levels, bank)
 
     approx = x
     details = []

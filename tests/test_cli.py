@@ -1180,6 +1180,12 @@ class TestEvalAndReport:
         [1, 2],
         {"method": "ft", "old_metrics": {"mae": 1.0, "mse": 1.0},
          "new_metrics": {"mae": 1.0, "mse": 1.0, "n_samples": 3}},
+        {"method": "ft",
+         "old_metrics": {"mae": float("nan"), "mse": 1.0, "n_samples": 3},
+         "new_metrics": {"mae": 1.0, "mse": float("inf"), "n_samples": 3}},
+        {"method": "ft", "old_metrics": {"mae": 10 ** 400, "mse": 1.0,
+                                         "n_samples": 3},
+         "new_metrics": {"mae": 1.0, "mse": 1.0, "n_samples": 3}},
     ])
     def test_report_of_another_shape_names_file(self, tmp_path, capsys, doc):
         report = tmp_path / "runs" / "seed-0" / "report.json"
@@ -1188,8 +1194,8 @@ class TestEvalAndReport:
         assert main(["report", str(tmp_path / "runs")]) == 1
         assert capsys.readouterr().err == (
             f"error: {report}: not a run report (needs a string method and "
-            f"old_metrics and new_metrics objects holding mae, mse and "
-            f"n_samples)\n")
+            f"old_metrics and new_metrics objects holding finite mae, mse "
+            f"and n_samples)\n")
 
     def test_report_counts_a_report_once(self, bench_config, tmp_path):
         # the run directory and one of its reports, under another spelling:

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rtune import replay
 from rtune.data import make_windows
@@ -122,6 +122,7 @@ def test_smoothing_bit_equal_to_roll_form(n, d, strided, seed):
 
 
 @settings(max_examples=60, deadline=None)
+@example(n=3, d=300, scale=1.0, seed=0)  # wider than any workload's rows
 @given(n=st.integers(1, 6), d=st.integers(1, 60), scale=st.sampled_from(
     [1e-3, 1.0, 1e3]), seed=st.integers(0, 2 ** 32 - 1))
 def test_smoothing_operator_matches_roll_form(n, d, scale, seed):
@@ -160,15 +161,10 @@ def test_filter_operators_match_the_transform(levels, extra, data, seed):
         assert np.max(np.abs(x @ block - oracle)) <= 1e-12
 
 
-WIDTH, SPAN = replay.PRODUCT_MAX_WIDTH, replay.PRODUCT_MAX_SPAN
-
-
-@pytest.mark.parametrize("w, h", [(WIDTH, SPAN - WIDTH),
-                                  (WIDTH + 1, SPAN - WIDTH),
-                                  (WIDTH - 1, SPAN - WIDTH + 2)])
-def test_each_stage_takes_the_product_up_to_its_width(w, h, monkeypatch):
-    # up to its limit a stage is one product, within 1e-12 of the per-row
-    # form; past it, the per-row form itself, bit for bit
+@pytest.mark.parametrize("w, h", [(48, 12), (257, 256), (300, 700)])
+def test_each_stage_is_one_product(w, h, monkeypatch):
+    # at every width each stage builds its operator once and is one
+    # product, within 1e-12 of the per-row form
     frozen = init_forecaster(w, h, 3, seed=w)
     levels, k, alpha, n = 2, 2, 0.7, 3
     tap_sums, operators = [], []
@@ -178,35 +174,31 @@ def test_each_stage_takes_the_product_up_to_its_width(w, h, monkeypatch):
     monkeypatch.setattr(replay, "_filter_operators", lambda *args: (
         operators.append(args), filter_operators(*args))[1])
     rs = build_replay_set(frozen, n, levels, k, alpha, seed=5)
-    assert tap_sums == [(w, w) if w <= WIDTH else (n, w)]
-    assert operators == ([(w + h, levels, k, alpha)] if w + h <= SPAN else [])
+    assert tap_sums == [(w, w)]
+    assert operators == [(w + h, levels, k, alpha)]
     rows = rs.sequences.reshape(n, 1 + k, w + h)
     contexts = roll_smooth(sample_latents(n, w, 5))
-    if w <= replay.PRODUCT_MAX_WIDTH:
-        assert np.max(np.abs(rows[:, 0, :w] - contexts)) <= 1e-12
-    else:
-        assert rows[:, 0, :w].tobytes() == contexts.tobytes()
+    assert np.max(np.abs(rows[:, 0, :w] - contexts)) <= 1e-12
     decomp = rwt_decompose(rows[:, 0], levels)
     for j in range(1, k + 1):
         oracle = rwt_reconstruct(decomp, alpha=alpha, keep_levels=levels - j)
-        if w + h <= replay.PRODUCT_MAX_SPAN:
-            assert np.max(np.abs(rows[:, j] - oracle)) <= 1e-12
-        else:
-            assert rows[:, j].tobytes() == oracle.tobytes()
+        assert np.max(np.abs(rows[:, j] - oracle)) <= 1e-12
 
 
 class TestOperatorErrors:
     """The operator path raises what the transform raised on the rows."""
 
     def test_short_signal(self):
-        # W + H = 6 holds no depth-2 decomposition
+        # W + H = 6 holds no depth-2 decomposition, at any discard depth
         message = "signal of length 6 too short for 2 levels (needs >= 8)"
         with pytest.raises(ValueError, match=re.escape(message)):
             rwt_decompose(np.zeros((2, 6)), 2)
         with pytest.raises(ValueError, match=re.escape(message)):
             replay._filter_operators(6, 2, 1, 0.7)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            build_replay_set(init_forecaster(4, 2, 3, seed=0), 2, 2, 1, 0.7, 0)
+        for k in (0, 1):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build_replay_set(init_forecaster(4, 2, 3, seed=0), 2, 2, k,
+                                 0.7, 0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 is the point
     def test_non_finite_rows(self, fixed_latents):
