@@ -375,14 +375,26 @@ def _plain_block(lines, width, first_col):
     return block
 
 
+def _undecodable_line(path):
+    """The number of the first line of `path` that is not UTF-8, counted as
+    :func:`read_series_csv` counts lines."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape",
+              newline="") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")  # fails on the bytes escaped as surrogates
+            except UnicodeEncodeError:
+                return lineno
+
+
 def read_series_csv(path):
     """Read a series CSV: header row, optional leading timestamp column, one
     real-valued column per variable.
 
     The first column is treated as a timestamp (and dropped) when its header
     matches a timestamp name or its first value does not parse as a float.
-    A leading UTF-8 byte order mark is ignored. Malformed rows and
-    non-finite cells raise with their line number.
+    A leading UTF-8 byte order mark is ignored. Malformed rows, non-finite
+    cells and bytes that are not UTF-8 raise with their line number.
 
     The file is read in one streaming pass over blocks of whole lines that
     keeps only the parsed values. A block without quotes or comments is split
@@ -392,39 +404,43 @@ def read_series_csv(path):
     Returns:
         list of RawSeries, one per variable column.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = _line_rows(iter(fh.readline, ""), 1)
-        _, header = next(rows, (None, None))
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        first = next(rows, None)
-        if first is None:
-            raise ValueError(f"{path}: no data rows")
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = _line_rows(iter(fh.readline, ""), 1)
+            _, header = next(rows, (None, None))
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            first = next(rows, None)
+            if first is None:
+                raise ValueError(f"{path}: no data rows")
 
-        skip_first = header[0].strip().lower() in _TIMESTAMP_NAMES
-        if not skip_first and len(header) > 1:
-            try:
-                float(first[1][0])
-            except (ValueError, IndexError):
-                skip_first = True
-        first_col = 1 if skip_first else 0
-        names = [c.strip() for c in header[first_col:]]
-        if not names:
-            raise ValueError(f"{path}: no variable columns")
+            skip_first = header[0].strip().lower() in _TIMESTAMP_NAMES
+            if not skip_first and len(header) > 1:
+                try:
+                    float(first[1][0])
+                except (ValueError, IndexError):
+                    skip_first = True
+            first_col = 1 if skip_first else 0
+            names = [c.strip() for c in header[first_col:]]
+            if not names:
+                raise ValueError(f"{path}: no variable columns")
 
-        width = len(header)
-        columns = [array("d") for _ in names]
-        _append_rows(path, [first], width, first_col, columns)
-        lineno = first[0] + 1
-        while lines := fh.readlines(_BLOCK_CHARS):
-            block = _plain_block(lines, width, first_col)
-            if block is None:
-                _append_rows(path, _line_rows(lines, lineno), width,
-                             first_col, columns)
-            else:
-                for column, values in zip(columns, block):
-                    column.extend(values)
-            lineno += len(lines)
+            width = len(header)
+            columns = [array("d") for _ in names]
+            _append_rows(path, [first], width, first_col, columns)
+            lineno = first[0] + 1
+            while lines := fh.readlines(_BLOCK_CHARS):
+                block = _plain_block(lines, width, first_col)
+                if block is None:
+                    _append_rows(path, _line_rows(lines, lineno), width,
+                                 first_col, columns)
+                else:
+                    for column, values in zip(columns, block):
+                        column.extend(values)
+                lineno += len(lines)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}:{_undecodable_line(path)}: not UTF-8 text "
+                         f"({exc.reason})") from None
 
     return [RawSeries(np.array(col), name) for name, col in zip(names, columns)]
 
@@ -444,8 +460,13 @@ def atomic_target(path):
     try:
         yield tmp
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        # an error of the temporary alone names `path`, the file asked for:
+        # an output into a missing directory says so of `path`
+        if isinstance(exc, OSError) and exc.filename2 is None \
+                and exc.filename == str(tmp):
+            exc.filename = str(path)
         raise
 
 

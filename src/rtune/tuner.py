@@ -210,11 +210,12 @@ def r_tune_group(jobs):
     `jobs` is a sequence of (frozen, new_data, cfg, method) tuples, each as
     :func:`r_tune` takes them. Jobs with one :func:`lockstep_key` form a
     group: one stacked step kernel trains all of its runs at each batch
-    offset. Each run keeps its own replay set, shuffles, soft targets,
-    checkpoint selection and errors, and its model and report have the bits
-    of its solo :func:`r_tune`. The runs on one new-task dataset read their
-    training rows through an index into one source, which holds its fit
-    rows once and then each run's replay rows.
+    offset. Each run keeps its own replay set, shuffles, checkpoint
+    selection and errors, and its model and report have the bits of its solo
+    :func:`r_tune`. The runs on one new-task dataset read their training
+    rows through one index into one source, which holds its fit rows once
+    and then each run's replay rows, and into the soft targets beside it,
+    which its distilling runs share per frozen model and temperature.
 
     Returns:
         One entry per job, in order: (model, report), or the ValueError or
@@ -242,7 +243,6 @@ def r_tune_group(jobs):
     _read_in_place(runs)
     groups = {}
     for run in runs:
-        run.soften_targets()
         groups.setdefault(run.group_key, []).append(run)
     for group in groups.values():
         _train_stack(group)
@@ -269,9 +269,9 @@ class _Run:
 
     Its training set, in the order :func:`rtune.reference.build_train_set`
     shuffles it, is the rows `rows` of the arrays `inputs` (a source with a
-    ones column, or the dataset's padded inputs) and `labels`, which
-    :func:`_read_in_place` sets; until then `rows` index the fit rows
-    followed by the run's own `replay`."""
+    ones column, or the dataset's padded inputs), `labels` and, when it
+    distils, `soft`, which :func:`_read_in_place` sets; until then `rows`
+    index the fit rows followed by the run's own `replay`."""
 
     def __init__(self, index, frozen, new_data, cfg, method="r-tuning"):
         cfg = method_config(method, cfg)
@@ -317,18 +317,7 @@ class _Run:
         n_train = self.n_fit + (0 if self.replay is None else len(self.replay))
         shuffle_seed = shuffle_seq.generate_state(1)[0].item()
         self.rows = np.random.default_rng(shuffle_seed).permutation(n_train)
-        self.soft_old = None
-
-    def soften_targets(self):
-        """The frozen model's softened outputs on the training rows, in
-        training order, when distilling. A replay row's label is the frozen
-        model's output on its input, so only the fit rows are forwarded."""
-        if self.cfg.distill_weight != 0.0:
-            logits = np.take(self.labels, self.rows, axis=0)
-            fit = self.rows < self.n_fit
-            logits[fit] = self.frozen.forward_batch(
-                self.data.inputs[self.rows[fit]])
-            self.soft_old = _soften_rows(logits, self.cfg.tau)
+        self.soft = None
 
     def fail(self, exc, epoch, offset):
         """Fail with the error the solo run raises at this step."""
@@ -370,24 +359,27 @@ def _read_in_place(runs):
     fit rows once, then each run's replay rows, with a ones column, the
     hidden bias's input in the training layout. The runs on a dataset that
     none of them replays on read its own padded inputs and labels: a source
-    would copy the dataset, so training memory would grow with it."""
+    would copy the dataset, so training memory would grow with it.
+
+    Each distilling run's `soft` holds the frozen model's softened outputs
+    on the rows of its source, in source order, shared by the runs with its
+    frozen model and `tau`. A replay row's label is its frozen model's
+    output on its input, so only the fit rows are forwarded."""
     sharing = {}
     for run in runs:
         sharing.setdefault((id(run.data), run.n_fit), []).append(run)
     for group in sharing.values():
         data, n_fit = group[0].data, group[0].n_fit
+        inputs, labels = data.padded, data.labels
         replays = [run.replay for run in group if run.replay is not None]
-        if not replays:
-            for run in group:
-                run.inputs, run.labels = data.padded, data.labels
-            continue
-        width = data.input_width
-        inputs = np.empty((n_fit + sum(map(len, replays)), width + 1))
-        inputs[:n_fit] = data.padded[:n_fit]
-        inputs[n_fit:, width] = 1.0
-        labels = np.concatenate([data.labels[:n_fit]]
-                                + [replay.labels for replay in replays])
-        offset = n_fit
+        if replays:
+            width = data.input_width
+            inputs = np.empty((n_fit + sum(map(len, replays)), width + 1))
+            inputs[:n_fit] = data.padded[:n_fit]
+            inputs[n_fit:, width] = 1.0
+            labels = np.concatenate([data.labels[:n_fit]]
+                                    + [replay.labels for replay in replays])
+        offset, soft = n_fit, {}
         for run in group:
             if run.replay is not None:
                 # the run's replay row j sits at offset + j of the source
@@ -396,6 +388,14 @@ def _read_in_place(runs):
                 run.rows[run.rows >= n_fit] += offset - n_fit
                 offset = rows.stop
             run.inputs, run.labels, run.replay = inputs, labels, None
+            if run.cfg.distill_weight != 0.0:
+                key = (id(run.frozen), run.cfg.tau)
+                if key not in soft:
+                    logits = labels.copy()
+                    logits[:n_fit] = run.frozen.forward_batch(
+                        data.inputs[:n_fit])
+                    soft[key] = _soften_rows(logits, run.cfg.tau)
+                run.soft = soft[key]
 
 
 def _schedule(sizes, batch_size):
@@ -472,9 +472,7 @@ def _train_stack(runs):
     norms = np.zeros((epoch_batches, len(runs)))
     step_rows = np.zeros_like(norms)
     row_terms = np.zeros(terms.shape[:1] + norms.shape + terms.shape[3:4])
-    # each run's epoch order over its training rows, and the source rows
-    # that order meets
-    orders = [np.empty(size, dtype=np.int64) for size in sizes]
+    # the source rows each run meets in its epoch's order
     source_rows = [np.empty(size, dtype=np.int64) for size in sizes]
 
     # per chunk: its gathers (source, source indices, buffer), its steps,
@@ -496,7 +494,7 @@ def _train_stack(runs):
             gathers.append((run.inputs, source_rows[k][rows], inputs[k, :n]))
             gathers.append((run.labels, source_rows[k][rows], labels[k, :n]))
             if p_old is not None:
-                gathers.append((run.soft_old, orders[k][rows], p_old[k, :n]))
+                gathers.append((run.soft, source_rows[k][rows], p_old[k, :n]))
     kernels = {}
     for first, end, lo, hi in _schedule(sizes, cfg.batch_size):
         # one run's kernel binds views without the run axis, so its products
@@ -518,9 +516,9 @@ def _train_stack(runs):
     with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
             for k, run in enumerate(runs):
-                orders[k][:] = np.random.default_rng(
-                    run.epoch_seqs[epoch]).permutation(sizes[k])
-                run.rows.take(orders[k], mode="clip", out=source_rows[k])
+                shuffle = np.random.default_rng(run.epoch_seqs[epoch])
+                run.rows.take(shuffle.permutation(sizes[k]), mode="clip",
+                              out=source_rows[k])
             for gathers, plan, record, row_sums in chunks.values():
                 for source, index, buffer in gathers:
                     # indices are in range, so "clip" changes none, and it

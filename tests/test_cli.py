@@ -27,6 +27,9 @@ from rtune.tuner import TuneConfig, _epoch_seeds, r_tune_group
 
 
 def write_csv(path, values, name="signal"):
+    if isinstance(values, bytes):  # a file's bytes as they are
+        path.write_bytes(values)
+        return path
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{name}\n")
         for v in values:
@@ -552,14 +555,15 @@ class TestTune:
         assert report["new_metrics"]["mae"] > 0
 
     @pytest.mark.parametrize("values, message", [
-        (np.full(100, 2.5), "constant series: standard deviation is zero"),
-        ([1.0, 2.0, 4.0], "series of length 3 too short for windows of span 20"),
-    ], ids=["constant", "short"])
+        (np.full(100, 2.5), ": constant series: standard deviation is zero"),
+        ([1.0, 2.0, 4.0], ": series of length 3 too short for windows of span 20"),
+        (b"signal\n0.5\n\xff1.5\n", ":3: not UTF-8 text (invalid start byte)"),
+    ], ids=["constant", "short", "not-utf8"])
     def test_bad_new_series_names_file(self, csv_config, tmp_path, capsys,
                                        values, message):
         new_csv = write_csv(tmp_path / "new.csv", values)
         assert main(["tune", "--config", str(csv_config())]) == 1
-        assert capsys.readouterr().err == f"error: {new_csv}: {message}\n"
+        assert capsys.readouterr().err == f"error: {new_csv}{message}\n"
         assert not (tmp_path / "runs").exists()
 
     def test_csv_read_once_per_file(self, csv_config, tmp_path, monkeypatch):
@@ -1132,10 +1136,13 @@ class TestEvalAndReport:
         assert not out.exists()
 
     @pytest.mark.parametrize("side, values, message", [
-        ("old", np.full(100, 2.5), "constant series: standard deviation is zero"),
-        ("new", np.full(100, 2.5), "constant series: standard deviation is zero"),
-        ("new", [1.0, 2.0, 4.0], "series of length 3 too short for windows of span 20"),
-    ], ids=["constant-old", "constant-new", "short-new"])
+        ("old", np.full(100, 2.5), ": constant series: standard deviation is zero"),
+        ("new", np.full(100, 2.5), ": constant series: standard deviation is zero"),
+        ("new", [1.0, 2.0, 4.0], ": series of length 3 too short for windows of span 20"),
+        ("old", b"time\xe9,value\n0,1.5\n", ":1: not UTF-8 text (invalid continuation byte)"),
+        ("new", b"signal\n0.5\n1.5\xe2\x82", ":3: not UTF-8 text (unexpected end of data)"),
+    ], ids=["constant-old", "constant-new", "short-new", "not-utf8-old",
+            "not-utf8-new"])
     def test_eval_bad_series_names_file(self, tmp_path, sine_csv, capsys,
                                         side, values, message):
         ckpt = tmp_path / "m.ckpt"
@@ -1146,7 +1153,22 @@ class TestEvalAndReport:
         assert main(["eval", "--checkpoint", str(ckpt), "--new-data",
                      str(files["new"]), "--old-data", str(files["old"]),
                      "--output", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert capsys.readouterr().err == f"error: {bad}{message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "synth"])
+    def test_binary_checkpoint_names_file(self, tmp_path, sine_csv, capsys,
+                                          command):
+        ckpt = tmp_path / "bin.ckpt"
+        ckpt.write_bytes(b"\x89CKPT\r\n\x1a\n\x00\xff")
+        out = tmp_path / "out"
+        args = {"eval": ["--new-data", str(sine_csv)],
+                "synth": ["--replay-n", "2"]}[command]
+        assert main([command, "--checkpoint", str(ckpt), *args,
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: 'utf-8' codec can't decode byte 0x89 in "
+            f"position 0: invalid start byte\n")
         assert not out.exists()
 
     def test_report_table(self, bench_config, tmp_path):
@@ -1229,6 +1251,29 @@ class TestEvalAndReport:
 
 
 class TestAtomicWrites:
+    @pytest.mark.parametrize("command", ["decompose", "synth", "eval",
+                                         "report"])
+    def test_output_into_missing_directory_names_it(
+            self, bench_config, sine_csv, tmp_path, capsys, command):
+        # the error names the path asked for, not the temporary beside it
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_forecaster(16, 4, 8, seed=2), ckpt)
+        if command == "report":
+            assert main(["tune", "--config",
+                         str(bench_config(method="frozen"))]) == 0
+        args = {"decompose": ["--input", str(sine_csv)],
+                "synth": ["--checkpoint", str(ckpt), "--replay-n", "2"],
+                "eval": ["--checkpoint", str(ckpt), "--new-data", str(sine_csv)],
+                "report": [str(tmp_path / "runs")]}[command]
+        out = tmp_path / "missing" / "out"
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([command, *args, "--output", str(out)]) == 1
+        # report prints its table to stderr before it writes the file
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: [Errno 2] No such file or directory: {str(out)!r}")
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_failed_write_keeps_previous_file(self, tmp_path):
         target = tmp_path / "report.json"
         target.write_text("previous\n")

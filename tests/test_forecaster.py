@@ -768,12 +768,16 @@ class TestCheckpoint:
         (lambda doc: dict(doc, input_width="4"),
          "input_width must be an integer >= 1, got '4'"),
         (lambda doc: "{", "Expecting property name"),
+        (lambda doc: b"\x89CKPT\xff", "can't decode byte 0x89 in position 0"),
     ])
     def test_rejects_foreign_files(self, tmp_path, edit, message):
         path = tmp_path / "junk.json"
         save_checkpoint(init_forecaster(4, 2, 3, seed=5), path)
         doc = edit(json.loads(path.read_text()))
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(message)) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)

@@ -877,14 +877,46 @@ class TestLockstep:
         cfg = TuneConfig(replay_n=60, epochs=1)
         run = tuner._Run(0, frozen, data, cfg, method)
         tuner._read_in_place([run])
-        run.soften_targets()
         every_row = frozen.forward_batch(run.inputs[run.rows][:, :48])
-        assert np.max(np.abs(run.soft_old
+        assert np.max(np.abs(run.soft[run.rows]
                              - _soften_rows(every_row, cfg.tau))) <= 1e-12
         replay = run.rows >= run.n_fit
         assert replay.any() == (method == "r-tuning")
-        assert np.array_equal(run.soft_old[replay], _soften_rows(
+        assert np.array_equal(run.soft[run.rows[replay]], _soften_rows(
             run.labels[run.rows[replay]], cfg.tau))
+
+    def test_soft_targets_shared_per_frozen_model_and_tau(self,
+                                                          monkeypatch):
+        # the distilling runs on one dataset hold one soft-target array per
+        # frozen model and tau, whose fit rows get one frozen pass; each
+        # run reads the soft targets of its solo run
+        frozen, other = (init_forecaster(8, 4, 6, seed=s) for s in (9, 10))
+        data, cfg = small_dataset(), small_config()
+        jobs = [(frozen, data, cfg, "r-tuning"),
+                (frozen, data, replace(cfg, replay_n=9, seed=3), "r-tuning"),
+                (frozen, data, cfg, "lwf"),
+                (frozen, data, replace(cfg, tau=2.0), "r-tuning"),
+                (other, data, cfg, "r-tuning"),
+                (frozen, data, cfg, "replay-only")]
+        runs = [tuner._Run(j, *job) for j, job in enumerate(jobs)]
+        forwarded, forward = [], Forecaster.forward_batch
+
+        def spy(model, inputs):
+            forwarded.append(len(inputs))
+            return forward(model, inputs)
+
+        monkeypatch.setattr(Forecaster, "forward_batch", spy)
+        tuner._read_in_place(runs)
+        monkeypatch.undo()
+        assert forwarded == [runs[0].n_fit] * 3  # (frozen, 3), (frozen, 2), other
+        assert runs[1].soft is runs[0].soft and runs[2].soft is runs[0].soft
+        assert len({id(run.soft) for run in runs[:5]}) == 3
+        assert runs[5].soft is None
+        for job, run in zip(jobs, runs):
+            solo = tuner._Run(0, *job)
+            tuner._read_in_place([solo])
+            if run.soft is not None:
+                assert np.array_equal(run.soft[run.rows], solo.soft[solo.rows])
 
     def test_frozen_val_mae_reported_but_not_serialized(self):
         frozen = init_forecaster(8, 4, 6, seed=9)
@@ -931,7 +963,7 @@ class TestMemory:
 
         def training(runs):
             sources.extend(array for run in runs
-                           for array in (run.inputs, run.labels, run.soft_old)
+                           for array in (run.inputs, run.labels, run.soft)
                            if array is not None)
             return train(runs)
 
