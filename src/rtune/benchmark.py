@@ -80,12 +80,10 @@ def prepare_benchmark(seed: int, input_width: int = 48, horizon: int = 12,
                           new_test=new_test, gen_params=gen_params)
 
 
-def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig,
-            old_tests=None):
+def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig):
     """Run one adaptation method on a prepared benchmark and score it: the
-    adapted model, or the frozen one for "frozen", on `old_tests` (default:
-    the setup's old-task test set) and the new-task test set. The one-arm
-    case of :func:`run_arm_jobs`.
+    adapted model, or the frozen one for "frozen", on the setup's old- and
+    new-task test sets. The one-arm case of :func:`run_arm_jobs`.
 
     Returns:
         (adapted model or None for "frozen", TuneReport with metrics)
@@ -93,7 +91,7 @@ def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig,
     Raises:
         RuntimeError: training diverged, or a metric is not finite.
     """
-    outcome, = run_arm_jobs([(setup, method, cfg, old_tests)])
+    outcome, = run_arm_jobs([(setup, method, cfg, None)])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -102,7 +100,9 @@ def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig,
 def run_arm_jobs(jobs):
     """Train and score (setup, method, cfg, old_tests) arms, which may come
     from several prepared benchmarks, the trained ones together through one
-    :func:`rtune.tuner.r_tune_group` call.
+    :func:`rtune.tuner.r_tune_group` call. Each arm scores on its
+    `old_tests`, or on its setup's old-task test set when that is None, and
+    on its setup's new-task test set.
 
     Returns:
         One entry per job, in order: what :func:`run_arm` returns for it, or

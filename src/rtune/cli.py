@@ -9,9 +9,11 @@ under reruns so results can be reproduced exactly from any echo.
 import argparse
 import contextlib
 import copy
+import errno
 import hashlib
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -431,6 +433,11 @@ def _sweep_row(seed, arm_cfg: dict, outcome):
 def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config)
     ratios = _parse_ratios(args.ratios)
+    out_path = Path(args.output)
+    # fail as the write would, before any seed is prepared or run written
+    if not out_path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                str(out_path))
 
     # arms differ only in seed and replay_ratio: each seed is prepared once
     arms = _trained_arms(cfg, [{"replay_ratio": ratio} for ratio in ratios],
@@ -438,8 +445,6 @@ def cmd_sweep(args) -> int:
     results = [_sweep_row(*arm) for arm in arms]
     results.sort(key=lambda row: (row[0], row[1]))
 
-    out_path = Path(args.output)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out_path, canonical_json(cfg),
                ["ratio", "seed", "old_mae", "old_mse", "new_mae", "new_mse"],
                ([ratio, seed] + ["" if v is None else v for v in metrics]

@@ -462,11 +462,11 @@ def atomic_target(path):
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
-        # an error of the temporary alone names `path`, the file asked for:
-        # an output into a missing directory says so of `path`
-        if isinstance(exc, OSError) and exc.filename2 is None \
-                and exc.filename == str(tmp):
-            exc.filename = str(path)
+        # an error of the temporary names only `path`, the file asked for:
+        # an output into a missing directory, or onto a directory (where
+        # os.replace names both files), says so of `path`
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from .data import _write_csv
 from .forecaster import Forecaster
-from .wavelet import (_check_depth, _roll_into, build_db4_bank, rwt_decompose,
-                      rwt_reconstruct)
+from .wavelet import (_check_alpha, _check_depth, _roll_into, build_db4_bank,
+                      rwt_decompose, rwt_reconstruct)
 
 __all__ = [
     "ReplaySet",
@@ -109,8 +109,7 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
         raise ValueError(f"replay size must be >= 1, got {n}")
     if not 0 <= k <= levels:
         raise ValueError(f"discard depth must be in [0, {levels}], got {k}")
-    if not 0.0 <= alpha <= 1.0:  # NaN fails too
-        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
+    _check_alpha(alpha)
     w, span = frozen.input_width, frozen.input_width + frozen.horizon
     # for every k, not only where the filter operator's build checks it
     _check_depth(span, levels, build_db4_bank())

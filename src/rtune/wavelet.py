@@ -7,7 +7,8 @@ axis, so an (n, T) block of signals is transformed row by row in one call,
 each row with the same arithmetic as a 1-D call on it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -41,36 +42,30 @@ class FilterBank:
 @dataclass(frozen=True)
 class WaveletDecomposition:
     """Redundant pyramid for a signal (or a block of signals along the last
-    axis): full-length coefficients per level.
+    axis): the full-length low- and high-pass outputs of every level, and the
+    bank that made them.
 
-    ``details[l]`` holds level l+1 (finest band first); ``approx`` is the
-    deepest low-pass output. ``approximations[l]``, filled by
-    :func:`rwt_decompose`, is the low-pass output of level l+1, so its last
-    entry is ``approx``. All sequences have the input shape.
+    ``approximations[l]`` and ``details[l]`` are the low- and high-pass
+    outputs of level l+1 (finest band first); ``approx``, the deepest
+    low-pass output, is ``approximations[-1]``. All sequences have the input
+    shape.
     """
 
-    levels: int
-    approx: np.ndarray
-    details: list = field(default_factory=list)
-    filter_bank: FilterBank = None
-    approximations: list = field(default_factory=list)
+    approximations: list
+    details: list
+    filter_bank: FilterBank
 
     def __post_init__(self):
-        if len(self.details) != self.levels:
-            raise ValueError(
-                f"expected {self.levels} detail sequences, got {len(self.details)}"
-            )
-        if self.approximations and len(self.approximations) != self.levels:
-            raise ValueError(
-                f"expected {self.levels} approximations, "
-                f"got {len(self.approximations)}"
-            )
-        for a in [self.approx, *self.details, *self.approximations]:
+        for a in [*self.approximations, *self.details]:
             a.setflags(write=False)
 
     @property
-    def length(self) -> int:
-        return self.approx.shape[-1]
+    def levels(self) -> int:
+        return len(self.details)
+
+    @property
+    def approx(self) -> np.ndarray:
+        return self.approximations[-1]
 
 
 def build_db4_bank() -> FilterBank:
@@ -129,6 +124,14 @@ def _check_depth(length: int, levels: int, bank: FilterBank) -> None:
                          f"levels (needs >= {min_len})")
 
 
+def _check_alpha(alpha) -> None:
+    """Raise unless `alpha` is one real number in [0, 1], as TuneConfig
+    takes it: a bool is not one."""
+    if not (isinstance(alpha, Real) and not isinstance(alpha, bool)
+            and 0.0 <= alpha <= 1.0):  # NaN fails too
+        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
+
+
 def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecomposition:
     """Decompose a signal into `levels` redundant detail bands plus one approximation.
 
@@ -142,8 +145,8 @@ def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecompositi
         bank: filter bank; defaults to the 4-tap Daubechies bank.
 
     Returns:
-        WaveletDecomposition with full-length approx, details[0..levels-1]
-        (finest band first) and the per-level approximations.
+        WaveletDecomposition with the full-length approximations and details
+        of levels 1..levels (finest band first).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 1:
@@ -156,33 +159,30 @@ def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecompositi
         bank = build_db4_bank()
     _check_depth(x.shape[-1], levels, bank)
 
-    approx = x
-    details = []
-    approximations = []
+    approx, approximations, details = x, [], []
     for level in range(1, levels + 1):
         dilation = 2 ** (level - 1)
         details.append(_atrous(approx, bank.dec_hi, dilation, 1))
         approx = _atrous(approx, bank.dec_lo, dilation, 1)
         approximations.append(approx)
-    return WaveletDecomposition(levels=levels, approx=approx, details=details,
-                                filter_bank=bank, approximations=approximations)
+    return WaveletDecomposition(approximations, details, bank)
 
 
-def rwt_reconstruct(decomp: WaveletDecomposition, alpha=1.0,
+def rwt_reconstruct(decomp: WaveletDecomposition, alpha: float = 1.0,
                     keep_levels: int = None) -> np.ndarray:
     """Invert a redundant decomposition, keeping only the lowest detail bands.
 
     Iterates from the deepest level down, substituting zeros for every detail
-    band above `keep_levels` and scaling the kept bands by `alpha`. Each level
+    band above `keep_levels` and scaling every kept band by `alpha`. Each level
     correlates with the analysis taps (the adjoint of the analysis
     convolution) and halves the result; the 4-tap Daubechies bank satisfies
     0.5 * (G^T G + H^T H) = I for its convolution matrices G and H, so with
     alpha = 1 and all bands kept this inverts the decomposition exactly.
 
     Args:
-        decomp: a valid decomposition.
-        alpha: detail scaling in [0, 1]; a scalar, or one value per level
-            (index 0 = finest band).
+        decomp: a decomposition by :func:`rwt_decompose`; reconstruction
+            correlates with its bank.
+        alpha: one detail scaling in [0, 1] for every kept band.
         keep_levels: how many detail bands to keep, counted from the finest
             (level 1) upward. Defaults to all of them.
 
@@ -196,18 +196,16 @@ def rwt_reconstruct(decomp: WaveletDecomposition, alpha=1.0,
         raise ValueError(
             f"keep_levels must be in [0, {levels}], got {keep_levels}"
         )
-    alphas = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (levels,))
-    if not ((alphas >= 0.0) & (alphas <= 1.0)).all():  # NaN fails too
-        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
+    _check_alpha(alpha)
 
-    bank = decomp.filter_bank if decomp.filter_bank is not None else build_db4_bank()
+    bank = decomp.filter_bank
     approx = decomp.approx
     for level in range(levels, 0, -1):
         dilation = 2 ** (level - 1)
         low = _atrous(approx, bank.dec_lo, dilation, -1)
         if level <= keep_levels:
             detail = decomp.details[level - 1]
-            high = alphas[level - 1] * _atrous(detail, bank.dec_hi, dilation, -1)
+            high = alpha * _atrous(detail, bank.dec_hi, dilation, -1)
             approx = 0.5 * (low + high)
         else:
             approx = 0.5 * low

@@ -1252,19 +1252,21 @@ class TestEvalAndReport:
 
 class TestAtomicWrites:
     @pytest.mark.parametrize("command", ["decompose", "synth", "eval",
-                                         "report"])
+                                         "report", "sweep"])
     def test_output_into_missing_directory_names_it(
             self, bench_config, sine_csv, tmp_path, capsys, command):
-        # the error names the path asked for, not the temporary beside it
+        # the error names the path asked for, not the temporary beside it;
+        # sweep fails before it trains, so it writes no run either
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(init_forecaster(16, 4, 8, seed=2), ckpt)
+        cfg = bench_config(method="frozen")
         if command == "report":
-            assert main(["tune", "--config",
-                         str(bench_config(method="frozen"))]) == 0
+            assert main(["tune", "--config", str(cfg)]) == 0
         args = {"decompose": ["--input", str(sine_csv)],
                 "synth": ["--checkpoint", str(ckpt), "--replay-n", "2"],
                 "eval": ["--checkpoint", str(ckpt), "--new-data", str(sine_csv)],
-                "report": [str(tmp_path / "runs")]}[command]
+                "report": [str(tmp_path / "runs")],
+                "sweep": ["--config", str(cfg), "--ratios", "0,5"]}[command]
         out = tmp_path / "missing" / "out"
         before = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
@@ -1272,6 +1274,25 @@ class TestAtomicWrites:
         # report prints its table to stderr before it writes the file
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"error: [Errno 2] No such file or directory: {str(out)!r}")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["decompose", "eval"])
+    def test_output_onto_a_directory_names_it(self, sine_csv, tmp_path,
+                                              capsys, command):
+        # os.replace names the temporary and the target; the error names
+        # only the path asked for, and the temporary is gone
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_forecaster(16, 4, 8, seed=2), ckpt)
+        args = {"decompose": ["--input", str(sine_csv)],
+                "eval": ["--checkpoint", str(ckpt), "--new-data", str(sine_csv)]
+                }[command]
+        out = tmp_path / "d" / "o.csv"
+        out.mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([command, *args, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: [Errno 21] Is a directory: {str(out)!r}")
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
