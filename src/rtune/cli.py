@@ -21,21 +21,19 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import BenchmarkSetup, prepare_benchmark, run_arm_jobs
-from .data import (_write_csv, atomic_target, make_windows, read_series_csv,
+from .data import (_FEW_SHOT_FRACTION, _OPEN_FRACTION, _check, _int, _real,
+                   _write_csv, atomic_target, make_windows, read_series_csv,
                    split_indices, windowed_split, zscore_apply, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
 from .metrics import MetricPair, _mean_pair, build_comparison_row, metric_pair
 from .replay import build_replay_set, replay_count_for_fraction, replay_to_csv
-from .tuner import (METHODS, TuneConfig, _check, _check_fields, _int, _real,
-                    lockstep_key)
+from .tuner import METHODS, TuneConfig, _check_fields, lockstep_key
 from .wavelet import rwt_decompose, rwt_reconstruct
 
 
 def _name(value) -> bool:  # of a file or a column, or null
     return value is None or isinstance(value, str)
 
-
-_OPEN_FRACTION = ("in (0, 1)", lambda v: _real(v) and 0.0 < v < 1.0)
 
 # The run-config schema, one row per key; unknown keys are rejected. A row is
 # (default, rule), the rule being the least value of an integer count or
@@ -57,7 +55,7 @@ RUN_CONFIG = {
     "stride": (1, 1),
     "hidden_width": (32, 1),
     "train_fraction": (0.8, _OPEN_FRACTION),
-    "few_shot_fraction": (0.10, ("in (0, 1]", lambda v: _real(v) and 0.0 < v <= 1.0)),
+    "few_shot_fraction": (0.10, _FEW_SHOT_FRACTION),
     "pretrain_epochs": (30, 0),  # benchmark mode only, as are the next three
     "pretrain_learning_rate": (0.01, ("a number >= 0", lambda v: _real(v) and v >= 0)),
     "benchmark_old_length": (6000, 1),
@@ -564,17 +562,14 @@ def _collect_reports(paths):
 
 
 def _pool(metrics):
-    """One method's per-run metric dicts as (MetricPair of the mean MAE/MSE
-    and summed sample count, seed-variance margins when there are several
-    runs)."""
-    mae = [m["mae"] for m in metrics]
-    mse = [m["mse"] for m in metrics]
-    pair = MetricPair(float(np.mean(mae)), float(np.mean(mse)),
-                      int(sum(m["n_samples"] for m in metrics)))
-    if len(metrics) < 2:
-        return pair, {}
-    return pair, {"mae_std": float(np.std(mae, ddof=1)),  # sample std
-                  "mse_std": float(np.std(mse, ddof=1))}
+    """One method's per-run metric dicts as (their `_mean_pair`, seed-variance
+    margins when there are several runs)."""
+    pairs = [MetricPair(m["mae"], m["mse"], m["n_samples"]) for m in metrics]
+    if len(pairs) < 2:
+        return _mean_pair(pairs), {}
+    return _mean_pair(pairs), {  # sample std
+        "mae_std": float(np.std([p.mae for p in pairs], ddof=1)),
+        "mse_std": float(np.std([p.mse for p in pairs], ddof=1))}
 
 
 def cmd_report(args) -> int:

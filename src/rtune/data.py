@@ -8,6 +8,7 @@ All randomness is seeded; splits and subsamples are deterministic functions of
 import csv
 import itertools
 import math
+import numbers
 import os
 from array import array
 from contextlib import contextmanager
@@ -33,6 +34,39 @@ __all__ = [
 ]
 
 _TIMESTAMP_NAMES = {"timestamp", "time", "date", "datetime"}
+
+
+def _int(value) -> bool:  # a bool is neither an integer nor a number here
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check(name: str, value, rule) -> None:
+    """Raise "{name} must be {text}, got {value!r}" unless `value` keeps
+    `rule`: the least value of an integer count, a range of counts, or
+    (text, test), a test written so that NaN fails."""
+    if isinstance(rule, (int, range)) and not _int(value):
+        rule = ("an integer", _int)
+    elif isinstance(rule, int):
+        least = rule  # least <= v, as int.__le__ does not take numpy integers
+        rule = (f">= {least}", lambda v: least <= v)
+    elif isinstance(rule, range):
+        counts = rule
+        rule = (f"in [{counts.start}, {counts.stop - 1}]",
+                lambda v: counts.start <= v < counts.stop)
+    text, test = rule
+    if not test(value):
+        raise ValueError(f"{name} must be {text}, got {value!r}")
+
+
+# the rules of alpha and the distillation weight, of a split fraction (both
+# sides nonempty) and of a few-shot fraction (1 keeps every window)
+_UNIT = ("in [0, 1]", lambda v: _real(v) and 0.0 <= v <= 1.0)
+_OPEN_FRACTION = ("in (0, 1)", lambda v: _real(v) and 0.0 < v < 1.0)
+_FEW_SHOT_FRACTION = ("in (0, 1]", lambda v: _real(v) and 0.0 < v <= 1.0)
 
 
 @dataclass(frozen=True)
@@ -118,7 +152,11 @@ class WindowedDataset:
         return (self.input_width, self.horizon)
 
     def subset(self, indices) -> "WindowedDataset":
-        indices = np.asarray(indices, dtype=np.int64)
+        """The rows at `indices`, integers (a bool mask is not)."""
+        indices = np.asarray(indices)
+        _check("indices", indices,
+               ("integers", lambda v: v.dtype.kind in "iu" or v.size == 0))
+        indices = indices.astype(np.int64, copy=False)
         return WindowedDataset(self.padded[indices][:, :self.input_width],
                                self.labels[indices], self.starts[indices])
 
@@ -147,10 +185,9 @@ def _window_starts(length: int, input_width: int, horizon: int,
                    stride: int) -> np.ndarray:
     """Start of every stride-spaced window of span input_width + horizon that
     fits in a series of `length` values."""
-    for name, value in (("input_width", input_width), ("horizon", horizon),
-                        ("stride", stride)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    _check("input_width", input_width, 1)
+    _check("horizon", horizon, 1)
+    _check("stride", stride, 1)
     span = input_width + horizon
     if length < span:
         raise ValueError(
@@ -180,7 +217,8 @@ def make_windows(series, input_width: int, horizon: int,
     """Slice a series into stride-spaced (input, label) windows.
 
     Window i covers series[i*stride : i*stride + input_width) as input and the
-    following `horizon` values as label.
+    following `horizon` values as label. `input_width`, `horizon` and
+    `stride` are integers >= 1; a bool is not an integer.
     """
     values = _series_values(series)
     starts = _window_starts(len(values), input_width, horizon, stride)
@@ -189,11 +227,7 @@ def make_windows(series, input_width: int, horizon: int,
 
 def split_indices(n: int, train_fraction: float, seed: int):
     """Seeded exact partition of range(n) into train/test index arrays."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(
-            f"train_fraction must be in (0, 1) so both sides are nonempty, "
-            f"got {train_fraction}"
-        )
+    _check("train_fraction", train_fraction, _OPEN_FRACTION)
     n_train = int(round(train_fraction * n))
     if n_train == 0 or n_train == n:
         raise ValueError(f"split of {n} windows at {train_fraction} leaves one side empty")
@@ -204,8 +238,7 @@ def split_indices(n: int, train_fraction: float, seed: int):
 def _few_shot_indices(n: int, fraction: float, seed: int) -> np.ndarray:
     """Sorted indices of a seeded uniform sample of range(n) without
     replacement, round(fraction * n) of them."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    _check("fraction", fraction, _FEW_SHOT_FRACTION)
     n_keep = int(round(fraction * n))
     if n_keep == 0:
         raise ValueError(f"subsampling {n} windows at {fraction} selects nothing")

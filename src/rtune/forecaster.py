@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_target
+from .data import _check, atomic_target
 
 __all__ = [
     "Forecaster",
@@ -27,16 +27,11 @@ CHECKPOINT_FORMAT = "rtune-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def _int(value) -> bool:  # a bool is neither an integer nor a number here
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _dimensions(*dims) -> list:
     """input_width, horizon and hidden_width, checked, as Python ints (a
     numpy integer is not JSON, and overflows or rounds in a small dtype)."""
     for name, value in zip(("input_width", "horizon", "hidden_width"), dims):
-        if not (_int(value) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        _check(name, value, 1)
     return [int(value) for value in dims]
 
 

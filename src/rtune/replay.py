@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _write_csv
+from .data import _UNIT, _check, _real, _write_csv
 from .forecaster import Forecaster
-from .wavelet import (_check_alpha, _check_depth, _roll_into, build_db4_bank,
-                      rwt_decompose, rwt_reconstruct)
+from .wavelet import (_check_depth, _roll_into, build_db4_bank, rwt_decompose,
+                      rwt_reconstruct)
 
 __all__ = [
     "ReplaySet",
@@ -60,8 +60,8 @@ class ReplaySet:
 
 def sample_latents(n: int, d: int, seed: int) -> np.ndarray:
     """Draw an (n, d) block of standard-normal vectors from a seeded generator."""
-    if n < 1 or d < 1:
-        raise ValueError(f"latent batch needs n >= 1 and d >= 1, got ({n}, {d})")
+    _check("n", n, 1)
+    _check("d", d, 1)
     return np.random.default_rng(seed).standard_normal((n, d))
 
 
@@ -102,14 +102,14 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
     forecast on its own input window, so inputs and labels stay consistent:
     a full-spectrum row's is the forecast that completes it.
 
-    The result has n * (1 + k) rows and is a deterministic function of the
-    frozen parameters, the seed, and the settings.
+    The counts n >= 1, levels >= 1 and k in [0, levels] are integers (a
+    bool is not one). The result has n * (1 + k) rows and is a deterministic
+    function of the frozen parameters, the seed, and the settings.
     """
-    if n < 1:
-        raise ValueError(f"replay size must be >= 1, got {n}")
-    if not 0 <= k <= levels:
-        raise ValueError(f"discard depth must be in [0, {levels}], got {k}")
-    _check_alpha(alpha)
+    _check("n", n, 1)
+    _check("levels", levels, 1)
+    _check("k", k, range(levels + 1))
+    _check("alpha", alpha, _UNIT)
     w, span = frozen.input_width, frozen.input_width + frozen.horizon
     # for every k, not only where the filter operator's build checks it
     _check_depth(span, levels, build_db4_bank())
@@ -152,8 +152,10 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
 
 def replay_count_for_fraction(fraction_percent: float, n_new: int, k: int) -> int:
     """Solve n * (1 + k) = round(fraction% of n_new) for the latent count n."""
-    if fraction_percent < 0:
-        raise ValueError(f"replay fraction must be >= 0, got {fraction_percent}")
+    _check("fraction_percent", fraction_percent,
+           ("finite and >= 0", lambda v: _real(v) and 0 <= v < np.inf))
+    _check("n_new", n_new, 0)
+    _check("k", k, 0)
     return int(round(fraction_percent / 100.0 * n_new / (1 + k)))
 
 

@@ -8,15 +8,14 @@ distillation), distillation-only, replay-only, and a no-training frozen
 evaluation.
 """
 
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import WindowedDataset
-from .forecaster import (Forecaster, _int, _kernel, _losses, _soften_rows,
-                         _terms, _training_order)
+from .data import _OPEN_FRACTION, _UNIT, WindowedDataset, _check, _real
+from .forecaster import (Forecaster, _kernel, _losses, _soften_rows, _terms,
+                         _training_order)
 from .metrics import MetricPair, mae
 from .replay import build_replay_set
 
@@ -37,38 +36,24 @@ __all__ = [
 GATHER_BATCHES = 64
 
 
-def _real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check(name: str, value, rule) -> None:
-    """Raise "{name} must be {text}, got {value!r}" unless `value` keeps
-    `rule`: the least value of an integer count, or (text, test)."""
-    if isinstance(rule, int):
-        least = rule  # least <= v, as int.__le__ does not take numpy integers
-        rule = ((f">= {least}", lambda v: least <= v) if _int(value)
-                else ("an integer", _int))
-    text, test = rule
-    if not test(value):
-        raise ValueError(f"{name} must be {text}, got {value!r}")
-
-
 # The rule of each TuneConfig field, which run configs and CLI flags share: the
 # least value of an integer count, or (what a number must be, a test written
-# so that NaN fails). discard_depth is a count of at most wavelet_levels.
+# so that NaN fails); alpha's, distill_weight's and validation_fraction's are
+# the library's (rtune.data). discard_depth is a count of at most
+# wavelet_levels.
 _FIELD_RULES = {
     "replay_n": 0,
     "wavelet_levels": 1,
     "discard_depth": 0,
-    "alpha": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "alpha": _UNIT,
     "tau": ("positive", lambda v: v > 0),
-    "distill_weight": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "distill_weight": _UNIT,
     "reg_weight": (">= 0", lambda v: v >= 0),
     "epochs": 0,
     "learning_rate": (">= 0", lambda v: v >= 0),  # 0: a no-update control
     "batch_size": 1,
     "seed": 0,
-    "validation_fraction": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "validation_fraction": _OPEN_FRACTION,
 }
 
 
@@ -78,9 +63,8 @@ def _check_fields(values: dict, names: dict) -> None:
         if key not in values:
             continue
         name, value = names[key], values[key]
-        if key == "discard_depth" and _int(value):
-            levels = values["wavelet_levels"]  # checked the row before
-            rule = (f"in [0, {levels}]", lambda v: 0 <= v <= levels)
+        if key == "discard_depth":  # wavelet_levels is checked the row before
+            rule = range(int(values["wavelet_levels"]) + 1)
         elif not isinstance(rule, int):
             _check(name, value, ("a number", _real))
         _check(name, value, rule)

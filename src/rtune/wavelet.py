@@ -8,9 +8,10 @@ each row with the same arithmetic as a 1-D call on it.
 """
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
+
+from .data import _UNIT, _check
 
 __all__ = [
     "FilterBank",
@@ -124,14 +125,6 @@ def _check_depth(length: int, levels: int, bank: FilterBank) -> None:
                          f"levels (needs >= {min_len})")
 
 
-def _check_alpha(alpha) -> None:
-    """Raise unless `alpha` is one real number in [0, 1], as TuneConfig
-    takes it: a bool is not one."""
-    if not (isinstance(alpha, Real) and not isinstance(alpha, bool)
-            and 0.0 <= alpha <= 1.0):  # NaN fails too
-        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
-
-
 def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecomposition:
     """Decompose a signal into `levels` redundant detail bands plus one approximation.
 
@@ -141,7 +134,7 @@ def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecompositi
     Args:
         x: real signal of length T >= 4 * 2**(levels - 1) on its last axis;
             leading axes index independent signals.
-        levels: decomposition depth, >= 1.
+        levels: decomposition depth, an integer >= 1 (a bool is not one).
         bank: filter bank; defaults to the 4-tap Daubechies bank.
 
     Returns:
@@ -153,8 +146,7 @@ def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecompositi
         raise ValueError(f"expected a signal along the last axis, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+    _check("levels", levels, 1)
     if bank is None:
         bank = build_db4_bank()
     _check_depth(x.shape[-1], levels, bank)
@@ -184,7 +176,8 @@ def rwt_reconstruct(decomp: WaveletDecomposition, alpha: float = 1.0,
             correlates with its bank.
         alpha: one detail scaling in [0, 1] for every kept band.
         keep_levels: how many detail bands to keep, counted from the finest
-            (level 1) upward. Defaults to all of them.
+            (level 1) upward: an integer in [0, levels] (a bool is not one).
+            Defaults to all of them.
 
     Returns:
         The reconstructed signal, same shape as the decomposed input.
@@ -192,11 +185,8 @@ def rwt_reconstruct(decomp: WaveletDecomposition, alpha: float = 1.0,
     levels = decomp.levels
     if keep_levels is None:
         keep_levels = levels
-    if not 0 <= keep_levels <= levels:
-        raise ValueError(
-            f"keep_levels must be in [0, {levels}], got {keep_levels}"
-        )
-    _check_alpha(alpha)
+    _check("keep_levels", keep_levels, range(levels + 1))
+    _check("alpha", alpha, _UNIT)
 
     bank = decomp.filter_bank
     approx = decomp.approx

@@ -1091,7 +1091,7 @@ class TestEvalAndReport:
         assert main(["eval", "--checkpoint", str(ckpt), "--new-data",
                      str(sine_csv), "--output", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {ckpt}: input_width must be an integer >= 1, got 16.0\n")
+            f"error: {ckpt}: input_width must be an integer, got 16.0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.2", "nan"])

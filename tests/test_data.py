@@ -105,11 +105,16 @@ class TestWindows:
 
     @pytest.mark.parametrize("name,geometry", [
         ("stride", (4, 2, 0)), ("stride", (4, 2, -1)),
-        ("input_width", (0, 2, 1)), ("horizon", (4, 0, 1))])
+        ("input_width", (0, 2, 1)), ("horizon", (4, 0, 1)),
+        ("input_width", (2.5, 2, 1)), ("input_width", (True, 2, 1)),
+        ("horizon", (4, np.nan, 1)), ("horizon", (4, 2.0, 1)),
+        ("stride", (4, 2, True)), ("stride", (4, 2, 1.5))])
     def test_bad_geometry_names_value(self, name, geometry):
         input_width, horizon, stride = geometry
         value = dict(zip(("input_width", "horizon", "stride"), geometry))[name]
-        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+        rule = ">= 1" if type(value) is int else "an integer"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be {rule}, got {value!r}")):
             make_windows(np.arange(20.0), input_width, horizon, stride=stride)
 
     @hyp_settings(max_examples=80, deadline=None)
@@ -139,6 +144,16 @@ class TestWindows:
     def test_geometry_validation(self):
         with pytest.raises(ValueError, match="inputs vs"):
             WindowedDataset(np.zeros((3, 4)), np.zeros((2, 2)))
+
+    # a bool mask or float positions are not row indices: numpy would cast
+    # [True, False, True] to rows 1, 0, 1
+    @pytest.mark.parametrize("indices", [[True, False, True],
+                                         np.array([0.0, 2.0]), [1.5]])
+    def test_subset_rejects_non_integer_indices(self, indices):
+        ds = make_windows(np.arange(30.0), 6, 3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"indices must be integers, got {np.asarray(indices)!r}")):
+            ds.subset(indices)
 
 
 def assert_padded(ds, inputs):
@@ -256,6 +271,13 @@ class TestSplit:
         with pytest.raises(ValueError, match="train_fraction"):
             split_train_test(ds, 1.0, seed=0)
 
+    @pytest.mark.parametrize("fraction", [1.5, True, np.nan, 0.0, "0.5"])
+    def test_fraction_out_of_range_names_it(self, fraction):
+        ds = make_windows(np.arange(30.0), 4, 2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"train_fraction must be in (0, 1), got {fraction!r}")):
+            split_train_test(ds, fraction, seed=0)
+
     def test_seed_reproducible(self):
         ds = make_windows(np.arange(60.0), 4, 2)
         a1, b1 = split_train_test(ds, 0.8, seed=5)
@@ -289,6 +311,12 @@ class TestFewShot:
         ds = make_windows(np.arange(10.0), 4, 2)
         with pytest.raises(ValueError, match="selects nothing"):
             few_shot_subsample(ds, 0.01, seed=0)
+
+    def test_bool_fraction_rejected(self):
+        ds = make_windows(np.arange(30.0), 4, 2)
+        with pytest.raises(ValueError, match=re.escape(
+                "fraction must be in (0, 1], got True")):
+            few_shot_subsample(ds, True, seed=0)
 
 
 def test_covered_values_unique_in_order():

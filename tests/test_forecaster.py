@@ -165,7 +165,7 @@ class TestForward:
         ((6, 3, 0), "hidden_width")])
     def test_init_names_a_zero_width(self, widths, name):
         with pytest.raises(ValueError,
-                           match=f"^{name} must be an integer >= 1, got 0$"):
+                           match=f"^{name} must be >= 1, got 0$"):
             init_forecaster(*widths, seed=77)
 
 
@@ -760,13 +760,16 @@ class TestCheckpoint:
         (lambda doc: dict(doc, theta_b64="A"), "Invalid base64"),
         (lambda doc: dict(doc, hidden_width=4), "theta must have shape"),
         (lambda doc: dict(doc, input_width=4.0),
-         "input_width must be an integer >= 1, got 4.0"),
+         "input_width must be an integer, got 4.0"),
         (lambda doc: dict(doc, horizon=True),
-         "horizon must be an integer >= 1, got True"),
+         "horizon must be an integer, got True"),
         (lambda doc: dict(doc, hidden_width=0),
-         "hidden_width must be an integer >= 1, got 0"),
+         "hidden_width must be >= 1, got 0"),
         (lambda doc: dict(doc, input_width="4"),
-         "input_width must be an integer >= 1, got '4'"),
+         "input_width must be an integer, got '4'"),
+        (lambda doc: dict(doc, hidden_width=float("nan")),
+         "hidden_width must be an integer, got nan"),
+        (lambda doc: dict(doc, horizon=-2), "horizon must be >= 1, got -2"),
         (lambda doc: "{", "Expecting property name"),
         (lambda doc: b"\x89CKPT\xff", "can't decode byte 0x89 in position 0"),
     ])
@@ -809,6 +812,24 @@ def test_only_the_package_imports_the_reference_module():
             if "rtune.reference" in names:
                 importers.add(path.stem)
     assert importers == {"__init__"}
+
+
+def test_argument_checks_are_defined_only_in_the_data_module():
+    # one rule for every count, fraction and alpha: the checkers that
+    # rtune.data defines are not written again beside their callers
+    checkers = {"_int", "_real", "_check"}
+    defined = []
+    for path in Path(rtune.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.stem, name) for name in names if name in checkers]
+    assert sorted(defined) == [("data", name) for name in sorted(checkers)]
 
 
 def test_every_exported_name_resolves():

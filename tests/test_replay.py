@@ -184,7 +184,8 @@ def test_each_stage_is_one_product(w, h, monkeypatch):
 
 
 class TestOperatorErrors:
-    """The operator path raises what the transform raised on the rows."""
+    """The operator path raises what the transform raised on the rows, and
+    every count, fraction and alpha is named when it is out of range."""
 
     def test_short_signal(self):
         # W + H = 6 holds no depth-2 decomposition, at any discard depth
@@ -220,9 +221,58 @@ class TestOperatorErrors:
         with pytest.raises(ValueError, match=re.escape(message)):
             build_replay_set(zero_model(w=8, h=4), 1, 2, 1, alpha, 0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: sample_latents(2.5, 4, 0), "n must be an integer, got 2.5"),
+        (lambda: sample_latents(True, 4, 0), "n must be an integer, got True"),
+        (lambda: sample_latents(np.nan, 4, 0), "n must be an integer, got nan"),
+        (lambda: sample_latents(4, -1, 0), "d must be >= 1, got -1"),
+        (lambda: sample_latents(4, 2.0, 0), "d must be an integer, got 2.0"),
+        (lambda: build_replay_set(zero_model(), 2.5, 1, 1, 0.7, 0),
+         "n must be an integer, got 2.5"),
+        (lambda: build_replay_set(zero_model(), True, 1, 1, 0.7, 0),
+         "n must be an integer, got True"),
+        (lambda: build_replay_set(zero_model(), np.nan, 1, 1, 0.7, 0),
+         "n must be an integer, got nan"),
+        (lambda: build_replay_set(zero_model(), 0, 1, 1, 0.7, 0),
+         "n must be >= 1, got 0"),
+        (lambda: build_replay_set(zero_model(), 2, 0, 0, 0.7, 0),
+         "levels must be >= 1, got 0"),
+        (lambda: build_replay_set(zero_model(), 2, True, 1, 0.7, 0),
+         "levels must be an integer, got True"),
+        (lambda: build_replay_set(zero_model(), 2, 1.5, 1, 0.7, 0),
+         "levels must be an integer, got 1.5"),
+        (lambda: build_replay_set(zero_model(), 2, 2, 1.0, 0.7, 0),
+         "k must be an integer, got 1.0"),
+        (lambda: build_replay_set(zero_model(), 2, 2, True, 0.7, 0),
+         "k must be an integer, got True"),
+        (lambda: build_replay_set(zero_model(), 2, 2, np.nan, 0.7, 0),
+         "k must be an integer, got nan"),
+        (lambda: replay_count_for_fraction(np.nan, 100, 1),
+         "fraction_percent must be finite and >= 0, got nan"),
+        (lambda: replay_count_for_fraction(np.inf, 100, 1),
+         "fraction_percent must be finite and >= 0, got inf"),
+        (lambda: replay_count_for_fraction(True, 100, 1),
+         "fraction_percent must be finite and >= 0, got True"),
+        (lambda: replay_count_for_fraction(-1.0, 100, 1),
+         "fraction_percent must be finite and >= 0, got -1.0"),
+        (lambda: replay_count_for_fraction(5.0, 100.5, 1),
+         "n_new must be an integer, got 100.5"),
+        (lambda: replay_count_for_fraction(5.0, -1, 1),
+         "n_new must be >= 0, got -1"),
+        (lambda: replay_count_for_fraction(5.0, 100, -1),
+         "k must be >= 0, got -1"),
+        (lambda: replay_count_for_fraction(5.0, 100, True),
+         "k must be an integer, got True"),
+        (lambda: replay_count_for_fraction(5.0, 100, np.nan),
+         "k must be an integer, got nan"),
+    ])
+    def test_count_or_fraction_out_of_range(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_discard_deeper_than_levels(self):
         with pytest.raises(ValueError, match=re.escape(
-                "discard depth must be in [0, 2], got 3")):
+                "k must be in [0, 2], got 3")):
             build_replay_set(zero_model(w=8, h=4), 1, 2, 3, 0.7, 0)
 
 
@@ -330,7 +380,7 @@ class TestExpandVariants:
         assert np.max(np.abs(rs.labels - every_row)) <= 1e-12
 
     def test_k_out_of_range(self):
-        with pytest.raises(ValueError, match="discard depth"):
+        with pytest.raises(ValueError, match="k must be in"):
             build_replay_set(zero_model(w=8, h=4), 1, levels=1, k=2,
                              alpha=0.7, seed=0)
 

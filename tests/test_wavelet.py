@@ -129,6 +129,10 @@ class TestDecompose:
             rwt_decompose(np.array([1.0, np.nan, 0.0, 0.0]), levels=1)
         with pytest.raises(ValueError, match="levels"):
             rwt_decompose(np.zeros(16), levels=0)
+        for levels in (True, 1.5, np.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"levels must be an integer, got {levels!r}")):
+                rwt_decompose(np.zeros(16), levels)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
@@ -226,6 +230,11 @@ class TestReconstruct:
             rwt_reconstruct(d, 1.0, 3)
         with pytest.raises(ValueError, match="keep_levels"):
             rwt_reconstruct(d, 1.0, -1)
+        # not rounded or cast: 1.5 is not a level count, nor is True
+        for keep in (1.5, True, np.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"keep_levels must be an integer, got {keep!r}")):
+                rwt_reconstruct(d, 0.7, keep)
 
 
 def test_per_level_approximations_match_shallower_decompositions():
