@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import gen_benchmark_tasks, windowed_split
+from .data import (SeriesWindows, WindowedDataset, gen_benchmark_tasks,
+                   split_series)
 from .forecaster import Forecaster, init_forecaster
 from .metrics import evaluate_model
 from .tuner import METHODS, TuneConfig, TuneReport, r_tune, r_tune_group
@@ -26,15 +27,28 @@ __all__ = [
 
 @dataclass
 class BenchmarkSetup:
-    """Everything one seed's arms share: the pretrained frozen model and the
-    normalized old/new window splits."""
+    """Everything one seed's arms share: the pretrained frozen model, the
+    new-task training windows, and the test sets, one per old-task set and
+    one of the new task. A test set is held as its normalized series and
+    window starts, so a prepared seed holds O(series length) floats of them,
+    and its windows are cut only while arms are scored."""
 
     seed: int
     frozen: Forecaster
-    old_test: object
-    new_train: object
-    new_test: object
+    old_test_sets: tuple  # of SeriesWindows
+    new_train: WindowedDataset
+    new_test_set: SeriesWindows
     gen_params: dict = field(default_factory=dict)
+
+    @property
+    def old_test(self) -> WindowedDataset:
+        """The first old-task test set's windows, cut on each access."""
+        return self.old_test_sets[0].windows()
+
+    @property
+    def new_test(self) -> WindowedDataset:
+        """The new-task test windows, cut on each access."""
+        return self.new_test_set.windows()
 
 
 def desk_config(seed: int, replay_n: int = 30, **overrides) -> TuneConfig:
@@ -56,28 +70,27 @@ def prepare_benchmark(seed: int, input_width: int = 48, horizon: int = 12,
                       old_length: int = 6000, new_length: int = 12480,
                       pretrain_epochs: int = 30,
                       pretrain_lr: float = 1e-2) -> BenchmarkSetup:
-    """Build one seed's benchmark: data, splits, and the pretrained frozen model."""
+    """Build one seed's benchmark: data, splits, and the pretrained frozen
+    model. Every argument is checked before the pretraining starts."""
     sub = np.random.SeedSequence(seed).spawn(5)
     seeds = [int(s.generate_state(1)[0]) for s in sub]
 
     old_series, new_series, gen_params = gen_benchmark_tasks(
         seed, old_length=old_length, new_length=new_length)
 
-    old_train, old_test = windowed_split(
+    old_train, old_test_set = split_series(
         old_series, input_width, horizon, stride, train_fraction, seeds[0])
+    new_train, new_test_set = split_series(
+        new_series, input_width, horizon, stride, train_fraction, seeds[1],
+        few_shot_fraction, seeds[2])
     init = init_forecaster(input_width, horizon, hidden_width, seed=seeds[3])
     pretrain_cfg = TuneConfig(epochs=pretrain_epochs, learning_rate=pretrain_lr,
                               seed=seeds[4])
     frozen, _ = r_tune(init, old_train, pretrain_cfg, method="ft")
-    # cut after pretraining, whose memory peak it would otherwise raise;
-    # its seeds are its own, so the windows are the same
-    new_train, new_test = windowed_split(
-        new_series, input_width, horizon, stride, train_fraction, seeds[1],
-        few_shot_fraction, seeds[2])
 
     return BenchmarkSetup(seed=seed, frozen=frozen,
-                          old_test=old_test, new_train=new_train,
-                          new_test=new_test, gen_params=gen_params)
+                          old_test_sets=(old_test_set,), new_train=new_train,
+                          new_test_set=new_test_set, gen_params=gen_params)
 
 
 def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig):
@@ -91,51 +104,62 @@ def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig):
     Raises:
         RuntimeError: training diverged, or a metric is not finite.
     """
-    outcome, = run_arm_jobs([(setup, method, cfg, None)])
+    outcome, = run_arm_jobs([(setup, method, cfg)])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
 def run_arm_jobs(jobs):
-    """Train and score (setup, method, cfg, old_tests) arms, which may come
-    from several prepared benchmarks, the trained ones together through one
-    :func:`rtune.tuner.r_tune_group` call. Each arm scores on its
-    `old_tests`, or on its setup's old-task test set when that is None, and
-    on its setup's new-task test set.
+    """Train and score (setup, method, cfg) arms, which may come from several
+    prepared benchmarks, the trained ones together through one
+    :func:`rtune.tuner.r_tune_group` call. Each arm scores on its setup's
+    old-task test sets and its new-task test set, which are cut once per
+    setup, after every arm has trained, and dropped when its arms are scored.
 
     Returns:
         One entry per job, in order: what :func:`run_arm` returns for it, or
         the ValueError or RuntimeError it raises. One arm's failure does not
         stop the others.
     """
-    trains = [METHODS.get(method, {}) is not None for _, method, _, _ in jobs]
+    trains = [METHODS.get(method, {}) is not None for _, method, _ in jobs]
     trained = iter(r_tune_group([(setup.frozen, setup.new_train, cfg, method)
-                                 for (setup, method, cfg, _), t
+                                 for (setup, method, cfg), t
                                  in zip(jobs, trains) if t]))
-    outcomes = []
-    for (setup, method, cfg, old_tests), trains_model in zip(jobs, trains):
-        if trains_model:
-            outcome = next(trained)
-        else:  # the frozen arm does not train
-            outcome = None, TuneReport(method=method, config=cfg.to_dict())
-        if not isinstance(outcome, Exception):
-            try:
-                _score(setup, *outcome, old_tests)
-            except (ValueError, RuntimeError) as exc:
-                outcome = exc
-        outcomes.append(outcome)
+    # the frozen arm does not train
+    outcomes = [next(trained) if t
+                else (None, TuneReport(method=method, config=cfg.to_dict()))
+                for (_, method, cfg), t in zip(jobs, trains)]
+    arms = {}  # each setup's job indices, keyed by the setup's identity
+    for i, (setup, _, _) in enumerate(jobs):
+        arms.setdefault(id(setup), (setup, []))[1].append(i)
+    for setup, indices in arms.values():
+        _score(setup, outcomes, indices)
     return outcomes
 
 
-def _score(setup, model, report, old_tests):
-    """Fill `report`'s metrics: `model`, or the frozen one when None, on the
-    old-task tests and the setup's new-task test set."""
-    old, new = evaluate_model(model or setup.frozen,
-                              old_tests or [setup.old_test], setup.new_test)
-    if not all(map(math.isfinite, (old.mae, old.mse, new.mae, new.mse))):
-        raise RuntimeError(
-            f"non-finite metrics (method={report.method}): old mae/mse "
-            f"{old.mae}/{old.mse}, new mae/mse {new.mae}/{new.mse}")
-    report.old_metrics, report.new_metrics = old, new
-    report.extra["benchmark"] = dict(setup.gen_params)
+def _score(setup, outcomes, indices):
+    """Fill the metrics of the reports at `indices` of `outcomes`, arms of
+    `setup`: each model, or the frozen one when None, on the setup's test
+    sets, cut here once for all of them. An arm whose scoring fails gets its
+    error in place of its outcome."""
+    old_tests = [test_set.windows() for test_set in setup.old_test_sets]
+    new_test = setup.new_test
+    for i in indices:
+        if isinstance(outcomes[i], Exception):
+            continue
+        model, report = outcomes[i]
+        try:
+            old, new = evaluate_model(model or setup.frozen, old_tests,
+                                      new_test)
+            if not all(map(math.isfinite,
+                           (old.mae, old.mse, new.mae, new.mse))):
+                raise RuntimeError(
+                    f"non-finite metrics (method={report.method}): old "
+                    f"mae/mse {old.mae}/{old.mse}, new mae/mse "
+                    f"{new.mae}/{new.mse}")
+        except (ValueError, RuntimeError) as exc:
+            outcomes[i] = exc
+            continue
+        report.old_metrics, report.new_metrics = old, new
+        report.extra["benchmark"] = dict(setup.gen_params)

@@ -16,14 +16,16 @@ import math
 import os
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .benchmark import BenchmarkSetup, prepare_benchmark, run_arm_jobs
-from .data import (_FEW_SHOT_FRACTION, _OPEN_FRACTION, _check, _int, _real,
-                   _write_csv, atomic_target, make_windows, read_series_csv,
-                   split_indices, windowed_split, zscore_apply, zscore_fit)
+from .data import (_FEW_SHOT_FRACTION, _OPEN_FRACTION, SeriesWindows, _check,
+                   _int, _real, _window_starts, _write_csv, atomic_target,
+                   read_series_csv, split_indices, split_series, zscore_apply,
+                   zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
 from .metrics import MetricPair, _mean_pair, build_comparison_row, metric_pair
 from .replay import build_replay_set, replay_count_for_fraction, replay_to_csv
@@ -191,12 +193,14 @@ def _pick_series(path, column):
 
 def _windowed_eval_set(path, column, cfg):
     """Old-task CSVs are evaluation data: windowed in full, normalized on
-    themselves (their training data is inaccessible by premise)."""
+    themselves (their training data is inaccessible by premise). Returned
+    uncut, as a SeriesWindows."""
     series = _pick_series(path, column)
+    width, horizon = cfg["input_width"], cfg["horizon"]
     with _naming(path):
         normalized = zscore_apply(series.values, zscore_fit(series.values))
-        return make_windows(normalized, cfg["input_width"], cfg["horizon"],
-                            cfg["stride"])
+        starts = _window_starts(len(normalized), width, horizon, cfg["stride"])
+    return SeriesWindows(normalized, starts, width, horizon)
 
 
 def _shared_inputs(cfg: dict):
@@ -213,37 +217,37 @@ def _shared_inputs(cfg: dict):
             f"does not match config ({cfg['input_width']}, {cfg['horizon']})"
         )
     new_series = _pick_series(cfg["new_data"], cfg["column"])
-    old_tests = [_windowed_eval_set(p, cfg["column"], cfg)
-                 for p in cfg["old_data"]]
-    return frozen, new_series, old_tests
+    old_test_sets = tuple(_windowed_eval_set(p, cfg["column"], cfg)
+                          for p in cfg["old_data"])
+    return frozen, new_series, old_test_sets
 
 
 def _prepare_csv_setup(cfg: dict, seed: int, shared):
     """Non-benchmark counterpart of the benchmark preparation: split the
     shared new-task series for `seed`, fit its normalization on the training
     side and take the few-shot sample."""
-    frozen, new_series, old_tests = shared
+    frozen, new_series, old_test_sets = shared
     sub = np.random.SeedSequence(seed).spawn(2)
     split_seed, shot_seed = (int(s.generate_state(1)[0]) for s in sub)
     shot_fraction = cfg["few_shot_fraction"]
     with _naming(cfg["new_data"]):
-        new_train, new_test = windowed_split(
+        new_train, new_test_set = split_series(
             new_series, cfg["input_width"], cfg["horizon"], cfg["stride"],
             cfg["train_fraction"], split_seed,
             shot_fraction if shot_fraction < 1.0 else None, shot_seed)
-    if not old_tests:
-        old_tests = [new_test]  # degenerate fallback so evaluation is defined
-    setup = BenchmarkSetup(seed=seed, frozen=frozen, old_test=old_tests[0],
-                           new_train=new_train, new_test=new_test)
-    return setup, old_tests
+    # with no old-task data, the new-task set stands in for it, so that
+    # evaluation is defined
+    return BenchmarkSetup(seed=seed, frozen=frozen,
+                          old_test_sets=old_test_sets or (new_test_set,),
+                          new_train=new_train, new_test_set=new_test_set)
 
 
 def _prepare_run(cfg: dict, seed: int, shared):
-    """One seed's (setup, old-task test sets): the pretrained benchmark, or
-    the split of the shared CSV inputs."""
+    """One seed's setup: the pretrained benchmark, or the split of the
+    shared CSV inputs."""
     if not cfg["benchmark"]:
         return _prepare_csv_setup(cfg, seed, shared)
-    setup = prepare_benchmark(
+    return prepare_benchmark(
         seed, input_width=cfg["input_width"], horizon=cfg["horizon"],
         stride=cfg["stride"], hidden_width=cfg["hidden_width"],
         train_fraction=cfg["train_fraction"],
@@ -252,7 +256,6 @@ def _prepare_run(cfg: dict, seed: int, shared):
         new_length=cfg["benchmark_new_length"],
         pretrain_epochs=cfg["pretrain_epochs"],
         pretrain_lr=cfg["pretrain_learning_rate"])
-    return setup, [setup.old_test]
 
 
 def _arm(cfg: dict, seed: int, setup):
@@ -284,14 +287,14 @@ def _trained_arms(cfg: dict, variants, shared):
     for seed in cfg["seeds"]:
         arm_cfgs = [dict(cfg, **variant, seeds=[seed]) for variant in variants]
         try:
-            setup, old_tests = _prepare_run(cfg, seed, shared)
-            jobs = [(setup, *_arm(arm_cfg, seed, setup), old_tests)
+            setup = _prepare_run(cfg, seed, shared)
+            jobs = [(setup, *_arm(arm_cfg, seed, setup))
                     for arm_cfg in arm_cfgs]
         except Exception as exc:  # held, not swallowed: met in seed order
             batch.append((seed, arm_cfgs, [exc] * len(arm_cfgs)))
             continue
         runs = Counter(lockstep_key(setup.frozen, tune_cfg, method)
-                       for _, method, tune_cfg, _ in jobs)
+                       for _, method, tune_cfg in jobs)
         if stacks and any(stacks[key] + count > STACK_CAP
                           for key, count in runs.items()):
             yield from _train_batch(batch)
@@ -501,17 +504,17 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     cfg = {"input_width": model.input_width, "horizon": model.horizon,
            "stride": args.stride, "column": args.column}
-    old_tests = [_windowed_eval_set(p, args.column, cfg) for p in args.old_data]
+    old_sets = [_windowed_eval_set(p, args.column, cfg) for p in args.old_data]
     new_set = _windowed_eval_set(args.new_data, args.column, cfg)
     if args.test_fraction is not None:
         # evaluate on a seeded random split of the new-task windows
-        _, test_idx = split_indices(len(new_set), 1.0 - args.test_fraction,
-                                    args.seed)
-        new_set = new_set.subset(test_idx)
-    new = metric_pair(model.forward_batch(new_set.inputs), new_set.labels)
+        _, test_idx = split_indices(len(new_set.starts),
+                                    1.0 - args.test_fraction, args.seed)
+        new_set = replace(new_set, starts=new_set.starts[test_idx])
+    # each set is cut while it is scored, in one batch of all its rows
+    new = _scored(model, new_set)
     # with no old-task data, the new-task set stands in for it
-    per_old = [metric_pair(model.forward_batch(ds.inputs), ds.labels)
-               for ds in old_tests] or [new]
+    per_old = [_scored(model, test_set) for test_set in old_sets] or [new]
     doc = {
         "command": "eval",
         "checkpoint": str(args.checkpoint),
@@ -522,6 +525,12 @@ def cmd_eval(args) -> int:
     }
     _emit(doc, args.output)
     return 0
+
+
+def _scored(model, test_set):
+    """The MetricPair of `model` on the windows of `test_set`."""
+    windows = test_set.windows()
+    return metric_pair(model.forward_batch(windows.inputs), windows.labels)
 
 
 def _is_report(doc) -> bool:

@@ -21,12 +21,14 @@ __all__ = [
     "RawSeries",
     "NormalizationParams",
     "WindowedDataset",
+    "SeriesWindows",
     "zscore_fit",
     "zscore_apply",
     "zscore_invert",
     "make_windows",
     "split_indices",
     "covered_values",
+    "split_series",
     "windowed_split",
     "gen_benchmark_tasks",
     "read_series_csv",
@@ -161,6 +163,24 @@ class WindowedDataset:
                                self.labels[indices], self.starts[indices])
 
 
+@dataclass(frozen=True)
+class SeriesWindows:
+    """A window set held as the series it is cut from: the normalized
+    `values` and each window's start in them, with `input_width` inputs and
+    `horizon` labels a window. It holds O(len(values)) floats, where its cut
+    windows hold input_width + horizon + 1 floats each."""
+
+    values: np.ndarray
+    starts: np.ndarray
+    input_width: int
+    horizon: int
+
+    def windows(self) -> WindowedDataset:
+        """The windows, cut afresh on each call."""
+        return _gather_windows(self.values, self.starts, self.input_width,
+                               self.horizon)
+
+
 def zscore_fit(train) -> NormalizationParams:
     """Fit mu/sigma on the training portion only (population convention)."""
     train = np.asarray(train, dtype=np.float64)
@@ -237,8 +257,8 @@ def split_indices(n: int, train_fraction: float, seed: int):
 
 def _few_shot_indices(n: int, fraction: float, seed: int) -> np.ndarray:
     """Sorted indices of a seeded uniform sample of range(n) without
-    replacement, round(fraction * n) of them."""
-    _check("fraction", fraction, _FEW_SHOT_FRACTION)
+    replacement, round(fraction * n) of them; the caller checks `fraction`
+    under its own name."""
     n_keep = int(round(fraction * n))
     if n_keep == 0:
         raise ValueError(f"subsampling {n} windows at {fraction} selects nothing")
@@ -260,15 +280,16 @@ def covered_values(series, starts, span: int) -> np.ndarray:
     return values[np.cumsum(edges[:-1]) > 0]
 
 
-def windowed_split(series, input_width: int, horizon: int, stride: int,
-                   train_fraction: float, seed: int,
-                   few_shot_fraction: float = None, few_shot_seed: int = 0):
+def split_series(series, input_width: int, horizon: int, stride: int,
+                 train_fraction: float, seed: int,
+                 few_shot_fraction: float = None, few_shot_seed: int = 0):
     """Window, split at window granularity, and normalize both sides with
     z-score parameters fit only on the values the training windows cover.
 
-    The series is normalized first and each side's windows are cut from it,
+    The series is normalized first and the training windows are cut from it,
     which gives the bits of normalizing the windows (the arithmetic is
-    elementwise) without building the full window matrix.
+    elementwise) without building the full window matrix. The test side is
+    left uncut, as the normalized series and its window starts.
 
     With a `few_shot_fraction`, the training side is
     ``rtune.reference.few_shot_subsample(train, few_shot_fraction,
@@ -277,7 +298,7 @@ def windowed_split(series, input_width: int, horizon: int, stride: int,
     window.
 
     Returns:
-        (train WindowedDataset, test WindowedDataset)
+        (train WindowedDataset, test SeriesWindows)
     """
     values = _series_values(series)
     starts = _window_starts(len(values), input_width, horizon, stride)
@@ -286,11 +307,26 @@ def windowed_split(series, input_width: int, horizon: int, stride: int,
     params = zscore_fit(covered_values(values, train_starts,
                                        input_width + horizon))
     if few_shot_fraction is not None:
+        _check("few_shot_fraction", few_shot_fraction, _FEW_SHOT_FRACTION)
         train_starts = train_starts[_few_shot_indices(
             len(train_starts), few_shot_fraction, few_shot_seed)]
     normalized = zscore_apply(values, params)
     return (_gather_windows(normalized, train_starts, input_width, horizon),
-            _gather_windows(normalized, starts[test_idx], input_width, horizon))
+            SeriesWindows(normalized, starts[test_idx], input_width, horizon))
+
+
+def windowed_split(series, input_width: int, horizon: int, stride: int,
+                   train_fraction: float, seed: int,
+                   few_shot_fraction: float = None, few_shot_seed: int = 0):
+    """:func:`split_series` with its test side cut.
+
+    Returns:
+        (train WindowedDataset, test WindowedDataset)
+    """
+    train, test = split_series(series, input_width, horizon, stride,
+                               train_fraction, seed, few_shot_fraction,
+                               few_shot_seed)
+    return train, test.windows()
 
 
 def gen_benchmark_tasks(seed: int, old_length: int = 6000,
@@ -305,6 +341,8 @@ def gen_benchmark_tasks(seed: int, old_length: int = 6000,
     Returns:
         (old RawSeries, new RawSeries, params dict)
     """
+    _check("old_length", old_length, 1)
+    _check("new_length", new_length, 1)
     rng = np.random.default_rng(seed)
     params = {
         "seed": int(seed),

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (NormalizationParams, WindowedDataset, _few_shot_indices,
-                   split_indices, zscore_apply)
+from .data import (_FEW_SHOT_FRACTION, NormalizationParams, WindowedDataset,
+                   _check, _few_shot_indices, split_indices, zscore_apply)
 from .forecaster import Forecaster, _soften_rows
 from .replay import ReplaySet
 
@@ -194,6 +194,7 @@ def split_train_test(windows: WindowedDataset, train_fraction: float = 0.8,
 def few_shot_subsample(train: WindowedDataset, fraction: float = 0.10,
                        seed: int = 0) -> WindowedDataset:
     """Seeded uniform subsample without replacement; the remainder is discarded."""
+    _check("fraction", fraction, _FEW_SHOT_FRACTION)
     return train.subset(_few_shot_indices(len(train), fraction, seed))
 
 

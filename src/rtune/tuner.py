@@ -37,20 +37,21 @@ GATHER_BATCHES = 64
 
 
 # The rule of each TuneConfig field, which run configs and CLI flags share: the
-# least value of an integer count, or (what a number must be, a test written
-# so that NaN fails); alpha's, distill_weight's and validation_fraction's are
-# the library's (rtune.data). discard_depth is a count of at most
-# wavelet_levels.
+# least value of an integer count, or (what the value must be, a test written
+# so that a non-number and NaN fail); alpha's, distill_weight's and
+# validation_fraction's are the library's (rtune.data). discard_depth is a
+# count of at most wavelet_levels.
 _FIELD_RULES = {
     "replay_n": 0,
     "wavelet_levels": 1,
     "discard_depth": 0,
     "alpha": _UNIT,
-    "tau": ("positive", lambda v: v > 0),
+    "tau": ("positive", lambda v: _real(v) and v > 0),
     "distill_weight": _UNIT,
-    "reg_weight": (">= 0", lambda v: v >= 0),
+    "reg_weight": (">= 0", lambda v: _real(v) and v >= 0),
     "epochs": 0,
-    "learning_rate": (">= 0", lambda v: v >= 0),  # 0: a no-update control
+    # 0: a no-update control
+    "learning_rate": (">= 0", lambda v: _real(v) and v >= 0),
     "batch_size": 1,
     "seed": 0,
     "validation_fraction": _OPEN_FRACTION,
@@ -65,8 +66,6 @@ def _check_fields(values: dict, names: dict) -> None:
         name, value = names[key], values[key]
         if key == "discard_depth":  # wavelet_levels is checked the row before
             rule = range(int(values["wavelet_levels"]) + 1)
-        elif not isinstance(rule, int):
-            _check(name, value, ("a number", _real))
         _check(name, value, rule)
 
 

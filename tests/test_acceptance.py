@@ -42,7 +42,7 @@ def setups():
 def lockstep_reports(setup, arms):
     """Reports of (method, cfg) arms trained together by run_arm_jobs; each
     has the bits of its solo run_arm."""
-    outcomes = run_arm_jobs([(setup, method, cfg, None) for method, cfg in arms])
+    outcomes = run_arm_jobs([(setup, method, cfg) for method, cfg in arms])
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

@@ -1,8 +1,11 @@
 """Benchmark harness plumbing at reduced sizes."""
 
+import re
+
 import numpy as np
 import pytest
 
+import rtune.benchmark
 from rtune.benchmark import desk_config, prepare_benchmark, run_arm
 from rtune.data import gen_benchmark_tasks, windowed_split
 
@@ -18,18 +21,41 @@ def test_preparation_deterministic():
     assert a.gen_params == b.gen_params
 
 
-def test_new_task_split_is_the_direct_split():
-    # the new-task split is cut after pretraining, from seeds of its own
-    setup = prepare_benchmark(4, **SMALL)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_splits_are_the_direct_splits(seed):
+    # each task's split has seeds of its own; the test sets are held uncut
+    # and cut on access to the bits of windowed_split's test sides
+    setup = prepare_benchmark(seed, **SMALL)
     seeds = [int(s.generate_state(1)[0])
-             for s in np.random.SeedSequence(4).spawn(5)]
-    _, new_series, _ = gen_benchmark_tasks(4, old_length=600, new_length=900)
+             for s in np.random.SeedSequence(seed).spawn(5)]
+    old_series, new_series, _ = gen_benchmark_tasks(seed, old_length=600,
+                                                    new_length=900)
+    _, old_test = windowed_split(old_series, 16, 4, 1, 0.8, seeds[0])
     train, test = windowed_split(new_series, 16, 4, 1, 0.8, seeds[1], 0.10,
                                  seeds[2])
-    for got, want in ((setup.new_train, train), (setup.new_test, test)):
-        assert got.inputs.tobytes() == want.inputs.tobytes()
+    for got, want in ((setup.new_train, train), (setup.new_test, test),
+                      (setup.old_test, old_test)):
+        assert got.padded.tobytes() == want.padded.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
         assert np.array_equal(got.starts, want.starts)
+    assert len(setup.old_test_sets) == 1
+
+
+@pytest.mark.parametrize("argument, message", [
+    (dict(few_shot_fraction=1.5), "few_shot_fraction must be in (0, 1], got 1.5"),
+    (dict(few_shot_fraction=0.0001), "subsampling 705 windows at 0.0001 "
+                                     "selects nothing"),
+    (dict(new_length=15), "series of length 15 too short for windows of "
+                          "span 20"),
+    (dict(old_length=10.5), "old_length must be an integer, got 10.5"),
+])
+def test_arguments_checked_before_pretraining(monkeypatch, argument, message):
+    def pretraining(*args, **kwargs):
+        raise AssertionError("pretraining ran before the arguments were checked")
+
+    monkeypatch.setattr(rtune.benchmark, "r_tune", pretraining)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        prepare_benchmark(0, **dict(SMALL, **argument))
 
 
 def test_splits_shaped_for_geometry():

@@ -18,12 +18,15 @@ import rtune.benchmark
 import rtune.cli
 import rtune.forecaster
 import rtune.tuner
-from rtune.cli import load_run_config, main
-from rtune.data import WindowedDataset, atomic_target, read_series_csv
+from rtune.cli import canonical_json, load_run_config, main
+from rtune.data import (WindowedDataset, atomic_target, gen_benchmark_tasks,
+                        make_windows, read_series_csv, split_indices,
+                        windowed_split, zscore_apply, zscore_fit)
 from rtune.forecaster import init_forecaster, load_checkpoint, save_checkpoint
 from rtune.metrics import evaluate_model, metric_pair
 from rtune.replay import ReplaySet, build_replay_set
 from rtune.tuner import TuneConfig, _epoch_seeds, r_tune_group
+from rtune.wavelet import rwt_decompose, rwt_reconstruct
 
 
 def write_csv(path, values, name="signal"):
@@ -458,10 +461,10 @@ class TestTune:
         ("column", ["new"], "must be null or a column name"),
         ("column", "signal", None),
         # training keys, which TuneConfig and the train/test split check
-        ("lambda", "x", "must be a number"),
+        ("lambda", "x", "must be in [0, 1]"),
         ("lambda", 2, "must be in [0, 1]"),
         ("beta", -1, "must be >= 0"),
-        ("learning_rate", None, "must be a number"),
+        ("learning_rate", None, "must be >= 0"),
         ("tau", -1, "must be positive"),
         ("batch_size", 0, "must be >= 1"),
         ("validation_fraction", 1.0, "must be in (0, 1)"),
@@ -600,6 +603,90 @@ class TestTune:
         }
 
 
+def owned_arrays(obj, found):
+    """Fill `found` (id -> array) with each array that owns memory reachable
+    from `obj` through attributes, tuples, lists and dict values."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        found[id(obj)] = obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            owned_arrays(item, found)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            owned_arrays(item, found)
+    elif hasattr(obj, "__dict__"):
+        owned_arrays(list(vars(obj).values()), found)
+    return found
+
+
+@pytest.mark.parametrize("mode", ["csv", "benchmark"])
+class TestPreparedSetup:
+    """What `_prepare_run` holds for a seed: test sets as normalized series
+    plus window starts, cut on access to the windows the splits give."""
+
+    def prepared(self, mode, bench_config, csv_config):
+        cfg = load_run_config((bench_config if mode == "benchmark"
+                               else csv_config)(seeds=[0, 1, 2]))
+        shared = rtune.cli._shared_inputs(cfg)
+        return cfg, {seed: rtune.cli._prepare_run(cfg, seed, shared)
+                     for seed in cfg["seeds"]}
+
+    @staticmethod
+    def sources(mode, cfg, seed):
+        """The test sets' series, then the seeds of the new-task split and
+        of its few-shot sample."""
+        if mode == "benchmark":
+            seeds = [int(s.generate_state(1)[0])
+                     for s in np.random.SeedSequence(seed).spawn(5)]
+            old, new, _ = gen_benchmark_tasks(
+                seed, old_length=cfg["benchmark_old_length"],
+                new_length=cfg["benchmark_new_length"])
+            return [old], new, seeds[1], seeds[2], seeds[0]
+        seeds = [int(s.generate_state(1)[0])
+                 for s in np.random.SeedSequence(seed).spawn(2)]
+        old = [read_series_csv(path)[0] for path in cfg["old_data"]]
+        return old, read_series_csv(cfg["new_data"])[0], *seeds, None
+
+    def test_test_sets_are_the_splits_test_sides(self, mode, bench_config,
+                                                 csv_config):
+        cfg, setups = self.prepared(mode, bench_config, csv_config)
+        for seed, setup in setups.items():
+            old, new, split_seed, shot_seed, old_seed = self.sources(
+                mode, cfg, seed)
+            if mode == "benchmark":
+                old_tests = [windowed_split(old[0], 16, 4, 1, 0.8,
+                                            old_seed)[1]]
+            else:  # every window of an old-task CSV, normalized on itself
+                old_tests = [make_windows(zscore_apply(
+                    s.values, zscore_fit(s.values)), 16, 4) for s in old]
+            new_test = windowed_split(new, 16, 4, 1, 0.8, split_seed, 0.10,
+                                      shot_seed)[1]
+            got = [test_set.windows() for test_set in setup.old_test_sets]
+            pairs = [*zip(got, old_tests), (setup.old_test, old_tests[0]),
+                     (setup.new_test, new_test)]
+            assert len(got) == len(old_tests)
+            for cut, want in pairs:
+                assert cut.padded.tobytes() == want.padded.tobytes()
+                assert cut.labels.tobytes() == want.labels.tobytes()
+                assert np.array_equal(cut.starts, want.starts)
+
+    def test_test_sets_hold_series_not_windows(self, mode, bench_config,
+                                               csv_config):
+        # a cut window takes W + H + 1 floats; the held sets take a few
+        # floats per value of the series they come from
+        cfg, setups = self.prepared(mode, bench_config, csv_config)
+        for seed, setup in setups.items():
+            old, new, *_ = self.sources(mode, cfg, seed)
+            length = len(new) + sum(map(len, old))
+            held = owned_arrays(replace(setup, new_train=None), {})
+            assert sum(a.nbytes for a in held.values()) <= 3 * 8 * length
+            windows = [setup.old_test, setup.new_test]
+            assert sum(ds.padded.nbytes + ds.labels.nbytes
+                       for ds in windows) > 3 * 8 * length
+
+
 def test_readme_run_config_block_matches_defaults():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("### Run configs", 1)[1]
@@ -667,6 +754,33 @@ def test_one_rule_per_field_at_every_entry_point(
                      synth_flag, str(value), "--output",
                      str(tmp_path / "replay.csv")]) == 1
         assert capsys.readouterr().err == f"error: {synth_flag}{tail}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field, value, *_ in ONE_BAD_VALUE_PER_FIELD
+    if not isinstance(rtune.tuner._FIELD_RULES[field], int)])
+def test_a_string_fails_a_field_rule_as_a_bad_number_does(field, value):
+    with pytest.raises(ValueError) as bad:
+        TuneConfig(**{field: value})
+    with pytest.raises(ValueError) as text:
+        TuneConfig(**{field: "0.5"})
+    assert str(text.value) == str(bad.value).replace(f"got {value!r}",
+                                                     "got '0.5'")
+
+
+def test_string_alpha_reads_alike_at_every_entry_point(bench_config,
+                                                       tmp_path, capsys):
+    message = "alpha must be in [0, 1], got '0.5'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TuneConfig(alpha="0.5")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rwt_reconstruct(rwt_decompose(np.sin(np.arange(64.0)), 1), "0.5")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_replay_set(init_forecaster(16, 4, 8, seed=0), 2, 1, 1, "0.5", 0)
+    cfg = bench_config(alpha="0.5")
+    assert main(["tune", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     assert not (tmp_path / "runs").exists()
 
 
@@ -923,16 +1037,16 @@ class TestSweep:
         prepare = rtune.cli._prepare_run
 
         def overflowing(cfg, seed, shared):
-            setup, old_tests = prepare(cfg, seed, shared)
+            setup = prepare(cfg, seed, shared)
             if seed != 1:
-                return setup, old_tests
+                return setup
             frozen = setup.frozen.clone()
             w1, _, w2, _ = frozen._unpack()
             w1 *= 1e-160
             w2 *= 1e150
             train = WindowedDataset(1e160 * setup.new_train.inputs,
                                     setup.new_train.labels)
-            return replace(setup, frozen=frozen, new_train=train), old_tests
+            return replace(setup, frozen=frozen, new_train=train)
 
         monkeypatch.setattr(rtune.cli, "_prepare_run", overflowing)
         cfg = bench_config(epochs=1, batch_size=200, seeds=[0, 1, 2])
@@ -1042,6 +1156,35 @@ class TestEvalAndReport:
         assert doc["old_metrics"]["mae"] > 0
         assert doc["new_metrics"]["n_samples"] > 0
 
+    def test_eval_test_fraction_scores_the_split_windows(self, tmp_path,
+                                                         sine_csv):
+        # the split is drawn over the new-task window starts before any
+        # window is cut; the bytes are those of cutting every window and
+        # then taking the split's rows
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_forecaster(16, 4, 8, seed=2), ckpt)
+        other = write_csv(tmp_path / "other.csv", np.cos(np.arange(150.0) / 7))
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--new-data",
+                     str(sine_csv), "--old-data", str(other),
+                     "--test-fraction", "0.25", "--seed", "3",
+                     "--output", str(out)]) == 0
+
+        def every_window(path):
+            values = read_series_csv(path)[0].values
+            return make_windows(zscore_apply(values, zscore_fit(values)), 16, 4)
+
+        new_set = every_window(sine_csv)
+        _, test_idx = split_indices(len(new_set), 0.75, 3)
+        model = load_checkpoint(ckpt)
+        old, new = (metric_pair(model.forward_batch(ds.inputs), ds.labels)
+                    for ds in (every_window(other), new_set.subset(test_idx)))
+        doc = {"command": "eval", "checkpoint": str(ckpt), "seed": 3,
+               "old_metrics": old.to_dict(), "new_metrics": new.to_dict(),
+               "per_old_dataset": [old.to_dict()]}
+        assert out.read_text() == canonical_json(doc) + "\n"
+        assert new.n_samples == round(0.25 * len(new_set))
+
     @pytest.mark.parametrize("n_old", [0, 1, 2])
     def test_eval_forwards_each_set_once(self, tmp_path, sine_csv,
                                          monkeypatch, n_old):
@@ -1067,7 +1210,7 @@ class TestEvalAndReport:
         monkeypatch.undo()
         # the new-task set and each old-task set, once each
         cfg = {"input_width": 16, "horizon": 4, "stride": 1}
-        sets = [rtune.cli._windowed_eval_set(path, None, cfg)
+        sets = [rtune.cli._windowed_eval_set(path, None, cfg).windows()
                 for path in [sine_csv] + old_files]
         assert sorted(forwarded) == sorted(len(ds) for ds in sets)
         # the numbers evaluate_model gives, the new-task set standing in

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 import rtune.data
-from rtune.data import (_TIMESTAMP_NAMES, RawSeries, WindowedDataset,
-                        covered_values, gen_benchmark_tasks, make_windows,
-                        read_series_csv, split_indices, windowed_split,
-                        zscore_apply, zscore_fit, zscore_invert)
+from rtune.data import (_FEW_SHOT_FRACTION, _TIMESTAMP_NAMES, RawSeries,
+                        WindowedDataset, _check, covered_values,
+                        gen_benchmark_tasks, make_windows, read_series_csv,
+                        split_indices, windowed_split, zscore_apply,
+                        zscore_fit, zscore_invert)
 from rtune.forecaster import init_forecaster
 from rtune.reference import (_replay_windows, few_shot_subsample,
                              normalize_windows, split_train_test)
@@ -362,6 +363,8 @@ def reference_windowed_split(series, input_width, horizon, stride,
     normalized = normalize_windows(raw, params)
     train = normalized.subset(train_idx)
     if few_shot_fraction is not None:
+        # windowed_split names the fraction by its own parameter
+        _check("few_shot_fraction", few_shot_fraction, _FEW_SHOT_FRACTION)
         train = few_shot_subsample(train, few_shot_fraction, few_shot_seed)
     return train, normalized.subset(test_idx)
 
@@ -395,6 +398,13 @@ def test_windowed_split_matches_reference(data, input_width, horizon, stride,
         assert (side.starts >= 0).all()
 
 
+@pytest.mark.parametrize("few_shot", [1.5, 0, True, "0.1"])
+def test_windowed_split_names_its_few_shot_fraction(few_shot):
+    with pytest.raises(ValueError, match=re.escape(
+            f"few_shot_fraction must be in (0, 1], got {few_shot!r}")):
+        windowed_split(np.arange(40.0), 4, 2, 1, 0.8, 0, few_shot, 0)
+
+
 class TestBenchmarkTasks:
     def test_same_seed_identical(self):
         old1, new1, p1 = gen_benchmark_tasks(4)
@@ -407,6 +417,18 @@ class TestBenchmarkTasks:
         old, new, _ = gen_benchmark_tasks(0, old_length=1000, new_length=1500)
         assert len(old) == 1000 and len(new) == 1500
         assert len(old) >= 4 * (48 + 12)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("old_length", True, "an integer"),
+        ("old_length", 10.5, "an integer"),
+        ("new_length", "100", "an integer"),
+        ("new_length", 0, ">= 1"),
+        ("old_length", -5, ">= 1"),
+    ])
+    def test_lengths_checked(self, key, value, message):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{key} must be {message}, got {value!r}")):
+            gen_benchmark_tasks(0, **{key: value})
 
     def test_spectral_peaks_differ(self):
         for seed in range(3):

@@ -856,9 +856,9 @@ class TestLockstep:
 
     def test_run_arm_jobs_match_run_arm(self, small_setup):
         jobs = [(small_setup, method, desk_config(2, replay_n=replay_n,
-                                                  epochs=2), None)
+                                                  epochs=2))
                 for method in METHODS for replay_n in (2, 5)]
-        for (_, method, cfg, _), outcome in zip(jobs, run_arm_jobs(jobs)):
+        for (_, method, cfg), outcome in zip(jobs, run_arm_jobs(jobs)):
             model, report = run_arm(small_setup, method, cfg)
             assert report.to_dict() == outcome[1].to_dict()
             if model is None:
