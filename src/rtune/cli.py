@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import copy
 import errno
+import functools
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmark import BenchmarkSetup, prepare_benchmark, run_arm_jobs
+from .benchmark import BenchmarkSetup, prepare_benchmark, scored_arms
 from .data import (_FEW_SHOT_FRACTION, _OPEN_FRACTION, SeriesWindows, _check,
                    _int, _real, _window_starts, _write_csv, atomic_target,
                    read_series_csv, split_indices, split_series, zscore_apply,
@@ -29,7 +30,7 @@ from .data import (_FEW_SHOT_FRACTION, _OPEN_FRACTION, SeriesWindows, _check,
 from .forecaster import load_checkpoint, save_checkpoint
 from .metrics import MetricPair, _mean_pair, build_comparison_row, metric_pair
 from .replay import build_replay_set, replay_count_for_fraction, replay_to_csv
-from .tuner import METHODS, TuneConfig, _check_fields, lockstep_key
+from .tuner import METHODS, TuneConfig, _check_fields
 from .wavelet import rwt_decompose, rwt_reconstruct
 
 
@@ -86,13 +87,6 @@ _TUNE_KEYS = {key: row for key, row in RUN_CONFIG.items() if isinstance(row, str
 _TUNE_OVERRIDES = {"method": "method", "levels": "wavelet_levels",
                    "alpha": "alpha", "tau": "tau", "lambda_": "lambda",
                    "beta": "beta", "replay_n": "replay_n"}
-
-# `tune` and `sweep` train the arms of several seeds in one lockstep call
-# while no stack grows past this many runs. The cap bounds the setups a
-# command holds at once, so that they do not grow with its seed count; a
-# larger stack would buy little, as a desk r-tuning run trains in about the
-# same time per run at K = 8, 16 and 32 (10.6, 10.3 and 10.8 ms).
-STACK_CAP = 8
 
 
 def canonical_json(obj) -> str:
@@ -270,50 +264,6 @@ def _arm(cfg: dict, seed: int, setup):
     return method, TuneConfig(**fields, seed=seed)
 
 
-def _trained_arms(cfg: dict, variants, shared):
-    """Train and score the arms of every seed of `cfg`: per seed, one arm
-    `dict(cfg, **variant, seeds=[seed])` per override dict in `variants`.
-    Yields (seed, arm config, (model, report) or the error that stopped the
-    arm) in seed and arm order; an error that stopped a seed's preparation
-    is the outcome of each of its arms.
-
-    Seeds are prepared one after another and batched: a seed joins the
-    batch while every lockstep stack of the batch (the arms that do not
-    train count as one) stays within STACK_CAP runs, and each batch trains
-    in one `run_arm_jobs` call. So the setups held at once (a batch's, and
-    the prepared seed that starts the next) do not grow with the number of
-    seeds. `shared` is `_shared_inputs(cfg)`, built once by the command."""
-    batch, stacks = [], Counter()
-    for seed in cfg["seeds"]:
-        arm_cfgs = [dict(cfg, **variant, seeds=[seed]) for variant in variants]
-        try:
-            setup = _prepare_run(cfg, seed, shared)
-            jobs = [(setup, *_arm(arm_cfg, seed, setup))
-                    for arm_cfg in arm_cfgs]
-        except Exception as exc:  # held, not swallowed: met in seed order
-            batch.append((seed, arm_cfgs, [exc] * len(arm_cfgs)))
-            continue
-        runs = Counter(lockstep_key(setup.frozen, tune_cfg, method)
-                       for _, method, tune_cfg in jobs)
-        if stacks and any(stacks[key] + count > STACK_CAP
-                          for key, count in runs.items()):
-            yield from _train_batch(batch)
-            batch, stacks = [], Counter()
-        batch.append((seed, arm_cfgs, jobs))
-        stacks.update(runs)
-    yield from _train_batch(batch)
-
-
-def _train_batch(batch):
-    """The outcomes of one `_trained_arms` batch, its jobs trained together."""
-    trained = iter(run_arm_jobs([job for _, _, jobs in batch for job in jobs
-                                 if not isinstance(job, Exception)]))
-    for seed, arm_cfgs, jobs in batch:
-        for arm_cfg, job in zip(arm_cfgs, jobs):
-            yield seed, arm_cfg, (job if isinstance(job, Exception)
-                                  else next(trained))
-
-
 def _selection_warning(report):
     """A warning when the selected epoch validates worse than the frozen
     model did on the same tail (a finite but diverged run), else None."""
@@ -372,13 +322,16 @@ def cmd_tune(args) -> int:
 
     run_dir = Path(cfg["output_dir"]) / config_hash(cfg)
     shared = _shared_inputs(cfg)
+    arms = scored_arms(cfg["seeds"], lambda seed: _prepare_run(cfg, seed, shared),
+                       [functools.partial(_arm, cfg)])
     # the first failed seed stops the run: the seeds before it are written,
     # and a run whose first seed wrote no outputs leaves no config.json
-    for seed, arm_cfg, outcome in _trained_arms(cfg, [{}], shared):
+    for seed, (outcome,) in arms:
         if isinstance(outcome, Exception):
             raise outcome
         model, report = outcome
-        for path in _write_run_outputs(arm_cfg, model, report, run_dir):
+        for path in _write_run_outputs(dict(cfg, seeds=[seed]), model, report,
+                                       run_dir):
             print(path)
         if seed == cfg["seeds"][0]:
             _write_json(run_dir / "config.json", cfg)
@@ -441,9 +394,13 @@ def cmd_sweep(args) -> int:
                                 str(out_path))
 
     # arms differ only in seed and replay_ratio: each seed is prepared once
-    arms = _trained_arms(cfg, [{"replay_ratio": ratio} for ratio in ratios],
-                         _shared_inputs(cfg))
-    results = [_sweep_row(*arm) for arm in arms]
+    shared = _shared_inputs(cfg)
+    variants = [dict(cfg, replay_ratio=ratio) for ratio in ratios]
+    arms = scored_arms(cfg["seeds"], lambda seed: _prepare_run(cfg, seed, shared),
+                       [functools.partial(_arm, variant) for variant in variants])
+    results = [_sweep_row(seed, dict(variant, seeds=[seed]), outcome)
+               for seed, outcomes in arms
+               for variant, outcome in zip(variants, outcomes)]
     results.sort(key=lambda row: (row[0], row[1]))
 
     _write_csv(out_path, canonical_json(cfg),

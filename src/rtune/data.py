@@ -29,7 +29,6 @@ __all__ = [
     "split_indices",
     "covered_values",
     "split_series",
-    "windowed_split",
     "gen_benchmark_tasks",
     "read_series_csv",
     "atomic_target",
@@ -313,20 +312,6 @@ def split_series(series, input_width: int, horizon: int, stride: int,
     normalized = zscore_apply(values, params)
     return (_gather_windows(normalized, train_starts, input_width, horizon),
             SeriesWindows(normalized, starts[test_idx], input_width, horizon))
-
-
-def windowed_split(series, input_width: int, horizon: int, stride: int,
-                   train_fraction: float, seed: int,
-                   few_shot_fraction: float = None, few_shot_seed: int = 0):
-    """:func:`split_series` with its test side cut.
-
-    Returns:
-        (train WindowedDataset, test WindowedDataset)
-    """
-    train, test = split_series(series, input_width, horizon, stride,
-                               train_fraction, seed, few_shot_fraction,
-                               few_shot_seed)
-    return train, test.windows()
 
 
 def gen_benchmark_tasks(seed: int, old_length: int = 6000,

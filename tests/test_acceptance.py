@@ -7,11 +7,12 @@ via module-scoped fixtures, so the whole suite stays within its time budget.
 
 import json
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rtune.benchmark import desk_config, prepare_benchmark, run_arm_jobs
+from rtune.benchmark import desk_config, prepare_benchmark, scored_arms
 from rtune.cli import main as cli_main
 from rtune.forecaster import Forecaster, init_forecaster
 from rtune.reference import (batch_objective, distill_loss, grad_total,
@@ -22,6 +23,8 @@ from rtune.wavelet import build_db4_bank, rwt_decompose, rwt_reconstruct
 
 SEEDS = (0, 1, 2, 3, 4)
 ARMS = ("frozen", "ft", "lwf", "replay-only", "r-tuning")
+# the North star's table on SEEDS, as desk_table() writes it
+DESK_TABLE = Path(__file__).with_name("desk_table.json")
 
 
 @contextmanager
@@ -39,24 +42,41 @@ def setups():
     return {seed: prepare_benchmark(seed) for seed in SEEDS}
 
 
-def lockstep_reports(setup, arms):
-    """Reports of (method, cfg) arms trained together by run_arm_jobs; each
-    has the bits of its solo run_arm."""
-    outcomes = run_arm_jobs([(setup, method, cfg) for method, cfg in arms])
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return [report for _, report in outcomes]
+def seed_reports(setups, arms):
+    """Each seed's reports of `arms`, functions (seed, setup) -> (method,
+    cfg), trained on the prepared `setups` by scored_arms; each has the bits
+    of its solo run_arm."""
+    reports = {}
+    for seed, outcomes in scored_arms(SEEDS, setups.__getitem__, arms):
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        reports[seed] = [report for _, report in outcomes]
+    return reports
+
+
+def desk_arm_reports(setups):
+    """Each seed's report per arm of ARMS at its desk_config."""
+    reports = seed_reports(setups, [lambda seed, _, m=m: (m, desk_config(seed))
+                                    for m in ARMS])
+    return {seed: dict(zip(ARMS, reps)) for seed, reps in reports.items()}
 
 
 @pytest.fixture(scope="module")
 def arm_reports(setups):
-    reports = {}
-    for seed, setup in setups.items():
-        cfg = desk_config(seed)
-        reports[seed] = dict(zip(ARMS, lockstep_reports(
-            setup, [(m, cfg) for m in ARMS])))
-    return reports
+    return desk_arm_reports(setups)
+
+
+def desk_table(arm_reports):
+    """`arm_reports` as DESK_TABLE holds them: per seed and arm, the old- and
+    new-task MAE and MSE written with repr, and the selected epoch."""
+    return {str(seed): {method: {
+        "old_mae": repr(report.old_metrics.mae),
+        "old_mse": repr(report.old_metrics.mse),
+        "new_mae": repr(report.new_metrics.mae),
+        "new_mse": repr(report.new_metrics.mse),
+        "selected_epoch": report.selected_epoch,
+    } for method, report in arms.items()} for seed, arms in arm_reports.items()}
 
 
 def seed_mean(reports, method, metric, side="old"):
@@ -229,10 +249,11 @@ def test_criterion_7_replay_ratio_sweep(setups):
     with criterion(7, "replay-ratio sweep direction and plateau"):
         ratios = (1.0, 5.0, 10.0)
         vals = {ratio: [] for ratio in ratios}
-        for seed, setup in setups.items():
-            cfgs = [desk_config(seed, replay_n=replay_count_for_fraction(
-                ratio, len(setup.new_train), 1)) for ratio in ratios]
-            reports = lockstep_reports(setup, [("r-tuning", c) for c in cfgs])
+        arms = [lambda seed, setup, ratio=ratio: (
+                    "r-tuning", desk_config(seed, replay_n=replay_count_for_fraction(
+                        ratio, len(setup.new_train), 1)))
+                for ratio in ratios]
+        for reports in seed_reports(setups, arms).values():
             for ratio, rep in zip(ratios, reports):
                 vals[ratio].append(rep.old_metrics.mae)
         ratio_means = {ratio: float(np.mean(vals[ratio])) for ratio in ratios}
@@ -289,3 +310,25 @@ def test_criterion_9_ablation_ordering(arm_reports):
                         for m in chain]
                 holds += all(a >= b for a, b in zip(vals, vals[1:]))
             assert holds >= 4, f"old {metric} chain holds only {holds}/5 seeds"
+
+
+def test_desk_table_pinned(arm_reports):
+    # every number of the table within rounding of the committed file, on
+    # any BLAS kernel, and every selected epoch exactly; a change that means
+    # to move the table rewrites the file (run this module as a script)
+    got, pinned = desk_table(arm_reports), json.loads(DESK_TABLE.read_text())
+    assert {seed: list(arms) for seed, arms in got.items()} == {
+        seed: list(arms) for seed, arms in pinned.items()}
+    for seed, arms in pinned.items():
+        for method, want in arms.items():
+            have = got[seed][method]
+            assert have["selected_epoch"] == want["selected_epoch"], (
+                seed, method)
+            for key in ("old_mae", "old_mse", "new_mae", "new_mse"):
+                assert float(have[key]) == pytest.approx(
+                    float(want[key]), rel=1e-12, abs=0), (seed, method, key)
+
+
+if __name__ == "__main__":  # PYTHONPATH=src python tests/test_acceptance.py
+    DESK_TABLE.write_text(json.dumps(desk_table(desk_arm_reports(
+        {seed: prepare_benchmark(seed) for seed in SEEDS})), indent=1) + "\n")

@@ -1,13 +1,16 @@
 """Benchmark harness plumbing at reduced sizes."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import rtune.benchmark
-from rtune.benchmark import desk_config, prepare_benchmark, run_arm
-from rtune.data import gen_benchmark_tasks, windowed_split
+from rtune.benchmark import (STACK_CAP, desk_config, prepare_benchmark,
+                             run_arm, run_arm_jobs, scored_arms)
+from rtune.data import gen_benchmark_tasks, split_series
+from rtune.tuner import METHODS, lockstep_key
 
 SMALL = dict(input_width=16, horizon=4, stride=1, hidden_width=8,
              old_length=600, new_length=900, pretrain_epochs=3)
@@ -23,18 +26,19 @@ def test_preparation_deterministic():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_splits_are_the_direct_splits(seed):
-    # each task's split has seeds of its own; the test sets are held uncut
-    # and cut on access to the bits of windowed_split's test sides
+    # each task's split has seeds of its own; the test sets are held uncut,
+    # and cut on access they have the bits of split_series' test sides
     setup = prepare_benchmark(seed, **SMALL)
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(seed).spawn(5)]
     old_series, new_series, _ = gen_benchmark_tasks(seed, old_length=600,
                                                     new_length=900)
-    _, old_test = windowed_split(old_series, 16, 4, 1, 0.8, seeds[0])
-    train, test = windowed_split(new_series, 16, 4, 1, 0.8, seeds[1], 0.10,
-                                 seeds[2])
-    for got, want in ((setup.new_train, train), (setup.new_test, test),
-                      (setup.old_test, old_test)):
+    _, old_test = split_series(old_series, 16, 4, 1, 0.8, seeds[0])
+    train, test = split_series(new_series, 16, 4, 1, 0.8, seeds[1], 0.10,
+                               seeds[2])
+    for got, want in ((setup.new_train, train),
+                      (setup.new_test, test.windows()),
+                      (setup.old_test, old_test.windows())):
         assert got.padded.tobytes() == want.padded.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
         assert np.array_equal(got.starts, want.starts)
@@ -98,3 +102,82 @@ def test_desk_config_defaults():
     assert (cfg.alpha, cfg.tau, cfg.distill_weight, cfg.reg_weight) == (
         0.7, 3.0, 0.2, 1e-4)
     assert cfg.epochs == 10
+
+
+class TestScoredArms:
+    # per seed, every method and two more r-tuning arms: the r-tuning and
+    # lwf arms form a stack of four, so two seeds fill STACK_CAP and five
+    # seeds train in three calls
+    ARMS = ([lambda seed, _, m=m: (m, desk_config(seed, replay_n=4, epochs=2))
+             for m in METHODS]
+            + [lambda seed, _, n=n: ("r-tuning",
+                                     desk_config(seed, replay_n=n, epochs=2))
+               for n in (2, 6)])
+
+    @pytest.fixture(scope="class")
+    def setups(self):
+        return {seed: prepare_benchmark(seed, **SMALL) for seed in range(5)}
+
+    def test_outcomes_are_those_of_per_seed_calls(self, setups):
+        got = list(scored_arms(setups, setups.__getitem__, self.ARMS))
+        assert [seed for seed, _ in got] == list(setups)
+        for seed, outcomes in got:
+            setup = setups[seed]
+            want = run_arm_jobs([(setup, *arm(seed, setup))
+                                 for arm in self.ARMS])
+            assert len(outcomes) == len(want) == len(self.ARMS)
+            for (model, report), (want_model, want_report) in zip(outcomes,
+                                                                  want):
+                assert report.to_dict() == want_report.to_dict()
+                if want_model is None:
+                    assert model is None
+                else:
+                    assert model.theta.tobytes() == want_model.theta.tobytes()
+
+    def test_no_call_stacks_past_the_cap(self, setups, monkeypatch):
+        stacks = []
+
+        def counted(jobs):
+            stacks.append(Counter(lockstep_key(setup.frozen, cfg, method)
+                                  for setup, method, cfg in jobs))
+            return run_arm_jobs(jobs)
+
+        monkeypatch.setattr(rtune.benchmark, "run_arm_jobs", counted)
+        assert len(list(scored_arms(setups, setups.__getitem__,
+                                    self.ARMS))) == 5
+        assert [sum(c.values()) for c in stacks] == [14, 14, 7]
+        assert max(n for c in stacks for n in c.values()) == STACK_CAP
+
+    @pytest.mark.parametrize("stage", ["prepare", "arm"])
+    def test_failed_seed_fails_each_of_its_arms(self, setups, stage):
+        error = ValueError("seed 1 cannot be run")
+
+        def prepare(seed):
+            if seed == 1 and stage == "prepare":
+                raise error
+            return setups[seed]
+
+        def arm(seed, _):
+            if seed == 1 and stage == "arm":
+                raise error
+            return "ft", desk_config(seed, epochs=2)
+
+        got = list(scored_arms([0, 1, 2], prepare, self.ARMS + [arm]))
+        assert [seed for seed, _ in got] == [0, 1, 2]
+        assert got[1][1] == [error] * (len(self.ARMS) + 1)
+        for _, outcomes in (got[0], got[2]):
+            assert all(report.new_metrics is not None
+                       for _, report in outcomes)
+
+    def test_prepares_no_seed_past_the_one_that_overflows(self, setups):
+        prepared = []
+
+        def prepare(seed):
+            prepared.append(seed)
+            return setups[seed]
+
+        arms = scored_arms(setups, prepare, self.ARMS)
+        assert prepared == []
+        assert next(arms)[0] == 0
+        # seeds 0 and 1 fill the first batch, and seed 2 overflowed it
+        assert prepared == [0, 1, 2]

@@ -21,7 +21,7 @@ import rtune.tuner
 from rtune.cli import canonical_json, load_run_config, main
 from rtune.data import (WindowedDataset, atomic_target, gen_benchmark_tasks,
                         make_windows, read_series_csv, split_indices,
-                        windowed_split, zscore_apply, zscore_fit)
+                        split_series, zscore_apply, zscore_fit)
 from rtune.forecaster import init_forecaster, load_checkpoint, save_checkpoint
 from rtune.metrics import evaluate_model, metric_pair
 from rtune.replay import ReplaySet, build_replay_set
@@ -656,13 +656,13 @@ class TestPreparedSetup:
             old, new, split_seed, shot_seed, old_seed = self.sources(
                 mode, cfg, seed)
             if mode == "benchmark":
-                old_tests = [windowed_split(old[0], 16, 4, 1, 0.8,
-                                            old_seed)[1]]
+                old_tests = [split_series(old[0], 16, 4, 1, 0.8,
+                                          old_seed)[1].windows()]
             else:  # every window of an old-task CSV, normalized on itself
                 old_tests = [make_windows(zscore_apply(
                     s.values, zscore_fit(s.values)), 16, 4) for s in old]
-            new_test = windowed_split(new, 16, 4, 1, 0.8, split_seed, 0.10,
-                                      shot_seed)[1]
+            new_test = split_series(new, 16, 4, 1, 0.8, split_seed, 0.10,
+                                    shot_seed)[1].windows()
             got = [test_set.windows() for test_set in setup.old_test_sets]
             pairs = [*zip(got, old_tests), (setup.old_test, old_tests[0]),
                      (setup.new_test, new_test)]
@@ -850,7 +850,7 @@ class TestSweep:
         # and 1 train in one call (a stack of eight), seed 2 in the next;
         # each arm's files are those of its own tune run and of a one-seed
         # sweep
-        assert rtune.cli.STACK_CAP == 8
+        assert rtune.benchmark.STACK_CAP == 8
         runs = tmp_path / "runs"
         groups = self.count_groups(monkeypatch)
         assert main(["sweep", "--config", str(csv_config(seeds=[0, 1, 2])),
@@ -903,18 +903,18 @@ class TestSweep:
                                                monkeypatch, command, jobs):
         # frozen arms and zero-epoch arms do not train; they count as one
         # stack, so twelve seeds still train in calls of at most STACK_CAP
-        calls = []
+        calls, run_arm_jobs = [], rtune.benchmark.run_arm_jobs
 
         def counted(batch):
             calls.append(len(batch))
-            return rtune.benchmark.run_arm_jobs(batch)
+            return run_arm_jobs(batch)
 
-        monkeypatch.setattr(rtune.cli, "run_arm_jobs", counted)
+        monkeypatch.setattr(rtune.benchmark, "run_arm_jobs", counted)
         monkeypatch.chdir(tmp_path)
         cfg = csv_config(epochs=0, seeds=list(range(12)))
         assert main(command[:1] + ["--config", str(cfg)] + command[1:]) == 0
         assert calls == jobs
-        assert max(calls) <= rtune.cli.STACK_CAP
+        assert max(calls) <= rtune.benchmark.STACK_CAP
         assert len(list((tmp_path / "runs").rglob("report.json"))) == sum(jobs)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point

@@ -15,7 +15,7 @@ import rtune.data
 from rtune.data import (_FEW_SHOT_FRACTION, _TIMESTAMP_NAMES, RawSeries,
                         WindowedDataset, _check, covered_values,
                         gen_benchmark_tasks, make_windows, read_series_csv,
-                        split_indices, windowed_split, zscore_apply,
+                        split_indices, split_series, zscore_apply,
                         zscore_fit, zscore_invert)
 from rtune.forecaster import init_forecaster
 from rtune.reference import (_replay_windows, few_shot_subsample,
@@ -182,12 +182,12 @@ class TestLayout:
                               np.random.default_rng(4).normal(size=50))
 
     @pytest.mark.parametrize("few_shot", [None, 0.5])
-    def test_windowed_split(self, few_shot):
+    def test_split_series(self, few_shot):
         series = np.random.default_rng(5).normal(2.0, 3.0, size=80)
         given_series = series.copy()
-        got = windowed_split(series, 6, 3, 1, 0.8, 7, few_shot, 8)
-        want = reference_windowed_split(series, 6, 3, 1, 0.8, 7, few_shot, 8)
-        for side, expected in zip(got, want):
+        train, test = split_series(series, 6, 3, 1, 0.8, 7, few_shot, 8)
+        want = reference_split(series, 6, 3, 1, 0.8, 7, few_shot, 8)
+        for side, expected in zip((train, test.windows()), want):
             assert_padded(side, expected.inputs)
         assert np.array_equal(series, given_series)
 
@@ -351,11 +351,11 @@ def test_normalize_windows_matches_series_normalization():
     assert np.allclose(norm.labels, direct.labels, atol=1e-12)
 
 
-def reference_windowed_split(series, input_width, horizon, stride,
-                             train_fraction, seed, few_shot_fraction=None,
-                             few_shot_seed=0):
-    """windowed_split as the full window matrix, normalized, then subset,
-    then few_shot_subsample on the training side."""
+def reference_split(series, input_width, horizon, stride, train_fraction,
+                    seed, few_shot_fraction=None, few_shot_seed=0):
+    """split_series with its test side cut, as the full window matrix,
+    normalized, then subset, then few_shot_subsample on the training
+    side."""
     raw = make_windows(series, input_width, horizon, stride)
     train_idx, test_idx = split_indices(len(raw), train_fraction, seed)
     params = zscore_fit(covered_values(series, raw.starts[train_idx],
@@ -363,7 +363,7 @@ def reference_windowed_split(series, input_width, horizon, stride,
     normalized = normalize_windows(raw, params)
     train = normalized.subset(train_idx)
     if few_shot_fraction is not None:
-        # windowed_split names the fraction by its own parameter
+        # split_series names the fraction by its own parameter
         _check("few_shot_fraction", few_shot_fraction, _FEW_SHOT_FRACTION)
         train = few_shot_subsample(train, few_shot_fraction, few_shot_seed)
     return train, normalized.subset(test_idx)
@@ -375,22 +375,22 @@ def reference_windowed_split(series, input_width, horizon, stride,
        train_fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1),
        few_shot=st.one_of(st.none(), st.floats(-0.1, 1.1)),
        few_shot_seed=st.integers(0, 2**32 - 1))
-def test_windowed_split_matches_reference(data, input_width, horizon, stride,
-                                          train_fraction, seed, few_shot,
-                                          few_shot_seed):
+def test_split_series_matches_reference(data, input_width, horizon, stride,
+                                        train_fraction, seed, few_shot,
+                                        few_shot_seed):
     length = data.draw(st.integers(0, max(input_width + horizon, 0) + 60))
     rng = np.random.default_rng(length)
     series = rng.normal(data.draw(st.floats(-1e3, 1e3)), 3.0, size=length)
     args = (series, input_width, horizon, stride, train_fraction, seed,
             few_shot, few_shot_seed)
     try:
-        expected = reference_windowed_split(*args)
+        expected = reference_split(*args)
     except ValueError as exc:  # geometry, split, fit and sample errors
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            windowed_split(*args)
+            split_series(*args)[1].windows()
         return
-    got = windowed_split(*args)
-    for side, want in zip(got, expected):
+    train, test = split_series(*args)
+    for side, want in zip((train, test.windows()), expected):
         assert side.geometry == want.geometry
         assert side.inputs.tobytes() == want.inputs.tobytes()
         assert side.labels.tobytes() == want.labels.tobytes()
@@ -399,10 +399,10 @@ def test_windowed_split_matches_reference(data, input_width, horizon, stride,
 
 
 @pytest.mark.parametrize("few_shot", [1.5, 0, True, "0.1"])
-def test_windowed_split_names_its_few_shot_fraction(few_shot):
+def test_split_series_names_its_few_shot_fraction(few_shot):
     with pytest.raises(ValueError, match=re.escape(
             f"few_shot_fraction must be in (0, 1], got {few_shot!r}")):
-        windowed_split(np.arange(40.0), 4, 2, 1, 0.8, 0, few_shot, 0)
+        split_series(np.arange(40.0), 4, 2, 1, 0.8, 0, few_shot, 0)
 
 
 class TestBenchmarkTasks:
