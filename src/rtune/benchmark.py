@@ -14,7 +14,7 @@ import numpy as np
 from .data import (SeriesWindows, WindowedDataset, gen_benchmark_tasks,
                    split_series)
 from .forecaster import Forecaster, init_forecaster
-from .metrics import evaluate_model
+from .metrics import _mean_pair, metric_pair
 from .tuner import (METHODS, TuneConfig, TuneReport, lockstep_key, r_tune,
                     r_tune_group)
 
@@ -124,8 +124,11 @@ def run_arm_jobs(jobs):
     """Train and score (setup, method, cfg) arms, which may come from several
     prepared benchmarks, the trained ones together through one
     :func:`rtune.tuner.r_tune_group` call. Each arm scores on its setup's
-    old-task test sets and its new-task test set, which are cut once per
-    setup, after every arm has trained, and dropped when its arms are scored.
+    old-task test sets and its new-task test set. After every arm has
+    trained, the held sets are cut one at a time, each once, and each
+    (model, set) pair is scored once: setups that share their old-task sets
+    and frozen model, as a CSV-mode run's seeds do, forward the frozen model
+    over each shared set once.
 
     Returns:
         One entry per job, in order: what :func:`run_arm` returns for it, or
@@ -140,11 +143,7 @@ def run_arm_jobs(jobs):
     outcomes = [next(trained) if t
                 else (None, TuneReport(method=method, config=cfg.to_dict()))
                 for (_, method, cfg), t in zip(jobs, trains)]
-    arms = {}  # each setup's job indices, keyed by the setup's identity
-    for i, (setup, _, _) in enumerate(jobs):
-        arms.setdefault(id(setup), (setup, []))[1].append(i)
-    for setup, indices in arms.values():
-        _score(setup, outcomes, indices)
+    _score(jobs, outcomes)
     return outcomes
 
 
@@ -190,20 +189,42 @@ def _scored_batch(batch):
                      for job in jobs]
 
 
-def _score(setup, outcomes, indices):
-    """Fill the metrics of the reports at `indices` of `outcomes`, arms of
-    `setup`: each model, or the frozen one when None, on the setup's test
-    sets, cut here once for all of them. An arm whose scoring fails gets its
+def _score(jobs, outcomes):
+    """Fill the metrics of the reports in `outcomes`, one per job: each
+    model, or its setup's frozen one when None, on its setup's test sets.
+    The held sets are cut one at a time, each once, and every model scored
+    on a set is forwarded over it once. An arm whose scoring fails gets its
     error in place of its outcome."""
-    old_tests = [test_set.windows() for test_set in setup.old_test_sets]
-    new_test = setup.new_test
-    for i in indices:
-        if isinstance(outcomes[i], Exception):
+    scored = {}  # each held set's identity -> (the set, its models by identity)
+    for (setup, _, _), outcome in zip(jobs, outcomes):
+        if not isinstance(outcome, Exception):
+            model = outcome[0] or setup.frozen
+            for test_set in (*setup.old_test_sets, setup.new_test_set):
+                _, models = scored.setdefault(id(test_set), (test_set, {}))
+                models[id(model)] = model
+    pairs = {}  # (model identity, set identity) -> MetricPair or its error
+    for set_id, (test_set, models) in scored.items():
+        test = test_set.windows()
+        for model_id, model in models.items():
+            try:
+                pairs[model_id, set_id] = metric_pair(
+                    model.forward_batch(test.inputs), test.labels)
+            except ValueError as exc:
+                pairs[model_id, set_id] = exc
+        del test  # before the next set is cut
+    for i, ((setup, _, _), outcome) in enumerate(zip(jobs, outcomes)):
+        if isinstance(outcome, Exception):
             continue
-        model, report = outcomes[i]
+        model, report = outcome
+        got = [pairs[id(model or setup.frozen), id(test_set)] for test_set
+               in (*setup.old_test_sets, setup.new_test_set)]
         try:
-            old, new = evaluate_model(model or setup.frozen, old_tests,
-                                      new_test)
+            if not setup.old_test_sets:
+                raise ValueError("need at least one old-task test set")
+            for pair in got:
+                if isinstance(pair, Exception):
+                    raise pair
+            old, new = _mean_pair(got[:-1]), got[-1]
             if not all(map(math.isfinite,
                            (old.mae, old.mse, new.mae, new.mse))):
                 raise RuntimeError(

@@ -6,7 +6,6 @@ All randomness is seeded; splits and subsamples are deterministic functions of
 """
 
 import csv
-import itertools
 import math
 import numbers
 import os
@@ -409,26 +408,25 @@ def _append_rows(path, rows, width, first_col, columns):
 
 
 def _plain_block(lines, width, first_col):
-    """The variable columns of a block of lines parsed in bulk, or None when
-    the block needs the per-line parser: it holds a quote, a '#', a blank or
-    ragged line, or a cell that is not a finite number."""
-    text = ",".join(lines)
-    if '"' in text or "#" in text:
+    """The variable columns of a block of lines parsed by numpy's reader, or
+    None when the block needs the per-line parser: it holds a quote, a '#',
+    a blank or ragged line, or a cell that is not a finite number."""
+    text = "".join(lines)
+    # numpy's reader strips \x1c-\x1f as whitespace, where float() does not,
+    # and warns on a block of blank lines only. It rejects a line of fewer
+    # than `width` cells, so with this comma count no line holds more, but
+    # for a blank line, which it skips: one row a line is checked below.
+    if (any(c in text for c in '"#\x1c\x1d\x1e\x1f') or text.isspace()
+            or text.count(",") != (width - 1) * len(lines)):
         return None
-    if list(map(str.count, lines, itertools.repeat(","))).count(
-            width - 1) != len(lines):
-        return None
-    # every line holds `width` cells; its terminator stays on its last cell,
-    # and float() strips it as it strips the cell's other outer whitespace
-    cells = text.split(",")
     try:
-        block = [array("d", map(float, cells[j::width]))
-                 for j in range(first_col, width)]
+        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                           usecols=range(first_col, width))
     except ValueError:
         return None
-    if not all(np.isfinite(np.frombuffer(values)).all() for values in block):
+    if len(block) != len(lines) or not np.isfinite(block).all():
         return None
-    return block
+    return block.T
 
 
 def _undecodable_line(path):
@@ -453,8 +451,8 @@ def read_series_csv(path):
     cells and bytes that are not UTF-8 raise with their line number.
 
     The file is read in one streaming pass over blocks of whole lines that
-    keeps only the parsed values. A block without quotes or comments is split
-    in bulk; any other block, or one whose bulk parse fails, is parsed again
+    keeps only the parsed values. A block without quotes or comments is read
+    by ``np.loadtxt``; any other, or one it fails to read, is parsed again
     line by line, which accepts blank lines and names the first faulty line.
 
     Returns:
@@ -492,7 +490,7 @@ def read_series_csv(path):
                                  first_col, columns)
                 else:
                     for column, values in zip(columns, block):
-                        column.extend(values)
+                        column.frombytes(values.tobytes())
                 lineno += len(lines)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}:{_undecodable_line(path)}: not UTF-8 text "

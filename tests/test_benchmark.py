@@ -1,15 +1,20 @@
 """Benchmark harness plumbing at reduced sizes."""
 
+import json
 import re
+import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rtune.benchmark
-from rtune.benchmark import (STACK_CAP, desk_config, prepare_benchmark,
-                             run_arm, run_arm_jobs, scored_arms)
-from rtune.data import gen_benchmark_tasks, split_series
+from rtune.benchmark import (STACK_CAP, BenchmarkSetup, desk_config,
+                             prepare_benchmark, run_arm, run_arm_jobs,
+                             scored_arms)
+from rtune.data import SeriesWindows, gen_benchmark_tasks, split_series
+from rtune.forecaster import Forecaster
 from rtune.tuner import METHODS, lockstep_key
 
 SMALL = dict(input_width=16, horizon=4, stride=1, hidden_width=8,
@@ -92,6 +97,65 @@ def test_unknown_method_rejected():
     setup = prepare_benchmark(0, **SMALL)
     with pytest.raises(ValueError, match="unknown method"):
         run_arm(setup, "ewc", desk_config(0))
+
+
+def test_shared_test_sets_scored_once(monkeypatch):
+    # two setups as two seeds of a CSV-mode run hold them: one frozen model
+    # and the same two old-task sets, each seed with its own new-task split
+    base = prepare_benchmark(0, **SMALL)
+    old_series, new_series, _ = gen_benchmark_tasks(0, old_length=600,
+                                                    new_length=900)
+    old_sets = (base.old_test_sets[0],
+                split_series(old_series, 16, 4, 1, 0.5, 9)[1])
+    setups = [BenchmarkSetup(seed, base.frozen, old_sets,
+                             *split_series(new_series, 16, 4, 1, 0.8, seed,
+                                           0.10, seed))
+              for seed in (1, 2)]
+    jobs = [(setup, method, desk_config(setup.seed, replay_n=4, epochs=2))
+            for setup in setups for method in ("frozen", "ft", "r-tuning")]
+    alone = [json.dumps(report.to_dict()) for setup in setups
+             for _, report in run_arm_jobs([job for job in jobs
+                                            if job[0] is setup])]
+
+    cuts, forwards, live = Counter(), Counter(), []
+    cut = {}  # each held set's identity -> a weak reference to its windows
+    windows, forward_batch = SeriesWindows.windows, Forecaster.forward_batch
+
+    def counted_windows(self):
+        live.append(sum(ref() is not None for ref in cut.values()) + 1)
+        cuts[id(self)] += 1
+        test = windows(self)
+        cut[id(self)] = weakref.ref(test)
+        return test
+
+    def counted_forward_batch(self, inputs):
+        if self is base.frozen:
+            forwards.update(key for key, ref in cut.items()
+                            if ref() is not None and inputs is ref().inputs)
+        return forward_batch(self, inputs)
+
+    monkeypatch.setattr(SeriesWindows, "windows", counted_windows)
+    monkeypatch.setattr(Forecaster, "forward_batch", counted_forward_batch)
+    shared = [json.dumps(report.to_dict()) for _, report in run_arm_jobs(jobs)]
+    held = [*old_sets, *(setup.new_test_set for setup in setups)]
+    assert shared == alone
+    assert cuts == forwards == Counter(map(id, held))
+    assert max(live) == 1  # one set cut at a time
+
+
+def test_failed_scoring_fails_only_its_arms():
+    # a second setup sharing the first's frozen model and old-task set, but
+    # whose new-task windows do not fit the model
+    setup = prepare_benchmark(0, **SMALL)
+    test_set = setup.new_test_set
+    misfit = replace(setup, new_test_set=SeriesWindows(
+        test_set.values, test_set.starts, 8, 4))
+    cfg = desk_config(0, replay_n=4, epochs=2)
+    scored, failed = run_arm_jobs([(setup, "frozen", cfg),
+                                   (misfit, "frozen", cfg)])
+    assert scored[1].new_metrics == run_arm(setup, "frozen", cfg)[1].new_metrics
+    assert isinstance(failed, ValueError)
+    assert str(failed) == "expected inputs of shape (n, 16), got (176, 8)"
 
 
 def test_desk_config_defaults():

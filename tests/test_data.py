@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 import rtune.data
 from rtune.data import (_FEW_SHOT_FRACTION, _TIMESTAMP_NAMES, RawSeries,
@@ -570,7 +570,11 @@ _cells = st.one_of(
     *[_valid_cells] * 40,
     _numbers.map(lambda v: f'"{v}'),  # quote left open to the line's end
     st.sampled_from(["nan", "inf", "-Infinity", "oops", "", '"a,b"',
-                     "2024-01-01", "1e999"]))
+                     "2024-01-01", "1e999",
+                     # float() reads these and numpy's reader does not,
+                     "1_000", "\uff11\uff12.\uff15",
+                     # and numpy's reader reads this as 1, float() not
+                     "1\x1c"]))
 _first_cells = st.one_of(st.integers(0, 99).map(str),
                          st.sampled_from(["mon", "2024-01-01", '"t,1"', '"t']))
 _noise_lines = st.sampled_from(["# comment", "#", "", "   ", "\t",
@@ -620,6 +624,7 @@ def assert_matches_reference(path):
 @hyp_settings(max_examples=250, deadline=None)
 @given(text=series_csv_text(),
        block_chars=st.one_of(st.integers(1, 60), st.just(rtune.data._BLOCK_CHARS)))
+@example(text="a\n1\n\n\n\n2\n", block_chars=1)  # blocks of blank lines only
 def test_streaming_csv_matches_per_line_reference(tmp_path_factory, text,
                                                   block_chars):
     # small blocks hold one to a few lines, so a file spans several of them
@@ -643,9 +648,12 @@ def long_csv_lines():
     return lines, int(np.searchsorted(offsets, 1.2 * rtune.data._BLOCK_CHARS))
 
 
+# a fault of two lines (split at "\n") has a short and a long row, or a
+# blank and a long one, whose commas add up to two good rows
 _LONG_FAULTS = ["t,oops,2", "t,2", "t,2,3,4", "t,nan,2", "t,2,-inf", "t,1e999,2",
                 "# comment", "#t,2.5,3", 't,"2.5",3', 't,"2.5,3', '"t,2.5,3',
-                "", " \t"]
+                "", " \t", "t,1_000,2", "t,\uff12.\uff15,3", "t,2\x1c,3",
+                "t,2\nt,2,3,4", "\nt,2,3,4,5"]
 
 
 @pytest.mark.parametrize("fault, end", zip(
@@ -655,7 +663,8 @@ def test_long_csv_faults_match_reference(tmp_path, long_csv_lines, fault, end,
                                          where):
     lines, later = long_csv_lines
     lines = list(lines)
-    lines[{"first": 1, "later block": later, "last": -1}[where]] = fault
+    i = {"first": 1, "later block": later, "last": len(lines) - 1}[where]
+    lines[i:i + 1] = fault.split("\n")
     path = tmp_path / "long.csv"
     path.write_bytes((end.join(lines) + end).encode("utf-8"))
     assert_matches_reference(path)
