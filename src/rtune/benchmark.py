@@ -14,7 +14,7 @@ import numpy as np
 from .data import (SeriesWindows, WindowedDataset, gen_benchmark_tasks,
                    split_series)
 from .forecaster import Forecaster, init_forecaster
-from .metrics import _mean_pair, metric_pair
+from .metrics import _mean_pair, score
 from .tuner import (METHODS, TuneConfig, TuneReport, lockstep_key, r_tune,
                     r_tune_group)
 
@@ -207,8 +207,7 @@ def _score(jobs, outcomes):
         test = test_set.windows()
         for model_id, model in models.items():
             try:
-                pairs[model_id, set_id] = metric_pair(
-                    model.forward_batch(test.inputs), test.labels)
+                pairs[model_id, set_id] = score(model, test)
             except ValueError as exc:
                 pairs[model_id, set_id] = exc
         del test  # before the next set is cut

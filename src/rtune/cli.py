@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,11 +23,11 @@ import numpy as np
 
 from .benchmark import BenchmarkSetup, prepare_benchmark, scored_arms
 from .data import (_FEW_SHOT_FRACTION, _OPEN_FRACTION, SeriesWindows, _check,
-                   _int, _real, _window_starts, _write_csv, atomic_target,
-                   read_series_csv, split_indices, split_series, zscore_apply,
-                   zscore_fit)
+                   _int, _real, _unique_keys, _window_starts, _write_csv,
+                   atomic_target, canonical_json, read_series_csv,
+                   split_indices, split_series, zscore_apply, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
-from .metrics import MetricPair, _mean_pair, build_comparison_row, metric_pair
+from .metrics import MetricPair, _mean_pair, build_comparison_row, score
 from .replay import build_replay_set, replay_count_for_fraction, replay_to_csv
 from .tuner import METHODS, TuneConfig, _check_fields
 from .wavelet import rwt_decompose, rwt_reconstruct
@@ -89,18 +88,13 @@ _TUNE_OVERRIDES = {"method": "method", "levels": "wavelet_levels",
                    "beta": "beta", "replay_n": "replay_n"}
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()[:12]
 
 
 def _write_json(path, doc) -> None:
     with atomic_target(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
-        fh.write("\n")
+        fh.write(canonical_json(doc) + "\n")
 
 
 def _emit(doc, output) -> None:
@@ -110,15 +104,6 @@ def _emit(doc, output) -> None:
         print(output)
     else:
         print(canonical_json(doc))
-
-
-def _unique_keys(pairs) -> dict:
-    """A JSON object; `json.load` would keep a repeated key's last value."""
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        (key, _), = Counter(key for key, _ in pairs).most_common(1)
-        raise ValueError(f"{key} is given twice")
-    return doc
 
 
 def _load_json(path):
@@ -468,10 +453,10 @@ def cmd_eval(args) -> int:
         _, test_idx = split_indices(len(new_set.starts),
                                     1.0 - args.test_fraction, args.seed)
         new_set = replace(new_set, starts=new_set.starts[test_idx])
-    # each set is cut while it is scored, in one batch of all its rows
-    new = _scored(model, new_set)
+    # each set is cut while it is scored
+    new = score(model, new_set.windows())
     # with no old-task data, the new-task set stands in for it
-    per_old = [_scored(model, test_set) for test_set in old_sets] or [new]
+    per_old = [score(model, test_set.windows()) for test_set in old_sets] or [new]
     doc = {
         "command": "eval",
         "checkpoint": str(args.checkpoint),
@@ -482,12 +467,6 @@ def cmd_eval(args) -> int:
     }
     _emit(doc, args.output)
     return 0
-
-
-def _scored(model, test_set):
-    """The MetricPair of `model` on the windows of `test_set`."""
-    windows = test_set.windows()
-    return metric_pair(model.forward_batch(windows.inputs), windows.labels)
 
 
 def _is_report(doc) -> bool:

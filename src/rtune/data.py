@@ -6,10 +6,12 @@ All randomness is seeded; splits and subsamples are deterministic functions of
 """
 
 import csv
+import json
 import math
 import numbers
 import os
 from array import array
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +33,7 @@ __all__ = [
     "gen_benchmark_tasks",
     "read_series_csv",
     "atomic_target",
+    "canonical_json",
 ]
 
 _TIMESTAMP_NAMES = {"timestamp", "time", "date", "datetime"}
@@ -522,6 +525,21 @@ def atomic_target(path):
         if isinstance(exc, OSError) and exc.filename == str(tmp):
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
+
+
+def canonical_json(obj) -> str:
+    """The JSON text of every file rtune writes and of each config it
+    hashes: sorted keys and no spaces, so equal documents give equal bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object; `json.load` would keep a repeated key's last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        (key, _), = Counter(key for key, _ in pairs).most_common(1)
+        raise ValueError(f"{key} is given twice")
+    return doc
 
 
 def _write_csv(path, comment, header, rows) -> None:

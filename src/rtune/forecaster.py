@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check, atomic_target
+from .data import _check, _int, _unique_keys, atomic_target, canonical_json
 
 __all__ = [
     "Forecaster",
@@ -310,11 +310,9 @@ def _losses(row_sums, norms, rows, distill_weight, reg_weight):
 
 
 def save_checkpoint(model: Forecaster, path) -> None:
-    """Write a versioned checkpoint; theta is raw little-endian float64, base64.
-
-    Serialization is canonical (sorted keys, fixed separators) so identical
-    models produce byte-identical files. The file is replaced atomically.
-    """
+    """Write a versioned checkpoint, theta as raw little-endian float64 in
+    base64, as canonical JSON, so identical models give identical bytes; the
+    file is replaced atomically."""
     raw = model.theta.astype("<f8").tobytes()
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -326,21 +324,24 @@ def save_checkpoint(model: Forecaster, path) -> None:
         "theta_b64": base64.b64encode(raw).decode("ascii"),
     }
     with atomic_target(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(canonical_json(doc) + "\n")
 
 
 def load_checkpoint(path) -> Forecaster:
+    """The model of a checkpoint file; one that repeats a key, or whose version
+    is not the integer 1 or byte order not "little", fails by name."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # not JSON, not UTF-8 text, a repeated key
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported checkpoint version {doc.get('version')}")
+    version, byte_order = doc.get("version"), doc.get("byte_order")
+    if not (_int(version) and version == CHECKPOINT_VERSION):
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+    if byte_order != "little":
+        raise ValueError(f"{path}: unsupported byte order {byte_order!r}")
     try:
         raw = base64.b64decode(doc["theta_b64"])
         if len(raw) % 8:

@@ -14,6 +14,7 @@ __all__ = [
     "mae",
     "mse",
     "metric_pair",
+    "score",
     "evaluate_model",
     "relative_change",
     "build_comparison_row",
@@ -56,6 +57,14 @@ def metric_pair(preds, labels) -> MetricPair:
                       n_samples=int(np.asarray(preds).shape[0]))
 
 
+def score(model, windows) -> MetricPair:
+    """The MetricPair of `model` on the WindowedDataset `windows`, all its
+    rows in one `forward_batch` call: a row's bits can depend on the call's
+    row count (README "Reproducibility contract"), so every scorer calls
+    this."""
+    return metric_pair(model.forward_batch(windows.inputs), windows.labels)
+
+
 def evaluate_model(model, old_tests, new_test):
     """Evaluate on every old-task test set and the new-task test set.
 
@@ -67,10 +76,8 @@ def evaluate_model(model, old_tests, new_test):
     """
     if not old_tests:
         raise ValueError("need at least one old-task test set")
-    old = _mean_pair([metric_pair(model.forward_batch(ds.inputs), ds.labels)
-                      for ds in old_tests])
-    new = metric_pair(model.forward_batch(new_test.inputs), new_test.labels)
-    return old, new
+    old = _mean_pair([score(model, ds) for ds in old_tests])
+    return old, score(model, new_test)
 
 
 def _mean_pair(pairs) -> MetricPair:

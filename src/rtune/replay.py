@@ -13,8 +13,7 @@ import numpy as np
 
 from .data import _UNIT, _check, _real, _write_csv
 from .forecaster import Forecaster
-from .wavelet import (_check_depth, _roll_into, build_db4_bank, rwt_decompose,
-                      rwt_reconstruct)
+from .wavelet import _check_depth, _roll_into, rwt_decompose, rwt_reconstruct
 
 __all__ = [
     "ReplaySet",
@@ -112,7 +111,7 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
     _check("alpha", alpha, _UNIT)
     w, span = frozen.input_width, frozen.input_width + frozen.horizon
     # for every k, not only where the filter operator's build checks it
-    _check_depth(span, levels, build_db4_bank())
+    _check_depth(span, levels)
     # latents smoothed by a circular moving average, as raw white noise is
     # spectrally unlike any forecaster's training inputs: one product by the
     # smoothing's tap counts, divided after it so a constant row stays exact

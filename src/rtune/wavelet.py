@@ -43,8 +43,7 @@ class FilterBank:
 @dataclass(frozen=True)
 class WaveletDecomposition:
     """Redundant pyramid for a signal (or a block of signals along the last
-    axis): the full-length low- and high-pass outputs of every level, and the
-    bank that made them.
+    axis): the full-length low- and high-pass outputs of every level.
 
     ``approximations[l]`` and ``details[l]`` are the low- and high-pass
     outputs of level l+1 (finest band first); ``approx``, the deepest
@@ -54,7 +53,6 @@ class WaveletDecomposition:
 
     approximations: list
     details: list
-    filter_bank: FilterBank
 
     def __post_init__(self):
         for a in [*self.approximations, *self.details]:
@@ -89,6 +87,10 @@ def build_db4_bank() -> FilterBank:
     return FilterBank(dec_lo=dec_lo, dec_hi=dec_hi)
 
 
+# the bank of every decomposition and reconstruction
+_DB4 = build_db4_bank()
+
+
 def _atrous(x: np.ndarray, taps: np.ndarray, dilation: int,
             direction: int) -> np.ndarray:
     """Circular filtering along the last axis with zero-stuffed taps:
@@ -116,16 +118,15 @@ def _roll_into(out, x, shift):
     out[..., :shift] = x[..., n - shift:]
 
 
-def _check_depth(length: int, levels: int, bank: FilterBank) -> None:
-    """Raise unless a signal of `length` holds a depth-`levels` decomposition
-    by `bank`."""
-    min_len = len(bank.dec_lo) * 2 ** (levels - 1)
+def _check_depth(length: int, levels: int) -> None:
+    """Raise unless a signal of `length` holds `levels` levels."""
+    min_len = len(_DB4.dec_lo) * 2 ** (levels - 1)
     if length < min_len:
         raise ValueError(f"signal of length {length} too short for {levels} "
                          f"levels (needs >= {min_len})")
 
 
-def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecomposition:
+def rwt_decompose(x, levels: int) -> WaveletDecomposition:
     """Decompose a signal into `levels` redundant detail bands plus one approximation.
 
     Level l convolves the previous approximation with the base taps dilated
@@ -135,7 +136,6 @@ def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecompositi
         x: real signal of length T >= 4 * 2**(levels - 1) on its last axis;
             leading axes index independent signals.
         levels: decomposition depth, an integer >= 1 (a bool is not one).
-        bank: filter bank; defaults to the 4-tap Daubechies bank.
 
     Returns:
         WaveletDecomposition with the full-length approximations and details
@@ -147,17 +147,15 @@ def rwt_decompose(x, levels: int, bank: FilterBank = None) -> WaveletDecompositi
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
     _check("levels", levels, 1)
-    if bank is None:
-        bank = build_db4_bank()
-    _check_depth(x.shape[-1], levels, bank)
+    _check_depth(x.shape[-1], levels)
 
     approx, approximations, details = x, [], []
     for level in range(1, levels + 1):
         dilation = 2 ** (level - 1)
-        details.append(_atrous(approx, bank.dec_hi, dilation, 1))
-        approx = _atrous(approx, bank.dec_lo, dilation, 1)
+        details.append(_atrous(approx, _DB4.dec_hi, dilation, 1))
+        approx = _atrous(approx, _DB4.dec_lo, dilation, 1)
         approximations.append(approx)
-    return WaveletDecomposition(approximations, details, bank)
+    return WaveletDecomposition(approximations, details)
 
 
 def rwt_reconstruct(decomp: WaveletDecomposition, alpha: float = 1.0,
@@ -172,8 +170,7 @@ def rwt_reconstruct(decomp: WaveletDecomposition, alpha: float = 1.0,
     alpha = 1 and all bands kept this inverts the decomposition exactly.
 
     Args:
-        decomp: a decomposition by :func:`rwt_decompose`; reconstruction
-            correlates with its bank.
+        decomp: a decomposition by :func:`rwt_decompose`.
         alpha: one detail scaling in [0, 1] for every kept band.
         keep_levels: how many detail bands to keep, counted from the finest
             (level 1) upward: an integer in [0, levels] (a bool is not one).
@@ -188,14 +185,13 @@ def rwt_reconstruct(decomp: WaveletDecomposition, alpha: float = 1.0,
     _check("keep_levels", keep_levels, range(levels + 1))
     _check("alpha", alpha, _UNIT)
 
-    bank = decomp.filter_bank
     approx = decomp.approx
     for level in range(levels, 0, -1):
         dilation = 2 ** (level - 1)
-        low = _atrous(approx, bank.dec_lo, dilation, -1)
+        low = _atrous(approx, _DB4.dec_lo, dilation, -1)
         if level <= keep_levels:
             detail = decomp.details[level - 1]
-            high = alpha * _atrous(detail, bank.dec_hi, dilation, -1)
+            high = alpha * _atrous(detail, _DB4.dec_hi, dilation, -1)
             approx = 0.5 * (low + high)
         else:
             approx = 0.5 * low

@@ -134,7 +134,7 @@ def test_criterion_2_rwt_properties():
         assert np.max(np.abs(0.5 * (g.T @ g + h.T @ h) - np.eye(8))) < 1e-12
         for _ in range(20):
             sig8 = rng.normal(size=8)
-            rec = rwt_reconstruct(rwt_decompose(sig8, 1, bank), 1.0, 1)
+            rec = rwt_reconstruct(rwt_decompose(sig8, 1), 1.0, 1)
             assert np.linalg.norm(rec - sig8) / np.linalg.norm(sig8) <= 1e-8
 
         # multi-level round trip at the same bound

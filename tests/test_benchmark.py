@@ -99,7 +99,7 @@ def test_unknown_method_rejected():
         run_arm(setup, "ewc", desk_config(0))
 
 
-def test_shared_test_sets_scored_once(monkeypatch):
+def test_shared_test_sets_scored_once(monkeypatch, score_spy):
     # two setups as two seeds of a CSV-mode run hold them: one frozen model
     # and the same two old-task sets, each seed with its own new-task split
     base = prepare_benchmark(0, **SMALL)
@@ -136,11 +136,26 @@ def test_shared_test_sets_scored_once(monkeypatch):
 
     monkeypatch.setattr(SeriesWindows, "windows", counted_windows)
     monkeypatch.setattr(Forecaster, "forward_batch", counted_forward_batch)
-    shared = [json.dumps(report.to_dict()) for _, report in run_arm_jobs(jobs)]
+    # from here, a scored set by the identity of the held set it was cut from
+    score_spy.calls.clear()
+    score_spy.key = lambda test: next(key for key, ref in cut.items()
+                                      if ref() is test)
+    outcomes = run_arm_jobs(jobs)
+    shared = [json.dumps(report.to_dict()) for _, report in outcomes]
     held = [*old_sets, *(setup.new_test_set for setup in setups)]
     assert shared == alone
     assert cuts == forwards == Counter(map(id, held))
     assert max(live) == 1  # one set cut at a time
+    # every (model, set) pair scored once by metrics.score, all the set's
+    # rows in one forward_batch call
+    pairs = {(id(model or setup.frozen), id(test_set))
+             for (setup, _, _), (model, _) in zip(jobs, outcomes)
+             for test_set in (*setup.old_test_sets, setup.new_test_set)}
+    assert len(pairs) == 4 + 4 * 3  # the frozen model's, and two trained a seed
+    assert Counter((id(model), key) for model, key, _, _ in score_spy.calls) \
+        == Counter(pairs)
+    assert all(forwarded == [rows]
+               for _, _, rows, forwarded in score_spy.calls)
 
 
 def test_failed_scoring_fails_only_its_arms():

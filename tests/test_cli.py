@@ -1187,7 +1187,7 @@ class TestEvalAndReport:
 
     @pytest.mark.parametrize("n_old", [0, 1, 2])
     def test_eval_forwards_each_set_once(self, tmp_path, sine_csv,
-                                         monkeypatch, n_old):
+                                         monkeypatch, score_spy, n_old):
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(init_forecaster(16, 4, 8, seed=2), ckpt)
         other = write_csv(tmp_path / "other.csv", np.cos(np.arange(150.0) / 7))
@@ -1208,11 +1208,15 @@ class TestEvalAndReport:
             argv += ["--old-data", str(path)]
         assert main(argv) == 0
         monkeypatch.undo()
-        # the new-task set and each old-task set, once each
+        # the new-task set and each old-task set, once each, by metrics.score
+        # in one forward_batch call of all the set's rows
         cfg = {"input_width": 16, "horizon": 4, "stride": 1}
         sets = [rtune.cli._windowed_eval_set(path, None, cfg).windows()
                 for path in [sine_csv] + old_files]
         assert sorted(forwarded) == sorted(len(ds) for ds in sets)
+        assert [forwarded for _, _, _, forwarded in score_spy.calls] == [
+            [len(ds)] for ds in sets]
+        assert len({id(model) for model, _, _, _ in score_spy.calls}) == 1
         # the numbers evaluate_model gives, the new-task set standing in
         # for old-task data when there is none
         model = load_checkpoint(ckpt)
@@ -1455,13 +1459,19 @@ class TestAtomicWrites:
         save_checkpoint(init_forecaster(4, 2, 3, seed=0), path)
         before = path.read_bytes()
 
-        class HalfWritingJson:
-            @staticmethod
-            def dump(doc, fh, **kwargs):
-                fh.write('{"format":')
+        def half_writing_open(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+
+            def write(text):
+                fh.__class__.write(fh, text[:10])
+                fh.flush()
                 raise OSError("disk full")
 
-        monkeypatch.setattr(rtune.forecaster, "json", HalfWritingJson)
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(rtune.forecaster, "open", half_writing_open,
+                            raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(init_forecaster(4, 2, 3, seed=1), path)
         monkeypatch.undo()

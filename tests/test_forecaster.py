@@ -3,6 +3,7 @@ finite differences, the fused training step against that oracle, and
 checkpoint round trips."""
 
 import ast
+import base64
 import importlib
 import json
 import re
@@ -19,6 +20,7 @@ from rtune.forecaster import (Forecaster, _kernel, _losses, _soften_rows,
                               init_forecaster, load_checkpoint,
                               save_checkpoint, theta_size)
 import rtune
+from rtune.data import canonical_json
 from rtune.reference import (batch_objective, grad_total, soften,
                              soften_jacobian)
 from rtune.tuner import _schedule
@@ -746,11 +748,25 @@ class TestCheckpoint:
         save_checkpoint(m, p1)
         save_checkpoint(m, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        # the canonical JSON of its document, as every rtune file is written
+        doc = {"format": "rtune-checkpoint", "version": 1,
+               "byte_order": "little", "input_width": 4, "horizon": 2,
+               "hidden_width": 3, "theta_b64": base64.b64encode(
+                   m.theta.astype("<f8").tobytes()).decode("ascii")}
+        assert p1.read_text(encoding="utf-8") == canonical_json(doc) + "\n"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: {"format": "other"}, "not a rtune-checkpoint file"),
         (lambda doc: [doc], "not a rtune-checkpoint file"),
         (lambda doc: dict(doc, version=2), "unsupported checkpoint version 2"),
+        (lambda doc: dict(doc, version=True),
+         "unsupported checkpoint version True"),
+        (lambda doc: dict(doc, version=1.0),
+         "unsupported checkpoint version 1.0"),
+        (lambda doc: dict(doc, byte_order="big"),
+         "unsupported byte order 'big'"),
+        (lambda doc: json.dumps(doc)[:-1] + ', "hidden_width": 3}',
+         "hidden_width is given twice"),
         (lambda doc: {k: v for k, v in doc.items() if k != "theta_b64"},
          "missing key 'theta_b64'"),
         (lambda doc: {k: v for k, v in doc.items() if k != "horizon"},

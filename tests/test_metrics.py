@@ -83,7 +83,7 @@ class TestEvaluateModel:
         assert old_pair.mae == pytest.approx(2.0)
         assert new_pair.mae == pytest.approx(2.0)
 
-    def test_unweighted_average_across_datasets(self):
+    def test_unweighted_average_across_datasets(self, score_spy):
         model = ConstantModel([0.0, 0.0])
         ds_mae_1 = dataset_with_labels([[1.0, 1.0]] * 10)
         ds_mae_3 = dataset_with_labels([[3.0, 3.0]])  # much smaller set
@@ -91,6 +91,9 @@ class TestEvaluateModel:
         old_pair, _ = evaluate_model(model, [ds_mae_1, ds_mae_3], new)
         assert old_pair.mae == pytest.approx(2.0)  # (1 + 3) / 2, not size-weighted
         assert old_pair.n_samples == 11
+        # each set scored by metrics.score, all its rows in one forward_batch
+        assert [(m, key, rows) for m, key, _, rows in score_spy.calls] == [
+            (model, id(ds), [len(ds)]) for ds in (ds_mae_1, ds_mae_3, new)]
 
     def test_empty_old_list(self):
         with pytest.raises(ValueError, match="old-task"):

@@ -95,7 +95,7 @@ class TestDecompose:
         x = np.zeros(16)
         x[0] = 1.0
         bank = build_db4_bank()
-        d = rwt_decompose(x, levels=1, bank=bank)
+        d = rwt_decompose(x, levels=1)
         assert np.allclose(d.details[0], naive_circular_conv(x, bank.dec_hi),
                            atol=1e-15)
         assert np.allclose(d.approx, naive_circular_conv(x, bank.dec_lo),
@@ -108,7 +108,7 @@ class TestDecompose:
         rng = np.random.default_rng(7)
         x = rng.normal(size=32)
         bank = build_db4_bank()
-        d = rwt_decompose(x, levels=2, bank=bank)
+        d = rwt_decompose(x, levels=2)
         a1 = naive_circular_conv(x, bank.dec_lo)
         assert np.allclose(d.details[1],
                            naive_circular_conv(a1, bank.dec_hi, dilation=2),
@@ -169,7 +169,7 @@ class TestReconstruct:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.normal(size=8)
-            d = rwt_decompose(x, 1, bank)
+            d = rwt_decompose(x, 1)
             # module coefficients agree with the dense matrices
             assert np.allclose(d.approx, g @ x, atol=1e-13)
             assert np.allclose(d.details[0], h @ x, atol=1e-13)
