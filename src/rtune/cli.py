@@ -12,7 +12,6 @@ import copy
 import errno
 import functools
 import hashlib
-import json
 import math
 import os
 import sys
@@ -22,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import BenchmarkSetup, prepare_benchmark, scored_arms
-from .data import (_FEW_SHOT_FRACTION, _OPEN_FRACTION, SeriesWindows, _check,
-                   _int, _real, _unique_keys, _window_starts, _write_csv,
-                   atomic_target, canonical_json, read_series_csv,
-                   split_indices, split_series, zscore_apply, zscore_fit)
+from .data import (_FEW_SHOT_FRACTION, _NON_NEGATIVE, _OPEN_FRACTION,
+                   _POSITIVE, SeriesWindows, _check, _int, _read_json, _real,
+                   _window_starts, _write_csv, atomic_target, canonical_json,
+                   read_series_csv, split_indices, split_series,
+                   zscore_apply, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
 from .metrics import MetricPair, _mean_pair, build_comparison_row, score
 from .replay import build_replay_set, replay_count_for_fraction, replay_to_csv
@@ -59,7 +59,7 @@ RUN_CONFIG = {
     "train_fraction": (0.8, _OPEN_FRACTION),
     "few_shot_fraction": (0.10, _FEW_SHOT_FRACTION),
     "pretrain_epochs": (30, 0),  # benchmark mode only, as are the next three
-    "pretrain_learning_rate": (0.01, ("a number >= 0", lambda v: _real(v) and v >= 0)),
+    "pretrain_learning_rate": (0.01, _NON_NEGATIVE),
     "benchmark_old_length": (6000, 1),
     "benchmark_new_length": (12480, 1),
     "replay_n": "replay_n",
@@ -108,10 +108,7 @@ def _emit(doc, output) -> None:
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-        except ValueError as exc:  # a JSONDecodeError or a repeated key
-            raise ValueError(f"{path}: {exc}") from None
+        return _read_json(fh, path)
 
 
 def default_run_config() -> dict:
@@ -182,59 +179,48 @@ def _windowed_eval_set(path, column, cfg):
     return SeriesWindows(normalized, starts, width, horizon)
 
 
-def _shared_inputs(cfg: dict):
-    """What every seed of a run reads: None in benchmark mode, where each seed
-    pretrains its own model; in CSV mode the frozen checkpoint, the picked
-    new-task series and the old-task evaluation sets. Built once per command,
-    so each CSV is parsed once."""
+def _seed_setups(cfg: dict):
+    """The `prepare(seed)` of `cfg`'s seeds. A benchmark seed pretrains its
+    own model; in CSV mode the checkpoint, the new-task series and the
+    old-task evaluation sets are read here, once per command, and a seed
+    splits the series, fits its normalization on the training side and
+    takes the few-shot sample."""
+    width, horizon = cfg["input_width"], cfg["horizon"]
     if cfg["benchmark"]:
-        return None
+        return lambda seed: prepare_benchmark(
+            seed, input_width=width, horizon=horizon, stride=cfg["stride"],
+            hidden_width=cfg["hidden_width"],
+            train_fraction=cfg["train_fraction"],
+            few_shot_fraction=cfg["few_shot_fraction"],
+            old_length=cfg["benchmark_old_length"],
+            new_length=cfg["benchmark_new_length"],
+            pretrain_epochs=cfg["pretrain_epochs"],
+            pretrain_lr=cfg["pretrain_learning_rate"])
     frozen = load_checkpoint(cfg["checkpoint"])
-    if (frozen.input_width, frozen.horizon) != (cfg["input_width"], cfg["horizon"]):
+    if (frozen.input_width, frozen.horizon) != (width, horizon):
         raise ValueError(
             f"checkpoint geometry ({frozen.input_width}, {frozen.horizon}) "
-            f"does not match config ({cfg['input_width']}, {cfg['horizon']})"
+            f"does not match config ({width}, {horizon})"
         )
     new_series = _pick_series(cfg["new_data"], cfg["column"])
     old_test_sets = tuple(_windowed_eval_set(p, cfg["column"], cfg)
                           for p in cfg["old_data"])
-    return frozen, new_series, old_test_sets
-
-
-def _prepare_csv_setup(cfg: dict, seed: int, shared):
-    """Non-benchmark counterpart of the benchmark preparation: split the
-    shared new-task series for `seed`, fit its normalization on the training
-    side and take the few-shot sample."""
-    frozen, new_series, old_test_sets = shared
-    sub = np.random.SeedSequence(seed).spawn(2)
-    split_seed, shot_seed = (int(s.generate_state(1)[0]) for s in sub)
     shot_fraction = cfg["few_shot_fraction"]
-    with _naming(cfg["new_data"]):
-        new_train, new_test_set = split_series(
-            new_series, cfg["input_width"], cfg["horizon"], cfg["stride"],
-            cfg["train_fraction"], split_seed,
-            shot_fraction if shot_fraction < 1.0 else None, shot_seed)
-    # with no old-task data, the new-task set stands in for it, so that
-    # evaluation is defined
-    return BenchmarkSetup(seed=seed, frozen=frozen,
-                          old_test_sets=old_test_sets or (new_test_set,),
-                          new_train=new_train, new_test_set=new_test_set)
 
-
-def _prepare_run(cfg: dict, seed: int, shared):
-    """One seed's setup: the pretrained benchmark, or the split of the
-    shared CSV inputs."""
-    if not cfg["benchmark"]:
-        return _prepare_csv_setup(cfg, seed, shared)
-    return prepare_benchmark(
-        seed, input_width=cfg["input_width"], horizon=cfg["horizon"],
-        stride=cfg["stride"], hidden_width=cfg["hidden_width"],
-        train_fraction=cfg["train_fraction"],
-        few_shot_fraction=cfg["few_shot_fraction"],
-        old_length=cfg["benchmark_old_length"],
-        new_length=cfg["benchmark_new_length"],
-        pretrain_epochs=cfg["pretrain_epochs"],
-        pretrain_lr=cfg["pretrain_learning_rate"])
+    def prepare(seed):
+        sub = np.random.SeedSequence(seed).spawn(2)
+        split_seed, shot_seed = (int(s.generate_state(1)[0]) for s in sub)
+        with _naming(cfg["new_data"]):
+            new_train, new_test_set = split_series(
+                new_series, width, horizon, cfg["stride"],
+                cfg["train_fraction"], split_seed,
+                shot_fraction if shot_fraction < 1.0 else None, shot_seed)
+        # with no old-task data, the new-task set stands in for it, so that
+        # evaluation is defined
+        return BenchmarkSetup(seed=seed, frozen=frozen,
+                              old_test_sets=old_test_sets or (new_test_set,),
+                              new_train=new_train, new_test_set=new_test_set)
+    return prepare
 
 
 def _arm(cfg: dict, seed: int, setup):
@@ -306,8 +292,7 @@ def cmd_tune(args) -> int:
         cfg["seeds"] = [args.seed]
 
     run_dir = Path(cfg["output_dir"]) / config_hash(cfg)
-    shared = _shared_inputs(cfg)
-    arms = scored_arms(cfg["seeds"], lambda seed: _prepare_run(cfg, seed, shared),
+    arms = scored_arms(cfg["seeds"], _seed_setups(cfg),
                        [functools.partial(_arm, cfg)])
     # the first failed seed stops the run: the seeds before it are written,
     # and a run whose first seed wrote no outputs leaves no config.json
@@ -379,9 +364,8 @@ def cmd_sweep(args) -> int:
                                 str(out_path))
 
     # arms differ only in seed and replay_ratio: each seed is prepared once
-    shared = _shared_inputs(cfg)
     variants = [dict(cfg, replay_ratio=ratio) for ratio in ratios]
-    arms = scored_arms(cfg["seeds"], lambda seed: _prepare_run(cfg, seed, shared),
+    arms = scored_arms(cfg["seeds"], _seed_setups(cfg),
                        [functools.partial(_arm, variant) for variant in variants])
     results = [_sweep_row(seed, dict(variant, seeds=[seed]), outcome)
                for seed, outcomes in arms
@@ -457,11 +441,16 @@ def cmd_eval(args) -> int:
     new = score(model, new_set.windows())
     # with no old-task data, the new-task set stands in for it
     per_old = [score(model, test_set.windows()) for test_set in old_sets] or [new]
+    old = _mean_pair(per_old)
+    if not all(map(math.isfinite, (old.mae, old.mse, new.mae, new.mse))):
+        raise RuntimeError(
+            f"{args.checkpoint}: non-finite metrics: old mae/mse "
+            f"{old.mae}/{old.mse}, new mae/mse {new.mae}/{new.mse}")
     doc = {
         "command": "eval",
         "checkpoint": str(args.checkpoint),
         "seed": args.seed,
-        "old_metrics": _mean_pair(per_old).to_dict(),
+        "old_metrics": old.to_dict(),
         "new_metrics": new.to_dict(),
         "per_old_dataset": [pair.to_dict() for pair in per_old],
     }
@@ -518,8 +507,7 @@ def _pool(metrics):
 
 
 def cmd_report(args) -> int:
-    _check("--display-scale", args.display_scale,
-           ("finite and positive", lambda v: math.isfinite(v) and v > 0))
+    _check("--display-scale", args.display_scale, _POSITIVE)
     reports = _collect_reports(args.runs)
     by_method = {}
     for rep in reports:

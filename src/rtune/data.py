@@ -10,6 +10,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from array import array
 from collections import Counter
 from contextlib import contextmanager
@@ -66,10 +67,15 @@ def _check(name: str, value, rule) -> None:
 
 
 # the rules of alpha and the distillation weight, of a split fraction (both
-# sides nonempty) and of a few-shot fraction (1 keeps every window)
+# sides nonempty), of a few-shot fraction (1 keeps every window), and of
+# other real numbers, which must be finite as floats to train and be written
 _UNIT = ("in [0, 1]", lambda v: _real(v) and 0.0 <= v <= 1.0)
 _OPEN_FRACTION = ("in (0, 1)", lambda v: _real(v) and 0.0 < v < 1.0)
 _FEW_SHOT_FRACTION = ("in (0, 1]", lambda v: _real(v) and 0.0 < v <= 1.0)
+_NON_NEGATIVE = ("finite and >= 0",
+                 lambda v: _real(v) and 0 <= v <= sys.float_info.max)
+_POSITIVE = ("finite and positive",
+             lambda v: _real(v) and 0 < v <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -540,6 +546,15 @@ def _unique_keys(pairs) -> dict:
         (key, _), = Counter(key for key, _ in pairs).most_common(1)
         raise ValueError(f"{key} is given twice")
     return doc
+
+
+def _read_json(fh, path):
+    """The JSON document of the file `fh` opened from `path`; one that is
+    not JSON or not UTF-8 text, or repeats a key, fails naming `path`."""
+    try:
+        return json.load(fh, object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_csv(path, comment, header, rows) -> None:

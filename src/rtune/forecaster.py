@@ -8,13 +8,12 @@ gradient, which the kernel is tested against, are in :mod:`rtune.reference`.
 """
 
 import base64
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check, _int, _unique_keys, atomic_target, canonical_json
+from .data import _check, _int, _read_json, atomic_target, canonical_json
 
 __all__ = [
     "Forecaster",
@@ -331,10 +330,7 @@ def load_checkpoint(path) -> Forecaster:
     """The model of a checkpoint file; one that repeats a key, or whose version
     is not the integer 1 or byte order not "little", fails by name."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-        except ValueError as exc:  # not JSON, not UTF-8 text, a repeated key
-            raise ValueError(f"{path}: {exc}") from None
+        doc = _read_json(fh, path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     version, byte_order = doc.get("version"), doc.get("byte_order")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _UNIT, _check, _real, _write_csv
+from .data import _NON_NEGATIVE, _UNIT, _check, _write_csv
 from .forecaster import Forecaster
 from .wavelet import _check_depth, _roll_into, rwt_decompose, rwt_reconstruct
 
@@ -151,8 +151,7 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
 
 def replay_count_for_fraction(fraction_percent: float, n_new: int, k: int) -> int:
     """Solve n * (1 + k) = round(fraction% of n_new) for the latent count n."""
-    _check("fraction_percent", fraction_percent,
-           ("finite and >= 0", lambda v: _real(v) and 0 <= v < np.inf))
+    _check("fraction_percent", fraction_percent, _NON_NEGATIVE)
     _check("n_new", n_new, 0)
     _check("k", k, 0)
     return int(round(fraction_percent / 100.0 * n_new / (1 + k)))

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import _OPEN_FRACTION, _UNIT, WindowedDataset, _check, _real
+from .data import (_NON_NEGATIVE, _OPEN_FRACTION, _POSITIVE, _UNIT,
+                   WindowedDataset, _check)
 from .forecaster import (Forecaster, _kernel, _losses, _soften_rows, _terms,
                          _training_order)
 from .metrics import MetricPair, mae
@@ -46,12 +47,12 @@ _FIELD_RULES = {
     "wavelet_levels": 1,
     "discard_depth": 0,
     "alpha": _UNIT,
-    "tau": ("positive", lambda v: _real(v) and v > 0),
+    "tau": _POSITIVE,
     "distill_weight": _UNIT,
-    "reg_weight": (">= 0", lambda v: _real(v) and v >= 0),
+    "reg_weight": _NON_NEGATIVE,
     "epochs": 0,
     # 0: a no-update control
-    "learning_rate": (">= 0", lambda v: _real(v) and v >= 0),
+    "learning_rate": _NON_NEGATIVE,
     "batch_size": 1,
     "seed": 0,
     "validation_fraction": _OPEN_FRACTION,

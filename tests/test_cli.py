@@ -334,7 +334,8 @@ class TestTune:
         cfg = bench_config(tau=float("nan"))
         assert "NaN" in cfg.read_text()
         assert main(["tune", "--config", str(cfg)]) == 1
-        assert "tau must be positive, got nan" in capsys.readouterr().err
+        assert ("tau must be finite and positive, got nan"
+                in capsys.readouterr().err)
         assert run_files(tmp_path / "runs") == {}
 
     @pytest.mark.parametrize("key, value", [
@@ -450,10 +451,12 @@ class TestTune:
         ("pretrain_epochs", 0, None),
         ("benchmark_old_length", 0, "must be >= 1"),
         ("benchmark_new_length", 1e4, "must be an integer"),
-        ("pretrain_learning_rate", -0.1, "must be a number >= 0"),
-        ("pretrain_learning_rate", float("nan"), "must be a number >= 0"),
-        ("pretrain_learning_rate", "0.01", "must be a number >= 0"),
-        ("pretrain_learning_rate", True, "must be a number >= 0"),
+        ("pretrain_learning_rate", -0.1, "must be finite and >= 0"),
+        ("pretrain_learning_rate", float("nan"), "must be finite and >= 0"),
+        ("pretrain_learning_rate", float("inf"), "must be finite and >= 0"),
+        ("pretrain_learning_rate", float("-inf"), "must be finite and >= 0"),
+        ("pretrain_learning_rate", "0.01", "must be finite and >= 0"),
+        ("pretrain_learning_rate", True, "must be finite and >= 0"),
         ("pretrain_learning_rate", 0, None),
         ("output_dir", 7, "must be a directory name"),
         ("output_dir", None, "must be a directory name"),
@@ -463,9 +466,17 @@ class TestTune:
         # training keys, which TuneConfig and the train/test split check
         ("lambda", "x", "must be in [0, 1]"),
         ("lambda", 2, "must be in [0, 1]"),
-        ("beta", -1, "must be >= 0"),
-        ("learning_rate", None, "must be >= 0"),
-        ("tau", -1, "must be positive"),
+        ("beta", -1, "must be finite and >= 0"),
+        ("beta", float("inf"), "must be finite and >= 0"),
+        ("beta", float("-inf"), "must be finite and >= 0"),
+        ("learning_rate", None, "must be finite and >= 0"),
+        ("learning_rate", float("inf"), "must be finite and >= 0"),
+        ("learning_rate", float("-inf"), "must be finite and >= 0"),
+        ("tau", -1, "must be finite and positive"),
+        ("tau", float("inf"), "must be finite and positive"),
+        ("tau", float("-inf"), "must be finite and positive"),
+        pytest.param("tau", 10**400, "must be finite and positive",
+                     id="tau-10**400-beyond the float range"),
         ("batch_size", 0, "must be >= 1"),
         ("validation_fraction", 1.0, "must be in (0, 1)"),
         ("train_fraction", 1.5, "must be in (0, 1)"),
@@ -497,8 +508,12 @@ class TestTune:
 
     @pytest.mark.parametrize("argv, config, message", [
         (["--lambda", "2"], {}, "--lambda must be in [0, 1], got 2.0"),
-        (["--tau", "0"], {}, "--tau must be positive, got 0.0"),
-        (["--beta", "-1"], {}, "--beta must be >= 0, got -1.0"),
+        (["--tau", "0"], {}, "--tau must be finite and positive, got 0.0"),
+        (["--tau", "inf"], {}, "--tau must be finite and positive, got inf"),
+        (["--tau=-inf"], {}, "--tau must be finite and positive, got -inf"),
+        (["--beta", "-1"], {}, "--beta must be finite and >= 0, got -1.0"),
+        (["--beta", "inf"], {}, "--beta must be finite and >= 0, got inf"),
+        (["--beta=-inf"], {}, "--beta must be finite and >= 0, got -inf"),
         (["--alpha", "1.5"], {}, "--alpha must be in [0, 1], got 1.5"),
         (["--levels", "0"], {}, "--levels must be >= 1, got 0"),
         (["--replay-n", "-3"], {}, "--replay-n must be >= 0, got -3"),
@@ -623,15 +638,15 @@ def owned_arrays(obj, found):
 
 @pytest.mark.parametrize("mode", ["csv", "benchmark"])
 class TestPreparedSetup:
-    """What `_prepare_run` holds for a seed: test sets as normalized series
-    plus window starts, cut on access to the windows the splits give."""
+    """What `_seed_setups` prepares for a seed: test sets as normalized
+    series plus window starts, cut on access to the windows the splits
+    give."""
 
     def prepared(self, mode, bench_config, csv_config):
         cfg = load_run_config((bench_config if mode == "benchmark"
                                else csv_config)(seeds=[0, 1, 2]))
-        shared = rtune.cli._shared_inputs(cfg)
-        return cfg, {seed: rtune.cli._prepare_run(cfg, seed, shared)
-                     for seed in cfg["seeds"]}
+        prepare = rtune.cli._seed_setups(cfg)
+        return cfg, {seed: prepare(seed) for seed in cfg["seeds"]}
 
     @staticmethod
     def sources(mode, cfg, seed):
@@ -944,14 +959,18 @@ class TestSweep:
             monkeypatch.setattr(rtune.tuner, "build_replay_set", diverging)
             message = "error: non-finite loss"
         else:
-            prepare = rtune.cli._prepare_csv_setup
+            setups = rtune.cli._seed_setups
 
-            def failing(cfg, seed, shared):
-                if seed == 1:
-                    raise ValueError("seed 1 cannot be split")
-                return prepare(cfg, seed, shared)
+            def failing_setups(cfg):
+                prepare = setups(cfg)
 
-            monkeypatch.setattr(rtune.cli, "_prepare_csv_setup", failing)
+                def failing(seed):
+                    if seed == 1:
+                        raise ValueError("seed 1 cannot be split")
+                    return prepare(seed)
+                return failing
+
+            monkeypatch.setattr(rtune.cli, "_seed_setups", failing_setups)
             message = "error: seed 1 cannot be split"
         capsys.readouterr()
         assert main(argv) == 1
@@ -1034,21 +1053,25 @@ class TestSweep:
         # of its one epoch has a finite loss and an update that overflows
         # theta, so no epoch validates to a finite MAE; it trains in the
         # stack of seeds 0 and 2, whose rows are still written
-        prepare = rtune.cli._prepare_run
+        setups = rtune.cli._seed_setups
 
-        def overflowing(cfg, seed, shared):
-            setup = prepare(cfg, seed, shared)
-            if seed != 1:
-                return setup
-            frozen = setup.frozen.clone()
-            w1, _, w2, _ = frozen._unpack()
-            w1 *= 1e-160
-            w2 *= 1e150
-            train = WindowedDataset(1e160 * setup.new_train.inputs,
-                                    setup.new_train.labels)
-            return replace(setup, frozen=frozen, new_train=train)
+        def overflowing_setups(cfg):
+            prepare = setups(cfg)
 
-        monkeypatch.setattr(rtune.cli, "_prepare_run", overflowing)
+            def overflowing(seed):
+                setup = prepare(seed)
+                if seed != 1:
+                    return setup
+                frozen = setup.frozen.clone()
+                w1, _, w2, _ = frozen._unpack()
+                w1 *= 1e-160
+                w2 *= 1e150
+                train = WindowedDataset(1e160 * setup.new_train.inputs,
+                                        setup.new_train.labels)
+                return replace(setup, frozen=frozen, new_train=train)
+            return overflowing
+
+        monkeypatch.setattr(rtune.cli, "_seed_setups", overflowing_setups)
         cfg = bench_config(epochs=1, batch_size=200, seeds=[0, 1, 2])
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(cfg), "--ratios", "0",
@@ -1241,6 +1264,23 @@ class TestEvalAndReport:
             f"error: {ckpt}: input_width must be an integer, got 16.0\n")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_eval_non_finite_metrics_name_checkpoint(self, tmp_path, sine_csv,
+                                                     capsys):
+        # theta is finite, so the checkpoint loads; the forecasts' squared
+        # errors overflow
+        model = init_forecaster(16, 4, 8, seed=2)
+        _, _, w2, _ = model._unpack()
+        w2 *= 1e200
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(model, ckpt)
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--new-data",
+                     str(sine_csv), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {ckpt}: non-finite metrics: old mae/mse ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.2", "nan"])
     def test_eval_bad_test_fraction_rejected(self, tmp_path, sine_csv, capsys,
                                              fraction):
@@ -1379,12 +1419,12 @@ class TestEvalAndReport:
         single = json.loads(report.read_text())["old_metrics"]["n_samples"]
         assert (row["n_runs"], row["old"]["n_samples"]) == (1, single)
 
-    @pytest.mark.parametrize("scale", ["nan", "inf", "-2", "0"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-2", "0"])
     def test_report_bad_display_scale_rejected(self, tmp_path, capsys, scale):
         # checked before any report is read: this path does not exist
         out = tmp_path / "table.json"
-        assert main(["report", str(tmp_path / "runs"), "--display-scale",
-                     scale, "--output", str(out)]) == 1
+        assert main(["report", str(tmp_path / "runs"),
+                     f"--display-scale={scale}", "--output", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: --display-scale must be finite and positive, "
             f"got {float(scale)!r}\n")

@@ -251,6 +251,8 @@ class TestOperatorErrors:
          "fraction_percent must be finite and >= 0, got nan"),
         (lambda: replay_count_for_fraction(np.inf, 100, 1),
          "fraction_percent must be finite and >= 0, got inf"),
+        (lambda: replay_count_for_fraction(-np.inf, 100, 1),
+         "fraction_percent must be finite and >= 0, got -inf"),
         (lambda: replay_count_for_fraction(True, 100, 1),
          "fraction_percent must be finite and >= 0, got True"),
         (lambda: replay_count_for_fraction(-1.0, 100, 1),

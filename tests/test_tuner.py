@@ -1108,6 +1108,9 @@ class TestConfig:
         {"replay_n": -5}, {"discard_depth": 3},
         {"tau": float("nan")}, {"learning_rate": float("nan")},
         {"reg_weight": float("nan")},
+        {"tau": float("inf")}, {"tau": float("-inf")},
+        {"learning_rate": float("inf")}, {"learning_rate": float("-inf")},
+        {"reg_weight": float("inf")}, {"reg_weight": float("-inf")},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
