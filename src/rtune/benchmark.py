@@ -5,7 +5,6 @@ slice of the new task under the selected method. Window geometry defaults to
 48 -> 12 so a full five-seed comparison stays under a minute.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -14,7 +13,7 @@ import numpy as np
 from .data import (SeriesWindows, WindowedDataset, gen_benchmark_tasks,
                    split_series)
 from .forecaster import Forecaster, init_forecaster
-from .metrics import _mean_pair, score
+from .metrics import old_new, score
 from .tuner import (METHODS, TuneConfig, TuneReport, lockstep_key, r_tune,
                     r_tune_group)
 
@@ -52,7 +51,8 @@ class BenchmarkSetup:
 
     @property
     def old_test(self) -> WindowedDataset:
-        """The first old-task test set's windows, cut on each access."""
+        """The first old-task test set's windows, cut on each access; an
+        IndexError when the setup has none."""
         return self.old_test_sets[0].windows()
 
     @property
@@ -218,20 +218,14 @@ def _score(jobs, outcomes):
         got = [pairs[id(model or setup.frozen), id(test_set)] for test_set
                in (*setup.old_test_sets, setup.new_test_set)]
         try:
-            if not setup.old_test_sets:
-                raise ValueError("need at least one old-task test set")
             for pair in got:
                 if isinstance(pair, Exception):
                     raise pair
-            old, new = _mean_pair(got[:-1]), got[-1]
-            if not all(map(math.isfinite,
-                           (old.mae, old.mse, new.mae, new.mse))):
-                raise RuntimeError(
-                    f"non-finite metrics (method={report.method}): old "
-                    f"mae/mse {old.mae}/{old.mse}, new mae/mse "
-                    f"{new.mae}/{new.mse}")
-        except (ValueError, RuntimeError) as exc:
+            old, new = old_new(got[:-1], got[-1])
+        except RuntimeError as exc:  # named by its arm, as training errors are
+            outcomes[i] = RuntimeError(f"{exc} (method={report.method})")
+        except ValueError as exc:
             outcomes[i] = exc
-            continue
-        report.old_metrics, report.new_metrics = old, new
-        report.extra["benchmark"] = dict(setup.gen_params)
+        else:
+            report.old_metrics, report.new_metrics = old, new
+            report.extra["benchmark"] = dict(setup.gen_params)

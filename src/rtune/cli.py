@@ -12,7 +12,6 @@ import copy
 import errno
 import functools
 import hashlib
-import math
 import os
 import sys
 from dataclasses import replace
@@ -22,12 +21,13 @@ import numpy as np
 
 from .benchmark import BenchmarkSetup, prepare_benchmark, scored_arms
 from .data import (_FEW_SHOT_FRACTION, _NON_NEGATIVE, _OPEN_FRACTION,
-                   _POSITIVE, SeriesWindows, _check, _int, _read_json, _real,
-                   _window_starts, _write_csv, atomic_target, canonical_json,
-                   read_series_csv, split_indices, split_series,
-                   zscore_apply, zscore_fit)
+                   _PERCENT, _POSITIVE, SeriesWindows, _check, _int,
+                   _read_json, _window_starts, _write_csv, atomic_target,
+                   canonical_json, read_series_csv, split_indices,
+                   split_series, zscore_apply, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
-from .metrics import MetricPair, _mean_pair, build_comparison_row, score
+from .metrics import (MetricPair, _mean_pair, build_comparison_row, old_new,
+                      score)
 from .replay import build_replay_set, replay_count_for_fraction, replay_to_csv
 from .tuner import METHODS, TuneConfig, _check_fields
 from .wavelet import rwt_decompose, rwt_reconstruct
@@ -63,8 +63,8 @@ RUN_CONFIG = {
     "benchmark_old_length": (6000, 1),
     "benchmark_new_length": (12480, 1),
     "replay_n": "replay_n",
-    "replay_ratio": (None, ("null or in [0, 100]",  # percent of new-task windows
-                            lambda v: v is None or _real(v) and 0.0 <= v <= 100.0)),
+    "replay_ratio": (None, (f"null or {_PERCENT[0]}",  # percent of new-task windows
+                            lambda v: v is None or _PERCENT[1](v))),
     "wavelet_levels": "wavelet_levels",
     "discard_depth": "discard_depth",
     "alpha": "alpha",
@@ -215,11 +215,9 @@ def _seed_setups(cfg: dict):
                 new_series, width, horizon, cfg["stride"],
                 cfg["train_fraction"], split_seed,
                 shot_fraction if shot_fraction < 1.0 else None, shot_seed)
-        # with no old-task data, the new-task set stands in for it, so that
-        # evaluation is defined
         return BenchmarkSetup(seed=seed, frozen=frozen,
-                              old_test_sets=old_test_sets or (new_test_set,),
-                              new_train=new_train, new_test_set=new_test_set)
+                              old_test_sets=old_test_sets, new_train=new_train,
+                              new_test_set=new_test_set)
     return prepare
 
 
@@ -325,8 +323,7 @@ def _parse_ratios(text: str):
             ratio = float(item)
         except ValueError:
             raise ValueError(f"--ratios: {item!r} is not a number") from None
-        if not 0.0 <= ratio <= 100.0:
-            raise ValueError(f"--ratios must be in [0, 100], got {item!r}")
+        _check("--ratios", ratio, _PERCENT)
         if ratio in seen:
             raise ValueError(
                 f"--ratios: {item!r} repeats {seen[ratio]!r}")
@@ -439,20 +436,19 @@ def cmd_eval(args) -> int:
         new_set = replace(new_set, starts=new_set.starts[test_idx])
     # each set is cut while it is scored
     new = score(model, new_set.windows())
-    # with no old-task data, the new-task set stands in for it
-    per_old = [score(model, test_set.windows()) for test_set in old_sets] or [new]
-    old = _mean_pair(per_old)
-    if not all(map(math.isfinite, (old.mae, old.mse, new.mae, new.mse))):
-        raise RuntimeError(
-            f"{args.checkpoint}: non-finite metrics: old mae/mse "
-            f"{old.mae}/{old.mse}, new mae/mse {new.mae}/{new.mse}")
+    per_old = [score(model, test_set.windows()) for test_set in old_sets]
+    try:
+        old, new = old_new(per_old, new)
+    except RuntimeError as exc:
+        raise RuntimeError(f"{args.checkpoint}: {exc}") from None
     doc = {
         "command": "eval",
         "checkpoint": str(args.checkpoint),
         "seed": args.seed,
         "old_metrics": old.to_dict(),
         "new_metrics": new.to_dict(),
-        "per_old_dataset": [pair.to_dict() for pair in per_old],
+        # the pairs whose mean old is: with no old-task set, old itself
+        "per_old_dataset": [pair.to_dict() for pair in per_old or [old]],
     }
     _emit(doc, args.output)
     return 0
@@ -460,12 +456,11 @@ def cmd_eval(args) -> int:
 
 def _is_report(doc) -> bool:
     """A run report as `report` reads it: a string method, and old and new
-    metrics objects with a number in the float range for each of mae, mse
-    and n_samples: JSON's NaN and Infinity, and larger integers, fail."""
+    metrics objects whose mae, mse and n_samples keep _NON_NEGATIVE (JSON's
+    NaN and Infinity, and integers past the float range, fail it)."""
     return (isinstance(doc, dict) and isinstance(doc.get("method"), str)
             and all(isinstance(doc.get(side), dict)
-                    and all(_real(doc[side].get(key))
-                            and abs(doc[side][key]) <= sys.float_info.max
+                    and all(_NON_NEGATIVE[1](doc[side].get(key))
                             for key in ("mae", "mse", "n_samples"))
                     for side in ("old_metrics", "new_metrics")))
 
@@ -487,8 +482,8 @@ def _collect_reports(paths):
             if not _is_report(doc):
                 raise ValueError(
                     f"{p}: not a run report (needs a string method and "
-                    f"old_metrics and new_metrics objects holding finite "
-                    f"mae, mse and n_samples)")
+                    f"old_metrics and new_metrics objects holding mae, mse "
+                    f"and n_samples {_NON_NEGATIVE[0]})")
             reports.append(doc)
     if not reports:
         raise ValueError("no report.json files found under the given paths")

@@ -66,10 +66,11 @@ def _check(name: str, value, rule) -> None:
         raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
-# the rules of alpha and the distillation weight, of a split fraction (both
-# sides nonempty), of a few-shot fraction (1 keeps every window), and of
-# other real numbers, which must be finite as floats to train and be written
+# the rules of alpha and the distillation weight, of a percent, of a split
+# fraction (both sides nonempty), of a few-shot fraction (1 keeps every
+# window), and of other reals, which must be finite to train and be written
 _UNIT = ("in [0, 1]", lambda v: _real(v) and 0.0 <= v <= 1.0)
+_PERCENT = ("in [0, 100]", lambda v: _real(v) and 0.0 <= v <= 100.0)
 _OPEN_FRACTION = ("in (0, 1)", lambda v: _real(v) and 0.0 < v < 1.0)
 _FEW_SHOT_FRACTION = ("in (0, 1]", lambda v: _real(v) and 0.0 < v <= 1.0)
 _NON_NEGATIVE = ("finite and >= 0",

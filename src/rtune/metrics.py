@@ -5,6 +5,7 @@ all horizon steps. Relative changes use the sign convention where a positive
 percentage means the method improved on the raw (untuned) model.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ __all__ = [
     "mse",
     "metric_pair",
     "score",
+    "old_new",
     "evaluate_model",
     "relative_change",
     "build_comparison_row",
@@ -65,19 +67,25 @@ def score(model, windows) -> MetricPair:
     return metric_pair(model.forward_batch(windows.inputs), windows.labels)
 
 
+def old_new(per_old, new):
+    """The evaluation rule: a model's (old, new) MetricPairs from its pairs
+    on the old-task test sets and its pair on the new-task test set. Old is
+    the unweighted mean of the old pairs, whatever the sets' sizes; with no
+    old pair, the new pair stands in. RuntimeError if a MAE or MSE is not
+    finite."""
+    old = _mean_pair(per_old or [new])
+    if not all(map(math.isfinite, (old.mae, old.mse, new.mae, new.mse))):
+        raise RuntimeError(
+            f"non-finite metrics: old mae/mse {old.mae}/{old.mse}, "
+            f"new mae/mse {new.mae}/{new.mse}")
+    return old, new
+
+
 def evaluate_model(model, old_tests, new_test):
-    """Evaluate on every old-task test set and the new-task test set.
-
-    Old-task metrics are the unweighted mean of the per-dataset metrics,
-    regardless of dataset sizes.
-
-    Returns:
-        (old MetricPair averaged across datasets, new MetricPair)
-    """
-    if not old_tests:
-        raise ValueError("need at least one old-task test set")
-    old = _mean_pair([score(model, ds) for ds in old_tests])
-    return old, score(model, new_test)
+    """Score `model` on every old-task test set and the new-task test set,
+    and apply :func:`old_new` to the pairs."""
+    return old_new([score(model, ds) for ds in old_tests],
+                   score(model, new_test))
 
 
 def _mean_pair(pairs) -> MetricPair:

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (_FEW_SHOT_FRACTION, NormalizationParams, WindowedDataset,
-                   _check, _few_shot_indices, split_indices, zscore_apply)
+from .data import (_FEW_SHOT_FRACTION, _POSITIVE, NormalizationParams,
+                   WindowedDataset, _check, _few_shot_indices, split_indices,
+                   zscore_apply)
 from .forecaster import Forecaster, _soften_rows
 from .replay import ReplaySet
 
@@ -56,8 +57,7 @@ def soften(logits, tau: float) -> SoftenedDistribution:
     probs[j] = exp(logits[j]/tau) / sum_k exp(logits[k]/tau), computed with
     max-subtraction so huge logits cannot overflow.
     """
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    _check("tau", tau, _POSITIVE)
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits contain non-finite values")
@@ -80,8 +80,7 @@ def distill_loss(y_old, y_new, tau: float) -> float:
     y_new = np.asarray(y_new, dtype=np.float64)
     if y_old.shape != y_new.shape:
         raise ValueError(f"logit shape mismatch: {y_old.shape} vs {y_new.shape}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _check("tau", tau, _POSITIVE)
     return _cross_entropy(_soften_rows(y_old, tau), y_new, tau)
 
 
@@ -131,7 +130,7 @@ def grad_total(m_new: Forecaster, m_old: Forecaster, inputs, labels,
         m_old: frozen reference model, same geometry.
         inputs: (n, W) batch of input windows.
         labels: (n, H) batch of forecast targets.
-        tau: softmax temperature, > 0.
+        tau: softmax temperature, finite and > 0.
         distill_weight: weight on the distillation term.
         reg_weight: weight on the L2 parameter penalty.
 
@@ -151,8 +150,7 @@ def grad_total(m_new: Forecaster, m_old: Forecaster, inputs, labels,
         raise ValueError(
             f"labels have horizon {labels.shape[1]}, model has {m_new.horizon}"
         )
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    _check("tau", tau, _POSITIVE)
     if (m_old.input_width, m_old.horizon) != (m_new.input_width, m_new.horizon):
         raise ValueError("old and new models disagree on window geometry")
 

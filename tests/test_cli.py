@@ -326,7 +326,9 @@ class TestTune:
     def test_non_finite_metrics_exit_1(self, bench_config, tmp_path, capsys):
         cfg = bench_config(**NON_FINITE_METRICS)
         assert main(["tune", "--config", str(cfg)]) == 1
-        assert "non-finite metrics (method=ft)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite metrics: old mae/mse ")
+        assert err.endswith(" (method=ft)\n")
         assert run_files(tmp_path / "runs") == {}
         assert not list((tmp_path / "runs").rglob("config.json"))
 
@@ -1113,8 +1115,10 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(cfg), "--ratios", "0",
                      "--output", str(out)]) == 1
-        assert ("ratio=0.0, seed=0: non-finite metrics (method=ft)"
-                in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "ratio=0.0, seed=0: non-finite metrics: old mae/mse ")
+        assert err.endswith(" (method=ft)\n")
         with open(out) as fh:
             rows = list(csv.reader(line for line in fh if not line.startswith("#")))
         assert rows[1:] == [["0.0", "0", "", "", "", ""]]
@@ -1240,16 +1244,73 @@ class TestEvalAndReport:
         assert [forwarded for _, _, _, forwarded in score_spy.calls] == [
             [len(ds)] for ds in sets]
         assert len({id(model) for model, _, _, _ in score_spy.calls}) == 1
-        # the numbers evaluate_model gives, the new-task set standing in
-        # for old-task data when there is none
+        # the numbers evaluate_model gives
         model = load_checkpoint(ckpt)
-        old, new = evaluate_model(model, sets[1:] or sets[:1], sets[0])
+        old, new = evaluate_model(model, sets[1:], sets[0])
         doc = json.loads(out.read_text())
         assert doc["old_metrics"] == old.to_dict()
         assert doc["new_metrics"] == new.to_dict()
         assert doc["per_old_dataset"] == [
             metric_pair(model.forward_batch(ds.inputs), ds.labels).to_dict()
             for ds in sets[1:] or sets[:1]]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.parametrize("n_old", [0, 1, 2])
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_one_evaluation_rule(self, tmp_path, sine_csv, capsys, n_old,
+                                 overflow):
+        # evaluate_model, the frozen arm of a BenchmarkSetup and `rtune eval`
+        # give the same (old, new) pairs, the new-task pair standing in for
+        # old with no old-task set; output weights scaled by 1e200 overflow
+        # the squared errors, and each raises the same RuntimeError, named
+        # by its method or checkpoint
+        model = init_forecaster(16, 4, 8, seed=2)
+        if overflow:
+            model._unpack()[2][:] *= 1e200
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(model, ckpt)
+        other = write_csv(tmp_path / "other.csv", np.cos(np.arange(150.0) / 7))
+        old_files = [other, sine_csv][:n_old]
+        cfg = {"input_width": 16, "horizon": 4, "stride": 1}
+        old_sets = [rtune.cli._windowed_eval_set(path, None, cfg)
+                    for path in old_files]
+        new_set = rtune.cli._windowed_eval_set(sine_csv, None, cfg)
+        setup = rtune.benchmark.BenchmarkSetup(
+            seed=0, frozen=model, old_test_sets=tuple(old_sets),
+            new_train=new_set.windows(), new_test_set=new_set)
+        out = tmp_path / "eval.json"
+        argv = ["eval", "--checkpoint", str(ckpt), "--new-data", str(sine_csv),
+                "--output", str(out)]
+        for path in old_files:
+            argv += ["--old-data", str(path)]
+
+        def evaluate():
+            return evaluate_model(model, [s.windows() for s in old_sets],
+                                  new_set.windows())
+
+        def run_frozen_arm():
+            return rtune.benchmark.run_arm(setup, "frozen", TuneConfig())
+
+        if overflow:
+            with pytest.raises(RuntimeError) as want:
+                evaluate()
+            with pytest.raises(RuntimeError) as got:
+                run_frozen_arm()
+            assert str(got.value) == f"{want.value} (method=frozen)"
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {ckpt}: {want.value}\n"
+            assert not out.exists()
+            return
+        old, new = evaluate()
+        if not old_files:
+            assert old == new
+        _, report = run_frozen_arm()
+        assert (report.old_metrics, report.new_metrics) == (old, new)
+        assert main(argv) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["old_metrics"], doc["new_metrics"]) == (old.to_dict(),
+                                                            new.to_dict())
+        assert len(doc["per_old_dataset"]) == max(n_old, 1)
 
     def test_eval_bad_checkpoint_dimension_names_file(self, tmp_path,
                                                        sine_csv, capsys):
@@ -1395,6 +1456,8 @@ class TestEvalAndReport:
         {"method": "ft", "old_metrics": {"mae": 10 ** 400, "mse": 1.0,
                                          "n_samples": 3},
          "new_metrics": {"mae": 1.0, "mse": 1.0, "n_samples": 3}},
+        {"method": "ft", "old_metrics": {"mae": -1, "mse": 1.0, "n_samples": 3},
+         "new_metrics": {"mae": 1.0, "mse": 1.0, "n_samples": 3}},
     ])
     def test_report_of_another_shape_names_file(self, tmp_path, capsys, doc):
         report = tmp_path / "runs" / "seed-0" / "report.json"
@@ -1403,8 +1466,8 @@ class TestEvalAndReport:
         assert main(["report", str(tmp_path / "runs")]) == 1
         assert capsys.readouterr().err == (
             f"error: {report}: not a run report (needs a string method and "
-            f"old_metrics and new_metrics objects holding finite mae, mse "
-            f"and n_samples)\n")
+            f"old_metrics and new_metrics objects holding mae, mse and "
+            f"n_samples finite and >= 0)\n")
 
     def test_report_counts_a_report_once(self, bench_config, tmp_path):
         # the run directory and one of its reports, under another spelling:

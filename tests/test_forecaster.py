@@ -21,8 +21,8 @@ from rtune.forecaster import (Forecaster, _kernel, _losses, _soften_rows,
                               save_checkpoint, theta_size)
 import rtune
 from rtune.data import canonical_json
-from rtune.reference import (batch_objective, grad_total, soften,
-                             soften_jacobian)
+from rtune.reference import (batch_objective, distill_loss, grad_total,
+                             soften, soften_jacobian)
 from rtune.tuner import _schedule
 
 # numpy names first released in 2.0 or later; the package supports 1.24
@@ -314,6 +314,26 @@ class TestGradTotal:
         with pytest.raises(ValueError, match="positive"):
             grad_total(m, m.clone(), np.zeros((2, 4)), np.zeros((2, 2)),
                        0.0, 0.2, 1e-4)
+
+
+_MODEL = init_forecaster(4, 2, 3, seed=0)
+_TAU_ORACLES = {
+    "soften": lambda tau: soften([0.0, 1.0], tau),
+    "distill_loss": lambda tau: distill_loss([0.0, 1.0], [1.0, 0.0], tau),
+    "grad_total": lambda tau: grad_total(_MODEL, _MODEL.clone(),
+                                         np.zeros((2, 4)), np.zeros((2, 2)),
+                                         tau, 0.2, 1e-4),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(_TAU_ORACLES))
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("inf"), float("nan")])
+def test_reference_oracles_take_a_finite_positive_tau(oracle, tau):
+    # the rule of TuneConfig.tau: an infinite or NaN temperature is refused
+    # as a zero or negative one is
+    with pytest.raises(ValueError) as info:
+        _TAU_ORACLES[oracle](tau)
+    assert str(info.value) == f"tau must be finite and positive, got {tau!r}"
 
 
 class TestValueAndGrad:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rtune.data import WindowedDataset
-from rtune.metrics import (build_comparison_row, evaluate_model, mae,
-                           metric_pair, mse, relative_change)
+from rtune.metrics import (MetricPair, build_comparison_row, evaluate_model,
+                           mae, metric_pair, mse, relative_change)
 
 
 class ConstantModel:
@@ -96,8 +96,23 @@ class TestEvaluateModel:
             (model, id(ds), [len(ds)]) for ds in (ds_mae_1, ds_mae_3, new)]
 
     def test_empty_old_list(self):
-        with pytest.raises(ValueError, match="old-task"):
-            evaluate_model(ConstantModel([0.0]), [], dataset_with_labels([[1.0]]))
+        # with no old-task set, the new-task pair stands in for old
+        new = dataset_with_labels([[1.0], [4.0]])
+        old_pair, new_pair = evaluate_model(ConstantModel([0.0]), [], new)
+        assert old_pair == new_pair == MetricPair(2.5, 8.5, 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.parametrize("old, new", [
+        ([], [[1e200]]), ([[[1e200]]], [[1.0]]), ([[[1.0]]], [[1e200]]),
+        ([[[1.0]], [[1e200]]], [[1.0]])])
+    def test_non_finite_metrics_raise(self, old, new):
+        # a residual of 1e200 squares past the float range, in an old-task
+        # set, the new-task one, or the new-task one standing in
+        with pytest.raises(RuntimeError,
+                           match="^non-finite metrics: old mae/mse "):
+            evaluate_model(ConstantModel([0.0]),
+                           [dataset_with_labels(labels) for labels in old],
+                           dataset_with_labels(new))
 
 
 class TestRelativeChange:
