@@ -8,10 +8,8 @@ slice of the new task under the selected method. Window geometry defaults to
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .data import (SeriesWindows, WindowedDataset, gen_benchmark_tasks,
-                   split_series)
+from .data import (SeriesWindows, WindowedDataset, _child_seeds,
+                   gen_benchmark_tasks, split_series)
 from .forecaster import Forecaster, init_forecaster
 from .metrics import old_new, score
 from .tuner import (METHODS, TuneConfig, TuneReport, lockstep_key, r_tune,
@@ -82,8 +80,7 @@ def prepare_benchmark(seed: int, input_width: int = 48, horizon: int = 12,
                       pretrain_lr: float = 1e-2) -> BenchmarkSetup:
     """Build one seed's benchmark: data, splits, and the pretrained frozen
     model. Every argument is checked before the pretraining starts."""
-    sub = np.random.SeedSequence(seed).spawn(5)
-    seeds = [int(s.generate_state(1)[0]) for s in sub]
+    seeds = _child_seeds(seed, 5)
 
     old_series, new_series, gen_params = gen_benchmark_tasks(
         seed, old_length=old_length, new_length=new_length)

@@ -12,6 +12,7 @@ import copy
 import errno
 import functools
 import hashlib
+import inspect
 import os
 import sys
 from dataclasses import replace
@@ -19,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import benchmark
 from .benchmark import BenchmarkSetup, prepare_benchmark, scored_arms
 from .data import (_FEW_SHOT_FRACTION, _NON_NEGATIVE, _OPEN_FRACTION,
-                   _PERCENT, _POSITIVE, SeriesWindows, _check, _int,
-                   _read_json, _window_starts, _write_csv, atomic_target,
-                   canonical_json, read_series_csv, split_indices,
-                   split_series, zscore_apply, zscore_fit)
+                   _PERCENT, _POSITIVE, SeriesWindows, _check, _child_seeds,
+                   _int, _read_json, _window_starts, _write_csv,
+                   atomic_target, canonical_json, read_series_csv,
+                   split_indices, split_series, zscore_apply, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
 from .metrics import (MetricPair, _mean_pair, build_comparison_row, old_new,
                       score)
@@ -37,11 +39,17 @@ def _name(value) -> bool:  # of a file or a column, or null
     return value is None or isinstance(value, str)
 
 
+# prepare_benchmark's parameters, read once, at import, from rtune.benchmark
+_PREPARE = inspect.signature(benchmark.prepare_benchmark).parameters
+
 # The run-config schema, one row per key; unknown keys are rejected. A row is
 # (default, rule), the rule being the least value of an integer count or
-# (what the value must be, a test written so that NaN fails); or it names the
-# TuneConfig field that the key feeds, whose rule in tuner._FIELD_RULES checks
-# it and whose default it takes.
+# (what the value must be, a test written so that NaN fails); or (the
+# prepare_benchmark parameter that the key feeds, rule), the key taking its
+# default; or the name of the TuneConfig field that the key feeds, whose rule
+# in tuner._FIELD_RULES checks it and whose default it takes. hidden_width,
+# pretrain_* and benchmark_*_length are read in benchmark mode only; CSV mode
+# uses the checkpoint's hidden width and checks only input_width and horizon.
 RUN_CONFIG = {
     "method": ("r-tuning", (f"one of {', '.join(METHODS)}",
                             lambda v: isinstance(v, str) and v in METHODS)),
@@ -52,16 +60,16 @@ RUN_CONFIG = {
                       and all(isinstance(p, str) for p in v))),
     "new_data": (None, ("a file name", _name)),  # the new-task CSV
     "column": (None, ("null or a column name", _name)),  # first column if null
-    "input_width": (48, 1),
-    "horizon": (12, 1),
-    "stride": (1, 1),
-    "hidden_width": (32, 1),
-    "train_fraction": (0.8, _OPEN_FRACTION),
-    "few_shot_fraction": (0.10, _FEW_SHOT_FRACTION),
-    "pretrain_epochs": (30, 0),  # benchmark mode only, as are the next three
-    "pretrain_learning_rate": (0.01, _NON_NEGATIVE),
-    "benchmark_old_length": (6000, 1),
-    "benchmark_new_length": (12480, 1),
+    "input_width": (_PREPARE["input_width"], 1),
+    "horizon": (_PREPARE["horizon"], 1),
+    "stride": (_PREPARE["stride"], 1),
+    "hidden_width": (_PREPARE["hidden_width"], 1),
+    "train_fraction": (_PREPARE["train_fraction"], _OPEN_FRACTION),
+    "few_shot_fraction": (_PREPARE["few_shot_fraction"], _FEW_SHOT_FRACTION),
+    "pretrain_epochs": (_PREPARE["pretrain_epochs"], 0),
+    "pretrain_learning_rate": (_PREPARE["pretrain_lr"], _NON_NEGATIVE),
+    "benchmark_old_length": (_PREPARE["old_length"], 1),
+    "benchmark_new_length": (_PREPARE["new_length"], 1),
     "replay_n": "replay_n",
     "replay_ratio": (None, (f"null or {_PERCENT[0]}",  # percent of new-task windows
                             lambda v: v is None or _PERCENT[1](v))),
@@ -81,6 +89,10 @@ RUN_CONFIG = {
 
 # the run-config keys that feed a TuneConfig field, and the field each feeds
 _TUNE_KEYS = {key: row for key, row in RUN_CONFIG.items() if isinstance(row, str)}
+
+# the run-config keys that feed a prepare_benchmark parameter, and its name
+_BENCHMARK_KEYS = {key: row[0].name for key, row in RUN_CONFIG.items()
+                   if isinstance(row[0], inspect.Parameter)}
 
 # `tune` flags (argparse dest) that override a run-config key, in help order
 _TUNE_OVERRIDES = {"method": "method", "levels": "wavelet_levels",
@@ -112,9 +124,11 @@ def _load_json(path):
 
 
 def default_run_config() -> dict:
-    """Every run-config key with its default."""
+    """Every run-config key with its default: a key that feeds a TuneConfig
+    field or a prepare_benchmark parameter takes that one's default."""
     fields = vars(TuneConfig())
     return {key: fields[_TUNE_KEYS[key]] if key in _TUNE_KEYS
+            else row[0].default if key in _BENCHMARK_KEYS
             else copy.copy(row[0]) for key, row in RUN_CONFIG.items()}
 
 
@@ -187,15 +201,8 @@ def _seed_setups(cfg: dict):
     takes the few-shot sample."""
     width, horizon = cfg["input_width"], cfg["horizon"]
     if cfg["benchmark"]:
-        return lambda seed: prepare_benchmark(
-            seed, input_width=width, horizon=horizon, stride=cfg["stride"],
-            hidden_width=cfg["hidden_width"],
-            train_fraction=cfg["train_fraction"],
-            few_shot_fraction=cfg["few_shot_fraction"],
-            old_length=cfg["benchmark_old_length"],
-            new_length=cfg["benchmark_new_length"],
-            pretrain_epochs=cfg["pretrain_epochs"],
-            pretrain_lr=cfg["pretrain_learning_rate"])
+        params = {param: cfg[key] for key, param in _BENCHMARK_KEYS.items()}
+        return lambda seed: prepare_benchmark(seed, **params)
     frozen = load_checkpoint(cfg["checkpoint"])
     if (frozen.input_width, frozen.horizon) != (width, horizon):
         raise ValueError(
@@ -208,8 +215,7 @@ def _seed_setups(cfg: dict):
     shot_fraction = cfg["few_shot_fraction"]
 
     def prepare(seed):
-        sub = np.random.SeedSequence(seed).spawn(2)
-        split_seed, shot_seed = (int(s.generate_state(1)[0]) for s in sub)
+        split_seed, shot_seed = _child_seeds(seed, 2)
         with _naming(cfg["new_data"]):
             new_train, new_test_set = split_series(
                 new_series, width, horizon, cfg["stride"],
@@ -565,10 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic replay set CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--replay-n", type=int, default=100)
-    p.add_argument("--levels", type=int, default=1)
-    p.add_argument("--discard-depth", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
+    tune = TuneConfig()  # the defaults of the flags that set its fields
+    p.add_argument("--levels", type=int, default=tune.wavelet_levels)
+    p.add_argument("--discard-depth", type=int, default=tune.discard_depth)
+    p.add_argument("--alpha", type=float, default=tune.alpha)
+    p.add_argument("--seed", type=int, default=tune.seed)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_synth)
 

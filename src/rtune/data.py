@@ -253,6 +253,13 @@ def make_windows(series, input_width: int, horizon: int,
     return _gather_windows(values, starts, input_width, horizon)
 
 
+def _child_seeds(seed: int, k: int) -> list:
+    """The one rule that turns a seed into k independent int seeds: each
+    child of SeedSequence(seed).spawn(k) by its first state word."""
+    return [int(child.generate_state(1)[0])
+            for child in np.random.SeedSequence(seed).spawn(k)]
+
+
 def split_indices(n: int, train_fraction: float, seed: int):
     """Seeded exact partition of range(n) into train/test index arrays."""
     _check("train_fraction", train_fraction, _OPEN_FRACTION)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import _NON_NEGATIVE, _UNIT, _check, _write_csv
 from .forecaster import Forecaster
-from .wavelet import _check_depth, _roll_into, rwt_decompose, rwt_reconstruct
+from .wavelet import _check_depth, rwt_decompose, rwt_reconstruct
 
 __all__ = [
     "ReplaySet",
@@ -64,18 +64,6 @@ def sample_latents(n: int, d: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((n, d))
 
 
-def _tap_sum(z: np.ndarray) -> np.ndarray:
-    # the sum of the SMOOTHING_TAPS circular shifts of each row around it;
-    # divided by SMOOTHING_TAPS, the circular moving average that smooths
-    # the latents
-    out, rolled = np.zeros_like(z), np.empty_like(z)
-    half = SMOOTHING_TAPS // 2
-    for k in range(-half, half + 1):
-        _roll_into(rolled, z, k)
-        out += rolled
-    return out
-
-
 def _filter_operators(width: int, levels: int, k: int, alpha) -> np.ndarray:
     """The k filtered variants as one (width, k * width) matrix: a row x
     times its block j - 1 is x with the top j detail bands of its
@@ -114,8 +102,11 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
     _check_depth(span, levels)
     # latents smoothed by a circular moving average, as raw white noise is
     # spectrally unlike any forecaster's training inputs: one product by the
-    # smoothing's tap counts, divided after it so a constant row stays exact
-    contexts = np.dot(sample_latents(n, w, seed), _tap_sum(np.eye(w)))
+    # circulant of its tap counts, a sum of rolled identities (exact, as its
+    # entries are counts), divided after it so a constant row stays exact
+    half = SMOOTHING_TAPS // 2
+    taps = sum(np.roll(np.eye(w), k, axis=1) for k in range(-half, half + 1))
+    contexts = np.dot(sample_latents(n, w, seed), taps)
     contexts /= SMOOTHING_TAPS
     forecasts = frozen.forward_batch(contexts)
 

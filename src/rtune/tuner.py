@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import (_NON_NEGATIVE, _OPEN_FRACTION, _POSITIVE, _UNIT,
-                   WindowedDataset, _check)
+                   WindowedDataset, _check, _child_seeds)
 from .forecaster import (Forecaster, _kernel, _losses, _soften_rows, _terms,
                          _training_order)
 from .metrics import MetricPair, mae
@@ -157,12 +157,6 @@ class TuneReport:
         return doc
 
 
-def _epoch_seeds(seed: int, epochs: int):
-    # independent child streams: replay latents, train-set shuffle, one per epoch
-    children = np.random.SeedSequence(seed).spawn(2 + epochs)
-    return children[0], children[1], children[2:]
-
-
 def r_tune(frozen: Forecaster, new_data: WindowedDataset, cfg: TuneConfig,
            method: str = "r-tuning"):
     """Adapt a clone of the frozen model on new data plus synthetic replay.
@@ -290,16 +284,18 @@ class _Run:
         self.report.frozen_val_mae = mae(frozen.forward_batch(self.val_inputs),
                                          self.val_labels)
 
-        latent_seq, shuffle_seq, self.epoch_seqs = _epoch_seeds(cfg.seed,
-                                                                cfg.epochs)
+        latent_seed, shuffle_seed = _child_seeds(cfg.seed, 2)
+        # one stream per epoch, the seed's children 2.., which default_rng
+        # takes as SeedSequences
+        self.epoch_seqs = np.random.SeedSequence(cfg.seed).spawn(
+            2 + cfg.epochs)[2:]
         self.replay = None
         if cfg.replay_n > 0:
             self.replay = build_replay_set(frozen, cfg.replay_n,
                                            cfg.wavelet_levels,
                                            cfg.discard_depth, cfg.alpha,
-                                           latent_seq.generate_state(1)[0].item())
+                                           latent_seed)
         n_train = self.n_fit + (0 if self.replay is None else len(self.replay))
-        shuffle_seed = shuffle_seq.generate_state(1)[0].item()
         self.rows = np.random.default_rng(shuffle_seed).permutation(n_train)
         self.soft = None
 

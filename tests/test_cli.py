@@ -4,6 +4,7 @@ determinism of written outputs, and the report table."""
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import re
 import shutil
@@ -19,13 +20,13 @@ import rtune.cli
 import rtune.forecaster
 import rtune.tuner
 from rtune.cli import canonical_json, load_run_config, main
-from rtune.data import (WindowedDataset, atomic_target, gen_benchmark_tasks,
-                        make_windows, read_series_csv, split_indices,
-                        split_series, zscore_apply, zscore_fit)
+from rtune.data import (WindowedDataset, _child_seeds, atomic_target,
+                        gen_benchmark_tasks, make_windows, read_series_csv,
+                        split_indices, split_series, zscore_apply, zscore_fit)
 from rtune.forecaster import init_forecaster, load_checkpoint, save_checkpoint
 from rtune.metrics import evaluate_model, metric_pair
 from rtune.replay import ReplaySet, build_replay_set
-from rtune.tuner import TuneConfig, _epoch_seeds, r_tune_group
+from rtune.tuner import TuneConfig, r_tune_group
 from rtune.wavelet import rwt_decompose, rwt_reconstruct
 
 
@@ -720,6 +721,56 @@ def test_every_tune_field_fed_by_one_run_config_key():
     assert fed == Counter(fields)
 
 
+# the run-config keys that feed prepare_benchmark, with the parameter each
+# feeds and a value other than its default
+BENCHMARK_KEYS = {
+    "input_width": ("input_width", 20),
+    "horizon": ("horizon", 5),
+    "stride": ("stride", 2),
+    "hidden_width": ("hidden_width", 7),
+    "train_fraction": ("train_fraction", 0.7),
+    "few_shot_fraction": ("few_shot_fraction", 0.5),
+    "pretrain_epochs": ("pretrain_epochs", 3),
+    "pretrain_learning_rate": ("pretrain_lr", 0.02),
+    "benchmark_old_length": ("old_length", 700),
+    "benchmark_new_length": ("new_length", 900),
+}
+
+
+def test_library_defaults_and_child_seeds_said_once(bench_config,
+                                                    monkeypatch):
+    # the run config's benchmark keys default to prepare_benchmark's
+    # parameters, and synth's training flags to TuneConfig's fields
+    params = inspect.signature(rtune.benchmark.prepare_benchmark).parameters
+    defaults = rtune.cli.default_run_config()
+    for key, (param, value) in BENCHMARK_KEYS.items():
+        assert defaults[key] == params[param].default != value
+        assert type(defaults[key]) is type(params[param].default)
+    args = rtune.cli.build_parser().parse_args(
+        ["synth", "--checkpoint", "c.ckpt", "--output", "r.csv"])
+    tune = TuneConfig()
+    assert ((args.levels, args.discard_depth, args.alpha, args.seed)
+            == (tune.wavelet_levels, tune.discard_depth, tune.alpha, tune.seed))
+
+    # a benchmark-mode prepare(seed) passes each key's value to its parameter
+    calls = []
+    monkeypatch.setattr(rtune.cli, "prepare_benchmark",
+                        lambda *args, **kwargs: calls.append((args, kwargs)))
+    cfg = load_run_config(bench_config(**{key: value for key, (_, value)
+                                          in BENCHMARK_KEYS.items()}))
+    rtune.cli._seed_setups(cfg)(4)
+    assert calls == [((4,), {param: value for param, value
+                             in BENCHMARK_KEYS.values()})]
+
+    # the child-seed rule: each spawned child's first state word, an int
+    for seed in (0, 1, 7, 2 ** 32 - 1, 2 ** 70):
+        for k in (1, 2, 5):
+            children = np.random.SeedSequence(seed).spawn(k)
+            got = _child_seeds(seed, k)
+            assert got == [child.generate_state(1)[0] for child in children]
+            assert all(type(s) is int for s in got)
+
+
 # one bad value per TuneConfig field, with the run-config key that feeds it
 # and the tune and synth flags that set it (None where there is none)
 ONE_BAD_VALUE_PER_FIELD = [
@@ -947,7 +998,7 @@ class TestSweep:
         clean = run_files(runs)
         shutil.rmtree(runs)
         if stage == "training":
-            latent_seed = _epoch_seeds(1, 2)[0].generate_state(1)[0].item()
+            latent_seed = _child_seeds(1, 2)[0]
 
             def diverging(frozen, n, levels, k, alpha, seed):
                 replay = build_replay_set(frozen, n, levels, k, alpha, seed)
@@ -995,7 +1046,7 @@ class TestSweep:
         assert main(argv) == 0
         clean = run_files(tmp_path / "runs")
         shutil.rmtree(tmp_path / "runs")
-        latent_seed = _epoch_seeds(1, 2)[0].generate_state(1)[0].item()
+        latent_seed = _child_seeds(1, 2)[0]
 
         def diverging(frozen, n, levels, k, alpha, seed):
             replay = build_replay_set(frozen, n, levels, k, alpha, seed)

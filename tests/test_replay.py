@@ -108,17 +108,29 @@ def roll_smooth(z):
     return out / 5
 
 
+def smoothed_contexts(z):
+    """The contexts that build_replay_set smooths from the latent block `z`."""
+    n, d = z.shape
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay, "sample_latents", lambda *args: z)
+        built = build_replay_set(init_forecaster(d, 8, 2, seed=d), n, 1, 0,
+                                 0.7, seed=0)
+    return built.sequences[:, :d]
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), d=st.integers(1, 30), strided=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_smoothing_bit_equal_to_roll_form(n, d, strided, seed):
+    # the tap counts are exact, so the contexts are the latents times the
+    # roll form's taps, divided after the product
     rng = np.random.default_rng(seed)
     block = rng.normal(size=(2 * n, 2 * d)) * 10.0 ** rng.integers(
-        -300, 300, size=(2 * n, 2 * d))
+        -150, 150, size=(2 * n, 2 * d))
     z = block[::2, ::2] if strided else block[:n, :d]
-    with np.errstate(over="ignore"):
-        smoothed = replay._tap_sum(z) / replay.SMOOTHING_TAPS
-        assert smoothed.tobytes() == roll_smooth(z).tobytes()
+    taps = roll_smooth(np.eye(d)) * replay.SMOOTHING_TAPS
+    expected = np.dot(z, taps) / replay.SMOOTHING_TAPS
+    assert smoothed_contexts(z).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,12 +141,9 @@ def test_smoothing_operator_matches_roll_form(n, d, scale, seed):
     # the tap counts as a matrix, applied before the division, as the
     # replay build smooths its latents
     z = scale * np.random.default_rng(seed).normal(size=(n, d))
-    taps = replay._tap_sum(np.eye(d))
-    assert np.array_equal(taps, roll_smooth(np.eye(d)) * 5)
-    smoothed = z @ taps / replay.SMOOTHING_TAPS
+    smoothed = smoothed_contexts(z)
     assert np.max(np.abs(smoothed - roll_smooth(z))) <= 1e-12 * scale
-    constant = np.full((1, d), 1.5)
-    assert np.all(constant @ taps / replay.SMOOTHING_TAPS == 1.5)
+    assert np.all(smoothed_contexts(np.full((1, d), 1.5)) == 1.5)
 
 
 ALPHAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -165,14 +174,10 @@ def test_each_stage_is_one_product(w, h, monkeypatch):
     # product, within 1e-12 of the per-row form
     frozen = init_forecaster(w, h, 3, seed=w)
     levels, k, alpha, n = 2, 2, 0.7, 3
-    tap_sums, operators = [], []
-    tap_sum, filter_operators = replay._tap_sum, replay._filter_operators
-    monkeypatch.setattr(replay, "_tap_sum", lambda z: (
-        tap_sums.append(z.shape), tap_sum(z))[1])
+    operators, filter_operators = [], replay._filter_operators
     monkeypatch.setattr(replay, "_filter_operators", lambda *args: (
         operators.append(args), filter_operators(*args))[1])
     rs = build_replay_set(frozen, n, levels, k, alpha, seed=5)
-    assert tap_sums == [(w, w)]
     assert operators == [(w + h, levels, k, alpha)]
     rows = rs.sequences.reshape(n, 1 + k, w + h)
     contexts = roll_smooth(sample_latents(n, w, 5))

@@ -14,7 +14,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from rtune.benchmark import (desk_config, prepare_benchmark, run_arm,
                              run_arm_jobs)
 from rtune.cli import build_parser, load_run_config
-from rtune.data import WindowedDataset, make_windows
+from rtune.data import WindowedDataset, _child_seeds, make_windows
 import rtune.cli
 from rtune import tuner
 from rtune.forecaster import Forecaster, _soften_rows, init_forecaster
@@ -22,8 +22,8 @@ from rtune.metrics import evaluate_model, mae
 from rtune.reference import (build_train_set, distill_loss, grad_total,
                              permute_windows, soften, task_loss, total_loss)
 from rtune.replay import build_replay_set
-from rtune.tuner import (METHODS, TuneConfig, _epoch_seeds, _schedule,
-                         method_config, r_tune, r_tune_group)
+from rtune.tuner import (METHODS, TuneConfig, _schedule, method_config,
+                         r_tune, r_tune_group)
 
 
 def small_dataset(n_windows=40, w=8, h=4, seed=0):
@@ -116,6 +116,12 @@ def training_layout(model):
     return theta, standard
 
 
+def epoch_streams(cfg):
+    """A run's shuffle stream per epoch: its seed's SeedSequence children
+    2.., after the latent and shuffle seeds of _child_seeds(seed, 2)."""
+    return np.random.SeedSequence(cfg.seed).spawn(2 + cfg.epochs)[2:]
+
+
 def training_split(frozen, data, cfg):
     """A run's training set, in the order it is shuffled into, and its
     validation tail."""
@@ -123,12 +129,10 @@ def training_split(frozen, data, cfg):
     n_val = max(1, int(round(cfg.validation_fraction * n)))
     fit = data.subset(np.arange(0, n - n_val))
     val = data.subset(np.arange(n - n_val, n))
-    latent_seq, shuffle_seq, _ = _epoch_seeds(cfg.seed, cfg.epochs)
-    shuffle_seed = shuffle_seq.generate_state(1)[0].item()
+    latent_seed, shuffle_seed = _child_seeds(cfg.seed, 2)
     if cfg.replay_n > 0:
         replay = build_replay_set(frozen, cfg.replay_n, cfg.wavelet_levels,
-                                  cfg.discard_depth, cfg.alpha,
-                                  latent_seq.generate_state(1)[0].item())
+                                  cfg.discard_depth, cfg.alpha, latent_seed)
         return build_train_set(fit, replay, shuffle_seed), val
     return permute_windows(fit, shuffle_seed), val
 
@@ -142,7 +146,7 @@ def reference_r_tune(frozen, data, cfg):
     Returns (selected theta, train losses, val MAEs, selected epoch).
     """
     train, val = training_split(frozen, data, cfg)
-    epoch_seqs = _epoch_seeds(cfg.seed, cfg.epochs)[2]
+    epoch_seqs = epoch_streams(cfg)
     soft_old = None
     if cfg.distill_weight != 0.0:
         soft_old = _soften_rows(frozen.forward_batch(train.inputs), cfg.tau)
@@ -620,14 +624,13 @@ class TestLockstep:
         -1 marks a replay row."""
         frozen, data, cfg, _ = job
         n_fit = len(data) - max(1, round(cfg.validation_fraction * len(data)))
-        latent_seq, shuffle_seq, epoch_seqs = _epoch_seeds(cfg.seed, cfg.epochs)
+        latent_seed, shuffle_seed = _child_seeds(cfg.seed, 2)
         replay = build_replay_set(frozen, cfg.replay_n, cfg.wavelet_levels,
-                                  cfg.discard_depth, cfg.alpha,
-                                  latent_seq.generate_state(1)[0].item())
+                                  cfg.discard_depth, cfg.alpha, latent_seed)
         train = build_train_set(data.subset(np.arange(n_fit)), replay,
-                                shuffle_seq.generate_state(1)[0].item())
-        return train.starts[
-            np.random.default_rng(epoch_seqs[0]).permutation(len(train))]
+                                shuffle_seed)
+        return train.starts[np.random.default_rng(
+            epoch_streams(cfg)[0]).permutation(len(train))]
 
     @pytest.mark.parametrize("steps", [
         {2: (1, 0)},  # run 2 at the first step of the second chunk
