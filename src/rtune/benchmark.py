@@ -8,7 +8,7 @@ slice of the new task under the selected method. Window geometry defaults to
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .data import (SeriesWindows, WindowedDataset, _child_seeds,
+from .data import (SeriesWindows, WindowedDataset, _check, _child_seeds,
                    gen_benchmark_tasks, split_series)
 from .forecaster import Forecaster, init_forecaster
 from .metrics import old_new, score
@@ -79,7 +79,9 @@ def prepare_benchmark(seed: int, input_width: int = 48, horizon: int = 12,
                       pretrain_epochs: int = 30,
                       pretrain_lr: float = 1e-2) -> BenchmarkSetup:
     """Build one seed's benchmark: data, splits, and the pretrained frozen
-    model. Every argument is checked before the pretraining starts."""
+    model. Every argument is checked before the pretraining starts, the
+    seed before the data are generated."""
+    _check("seed", seed, 0)
     seeds = _child_seeds(seed, 5)
 
     old_series, new_series, gen_params = gen_benchmark_tasks(

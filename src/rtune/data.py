@@ -114,8 +114,12 @@ class WindowedDataset:
     """Supervised windows: inputs (n, W), labels (n, H), and each row's start
     in its series (-1 for a row that has none, such as a replay row). `inputs`
     is a view of `padded`, a C-contiguous (n, W + 1) array whose last column,
-    1.0, is the hidden bias's input in the training layout: inputs given as
-    such a view are kept, others copied beside fresh ones."""
+    1.0, is the hidden bias's input in the training layout.
+
+    The constructor copies what it is given, so a dataset never shares
+    memory with its caller's arrays; `starts` must be one integer a row. The
+    windows this module cuts are handed over without a copy (:func:`_adopt`).
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -124,27 +128,23 @@ class WindowedDataset:
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.float64)
-        if inputs.ndim != 2 or self.labels.ndim != 2:
+        labels = np.array(self.labels, dtype=np.float64, order="C")
+        if inputs.ndim != 2 or labels.ndim != 2:
             raise ValueError("inputs and labels must be 2-D arrays")
-        if inputs.shape[0] != self.labels.shape[0]:
-            raise ValueError(
-                f"{inputs.shape[0]} inputs vs {self.labels.shape[0]} labels"
-            )
         n, width = inputs.shape
-        padded = inputs.base
-        if not (isinstance(padded, np.ndarray) and padded.flags.c_contiguous
-                and padded.shape == (n, width + 1) and padded.dtype == np.float64
-                and inputs.ctypes.data == padded.ctypes.data
-                and inputs.strides == padded.strides and (padded[:, width] == 1.0).all()):
-            padded = np.empty((n, width + 1))
-            padded[:, :width] = inputs
-            padded[:, width] = 1.0
+        if n != labels.shape[0]:
+            raise ValueError(f"{n} inputs vs {labels.shape[0]} labels")
+        starts = (np.full(n, -1) if self.starts is None
+                  else np.asarray(self.starts))
+        _check("starts", starts, (
+            f"a 1-D integer array of {n} entries",
+            lambda v: v.shape == (n,) and (v.dtype.kind in "iu"
+                                           or v.size == 0)))
+        padded = np.empty((n, width + 1))
+        padded[:, :width] = inputs
+        padded[:, width] = 1.0
         self.padded, self.inputs = padded, padded[:, :width]
-        if self.starts is None:
-            self.starts = np.full(n, -1, dtype=np.int64)
-        else:
-            self.starts = np.asarray(self.starts, dtype=np.int64)
+        self.labels, self.starts = labels, starts.astype(np.int64)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -167,8 +167,19 @@ class WindowedDataset:
         _check("indices", indices,
                ("integers", lambda v: v.dtype.kind in "iu" or v.size == 0))
         indices = indices.astype(np.int64, copy=False)
-        return WindowedDataset(self.padded[indices][:, :self.input_width],
-                               self.labels[indices], self.starts[indices])
+        return _adopt(self.padded[indices], self.labels[indices],
+                      self.starts[indices])
+
+
+def _adopt(padded, labels, starts) -> WindowedDataset:
+    """The window set of rows cut into arrays that the caller owns and hands
+    over, with no check and no copy: `padded` C-contiguous (n, W + 1)
+    float64 whose last column is 1.0, `labels` C-contiguous (n, H) float64
+    and `starts` (n,) int64. Only this module's cutters call it."""
+    ds = object.__new__(WindowedDataset)
+    ds.padded, ds.inputs = padded, padded[:, :-1]
+    ds.labels, ds.starts = labels, starts
+    return ds
 
 
 @dataclass(frozen=True)
@@ -185,8 +196,8 @@ class SeriesWindows:
 
     def windows(self) -> WindowedDataset:
         """The windows, cut afresh on each call."""
-        return _gather_windows(self.values, self.starts, self.input_width,
-                               self.horizon)
+        return _gather_windows(self.values, np.array(self.starts),
+                               self.input_width, self.horizon)
 
 
 def zscore_fit(train) -> NormalizationParams:
@@ -232,7 +243,7 @@ def _gather_windows(values, starts, input_width: int,
     padded = window_view(values, input_width + 1)[starts]
     padded[:, input_width] = 1.0
     labels = window_view(values[input_width:], horizon)[starts]
-    return WindowedDataset(padded[:, :input_width], labels, starts)
+    return _adopt(padded, labels, starts)
 
 
 def _series_values(series) -> np.ndarray:
@@ -262,6 +273,7 @@ def _child_seeds(seed: int, k: int) -> list:
 
 def split_indices(n: int, train_fraction: float, seed: int):
     """Seeded exact partition of range(n) into train/test index arrays."""
+    _check("seed", seed, 0)
     _check("train_fraction", train_fraction, _OPEN_FRACTION)
     n_train = int(round(train_fraction * n))
     if n_train == 0 or n_train == n:
@@ -315,6 +327,8 @@ def split_series(series, input_width: int, horizon: int, stride: int,
     Returns:
         (train WindowedDataset, test SeriesWindows)
     """
+    _check("seed", seed, 0)
+    _check("few_shot_seed", few_shot_seed, 0)
     values = _series_values(series)
     starts = _window_starts(len(values), input_width, horizon, stride)
     train_idx, test_idx = split_indices(len(starts), train_fraction, seed)
@@ -342,6 +356,7 @@ def gen_benchmark_tasks(seed: int, old_length: int = 6000,
     Returns:
         (old RawSeries, new RawSeries, params dict)
     """
+    _check("seed", seed, 0)
     _check("old_length", old_length, 1)
     _check("new_length", new_length, 1)
     rng = np.random.default_rng(seed)

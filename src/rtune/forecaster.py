@@ -147,6 +147,7 @@ def init_forecaster(input_width: int, horizon: int, hidden_width: int = 32,
     """Seeded init: each layer uniform in +/- 1/sqrt(fan_in)."""
     input_width, horizon, hidden_width = _dimensions(input_width, horizon,
                                                      hidden_width)
+    _check("seed", seed, 0)
     rng = np.random.default_rng(seed)
     bound1 = 1.0 / math.sqrt(input_width)
     bound2 = 1.0 / math.sqrt(hidden_width)

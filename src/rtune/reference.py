@@ -193,6 +193,7 @@ def few_shot_subsample(train: WindowedDataset, fraction: float = 0.10,
                        seed: int = 0) -> WindowedDataset:
     """Seeded uniform subsample without replacement; the remainder is discarded."""
     _check("fraction", fraction, _FEW_SHOT_FRACTION)
+    _check("seed", seed, 0)
     return train.subset(_few_shot_indices(len(train), fraction, seed))
 
 
@@ -210,6 +211,7 @@ def concat_windows(a: WindowedDataset, b: WindowedDataset) -> WindowedDataset:
 
 
 def permute_windows(ds: WindowedDataset, seed: int) -> WindowedDataset:
+    _check("seed", seed, 0)
     return ds.subset(np.random.default_rng(seed).permutation(len(ds)))
 
 
@@ -234,6 +236,7 @@ def build_train_set(new_data: WindowedDataset, replay: ReplaySet,
     rows carry their pseudo-labels and start -1, as they have no series
     start.
     """
+    _check("seed", seed, 0)
     if len(replay) == 0:
         return permute_windows(new_data, seed)
     combined = concat_windows(

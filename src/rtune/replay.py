@@ -61,6 +61,7 @@ def sample_latents(n: int, d: int, seed: int) -> np.ndarray:
     """Draw an (n, d) block of standard-normal vectors from a seeded generator."""
     _check("n", n, 1)
     _check("d", d, 1)
+    _check("seed", seed, 0)
     return np.random.default_rng(seed).standard_normal((n, d))
 
 
@@ -97,6 +98,7 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
     _check("levels", levels, 1)
     _check("k", k, range(levels + 1))
     _check("alpha", alpha, _UNIT)
+    _check("seed", seed, 0)
     w, span = frozen.input_width, frozen.input_width + frozen.horizon
     # for every k, not only where the filter operator's build checks it
     _check_depth(span, levels)

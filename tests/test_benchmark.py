@@ -13,8 +13,12 @@ import rtune.benchmark
 from rtune.benchmark import (STACK_CAP, BenchmarkSetup, desk_config,
                              prepare_benchmark, run_arm, run_arm_jobs,
                              scored_arms)
-from rtune.data import SeriesWindows, gen_benchmark_tasks, split_series
-from rtune.forecaster import Forecaster
+from rtune.data import (SeriesWindows, gen_benchmark_tasks, make_windows,
+                        split_indices, split_series)
+from rtune.forecaster import Forecaster, init_forecaster
+from rtune.reference import (build_train_set, few_shot_subsample,
+                             permute_windows, split_train_test)
+from rtune.replay import build_replay_set, sample_latents
 from rtune.tuner import METHODS, lockstep_key
 
 SMALL = dict(input_width=16, horizon=4, stride=1, hidden_width=8,
@@ -65,6 +69,56 @@ def test_arguments_checked_before_pretraining(monkeypatch, argument, message):
     monkeypatch.setattr(rtune.benchmark, "r_tune", pretraining)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         prepare_benchmark(0, **dict(SMALL, **argument))
+
+
+def _windows():
+    return make_windows(np.arange(40.0), 4, 2)
+
+
+def _replay(seed):
+    return build_replay_set(init_forecaster(4, 2, 3), 2, 1, 1, 0.7, seed)
+
+
+# each library entry point that takes a seed: (a call of it on `seed`, the
+# name its error gives the seed)
+SEEDED = {
+    "prepare_benchmark": (lambda seed: prepare_benchmark(seed, **SMALL),
+                          "seed"),
+    "gen_benchmark_tasks": (lambda seed: gen_benchmark_tasks(seed, 60, 60),
+                            "seed"),
+    "sample_latents": (lambda seed: sample_latents(2, 3, seed), "seed"),
+    "build_replay_set": (_replay, "seed"),
+    "init_forecaster": (lambda seed: init_forecaster(4, 2, 3, seed=seed),
+                        "seed"),
+    "split_indices": (lambda seed: split_indices(10, 0.8, seed), "seed"),
+    "split_series": (lambda seed: split_series(np.arange(40.0), 4, 2, 1, 0.8,
+                                               seed), "seed"),
+    "split_series_few_shot": (lambda seed: split_series(
+        np.arange(40.0), 4, 2, 1, 0.8, 0, 0.5, seed), "few_shot_seed"),
+    "split_train_test": (lambda seed: split_train_test(_windows(), 0.8, seed),
+                         "seed"),
+    "few_shot_subsample": (lambda seed: few_shot_subsample(_windows(), 0.5,
+                                                           seed), "seed"),
+    "permute_windows": (lambda seed: permute_windows(_windows(), seed),
+                        "seed"),
+    "build_train_set": (lambda seed: build_train_set(_windows(), _replay(0),
+                                                     seed), "seed"),
+}
+
+
+@pytest.mark.parametrize("seed, rule", [
+    (-1, ">= 0"), (1.5, "an integer"), (True, "an integer"),
+    (np.float64(2.0), "an integer"), ("0", "an integer")])
+@pytest.mark.parametrize("entry", list(SEEDED))
+def test_a_bad_seed_is_named(monkeypatch, entry, seed, rule):
+    def generating(*args, **kwargs):
+        raise AssertionError("data were generated before the seed was checked")
+
+    monkeypatch.setattr(rtune.benchmark, "gen_benchmark_tasks", generating)
+    call, name = SEEDED[entry]
+    message = f"{name} must be {rule}, got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(seed)
 
 
 def test_splits_shaped_for_geometry():

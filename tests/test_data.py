@@ -210,25 +210,42 @@ class TestLayout:
         assert np.array_equal(inputs, given[0])
         assert np.array_equal(labels, given[1])
 
-    def test_a_view_beside_ones_is_kept(self):
+    def test_a_view_beside_ones_is_copied(self):
+        # the inputs look like padded storage, a view beside a column of
+        # ones; the dataset still copies them, and its labels and starts,
+        # so changing the given arrays leaves it as it was
         storage = np.ones((4, 6))
         storage[:, :5] = np.arange(20.0).reshape(4, 5)
-        ds = WindowedDataset(storage[:, :5], np.zeros((4, 2)))
-        assert ds.padded is storage
+        labels, starts = np.zeros((4, 2)), np.arange(4)
+        ds = WindowedDataset(storage[:, :5], labels, starts)
+        storage[:], labels[:], starts[:] = 7.0, 7.0, 7
         assert_padded(ds, np.arange(20.0).reshape(4, 5))
+        assert np.all(ds.labels == 0.0)
+        assert np.array_equal(ds.starts, np.arange(4))
 
-    def test_subset_of_a_padded_view_keeps_the_view(self):
-        storage = np.ones((5, 4))
-        storage[:, :3] = np.arange(15.0).reshape(5, 3)
-        ds = WindowedDataset(storage[:, :3], np.zeros((5, 2)), np.arange(5))
-        assert ds.padded is storage
-        sub = ds.subset([4, 0])
-        assert_padded(sub, storage[[4, 0], :3])
-        assert sub.inputs.base is sub.padded
-        assert np.array_equal(sub.starts, [4, 0])
-        # subset passes its gathered rows as such a view, which is kept
-        gathered = ds.padded[[4, 0]]
-        assert WindowedDataset(gathered[:, :3], sub.labels).padded is gathered
+    def test_a_dataset_built_from_another_copies_it(self):
+        ds = make_windows(np.arange(12.0), 3, 2)
+        copy = WindowedDataset(ds.inputs, ds.labels, ds.starts)
+        for got, given in ((copy.padded, ds.padded), (copy.labels, ds.labels),
+                           (copy.starts, ds.starts)):
+            assert np.array_equal(got, given)
+            assert not np.shares_memory(got, given)
+
+    @pytest.mark.parametrize("starts", [
+        [0, 1], np.arange(4).reshape(4, 1), [0.0, 1.0, 2.0, 3.0],
+        [True, False, True, False], 3])
+    def test_starts_are_one_integer_a_row(self, starts):
+        with pytest.raises(ValueError, match=re.escape(
+                f"starts must be a 1-D integer array of 4 entries, got "
+                f"{np.asarray(starts)!r}")):
+            WindowedDataset(np.zeros((4, 3)), np.zeros((4, 2)), starts)
+
+    def test_starts_given_as_a_list_are_kept_as_int64(self):
+        ds = WindowedDataset(np.zeros((3, 2)), np.zeros((3, 1)), [5, -1, 2])
+        assert ds.starts.dtype == np.int64
+        assert ds.starts.tolist() == [5, -1, 2]
+        empty = WindowedDataset(np.zeros((0, 2)), np.zeros((0, 1)), [])
+        assert empty.starts.dtype == np.int64 and empty.starts.shape == (0,)
 
     def test_replay_forecast_column_is_not_adopted(self):
         # at H = 1 the replay inputs are a view of an (N, W + 1) array whose
@@ -243,16 +260,22 @@ class TestLayout:
         assert np.array_equal(replay.sequences, sequences)
 
     def test_windows_are_cut_without_a_second_copy(self):
+        # make_windows cuts its rows, and subset gathers its own, into an
+        # array that the dataset takes over
         series = np.random.default_rng(7).normal(size=20000)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            ds = make_windows(series, 48, 12)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        kept = ds.padded.nbytes + ds.labels.nbytes + ds.starts.nbytes
-        assert peak < kept + 0.5 * ds.inputs.nbytes
+        windows = make_windows(series, 48, 12)
+        rows = np.random.default_rng(9).permutation(len(windows))
+        for cut in (lambda: make_windows(series, 48, 12),
+                    lambda: windows.subset(rows)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                ds = cut()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            kept = ds.padded.nbytes + ds.labels.nbytes + ds.starts.nbytes
+            assert peak < kept + 0.5 * ds.inputs.nbytes
 
 
 class TestSplit:

@@ -537,6 +537,40 @@ class TestLockstep:
             assert (3, batch_size) in seen
             assert any(1 < n < batch_size for _, n in seen)
 
+    @pytest.mark.parametrize("method", ["ft", "lwf"])
+    def test_one_run_products_take_whole_blocks(self, monkeypatch, method):
+        # np.dot copies an operand that is neither C-contiguous nor the
+        # transpose of a C-contiguous block, which costs time and sums a
+        # one-row product in another order than np.matmul's. A one-run
+        # kernel binds np.dot: here a wrapper that checks every product's
+        # operands and output, in steps with and without distillation, of
+        # a full batch of 32 rows and a last batch of one
+        kernel, dot, sizes, products = tuner._kernel, np.dot, [], []
+
+        def checked(*arrays):
+            for array in arrays:
+                assert array.flags.c_contiguous or array.T.flags.c_contiguous
+            products.append(arrays)
+            return dot(*arrays)
+
+        def binding(theta, grad, model, n, *bound):
+            assert theta.ndim == 1
+            sizes.append(n)
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "dot", checked)
+                return kernel(theta, grad, model, n, *bound)
+
+        monkeypatch.setattr(tuner, "_kernel", binding)
+        # 37 windows hold out 4 for validation and fit on 33
+        data = small_dataset(n_windows=37, w=48, h=12)
+        cfg = TuneConfig(epochs=2, validation_fraction=0.1)
+        _, report = r_tune(init_forecaster(48, 12, 32, seed=0), data, cfg,
+                           method)
+        assert sorted(sizes) == [1, 32]
+        assert len(report.train_losses) == 2
+        # six products a step: two epochs of two steps
+        assert len(products) == 24
+
     @staticmethod
     def diverging(job, rows=(17,)):
         # training rows whose labels overflow the loss in epoch 0
