@@ -212,15 +212,14 @@ def _seed_setups(cfg: dict):
     new_series = _pick_series(cfg["new_data"], cfg["column"])
     old_test_sets = tuple(_windowed_eval_set(p, cfg["column"], cfg)
                           for p in cfg["old_data"])
-    shot_fraction = cfg["few_shot_fraction"]
 
     def prepare(seed):
         split_seed, shot_seed = _child_seeds(seed, 2)
         with _naming(cfg["new_data"]):
             new_train, new_test_set = split_series(
                 new_series, width, horizon, cfg["stride"],
-                cfg["train_fraction"], split_seed,
-                shot_fraction if shot_fraction < 1.0 else None, shot_seed)
+                cfg["train_fraction"], split_seed, cfg["few_shot_fraction"],
+                shot_seed)
         return BenchmarkSetup(seed=seed, frozen=frozen,
                               old_test_sets=old_test_sets, new_train=new_train,
                               new_test_set=new_test_set)
@@ -437,8 +436,13 @@ def cmd_eval(args) -> int:
     new_set = _windowed_eval_set(args.new_data, args.column, cfg)
     if args.test_fraction is not None:
         # evaluate on a seeded random split of the new-task windows
-        _, test_idx = split_indices(len(new_set.starts),
-                                    1.0 - args.test_fraction, args.seed)
+        n = len(new_set.starts)
+        try:
+            _, test_idx = split_indices(n, 1.0 - args.test_fraction, args.seed)
+        except ValueError:
+            raise ValueError(
+                f"--test-fraction {args.test_fraction} leaves one side of "
+                f"{n} windows empty") from None
         new_set = replace(new_set, starts=new_set.starts[test_idx])
     # each set is cut while it is scored
     new = score(model, new_set.windows())

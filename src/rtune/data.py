@@ -109,7 +109,7 @@ class NormalizationParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WindowedDataset:
     """Supervised windows: inputs (n, W), labels (n, H), and each row's start
     in its series (-1 for a row that has none, such as a replay row). `inputs`
@@ -119,6 +119,7 @@ class WindowedDataset:
     The constructor copies what it is given, so a dataset never shares
     memory with its caller's arrays; `starts` must be one integer a row. The
     windows this module cuts are handed over without a copy (:func:`_adopt`).
+    The fields cannot be reassigned, so `inputs` stays the view of `padded`.
     """
 
     inputs: np.ndarray
@@ -143,8 +144,15 @@ class WindowedDataset:
         padded = np.empty((n, width + 1))
         padded[:, :width] = inputs
         padded[:, width] = 1.0
-        self.padded, self.inputs = padded, padded[:, :width]
-        self.labels, self.starts = labels, starts.astype(np.int64)
+        self._hold(padded, labels, starts.astype(np.int64))
+
+    def _hold(self, padded, labels, starts) -> "WindowedDataset":
+        """Set the fields, `inputs` as the view of `padded`, with no check
+        and no copy."""
+        for name, value in (("padded", padded), ("inputs", padded[:, :-1]),
+                            ("labels", labels), ("starts", starts)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -176,10 +184,7 @@ def _adopt(padded, labels, starts) -> WindowedDataset:
     over, with no check and no copy: `padded` C-contiguous (n, W + 1)
     float64 whose last column is 1.0, `labels` C-contiguous (n, H) float64
     and `starts` (n,) int64. Only this module's cutters call it."""
-    ds = object.__new__(WindowedDataset)
-    ds.padded, ds.inputs = padded, padded[:, :-1]
-    ds.labels, ds.starts = labels, starts
-    return ds
+    return object.__new__(WindowedDataset)._hold(padded, labels, starts)
 
 
 @dataclass(frozen=True)
@@ -309,7 +314,7 @@ def covered_values(series, starts, span: int) -> np.ndarray:
 
 def split_series(series, input_width: int, horizon: int, stride: int,
                  train_fraction: float, seed: int,
-                 few_shot_fraction: float = None, few_shot_seed: int = 0):
+                 few_shot_fraction: float = 1.0, few_shot_seed: int = 0):
     """Window, split at window granularity, and normalize both sides with
     z-score parameters fit only on the values the training windows cover.
 
@@ -318,11 +323,11 @@ def split_series(series, input_width: int, horizon: int, stride: int,
     elementwise) without building the full window matrix. The test side is
     left uncut, as the normalized series and its window starts.
 
-    With a `few_shot_fraction`, the training side is
-    ``rtune.reference.few_shot_subsample(train, few_shot_fraction,
-    few_shot_seed)``: the sample is drawn over the training starts and only
-    its windows are cut, while normalization is still fit on every training
-    window.
+    The training side is ``rtune.reference.few_shot_subsample(train,
+    few_shot_fraction, few_shot_seed)``: the sample is drawn over the
+    training starts and only its windows are cut, while normalization is
+    still fit on every training window. A `few_shot_fraction` of 1 keeps
+    every training window.
 
     Returns:
         (train WindowedDataset, test SeriesWindows)
@@ -335,10 +340,9 @@ def split_series(series, input_width: int, horizon: int, stride: int,
     train_starts = starts[train_idx]
     params = zscore_fit(covered_values(values, train_starts,
                                        input_width + horizon))
-    if few_shot_fraction is not None:
-        _check("few_shot_fraction", few_shot_fraction, _FEW_SHOT_FRACTION)
-        train_starts = train_starts[_few_shot_indices(
-            len(train_starts), few_shot_fraction, few_shot_seed)]
+    _check("few_shot_fraction", few_shot_fraction, _FEW_SHOT_FRACTION)
+    train_starts = train_starts[_few_shot_indices(
+        len(train_starts), few_shot_fraction, few_shot_seed)]
     normalized = zscore_apply(values, params)
     return (_gather_windows(normalized, train_starts, input_width, horizon),
             SeriesWindows(normalized, starts[test_idx], input_width, horizon))

@@ -235,6 +235,15 @@ class TestSynth:
         assert lines[0].startswith("# ")  # config echo
         assert "seed" in lines[0]
         assert len(lines) == 1 + 1 + 5 * 2  # comment + header + n*(1+k)
+        # without training flags, the echo gives TuneConfig's defaults
+        assert main(["synth", "--checkpoint", str(ckpt), "--replay-n", "5",
+                     "--output", str(out)]) == 0
+        tune = TuneConfig()
+        assert json.loads(out.read_text().splitlines()[0][2:]) == {
+            "command": "synth", "checkpoint": str(ckpt), "replay_n": 5,
+            "levels": tune.wavelet_levels,
+            "discard_depth": tune.discard_depth, "alpha": tune.alpha,
+            "seed": tune.seed}
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "--seed must be >= 0, got -1"),
@@ -308,6 +317,9 @@ class TestTune:
         original = load_run_config(cfg)
         reloaded = load_run_config(echo_path)
         assert reloaded == original
+        # the echo holds every key, those the config left unset at their
+        # defaults
+        assert json.loads(echo_path.read_text()) == original
 
     def test_truncated_config_names_file(self, tmp_path, capsys):
         cfg = tmp_path / "cut.json"
@@ -620,6 +632,52 @@ class TestTune:
             "n_samples": sum(p["n_samples"] for p in pairs),
         }
 
+    def test_comment_line_mid_file_changes_no_number(self, tmp_path):
+        # old/new CSVs with ISO-8601 timestamps, CRLF endings and a `#` line
+        # mid-file: `eval` and a frozen CSV-mode `tune` give the numbers of
+        # the same files without the `#` line; without old-task data, the
+        # frozen arm's old metrics are its new ones
+        ckpt = tmp_path / "frozen.ckpt"
+        save_checkpoint(init_forecaster(16, 4, 8, seed=0), ckpt)
+        t = np.arange(300)
+        series = {"old": np.sin(t / 7) + t / 300,
+                  "new": np.cos(t / 3) + np.where(t % 40 < 20, 0.5, -0.5)}
+
+        def metrics(doc):
+            return doc["old_metrics"], doc["new_metrics"]
+
+        got = {}
+        for tag in ("comment", "plain"):
+            files = {}
+            for name, values in series.items():
+                lines = ["timestamp,value"] + [
+                    f"2024-01-01T{i // 60:02d}:{i % 60:02d}:00Z,{v!r}"
+                    for i, v in enumerate(values.tolist())]
+                if tag == "comment":
+                    lines.insert(len(lines) // 2, "# a comment line mid-file")
+                files[name] = write_csv(tmp_path / f"{name}-{tag}.csv", "".join(
+                    line + "\r\n" for line in lines).encode())
+            out = tmp_path / f"eval-{tag}.json"
+            assert main(["eval", "--checkpoint", str(ckpt), "--new-data",
+                         str(files["new"]), "--old-data", str(files["old"]),
+                         "--test-fraction", "0.25",
+                         "--output", str(out)]) == 0
+            got[tag] = [metrics(json.loads(out.read_text()))]
+            for old_data in ([str(files["old"])], []):
+                runs = tmp_path / f"runs-{tag}-{len(old_data)}"
+                cfg = write_config(
+                    tmp_path / "cfg.json", benchmark=False, method="frozen",
+                    checkpoint=str(ckpt), new_data=str(files["new"]),
+                    old_data=old_data, input_width=16, horizon=4,
+                    seeds=[0, 1], output_dir=str(runs))
+                assert main(["tune", "--config", str(cfg)]) == 0
+                got[tag] += [metrics(json.loads(path.read_text()))
+                             for path in sorted(runs.rglob("report.json"))]
+        assert len(got["plain"]) == 5
+        assert got["comment"] == got["plain"]
+        with_old, without_old = got["plain"][1:3], got["plain"][3:]
+        assert [(new, new) for _, new in with_old] == without_old
+
 
 def owned_arrays(obj, found):
     """Fill `found` (id -> array) with each array that owns memory reachable
@@ -878,6 +936,7 @@ class TestSweep:
         assert len(rows) == 1 + 2 * 2
         ratios = sorted({float(r[0]) for r in rows[1:]})
         assert ratios == [2.0, 10.0]
+        assert np.isfinite([[float(v) for v in row] for row in rows[1:]]).all()
 
     def test_ratio_zero_collapses_to_ft(self, bench_config, tmp_path):
         cfg = bench_config(method="r-tuning")
@@ -1393,7 +1452,8 @@ class TestEvalAndReport:
             f"error: {ckpt}: non-finite metrics: old mae/mse ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.2", "nan"])
+    @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.2", "nan",
+                                          "0.001", "0.999", "1e-17"])
     def test_eval_bad_test_fraction_rejected(self, tmp_path, sine_csv, capsys,
                                              fraction):
         ckpt = tmp_path / "m.ckpt"
@@ -1402,7 +1462,12 @@ class TestEvalAndReport:
         assert main(["eval", "--checkpoint", str(ckpt), "--new-data",
                      str(sine_csv), "--test-fraction", fraction,
                      "--output", str(out)]) == 1
-        assert (f"--test-fraction must be in (0, 1), got {float(fraction)}"
+        # a fraction in (0, 1) that empties a side of the 181 windows is
+        # named as given, not as the complement the split is drawn at
+        value = float(fraction)
+        message = (f"{value} leaves one side of 181 windows empty"
+                   if 0 < value < 1 else f"must be in (0, 1), got {value}")
+        assert (f"error: --test-fraction {message}\n"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -1471,15 +1536,16 @@ class TestEvalAndReport:
         assert not out.exists()
 
     def test_report_table(self, bench_config, tmp_path):
+        # two seeds an arm, pooled into one row each
         for method in ("frozen", "ft"):
-            cfg = bench_config(method=method)
+            cfg = bench_config(method=method, seeds=[0, 1])
             assert main(["tune", "--config", str(cfg)]) == 0
         out = tmp_path / "table.json"
         rc = main(["report", str(tmp_path / "runs"), "--output", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
-        methods = {row["method"] for row in doc["rows"]}
-        assert {"frozen", "ft"} <= methods
+        assert [(row["method"], row["n_runs"]) for row in doc["rows"]] == [
+            ("frozen", 2), ("ft", 2)]
         frozen_row = next(r for r in doc["rows"] if r["method"] == "frozen")
         assert frozen_row["old_mae_change_pct"] == 0.0
 

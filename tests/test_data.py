@@ -2,6 +2,7 @@
 benchmark task generator."""
 
 import csv
+import dataclasses
 import itertools
 import math
 import re
@@ -181,7 +182,7 @@ class TestLayout:
         assert np.array_equal(series.values,
                               np.random.default_rng(4).normal(size=50))
 
-    @pytest.mark.parametrize("few_shot", [None, 0.5])
+    @pytest.mark.parametrize("few_shot", [1.0, 0.5])
     def test_split_series(self, few_shot):
         series = np.random.default_rng(5).normal(2.0, 3.0, size=80)
         given_series = series.copy()
@@ -230,6 +231,18 @@ class TestLayout:
                            (copy.starts, ds.starts)):
             assert np.array_equal(got, given)
             assert not np.shares_memory(got, given)
+
+    @pytest.mark.parametrize("name", ["inputs", "labels", "starts", "padded"])
+    def test_fields_cannot_be_reassigned(self, name):
+        # training reads `padded` and scoring reads `inputs`: a reassigned
+        # field would leave the two holding other rows
+        for ds in (make_windows(np.arange(20.0), 3, 2),
+                   WindowedDataset(np.ones((4, 3)), np.zeros((4, 2)))):
+            given = getattr(ds, name).copy()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ds, name, np.zeros_like(given))
+            assert np.array_equal(getattr(ds, name), given)
+            assert np.shares_memory(ds.inputs, ds.padded)
 
     @pytest.mark.parametrize("starts", [
         [0, 1], np.arange(4).reshape(4, 1), [0.0, 1.0, 2.0, 3.0],
@@ -375,7 +388,7 @@ def test_normalize_windows_matches_series_normalization():
 
 
 def reference_split(series, input_width, horizon, stride, train_fraction,
-                    seed, few_shot_fraction=None, few_shot_seed=0):
+                    seed, few_shot_fraction=1.0, few_shot_seed=0):
     """split_series with its test side cut, as the full window matrix,
     normalized, then subset, then few_shot_subsample on the training
     side."""
@@ -384,11 +397,10 @@ def reference_split(series, input_width, horizon, stride, train_fraction,
     params = zscore_fit(covered_values(series, raw.starts[train_idx],
                                        input_width + horizon))
     normalized = normalize_windows(raw, params)
-    train = normalized.subset(train_idx)
-    if few_shot_fraction is not None:
-        # split_series names the fraction by its own parameter
-        _check("few_shot_fraction", few_shot_fraction, _FEW_SHOT_FRACTION)
-        train = few_shot_subsample(train, few_shot_fraction, few_shot_seed)
+    # split_series names the fraction by its own parameter
+    _check("few_shot_fraction", few_shot_fraction, _FEW_SHOT_FRACTION)
+    train = few_shot_subsample(normalized.subset(train_idx),
+                               few_shot_fraction, few_shot_seed)
     return train, normalized.subset(test_idx)
 
 
@@ -396,7 +408,7 @@ def reference_split(series, input_width, horizon, stride, train_fraction,
 @given(data=st.data(), input_width=st.integers(-1, 10),
        horizon=st.integers(0, 5), stride=st.integers(-1, 7),
        train_fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1),
-       few_shot=st.one_of(st.none(), st.floats(-0.1, 1.1)),
+       few_shot=st.one_of(st.just(1.0), st.floats(-0.1, 1.1)),
        few_shot_seed=st.integers(0, 2**32 - 1))
 def test_split_series_matches_reference(data, input_width, horizon, stride,
                                         train_fraction, seed, few_shot,
@@ -421,7 +433,7 @@ def test_split_series_matches_reference(data, input_width, horizon, stride,
         assert (side.starts >= 0).all()
 
 
-@pytest.mark.parametrize("few_shot", [1.5, 0, True, "0.1"])
+@pytest.mark.parametrize("few_shot", [1.5, 0, True, "0.1", None])
 def test_split_series_names_its_few_shot_fraction(few_shot):
     with pytest.raises(ValueError, match=re.escape(
             f"few_shot_fraction must be in (0, 1], got {few_shot!r}")):
