@@ -35,17 +35,24 @@ STACK_CAP = 8
 @dataclass
 class BenchmarkSetup:
     """Everything one seed's arms share: the pretrained frozen model, the
-    new-task training windows, and the test sets, one per old-task set and
-    one of the new task. A test set is held as its normalized series and
-    window starts, so a prepared seed holds O(series length) floats of them,
-    and its windows are cut only while arms are scored."""
+    new-task training set, and the test sets, one per old-task set and one
+    of the new task. Each set is held as its normalized series and window
+    starts, the new task's two sets sharing one series, so a prepared seed
+    holds O(series length) floats of them; the training windows are cut
+    only while arms train, and the test windows only while they are
+    scored."""
 
     seed: int
     frozen: Forecaster
     old_test_sets: tuple  # of SeriesWindows
-    new_train: WindowedDataset
+    new_train_set: SeriesWindows
     new_test_set: SeriesWindows
     gen_params: dict = field(default_factory=dict)
+
+    @property
+    def new_train(self) -> WindowedDataset:
+        """The new-task training windows, cut on each access."""
+        return self.new_train_set.windows()
 
     @property
     def old_test(self) -> WindowedDataset:
@@ -87,18 +94,20 @@ def prepare_benchmark(seed: int, input_width: int = 48, horizon: int = 12,
     old_series, new_series, gen_params = gen_benchmark_tasks(
         seed, old_length=old_length, new_length=new_length)
 
-    old_train, old_test_set = split_series(
+    old_train_set, old_test_set = split_series(
         old_series, input_width, horizon, stride, train_fraction, seeds[0])
-    new_train, new_test_set = split_series(
+    new_train_set, new_test_set = split_series(
         new_series, input_width, horizon, stride, train_fraction, seeds[1],
         few_shot_fraction, seeds[2])
     init = init_forecaster(input_width, horizon, hidden_width, seed=seeds[3])
     pretrain_cfg = TuneConfig(epochs=pretrain_epochs, learning_rate=pretrain_lr,
                               seed=seeds[4])
-    frozen, _ = r_tune(init, old_train, pretrain_cfg, method="ft")
+    frozen, _ = r_tune(init, old_train_set.windows(), pretrain_cfg,
+                       method="ft")
 
     return BenchmarkSetup(seed=seed, frozen=frozen,
-                          old_test_sets=(old_test_set,), new_train=new_train,
+                          old_test_sets=(old_test_set,),
+                          new_train_set=new_train_set,
                           new_test_set=new_test_set, gen_params=gen_params)
 
 
@@ -122,12 +131,15 @@ def run_arm(setup: BenchmarkSetup, method: str, cfg: TuneConfig):
 def run_arm_jobs(jobs):
     """Train and score (setup, method, cfg) arms, which may come from several
     prepared benchmarks, the trained ones together through one
-    :func:`rtune.tuner.r_tune_group` call. Each arm scores on its setup's
-    old-task test sets and its new-task test set. After every arm has
-    trained, the held sets are cut one at a time, each once, and each
-    (model, set) pair is scored once: setups that share their old-task sets
-    and frozen model, as a CSV-mode run's seeds do, forward the frozen model
-    over each shared set once.
+    :func:`rtune.tuner.r_tune_group` call. Each held training set that an
+    arm trains on is cut once per call, so the arms on one set, such as a
+    seed's sweep arms, read one shared training source, and its windows are
+    dropped before scoring. Each arm scores on its setup's old-task test
+    sets and its new-task test set. After every arm has trained, the held
+    test sets are cut one at a time, each once, and each (model, set) pair
+    is scored once: setups that share their old-task sets and frozen model,
+    as a CSV-mode run's seeds do, forward the frozen model over each shared
+    set once.
 
     Returns:
         One entry per job, in order: what :func:`run_arm` returns for it, or
@@ -135,9 +147,14 @@ def run_arm_jobs(jobs):
         stop the others.
     """
     trains = [METHODS.get(method, {}) is not None for _, method, _ in jobs]
-    trained = iter(r_tune_group([(setup.frozen, setup.new_train, cfg, method)
-                                 for (setup, method, cfg), t
-                                 in zip(jobs, trains) if t]))
+    training = [job for job, t in zip(jobs, trains) if t]
+    held = {id(setup.new_train_set): setup.new_train_set
+            for setup, _, _ in training}
+    cut = {key: train_set.windows() for key, train_set in held.items()}
+    trained = iter(r_tune_group([(setup.frozen, cut[id(setup.new_train_set)],
+                                  cfg, method)
+                                 for setup, method, cfg in training]))
+    del cut  # before any test set is cut
     # the frozen arm does not train
     outcomes = [next(trained) if t
                 else (None, TuneReport(method=method, config=cfg.to_dict()))

@@ -216,12 +216,13 @@ def _seed_setups(cfg: dict):
     def prepare(seed):
         split_seed, shot_seed = _child_seeds(seed, 2)
         with _naming(cfg["new_data"]):
-            new_train, new_test_set = split_series(
+            new_train_set, new_test_set = split_series(
                 new_series, width, horizon, cfg["stride"],
                 cfg["train_fraction"], split_seed, cfg["few_shot_fraction"],
                 shot_seed)
         return BenchmarkSetup(seed=seed, frozen=frozen,
-                              old_test_sets=old_test_sets, new_train=new_train,
+                              old_test_sets=old_test_sets,
+                              new_train_set=new_train_set,
                               new_test_set=new_test_set)
     return prepare
 
@@ -232,7 +233,7 @@ def _arm(cfg: dict, seed: int, setup):
     method, ratio = cfg["method"], cfg["replay_ratio"]
     if ratio is not None:  # it sets replay_n
         fields["replay_n"] = replay_count_for_fraction(
-            ratio, len(setup.new_train), cfg["discard_depth"])
+            ratio, len(setup.new_train_set.starts), cfg["discard_depth"])
         if fields["replay_n"] == 0 and method == "r-tuning":
             method = "ft"  # ratio-0 control collapses to the vanilla arm
     return method, TuneConfig(**fields, seed=seed)

@@ -191,13 +191,23 @@ def _adopt(padded, labels, starts) -> WindowedDataset:
 class SeriesWindows:
     """A window set held as the series it is cut from: the normalized
     `values` and each window's start in them, with `input_width` inputs and
-    `horizon` labels a window. It holds O(len(values)) floats, where its cut
-    windows hold input_width + horizon + 1 floats each."""
+    `horizon` labels a window. It holds O(len(values)) floats, where its
+    cut windows hold input_width + horizon + 1 floats each. `values` and
+    `starts` are read-only."""
 
     values: np.ndarray
     starts: np.ndarray
     input_width: int
     horizon: int
+
+    def __post_init__(self):
+        # read-only, as RawSeries holds its values: the sides of a split
+        # share one normalized series, so a write through one would change
+        # every later cut of the other
+        for name in ("values", "starts"):
+            array = np.asarray(getattr(self, name))
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def windows(self) -> WindowedDataset:
         """The windows, cut afresh on each call."""
@@ -318,19 +328,19 @@ def split_series(series, input_width: int, horizon: int, stride: int,
     """Window, split at window granularity, and normalize both sides with
     z-score parameters fit only on the values the training windows cover.
 
-    The series is normalized first and the training windows are cut from it,
-    which gives the bits of normalizing the windows (the arithmetic is
-    elementwise) without building the full window matrix. The test side is
-    left uncut, as the normalized series and its window starts.
+    Both sides are left uncut: each is the normalized series, shared by the
+    two, with its own window starts. Cutting a side's windows from it gives
+    the bits of normalizing the windows (the arithmetic is elementwise)
+    without building the full window matrix.
 
     The training side is ``rtune.reference.few_shot_subsample(train,
     few_shot_fraction, few_shot_seed)``: the sample is drawn over the
-    training starts and only its windows are cut, while normalization is
+    training starts and only its starts are kept, while normalization is
     still fit on every training window. A `few_shot_fraction` of 1 keeps
     every training window.
 
     Returns:
-        (train WindowedDataset, test SeriesWindows)
+        (train SeriesWindows, test SeriesWindows)
     """
     _check("seed", seed, 0)
     _check("few_shot_seed", few_shot_seed, 0)
@@ -344,7 +354,7 @@ def split_series(series, input_width: int, horizon: int, stride: int,
     train_starts = train_starts[_few_shot_indices(
         len(train_starts), few_shot_fraction, few_shot_seed)]
     normalized = zscore_apply(values, params)
-    return (_gather_windows(normalized, train_starts, input_width, horizon),
+    return (SeriesWindows(normalized, train_starts, input_width, horizon),
             SeriesWindows(normalized, starts[test_idx], input_width, horizon))
 
 

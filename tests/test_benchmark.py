@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rtune.benchmark
+import rtune.tuner
 from rtune.benchmark import (STACK_CAP, BenchmarkSetup, desk_config,
                              prepare_benchmark, run_arm, run_arm_jobs,
                              scored_arms)
@@ -35,8 +36,8 @@ def test_preparation_deterministic():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_splits_are_the_direct_splits(seed):
-    # each task's split has seeds of its own; the test sets are held uncut,
-    # and cut on access they have the bits of split_series' test sides
+    # each task's split has seeds of its own; the sets are held uncut, and
+    # cut on access they have the bits of split_series' sides
     setup = prepare_benchmark(seed, **SMALL)
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(seed).spawn(5)]
@@ -45,7 +46,7 @@ def test_splits_are_the_direct_splits(seed):
     _, old_test = split_series(old_series, 16, 4, 1, 0.8, seeds[0])
     train, test = split_series(new_series, 16, 4, 1, 0.8, seeds[1], 0.10,
                                seeds[2])
-    for got, want in ((setup.new_train, train),
+    for got, want in ((setup.new_train, train.windows()),
                       (setup.new_test, test.windows()),
                       (setup.old_test, old_test.windows())):
         assert got.padded.tobytes() == want.padded.tobytes()
@@ -172,15 +173,34 @@ def test_shared_test_sets_scored_once(monkeypatch, score_spy):
                                             if job[0] is setup])]
 
     cuts, forwards, live = Counter(), Counter(), []
-    cut = {}  # each held set's identity -> a weak reference to its windows
+    cut = {}  # each held test set's identity -> a weak reference to its cut
+    train_ids = {id(setup.new_train_set) for setup in setups}
+    train_cuts, train_cut = Counter(), {}  # cut identity -> (set identity, ref)
+    reads = []  # per training call, each training set -> its runs' sources
     windows, forward_batch = SeriesWindows.windows, Forecaster.forward_batch
+    read_in_place = rtune.tuner._read_in_place
 
     def counted_windows(self):
-        live.append(sum(ref() is not None for ref in cut.values()) + 1)
+        if id(self) in train_ids:
+            train_cuts[id(self)] += 1
+            train = windows(self)
+            train_cut[id(train)] = id(self), weakref.ref(train)
+            return train
+        live.append(sum(ref() is not None for ref in cut.values())
+                    + sum(ref() is not None for _, ref in train_cut.values())
+                    + 1)
         cuts[id(self)] += 1
         test = windows(self)
         cut[id(self)] = weakref.ref(test)
         return test
+
+    def seen_read_in_place(runs):
+        read_in_place(runs)
+        read = {}
+        for run in runs:
+            read.setdefault(train_cut[id(run.data)][0], []).append(
+                id(run.inputs))
+        reads.append(read)
 
     def counted_forward_batch(self, inputs):
         if self is base.frozen:
@@ -190,6 +210,7 @@ def test_shared_test_sets_scored_once(monkeypatch, score_spy):
 
     monkeypatch.setattr(SeriesWindows, "windows", counted_windows)
     monkeypatch.setattr(Forecaster, "forward_batch", counted_forward_batch)
+    monkeypatch.setattr(rtune.tuner, "_read_in_place", seen_read_in_place)
     # from here, a scored set by the identity of the held set it was cut from
     score_spy.calls.clear()
     score_spy.key = lambda test: next(key for key, ref in cut.items()
@@ -199,7 +220,15 @@ def test_shared_test_sets_scored_once(monkeypatch, score_spy):
     held = [*old_sets, *(setup.new_test_set for setup in setups)]
     assert shared == alone
     assert cuts == forwards == Counter(map(id, held))
-    assert max(live) == 1  # one set cut at a time
+    # one set cut at a time, and no training windows left when the first is
+    assert max(live) == 1
+    # each training set cut once, and the runs on it read one source
+    assert train_cuts == Counter(train_ids)
+    read, = reads
+    assert {key: len(runs) for key, runs in read.items()} == dict.fromkeys(
+        train_ids, 2)
+    assert all(len(set(runs)) == 1 for runs in read.values())
+    assert len({runs[0] for runs in read.values()}) == 2
     # every (model, set) pair scored once by metrics.score, all the set's
     # rows in one forward_batch call
     pairs = {(id(model or setup.frozen), id(test_set))
@@ -210,6 +239,11 @@ def test_shared_test_sets_scored_once(monkeypatch, score_spy):
         == Counter(pairs)
     assert all(forwarded == [rows]
                for _, _, rows, forwarded in score_spy.calls)
+    # a further call cuts a set again, and only when an arm trains on it
+    run_arm_jobs([job for job in jobs
+                  if job[0] is setups[0] or job[1] == "frozen"])
+    assert train_cuts == Counter({id(setups[0].new_train_set): 2,
+                                  id(setups[1].new_train_set): 1})
 
 
 def test_failed_scoring_fails_only_its_arms():

@@ -20,9 +20,10 @@ import rtune.cli
 import rtune.forecaster
 import rtune.tuner
 from rtune.cli import canonical_json, load_run_config, main
-from rtune.data import (WindowedDataset, _child_seeds, atomic_target,
-                        gen_benchmark_tasks, make_windows, read_series_csv,
-                        split_indices, split_series, zscore_apply, zscore_fit)
+from rtune.data import (SeriesWindows, WindowedDataset, _child_seeds,
+                        atomic_target, gen_benchmark_tasks, make_windows,
+                        read_series_csv, split_indices, split_series,
+                        zscore_apply, zscore_fit)
 from rtune.forecaster import init_forecaster, load_checkpoint, save_checkpoint
 from rtune.metrics import evaluate_model, metric_pair
 from rtune.replay import ReplaySet, build_replay_set
@@ -291,6 +292,35 @@ class TestTune:
         reports = list((tmp_path / "runs").rglob("report.json"))
         assert len(reports) == 1
         assert not list((tmp_path / "runs").rglob("model.ckpt"))
+
+    @pytest.mark.parametrize("method, cuts", [("frozen", 0), ("ft", 1)])
+    def test_training_windows_cut_only_to_train(self, bench_config,
+                                                monkeypatch, method, cuts):
+        # each seed's training set is cut once when its arm trains, and
+        # never for the frozen arm; its test sets are cut to score either
+        prepared, cut = [], Counter()
+        setups, windows = rtune.cli._seed_setups, SeriesWindows.windows
+
+        def recorded_setups(cfg):
+            prepare = setups(cfg)
+
+            def recorded(seed):
+                prepared.append(prepare(seed))
+                return prepared[-1]
+            return recorded
+
+        def counted_windows(self):
+            cut[id(self)] += 1
+            return windows(self)
+
+        monkeypatch.setattr(rtune.cli, "_seed_setups", recorded_setups)
+        monkeypatch.setattr(SeriesWindows, "windows", counted_windows)
+        cfg = bench_config(method=method, seeds=[0, 1])
+        assert main(["tune", "--config", str(cfg)]) == 0
+        assert len(prepared) == 2
+        for setup in prepared:
+            assert cut[id(setup.new_train_set)] == cuts
+            assert cut[id(setup.new_test_set)] == 1
 
     def test_report_echoes_standard_defaults(self, tmp_path, bench_config):
         # leave every tuning knob at its default; the echo must show them
@@ -699,9 +729,9 @@ def owned_arrays(obj, found):
 
 @pytest.mark.parametrize("mode", ["csv", "benchmark"])
 class TestPreparedSetup:
-    """What `_seed_setups` prepares for a seed: test sets as normalized
-    series plus window starts, cut on access to the windows the splits
-    give."""
+    """What `_seed_setups` prepares for a seed: the training and test sets
+    as normalized series plus window starts, cut on access to the windows
+    the splits give."""
 
     def prepared(self, mode, bench_config, csv_config):
         cfg = load_run_config((bench_config if mode == "benchmark"
@@ -737,11 +767,11 @@ class TestPreparedSetup:
             else:  # every window of an old-task CSV, normalized on itself
                 old_tests = [make_windows(zscore_apply(
                     s.values, zscore_fit(s.values)), 16, 4) for s in old]
-            new_test = split_series(new, 16, 4, 1, 0.8, split_seed, 0.10,
-                                    shot_seed)[1].windows()
+            new_train, new_test = (side.windows() for side in split_series(
+                new, 16, 4, 1, 0.8, split_seed, 0.10, shot_seed))
             got = [test_set.windows() for test_set in setup.old_test_sets]
             pairs = [*zip(got, old_tests), (setup.old_test, old_tests[0]),
-                     (setup.new_test, new_test)]
+                     (setup.new_test, new_test), (setup.new_train, new_train)]
             assert len(got) == len(old_tests)
             for cut, want in pairs:
                 assert cut.padded.tobytes() == want.padded.tobytes()
@@ -750,14 +780,16 @@ class TestPreparedSetup:
 
     def test_test_sets_hold_series_not_windows(self, mode, bench_config,
                                                csv_config):
-        # a cut window takes W + H + 1 floats; the held sets take a few
-        # floats per value of the series they come from
+        # a cut window takes W + H + 1 floats; a held set takes its task's
+        # series, which the task's sets share, and one start a window, so a
+        # whole setup, its training set included, holds under two floats
+        # per value of the series it comes from (the frozen model is small)
         cfg, setups = self.prepared(mode, bench_config, csv_config)
         for seed, setup in setups.items():
             old, new, *_ = self.sources(mode, cfg, seed)
             length = len(new) + sum(map(len, old))
-            held = owned_arrays(replace(setup, new_train=None), {})
-            assert sum(a.nbytes for a in held.values()) <= 3 * 8 * length
+            held = owned_arrays(setup, {})
+            assert sum(a.nbytes for a in held.values()) <= 2 * 8 * length
             windows = [setup.old_test, setup.new_test]
             assert sum(ds.padded.nbytes + ds.labels.nbytes
                        for ds in windows) > 3 * 8 * length
@@ -1167,6 +1199,11 @@ class TestSweep:
         # stack of seeds 0 and 2, whose rows are still written
         setups = rtune.cli._seed_setups
 
+        class ScaledInputs(SeriesWindows):
+            def windows(self):
+                cut = super().windows()
+                return WindowedDataset(1e160 * cut.inputs, cut.labels)
+
         def overflowing_setups(cfg):
             prepare = setups(cfg)
 
@@ -1178,9 +1215,10 @@ class TestSweep:
                 w1, _, w2, _ = frozen._unpack()
                 w1 *= 1e-160
                 w2 *= 1e150
-                train = WindowedDataset(1e160 * setup.new_train.inputs,
-                                        setup.new_train.labels)
-                return replace(setup, frozen=frozen, new_train=train)
+                held = setup.new_train_set
+                train = ScaledInputs(held.values, held.starts,
+                                     held.input_width, held.horizon)
+                return replace(setup, frozen=frozen, new_train_set=train)
             return overflowing
 
         monkeypatch.setattr(rtune.cli, "_seed_setups", overflowing_setups)
@@ -1387,7 +1425,7 @@ class TestEvalAndReport:
         new_set = rtune.cli._windowed_eval_set(sine_csv, None, cfg)
         setup = rtune.benchmark.BenchmarkSetup(
             seed=0, frozen=model, old_test_sets=tuple(old_sets),
-            new_train=new_set.windows(), new_test_set=new_set)
+            new_train_set=new_set, new_test_set=new_set)
         out = tmp_path / "eval.json"
         argv = ["eval", "--checkpoint", str(ckpt), "--new-data", str(sine_csv),
                 "--output", str(out)]

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 
 import rtune.data
 from rtune.data import (_FEW_SHOT_FRACTION, _TIMESTAMP_NAMES, RawSeries,
-                        WindowedDataset, _check, covered_values,
+                        SeriesWindows, WindowedDataset, _check, covered_values,
                         gen_benchmark_tasks, make_windows, read_series_csv,
                         split_indices, split_series, zscore_apply,
                         zscore_fit, zscore_invert)
@@ -188,9 +188,20 @@ class TestLayout:
         given_series = series.copy()
         train, test = split_series(series, 6, 3, 1, 0.8, 7, few_shot, 8)
         want = reference_split(series, 6, 3, 1, 0.8, 7, few_shot, 8)
-        for side, expected in zip((train, test.windows()), want):
+        for side, expected in zip((train.windows(), test.windows()), want):
             assert_padded(side, expected.inputs)
         assert np.array_equal(series, given_series)
+
+    def test_series_windows_are_read_only(self):
+        # the sides of a split share one normalized series, so a write
+        # through one would change every later cut of the other
+        train, test = split_series(np.arange(40.0), 4, 2, 1, 0.8, 0)
+        assert np.shares_memory(train.values, test.values)
+        given = SeriesWindows(np.arange(10.0), np.array([0, 3]), 4, 2)
+        for held in (train, test, given):
+            for array in (held.values, held.starts):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = -1
 
     def test_subset(self):
         ds = make_windows(np.arange(40.0), 5, 2)
@@ -425,7 +436,7 @@ def test_split_series_matches_reference(data, input_width, horizon, stride,
             split_series(*args)[1].windows()
         return
     train, test = split_series(*args)
-    for side, want in zip((train, test.windows()), expected):
+    for side, want in zip((train.windows(), test.windows()), expected):
         assert side.geometry == want.geometry
         assert side.inputs.tobytes() == want.inputs.tobytes()
         assert side.labels.tobytes() == want.labels.tobytes()
