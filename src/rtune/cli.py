@@ -25,7 +25,7 @@ from .benchmark import BenchmarkSetup, prepare_benchmark, scored_arms
 from .data import (_FEW_SHOT_FRACTION, _NON_NEGATIVE, _OPEN_FRACTION,
                    _PERCENT, _POSITIVE, SeriesWindows, _check, _child_seeds,
                    _int, _read_json, _window_starts, _write_csv,
-                   atomic_target, canonical_json, read_series_csv,
+                   _write_json, canonical_json, read_series_csv,
                    split_indices, split_series, zscore_apply, zscore_fit)
 from .forecaster import load_checkpoint, save_checkpoint
 from .metrics import (MetricPair, _mean_pair, build_comparison_row, old_new,
@@ -104,11 +104,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()[:12]
 
 
-def _write_json(path, doc) -> None:
-    with atomic_target(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc) + "\n")
-
-
 def _emit(doc, output) -> None:
     """Write `doc` to `output` and print the path; without one, print `doc`."""
     if output:
@@ -116,11 +111,6 @@ def _emit(doc, output) -> None:
         print(output)
     else:
         print(canonical_json(doc))
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return _read_json(fh, path)
 
 
 def default_run_config() -> dict:
@@ -133,7 +123,7 @@ def default_run_config() -> dict:
 
 
 def load_run_config(path) -> dict:
-    user = _load_json(path)
+    user = _read_json(path)
     if not isinstance(user, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(user) - set(RUN_CONFIG))
@@ -489,7 +479,7 @@ def _collect_reports(paths):
             if p.resolve() in seen:
                 continue
             seen.add(p.resolve())
-            doc = _load_json(p)
+            doc = _read_json(p)
             if not _is_report(doc):
                 raise ValueError(
                     f"{p}: not a run report (needs a string method and "

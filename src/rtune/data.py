@@ -87,16 +87,24 @@ class RawSeries:
     name: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError(f"series values must be 1-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"series {self.name!r} contains non-finite values")
+        values = _finite_series(self.values, self.name)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+
+def _finite_series(values, name: str = "") -> np.ndarray:
+    """`values` as a float64 array, checked to be 1-D and finite: the one
+    check of series input. A float64 array is returned as it is, neither
+    copied nor marked read-only."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"series values must be 1-D, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"series {name!r} contains non-finite values")
+    return values
 
 
 @dataclass(frozen=True)
@@ -117,8 +125,10 @@ class WindowedDataset:
     1.0, is the hidden bias's input in the training layout.
 
     The constructor copies what it is given, so a dataset never shares
-    memory with its caller's arrays; `starts` must be one integer a row. The
-    windows this module cuts are handed over without a copy (:func:`_adopt`).
+    memory with its caller's arrays; `inputs` and `labels` must be finite
+    and `starts` one integer a row. The windows this module cuts are handed
+    over without a copy or a check (:func:`_adopt`), as their series are
+    checked.
     The fields cannot be reassigned, so `inputs` stays the view of `padded`.
     """
 
@@ -135,6 +145,9 @@ class WindowedDataset:
         n, width = inputs.shape
         if n != labels.shape[0]:
             raise ValueError(f"{n} inputs vs {labels.shape[0]} labels")
+        for name, array in (("inputs", inputs), ("labels", labels)):
+            if not np.all(np.isfinite(array)):
+                raise ValueError(f"{name} contain non-finite values")
         starts = (np.full(n, -1) if self.starts is None
                   else np.asarray(self.starts))
         _check("starts", starts, (
@@ -183,8 +196,21 @@ def _adopt(padded, labels, starts) -> WindowedDataset:
     """The window set of rows cut into arrays that the caller owns and hands
     over, with no check and no copy: `padded` C-contiguous (n, W + 1)
     float64 whose last column is 1.0, `labels` C-contiguous (n, H) float64
-    and `starts` (n,) int64. Only this module's cutters call it."""
+    and `starts` (n,) int64. Only this module's cutters and
+    ``rtune.reference``'s `normalize_windows` and `concat_windows`, which
+    build each array of their result once, call it."""
     return object.__new__(WindowedDataset)._hold(padded, labels, starts)
+
+
+def _checked_starts(starts, last: int) -> np.ndarray:
+    """`starts` as an array, checked to be 1-D integers in [0, last]: the
+    starts of windows that fit in their series."""
+    starts = np.asarray(starts)
+    _check("starts", starts, (
+        f"1-D integers in [0, {last}]",
+        lambda v: v.ndim == 1 and (v.size == 0 or v.dtype.kind in "iu"
+                                   and 0 <= v.min() and v.max() <= last)))
+    return starts.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -193,7 +219,8 @@ class SeriesWindows:
     `values` and each window's start in them, with `input_width` inputs and
     `horizon` labels a window. It holds O(len(values)) floats, where its
     cut windows hold input_width + horizon + 1 floats each. `values` and
-    `starts` are read-only."""
+    `starts` are read-only; each start must be an integer in
+    [0, len(values) - input_width - horizon]."""
 
     values: np.ndarray
     starts: np.ndarray
@@ -201,11 +228,13 @@ class SeriesWindows:
     horizon: int
 
     def __post_init__(self):
+        values = np.asarray(self.values)
+        starts = _checked_starts(
+            self.starts, len(values) - self.input_width - self.horizon)
         # read-only, as RawSeries holds its values: the sides of a split
         # share one normalized series, so a write through one would change
         # every later cut of the other
-        for name in ("values", "starts"):
-            array = np.asarray(getattr(self, name))
+        for name, array in (("values", values), ("starts", starts)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -228,7 +257,9 @@ def zscore_fit(train) -> NormalizationParams:
 
 
 def zscore_apply(x, params: NormalizationParams) -> np.ndarray:
-    return (np.asarray(x, dtype=np.float64) - params.mu) / params.sigma
+    out = np.asarray(x, dtype=np.float64) - params.mu
+    out /= params.sigma  # in place: one new array, not two
+    return out
 
 
 def zscore_invert(x, params: NormalizationParams) -> np.ndarray:
@@ -262,8 +293,10 @@ def _gather_windows(values, starts, input_width: int,
 
 
 def _series_values(series) -> np.ndarray:
-    return series.values if isinstance(series, RawSeries) else np.asarray(
-        series, dtype=np.float64)
+    """The values of a RawSeries, or of an array checked as RawSeries
+    checks its values."""
+    return (series.values if isinstance(series, RawSeries)
+            else _finite_series(series))
 
 
 def make_windows(series, input_width: int, horizon: int,
@@ -310,15 +343,16 @@ def _few_shot_indices(n: int, fraction: float, seed: int) -> np.ndarray:
 
 def covered_values(series, starts, span: int) -> np.ndarray:
     """Values of `series` covered by windows of width `span` at `starts`,
-    each position once, index order. Used to fit normalization on the training
+    each position once, index order; each start must be an integer in
+    [0, len(series) - span]. Used to fit normalization on the training
     windows only."""
     values = _series_values(series)
+    starts = _checked_starts(starts, len(values) - span)
     # +1 where a window starts, -1 where it ends: positions with a positive
     # running sum are covered
-    starts = np.asarray(starts, dtype=np.int64)
     edges = np.zeros(len(values) + 1, dtype=np.int64)
-    np.add.at(edges, np.minimum(starts, len(values)), 1)
-    np.add.at(edges, np.minimum(starts + span, len(values)), -1)
+    np.add.at(edges, starts, 1)
+    np.add.at(edges, starts + span, -1)
     return values[np.cumsum(edges[:-1]) > 0]
 
 
@@ -585,13 +619,21 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
-def _read_json(fh, path):
-    """The JSON document of the file `fh` opened from `path`; one that is
-    not JSON or not UTF-8 text, or repeats a key, fails naming `path`."""
-    try:
-        return json.load(fh, object_pairs_hook=_unique_keys)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+def _read_json(path):
+    """The JSON document of the file at `path`; one that is not JSON or not
+    UTF-8 text, or repeats a key, fails naming `path`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _write_json(path, doc) -> None:
+    """Write `doc` as canonical JSON and a newline to `path` through
+    :func:`atomic_target`."""
+    with atomic_target(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(doc) + "\n")
 
 
 def _write_csv(path, comment, header, rows) -> None:

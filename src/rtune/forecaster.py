@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check, _int, _read_json, atomic_target, canonical_json
+from .data import _check, _int, _read_json, _write_json
 
 __all__ = [
     "Forecaster",
@@ -323,15 +323,13 @@ def save_checkpoint(model: Forecaster, path) -> None:
         "hidden_width": model.hidden_width,
         "theta_b64": base64.b64encode(raw).decode("ascii"),
     }
-    with atomic_target(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc) + "\n")
+    _write_json(path, doc)
 
 
 def load_checkpoint(path) -> Forecaster:
     """The model of a checkpoint file; one that repeats a key, or whose version
     is not the integer 1 or byte order not "little", fails by name."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _read_json(fh, path)
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     version, byte_order = doc.get("version"), doc.get("byte_order")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (_FEW_SHOT_FRACTION, _POSITIVE, NormalizationParams,
-                   WindowedDataset, _check, _few_shot_indices, split_indices,
-                   zscore_apply)
+                   WindowedDataset, _adopt, _check, _few_shot_indices,
+                   split_indices, zscore_apply)
 from .forecaster import Forecaster, _soften_rows
 from .replay import ReplaySet
 
@@ -198,16 +198,17 @@ def few_shot_subsample(train: WindowedDataset, fraction: float = 0.10,
 
 
 def normalize_windows(ds: WindowedDataset, params: NormalizationParams) -> WindowedDataset:
-    return WindowedDataset(zscore_apply(ds.inputs, params),
-                           zscore_apply(ds.labels, params), ds.starts.copy())
+    padded = zscore_apply(ds.padded, params)
+    padded[:, -1] = 1.0  # the ones column stays ones
+    return _adopt(padded, zscore_apply(ds.labels, params), ds.starts.copy())
 
 
 def concat_windows(a: WindowedDataset, b: WindowedDataset) -> WindowedDataset:
     if a.geometry != b.geometry:
         raise ValueError(f"window geometry mismatch: {a.geometry} vs {b.geometry}")
-    return WindowedDataset(np.concatenate([a.inputs, b.inputs]),
-                           np.concatenate([a.labels, b.labels]),
-                           np.concatenate([a.starts, b.starts]))
+    return _adopt(np.concatenate([a.padded, b.padded]),
+                  np.concatenate([a.labels, b.labels]),
+                  np.concatenate([a.starts, b.starts]))
 
 
 def permute_windows(ds: WindowedDataset, seed: int) -> WindowedDataset:

@@ -40,7 +40,6 @@ class ReplaySet:
     sequences: np.ndarray
     labels: np.ndarray
     tags: np.ndarray
-    provenance: dict
 
     def __post_init__(self):
         if (self.sequences.ndim != 2 or self.labels.ndim != 2
@@ -136,10 +135,8 @@ def build_replay_set(frozen: Forecaster, n: int, levels: int, k: int,
             per_latent[:, 1:, :w].reshape(n * k, w)).reshape(n, k, -1)
     tags = np.array(["full_spectrum"]
                     + [f"filtered({j})" for j in range(1, k + 1)])
-    provenance = {"n": n, "levels": levels, "discard_depth": k,
-                  "alpha": alpha, "seed": seed}
     return ReplaySet(sequences=sequences, labels=labels.reshape(-1, h),
-                     tags=np.tile(tags, n), provenance=provenance)
+                     tags=np.tile(tags, n))
 
 
 def replay_count_for_fraction(fraction_percent: float, n_new: int, k: int) -> int:

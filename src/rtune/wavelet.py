@@ -99,23 +99,10 @@ def _atrous(x: np.ndarray, taps: np.ndarray, dilation: int,
     direction=+1 is the analysis convolution, direction=-1 its adjoint (the
     correlation). Each row gets the same per-element arithmetic as a 1-D call.
     """
-    out, rolled = np.zeros_like(x), np.empty_like(x)
+    out = np.zeros_like(x)
     for k, f in enumerate(taps):
-        _roll_into(rolled, x, direction * k * dilation)
-        rolled *= f
-        out += rolled
+        out += f * np.roll(x, direction * k * dilation, axis=-1)
     return out
-
-
-def _roll_into(out, x, shift):
-    """np.roll(x, shift, axis=-1), written into `out` by two sliced copies:
-    the same values, without allocating the rolled array; in-place
-    arithmetic on `out` then runs on one contiguous block where sliced
-    in-place adds would run row by row."""
-    n = x.shape[-1]
-    shift %= n
-    out[..., shift:] = x[..., :n - shift]
-    out[..., :shift] = x[..., n - shift:]
 
 
 def _check_depth(length: int, levels: int) -> None:

@@ -17,6 +17,7 @@ import pytest
 
 import rtune.benchmark
 import rtune.cli
+import rtune.data
 import rtune.forecaster
 import rtune.tuner
 from rtune.cli import canonical_json, load_run_config, main
@@ -297,8 +298,9 @@ class TestTune:
     def test_training_windows_cut_only_to_train(self, bench_config,
                                                 monkeypatch, method, cuts):
         # each seed's training set is cut once when its arm trains, and
-        # never for the frozen arm; its test sets are cut to score either
-        prepared, cut = [], Counter()
+        # never for the frozen arm; its test sets are cut to score either.
+        # Every cut set is held, so no later set can take a freed one's id.
+        prepared, cut, held = [], Counter(), []
         setups, windows = rtune.cli._seed_setups, SeriesWindows.windows
 
         def recorded_setups(cfg):
@@ -311,6 +313,7 @@ class TestTune:
 
         def counted_windows(self):
             cut[id(self)] += 1
+            held.append(self)
             return windows(self)
 
         monkeypatch.setattr(rtune.cli, "_seed_setups", recorded_setups)
@@ -1097,8 +1100,7 @@ class TestSweep:
                     return replay
                 labels = replay.labels.copy()
                 labels[0] = 1e200
-                return ReplaySet(replay.sequences, labels, replay.tags,
-                                 replay.provenance)
+                return ReplaySet(replay.sequences, labels, replay.tags)
 
             monkeypatch.setattr(rtune.tuner, "build_replay_set", diverging)
             message = "error: non-finite loss"
@@ -1145,8 +1147,7 @@ class TestSweep:
                 return replay
             labels = replay.labels.copy()
             labels[0] = 1e200
-            return ReplaySet(replay.sequences, labels, replay.tags,
-                             replay.provenance)
+            return ReplaySet(replay.sequences, labels, replay.tags)
 
         monkeypatch.setattr(rtune.tuner, "build_replay_set", diverging)
         assert main(argv) == 1
@@ -1728,7 +1729,7 @@ class TestAtomicWrites:
             fh.write = write
             return fh
 
-        monkeypatch.setattr(rtune.forecaster, "open", half_writing_open,
+        monkeypatch.setattr(rtune.data, "open", half_writing_open,
                             raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(init_forecaster(4, 2, 3, seed=1), path)

@@ -19,8 +19,9 @@ from rtune.data import (_FEW_SHOT_FRACTION, _TIMESTAMP_NAMES, RawSeries,
                         split_indices, split_series, zscore_apply,
                         zscore_fit, zscore_invert)
 from rtune.forecaster import init_forecaster
-from rtune.reference import (_replay_windows, few_shot_subsample,
-                             normalize_windows, split_train_test)
+from rtune.reference import (_replay_windows, concat_windows,
+                             few_shot_subsample, normalize_windows,
+                             split_train_test)
 from rtune.replay import build_replay_set
 
 
@@ -301,6 +302,28 @@ class TestLayout:
             kept = ds.padded.nbytes + ds.labels.nbytes + ds.starts.nbytes
             assert peak < kept + 0.5 * ds.inputs.nbytes
 
+    def test_reference_window_sets_are_built_once(self):
+        # normalize_windows and concat_windows build each array of their
+        # result once and hand it over, as the cutters do
+        series = np.random.default_rng(7).normal(size=20000)
+        windows = make_windows(series, 48, 12)
+        params = zscore_fit(series)
+        for build in (lambda: normalize_windows(windows, params),
+                      lambda: concat_windows(windows, windows)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                ds = build()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            kept = ds.padded.nbytes + ds.labels.nbytes + ds.starts.nbytes
+            assert peak < kept + 0.5 * ds.inputs.nbytes
+        assert_padded(ds, np.concatenate([windows.inputs, windows.inputs]))
+        norm = normalize_windows(windows, params)
+        assert_padded(norm, zscore_apply(windows.inputs, params))
+        assert np.array_equal(norm.labels, zscore_apply(windows.labels, params))
+
 
 class TestSplit:
     def test_exact_80_20(self):
@@ -376,16 +399,39 @@ def test_covered_values_unique_in_order():
 @hyp_settings(max_examples=80, deadline=None)
 @given(data=st.data(), length=st.integers(1, 50), span=st.integers(1, 12))
 def test_covered_values_matches_loop_mask(data, length, span):
-    # unsorted, repeated and overlapping starts, and windows that end at or
-    # run past the end of the series
+    # unsorted, repeated and overlapping starts, and windows that end at the
+    # end of the series; a window that runs past it is rejected
     starts = data.draw(st.lists(st.integers(0, length + 2), max_size=12))
     if length >= span and data.draw(st.booleans()):
         starts.append(length - span)
     series = np.random.default_rng(length).normal(size=length)
+    if any(s > length - span for s in starts):
+        with pytest.raises(ValueError, match=re.escape(
+                f"starts must be 1-D integers in [0, {length - span}]")):
+            covered_values(series, starts, span)
+        return
     mask = np.zeros(length, dtype=bool)
     for s in starts:
         mask[s:s + span] = True
     assert np.array_equal(covered_values(series, starts, span), series[mask])
+
+
+@pytest.mark.parametrize("starts", [[-1], [15], [0, 15], [1.0], [[0]], 3])
+def test_window_starts_checked_where_they_enter(starts):
+    # a start of -1 would cut the series' last values as input, with a label
+    # that overlaps its own input; covered_values would cover nothing
+    values = np.arange(20.0)
+    message = re.escape(f"starts must be 1-D integers in [0, 14], got "
+                        f"{np.asarray(starts)!r}")
+    with pytest.raises(ValueError, match=message):
+        SeriesWindows(values, np.asarray(starts), 4, 2)
+    with pytest.raises(ValueError, match=message):
+        covered_values(values, starts, 6)
+    # the first and last windows that fit
+    assert covered_values(values, [14, 0], 6).tolist() == [
+        *range(6), *range(14, 20)]
+    last = SeriesWindows(values, np.array([0, 14]), 4, 2).windows()
+    assert last.labels.tolist() == [[4.0, 5.0], [18.0, 19.0]]
 
 
 def test_normalize_windows_matches_series_normalization():
@@ -719,3 +765,35 @@ def test_long_csv_faults_match_reference(tmp_path, long_csv_lines, fault, end,
 def test_raw_series_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         RawSeries(np.array([1.0, np.nan]))
+
+
+_SERIES_ENTRIES = {
+    "RawSeries": RawSeries,
+    "make_windows": lambda values: make_windows(values, 8, 4),
+    "split_series": lambda values: split_series(values, 8, 4, 1, 0.8, 0),
+    "covered_values": lambda values: covered_values(values, [0], 12)}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.r_[np.arange(99.0), np.nan], "series '' contains non-finite values"),
+    (np.r_[np.inf, np.arange(99.0)], "series '' contains non-finite values"),
+    (np.arange(200.0).reshape(2, 100),
+     "series values must be 1-D, got shape (2, 100)")])
+@pytest.mark.parametrize("entry", sorted(_SERIES_ENTRIES))
+def test_series_input_checked_once(bad, message, entry):
+    # an array gets the checks of RawSeries; only a RawSeries marks the
+    # array it holds read-only
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _SERIES_ENTRIES[entry](bad)
+    good = np.arange(100.0)
+    _SERIES_ENTRIES[entry](good)
+    assert good.flags.writeable == (entry != "RawSeries")
+
+
+@pytest.mark.parametrize("name", ["inputs", "labels"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_windowed_dataset_rejects_non_finite(name, value):
+    arrays = {"inputs": np.zeros((3, 2)), "labels": np.zeros((3, 1))}
+    arrays[name][1, 0] = value
+    with pytest.raises(ValueError, match=f"{name} contain non-finite values"):
+        WindowedDataset(**arrays)

@@ -421,12 +421,6 @@ class TestReplaySet:
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.tags, b.tags)
 
-    def test_provenance(self):
-        frozen = init_forecaster(8, 4, 6, seed=1)
-        rs = build_replay_set(frozen, 2, 1, 1, 0.5, seed=3)
-        assert rs.provenance == {"n": 2, "levels": 1, "discard_depth": 1,
-                                 "alpha": 0.5, "seed": 3}
-
     def test_arrays_read_only(self):
         rs = build_replay_set(init_forecaster(8, 4, 6, seed=1), 2, 1, 1, 0.7, 0)
         for name in ("sequences", "labels", "tags"):
@@ -443,7 +437,7 @@ class TestReplaySet:
     def test_inconsistent_arrays_rejected(self):
         with pytest.raises(ValueError, match="disagree"):
             ReplaySet(np.zeros((3, 12)), np.zeros((2, 4)),
-                      np.array(["full_spectrum"] * 3), {})
+                      np.array(["full_spectrum"] * 3))
 
     @settings(max_examples=40, deadline=None)
     @given(w=st.integers(4, 12), h=st.integers(1, 6), hidden=st.integers(1, 6),
@@ -470,7 +464,7 @@ class TestTrainSet:
     def test_empty_replay_is_permutation(self):
         new = self._new_data(20)
         empty = ReplaySet(np.empty((0, 12)), np.empty((0, 4)),
-                          np.empty(0, dtype=str), {})
+                          np.empty(0, dtype=str))
         out = build_train_set(new, empty, seed=5)
         assert len(out) == 20
         assert np.array_equal(np.sort(out.starts), new.starts)
@@ -536,7 +530,7 @@ def test_replay_csv_bytes_unchanged(tmp_path):
         sequences=np.array([[0.1, -2.5, 1e-300, 3.0, -0.0],
                             [1 / 3, 7.25e10, -4.0, 0.5, 5e-324]]),
         labels=np.array([[0.2, -1.0], [1e16, 1.7976931348623157e308]]),
-        tags=np.array(["full_spectrum", "filtered(1)"]), provenance={})
+        tags=np.array(["full_spectrum", "filtered(1)"]))
     path = tmp_path / "replay.csv"
     for comment, digest in [
         (None,

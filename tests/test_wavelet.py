@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rtune.wavelet import (FilterBank, _atrous, build_db4_bank, rwt_decompose,
+from rtune.wavelet import (FilterBank, build_db4_bank, rwt_decompose,
                            rwt_reconstruct)
 
 # tap values from evaluating the closed forms at high precision
@@ -24,14 +24,6 @@ def naive_circular_conv(x, taps, dilation=1):
     for n in range(t):
         for k, f in enumerate(taps):
             out[n] += f * x[(n - k * dilation) % t]
-    return out
-
-
-def roll_atrous(x, taps, dilation, direction):
-    """The np.roll form of the circular filter: a rolled copy per tap."""
-    out = np.zeros_like(x)
-    for k, f in enumerate(taps):
-        out += f * np.roll(x, direction * k * dilation, axis=-1)
     return out
 
 
@@ -270,24 +262,3 @@ def test_batched_rows_equal_1d_calls(lead, levels, extra, data):
         assert np.array_equal(rec[idx],
                               rwt_reconstruct(row, alpha=alpha, keep_levels=keep))
 
-
-@settings(max_examples=100, deadline=None)
-@given(shape=st.sampled_from(["1-D", "2-D", "strided"]), t=st.integers(1, 40),
-       dilation=st.integers(1, 8), direction=st.sampled_from([1, -1]),
-       hi=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_atrous_bit_equal_to_roll_form(shape, t, dilation, direction, hi,
-                                       seed):
-    # the rolled-copy-free filter has the bits of the np.roll form, also on
-    # a strided view, as replay synthesis decomposes one
-    rng = np.random.default_rng(seed)
-    scales = 10.0 ** rng.integers(-300, 300, size=(6, 2 * t))
-    block = rng.normal(size=(6, 2 * t)) * scales
-    x = {"1-D": block[0, :t], "2-D": block[:, :t],
-         "strided": block[::2, ::2]}[shape]
-    bank = build_db4_bank()
-    taps = bank.dec_hi if hi else bank.dec_lo
-    with np.errstate(over="ignore"):
-        expected = roll_atrous(x, taps, dilation, direction)
-        got = _atrous(x, taps, dilation, direction)
-    assert got.shape == x.shape
-    assert got.tobytes() == expected.tobytes()
